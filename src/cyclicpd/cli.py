@@ -148,8 +148,10 @@ def cmd_search(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.time()
+    config = cfg.to_dict()
     if args.n is None and args.p in (12, 23):
         sweep = probe_conjecture(args.p, cfg, tol=tol)
+        config["n"] = list(sweep)  # the dimensions the sweep ran, not the placeholder 1
         results = {str(n): res.to_dict() for n, res in sweep.items()}
         for n, res in sweep.items():
             print(f"p={args.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]")
@@ -159,7 +161,6 @@ def cmd_search(args) -> int:
         res = minimize_margin(cfg, tol)
         results = res.to_dict()
         print(f"p={cfg.p} n={cfg.n}: best margin {res.best_margin:.12g} [{res.classification}]")
-    config = cfg.to_dict()
     _emit(_manifest("search", config, args.seed, started, results), args.out)
     return 0
 

@@ -3,7 +3,10 @@
 Minimizes the cyclic trace-sum margin (the defect of the conditional bound
 Tr-sum >= p*n/2) by multi-restart gradient descent with Armijo backtracking.
 Iterates are parameterized as A_i = L_i L_i^T + ridge*I, so the feasible set
-is unconstrained and every iterate stays strictly positive definite.
+is unconstrained and every iterate stays strictly positive definite. All
+restarts descend in lockstep as one (restarts, p, n, n) stack, in one thread;
+each keeps its own step and stopping state, so a restart's trajectory does
+not depend on which other restarts run beside it.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
@@ -12,8 +15,6 @@ p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,18 +96,6 @@ class SearchResult:
         }
 
 
-def worker_count(tasks: int) -> int:
-    """Worker cap from CYCLICPD_THREADS (0 or unset means auto)."""
-    raw = os.environ.get("CYCLICPD_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap <= 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, tasks))
-
-
 def scalar_cyclic_sum(values) -> float:
     """Independent scalar oracle: S_p = sum_i a_i / (a_{i+1} + a_{i+2})."""
     a = [float(v) for v in values]
@@ -140,105 +129,154 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
 # ---------------------------------------------------------------------------
 # Objective and gradient on the factor parameterization
 # ---------------------------------------------------------------------------
+#
+# The kernels take factors stacked as (..., p, n, n): the leading axes index
+# restarts, so one call evaluates every restart with one batched solve. Sums
+# over the p axis run in a Python loop, one vector add per term: np.sum would
+# sum pairwise, round differently from summing one restart at a time, and so
+# flip Armijo decisions.
 
-def _mats_from_factors(factors, ridge: float) -> list:
-    n = factors[0].shape[0]
-    eye = np.eye(n)
-    return [l @ l.T + ridge * eye for l in factors]
+def _mats_from_factors(factors, ridge: float):
+    n = factors.shape[-1]
+    return factors @ np.swapaxes(factors, -1, -2) + ridge * np.eye(n)
 
 
-def _margin_value(factors, ridge: float) -> float:
-    mats = _mats_from_factors(factors, ridge)
-    p = len(mats)
-    n = mats[0].shape[0]
+def _sum_over_p(terms):
+    """Sum of terms[..., i] over the last axis, added in order i = 0..p-1."""
     total = 0.0
-    for i in range(p):
-        s = mats[(i + 1) % p] + mats[(i + 2) % p]
-        total += float(np.trace(np.linalg.solve(s, mats[i])))
-    return total - p * n / 2.0
+    for i in range(terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
 
 
-def margin_gradient(factors, ridge: float) -> list:
+def _margin_value(factors, ridge: float):
+    """Margin of stacked factors (..., p, n, n); one family's p blocks give a scalar."""
+    mats = _mats_from_factors(np.asarray(factors, dtype=np.float64), ridge)
+    p, n = mats.shape[-3], mats.shape[-1]
+    denoms = np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3)
+    traces = np.trace(np.linalg.solve(denoms, mats), axis1=-2, axis2=-1)
+    return _sum_over_p(traces) - p * n / 2.0
+
+
+def margin_gradient(factors, ridge: float):
     """Exact gradient of the margin under A_i = L_i L_i^T + ridge*I.
 
     Uses d Tr(A S^{-1}) = Tr(S^{-1} dA) - Tr(S^{-1} A S^{-1} dS) and the chain
     rule through the factorization; matches central finite differences.
+    Takes stacked factors (..., p, n, n) and returns an array of that shape,
+    or a list of p blocks and returns a list.
     """
-    factors = [np.asarray(l, dtype=np.float64) for l in factors]
-    p = len(factors)
-    mats = _mats_from_factors(factors, ridge)
-    invs = []
-    for i in range(p):
-        s = mats[(i + 1) % p] + mats[(i + 2) % p]
-        invs.append(np.linalg.inv(s))
+    stacked = np.asarray(factors, dtype=np.float64)
+    mats = _mats_from_factors(stacked, ridge)
+    invs = np.linalg.inv(np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3))
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
-    ks = [invs[i] @ mats[i] @ invs[i] for i in range(p)]
-    grads = []
-    for j in range(p):
-        d = invs[j] - ks[(j - 1) % p] - ks[(j - 2) % p]
-        grads.append(2.0 * d @ factors[j])
-    return grads
+    ks = invs @ mats @ invs
+    d = invs - np.roll(ks, 1, axis=-3) - np.roll(ks, 2, axis=-3)
+    grads = 2.0 * d @ stacked
+    return grads if isinstance(factors, np.ndarray) else list(grads)
 
 
-def _init_factors(cfg: SearchConfig, rng: np.random.Generator) -> list:
+def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
     if cfg.n == 1:
         # scalar starts span orders of magnitude, like the known counterexamples
         a = np.exp(rng.uniform(-3.0, 3.0, cfg.p))
-        return [np.array([[v]]) for v in np.sqrt(np.maximum(a - cfg.ridge, 1e-12))]
-    eye = np.eye(cfg.n)
-    return [eye + 0.5 * rng.standard_normal((cfg.n, cfg.n)) for _ in range(cfg.p)]
+        return np.sqrt(np.maximum(a - cfg.ridge, 1e-12)).reshape(cfg.p, 1, 1)
+    return np.eye(cfg.n) + 0.5 * rng.standard_normal((cfg.p, cfg.n, cfg.n))
+
+
+def _initial_factors(cfg: SearchConfig):
+    """Starting factors of every restart, (restarts, p, n, n); restart r has its own stream."""
+    return np.stack([
+        _init_factors(cfg, np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(r,))))
+        for r in range(cfg.restarts)
+    ])
+
+
+def _evaluate(fn, factors, ridge: float):
+    """``fn`` on the restarts of a stack that it can evaluate: (ok, fn(factors[ok])).
+
+    numpy raises LinAlgError for a whole stack when one matrix in it is
+    singular, so the stack is then tried restart by restart and only the
+    restarts that fail on their own are left out.
+    """
+    ok = np.ones(len(factors), dtype=bool)
+    try:
+        return ok, fn(factors, ridge)
+    except np.linalg.LinAlgError:
+        pass
+    for r in range(len(factors)):
+        try:
+            fn(factors[r:r + 1], ridge)
+        except np.linalg.LinAlgError:
+            ok[r] = False
+    return ok, fn(factors[ok], ridge)
 
 
 def _descend(cfg: SearchConfig, factors):
-    """Armijo-backtracking gradient descent; returns (factors, margin, history, iters)."""
-    f = _margin_value(factors, cfg.ridge)
-    history = [(0, f)]
-    step = cfg.step_init
-    iters = 0
+    """Armijo-backtracking gradient descent of all restarts in lockstep.
+
+    ``factors`` is (restarts, p, n, n). Each restart keeps its own margin,
+    step, trial step, iteration count and history, and nothing reduced across
+    restarts steers one, so every trajectory is the one the restart follows
+    alone. Returns (factors, margins, histories, iters); a restart whose
+    evaluation raised LinAlgError is retired there with margin nan.
+    """
+    ridge = cfg.ridge
+    factors = np.array(factors, dtype=np.float64)
+    ok, f0 = _evaluate(_margin_value, factors, ridge)
+    f = np.full(len(factors), np.nan)
+    f[ok] = f0
+    histories = [[(0, float(v))] for v in f]
+    step = np.full(len(factors), cfg.step_init)
+    iters = np.zeros(len(factors), dtype=int)
+    diverged = ~ok
+    live = np.flatnonzero(ok)
     for it in range(1, cfg.max_iters + 1):
-        grads = margin_gradient(factors, cfg.ridge)
-        gnorm2 = sum(float((g * g).sum()) for g in grads)
-        if gnorm2 < 1e-24:
+        if live.size == 0:
             break
-        t = step
-        accepted = False
+        ok, grads = _evaluate(margin_gradient, factors[live], ridge)
+        diverged[live[~ok]] = True
+        live = live[ok]
+        gnorm2 = _sum_over_p((grads * grads).reshape(len(live), cfg.p, cfg.n * cfg.n).sum(axis=-1))
+        moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
+        live, grads, gnorm2 = live[moving], grads[moving], gnorm2[moving]
+        t = step[live]
+        accepted = np.zeros(len(live), dtype=bool)
+        pending = np.arange(len(live))
         for _ in range(50):
-            cand = [l - t * g for l, g in zip(factors, grads)]
-            f2 = _margin_value(cand, cfg.ridge)
-            if f2 <= f - 1e-4 * t * gnorm2:
-                accepted = True
+            if pending.size == 0:
                 break
-            t *= 0.5
-        if not accepted:
+            cand = factors[live[pending]] - t[pending, None, None, None] * grads[pending]
+            ok, f2 = _evaluate(_margin_value, cand, ridge)
+            diverged[live[pending[~ok]]] = True
+            pending, cand = pending[ok], cand[ok]
+            win = f2 <= f[live[pending]] - 1e-4 * t[pending] * gnorm2[pending]
+            done = live[pending[win]]
+            factors[done], f[done] = cand[win], f2[win]
+            accepted[pending[win]] = True
+            pending = pending[~win]
+            t[pending] *= 0.5
+        live, t = live[accepted], t[accepted]
+        if live.size == 0:
             break
-        factors, f = cand, f2
-        iters = it
-        history.append((it, f))
-        step = min(2.0 * t, 1e3)
+        iters[live] = it
+        for r in live:
+            histories[r].append((it, float(f[r])))
+        step[live] = np.minimum(2.0 * t, 1e3)
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
-            total_tr = sum(float(np.trace(m)) for m in _mats_from_factors(factors, cfg.ridge))
-            scale = cfg.p * cfg.n / total_tr
-            fixed = [np.sqrt(scale) * l for l in factors]
-            f_fixed = _margin_value(fixed, cfg.ridge)
-            if f_fixed <= f + 1e-12 * (1.0 + abs(f)):
-                factors, f = fixed, f_fixed
-    return factors, f, history, iters
-
-
-def _run_restart(cfg: SearchConfig, r: int):
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(r,))
-    )
-    factors = _init_factors(cfg, rng)
-    try:
-        factors, f, history, iters = _descend(cfg, factors)
-    except np.linalg.LinAlgError:
-        return None  # diverged restart: skip
-    if not np.isfinite(f):
-        return None
-    return f, r, factors, history, iters
+            mats = _mats_from_factors(factors[live], ridge)
+            scale = cfg.p * cfg.n / _sum_over_p(np.trace(mats, axis1=-2, axis2=-1))
+            fixed = np.sqrt(scale)[:, None, None, None] * factors[live]
+            ok, f_fixed = _evaluate(_margin_value, fixed, ridge)
+            diverged[live[~ok]] = True
+            live, fixed, f_cur = live[ok], fixed[ok], f[live[ok]]
+            keep = f_fixed <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))
+            factors[live[keep]], f[live[keep]] = fixed[keep], f_fixed[keep]
+    f[diverged] = np.nan
+    return factors, f, histories, iters
 
 
 def _family_from_factors(factors, ridge: float) -> CyclicFamily:
@@ -262,24 +300,21 @@ def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
 def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
-    The winning family is re-evaluated through the checker path with fresh
+    The restarts run in lockstep (see ``_descend``); restarts that diverge
+    (LinAlgError, or a non-finite final margin) are dropped. The winning
+    family is re-evaluated through the checker path with fresh
     refined inverses before being reported; candidates below the noise band
     must additionally survive re-verification at tightened tolerance to be
     classified as verified counterexamples.
     """
-    outcomes = []
-    workers = worker_count(cfg.restarts)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _run_restart(cfg, r), range(cfg.restarts)))
-    else:
-        outcomes = [_run_restart(cfg, r) for r in range(cfg.restarts)]
-    outcomes = [o for o in outcomes if o is not None]
-    if not outcomes:
+    factors, margins, histories, iters = _descend(cfg, _initial_factors(cfg))
+    survivors = [r for r in range(cfg.restarts) if np.isfinite(margins[r])]
+    if not survivors:
         raise RuntimeError("all restarts diverged")
     # deterministic merge: lowest margin, ties broken by lowest restart index
-    f, r, factors, history, iters = min(outcomes, key=lambda o: (o[0], o[1]))
-    total_iters = sum(o[4] for o in outcomes)
+    r = min(survivors, key=lambda s: (margins[s], s))
+    f, factors, history = float(margins[r]), factors[r], histories[r]
+    total_iters = sum(int(iters[s]) for s in survivors)
     family = _family_from_factors(factors, cfg.ridge)
     recomputed = cyclic_sum_trace(family, refine=True) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):

@@ -132,3 +132,18 @@ def test_search_cli_and_replay(tmp_path, capsys):
 
 def test_search_bad_config():
     assert main(["search", "--p", "2"]) == 2
+
+
+def test_search_sweep_manifest_lists_dims(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["search", "--p", "12", "--restarts", "2", "--max-iters", "20",
+                 "--seed", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["n"] == [1, 2, 3]
+    assert sorted(doc["results"]) == ["1", "2", "3"]
+
+    assert main(["search", "--p", "12", "--n", "2", "--restarts", "2", "--max-iters", "20",
+                 "--seed", "4", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["config"]["n"] == 2
+    assert doc["results"]["best_family"]["members"][0]["n"] == 2
