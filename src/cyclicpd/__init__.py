@@ -9,6 +9,7 @@ from .errors import (
     DimensionMismatch,
     FixtureMismatch,
     IllConditioned,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     NotSquare,

@@ -61,7 +61,7 @@ def _manifest(command: str, config: dict, seed: int, started: float, results) ->
 
 
 def _emit(doc: dict, out_path) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -78,6 +78,8 @@ def cmd_verify(args) -> int:
     try:
         dims = _parse_range(args.dims)
         p_values = _parse_range(args.p)
+        if args.trials < 1:
+            raise ValueError("--trials must be >= 1")
         tol = _tol_from(args)
         fields = ("real", "complex") if args.field == "both" else (args.field,)
     except (ValueError, CyclicPDError) as exc:
@@ -174,20 +176,24 @@ def cmd_eval(args) -> int:
         print(f"error: cannot load family: {exc}", file=sys.stderr)
         return 2
     out = []
-    for fam in families:
-        if args.expr == "Fp":
-            out.append(ineq.cyclic_sum_trace(fam))
-        elif args.expr == "margin":
-            out.append(shapiro_margin(fam))
-        elif args.expr == "nesbitt_eigs":
-            spec = ineq.bidirectional_spectrum(fam)
-            out.append({
-                "forward_backward_eigs": [[z.real, z.imag] for z in spec.values],
-                "min_real": spec.min_real,
-            })
-        elif args.expr == "bidirectional":
-            rep = ineq.check_bidirectional(fam)
-            out.append(rep.to_dict())
+    try:
+        for fam in families:
+            if args.expr == "Fp":
+                out.append(ineq.cyclic_sum_trace(fam))
+            elif args.expr == "margin":
+                out.append(shapiro_margin(fam))
+            elif args.expr == "nesbitt_eigs":
+                spec = ineq.bidirectional_spectrum(fam)
+                out.append({
+                    "forward_backward_eigs": [[z.real, z.imag] for z in spec.values],
+                    "min_real": spec.min_real,
+                })
+            elif args.expr == "bidirectional":
+                rep = ineq.check_bidirectional(fam)
+                out.append(rep.to_dict())
+    except (ValueError, CyclicPDError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(out[0] if len(out) == 1 else out))
     return 0
 
@@ -221,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reproduce", help="reproduce the published p=4 counterexample")
     sp.add_argument("--case", choices=["shapiro4-eig", "shapiro4-trace", "all"], default="all")
     sp.add_argument("--out")
-    _add_tol_flags(sp)
     sp.set_defaults(fn=cmd_reproduce)
 
     sp = sub.add_parser("search", help="minimize the cyclic trace-sum margin")
@@ -239,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("eval", help="evaluate a quantity on a stored family")
     sp.add_argument("--family", required=True)
     sp.add_argument("--expr", choices=["Fp", "margin", "nesbitt_eigs", "bidirectional"], required=True)
-    _add_tol_flags(sp)
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("sample", help="sample random families to a JSON file")
@@ -249,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", choices=["real", "complex"], default="real")
     sp.add_argument("--out")
-    _add_tol_flags(sp)
     sp.set_defaults(fn=cmd_sample)
     return ap
 

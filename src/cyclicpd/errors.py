@@ -9,6 +9,10 @@ class NotSquare(CyclicPDError):
     """Input array is not a square matrix."""
 
 
+class NotFinite(CyclicPDError):
+    """Input array holds an infinite or NaN entry."""
+
+
 class NotHermitian(CyclicPDError):
     """Asymmetry of the input exceeds the relative tolerance."""
 

@@ -338,6 +338,34 @@ def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRepor
 # The cyclic trace functional and its inequalities
 # ---------------------------------------------------------------------------
 
+def cyclic_denominators(mats):
+    """S_i = A_{i+1} + A_{i+2} over stacked families (..., p, n, n), cyclic in p."""
+    return np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3)
+
+
+def cyclic_terms(mats):
+    """S_i^{-1} A_i over stacked families (..., p, n, n), by one batched solve."""
+    return np.linalg.solve(cyclic_denominators(mats), mats)
+
+
+def _sum_over_p(terms):
+    """Sum of terms[..., i] over the last axis, added in order i = 0..p-1.
+
+    np.sum adds pairwise, so it would round differently from one family's sum.
+    """
+    total = 0.0
+    for i in range(terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
+
+
+def cyclic_traces(mats):
+    """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3."""
+    if mats.shape[-3] < 3:
+        raise ValueError("the cyclic trace sum needs p >= 3")
+    return _sum_over_p(np.trace(cyclic_terms(mats), axis1=-2, axis2=-1).real)
+
+
 def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3).
 
@@ -345,18 +373,14 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     (one Newton step plus a residual gate) rather than a plain solve; used for
     high-scrutiny re-verification of search results.
     """
+    mats = np.stack(f.arrays())
+    if not refine:
+        return float(cyclic_traces(mats))
     if f.p < 3:
         raise ValueError("the cyclic trace sum needs p >= 3")
-    mats = f.arrays()
-    p = f.p
     total = 0.0
-    for i in range(p):
-        s = mats[(i + 1) % p] + mats[(i + 2) % p]
-        if refine:
-            x = inverse_pd(make_pd(s, _loose(DEFAULT_TOL))).mat
-            total += _rtr(mats[i] @ x)
-        else:
-            total += _rtr(np.linalg.solve(s, mats[i]))
+    for a, s in zip(mats, cyclic_denominators(mats)):
+        total += _rtr(a @ inverse_pd(make_pd(s, _loose(DEFAULT_TOL))).mat)
     return total
 
 
@@ -430,8 +454,8 @@ def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
-    fwd = cyclic_sum_trace(f)
-    rev = cyclic_sum_trace(f.reversed())
+    mats = f.arrays()
+    fwd, rev = cyclic_traces(np.stack([mats, mats[::-1]])).tolist()
     rhs = float(f.p * f.dim)
     margin = fwd + rev - rhs
     slack = tol.rel * (1.0 + fwd + rev + rhs)
@@ -441,9 +465,14 @@ def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckR
     )
 
 
-def _cyclic_matrix_sum(mats: list[np.ndarray]) -> np.ndarray:
-    p = len(mats)
-    return sum(mats[i] @ _inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p))
+def _cyclic_matrix_sum(mats) -> np.ndarray:
+    """sum_i A_i S_i^{-1} of each stacked family (..., p, n, n).
+
+    A_i S_i^{-1} is the conjugate transpose of S_i^{-1} A_i, as A_i and S_i
+    are Hermitian.
+    """
+    terms = np.swapaxes(cyclic_terms(mats), -1, -2).conj()
+    return _sum_over_p(np.moveaxis(terms, -3, -1))
 
 
 def check_bidirectional_eig4(
@@ -453,7 +482,7 @@ def check_bidirectional_eig4(
     matrix has every eigenvalue with real part >= 4."""
     _check_dims(a1, a2, a3, a4)
     mats = [a1.mat, a2.mat, a3.mat, a4.mat]
-    total = _cyclic_matrix_sum(mats) + _cyclic_matrix_sum(mats[::-1])
+    total = _cyclic_matrix_sum(np.stack([mats, mats[::-1]])).sum(axis=0)
     spec = eig_general(total)
     margin = spec.min_real - 4.0
     scale = float(np.linalg.norm(total))
@@ -472,7 +501,7 @@ def bidirectional_spectrum(f: CyclicFamily):
     """Exploratory diagnostic: spectrum of the forward+backward cyclic-sum
     matrix for general p. No verdict is attached beyond p=4."""
     mats = f.arrays()
-    return eig_general(_cyclic_matrix_sum(mats) + _cyclic_matrix_sum(mats[::-1]))
+    return eig_general(_cyclic_matrix_sum(np.stack([mats, mats[::-1]])).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +653,7 @@ def reproduce_counterexample(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     than 1e-3 from the published values.
     """
     a, b, c, d = counterexample_fixture()
-    m = _cyclic_matrix_sum([a.mat, b.mat, c.mat, d.mat])
+    m = _cyclic_matrix_sum(np.stack([a.mat, b.mat, c.mat, d.mat]))
     spec = eig_general(m)
     expected = np.array(FIXTURE_EIGS)
     dev = float(np.abs(spec.values - expected).max())

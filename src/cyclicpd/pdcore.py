@@ -18,6 +18,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     IllConditioned,
+    NotFinite,
     NotHermitian,
     NotPositiveDefinite,
     NotSquare,
@@ -60,6 +61,8 @@ def _as_matrix(entries) -> np.ndarray:
     a = np.asarray(entries)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NotSquare(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotFinite("matrix has an infinite or NaN entry")
     if np.iscomplexobj(a):
         return a.astype(np.complex128, copy=True)
     return a.astype(np.float64, copy=True)

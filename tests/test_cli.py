@@ -74,6 +74,21 @@ def test_eval_bad_file(tmp_path):
     assert main(["eval", "--family", str(bad), "--expr", "Fp"]) == 2
 
 
+def test_eval_non_finite_family(tmp_path):
+    path = tmp_path / "inf.json"
+    member = {"n": 1, "field": "real", "entries": [[float("inf")]]}
+    path.write_text(json.dumps({"p": 3, "members": [member] * 3}))  # writes Infinity
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+
+
+@pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
+def test_eval_p2_family_rejected(tmp_path, capsys, expr):
+    path = tmp_path / "p2.json"
+    cp.save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * 2), path)
+    assert main(["eval", "--family", str(path), "--expr", expr]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_sample_bad_params():
     assert main(["sample", "--n", "0", "--p", "3"]) == 2
 
@@ -98,6 +113,12 @@ def test_verify_conditional_counterexamples_do_not_fail_run(tmp_path):
 
 def test_verify_bad_range():
     assert main(["verify", "--dims", "oops", "--trials", "1"]) == 2
+
+
+def test_verify_zero_trials(tmp_path):
+    out = tmp_path / "v.json"
+    assert main(["verify", "--trials", "0", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_manifest_replay_identical(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
-from cyclicpd.inequalities import schur_complement
+from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -162,6 +162,51 @@ class TestNesbittK:
     def test_k1_rejected(self):
         with pytest.raises(cp.SingularDenominator):
             cp.check_nesbitt_k(identity_family(2, 1))
+
+
+# Looped references: the per-term evaluations the stacked kernel replaced.
+
+def ref_cyclic_sum_trace(f, refine=False):
+    mats = f.arrays()
+    p = f.p
+    total = 0.0
+    for i in range(p):
+        s = mats[(i + 1) % p] + mats[(i + 2) % p]
+        if refine:
+            x = cp.inverse_pd(cp.make_pd(s, cp.Tolerance(abs=np.finfo(float).tiny))).mat
+            total += float(np.trace(mats[i] @ x).real)
+        else:
+            total += float(np.trace(np.linalg.solve(s, mats[i])).real)
+    return total
+
+
+def ref_inv(a):
+    x = np.linalg.inv(a)
+    return (x + x.conj().T) / 2.0
+
+
+def ref_cyclic_matrix_sum(mats):
+    p = len(mats)
+    return sum(mats[i] @ ref_inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p))
+
+
+class TestCyclicKernelOracle:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [3, 5, 8, 14])
+    def test_stacked_matches_looped(self, p, field):
+        rng = RNG(100 * p + len(field))
+        for n in range(1, 7):
+            for _ in range(3):
+                fam = cp.random_family(n, p, rng, field)
+                ref = ref_cyclic_sum_trace(fam)
+                assert cp.cyclic_sum_trace(fam) == ref
+                assert cp.cyclic_sum_trace(fam, refine=True) == ref_cyclic_sum_trace(fam, refine=True)
+                r = cp.check_bidirectional(fam)
+                assert r.detail["forward"] == ref
+                assert r.detail["reversed"] == ref_cyclic_sum_trace(fam.reversed())
+                got = _cyclic_matrix_sum(np.stack(fam.arrays()))
+                want = ref_cyclic_matrix_sum(fam.arrays())
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestCyclicSumTrace:

@@ -32,6 +32,11 @@ class TestMakePD:
         with pytest.raises(cp.NotHermitian):
             cp.make_pd([[1.0, 5.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(cp.NotFinite):
+            cp.make_pd([[bad, 0.0], [0.0, 1.0]])
+
     def test_roundoff_asymmetry_symmetrized(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
         m = cp.make_pd(a)
