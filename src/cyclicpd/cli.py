@@ -93,19 +93,16 @@ def cmd_verify(args) -> int:
         "field": args.field, "tol": {"rel": tol.rel, "abs": tol.abs},
     }
     _emit(_manifest("verify", config, args.seed, started, results), args.out)
-    hard_failures = sum(
-        outcomes[name].unconditional_failures
-        for name in ("unconditional", "identities")
-        if name in outcomes
-    )
+    hard_failures = sum(oc.unconditional_failures for oc in outcomes.values())
     for name, oc in outcomes.items():
-        tag = "FAIL" if (name != "conditional" and oc.unconditional_failures) else "ok"
-        print(
-            f"suite {name}: {sum(r.trials for r in oc.records)} checks, "
-            f"{oc.unconditional_failures if name != 'conditional' else len(oc.events)} "
-            f"{'failures' if name != 'conditional' else 'counterexample events'} [{tag}]",
-            file=sys.stderr,
-        )
+        found = f"{oc.unconditional_failures} failures"
+        if name == "conditional":
+            found = f"{len(oc.events)} counterexample events"
+            if oc.unconditional_failures:
+                found += f", {oc.unconditional_failures} violations where a theorem holds"
+        tag = "FAIL" if oc.unconditional_failures else "ok"
+        print(f"suite {name}: {sum(r.trials for r in oc.records)} checks, {found} [{tag}]",
+              file=sys.stderr)
     return 1 if hard_failures else 0
 
 

@@ -3,7 +3,10 @@
 Each checker evaluates one inequality (or exact identity) on concrete positive
 definite operands and returns a :class:`CheckReport` carrying the two sides,
 the signed margin in the inequality's direction, and a verdict under the
-tolerance policy. Checkers whose proofs go through an auxiliary construction
+tolerance policy. A checker ``check_<name>`` is the one-trial view of its
+stacked kernel ``batch_<name>``, which evaluates the same inequality on T
+trials at once (operands stacked as (T, n, n), families as (T, p, n, n)) and
+returns a :class:`CheckBatch` of per-trial arrays. Checkers whose proofs go through an auxiliary construction
 (block matrices, W/Z factor pairs) expose that construction as a
 :class:`Certificate` so both derivation paths can be cross-validated.
 
@@ -17,18 +20,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, FixtureMismatch, SingularDenominator
+from .errors import ConvergenceFailure, DimensionMismatch, FixtureMismatch, SingularDenominator
 from .pdcore import (
     DEFAULT_TOL,
     CyclicFamily,
     PDMatrix,
     Tolerance,
-    _sqrtm_pd,
+    _ct,
+    _fro,
+    _pd_floor,
+    _symmetrize,
     eig_general,
-    eig_herm,
-    eig_pd_product,
+    eig_general_stack,
+    herm_powers,
     inverse_pd,
     make_pd,
+    pd_product_similar,
 )
 
 # p for which the scalar cyclic-sum inequality S_p >= p/2 is a theorem.
@@ -75,6 +82,41 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
+class CheckBatch:
+    """Outcome of one check over T stacked trials.
+
+    ``lhs``, ``margin`` and ``holds`` are arrays with one entry per trial;
+    ``rhs`` and each ``detail`` value are per-trial arrays (T, ...) or a
+    value shared by every trial.
+    """
+
+    check_name: str
+    n: int
+    p: int
+    lhs: np.ndarray
+    rhs: object
+    margin: np.ndarray
+    holds: np.ndarray
+    tol: Tolerance
+    detail: dict = field(default_factory=dict)
+
+    def report(self, t: int = 0) -> CheckReport:
+        """The :class:`CheckReport` of trial ``t``."""
+        return CheckReport(
+            self.check_name, self.n, self.p, _trial(self.lhs, t), _trial(self.rhs, t),
+            _trial(self.margin, t), _trial(self.holds, t), self.tol,
+            {k: _trial(v, t) for k, v in self.detail.items()},
+        )
+
+
+def _trial(v, t: int):
+    v = np.asarray(v)
+    if v.ndim:
+        v = v[t]
+    return v.item() if v.ndim == 0 else v
+
+
+@dataclass(frozen=True)
 class Certificate:
     """Auxiliary matrices that re-derive a theorem.
 
@@ -100,13 +142,48 @@ def _jsonable(v):
     return v
 
 
+# Stacked helpers: every array argument is a stack (..., n, n) whose matrices
+# are handled one by one; a family stack is (..., p, n, n).
+
 def _inv(a: np.ndarray) -> np.ndarray:
     x = np.linalg.inv(a)
-    return (x + x.conj().T) / 2.0
+    return (x + _ct(x)) / 2.0
 
 
-def _rtr(a: np.ndarray) -> float:
-    return float(np.trace(a).real)
+def _rtr(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1).real
+
+
+def _psum(mats: np.ndarray) -> np.ndarray:
+    """Sum over the member axis of (..., p, n, n), added in order."""
+    return _sum_over_p(np.moveaxis(mats, -3, -1))
+
+
+def _hstack(blocks: np.ndarray) -> np.ndarray:
+    """The block row [B_1 ... B_k] of each stack (..., k, n, m), as (..., n, k*m)."""
+    moved = np.moveaxis(blocks, -3, -2)
+    return moved.reshape(moved.shape[:-2] + (-1,))
+
+
+def _eigh_values(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues as :func:`eig_herm` computes them: by eigh, whose values can
+    differ from eigvalsh's in the last bit, and with its ConvergenceFailure."""
+    try:
+        return np.linalg.eigh(a)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def _pd_product_eigvals(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Eigenvalues of S T for stacks of PD S and T, from the symmetrized similar matrix."""
+    h = pd_product_similar(s, t)
+    return np.linalg.eigvalsh((h + _ct(h)) / 2.0)
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2 of each entry, rounded as the scalar abs(complex(z)) ** 2 is: by
+    hypot and pow (np.abs and the array square may round differently)."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
 def _check_dims(*mats: PDMatrix):
@@ -115,9 +192,35 @@ def _check_dims(*mats: PDMatrix):
         raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
 
 
+def _one(*mats: PDMatrix) -> list[np.ndarray]:
+    """PD operands as one-trial stacks (1, n, n)."""
+    return [m.mat[None] for m in mats]
+
+
+def _one_family(f: CyclicFamily) -> np.ndarray:
+    """A family as a one-trial stack (1, p, n, n)."""
+    return np.stack(f.arrays())[None]
+
+
 # ---------------------------------------------------------------------------
 # Two-operand trace bounds
+#
+# Each ``check_<name>`` below is the one-trial view of ``batch_<name>``, which
+# takes its operands stacked over T trials, (T, n, n) per operand or (T, p, n, n)
+# per family, and returns a CheckBatch.
 # ---------------------------------------------------------------------------
+
+def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    tr_ab = _rtr(am @ bm)
+    tr_a, tr_b = _rtr(am), _rtr(bm)
+    upper = tr_a * tr_b
+    margin = np.minimum(tr_ab, upper - tr_ab)
+    slack = tol.rel * (1.0 + abs(tr_ab) + abs(upper))
+    return CheckBatch(
+        "trace_product", am.shape[-1], 0, tr_ab, upper, margin, margin >= -slack, tol,
+        {"tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab},
+    )
+
 
 def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
@@ -125,14 +228,19 @@ def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     bm = b.mat if isinstance(b, PDMatrix) else b.entries
     if am.shape != bm.shape:
         raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
-    tr_ab = _rtr(am @ bm)
-    tr_a, tr_b = _rtr(am), _rtr(bm)
-    upper = tr_a * tr_b
-    margin = min(tr_ab, upper - tr_ab)
-    slack = tol.rel * (1.0 + abs(tr_ab) + abs(upper))
-    return CheckReport(
-        "trace_product", am.shape[0], 0, tr_ab, upper, margin, margin >= -slack, tol,
-        {"tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab},
+    return batch_trace_product(am[None], bm[None], tol).report()
+
+
+def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    lhs = _abs2(np.trace(_ct(x) @ y, axis1=-2, axis2=-1))
+    t_x = _rtr(_ct(x) @ am @ x)
+    t_y = _rtr(_ct(y) @ _inv(am) @ y)
+    rhs = t_x * t_y
+    margin = rhs - lhs
+    slack = tol.rel * (1.0 + lhs + abs(rhs))
+    return CheckBatch(
+        "weighted_cs", am.shape[-1], 0, lhs, rhs, margin, margin >= -slack, tol,
+        {"tr_xax": t_x, "tr_yainvy": t_y},
     )
 
 
@@ -142,16 +250,15 @@ def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     y = np.asarray(y)
     if x.shape != y.shape or x.shape[0] != a.dim:
         raise DimensionMismatch(f"X {x.shape}, Y {y.shape}, A {a.mat.shape}")
-    lhs = abs(complex(np.trace(x.conj().T @ y))) ** 2
-    t_x = _rtr(x.conj().T @ a.mat @ x)
-    t_y = _rtr(y.conj().T @ _inv(a.mat) @ y)
-    rhs = t_x * t_y
+    return batch_weighted_cs(x[None], y[None], a.mat[None], tol).report()
+
+
+def batch_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    lhs = _abs2(np.trace(a @ _ct(b), axis1=-2, axis2=-1))
+    rhs = _rtr(a @ _ct(a)) * _rtr(b @ _ct(b))
     margin = rhs - lhs
     slack = tol.rel * (1.0 + lhs + abs(rhs))
-    return CheckReport(
-        "weighted_cs", a.dim, 0, lhs, rhs, margin, margin >= -slack, tol,
-        {"tr_xax": t_x, "tr_yainvy": t_y},
-    )
+    return CheckBatch("cs_trace", a.shape[-2], 0, lhs, rhs, margin, margin >= -slack, tol)
 
 
 def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -160,16 +267,30 @@ def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     b = np.asarray(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    lhs = abs(complex(np.trace(a @ b.conj().T))) ** 2
-    rhs = _rtr(a @ a.conj().T) * _rtr(b @ b.conj().T)
-    margin = rhs - lhs
-    slack = tol.rel * (1.0 + lhs + abs(rhs))
-    return CheckReport("cs_trace", a.shape[0], 0, lhs, rhs, margin, margin >= -slack, tol)
+    return batch_cs_trace(a[None], b[None], tol).report()
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue bounds for products of PD matrices
 # ---------------------------------------------------------------------------
+
+def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    (r,) = herm_powers(bm, -0.5)
+    h = r @ am @ r
+    h = (h + _ct(h)) / 2.0
+    vals = _eigh_values(h + _inv(h)) - 2.0
+    margin = vals.min(axis=-1)
+    direct, _ = eig_general_stack((am - bm) @ (_inv(bm) - _inv(am)))
+    slack = tol.slack(_fro(am), _fro(bm))
+    return CheckBatch(
+        "eigineq1", am.shape[-1], 0, margin, 0.0, margin, margin >= -slack, tol,
+        {
+            "eigs": vals,
+            "direct_min_real": direct.real.min(axis=-1),
+            "direct_max_imag": abs(direct.imag).max(axis=-1),
+        },
+    )
+
 
 def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
@@ -180,35 +301,38 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
     (A-B)(B^{-1}-A^{-1}) is carried in ``detail`` for cross-validation.
     """
     _check_dims(a, b)
-    r = _sqrtm_pd(b.mat, -0.5)
-    h = r @ a.mat @ r
-    h = (h + h.conj().T) / 2.0
-    vals = eig_herm(h + _inv(h)).values - 2.0
-    margin = float(vals.min())
-    direct = eig_general((a.mat - b.mat) @ (_inv(b.mat) - _inv(a.mat)))
-    slack = tol.slack(a.norm(), b.norm())
-    return CheckReport(
-        "eigineq1", a.dim, 0, float(vals.min()), 0.0, margin, margin >= -slack, tol,
-        {
-            "eigs": vals,
-            "direct_min_real": direct.min_real,
-            "direct_max_imag": direct.max_imag_abs,
-        },
+    return batch_eigineq1(*_one(a, b), tol).report()
+
+
+def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    p = mats.shape[-3]
+    lhs = _psum(_inv(mats))
+    rhs = p**2 * _inv(_psum(mats))
+    diff = (lhs - rhs + _ct(lhs - rhs)) / 2.0
+    margin = np.linalg.eigvalsh(diff)[..., 0]
+    slack = tol.slack(_fro(lhs), _fro(rhs))
+    return CheckBatch(
+        "harmonic_loewner", mats.shape[-1], p, _rtr(lhs), _rtr(rhs), margin,
+        margin >= -slack, tol, {"loewner_margin": margin},
     )
 
 
 def check_harmonic_loewner(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
-    mats = f.arrays()
-    lhs = sum(_inv(m) for m in mats)
-    rhs = f.p**2 * _inv(sum(mats))
-    diff = (lhs - rhs + (lhs - rhs).conj().T) / 2.0
-    margin = float(np.linalg.eigvalsh(diff)[0])
-    slack = tol.slack(np.linalg.norm(lhs), np.linalg.norm(rhs))
-    return CheckReport(
-        "harmonic_loewner", f.dim, f.p, _rtr(lhs), _rtr(rhs), margin,
-        margin >= -slack, tol, {"loewner_margin": margin},
-    )
+    return batch_harmonic_loewner(_one_family(f), tol).report()
+
+
+def _block_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks M_i = [[A_i^{-1}, I], [I, A_i]] of (..., p, n, n) as (..., p, 2n, 2n),
+    and the inverses A_i^{-1} in them."""
+    n = mats.shape[-1]
+    inv = _inv(mats)
+    blocks = np.zeros(mats.shape[:-2] + (2 * n, 2 * n), dtype=mats.dtype)
+    blocks[..., :n, :n] = inv
+    blocks[..., :n, n:] = np.eye(n)
+    blocks[..., n:, :n] = np.eye(n)
+    blocks[..., n:, n:] = mats
+    return blocks, inv
 
 
 def build_block_certificate(f: CyclicFamily) -> Certificate:
@@ -218,63 +342,42 @@ def build_block_certificate(f: CyclicFamily) -> Certificate:
     the Schur complement of M with respect to its (2,2) block equals
     sum(A_i^{-1}) - p^2 (sum A_i)^{-1}.
     """
-    n = f.dim
-    eye = np.eye(n)
-    blocks = {}
-    total = None
-    for i, m in enumerate(f.arrays(), start=1):
-        mi = np.block([[_inv(m), eye], [eye, m]])
-        blocks[f"M_{i}"] = mi
-        total = mi if total is None else total + mi
-    blocks["M"] = total
-    return Certificate("block_psd", blocks)
+    blocks, _ = _block_stack(np.stack(f.arrays()))
+    out = {f"M_{i}": m for i, m in enumerate(blocks, start=1)}
+    out["M"] = _psum(blocks)
+    return Certificate("block_psd", out)
 
 
 def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
-    """Schur complement of the trailing n x n block of a 2n x 2n matrix."""
-    a, b = m[:n, :n], m[:n, n:]
-    c, d = m[n:, :n], m[n:, n:]
+    """Schur complement of the trailing n x n block of (a stack of) 2n x 2n matrices."""
+    a, b = m[..., :n, :n], m[..., :n, n:]
+    c, d = m[..., n:, :n], m[..., n:, n:]
     return a - b @ _inv(d) @ c
+
+
+def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n, p = mats.shape[-1], mats.shape[-3]
+    blocks, inv = _block_stack(mats)
+    block_min = np.linalg.eigvalsh((blocks + _ct(blocks)) / 2.0)[..., 0].min(axis=-1)
+    m = _psum(blocks)
+    m_min = np.linalg.eigvalsh((m + _ct(m)) / 2.0)[..., 0]
+    sc = schur_complement(m, n)
+    direct = _psum(inv) - p**2 * _inv(_psum(mats))
+    sc_gap = _fro(sc - direct)
+    scale = _fro(m)
+    slack = tol.slack(scale)
+    margin = np.minimum(block_min, m_min)
+    holds = (margin >= -slack) & (sc_gap <= 1e-8 * (1.0 + scale))
+    return CheckBatch(
+        "block_certificate", n, p, margin, 0.0, margin, holds, tol,
+        {"block_min_eig": block_min, "sum_min_eig": m_min, "schur_gap": sc_gap},
+    )
 
 
 def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """PSD-ness of every block M_i and of M, plus agreement of the
     Schur-complement path with the direct Loewner margin."""
-    cert = build_block_certificate(f)
-    n = f.dim
-    block_min = min(
-        float(np.linalg.eigvalsh((mi + mi.conj().T) / 2.0)[0])
-        for name, mi in cert.blocks.items()
-        if name != "M"
-    )
-    m = cert.blocks["M"]
-    m_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
-    sc = schur_complement(m, n)
-    direct = sum(_inv(x) for x in f.arrays()) - f.p**2 * _inv(sum(f.arrays()))
-    sc_gap = float(np.linalg.norm(sc - direct))
-    scale = float(np.linalg.norm(m))
-    slack = tol.slack(scale)
-    margin = min(block_min, m_min)
-    holds = margin >= -slack and sc_gap <= 1e-8 * (1.0 + scale)
-    return CheckReport(
-        "block_certificate", n, f.p, margin, 0.0, margin, holds, tol,
-        {"block_min_eig": block_min, "sum_min_eig": m_min, "schur_gap": sc_gap},
-    )
-
-
-def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
-    mats = f.arrays()
-    s = make_pd(sum(mats), _loose(tol))
-    hinv = make_pd(sum(_inv(m) for m in mats), _loose(tol))
-    vals = eig_pd_product(s, hinv).values
-    rhs = float(f.p**2)
-    margin = float(vals.min()) - rhs
-    slack = tol.slack(s.norm(), hinv.norm())
-    return CheckReport(
-        "product_sum_eigs", f.dim, f.p, float(vals.min()), rhs, margin,
-        margin >= -slack, tol, {"eigs": vals},
-    )
+    return batch_block_certificate(_one_family(f), tol).report()
 
 
 def _loose(tol: Tolerance) -> Tolerance:
@@ -282,11 +385,46 @@ def _loose(tol: Tolerance) -> Tolerance:
     return Tolerance(rel=tol.rel, abs=np.finfo(float).tiny)
 
 
-def _min_eig_pd_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the product of two PD arrays via symmetrization."""
-    r = _sqrtm_pd(s)
-    h = r @ t @ r
-    return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    p = mats.shape[-3]
+    loose = _loose(tol)
+    s = _symmetrize(_psum(mats), loose)
+    hinv = _symmetrize(_psum(_inv(mats)), loose)
+    _pd_floor(s, loose)
+    _pd_floor(hinv, loose)
+    vals = _eigh_values(pd_product_similar(hinv, s))
+    rhs = float(p**2)
+    margin = vals.min(axis=-1) - rhs
+    slack = tol.slack(_fro(s), _fro(hinv))
+    return CheckBatch(
+        "product_sum_eigs", mats.shape[-1], p, vals.min(axis=-1), rhs, margin,
+        margin >= -slack, tol, {"eigs": vals},
+    )
+
+
+def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
+    return batch_product_sum_eigs(_one_family(f), tol).report()
+
+
+def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n = am.shape[-1]
+    x, y, z = bm + cm, cm + am, am + bm
+    ix, iy, iz = _inv(np.stack([x, y, z]))
+    inv_sum = ix + iy + iz
+    vals = 0.5 * _pd_product_eigvals(x + y + z, inv_sum) - 3.0
+    margin = vals.min(axis=-1) - 1.5
+    m_direct = am @ ix + bm @ iy + cm @ iz
+    m_ident = 0.5 * (x + y + z) @ inv_sum - 3.0 * np.eye(n)
+    slack = tol.slack(_fro(am), _fro(bm), _fro(cm))
+    return CheckBatch(
+        "nesbitt", n, 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, tol,
+        {
+            "eigs": vals,
+            "construction_gap": _fro(m_direct - m_ident),
+            "trace": _rtr(m_direct),
+        },
+    )
 
 
 def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -298,40 +436,29 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAUL
     problem; the direct construction of M is cross-checked entrywise.
     """
     _check_dims(a, b, c)
-    x, y, z = b.mat + c.mat, c.mat + a.mat, a.mat + b.mat
-    prod_eigs = _min_eig_pd_product(x + y + z, _inv(x) + _inv(y) + _inv(z))
-    vals = 0.5 * prod_eigs - 3.0
-    margin = float(vals.min()) - 1.5
-    m_direct = a.mat @ _inv(x) + b.mat @ _inv(y) + c.mat @ _inv(z)
-    m_ident = 0.5 * (x + y + z) @ (_inv(x) + _inv(y) + _inv(z)) - 3.0 * np.eye(a.dim)
-    slack = tol.slack(a.norm(), b.norm(), c.norm())
-    return CheckReport(
-        "nesbitt", a.dim, 3, float(vals.min()), 1.5, margin, margin >= -slack, tol,
-        {
-            "eigs": vals,
-            "construction_gap": float(np.linalg.norm(m_direct - m_ident)),
-            "trace": _rtr(m_direct),
-        },
+    return batch_nesbitt(*_one(a, b, c), tol).report()
+
+
+def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    k = mats.shape[-3]
+    if k < 2:
+        raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
+    s = _psum(mats)
+    inv_sum = _psum(_inv(s[..., None, :, :] - mats))
+    vals = _pd_product_eigvals(s, inv_sum) - k
+    rhs = k / (k - 1)
+    margin = vals.min(axis=-1) - rhs
+    slack = tol.slack(*np.moveaxis(_fro(mats), -1, 0))
+    return CheckBatch(
+        "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, tol,
+        {"eigs": vals},
     )
 
 
 def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
     are >= k/(k-1), with S the sum of the family."""
-    k = f.p
-    if k < 2:
-        raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
-    mats = f.arrays()
-    s = sum(mats)
-    inv_sum = sum(_inv(s - m) for m in mats)
-    vals = _min_eig_pd_product(s, inv_sum) - k
-    rhs = k / (k - 1)
-    margin = float(vals.min()) - rhs
-    slack = tol.slack(*(float(np.linalg.norm(m)) for m in mats))
-    return CheckReport(
-        "nesbitt_k", f.dim, k, float(vals.min()), rhs, margin, margin >= -slack, tol,
-        {"eigs": vals},
-    )
+    return batch_nesbitt_k(_one_family(f), tol).report()
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +486,14 @@ def _sum_over_p(terms):
     return total
 
 
+def _require_cycle(p: int):
+    if p < 3:
+        raise ValueError("the cyclic sum needs p >= 3")
+
+
 def cyclic_traces(mats):
     """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3."""
-    if mats.shape[-3] < 3:
-        raise ValueError("the cyclic trace sum needs p >= 3")
+    _require_cycle(mats.shape[-3])
     return _sum_over_p(np.trace(cyclic_terms(mats), axis1=-2, axis2=-1).real)
 
 
@@ -376,12 +507,23 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     mats = np.stack(f.arrays())
     if not refine:
         return float(cyclic_traces(mats))
-    if f.p < 3:
-        raise ValueError("the cyclic trace sum needs p >= 3")
+    _require_cycle(f.p)
     total = 0.0
     for a, s in zip(mats, cyclic_denominators(mats)):
-        total += _rtr(a @ inverse_pd(make_pd(s, _loose(DEFAULT_TOL))).mat)
+        total += float(_rtr(a @ inverse_pd(make_pd(s, _loose(DEFAULT_TOL))).mat))
     return total
+
+
+def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n, p = mats.shape[-1], mats.shape[-3]
+    val = cyclic_traces(mats)
+    rhs = p * n / 2.0
+    margin = val - rhs
+    slack = tol.rel * (1.0 + abs(val) + rhs)
+    return CheckBatch(
+        "shapiro_trace", n, p, val, rhs, margin, margin >= -slack, tol,
+        {"scalar_theorem_p": p in SCALAR_VALID_P},
+    )
 
 
 def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -390,46 +532,32 @@ def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckR
     A failed verdict is a counterexample candidate, not necessarily a bug:
     the scalar analogue is known false outside ``SCALAR_VALID_P``.
     """
-    val = cyclic_sum_trace(f)
-    rhs = f.p * f.dim / 2.0
-    margin = val - rhs
-    slack = tol.rel * (1.0 + abs(val) + rhs)
-    return CheckReport(
-        "shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, tol,
-        {"scalar_theorem_p": f.p in SCALAR_VALID_P},
-    )
+    return batch_shapiro_trace(_one_family(f), tol).report()
 
 
-def check_s4_decomposition(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
-
-    Verifies the exact identity N + P = 4I, the intermediate bounds
-    Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
-    """
-    _check_dims(a, b, c, d)
-    n = a.dim
-    am, bm, cm, dm = a.mat, b.mat, c.mat, d.mat
-    i_bc, i_cd = _inv(bm + cm), _inv(cm + dm)
-    i_da, i_ab = _inv(dm + am), _inv(am + bm)
-    m = am @ i_bc + bm @ i_cd + cm @ i_da + dm @ i_ab
-    nn = bm @ i_bc + cm @ i_cd + dm @ i_da + am @ i_ab
-    pp = cm @ i_bc + dm @ i_cd + am @ i_da + bm @ i_ab
-    identity_res = float(np.linalg.norm(nn + pp - 4.0 * np.eye(n)))
-    norms = (a.norm(), b.norm(), c.norm(), d.norm())
+def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n = am.shape[-1]
+    mats = np.stack([am, bm, cm, dm], axis=-3)
+    inv = _inv(cyclic_denominators(mats))
+    numerators = np.stack([mats, np.roll(mats, -1, axis=-3), np.roll(mats, -2, axis=-3)], axis=-4)
+    sums = _psum(numerators @ inv[..., None, :, :, :])
+    m, nn, pp = (sums[..., i, :, :] for i in range(3))
+    identity_res = _fro(nn + pp - 4.0 * np.eye(n))
+    norms = (_fro(am), _fro(bm), _fro(cm), _fro(dm))
     slack = tol.slack(*norms)
+    tr_m = _rtr(m)
     margins = {
         "m_plus_p": _rtr(m + pp) - 4.0 * n,
         "m_plus_n": _rtr(m + nn) - 4.0 * n,
-        "m": _rtr(m) - 2.0 * n,
+        "m": tr_m - 2.0 * n,
     }
-    identity_ok = identity_res <= 1e-10 * (1.0 + sum(norms))
-    holds = identity_ok and all(v >= -slack for v in margins.values())
-    return CheckReport(
-        "s4_decomposition", n, 4, _rtr(m), 2.0 * n, margins["m"], holds, tol,
+    holds = identity_res <= 1e-10 * (1.0 + sum(norms))
+    for v in margins.values():
+        holds = holds & (v >= -slack)
+    return CheckBatch(
+        "s4_decomposition", n, 4, tr_m, 2.0 * n, margins["m"], holds, tol,
         {
-            "tr_m": _rtr(m),
+            "tr_m": tr_m,
             "tr_n": _rtr(nn),
             "tr_p": _rtr(pp),
             "identity_residual": identity_res,
@@ -438,41 +566,86 @@ def check_s4_decomposition(
     )
 
 
+def check_s4_decomposition(
+    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, tol: Tolerance = DEFAULT_TOL
+) -> CheckReport:
+    """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
+
+    M, N and P are sum_i A_{i+k} (A_{i+1} + A_{i+2})^{-1} over (A, B, C, D)
+    for k = 0, 1, 2. Verifies the exact identity N + P = 4I, the intermediate
+    bounds Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
+    """
+    _check_dims(a, b, c, d)
+    return batch_s4_decomposition(*_one(a, b, c, d), tol).report()
+
+
+def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n, p = mats.shape[-1], mats.shape[-3]
+    base = cyclic_traces(mats)
+    ext = cyclic_traces(np.concatenate([mats, mats[..., :2, :, :]], axis=-3))
+    expected = base + n
+    diff = abs(ext - expected)
+    allowed = 1e-10 * (1.0 + abs(base) + n)
+    return CheckBatch(
+        "shapiro_extension", n, p, ext, expected, -diff, diff <= allowed, tol,
+        {"base": base, "extended": ext},
+    )
+
+
 def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
-    base = cyclic_sum_trace(f)
-    extended = CyclicFamily(f.members + (f.members[0], f.members[1]))
-    ext = cyclic_sum_trace(extended)
-    expected = base + f.dim
-    diff = abs(ext - expected)
-    allowed = 1e-10 * (1.0 + abs(base) + f.dim)
-    return CheckReport(
-        "shapiro_extension", f.dim, f.p, ext, expected, -diff, diff <= allowed, tol,
-        {"base": base, "extended": ext},
+    return batch_shapiro_extension(_one_family(f), tol).report()
+
+
+def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n, p = mats.shape[-1], mats.shape[-3]
+    traces = cyclic_traces(np.stack([mats, mats[..., ::-1, :, :]], axis=-4))
+    fwd, rev = traces[..., 0], traces[..., 1]
+    rhs = float(p * n)
+    margin = fwd + rev - rhs
+    slack = tol.rel * (1.0 + fwd + rev + rhs)
+    return CheckBatch(
+        "bidirectional", n, p, fwd + rev, rhs, margin, margin >= -slack, tol,
+        {"forward": fwd, "reversed": rev},
     )
 
 
 def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
-    mats = f.arrays()
-    fwd, rev = cyclic_traces(np.stack([mats, mats[::-1]])).tolist()
-    rhs = float(f.p * f.dim)
-    margin = fwd + rev - rhs
-    slack = tol.rel * (1.0 + fwd + rev + rhs)
-    return CheckReport(
-        "bidirectional", f.dim, f.p, fwd + rev, rhs, margin, margin >= -slack, tol,
-        {"forward": fwd, "reversed": rev},
-    )
+    return batch_bidirectional(_one_family(f), tol).report()
 
 
 def _cyclic_matrix_sum(mats) -> np.ndarray:
-    """sum_i A_i S_i^{-1} of each stacked family (..., p, n, n).
+    """sum_i A_i S_i^{-1} of each stacked family (..., p, n, n); p >= 3.
 
     A_i S_i^{-1} is the conjugate transpose of S_i^{-1} A_i, as A_i and S_i
     are Hermitian.
     """
-    terms = np.swapaxes(cyclic_terms(mats), -1, -2).conj()
-    return _sum_over_p(np.moveaxis(terms, -3, -1))
+    _require_cycle(mats.shape[-3])
+    return _psum(_ct(cyclic_terms(mats)))
+
+
+def _bidirectional_matrix(mats) -> np.ndarray:
+    """Forward plus backward cyclic-sum matrix of each stacked family (..., p, n, n)."""
+    return _cyclic_matrix_sum(np.stack([mats, mats[..., ::-1, :, :]], axis=-4)).sum(axis=-3)
+
+
+def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    total = _bidirectional_matrix(np.stack([a1, a2, a3, a4], axis=-3))
+    eigs, _ = eig_general_stack(total)
+    min_real = eigs.real.min(axis=-1)
+    max_imag = abs(eigs.imag).max(axis=-1)
+    margin = min_real - 4.0
+    scale = _fro(total)
+    slack = tol.slack(scale)
+    return CheckBatch(
+        "bidirectional_eig4", a1.shape[-1], 4, min_real, 4.0, margin, margin >= -slack, tol,
+        {
+            "eigs": eigs,
+            "max_imag": max_imag,
+            "effectively_real": max_imag <= 1e-8 * np.maximum(scale, 1.0),
+        },
+    )
 
 
 def check_bidirectional_eig4(
@@ -481,32 +654,44 @@ def check_bidirectional_eig4(
     """Four-variable eigenvalue form: the forward plus backward cyclic-sum
     matrix has every eigenvalue with real part >= 4."""
     _check_dims(a1, a2, a3, a4)
-    mats = [a1.mat, a2.mat, a3.mat, a4.mat]
-    total = _cyclic_matrix_sum(np.stack([mats, mats[::-1]])).sum(axis=0)
-    spec = eig_general(total)
-    margin = spec.min_real - 4.0
-    scale = float(np.linalg.norm(total))
-    slack = tol.slack(scale)
-    return CheckReport(
-        "bidirectional_eig4", a1.dim, 4, spec.min_real, 4.0, margin, margin >= -slack, tol,
-        {
-            "eigs": spec.values,
-            "max_imag": spec.max_imag_abs,
-            "effectively_real": spec.max_imag_abs <= 1e-8 * max(scale, 1.0),
-        },
-    )
+    return batch_bidirectional_eig4(*_one(a1, a2, a3, a4), tol).report()
 
 
 def bidirectional_spectrum(f: CyclicFamily):
     """Exploratory diagnostic: spectrum of the forward+backward cyclic-sum
-    matrix for general p. No verdict is attached beyond p=4."""
-    mats = f.arrays()
-    return eig_general(_cyclic_matrix_sum(np.stack([mats, mats[::-1]])).sum(axis=0))
+    matrix for general p >= 3. No verdict is attached beyond p=4."""
+    return eig_general(_bidirectional_matrix(np.stack(f.arrays())))
 
 
 # ---------------------------------------------------------------------------
 # Damped three-variable upper bound and its W/Z certificate
 # ---------------------------------------------------------------------------
+
+def _two_ab_sums(am, bm, cm) -> tuple[np.ndarray, np.ndarray]:
+    """M = sum_i A_i (2A_i + A_{i+1})^{-1} and N = sum_i A_{i+1} (2A_i + A_{i+1})^{-1}
+    over the cycle (A, B, C) of stacks (..., n, n)."""
+    mats = np.stack([am, bm, cm], axis=-3)
+    nxt = np.roll(mats, -1, axis=-3)
+    inv = _inv(2 * mats + nxt)
+    sums = _psum(np.stack([mats, nxt], axis=-4) @ inv[..., None, :, :, :])
+    return sums[..., 0, :, :], sums[..., 1, :, :]
+
+
+def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n = am.shape[-1]
+    m, nn = _two_ab_sums(am, bm, cm)
+    identity_res = _fro(2.0 * m + nn - 3.0 * np.eye(n))
+    tr_m, tr_n = _rtr(m), _rtr(nn)
+    rhs = (3.0 * n - 1.0) / 2.0
+    norms = (_fro(am), _fro(bm), _fro(cm))
+    slack = tol.slack(*norms)
+    margin = np.minimum(rhs - tr_m, tr_n - 1.0)
+    holds = (margin >= -slack) & (identity_res <= 1e-10 * (1.0 + sum(norms)))
+    return CheckBatch(
+        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, tol,
+        {"tr_m": tr_m, "tr_n": tr_n, "identity_residual": identity_res},
+    )
+
 
 def check_upper_bound_2ab(
     a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
@@ -517,22 +702,19 @@ def check_upper_bound_2ab(
     that together give the upper bound.
     """
     _check_dims(a, b, c)
-    n = a.dim
-    am, bm, cm = a.mat, b.mat, c.mat
-    i1, i2, i3 = _inv(2 * am + bm), _inv(2 * bm + cm), _inv(2 * cm + am)
-    m = am @ i1 + bm @ i2 + cm @ i3
-    nn = bm @ i1 + cm @ i2 + am @ i3
-    identity_res = float(np.linalg.norm(2.0 * m + nn - 3.0 * np.eye(n)))
-    tr_m, tr_n = _rtr(m), _rtr(nn)
-    rhs = (3.0 * n - 1.0) / 2.0
-    norms = (a.norm(), b.norm(), c.norm())
-    slack = tol.slack(*norms)
-    margin = min(rhs - tr_m, tr_n - 1.0)
-    holds = margin >= -slack and identity_res <= 1e-10 * (1.0 + sum(norms))
-    return CheckReport(
-        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, tol,
-        {"tr_m": tr_m, "tr_n": tr_n, "identity_residual": identity_res},
-    )
+    return batch_upper_bound_2ab(*_one(a, b, c), tol).report()
+
+
+def _wz_blocks(am, bm, cm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outer factors (B, C, A) and the blocks W_i, Z_i of the W/Z
+    certificate, each stacked as (..., 3, n, n)."""
+    inner = np.stack([am, bm, cm], axis=-3)
+    outer = np.roll(inner, -1, axis=-3)
+    (r,) = herm_powers(outer, 0.5)
+    core = 2.0 * r @ inner @ r + outer @ outer
+    core = (core + _ct(core)) / 2.0
+    wi, zi = herm_powers(core, -0.5, 0.5)
+    return outer, wi, zi
 
 
 def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
@@ -544,54 +726,39 @@ def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
     Tr(WW*) = Tr(N).
     """
     _check_dims(a, b, c)
-    pairs = [(b.mat, a.mat), (c.mat, b.mat), (a.mat, c.mat)]
+    outer, wi, zi = _wz_blocks(a.mat, b.mat, c.mat)
     blocks = {}
-    w_cols, z_cols = [], []
-    for i, (outer, inner) in enumerate(pairs, start=1):
-        r = _sqrtm_pd(outer)
-        core = 2.0 * r @ inner @ r + outer @ outer
-        core = (core + core.conj().T) / 2.0
-        wi = _sqrtm_pd(core, -0.5)
-        zi = _sqrtm_pd(core, 0.5)
-        blocks[f"W_{i}"] = wi
-        blocks[f"Z_{i}"] = zi
-        w_cols.append(outer @ wi)
-        z_cols.append(zi)
-    blocks["W"] = np.hstack(w_cols)
-    blocks["Z"] = np.hstack(z_cols)
+    for i in range(3):
+        blocks[f"W_{i + 1}"] = wi[i]
+        blocks[f"Z_{i + 1}"] = zi[i]
+    blocks["W"] = _hstack(outer @ wi)
+    blocks["Z"] = _hstack(zi)
     return Certificate("wz_pair", blocks)
 
 
-def check_wz_certificate(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Verify the W/Z certificate identities and the quotient bound
-    |Tr(WZ*)|^2 / Tr(ZZ*) >= 1."""
-    cert = build_wz_certificate(a, b, c)
-    w, z = cert.blocks["W"], cert.blocks["Z"]
-    am, bm, cm = a.mat, b.mat, c.mat
-    n = a.dim
-    wz = w @ z.conj().T
-    res_wz = float(np.linalg.norm(wz - (am + bm + cm)))
-    tr_zz = _rtr(z @ z.conj().T)
+def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    outer, wi, zi = _wz_blocks(am, bm, cm)
+    w, z = _hstack(outer @ wi), _hstack(zi)
+    wz = w @ _ct(z)
+    res_wz = _fro(wz - (am + bm + cm))
+    tr_zz = _rtr(z @ _ct(z))
     tr_zz_expected = _rtr(
         am @ am + bm @ bm + cm @ cm + 2.0 * (am @ bm + bm @ cm + cm @ am)
     )
-    tr_ww = _rtr(w @ w.conj().T)
-    nn = bm @ _inv(2 * am + bm) + cm @ _inv(2 * bm + cm) + am @ _inv(2 * cm + am)
-    tr_n = _rtr(nn)
-    quotient = abs(complex(np.trace(wz))) ** 2 / tr_zz
-    norms = (a.norm(), b.norm(), c.norm())
+    tr_ww = _rtr(w @ _ct(w))
+    tr_n = _rtr(_two_ab_sums(am, bm, cm)[1])
+    quotient = _abs2(np.trace(wz, axis1=-2, axis2=-1)) / tr_zz
+    norms = (_fro(am), _fro(bm), _fro(cm))
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
     slack = tol.slack(*norms)
     holds = (
-        res_wz <= ident_tol
-        and abs(tr_zz - tr_zz_expected) <= ident_tol
-        and abs(tr_ww - tr_n) <= ident_tol
-        and quotient >= 1.0 - slack
+        (res_wz <= ident_tol)
+        & (abs(tr_zz - tr_zz_expected) <= ident_tol)
+        & (abs(tr_ww - tr_n) <= ident_tol)
+        & (quotient >= 1.0 - slack)
     )
-    return CheckReport(
-        "wz_certificate", n, 3, quotient, 1.0, quotient - 1.0, holds, tol,
+    return CheckBatch(
+        "wz_certificate", am.shape[-1], 3, quotient, 1.0, quotient - 1.0, holds, tol,
         {
             "wz_residual": res_wz,
             "tr_zz": tr_zz,
@@ -602,33 +769,41 @@ def check_wz_certificate(
     )
 
 
+def check_wz_certificate(
+    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
+) -> CheckReport:
+    """Verify the W/Z certificate identities and the quotient bound
+    |Tr(WZ*)|^2 / Tr(ZZ*) >= 1."""
+    _check_dims(a, b, c)
+    return batch_wz_certificate(*_one(a, b, c), tol).report()
+
+
+def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    n, p = mats.shape[-1], mats.shape[-3]
+    lhs = _sum_over_p(_rtr(mats @ mats @ np.roll(_inv(mats), -1, axis=-3)))
+    rhs = _sum_over_p(_rtr(mats))
+    root_inv, root = (np.roll(x, -1, axis=-3) for x in herm_powers(mats, -0.5, 0.5))
+    w, z = _hstack(mats @ root_inv), _hstack(root)
+    total = _psum(mats)
+    res_wz = _fro(w @ _ct(z) - total)
+    res_zz = _fro(z @ _ct(z) - total)
+    margin = lhs - rhs
+    slack = tol.rel * (1.0 + abs(lhs) + abs(rhs))
+    norms = _sum_over_p(_fro(mats))
+    holds = (margin >= -slack) & (np.maximum(res_wz, res_zz) <= 1e-9 * (1.0 + norms))
+    return CheckBatch(
+        "square_cycle", n, p, lhs, rhs, margin, holds, tol,
+        {"wz_residual": res_wz, "zz_residual": res_zz},
+    )
+
+
 def check_square_cycle(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
 
     The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
     rebuilt and its identities W Z* = Z Z* = sum(A_i) are verified in detail.
     """
-    mats = f.arrays()
-    p = f.p
-    lhs = sum(_rtr(mats[i] @ mats[i] @ _inv(mats[(i + 1) % p])) for i in range(p))
-    rhs = sum(_rtr(m) for m in mats)
-    w_cols, z_cols = [], []
-    for i in range(p):
-        nxt = mats[(i + 1) % p]
-        w_cols.append(mats[i] @ _sqrtm_pd(nxt, -0.5))
-        z_cols.append(_sqrtm_pd(nxt))
-    w, z = np.hstack(w_cols), np.hstack(z_cols)
-    total = sum(mats)
-    res_wz = float(np.linalg.norm(w @ z.conj().T - total))
-    res_zz = float(np.linalg.norm(z @ z.conj().T - total))
-    margin = lhs - rhs
-    slack = tol.rel * (1.0 + abs(lhs) + abs(rhs))
-    norms = sum(float(np.linalg.norm(m)) for m in mats)
-    holds = margin >= -slack and max(res_wz, res_zz) <= 1e-9 * (1.0 + norms)
-    return CheckReport(
-        "square_cycle", f.dim, p, lhs, rhs, margin, holds, tol,
-        {"wz_residual": res_wz, "zz_residual": res_zz},
-    )
+    return batch_square_cycle(_one_family(f), tol).report()
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +832,7 @@ def reproduce_counterexample(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     spec = eig_general(m)
     expected = np.array(FIXTURE_EIGS)
     dev = float(np.abs(spec.values - expected).max())
-    trace = _rtr(m)
+    trace = float(_rtr(m))
     if dev > FIXTURE_ATOL or abs(trace - FIXTURE_TRACE) > FIXTURE_ATOL:
         raise FixtureMismatch(
             f"computed spectrum {spec.values} / trace {trace:.6f} deviates from "

@@ -3,7 +3,10 @@
 Everything downstream (inequality checkers, counterexample search) is built on
 the handful of primitives here: validated construction, random sampling,
 Hermitian and general eigensolvers, square roots, inverses with refinement,
-and Loewner-order comparison with an explicit tolerance policy.
+and Loewner-order comparison with an explicit tolerance policy. The sampler,
+the gates, the eigensolvers and the Hermitian powers also come in forms that
+work on stacks (..., n, n) of raw arrays, which the batched checkers use; for
+one matrix they compute exactly what the single-matrix forms compute.
 
 All values are immutable after construction (backing arrays are frozen), so
 they are safe to share between concurrent trials.
@@ -44,9 +47,9 @@ class Tolerance:
         if self.rel <= 0 or self.abs <= 0:
             raise ValueError("tolerances must be positive")
 
-    def slack(self, *norms: float) -> float:
-        """Allowed negative margin for operands of the given norms."""
-        return self.rel * (1.0 + float(sum(norms)))
+    def slack(self, *norms):
+        """Allowed negative margin for operands of the given norms (floats or per-trial arrays)."""
+        return self.rel * (1.0 + sum(norms))
 
 
 DEFAULT_TOL = Tolerance()
@@ -86,20 +89,57 @@ class HermMatrix:
         return float(np.linalg.norm(self.entries))
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., n, n)."""
+    return np.swapaxes(a, -1, -2).conj()
+
+
+def _fro(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., n, n).
+
+    Summed by one dot product per matrix, as np.linalg.norm sums a single
+    matrix; its axis= form sums in another order and rounds differently.
+    """
+    flat = a.reshape(a.shape[:-2] + (1, -1))
+    parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
+    sq = sum(x @ np.swapaxes(x, -1, -2) for x in parts)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _symmetrize(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The Hermitian gate over a stack (..., n, n): (A + A*)/2, or NotHermitian.
+
+    A complex stack whose symmetrized entries are all real comes back real.
+    """
+    asym = _fro(a - _ct(a))
+    if (asym > tol.rel * (1.0 + _fro(a))).any():
+        raise NotHermitian(f"asymmetry {float(asym.max()):g} exceeds tolerance")
+    h = (a + _ct(a)) / 2.0
+    if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) == 0.0:
+        h = h.real.copy()
+    return h
+
+
+def _pd_floor(h: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """The positive definiteness gate over a Hermitian stack (..., n, n).
+
+    Returns the smallest eigenvalues; raises NotPositiveDefinite unless each
+    exceeds ``tol.abs``.
+    """
+    w0 = np.linalg.eigvalsh(h)[..., 0]
+    bad = w0 <= tol.abs
+    if bad.any():
+        raise NotPositiveDefinite(np.ravel(w0)[np.ravel(bad)][0])
+    return w0
+
+
 def make_herm(entries, tol: Tolerance = DEFAULT_TOL) -> HermMatrix:
     """Validate Hermitian symmetry and symmetrize exactly.
 
     Round-off level asymmetry (below ``tol.rel`` relative) is silently folded
     into (H + H*)/2; anything larger raises :class:`NotHermitian`.
     """
-    a = _as_matrix(entries)
-    asym = float(np.linalg.norm(a - a.conj().T))
-    if asym > tol.rel * (1.0 + float(np.linalg.norm(a))):
-        raise NotHermitian(f"asymmetry {asym:g} exceeds tolerance")
-    h = (a + a.conj().T) / 2.0
-    if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) == 0.0:
-        h = h.real.copy()
-    return HermMatrix(_freeze(h))
+    return HermMatrix(_freeze(_symmetrize(_as_matrix(entries), tol)))
 
 
 @dataclass(frozen=True)
@@ -188,18 +228,37 @@ class LoewnerResult:
 def make_pd(entries, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
     """Construction gate: symmetrize, then require min eigenvalue > tol.abs."""
     h = make_herm(entries, tol)
-    w = np.linalg.eigvalsh(h.entries)
-    if w[0] <= tol.abs:
-        raise NotPositiveDefinite(w[0])
-    return PDMatrix(h, float(w[0]))
+    return PDMatrix(h, float(_pd_floor(h.entries, tol)))
 
 
 def _pd_from_herm_entries(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
     """Internal fast path: h is already exactly Hermitian."""
-    w = np.linalg.eigvalsh(h)
-    if w[0] <= tol.abs:
-        raise NotPositiveDefinite(w[0])
-    return PDMatrix(HermMatrix(_freeze(h)), float(w[0]))
+    return PDMatrix(HermMatrix(_freeze(h)), float(_pd_floor(h, tol)))
+
+
+def _check_sampling(n: int, field: str, ridge: float):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
+    if field not in ("real", "complex"):
+        raise ValueError(f"unknown field {field!r}")
+
+
+def _gaussian(rng: np.random.Generator, shape: tuple, n: int, field: str) -> np.ndarray:
+    """Standard-normal (n, n) squares over ``shape``, in C order: the stream that
+    one (n, n) draw per square (complex: real part, then imaginary part) takes."""
+    if field == "real":
+        return rng.standard_normal((*shape, n, n))
+    g = rng.standard_normal((*shape, 2, n, n))
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+
+
+def _gram(g: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """G G* + ridge*I, exactly Hermitian, and its ascending eigenvalues, over stacks."""
+    a = g @ _ct(g) + ridge * np.eye(g.shape[-1])
+    a = (a + _ct(a)) / 2.0
+    return a, np.linalg.eigvalsh(a)
 
 
 def random_pd(
@@ -213,22 +272,53 @@ def random_pd(
 
     Deterministic given the generator state.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    if field not in ("real", "complex"):
-        raise ValueError(f"unknown field {field!r}")
+    _check_sampling(n, field, ridge)
     for _ in range(1000):
-        g = rng.standard_normal((n, n))
-        if field == "complex":
-            g = g + 1j * rng.standard_normal((n, n))
-        a = g @ g.conj().T + ridge * np.eye(n)
-        a = (a + a.conj().T) / 2.0
-        w = np.linalg.eigvalsh(a)
+        a, w = _gram(_gaussian(rng, (), n, field), ridge)
         if w[-1] / w[0] <= cond_cap:
             return PDMatrix(HermMatrix(_freeze(a)), float(w[0]))
     raise IllConditioned("could not sample a matrix under the condition cap")
+
+
+def random_pd_stack(
+    n: int,
+    trials: int,
+    members: int,
+    rng: np.random.Generator,
+    field: str = "real",
+    ridge: float = DEFAULT_RIDGE,
+    cond_cap: float = DEFAULT_COND_CAP,
+    gaussian_tail: int = 0,
+) -> np.ndarray:
+    """``trials`` rows of ``members`` :func:`random_pd` draws, as one
+    (trials, members + gaussian_tail, n, n) array.
+
+    Row after row, the stream is taken exactly as ``members`` sequential
+    :func:`random_pd` calls and then ``gaussian_tail`` raw standard-normal
+    (n, n) squares (complex: real part, then imaginary part) would take it;
+    the tail entries of each row are those squares, not PD matrices. All
+    rows are drawn at once; if any member breaks ``cond_cap``, the generator
+    is rewound and the rows are redrawn one matrix at a time, so the result
+    and the final generator state equal the sequential ones.
+    """
+    _check_sampling(n, field, ridge)
+    state = rng.bit_generator.state
+    out = _gaussian(rng, (trials, members + gaussian_tail), n, field)
+    a, w = _gram(out[:, :members], ridge)
+    if (w[..., -1] / w[..., 0] <= cond_cap).all():
+        out[:, :members] = a
+        return out
+    rng.bit_generator.state = state
+    for row in out:
+        for i in range(members):
+            row[i] = random_pd(n, rng, field, ridge, cond_cap).mat
+        row[members:] = _gaussian(rng, (gaussian_tail,), n, field)
+    return out
+
+
+def family_from_stack(mats: np.ndarray) -> CyclicFamily:
+    """The cyclic family of an exactly Hermitian PD stack (p, n, n), entries copied."""
+    return CyclicFamily(tuple(_pd_from_herm_entries(np.array(m)) for m in mats))
 
 
 def random_family(
@@ -238,7 +328,7 @@ def random_family(
     field: str = "real",
     ridge: float = DEFAULT_RIDGE,
 ) -> CyclicFamily:
-    return CyclicFamily(tuple(random_pd(n, rng, field, ridge) for _ in range(p)))
+    return family_from_stack(random_pd_stack(n, 1, p, rng, field, ridge)[0])
 
 
 def _entries_of(m) -> np.ndarray:
@@ -261,27 +351,50 @@ def eig_herm(h) -> Spectrum:
     return Spectrum(_freeze(w.copy()), res)
 
 
-def eig_general(m) -> Spectrum:
-    """Full complex spectrum of a general square matrix, sorted by (Re, Im)."""
-    a = _as_matrix(m)
+def eig_general_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex spectra of a stack (..., n, n) of general square matrices.
+
+    Returns the eigenvalues of each matrix sorted by (Re, Im) and each
+    matrix's residual bound (see :class:`Spectrum`). Raises
+    ConvergenceFailure if any spectrum's sum disagrees with its trace.
+    """
+    if not np.isfinite(a).all():
+        raise NotFinite("matrix has an infinite or NaN entry")
     try:
         w, v = np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
-    res = float(np.linalg.norm(a @ v - v * w, axis=0).max()) / scale
-    tr = complex(np.trace(a))
-    if abs(w.sum() - tr) > 1e-8 * (1.0 + abs(tr)):
+    scale = np.maximum(_fro(a), np.finfo(float).tiny)
+    res = np.linalg.norm(a @ v - v * w[..., None, :], axis=-2).max(axis=-1) / scale
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    if (abs(w.sum(axis=-1) - tr) > 1e-8 * (1.0 + abs(tr))).any():
         raise ConvergenceFailure("eigenvalue sum disagrees with the trace")
     order = np.lexsort((w.imag, w.real))
-    return Spectrum(_freeze(w[order].copy()), res)
+    return np.take_along_axis(w, order, axis=-1), res
 
 
-def _sqrtm_pd(a: np.ndarray, power: float = 0.5) -> np.ndarray:
-    """Hermitian power of a PD array via spectral decomposition."""
+def eig_general(m) -> Spectrum:
+    """Full complex spectrum of a general square matrix, sorted by (Re, Im)."""
+    w, res = eig_general_stack(_as_matrix(m))
+    return Spectrum(_freeze(w), float(res))
+
+
+def herm_powers(a: np.ndarray, *powers: float) -> list[np.ndarray]:
+    """Hermitian powers A^q, one per q in ``powers``, of each PD matrix of a stack
+    (..., n, n), from one spectral decomposition."""
     w, v = np.linalg.eigh(a)
-    s = (v * np.power(np.maximum(w, 0.0) if power >= 0 else w, power)) @ v.conj().T
-    return (s + s.conj().T) / 2.0
+    out = []
+    for power in powers:
+        s = (v * np.power(np.maximum(w, 0.0) if power >= 0 else w, power)[..., None, :]) @ _ct(v)
+        out.append((s + _ct(s)) / 2.0)
+    return out
+
+
+def pd_product_similar(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """S^{1/2} T S^{1/2} for stacks of PD S and T: similar to S T (and T S), so it
+    has the product's eigenvalues, and Hermitian up to rounding."""
+    (r,) = herm_powers(s, 0.5)
+    return r @ t @ r
 
 
 def eig_pd_product(p: PDMatrix, q: PDMatrix) -> Spectrum:
@@ -291,13 +404,12 @@ def eig_pd_product(p: PDMatrix, q: PDMatrix) -> Spectrum:
     """
     if p.dim != q.dim:
         raise DimensionMismatch(f"{p.dim} vs {q.dim}")
-    s = _sqrtm_pd(q.mat)
-    return eig_herm(s @ p.mat @ s)
+    return eig_herm(pd_product_similar(q.mat, p.mat))
 
 
 def sqrt_pd(a: PDMatrix) -> PDMatrix:
     """Principal square root, computed spectrally."""
-    s = _sqrtm_pd(a.mat)
+    s = herm_powers(a.mat, 0.5)[0]
     return PDMatrix(HermMatrix(_freeze(s)), float(np.sqrt(a.min_eig)))
 
 

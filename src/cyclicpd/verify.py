@@ -3,12 +3,18 @@
 Three suites:
   unconditional - every theorem-backed checker must hold on all draws.
   identities    - the exact algebraic identities inside the proofs, to 1e-10.
-  conditional   - the open/false-regime trace bound; violations are recorded
-                  as counterexample events, never as suite failures.
+  conditional   - the trace bound Tr-sum >= p*n/2. Where a theorem covers it
+                  (p in {3, 4} for every n, and n = 1 with p in
+                  ``SCALAR_VALID_P``) a violation is a suite failure; elsewhere
+                  it is recorded as a counterexample event, never as a failure.
 
 Aggregation is per grid point: trial count, failure count, worst margin, and
-a serialized witness for the first failure (or event). The harness is
-sequential and seeded per grid point, so results do not depend on scheduling.
+a serialized witness for the first failure (or event). Each grid point has
+its own seeded stream. All of a grid point's trials are drawn from it in one
+stacked draw, which takes the same numbers in the same order as one draw per
+matrix would, and every checker then evaluates the whole (T, ...) stack at
+once through its ``batch_`` kernel. Results therefore depend neither on
+scheduling nor on how the trials are grouped.
 """
 from __future__ import annotations
 
@@ -17,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inequalities as ineq
-from .pdcore import DEFAULT_TOL, Tolerance, random_family, random_pd
-from .serialize import family_to_dict, matrix_to_dict
+from .pdcore import DEFAULT_TOL, _fro, family_from_stack, random_pd_stack
+from .serialize import family_to_dict
 
 SUITES = ("unconditional", "conditional", "identities")
 
 # The unconditional suite's checkers in call order. Record ``name`` is checked by
-# ``ineq.check_<name>``, looked up at call time so a wrapper bound there is called.
+# ``ineq.batch_<name>``, looked up at call time so a wrapper bound there is called.
 # Fixed-arity checkers take operands by letter: PD a, b, c, d and square x, y.
 UNCONDITIONAL_FIXED = (
     ("trace_product", "ab"), ("weighted_cs", "xya"), ("cs_trace", "xy"),
@@ -34,6 +40,10 @@ UNCONDITIONAL_FAMILY = (
     "harmonic_loewner", "block_certificate", "product_sum_eigs", "nesbitt_k",
     "shapiro_extension", "bidirectional", "square_cycle",
 )
+IDENTITIES = ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_identities")
+# Trials evaluated as one stack. It bounds the memory a grid point takes (about
+# 55 kB per trial at n = 6, p = 8, complex) and changes no result.
+TRIALS_PER_STACK = 512
 
 
 @dataclass
@@ -47,13 +57,20 @@ class GridRecord:
     min_margin: float = float("inf")
     witness: dict | None = None
 
-    def add(self, report: ineq.CheckReport, witness_fn=None):
-        self.trials += 1
-        self.min_margin = min(self.min_margin, report.margin)
-        if not report.holds:
-            self.failures += 1
-            if self.witness is None and witness_fn is not None:
-                self.witness = witness_fn()
+    def add(self, margins, holds, witness_fn=None):
+        """Fold in one stack of trials: their margins and verdicts, in trial order.
+
+        ``witness_fn(t)`` serializes trial t; it is called for the first
+        failing trial if the record has no witness yet.
+        """
+        margins = np.asarray(margins, dtype=float)
+        failed = np.flatnonzero(~np.asarray(holds, dtype=bool))
+        self.trials += margins.size
+        # fmin skips NaN margins, as a running min(current, margin) does
+        self.min_margin = min(self.min_margin, float(np.fmin.reduce(margins, initial=np.inf)))
+        self.failures += failed.size
+        if failed.size and self.witness is None and witness_fn is not None:
+            self.witness = witness_fn(int(failed[0]))
 
     def to_dict(self) -> dict:
         d = {
@@ -94,11 +111,30 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 _FIELD_ID = {"real": 0, "complex": 1}
 
 
-def _random_rect(rng, n, field):
-    x = rng.standard_normal((n, n))
-    if field == "complex":
-        x = x + 1j * rng.standard_normal((n, n))
-    return x
+def _stacks(n, trials, members, rng, field, gaussian_tail=0):
+    """A grid point's trials as consecutive :func:`random_pd_stack` draws of
+    at most ``TRIALS_PER_STACK`` rows; together they take the stream as one
+    draw of all the trials would."""
+    for start in range(0, trials, TRIALS_PER_STACK):
+        rows = min(TRIALS_PER_STACK, trials - start)
+        yield random_pd_stack(n, rows, members, rng, field, gaussian_tail=gaussian_tail)
+
+
+def _batch(name: str):
+    return getattr(ineq, f"batch_{name}")
+
+
+def _family_witness(fams):
+    return lambda t: family_to_dict(family_from_stack(fams[t]))
+
+
+def _norm_sum(mats):
+    """1 + the Frobenius norms of each trial's members (T, k, n, n), added in order."""
+    return 1.0 + sum(np.moveaxis(_fro(mats), -1, 0))
+
+
+def _add_residual(rec: GridRecord, residual, allowed):
+    rec.add(allowed - residual, residual <= allowed)
 
 
 def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
@@ -106,26 +142,22 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     for n in dims:
         for fld in fields:
             rng = _rng_for(seed, 1, n, _FIELD_ID[fld])
-            fixed = [(GridRecord(name, n, 0, fld), getattr(ineq, f"check_{name}"), operands)
-                     for name, operands in UNCONDITIONAL_FIXED]
-            for _ in range(trials):
-                a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
-                x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
-                drawn = {"a": a, "b": b, "c": c, "d": d, "x": x, "y": y}
-                for rec, check, operands in fixed:
-                    rec.add(check(*(drawn[k] for k in operands), tol))
-            out.records.extend(rec for rec, _, _ in fixed)
+            recs = [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED]
+            for drawn in _stacks(n, trials, 4, rng, fld, gaussian_tail=2):
+                operands = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+                for rec, (name, letters) in zip(recs, UNCONDITIONAL_FIXED):
+                    batch = _batch(name)(*(operands[k] for k in letters), tol)
+                    rec.add(batch.margin, batch.holds)
+            out.records.extend(recs)
         for p in p_values:
             for fld in fields:
                 rng = _rng_for(seed, 2, n, p, _FIELD_ID[fld])
-                recs = [(GridRecord(name, n, p, fld), getattr(ineq, f"check_{name}"))
-                        for name in UNCONDITIONAL_FAMILY]
-                for _ in range(trials):
-                    fam = random_family(n, p, rng, fld)
-                    wit = lambda: family_to_dict(fam)  # noqa: E731
-                    for rec, check in recs:
-                        rec.add(check(fam, tol), wit)
-                out.records.extend(rec for rec, _ in recs)
+                recs = [GridRecord(name, n, p, fld) for name in UNCONDITIONAL_FAMILY]
+                for fams in _stacks(n, trials, p, rng, fld):
+                    for rec in recs:
+                        batch = _batch(rec.check)(fams, tol)
+                        rec.add(batch.margin, batch.holds, _family_witness(fams))
+                out.records.extend(recs)
     return out
 
 
@@ -135,47 +167,47 @@ def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real"
     for n in dims:
         for fld in fields:
             rng = _rng_for(seed, 3, n, _FIELD_ID[fld])
-            recs = {
-                name: GridRecord(name, n, 0, fld)
-                for name in ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_identities")
-            }
+            recs = {name: GridRecord(name, n, 0, fld) for name in IDENTITIES}
             ext_recs = {p: GridRecord("extension_identity", n, p, fld) for p in p_values}
-            for _ in range(trials):
-                a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
-                scale = 1.0 + sum(m.norm() for m in (a, b, c, d))
-                r = ineq.check_s4_decomposition(a, b, c, d, tol)
-                recs["s4_identity"].add(_residual_report(
-                    "s4_identity", n, r.detail["identity_residual"], 1e-10 * scale, tol))
-                r = ineq.check_upper_bound_2ab(a, b, c, tol)
-                recs["two_ab_identity"].add(_residual_report(
-                    "two_ab_identity", n, r.detail["identity_residual"], 1e-10 * scale, tol))
-                r = ineq.check_wz_certificate(a, b, c, tol)
-                wz_res = max(
-                    r.detail["wz_residual"],
-                    abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),
-                    abs(r.detail["tr_ww"] - r.detail["tr_n"]),
-                )
-                recs["wz_identities"].add(_residual_report(
-                    "wz_identities", n, wz_res, 1e-10 * scale**2, tol))
-                for p in p_values:
-                    fam = random_family(n, p, rng, fld)
-                    fam_scale = 1.0 + sum(m.norm() for m in fam.members)
-                    r = ineq.check_square_cycle(fam, tol)
-                    sc_res = max(r.detail["wz_residual"], r.detail["zz_residual"])
-                    recs["square_cycle_identities"].add(_residual_report(
-                        "square_cycle_identities", n, sc_res, 1e-10 * fam_scale, tol))
-                    r = ineq.check_shapiro_extension(fam, tol)
-                    ext_recs[p].add(_residual_report(
-                        "extension_identity", n, -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n), tol))
+            # each trial draws a, b, c, d, then one family per p in p_values
+            for drawn in _stacks(n, trials, 4 + sum(p_values), rng, fld):
+                _add_identities(recs, ext_recs, drawn, p_values, tol)
             out.records.extend(recs.values())
             out.records.extend(ext_recs.values())
     return out
 
 
-def _residual_report(name, n, residual, allowed, tol) -> ineq.CheckReport:
-    return ineq.CheckReport(
-        name, n, 0, residual, allowed, allowed - residual, residual <= allowed, tol
-    )
+def _add_identities(recs, ext_recs, drawn, p_values, tol):
+    n = drawn.shape[-1]
+    a, b, c, d = np.moveaxis(drawn[:, :4], 1, 0)
+    scale = _norm_sum(drawn[:, :4])
+    r = ineq.batch_s4_decomposition(a, b, c, d, tol)
+    _add_residual(recs["s4_identity"], r.detail["identity_residual"], 1e-10 * scale)
+    r = ineq.batch_upper_bound_2ab(a, b, c, tol)
+    _add_residual(recs["two_ab_identity"], r.detail["identity_residual"], 1e-10 * scale)
+    r = ineq.batch_wz_certificate(a, b, c, tol)
+    wz_res = np.maximum.reduce([
+        r.detail["wz_residual"],
+        abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),
+        abs(r.detail["tr_ww"] - r.detail["tr_n"]),
+    ])
+    _add_residual(recs["wz_identities"], wz_res, 1e-10 * scale**2)
+    start = 4
+    for p in p_values:
+        fams = drawn[:, start:start + p]
+        start += p
+        r = ineq.batch_square_cycle(fams, tol)
+        sc_res = np.maximum(r.detail["wz_residual"], r.detail["zz_residual"])
+        _add_residual(recs["square_cycle_identities"], sc_res, 1e-10 * _norm_sum(fams))
+        r = ineq.batch_shapiro_extension(fams, tol)
+        _add_residual(ext_recs[p], -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n))
+
+
+def theorem_covers(n: int, p: int) -> bool:
+    """Whether a theorem proves the trace bound Tr-sum >= p*n/2 at (n, p): the
+    Nesbitt and four-variable theorems for p in {3, 4}, and the scalar cyclic
+    inequality at n = 1."""
+    return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
 def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
@@ -185,20 +217,22 @@ def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real
             for fld in fields:
                 rng = _rng_for(seed, 4, n, p, _FIELD_ID[fld])
                 rec = GridRecord("shapiro_trace", n, p, fld)
-                for _ in range(trials):
-                    fam = random_family(n, p, rng, fld)
-                    rep = ineq.check_shapiro_trace(fam, tol)
-                    rec.trials += 1
-                    rec.min_margin = min(rec.min_margin, rep.margin)
-                    if not rep.holds:
+                for fams in _stacks(n, trials, p, rng, fld):
+                    batch = ineq.batch_shapiro_trace(fams, tol)
+                    if theorem_covers(n, p):
+                        rec.add(batch.margin, batch.holds, _family_witness(fams))
+                        continue
+                    # outside the theorems a violation is an event, not a failure
+                    rec.add(batch.margin, np.ones_like(batch.holds))
+                    for t in np.flatnonzero(~batch.holds):
                         out.events.append({
                             "kind": "counterexample",
                             "check": "shapiro_trace",
                             "n": n,
                             "p": p,
                             "field": fld,
-                            "margin": rep.margin,
-                            "family": family_to_dict(fam),
+                            "margin": float(batch.margin[t]),
+                            "family": family_to_dict(family_from_stack(fams[t])),
                         })
                 out.records.append(rec)
     return out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,6 +91,24 @@ def test_eval_p2_family_rejected(tmp_path, capsys, expr):
     cp.save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * 2), path)
     assert main(["eval", "--family", str(path), "--expr", expr]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_eval_nesbitt_eigs_rejects_short_family(tmp_path, capsys, p):
+    path = tmp_path / "short.json"
+    cp.save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * p), path)
+    assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(cp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cyclicpd", "--version"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.strip() == cp.__version__
 
 
 def test_sample_bad_params():

@@ -66,6 +66,50 @@ class TestRandomPD:
             cp.random_pd(2, rng_for(0), field="quaternion")
 
 
+def sequential_rows(n, trials, members, rng, field, tail=0, cond_cap=cp.pdcore.DEFAULT_COND_CAP):
+    """What random_pd_stack must equal: one random_pd (or raw square) per entry."""
+    rows = []
+    for _ in range(trials):
+        row = [cp.random_pd(n, rng, field, cond_cap=cond_cap).mat for _ in range(members)]
+        for _ in range(tail):
+            x = rng.standard_normal((n, n))
+            row.append(x + 1j * rng.standard_normal((n, n)) if field == "complex" else x)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestRandomPDStack:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_sequential_draws(self, n, field):
+        for members, tail in [(5, 0), (4, 2)]:
+            r1, r2 = rng_for(n), rng_for(n)
+            want = sequential_rows(n, 3, members, r1, field, tail)
+            got = cp.pdcore.random_pd_stack(n, 3, members, r2, field, gaussian_tail=tail)
+            assert np.array_equal(got, want)
+            assert r1.bit_generator.state == r2.bit_generator.state
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_rejections_fall_back_to_the_sequential_stream(self, field):
+        n, cap = 3, 10.0
+        # the first stacked draw holds members over the cap, so the fallback runs
+        raw = cp.pdcore.random_pd_stack(n, 4, 3, rng_for(3), field, cond_cap=np.inf)
+        w = np.linalg.eigvalsh(raw)
+        assert (w[..., -1] / w[..., 0] > cap).any()
+        r1, r2 = rng_for(3), rng_for(3)
+        want = sequential_rows(n, 4, 3, r1, field, tail=1, cond_cap=cap)
+        got = cp.pdcore.random_pd_stack(n, 4, 3, r2, field, cond_cap=cap, gaussian_tail=1)
+        assert np.array_equal(got, want)
+        assert r1.bit_generator.state == r2.bit_generator.state
+        w = np.linalg.eigvalsh(got[:, :3])
+        assert (w[..., -1] / w[..., 0] <= cap).all()
+
+    def test_random_family_is_one_stacked_row(self):
+        fam = cp.random_family(3, 5, rng_for(8), "complex")
+        want = sequential_rows(3, 1, 5, rng_for(8), "complex")[0]
+        assert np.array_equal(np.stack(fam.arrays()), want)
+
+
 class TestEigHerm:
     def test_identity(self):
         s = cp.eig_herm(cp.make_pd(np.eye(3)))
@@ -184,9 +228,9 @@ class TestSumFormulaFacts:
         for _ in range(200):
             a = cp.random_pd(3, rng)
             b = cp.random_pd(3, rng)
-            from cyclicpd.pdcore import _sqrtm_pd
+            from cyclicpd.pdcore import herm_powers
 
-            r = _sqrtm_pd(b.mat, -0.5)
+            (r,) = herm_powers(b.mat, -0.5)
             h = r @ a.mat @ r
             w = np.linalg.eigvalsh(h + np.linalg.inv(h))
             assert w.min() >= 2 - 1e-8

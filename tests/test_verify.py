@@ -1,0 +1,169 @@
+"""The trial-batched verify suites and stacked checker kernels against their
+looped references in ``looped_oracle``."""
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import looped_oracle as oracle
+from cyclicpd import inequalities as ineq
+from cyclicpd import verify
+from cyclicpd.cli import main
+from cyclicpd.pdcore import family_from_stack, random_pd_stack
+
+DIMS, PS, TRIALS = range(1, 5), (3, 5, 8), 7
+SUITE_NAMES = ("unconditional", "identities", "conditional")
+
+
+def close(got, want, rel=1e-12):
+    return got == want or abs(got - want) <= rel * max(abs(got), abs(want))
+
+
+def assert_same_outcome(got, want):
+    assert got.events == want.events
+    assert len(got.records) == len(want.records)
+    for g, w in zip(got.records, want.records):
+        g, w = g.to_dict(), w.to_dict()
+        assert close(g.pop("min_margin"), w.pop("min_margin")), (g, w)
+        assert g == w
+
+
+@pytest.mark.parametrize("stack", [verify.TRIALS_PER_STACK, 3])
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_batched_suite_matches_looped(monkeypatch, suite, stack):
+    monkeypatch.setattr(verify, "TRIALS_PER_STACK", stack)
+    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
+    want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
+    assert_same_outcome(got, want)
+
+
+def flip_by_margin(margin):
+    """A verdict that fails about half the trials, decided by the margin's digits."""
+    return np.floor(np.asarray(margin) * 1e6) % 2 == 0
+
+
+@pytest.mark.parametrize("suite, name, witnessed", [
+    ("unconditional", "square_cycle", True),
+    ("unconditional", "nesbitt", False),
+    ("conditional", "shapiro_trace", True),
+])
+def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, witnessed):
+    """Both paths judge every trial by the same margin-based rule, so failure
+    counts, first-failure witnesses and events must agree trial for trial."""
+    batch_fn, check_fn = getattr(ineq, f"batch_{name}"), getattr(oracle, f"check_{name}")
+
+    def batched(*args):
+        batch = batch_fn(*args)
+        return dataclasses.replace(batch, holds=flip_by_margin(batch.margin))
+
+    def looped(*args):
+        rep = check_fn(*args)
+        return dataclasses.replace(rep, holds=bool(flip_by_margin(rep.margin)))
+
+    monkeypatch.setattr(ineq, f"batch_{name}", batched)
+    monkeypatch.setattr(oracle, f"check_{name}", looped)
+    monkeypatch.setattr(verify, "TRIALS_PER_STACK", 4)  # witnesses may come from a later stack
+    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=6)
+    want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=6)
+    assert sum(r.failures for r in got.records) > 0
+    assert any(r.witness for r in got.records) == witnessed
+    assert bool(got.events) == (suite == "conditional")
+    assert_same_outcome(got, want)
+
+
+def same_report(got, want):
+    assert got.check_name == want.check_name and (got.n, got.p) == (want.n, want.p)
+    assert got.holds == want.holds
+    assert close(got.margin, want.margin)
+    assert close(got.lhs, want.lhs) and close(got.rhs, want.rhs)
+    assert got.detail.keys() == want.detail.keys()
+    for key, value in want.detail.items():
+        assert np.allclose(got.detail[key], value, rtol=1e-12, atol=0), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), p=st.integers(3, 9),
+       field=st.sampled_from(["real", "complex"]), trials=st.integers(1, 4))
+def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
+    rng = np.random.default_rng(seed)
+    drawn = random_pd_stack(n, trials, 4, rng, field, gaussian_tail=2)
+    fams = random_pd_stack(n, trials, p, rng, field)
+    for name, letters in verify.UNCONDITIONAL_FIXED:
+        batch = getattr(ineq, f"batch_{name}")(*(drawn[:, "abcdxy".index(k)] for k in letters))
+        for t in range(trials):
+            ops = dict(zip("abcdxy", family_from_stack(drawn[t, :4]).members + tuple(drawn[t, 4:])))
+            same_report(batch.report(t), getattr(oracle, f"check_{name}")(*(ops[k] for k in letters)))
+    for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
+        batch = getattr(ineq, f"batch_{name}")(fams)
+        for t in range(trials):
+            same_report(batch.report(t), getattr(oracle, f"check_{name}")(family_from_stack(fams[t])))
+
+
+class TestGridRecord:
+    def test_first_failure_is_the_witness(self):
+        rec = verify.GridRecord("x", 2, 3, "real")
+        rec.add([3.0, -1.0, 2.0, -5.0], [True, False, True, False], lambda t: {"trial": t})
+        rec.add([-7.0], [False], lambda t: {"trial": 10 + t})
+        assert (rec.trials, rec.failures, rec.min_margin) == (5, 3, -7.0)
+        assert rec.witness == {"trial": 1}
+
+    def test_nan_margins_do_not_set_the_minimum(self):
+        rec = verify.GridRecord("x", 1, 0, "real")
+        rec.add([np.nan, 2.0, np.nan], [False, True, False])
+        assert (rec.trials, rec.failures, rec.min_margin) == (3, 2, 2.0)
+        assert rec.witness is None
+
+    def test_empty_stack(self):
+        rec = verify.GridRecord("x", 1, 0, "real")
+        rec.add(np.empty(0), np.empty(0, dtype=bool))
+        assert (rec.trials, rec.failures, rec.min_margin) == (0, 0, float("inf"))
+
+
+def test_theorem_covers():
+    assert verify.theorem_covers(5, 3) and verify.theorem_covers(2, 4)
+    assert verify.theorem_covers(1, 12) and verify.theorem_covers(1, 23)
+    assert not verify.theorem_covers(1, 14) and not verify.theorem_covers(2, 5)
+
+
+class TestConditionalViolations:
+    """A shapiro_trace violation fails the suite where a theorem covers (n, p);
+    elsewhere it is an event. Every trial is made a violation here."""
+
+    @pytest.fixture(autouse=True)
+    def all_violated(self, monkeypatch):
+        real = ineq.batch_shapiro_trace
+        monkeypatch.setattr(ineq, "batch_shapiro_trace", lambda fams, tol: dataclasses.replace(
+            real(fams, tol), holds=np.zeros(len(fams), dtype=bool)))
+
+    def test_covered_fail_uncovered_are_events(self):
+        out = verify.run_conditional([1, 2], [3, 5, 14], 3, seed=2, fields=("real",))
+        failures = {(r.n, r.p): r.failures for r in out.records}
+        assert failures == {(1, 3): 3, (1, 5): 3, (1, 14): 0, (2, 3): 3, (2, 5): 0, (2, 14): 0}
+        assert all((r.witness is not None) == (r.failures > 0) for r in out.records)
+        assert sorted({(e["n"], e["p"]) for e in out.events}) == [(1, 14), (2, 5), (2, 14)]
+        assert len(out.events) == 9
+        assert out.unconditional_failures == 9
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        args = ["verify", "--suite", "conditional", "--trials", "2", "--field", "real"]
+        assert main(args + ["--dims", "2", "--p", "5", "--out", str(tmp_path / "a.json")]) == 0
+        assert "[ok]" in capsys.readouterr().err
+        assert main(args + ["--dims", "2", "--p", "4", "--out", str(tmp_path / "b.json")]) == 1
+        assert "[FAIL]" in capsys.readouterr().err
+        doc = json.loads((tmp_path / "b.json").read_text())["results"]["conditional"]
+        assert doc["unconditional_failures"] == 2 and doc["events"] == []
+        assert doc["records"][0]["witness"]["p"] == 4
+
+
+def test_conditional_json_unchanged_without_violations(tmp_path):
+    out = tmp_path / "c.json"
+    assert main(["verify", "--suite", "conditional", "--dims", "1..2", "--p", "3..5",
+                 "--trials", "3", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())["results"]["conditional"]
+    assert doc["unconditional_failures"] == 0 and doc["events"] == []
+    for rec in doc["records"]:
+        assert set(rec) == {"check", "n", "p", "field", "trials", "failures", "min_margin"}
+        assert rec["failures"] == 0
