@@ -18,7 +18,7 @@ from . import __version__
 from . import inequalities as ineq
 from . import verify as verify_mod
 from .errors import CyclicPDError, FixtureMismatch
-from .pdcore import CyclicFamily, Tolerance, random_family
+from .pdcore import Tolerance, random_family
 from .search import (
     SearchConfig,
     minimize_margin,
@@ -40,10 +40,6 @@ def _parse_range(text: str) -> list[int]:
     if not out:
         raise ValueError(f"empty range {text!r}")
     return out
-
-
-def _tol_from(args) -> Tolerance:
-    return Tolerance(rel=args.tol_rel, abs=args.tol_abs)
 
 
 def _manifest(command: str, config: dict, seed: int, started: float, results) -> dict:
@@ -69,18 +65,17 @@ def _emit(doc: dict, out_path) -> None:
         print(text)
 
 
-def _add_tol_flags(sp):
-    sp.add_argument("--tol-rel", type=float, default=1e-9)
-    sp.add_argument("--tol-abs", type=float, default=1e-12)
-
-
 def cmd_verify(args) -> int:
     try:
         dims = _parse_range(args.dims)
         p_values = _parse_range(args.p)
+        if min(dims) < 1:
+            raise ValueError("--dims must be >= 1")
+        if min(p_values) < 3:
+            raise ValueError("--p must be >= 3")
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
-        tol = _tol_from(args)
+        tol = Tolerance(rel=args.tol_rel)
         fields = ("real", "complex") if args.field == "both" else (args.field,)
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -90,7 +85,7 @@ def cmd_verify(args) -> int:
     results = {name: oc.to_dict() for name, oc in outcomes.items()}
     config = {
         "suite": args.suite, "dims": dims, "p": p_values, "trials": args.trials,
-        "field": args.field, "tol": {"rel": tol.rel, "abs": tol.abs},
+        "field": args.field, "tol": {"rel": tol.rel},
     }
     _emit(_manifest("verify", config, args.seed, started, results), args.out)
     hard_failures = sum(oc.unconditional_failures for oc in outcomes.values())
@@ -142,7 +137,7 @@ def cmd_search(args) -> int:
             ridge=args.ridge,
             master_seed=args.seed,
         )
-        tol = _tol_from(args)
+        tol = Tolerance(rel=args.tol_rel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -218,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", choices=["real", "complex", "both"], default="both")
     sp.add_argument("--out")
-    _add_tol_flags(sp)
+    sp.add_argument("--tol-rel", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("reproduce", help="reproduce the published p=4 counterexample")
@@ -235,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ridge", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
-    _add_tol_flags(sp)
+    sp.add_argument("--tol-rel", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("eval", help="evaluate a quantity on a stored family")
@@ -256,6 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
     return args.fn(args)
 
 

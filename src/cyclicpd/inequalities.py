@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, FixtureMismatch, SingularDenominator
+from .errors import DimensionMismatch, FixtureMismatch, SingularDenominator
 from .pdcore import (
+    _LOOSE_TOL,
     DEFAULT_TOL,
     CyclicFamily,
     PDMatrix,
@@ -29,11 +30,12 @@ from .pdcore import (
     _ct,
     _fro,
     _pd_floor,
+    _refined_inverse,
     _symmetrize,
     eig_general,
     eig_general_stack,
+    eig_herm_stack,
     herm_powers,
-    inverse_pd,
     make_pd,
     pd_product_similar,
 )
@@ -165,15 +167,6 @@ def _hstack(blocks: np.ndarray) -> np.ndarray:
     return moved.reshape(moved.shape[:-2] + (-1,))
 
 
-def _eigh_values(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues as :func:`eig_herm` computes them: by eigh, whose values can
-    differ from eigvalsh's in the last bit, and with its ConvergenceFailure."""
-    try:
-        return np.linalg.eigh(a)[0]
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-
-
 def _pd_product_eigvals(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Eigenvalues of S T for stacks of PD S and T, from the symmetrized similar matrix."""
     h = pd_product_similar(s, t)
@@ -224,8 +217,7 @@ def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
 
 def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
-    am = a.mat if isinstance(a, PDMatrix) else a.entries
-    bm = b.mat if isinstance(b, PDMatrix) else b.entries
+    am, bm = a.entries, b.entries
     if am.shape != bm.shape:
         raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
     return batch_trace_product(am[None], bm[None], tol).report()
@@ -278,7 +270,7 @@ def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     (r,) = herm_powers(bm, -0.5)
     h = r @ am @ r
     h = (h + _ct(h)) / 2.0
-    vals = _eigh_values(h + _inv(h)) - 2.0
+    vals = eig_herm_stack(h + _inv(h))[0] - 2.0
     margin = vals.min(axis=-1)
     direct, _ = eig_general_stack((am - bm) @ (_inv(bm) - _inv(am)))
     slack = tol.slack(_fro(am), _fro(bm))
@@ -392,7 +384,7 @@ def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     hinv = _symmetrize(_psum(_inv(mats)), loose)
     _pd_floor(s, loose)
     _pd_floor(hinv, loose)
-    vals = _eigh_values(pd_product_similar(hinv, s))
+    vals = eig_herm_stack(pd_product_similar(hinv, s))[0]
     rhs = float(p**2)
     margin = vals.min(axis=-1) - rhs
     slack = tol.slack(_fro(s), _fro(hinv))
@@ -500,18 +492,18 @@ def cyclic_traces(mats):
 def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3).
 
-    With ``refine`` the denominators are inverted through :func:`inverse_pd`
-    (one Newton step plus a residual gate) rather than a plain solve; used for
-    high-scrutiny re-verification of search results.
+    With ``refine`` the denominators pass the Hermitian and PD gates and are
+    inverted with one Newton step plus a residual gate (the kernel behind
+    :func:`inverse_pd`) rather than by a plain solve; used for high-scrutiny
+    re-verification of search results.
     """
     mats = np.stack(f.arrays())
     if not refine:
         return float(cyclic_traces(mats))
     _require_cycle(f.p)
-    total = 0.0
-    for a, s in zip(mats, cyclic_denominators(mats)):
-        total += float(_rtr(a @ inverse_pd(make_pd(s, _loose(DEFAULT_TOL))).mat))
-    return total
+    dens = _symmetrize(cyclic_denominators(mats), _LOOSE_TOL)
+    _pd_floor(dens, _LOOSE_TOL)
+    return float(_sum_over_p(_rtr(mats @ _refined_inverse(dens)[0])))
 
 
 def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:

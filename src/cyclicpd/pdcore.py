@@ -13,7 +13,7 @@ they are safe to share between concurrent trials.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,8 @@ class Tolerance:
     abs: float = 1e-12
 
     def __post_init__(self):
-        if self.rel <= 0 or self.abs <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0.0 < self.rel < np.inf and 0.0 < self.abs < np.inf):
+            raise ValueError("tolerances must be positive and finite")
 
     def slack(self, *norms):
         """Allowed negative margin for operands of the given norms (floats or per-trial arrays)."""
@@ -53,6 +53,8 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
+# the positivity floor alone, for matrices that are PD by construction
+_LOOSE_TOL = Tolerance(abs=np.finfo(float).tiny)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -143,26 +145,14 @@ def make_herm(entries, tol: Tolerance = DEFAULT_TOL) -> HermMatrix:
 
 
 @dataclass(frozen=True)
-class PDMatrix:
+class PDMatrix(HermMatrix):
     """Hermitian positive definite matrix with its smallest eigenvalue cached."""
 
-    base: HermMatrix
     min_eig: float
 
     @property
     def mat(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
-    def dim(self) -> int:
-        return self.base.dim
-
-    @property
-    def is_real(self) -> bool:
-        return self.base.is_real
-
-    def norm(self) -> float:
-        return self.base.norm()
+        return self.entries
 
 
 @dataclass(frozen=True)
@@ -227,13 +217,8 @@ class LoewnerResult:
 
 def make_pd(entries, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
     """Construction gate: symmetrize, then require min eigenvalue > tol.abs."""
-    h = make_herm(entries, tol)
-    return PDMatrix(h, float(_pd_floor(h.entries, tol)))
-
-
-def _pd_from_herm_entries(h: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
-    """Internal fast path: h is already exactly Hermitian."""
-    return PDMatrix(HermMatrix(_freeze(h)), float(_pd_floor(h, tol)))
+    h = make_herm(entries, tol).entries
+    return PDMatrix(h, float(_pd_floor(h, tol)))
 
 
 def _check_sampling(n: int, field: str, ridge: float):
@@ -276,7 +261,7 @@ def random_pd(
     for _ in range(1000):
         a, w = _gram(_gaussian(rng, (), n, field), ridge)
         if w[-1] / w[0] <= cond_cap:
-            return PDMatrix(HermMatrix(_freeze(a)), float(w[0]))
+            return PDMatrix(_freeze(a), float(w[0]))
     raise IllConditioned("could not sample a matrix under the condition cap")
 
 
@@ -317,8 +302,13 @@ def random_pd_stack(
 
 
 def family_from_stack(mats: np.ndarray) -> CyclicFamily:
-    """The cyclic family of an exactly Hermitian PD stack (p, n, n), entries copied."""
-    return CyclicFamily(tuple(_pd_from_herm_entries(np.array(m)) for m in mats))
+    """The cyclic family of an exactly Hermitian stack (p, n, n), entries copied.
+
+    The stack is PD by construction (a sample, or factors times their
+    transposes plus a ridge), so only the positivity floor is checked.
+    """
+    w0 = _pd_floor(mats, _LOOSE_TOL)
+    return CyclicFamily(tuple(PDMatrix(_freeze(np.array(m)), float(w)) for m, w in zip(mats, w0)))
 
 
 def random_family(
@@ -332,20 +322,22 @@ def random_family(
 
 
 def _entries_of(m) -> np.ndarray:
-    if isinstance(m, PDMatrix):
-        return m.mat
-    if isinstance(m, HermMatrix):
-        return m.entries
-    return np.asarray(m)
+    return m.entries if isinstance(m, HermMatrix) else np.asarray(m)
+
+
+def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh over a stack (..., n, n), raising ConvergenceFailure
+    where LAPACK does not converge."""
+    try:
+        return np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
 
 
 def eig_herm(h) -> Spectrum:
     """Hermitian eigenvalues (real, ascending) with a computed residual bound."""
     a = _entries_of(h)
-    try:
-        w, v = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
+    w, v = eig_herm_stack(a)
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
     res = float(np.linalg.norm(a @ v - v * w, axis=0).max()) / scale
     return Spectrum(_freeze(w.copy()), res)
@@ -410,25 +402,35 @@ def eig_pd_product(p: PDMatrix, q: PDMatrix) -> Spectrum:
 def sqrt_pd(a: PDMatrix) -> PDMatrix:
     """Principal square root, computed spectrally."""
     s = herm_powers(a.mat, 0.5)[0]
-    return PDMatrix(HermMatrix(_freeze(s)), float(np.sqrt(a.min_eig)))
+    return PDMatrix(_freeze(s), float(np.sqrt(a.min_eig)))
 
 
-def inverse_pd(a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
-    """Inverse with one Newton refinement step and a conditioning-scaled residual gate."""
-    m = a.mat
-    n = a.dim
-    eye = np.eye(n)
+def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of each PD matrix of a stack (..., n, n), with one Newton step.
+
+    Returns the symmetrized inverses and their smallest eigenvalues. Raises
+    IllConditioned when a residual ||M X - I|| exceeds 1e-10 * max(1, ||M|| ||X||),
+    and NotPositiveDefinite when an inverse is not positive.
+    """
+    eye = np.eye(m.shape[-1])
     try:
         x = np.linalg.inv(m)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(str(exc)) from exc
     x = x @ (2.0 * eye - m @ x)
-    x = (x + x.conj().T) / 2.0
-    residual = float(np.linalg.norm(m @ x - eye))
-    bound = 1e-10 * max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(x)))
-    if residual > bound:
-        raise IllConditioned(f"inverse residual {residual:g} exceeds bound {bound:g}")
-    return _pd_from_herm_entries(x, Tolerance(rel=tol.rel, abs=np.finfo(float).tiny))
+    x = (x + _ct(x)) / 2.0
+    residual = _fro(m @ x - eye)
+    bound = 1e-10 * np.fmax(1.0, _fro(m) * _fro(x))
+    bad = residual > bound
+    if bad.any():
+        raise IllConditioned(f"inverse residual {residual[bad][0]:g} exceeds bound {bound[bad][0]:g}")
+    return x, _pd_floor(x, _LOOSE_TOL)
+
+
+def inverse_pd(a: PDMatrix) -> PDMatrix:
+    """Inverse with one Newton refinement step and a conditioning-scaled residual gate."""
+    x, w0 = _refined_inverse(a.mat)
+    return PDMatrix(_freeze(x), float(w0))
 
 
 def loewner_geq(a, b, tol: Tolerance = DEFAULT_TOL) -> LoewnerResult:

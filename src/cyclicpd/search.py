@@ -19,14 +19,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .pdcore import (
-    DEFAULT_TOL,
-    CyclicFamily,
-    HermMatrix,
-    PDMatrix,
-    Tolerance,
-    _freeze,
-)
+from .pdcore import DEFAULT_TOL, CyclicFamily, PDMatrix, Tolerance, _freeze, family_from_stack
 from .inequalities import _sum_over_p, cyclic_denominators, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
@@ -51,8 +44,8 @@ class SearchConfig:
             raise ValueError("p must be >= 3")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValueError("n, restarts and max_iters must be positive")
-        if self.step_init <= 0 or self.ridge <= 0:
-            raise ValueError("step_init and ridge must be positive")
+        if not (0.0 < self.step_init < np.inf and 0.0 < self.ridge < np.inf):
+            raise ValueError("step_init and ridge must be positive and finite")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -64,7 +57,6 @@ class SearchResult:
     best_margin: float
     iterations_used: int
     margin_history: list
-    verified: bool
     classification: str
     restart_index: int
 
@@ -72,7 +64,6 @@ class SearchResult:
         return {
             "best_margin": self.best_margin,
             "iterations_used": self.iterations_used,
-            "verified": self.verified,
             "classification": self.classification,
             "restart_index": self.restart_index,
             "margin_history": [[int(i), float(m)] for i, m in self.margin_history],
@@ -104,10 +95,7 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
     if n < 1:
         raise ValueError("n must be >= 1")
     eye = np.eye(n)
-    members = tuple(
-        PDMatrix(HermMatrix(_freeze(v * eye)), v) for v in a
-    )
-    return CyclicFamily(members)
+    return CyclicFamily(tuple(PDMatrix(_freeze(v * eye), v) for v in a))
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +122,16 @@ def margin_gradient(factors, ridge: float):
 
     Uses d Tr(A S^{-1}) = Tr(S^{-1} dA) - Tr(S^{-1} A S^{-1} dS) and the chain
     rule through the factorization; matches central finite differences.
-    Takes stacked factors (..., p, n, n) and returns an array of that shape,
-    or a list of p blocks and returns a list.
+    Takes stacked factors (..., p, n, n) (or a list of p blocks) and returns
+    an array of that shape.
     """
-    stacked = np.asarray(factors, dtype=np.float64)
-    mats = _mats_from_factors(stacked, ridge)
+    factors = np.asarray(factors, dtype=np.float64)
+    mats = _mats_from_factors(factors, ridge)
     invs = np.linalg.inv(cyclic_denominators(mats))
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
     ks = invs @ mats @ invs
     d = invs - np.roll(ks, 1, axis=-3) - np.roll(ks, 2, axis=-3)
-    grads = 2.0 * d @ stacked
-    return grads if isinstance(factors, np.ndarray) else list(grads)
+    return 2.0 * d @ factors
 
 
 def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
@@ -250,16 +237,6 @@ def _descend(cfg: SearchConfig, factors):
     return factors, f, histories, iters
 
 
-def _family_from_factors(factors, ridge: float) -> CyclicFamily:
-    mats = _mats_from_factors(factors, ridge)
-    members = []
-    for m in mats:
-        h = (m + m.T) / 2.0
-        w = np.linalg.eigvalsh(h)
-        members.append(PDMatrix(HermMatrix(_freeze(h)), float(w[0])))
-    return CyclicFamily(tuple(members))
-
-
 def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
     if margin >= 0.0:
         return "no_counterexample_found"
@@ -286,7 +263,8 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     r = min(survivors, key=lambda s: (margins[s], s))
     f, factors, history = float(margins[r]), factors[r], histories[r]
     total_iters = sum(int(iters[s]) for s in survivors)
-    family = _family_from_factors(factors, cfg.ridge)
+    mats = _mats_from_factors(factors, cfg.ridge)
+    family = family_from_stack((mats + np.swapaxes(mats, -1, -2)) / 2.0)
     recomputed = cyclic_sum_trace(family, refine=True) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):
         raise RuntimeError(
@@ -302,7 +280,6 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
         best_margin=recomputed,
         iterations_used=total_iters,
         margin_history=history,
-        verified=True,
         classification=classification,
         restart_index=r,
     )

@@ -10,11 +10,11 @@ import json
 
 import numpy as np
 
-from .pdcore import CyclicFamily, PDMatrix, Tolerance, DEFAULT_TOL, make_pd
+from .pdcore import CyclicFamily, PDMatrix, Tolerance, DEFAULT_TOL, _entries_of, make_pd
 
 
 def matrix_to_dict(m) -> dict:
-    a = m.mat if isinstance(m, PDMatrix) else np.asarray(m)
+    a = _entries_of(m)
     if np.iscomplexobj(a):
         entries = [[[float(z.real), float(z.imag)] for z in row] for row in a]
         field = "complex"

@@ -177,6 +177,27 @@ def test_search_bad_config():
     assert main(["search", "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--dims", "0"],
+    ["verify", "--p", "2"],
+    ["verify", "--p", "1"],
+    ["verify", "--tol-rel", "nan"],
+    ["verify", "--tol-rel", "inf"],
+    ["search", "--p", "5", "--ridge", "nan"],
+    ["search", "--p", "5", "--ridge", "inf"],
+    ["search", "--p", "5", "--step-init", "nan"],
+    ["verify", "--seed", "-1"],
+    ["search", "--p", "5", "--seed", "-1"],
+    ["sample", "--n", "2", "--p", "3", "--seed", "-1"],
+], ids="_".join)
+def test_invalid_input_rejected_before_work(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not out.exists()
+
+
 def test_search_sweep_manifest_lists_dims(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["search", "--p", "12", "--restarts", "2", "--max-iters", "20",

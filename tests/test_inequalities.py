@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
+from cyclicpd import inequalities as ineq
 from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
@@ -166,6 +167,18 @@ class TestNesbittK:
 
 # Looped references: the per-term evaluations the stacked kernel replaced.
 
+def ref_refined_inverse(m):
+    """One matrix's inverse with one Newton step and the residual gate, as
+    inverse_pd computed it before the stacked kernel."""
+    eye = np.eye(m.shape[0])
+    x = np.linalg.inv(m)
+    x = x @ (2.0 * eye - m @ x)
+    x = (x + x.conj().T) / 2.0
+    residual = float(np.linalg.norm(m @ x - eye))
+    assert residual <= 1e-10 * max(1.0, float(np.linalg.norm(m)) * float(np.linalg.norm(x)))
+    return x
+
+
 def ref_cyclic_sum_trace(f, refine=False):
     mats = f.arrays()
     p = f.p
@@ -173,7 +186,7 @@ def ref_cyclic_sum_trace(f, refine=False):
     for i in range(p):
         s = mats[(i + 1) % p] + mats[(i + 2) % p]
         if refine:
-            x = cp.inverse_pd(cp.make_pd(s, cp.Tolerance(abs=np.finfo(float).tiny))).mat
+            x = ref_refined_inverse(cp.make_pd(s, cp.Tolerance(abs=np.finfo(float).tiny)).mat)
             total += float(np.trace(mats[i] @ x).real)
         else:
             total += float(np.trace(np.linalg.solve(s, mats[i])).real)
@@ -396,6 +409,91 @@ class TestSquareCycle:
             r = cp.check_square_cycle(cp.random_family(3, 5, rng))
             assert r.holds
             assert max(r.detail["wz_residual"], r.detail["zz_residual"]) <= 1e-8
+
+
+def rotation(n, theta):
+    """An orthogonal n x n matrix: a plane rotation by theta in the first two coordinates."""
+    r = np.eye(n)
+    r[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    return r
+
+
+class TestCertificateGates:
+    """Each identity gate of a certificate fails the check on its own: the
+    patched construction breaks one identity by far more than its bound, keeps
+    every other identity within its bound, and leaves the margin holding."""
+
+    def test_schur_gap(self, monkeypatch):
+        fam = cp.random_family(3, 4, RNG(30))
+        base = cp.check_block_certificate(fam)
+        assert base.holds
+        real = ineq.schur_complement
+        monkeypatch.setattr(ineq, "schur_complement", lambda m, n: real(m, n) + 1e-3)
+        r = cp.check_block_certificate(fam)
+        assert r.margin == base.margin  # the blocks are singular, so this is 0 up to rounding
+        assert r.detail["schur_gap"] > 1e-8 * (1.0 + np.linalg.norm(cp.build_block_certificate(fam).blocks["M"]))
+        assert not r.holds
+
+    # Z_i -> c Z_i R and W_i -> W_i / c, N -> k N: a rotation R moves W Z* alone,
+    # c moves Tr(Z Z*) and Tr(W W*) (k = c^-2 puts Tr(N) back on Tr(W W*)), k
+    # alone moves Tr(N).
+    WZ_PATCHES = {
+        "wz_residual": (1.0, rotation(3, 0.1), 1.0),
+        "tr_zz": (1.01, np.eye(3), 1.01**-2),
+        "tr_ww": (1.0, np.eye(3), 1.01),
+    }
+
+    @pytest.mark.parametrize("broken", sorted(WZ_PATCHES))
+    def test_wz_identities(self, monkeypatch, broken):
+        rng = RNG(31)
+        ops = [cp.random_pd(3, rng) for _ in range(3)]
+        assert cp.check_wz_certificate(*ops).margin > 0.1
+        c, turn, k = self.WZ_PATCHES[broken]
+        blocks, sums = ineq._wz_blocks, ineq._two_ab_sums
+
+        def wz_blocks(*mats):
+            outer, wi, zi = blocks(*mats)
+            return outer, wi / c, c * zi @ turn
+
+        def two_ab_sums(*mats):
+            m, nn = sums(*mats)
+            return m, k * nn
+
+        monkeypatch.setattr(ineq, "_wz_blocks", wz_blocks)
+        monkeypatch.setattr(ineq, "_two_ab_sums", two_ab_sums)
+        r = cp.check_wz_certificate(*ops)
+        d = r.detail
+        gaps = {
+            "wz_residual": d["wz_residual"],
+            "tr_zz": abs(d["tr_zz"] - d["tr_zz_expected"]),
+            "tr_ww": abs(d["tr_ww"] - d["tr_n"]),
+        }
+        bound = 1e-9 * (1.0 + sum(m.norm() for m in ops)) ** 2
+        assert gaps.pop(broken) > 100 * bound
+        assert all(g <= bound for g in gaps.values())
+        assert r.margin > 0
+        assert not r.holds
+
+    @pytest.mark.parametrize("broken", ["wz_residual", "zz_residual"])
+    def test_square_cycle_residuals(self, monkeypatch, broken):
+        fam = cp.random_family(3, 5, RNG(32))
+        base = cp.check_square_cycle(fam)
+        assert base.holds
+        powers = ineq.herm_powers
+
+        def herm_powers(a, *qs):
+            root_inv, root = powers(a, *qs)
+            if broken == "wz_residual":
+                return root_inv, root @ rotation(3, 0.1)  # Z Z* stays, W Z* moves
+            return root_inv / 1.01, 1.01 * root  # W Z* stays, Z Z* moves
+
+        monkeypatch.setattr(ineq, "herm_powers", herm_powers)
+        r = cp.check_square_cycle(fam)
+        other = ({"wz_residual", "zz_residual"} - {broken}).pop()
+        bound = 1e-9 * (1.0 + sum(m.norm() for m in fam.members))
+        assert r.detail[broken] > 100 * bound and r.detail[other] <= bound
+        assert r.margin == base.margin > 0
+        assert not r.holds
 
 
 class TestCounterexampleReproduction:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclicpd as cp
+from cyclicpd.pdcore import _refined_inverse
 
 
 def rng_for(seed):
@@ -36,6 +37,17 @@ class TestMakePD:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(cp.NotFinite):
             cp.make_pd([[bad, 0.0], [0.0, 1.0]])
+
+    def test_pd_matrix_is_a_frozen_herm_matrix(self):
+        m = cp.make_pd([[2.0, 1.0], [1.0, 2.0]])
+        assert isinstance(m, cp.HermMatrix)
+        assert m.mat is m.entries and not m.entries.flags.writeable
+        assert m.is_real and m.norm() == np.linalg.norm(m.entries)
+
+    @pytest.mark.parametrize("kw", [{"rel": np.nan}, {"rel": np.inf}, {"abs": np.nan}, {"abs": 0.0}])
+    def test_tolerance_must_be_positive_and_finite(self, kw):
+        with pytest.raises(ValueError):
+            cp.Tolerance(**kw)
 
     def test_roundoff_asymmetry_symmetrized(self):
         a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
@@ -189,6 +201,21 @@ class TestSqrtInverse:
     def test_inverse_diagonal(self):
         x = cp.inverse_pd(cp.make_pd(np.diag([2.0, 4.0])))
         assert np.allclose(x.mat, np.diag([0.5, 0.25]))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_stacked_kernel_is_inverse_pd_per_matrix(self, field):
+        rng = rng_for(11)
+        stack = np.stack([cp.random_pd(3, rng, field).mat for _ in range(6)])
+        x, w0 = _refined_inverse(stack)
+        for m, xi, wi in zip(stack, x, w0):
+            inv = cp.inverse_pd(cp.make_pd(m))
+            assert np.array_equal(inv.mat, xi) and inv.min_eig == wi
+
+    def test_inverse_residual_gate(self):
+        k = np.arange(8)
+        hilbert = cp.make_pd(1.0 / (k[:, None] + k + 1.0))  # condition number about 1e10
+        with pytest.raises(cp.IllConditioned):
+            cp.inverse_pd(hilbert)
 
     def test_trace_product_lower_bound(self):
         rng = rng_for(10)

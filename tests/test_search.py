@@ -103,13 +103,17 @@ class TestSearchConfig:
             cp.SearchConfig(p=3, restarts=0)
         with pytest.raises(ValueError):
             cp.SearchConfig(p=3, ridge=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                cp.SearchConfig(p=3, ridge=bad)
+            with pytest.raises(ValueError):
+                cp.SearchConfig(p=3, step_init=bad)
 
 
 class TestMinimizeMargin:
     def test_nesbitt_respected(self):
         res = cp.minimize_margin(cp.SearchConfig(p=3, n=1, restarts=6, max_iters=400, master_seed=1))
         assert res.best_margin >= -1e-9
-        assert res.verified
         assert res.classification in ("no_counterexample_found", "numerical_noise")
 
     @pytest.mark.parametrize("p,max_iters,seed", [(5, 150, 9), (4, 100, 3)])
@@ -278,8 +282,6 @@ class TestLockstepOracle:
         for r in range(4):
             assert values[r] == ref_margin_value(list(stack[r]), ridge)
             assert np.array_equal(grads[r], np.stack(ref_margin_gradient(list(stack[r]), ridge)))
-        listed = cp.margin_gradient(list(stack[0]), ridge)
-        assert isinstance(listed, list) and len(listed) == p
 
 
 class TestRestartIsolation:
