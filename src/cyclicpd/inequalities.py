@@ -17,6 +17,7 @@ form of the four-variable cyclic inequality fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -457,25 +458,48 @@ def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRepor
 # The cyclic trace functional and its inequalities
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=128)
+def _shift_index(p: int, k: int) -> np.ndarray:
+    idx = (np.arange(p) + k) % p
+    idx.flags.writeable = False
+    return idx
+
+
+def cyclic_shift(mats, k: int):
+    """A_{i+k} at member i of stacked families (..., p, n, n), cyclic in p.
+
+    The same array as np.roll(mats, -k, axis=-3), in the same C order (a
+    matmul on a differently strided copy can round differently), gathered by
+    one cached index.
+    """
+    return np.take(mats, _shift_index(mats.shape[-3], k), axis=-3)
+
+
 def cyclic_denominators(mats):
     """S_i = A_{i+1} + A_{i+2} over stacked families (..., p, n, n), cyclic in p."""
-    return np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3)
+    return cyclic_shift(mats, 1) + cyclic_shift(mats, 2)
 
 
 def cyclic_terms(mats):
-    """S_i^{-1} A_i over stacked families (..., p, n, n), by one batched solve."""
-    return np.linalg.solve(cyclic_denominators(mats), mats)
+    """S_i^{-1} A_i over stacked families (..., p, n, n).
+
+    Real 1x1 blocks divide; on the shipped BLAS a 1x1 solve rounds the same
+    (tests/test_inequalities.py checks it). Otherwise one batched solve.
+    """
+    dens = cyclic_denominators(mats)
+    if mats.shape[-1] == 1 and not np.iscomplexobj(mats):
+        return mats / dens
+    return np.linalg.solve(dens, mats)
 
 
 def _sum_over_p(terms):
     """Sum of terms[..., i] over the last axis, added in order i = 0..p-1.
 
-    np.sum adds pairwise, so it would round differently from one family's sum.
+    np.sum adds pairwise, so it would round differently from one family's sum;
+    a cumulative sum adds in order. The closing + 0.0 makes an all -0.0 sum
+    +0.0, as a sum started from 0.0 is.
     """
-    total = 0.0
-    for i in range(terms.shape[-1]):
-        total = total + terms[..., i]
-    return total
+    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
 def _require_cycle(p: int):
@@ -531,7 +555,7 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     n = am.shape[-1]
     mats = np.stack([am, bm, cm, dm], axis=-3)
     inv = _inv(cyclic_denominators(mats))
-    numerators = np.stack([mats, np.roll(mats, -1, axis=-3), np.roll(mats, -2, axis=-3)], axis=-4)
+    numerators = np.stack([mats, cyclic_shift(mats, 1), cyclic_shift(mats, 2)], axis=-4)
     sums = _psum(numerators @ inv[..., None, :, :, :])
     m, nn, pp = (sums[..., i, :, :] for i in range(3))
     identity_res = _fro(nn + pp - 4.0 * np.eye(n))
@@ -663,7 +687,7 @@ def _two_ab_sums(am, bm, cm) -> tuple[np.ndarray, np.ndarray]:
     """M = sum_i A_i (2A_i + A_{i+1})^{-1} and N = sum_i A_{i+1} (2A_i + A_{i+1})^{-1}
     over the cycle (A, B, C) of stacks (..., n, n)."""
     mats = np.stack([am, bm, cm], axis=-3)
-    nxt = np.roll(mats, -1, axis=-3)
+    nxt = cyclic_shift(mats, 1)
     inv = _inv(2 * mats + nxt)
     sums = _psum(np.stack([mats, nxt], axis=-4) @ inv[..., None, :, :, :])
     return sums[..., 0, :, :], sums[..., 1, :, :]
@@ -701,7 +725,7 @@ def _wz_blocks(am, bm, cm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The outer factors (B, C, A) and the blocks W_i, Z_i of the W/Z
     certificate, each stacked as (..., 3, n, n)."""
     inner = np.stack([am, bm, cm], axis=-3)
-    outer = np.roll(inner, -1, axis=-3)
+    outer = cyclic_shift(inner, 1)
     (r,) = herm_powers(outer, 0.5)
     core = 2.0 * r @ inner @ r + outer @ outer
     core = (core + _ct(core)) / 2.0
@@ -772,9 +796,9 @@ def check_wz_certificate(
 
 def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     n, p = mats.shape[-1], mats.shape[-3]
-    lhs = _sum_over_p(_rtr(mats @ mats @ np.roll(_inv(mats), -1, axis=-3)))
+    lhs = _sum_over_p(_rtr(mats @ mats @ cyclic_shift(_inv(mats), 1)))
     rhs = _sum_over_p(_rtr(mats))
-    root_inv, root = (np.roll(x, -1, axis=-3) for x in herm_powers(mats, -0.5, 0.5))
+    root_inv, root = (cyclic_shift(x, 1) for x in herm_powers(mats, -0.5, 0.5))
     w, z = _hstack(mats @ root_inv), _hstack(root)
     total = _psum(mats)
     res_wz = _fro(w @ _ct(z) - total)

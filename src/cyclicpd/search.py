@@ -16,14 +16,19 @@ p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .pdcore import DEFAULT_TOL, CyclicFamily, PDMatrix, Tolerance, _freeze, family_from_stack
-from .inequalities import _sum_over_p, cyclic_denominators, cyclic_sum_trace, cyclic_traces
+from .inequalities import _sum_over_p, cyclic_denominators, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
 NOISE_FACTOR = 10.0  # margins in (-NOISE_FACTOR*tol, 0) are classified as round-off
+# Largest accepted ridge: from about 1e154 the squared entries that the
+# re-check's norms and residual gate form overflow, and the search would
+# report margin 0 after overflow warnings.
+MAX_RIDGE = 1e100
 VERIFY_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
@@ -44,8 +49,8 @@ class SearchConfig:
             raise ValueError("p must be >= 3")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValueError("n, restarts and max_iters must be positive")
-        if not (0.0 < self.step_init < np.inf and 0.0 < self.ridge < np.inf):
-            raise ValueError("step_init and ridge must be positive and finite")
+        if not (0.0 < self.step_init < np.inf and 0.0 < self.ridge <= MAX_RIDGE):
+            raise ValueError(f"step_init must be positive and finite, and ridge in (0, {MAX_RIDGE:g}]")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -103,12 +108,22 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
 # ---------------------------------------------------------------------------
 #
 # The kernels take factors stacked as (..., p, n, n): the leading axes index
-# restarts, so one call evaluates every restart with one batched solve. Sums
-# over the p axis add in order (``_sum_over_p``), as a restart run alone would.
+# restarts, so one call evaluates every restart at once. Cyclic neighbours are
+# gathered by index (``cyclic_shift``); at n = 1 the denominators are divided
+# by, otherwise one batched solve (or inv) covers every restart. Sums over the
+# p axis add in order (``_sum_over_p``), as a restart run alone would. Each
+# rounds exactly as the np.roll / LAPACK / Python-loop oracle it is tested
+# against (tests/looped_oracle.py, tests/test_search.py).
+
+@lru_cache(maxsize=128)
+def _eye(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
 
 def _mats_from_factors(factors, ridge: float):
-    n = factors.shape[-1]
-    return factors @ np.swapaxes(factors, -1, -2) + ridge * np.eye(n)
+    return factors @ np.swapaxes(factors, -1, -2) + ridge * _eye(factors.shape[-1])
 
 
 def _margin_value(factors, ridge: float):
@@ -127,10 +142,12 @@ def margin_gradient(factors, ridge: float):
     """
     factors = np.asarray(factors, dtype=np.float64)
     mats = _mats_from_factors(factors, ridge)
-    invs = np.linalg.inv(cyclic_denominators(mats))
+    dens = cyclic_denominators(mats)
+    # 1x1 blocks divide, as in cyclic_terms; a 1x1 inv rounds the same
+    invs = 1.0 / dens if mats.shape[-1] == 1 else np.linalg.inv(dens)
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
     ks = invs @ mats @ invs
-    d = invs - np.roll(ks, 1, axis=-3) - np.roll(ks, 2, axis=-3)
+    d = invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)
     return 2.0 * d @ factors
 
 

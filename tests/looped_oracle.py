@@ -7,6 +7,9 @@ stacked ``batch_`` kernels in ``cyclicpd.inequalities`` and the suites in
 (``cyclic_traces``, ``_cyclic_matrix_sum``) has its own looped oracle in
 ``test_inequalities.py`` and is used here as is. The conditional suite follows
 the current rule: a violation that a theorem covers is a record failure.
+
+``roll_shift``, ``roll_denominators`` and ``looped_sum_over_p`` are the
+kernel helpers as they were before the index gather and the cumulative sum.
 """
 import numpy as np
 
@@ -57,6 +60,24 @@ def _add(rec, report, witness_fn=None):
         rec.failures += 1
         if rec.witness is None and witness_fn is not None:
             rec.witness = witness_fn()
+
+
+def roll_shift(mats, k):
+    """A_{i+k} at member i of (..., p, n, n), by np.roll."""
+    return np.roll(mats, -k, axis=-3)
+
+
+def roll_denominators(mats):
+    """S_i = A_{i+1} + A_{i+2} of (..., p, n, n), by np.roll."""
+    return np.roll(mats, -1, axis=-3) + np.roll(mats, -2, axis=-3)
+
+
+def looped_sum_over_p(terms):
+    """Sum over the last axis, one Python addition per member, from 0.0."""
+    total = 0.0
+    for i in range(terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
 
 
 def _inv(a: np.ndarray) -> np.ndarray:

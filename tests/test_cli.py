@@ -185,6 +185,7 @@ def test_search_bad_config():
     ["verify", "--tol-rel", "inf"],
     ["search", "--p", "5", "--ridge", "nan"],
     ["search", "--p", "5", "--ridge", "inf"],
+    ["search", "--p", "5", "--ridge", "1e200"],
     ["search", "--p", "5", "--step-init", "nan"],
     ["verify", "--seed", "-1"],
     ["search", "--p", "5", "--seed", "-1"],

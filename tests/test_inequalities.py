@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
+import looped_oracle as oracle
 from cyclicpd import inequalities as ineq
 from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
@@ -204,22 +205,121 @@ def ref_cyclic_matrix_sum(mats):
 
 
 class TestCyclicKernelOracle:
+    @staticmethod
+    def assert_family_matches_looped(fam):
+        ref = ref_cyclic_sum_trace(fam)
+        assert cp.cyclic_sum_trace(fam) == ref
+        assert cp.cyclic_sum_trace(fam, refine=True) == ref_cyclic_sum_trace(fam, refine=True)
+        r = cp.check_bidirectional(fam)
+        assert r.detail["forward"] == ref
+        assert r.detail["reversed"] == ref_cyclic_sum_trace(fam.reversed())
+        got = _cyclic_matrix_sum(np.stack(fam.arrays()))
+        want = ref_cyclic_matrix_sum(fam.arrays())
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p", [3, 5, 8, 14])
     def test_stacked_matches_looped(self, p, field):
         rng = RNG(100 * p + len(field))
         for n in range(1, 7):
             for _ in range(3):
-                fam = cp.random_family(n, p, rng, field)
-                ref = ref_cyclic_sum_trace(fam)
-                assert cp.cyclic_sum_trace(fam) == ref
-                assert cp.cyclic_sum_trace(fam, refine=True) == ref_cyclic_sum_trace(fam, refine=True)
-                r = cp.check_bidirectional(fam)
-                assert r.detail["forward"] == ref
-                assert r.detail["reversed"] == ref_cyclic_sum_trace(fam.reversed())
-                got = _cyclic_matrix_sum(np.stack(fam.arrays()))
-                want = ref_cyclic_matrix_sum(fam.arrays())
-                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                self.assert_family_matches_looped(cp.random_family(n, p, rng, field))
+
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_scalar_families_at_extreme_scales(self, p):
+        rng = RNG(7 * p)
+        for _ in range(20):
+            self.assert_family_matches_looped(cp.diagonal_embed(np.exp(rng.uniform(-8.0, 8.0, p)), 1))
+
+
+def same_bits(got, want) -> bool:
+    """Same dtype, shape and bytes: equality that also tells -0.0 from +0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def spread_stack(rng, shape, field):
+    """Entries of random sign with magnitudes spread over e^-8..e^8."""
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+    if field == "complex":
+        x = x + 1j * rng.standard_normal(shape) * np.exp(rng.uniform(-8.0, 8.0, shape))
+    return x
+
+
+LEADING_AXES = [(), (4,), (2, 3)]  # none, restarts or trials, and both
+
+
+class TestKernelHelpersOracle:
+    """The index gather and the cumulative sum against the np.roll and
+    Python-loop code they replaced: the same bits and, for the shifts, the
+    same memory layout (a matmul on other strides can round differently)."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_shifts_and_denominators_match_roll(self, p, field):
+        rng = RNG(p + len(field))
+        for n in (1, 2, 3):
+            for lead in LEADING_AXES:
+                mats = spread_stack(rng, (*lead, p, n, n), field)
+                for k in (-2, -1, 1, 2):
+                    got, want = ineq.cyclic_shift(mats, k), oracle.roll_shift(mats, k)
+                    assert same_bits(got, want) and got.strides == want.strides
+                got, want = ineq.cyclic_denominators(mats), oracle.roll_denominators(mats)
+                assert same_bits(got, want) and got.strides == want.strides
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_sum_over_p_matches_loop(self, p, field):
+        rng = RNG(10 * p + len(field))
+        for n in (1, 2, 3):
+            for lead in LEADING_AXES:
+                # the member axis moved last, as _psum sums matrices
+                terms = np.moveaxis(spread_stack(rng, (*lead, p, n, n), field), -3, -1)
+                assert same_bits(ineq._sum_over_p(terms), oracle.looped_sum_over_p(terms))
+        terms = spread_stack(rng, (p,), field)
+        got, want = ineq._sum_over_p(terms), oracle.looped_sum_over_p(terms)
+        assert type(got) is type(want) and same_bits(got, want)
+
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_sum_over_p_signed_zeros(self, p):
+        cases = [
+            np.full(p, -0.0),
+            np.full((2, p), -0.0 - 0.0j),
+            np.array([-0.0] * (p - 1) + [0.0]),
+            np.array([1.0, -1.0] + [-0.0] * (p - 2)),
+            np.array([-0.0] * (p - 1) + [-1.0]),
+        ]
+        for terms in cases:
+            got = ineq._sum_over_p(terms)
+            assert same_bits(got, oracle.looped_sum_over_p(terms))
+        for all_negative_zero in cases[:2]:
+            got = np.asarray(ineq._sum_over_p(all_negative_zero))
+            assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
+
+class TestScalarDivisionPath:
+    """At n = 1 ``cyclic_terms`` divides and ``margin_gradient`` takes 1.0 / S.
+    That is the batched-solve result only because a 1x1 LAPACK solve and
+    inverse round as one division does; this holds on the shipped BLAS, and
+    a BLAS where it does not must fail here."""
+
+    @pytest.mark.parametrize("shape", [(4096, 1, 1), (8, 14, 1, 1), (3, 5, 23, 1, 1)])
+    def test_1x1_solve_and_inv_are_division(self, shape):
+        rng = RNG(len(shape) + shape[-3])
+        a = np.exp(rng.uniform(-8.0, 8.0, shape))
+        s = np.exp(rng.uniform(-8.0, 8.0, shape))
+        assert same_bits(np.linalg.solve(s, a), a / s)
+        assert same_bits(np.linalg.inv(s), 1.0 / s)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [3, 14, 23])
+    def test_cyclic_terms_match_batched_solve(self, p, field):
+        rng = RNG(3 * p + len(field))
+        for lead in LEADING_AXES:
+            mats = np.exp(rng.uniform(-8.0, 8.0, (*lead, p, 1, 1))).astype(
+                complex if field == "complex" else float)
+            want = np.linalg.solve(oracle.roll_denominators(mats), mats)
+            assert same_bits(ineq.cyclic_terms(mats), want)
 
 
 class TestCyclicSumTrace:

@@ -108,6 +108,9 @@ class TestSearchConfig:
                 cp.SearchConfig(p=3, ridge=bad)
             with pytest.raises(ValueError):
                 cp.SearchConfig(p=3, step_init=bad)
+        with pytest.raises(ValueError, match="ridge"):
+            cp.SearchConfig(p=3, ridge=1e200)
+        assert cp.SearchConfig(p=3, ridge=search.MAX_RIDGE).ridge == 1e100
 
 
 class TestMinimizeMargin:
@@ -271,17 +274,25 @@ class TestLockstepOracle:
         if cfg.max_iters == 250:
             assert max(g[1] for g in got) > 100
 
+    @staticmethod
+    def assert_kernels_match_looped(stack, ridge=1e-8):
+        values = _margin_value(stack, ridge)
+        grads = cp.margin_gradient(stack, ridge)
+        assert values.shape == stack.shape[:1] and grads.shape == stack.shape
+        for r in range(len(stack)):
+            assert values[r] == ref_margin_value(list(stack[r]), ridge)
+            assert np.array_equal(grads[r], np.stack(ref_margin_gradient(list(stack[r]), ridge)))
+
     @pytest.mark.parametrize("n,p", [(1, 14), (2, 5), (3, 23)])
     def test_stacked_kernels_match_looped(self, n, p):
         rng = rng_for(p + n)
-        ridge = 1e-8
-        stack = np.eye(n) + 0.4 * rng.standard_normal((4, p, n, n))
-        values = _margin_value(stack, ridge)
-        grads = cp.margin_gradient(stack, ridge)
-        assert values.shape == (4,) and grads.shape == stack.shape
-        for r in range(4):
-            assert values[r] == ref_margin_value(list(stack[r]), ridge)
-            assert np.array_equal(grads[r], np.stack(ref_margin_gradient(list(stack[r]), ridge)))
+        self.assert_kernels_match_looped(np.eye(n) + 0.4 * rng.standard_normal((4, p, n, n)))
+
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_scalar_kernels_match_looped_at_extreme_scales(self, p):
+        rng = rng_for(100 + p)
+        # A_i = L_i^2 spans e^-8..e^8
+        self.assert_kernels_match_looped(np.exp(rng.uniform(-4.0, 4.0, (4, p, 1, 1))))
 
 
 class TestRestartIsolation:
