@@ -7,6 +7,7 @@ from .errors import (
     ConvergenceFailure,
     CyclicPDError,
     DimensionMismatch,
+    EntryTooLarge,
     FixtureMismatch,
     IllConditioned,
     NotFinite,

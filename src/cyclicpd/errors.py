@@ -13,6 +13,10 @@ class NotFinite(CyclicPDError):
     """Input array holds an infinite or NaN entry."""
 
 
+class EntryTooLarge(CyclicPDError):
+    """An input entry exceeds the largest accepted magnitude."""
+
+
 class NotHermitian(CyclicPDError):
     """Asymmetry of the input exceeds the relative tolerance."""
 

@@ -6,9 +6,14 @@ the signed margin in the inequality's direction, and a verdict under the
 tolerance policy. A checker ``check_<name>`` is the one-trial view of its
 stacked kernel ``batch_<name>``, which evaluates the same inequality on T
 trials at once (operands stacked as (T, n, n), families as (T, p, n, n)) and
-returns a :class:`CheckBatch` of per-trial arrays. Checkers whose proofs go through an auxiliary construction
-(block matrices, W/Z factor pairs) expose that construction as a
-:class:`Certificate` so both derivation paths can be cross-validated.
+returns a :class:`CheckBatch` of per-trial arrays. A ``batch_<name>`` takes
+each stack either as a plain array or as a :class:`StackContext`, which
+computes the intermediates that several checkers of one stack need (A_i^{-1},
+sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms, the cyclic trace sum) once,
+with the same calls, so both give the same bits. Checkers whose proofs go
+through an auxiliary construction (block matrices, W/Z factor pairs) expose
+that construction as a :class:`Certificate` so both derivation paths can be
+cross-validated.
 
 The module also embeds the published 2x2 quadruple whose cyclic-sum matrix has
 the complex eigenvalue pair 2.6393 +/- 0.1871i, showing that the eigenvalue
@@ -17,7 +22,7 @@ form of the four-variable cyclic inequality fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -158,8 +163,8 @@ def _rtr(a: np.ndarray) -> np.ndarray:
 
 
 def _psum(mats: np.ndarray) -> np.ndarray:
-    """Sum over the member axis of (..., p, n, n), added in order."""
-    return _sum_over_p(np.moveaxis(mats, -3, -1))
+    """Sum over the member axis of (..., p, n, n), added in order (as _sum_over_p adds)."""
+    return np.cumsum(mats, axis=-3)[..., -1, :, :] + 0.0
 
 
 def _hstack(blocks: np.ndarray) -> np.ndarray:
@@ -196,15 +201,77 @@ def _one_family(f: CyclicFamily) -> np.ndarray:
     return np.stack(f.arrays())[None]
 
 
+class StackContext:
+    """One stack and the intermediates that several checkers of it share.
+
+    ``mats`` is a family stack (..., p, n, n), or one operand (..., n, n) of
+    the fixed-arity checkers. Each intermediate is computed on first use by
+    the call a checker makes on the raw array, then kept for the other
+    checkers of the stack; they read the cached arrays and never write them.
+    """
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+        self._cycles = {}
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """A_i^{-1} of each matrix."""
+        return _inv(self.mats)
+
+    @cached_property
+    def total(self) -> np.ndarray:
+        """sum_i A_i over the member axis."""
+        return _psum(self.mats)
+
+    @cached_property
+    def inv_total(self) -> np.ndarray:
+        """sum_i A_i^{-1}."""
+        return _psum(self.inv)
+
+    @cached_property
+    def total_inv(self) -> np.ndarray:
+        """(sum_i A_i)^{-1}."""
+        return _inv(self.total)
+
+    @cached_property
+    def fro(self) -> np.ndarray:
+        """Frobenius norm of each matrix."""
+        return _fro(self.mats)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        """Tr[ sum_i A_i S_i^{-1} ] of each family; p >= 3."""
+        return cyclic_traces(self.mats)
+
+    @cached_property
+    def two_ab(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sums M and N of :func:`_two_ab_sums` over the cycle (A, B, C)."""
+        return _two_ab_sums(self.mats)
+
+    def cycle(self, *rest: "StackContext") -> "StackContext":
+        """This operand and the operands ``rest`` stacked as one family
+        (..., k, n, n), in a context of its own, built once per ``rest``."""
+        if rest not in self._cycles:
+            self._cycles[rest] = StackContext(np.stack([self.mats, *(r.mats for r in rest)], axis=-3))
+        return self._cycles[rest]
+
+
+def _context(stack) -> StackContext:
+    """``stack`` as a context: a plain array is wrapped, a context passes through."""
+    return stack if isinstance(stack, StackContext) else StackContext(stack)
+
+
 # ---------------------------------------------------------------------------
 # Two-operand trace bounds
 #
 # Each ``check_<name>`` below is the one-trial view of ``batch_<name>``, which
 # takes its operands stacked over T trials, (T, n, n) per operand or (T, p, n, n)
-# per family, and returns a CheckBatch.
+# per family, each a plain array or a StackContext, and returns a CheckBatch.
 # ---------------------------------------------------------------------------
 
 def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    am, bm = _context(am).mats, _context(bm).mats
     tr_ab = _rtr(am @ bm)
     tr_a, tr_b = _rtr(am), _rtr(bm)
     upper = tr_a * tr_b
@@ -225,9 +292,11 @@ def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 
 
 def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    x, y, a = _context(x).mats, _context(y).mats, _context(am)
+    am = a.mats
     lhs = _abs2(np.trace(_ct(x) @ y, axis1=-2, axis2=-1))
     t_x = _rtr(_ct(x) @ am @ x)
-    t_y = _rtr(_ct(y) @ _inv(am) @ y)
+    t_y = _rtr(_ct(y) @ a.inv @ y)
     rhs = t_x * t_y
     margin = rhs - lhs
     slack = tol.rel * (1.0 + lhs + abs(rhs))
@@ -247,6 +316,7 @@ def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
 
 
 def batch_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    a, b = _context(a).mats, _context(b).mats
     lhs = _abs2(np.trace(a @ _ct(b), axis1=-2, axis2=-1))
     rhs = _rtr(a @ _ct(a)) * _rtr(b @ _ct(b))
     margin = rhs - lhs
@@ -268,13 +338,15 @@ def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    a, b = _context(am), _context(bm)
+    am, bm = a.mats, b.mats
     (r,) = herm_powers(bm, -0.5)
     h = r @ am @ r
     h = (h + _ct(h)) / 2.0
     vals = eig_herm_stack(h + _inv(h))[0] - 2.0
     margin = vals.min(axis=-1)
-    direct, _ = eig_general_stack((am - bm) @ (_inv(bm) - _inv(am)))
-    slack = tol.slack(_fro(am), _fro(bm))
+    direct, _ = eig_general_stack((am - bm) @ (b.inv - a.inv))
+    slack = tol.slack(a.fro, b.fro)
     return CheckBatch(
         "eigineq1", am.shape[-1], 0, margin, 0.0, margin, margin >= -slack, tol,
         {
@@ -298,9 +370,11 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 
 def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     p = mats.shape[-3]
-    lhs = _psum(_inv(mats))
-    rhs = p**2 * _inv(_psum(mats))
+    lhs = ctx.inv_total
+    rhs = p**2 * ctx.total_inv
     diff = (lhs - rhs + _ct(lhs - rhs)) / 2.0
     margin = np.linalg.eigvalsh(diff)[..., 0]
     slack = tol.slack(_fro(lhs), _fro(rhs))
@@ -315,17 +389,16 @@ def check_harmonic_loewner(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Che
     return batch_harmonic_loewner(_one_family(f), tol).report()
 
 
-def _block_stack(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_stack(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Blocks M_i = [[A_i^{-1}, I], [I, A_i]] of (..., p, n, n) as (..., p, 2n, 2n),
-    and the inverses A_i^{-1} in them."""
+    from the stack and its inverses."""
     n = mats.shape[-1]
-    inv = _inv(mats)
     blocks = np.zeros(mats.shape[:-2] + (2 * n, 2 * n), dtype=mats.dtype)
     blocks[..., :n, :n] = inv
     blocks[..., :n, n:] = np.eye(n)
     blocks[..., n:, :n] = np.eye(n)
     blocks[..., n:, n:] = mats
-    return blocks, inv
+    return blocks
 
 
 def build_block_certificate(f: CyclicFamily) -> Certificate:
@@ -335,7 +408,8 @@ def build_block_certificate(f: CyclicFamily) -> Certificate:
     the Schur complement of M with respect to its (2,2) block equals
     sum(A_i^{-1}) - p^2 (sum A_i)^{-1}.
     """
-    blocks, _ = _block_stack(np.stack(f.arrays()))
+    mats = np.stack(f.arrays())
+    blocks = _block_stack(mats, _inv(mats))
     out = {f"M_{i}": m for i, m in enumerate(blocks, start=1)}
     out["M"] = _psum(blocks)
     return Certificate("block_psd", out)
@@ -349,13 +423,15 @@ def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
-    blocks, inv = _block_stack(mats)
+    blocks = _block_stack(mats, ctx.inv)
     block_min = np.linalg.eigvalsh((blocks + _ct(blocks)) / 2.0)[..., 0].min(axis=-1)
     m = _psum(blocks)
     m_min = np.linalg.eigvalsh((m + _ct(m)) / 2.0)[..., 0]
     sc = schur_complement(m, n)
-    direct = _psum(inv) - p**2 * _inv(_psum(mats))
+    direct = ctx.inv_total - p**2 * ctx.total_inv
     sc_gap = _fro(sc - direct)
     scale = _fro(m)
     slack = tol.slack(scale)
@@ -379,10 +455,12 @@ def _loose(tol: Tolerance) -> Tolerance:
 
 
 def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     p = mats.shape[-3]
     loose = _loose(tol)
-    s = _symmetrize(_psum(mats), loose)
-    hinv = _symmetrize(_psum(_inv(mats)), loose)
+    s = _symmetrize(ctx.total, loose)
+    hinv = _symmetrize(ctx.inv_total, loose)
     _pd_floor(s, loose)
     _pd_floor(hinv, loose)
     vals = eig_herm_stack(pd_product_similar(hinv, s))[0]
@@ -401,6 +479,8 @@ def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Che
 
 
 def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    a, b, c = _context(am), _context(bm), _context(cm)
+    am, bm, cm = a.mats, b.mats, c.mats
     n = am.shape[-1]
     x, y, z = bm + cm, cm + am, am + bm
     ix, iy, iz = _inv(np.stack([x, y, z]))
@@ -409,7 +489,7 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     margin = vals.min(axis=-1) - 1.5
     m_direct = am @ ix + bm @ iy + cm @ iz
     m_ident = 0.5 * (x + y + z) @ inv_sum - 3.0 * np.eye(n)
-    slack = tol.slack(_fro(am), _fro(bm), _fro(cm))
+    slack = tol.slack(a.fro, b.fro, c.fro)
     return CheckBatch(
         "nesbitt", n, 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, tol,
         {
@@ -433,15 +513,17 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAUL
 
 
 def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     k = mats.shape[-3]
     if k < 2:
         raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
-    s = _psum(mats)
+    s = ctx.total
     inv_sum = _psum(_inv(s[..., None, :, :] - mats))
     vals = _pd_product_eigvals(s, inv_sum) - k
     rhs = k / (k - 1)
     margin = vals.min(axis=-1) - rhs
-    slack = tol.slack(*np.moveaxis(_fro(mats), -1, 0))
+    slack = tol.slack(*np.moveaxis(ctx.fro, -1, 0))
     return CheckBatch(
         "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, tol,
         {"eigs": vals},
@@ -531,8 +613,9 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
 
 
 def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
-    n, p = mats.shape[-1], mats.shape[-3]
-    val = cyclic_traces(mats)
+    ctx = _context(mats)
+    n, p = ctx.mats.shape[-1], ctx.mats.shape[-3]
+    val = ctx.traces
     rhs = p * n / 2.0
     margin = val - rhs
     slack = tol.rel * (1.0 + abs(val) + rhs)
@@ -552,14 +635,15 @@ def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckR
 
 
 def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
-    n = am.shape[-1]
-    mats = np.stack([am, bm, cm, dm], axis=-3)
+    a, b, c, d = _context(am), _context(bm), _context(cm), _context(dm)
+    n = a.mats.shape[-1]
+    mats = a.cycle(b, c, d).mats
     inv = _inv(cyclic_denominators(mats))
     numerators = np.stack([mats, cyclic_shift(mats, 1), cyclic_shift(mats, 2)], axis=-4)
     sums = _psum(numerators @ inv[..., None, :, :, :])
     m, nn, pp = (sums[..., i, :, :] for i in range(3))
     identity_res = _fro(nn + pp - 4.0 * np.eye(n))
-    norms = (_fro(am), _fro(bm), _fro(cm), _fro(dm))
+    norms = (a.fro, b.fro, c.fro, d.fro)
     slack = tol.slack(*norms)
     tr_m = _rtr(m)
     margins = {
@@ -596,8 +680,10 @@ def check_s4_decomposition(
 
 
 def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
-    base = cyclic_traces(mats)
+    base = ctx.traces
     ext = cyclic_traces(np.concatenate([mats, mats[..., :2, :, :]], axis=-3))
     expected = base + n
     diff = abs(ext - expected)
@@ -614,9 +700,10 @@ def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 
 def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
-    traces = cyclic_traces(np.stack([mats, mats[..., ::-1, :, :]], axis=-4))
-    fwd, rev = traces[..., 0], traces[..., 1]
+    fwd, rev = ctx.traces, cyclic_traces(mats[..., ::-1, :, :])
     rhs = float(p * n)
     margin = fwd + rev - rhs
     slack = tol.rel * (1.0 + fwd + rev + rhs)
@@ -647,7 +734,8 @@ def _bidirectional_matrix(mats) -> np.ndarray:
 
 
 def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
-    total = _bidirectional_matrix(np.stack([a1, a2, a3, a4], axis=-3))
+    a1, a2, a3, a4 = _context(a1), _context(a2), _context(a3), _context(a4)
+    total = _bidirectional_matrix(a1.cycle(a2, a3, a4).mats)
     eigs, _ = eig_general_stack(total)
     min_real = eigs.real.min(axis=-1)
     max_imag = abs(eigs.imag).max(axis=-1)
@@ -655,7 +743,7 @@ def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> Ch
     scale = _fro(total)
     slack = tol.slack(scale)
     return CheckBatch(
-        "bidirectional_eig4", a1.shape[-1], 4, min_real, 4.0, margin, margin >= -slack, tol,
+        "bidirectional_eig4", a1.mats.shape[-1], 4, min_real, 4.0, margin, margin >= -slack, tol,
         {
             "eigs": eigs,
             "max_imag": max_imag,
@@ -683,10 +771,9 @@ def bidirectional_spectrum(f: CyclicFamily):
 # Damped three-variable upper bound and its W/Z certificate
 # ---------------------------------------------------------------------------
 
-def _two_ab_sums(am, bm, cm) -> tuple[np.ndarray, np.ndarray]:
+def _two_ab_sums(mats) -> tuple[np.ndarray, np.ndarray]:
     """M = sum_i A_i (2A_i + A_{i+1})^{-1} and N = sum_i A_{i+1} (2A_i + A_{i+1})^{-1}
-    over the cycle (A, B, C) of stacks (..., n, n)."""
-    mats = np.stack([am, bm, cm], axis=-3)
+    over the cycle (A, B, C) stacked as (..., 3, n, n)."""
     nxt = cyclic_shift(mats, 1)
     inv = _inv(2 * mats + nxt)
     sums = _psum(np.stack([mats, nxt], axis=-4) @ inv[..., None, :, :, :])
@@ -694,12 +781,13 @@ def _two_ab_sums(am, bm, cm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
-    n = am.shape[-1]
-    m, nn = _two_ab_sums(am, bm, cm)
+    a, b, c = _context(am), _context(bm), _context(cm)
+    n = a.mats.shape[-1]
+    m, nn = a.cycle(b, c).two_ab
     identity_res = _fro(2.0 * m + nn - 3.0 * np.eye(n))
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
-    norms = (_fro(am), _fro(bm), _fro(cm))
+    norms = (a.fro, b.fro, c.fro)
     slack = tol.slack(*norms)
     margin = np.minimum(rhs - tr_m, tr_n - 1.0)
     holds = (margin >= -slack) & (identity_res <= 1e-10 * (1.0 + sum(norms)))
@@ -721,10 +809,10 @@ def check_upper_bound_2ab(
     return batch_upper_bound_2ab(*_one(a, b, c), tol).report()
 
 
-def _wz_blocks(am, bm, cm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The outer factors (B, C, A) and the blocks W_i, Z_i of the W/Z
-    certificate, each stacked as (..., 3, n, n)."""
-    inner = np.stack([am, bm, cm], axis=-3)
+def _wz_blocks(inner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the cycle (A, B, C) stacked as (..., 3, n, n): the outer factors
+    (B, C, A) and the blocks W_i, Z_i of the W/Z certificate, each stacked
+    as (..., 3, n, n)."""
     outer = cyclic_shift(inner, 1)
     (r,) = herm_powers(outer, 0.5)
     core = 2.0 * r @ inner @ r + outer @ outer
@@ -742,7 +830,7 @@ def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
     Tr(WW*) = Tr(N).
     """
     _check_dims(a, b, c)
-    outer, wi, zi = _wz_blocks(a.mat, b.mat, c.mat)
+    outer, wi, zi = _wz_blocks(np.stack([a.mat, b.mat, c.mat]))
     blocks = {}
     for i in range(3):
         blocks[f"W_{i + 1}"] = wi[i]
@@ -753,7 +841,10 @@ def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
 
 
 def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
-    outer, wi, zi = _wz_blocks(am, bm, cm)
+    a, b, c = _context(am), _context(bm), _context(cm)
+    am, bm, cm = a.mats, b.mats, c.mats
+    abc = a.cycle(b, c)
+    outer, wi, zi = _wz_blocks(abc.mats)
     w, z = _hstack(outer @ wi), _hstack(zi)
     wz = w @ _ct(z)
     res_wz = _fro(wz - (am + bm + cm))
@@ -762,9 +853,9 @@ def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch
         am @ am + bm @ bm + cm @ cm + 2.0 * (am @ bm + bm @ cm + cm @ am)
     )
     tr_ww = _rtr(w @ _ct(w))
-    tr_n = _rtr(_two_ab_sums(am, bm, cm)[1])
+    tr_n = _rtr(abc.two_ab[1])
     quotient = _abs2(np.trace(wz, axis1=-2, axis2=-1)) / tr_zz
-    norms = (_fro(am), _fro(bm), _fro(cm))
+    norms = (a.fro, b.fro, c.fro)
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
     slack = tol.slack(*norms)
     holds = (
@@ -795,17 +886,19 @@ def check_wz_certificate(
 
 
 def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    ctx = _context(mats)
+    mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
-    lhs = _sum_over_p(_rtr(mats @ mats @ cyclic_shift(_inv(mats), 1)))
+    lhs = _sum_over_p(_rtr(mats @ mats @ cyclic_shift(ctx.inv, 1)))
     rhs = _sum_over_p(_rtr(mats))
     root_inv, root = (cyclic_shift(x, 1) for x in herm_powers(mats, -0.5, 0.5))
     w, z = _hstack(mats @ root_inv), _hstack(root)
-    total = _psum(mats)
+    total = ctx.total
     res_wz = _fro(w @ _ct(z) - total)
     res_zz = _fro(z @ _ct(z) - total)
     margin = lhs - rhs
     slack = tol.rel * (1.0 + abs(lhs) + abs(rhs))
-    norms = _sum_over_p(_fro(mats))
+    norms = _sum_over_p(ctx.fro)
     holds = (margin >= -slack) & (np.maximum(res_wz, res_zz) <= 1e-9 * (1.0 + norms))
     return CheckBatch(
         "square_cycle", n, p, lhs, rhs, margin, holds, tol,

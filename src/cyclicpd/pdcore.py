@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
+    EntryTooLarge,
     IllConditioned,
     NotFinite,
     NotHermitian,
@@ -29,6 +30,12 @@ from .errors import (
 
 DEFAULT_RIDGE = 1e-3
 DEFAULT_COND_CAP = 1e8
+# Largest accepted entry magnitude of a Hermitian or PD input: from about
+# 1e154 the sums of squares behind the Frobenius norms overflow, and the
+# Hermitian gate's bound becomes infinite. Computed matrices given to
+# eig_general are not held to it: a loaded family's cyclic-sum matrix can
+# exceed it.
+MAX_ENTRY = 1e100
 
 
 @dataclass(frozen=True)
@@ -139,9 +146,15 @@ def make_herm(entries, tol: Tolerance = DEFAULT_TOL) -> HermMatrix:
     """Validate Hermitian symmetry and symmetrize exactly.
 
     Round-off level asymmetry (below ``tol.rel`` relative) is silently folded
-    into (H + H*)/2; anything larger raises :class:`NotHermitian`.
+    into (H + H*)/2; anything larger raises :class:`NotHermitian`. An entry
+    whose real or imaginary part exceeds ``MAX_ENTRY`` raises
+    :class:`EntryTooLarge`.
     """
-    return HermMatrix(_freeze(_symmetrize(_as_matrix(entries), tol)))
+    a = _as_matrix(entries)
+    # real and imaginary parts apart: the modulus of a huge complex entry overflows
+    if max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)) > MAX_ENTRY:
+        raise EntryTooLarge(f"matrix has an entry above {MAX_ENTRY:g} in magnitude")
+    return HermMatrix(_freeze(_symmetrize(a, tol)))
 
 
 @dataclass(frozen=True)

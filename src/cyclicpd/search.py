@@ -29,6 +29,10 @@ NOISE_FACTOR = 10.0  # margins in (-NOISE_FACTOR*tol, 0) are classified as round
 # re-check's norms and residual gate form overflow, and the search would
 # report margin 0 after overflow warnings.
 MAX_RIDGE = 1e100
+# Smallest accepted ridge: a member at the ridge floor keeps its smallest
+# eigenvalue above the 1e-12 floor that ``eval`` applies when it loads a
+# ``best_family``, so every reported family replays.
+MIN_RIDGE = 1e-10
 VERIFY_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
@@ -49,8 +53,10 @@ class SearchConfig:
             raise ValueError("p must be >= 3")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValueError("n, restarts and max_iters must be positive")
-        if not (0.0 < self.step_init < np.inf and 0.0 < self.ridge <= MAX_RIDGE):
-            raise ValueError(f"step_init must be positive and finite, and ridge in (0, {MAX_RIDGE:g}]")
+        if not (0.0 < self.step_init < np.inf and MIN_RIDGE <= self.ridge <= MAX_RIDGE):
+            raise ValueError(
+                f"step_init must be positive and finite, and ridge in [{MIN_RIDGE:g}, {MAX_RIDGE:g}]"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)

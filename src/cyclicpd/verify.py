@@ -15,6 +15,12 @@ stacked draw, which takes the same numbers in the same order as one draw per
 matrix would, and every checker then evaluates the whole (T, ...) stack at
 once through its ``batch_`` kernel. Results therefore depend neither on
 scheduling nor on how the trials are grouped.
+
+The checkers of one stack share one :class:`~cyclicpd.inequalities.StackContext`
+per family stack and per fixed operand, so A_i^{-1}, sum A_i, sum A_i^{-1},
+(sum A_i)^{-1}, the norms and the cyclic trace sum are computed once per
+stack, by the same calls and with the same bits as on the raw arrays. The
+conditional suite runs one checker per stack and hands it the raw array.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inequalities as ineq
-from .pdcore import DEFAULT_TOL, _fro, family_from_stack, random_pd_stack
+from .pdcore import DEFAULT_TOL, family_from_stack, random_pd_stack
 from .serialize import family_to_dict
 
 SUITES = ("unconditional", "conditional", "identities")
@@ -128,11 +134,6 @@ def _family_witness(fams):
     return lambda t: family_to_dict(family_from_stack(fams[t]))
 
 
-def _norm_sum(mats):
-    """1 + the Frobenius norms of each trial's members (T, k, n, n), added in order."""
-    return 1.0 + sum(np.moveaxis(_fro(mats), -1, 0))
-
-
 def _add_residual(rec: GridRecord, residual, allowed):
     rec.add(allowed - residual, residual <= allowed)
 
@@ -144,21 +145,33 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
             rng = _rng_for(seed, 1, n, _FIELD_ID[fld])
             recs = [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED]
             for drawn in _stacks(n, trials, 4, rng, fld, gaussian_tail=2):
-                operands = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
-                for rec, (name, letters) in zip(recs, UNCONDITIONAL_FIXED):
-                    batch = _batch(name)(*(operands[k] for k in letters), tol)
-                    rec.add(batch.margin, batch.holds)
+                _add_fixed(recs, drawn, tol)
             out.records.extend(recs)
         for p in p_values:
             for fld in fields:
                 rng = _rng_for(seed, 2, n, p, _FIELD_ID[fld])
                 recs = [GridRecord(name, n, p, fld) for name in UNCONDITIONAL_FAMILY]
                 for fams in _stacks(n, trials, p, rng, fld):
-                    for rec in recs:
-                        batch = _batch(rec.check)(fams, tol)
-                        rec.add(batch.margin, batch.holds, _family_witness(fams))
+                    _add_family(recs, fams, tol)
                 out.records.extend(recs)
     return out
+
+
+# The helpers below hold a stack's contexts, so their cached intermediates are
+# freed when the stack is done, before the next stack is drawn.
+
+def _add_fixed(recs, drawn, tol):
+    operands = dict(zip("abcdxy", map(ineq.StackContext, np.moveaxis(drawn, 1, 0))))
+    for rec, (name, letters) in zip(recs, UNCONDITIONAL_FIXED):
+        batch = _batch(name)(*(operands[k] for k in letters), tol)
+        rec.add(batch.margin, batch.holds)
+
+
+def _add_family(recs, fams, tol):
+    ctx = ineq.StackContext(fams)
+    for rec in recs:
+        batch = _batch(rec.check)(ctx, tol)
+        rec.add(batch.margin, batch.holds, _family_witness(fams))
 
 
 def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
@@ -179,8 +192,8 @@ def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real"
 
 def _add_identities(recs, ext_recs, drawn, p_values, tol):
     n = drawn.shape[-1]
-    a, b, c, d = np.moveaxis(drawn[:, :4], 1, 0)
-    scale = _norm_sum(drawn[:, :4])
+    a, b, c, d = map(ineq.StackContext, np.moveaxis(drawn[:, :4], 1, 0))
+    scale = 1.0 + sum(x.fro for x in (a, b, c, d))
     r = ineq.batch_s4_decomposition(a, b, c, d, tol)
     _add_residual(recs["s4_identity"], r.detail["identity_residual"], 1e-10 * scale)
     r = ineq.batch_upper_bound_2ab(a, b, c, tol)
@@ -194,11 +207,12 @@ def _add_identities(recs, ext_recs, drawn, p_values, tol):
     _add_residual(recs["wz_identities"], wz_res, 1e-10 * scale**2)
     start = 4
     for p in p_values:
-        fams = drawn[:, start:start + p]
+        fams = ineq.StackContext(drawn[:, start:start + p])
         start += p
         r = ineq.batch_square_cycle(fams, tol)
         sc_res = np.maximum(r.detail["wz_residual"], r.detail["zz_residual"])
-        _add_residual(recs["square_cycle_identities"], sc_res, 1e-10 * _norm_sum(fams))
+        allowed = 1e-10 * (1.0 + sum(np.moveaxis(fams.fro, -1, 0)))
+        _add_residual(recs["square_cycle_identities"], sc_res, allowed)
         r = ineq.batch_shapiro_extension(fams, tol)
         _add_residual(ext_recs[p], -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n))
 

@@ -9,6 +9,7 @@ import pytest
 
 import cyclicpd as cp
 from cyclicpd.cli import main, _parse_range
+from cyclicpd.search import MIN_RIDGE
 
 
 def strip_timestamps(doc):
@@ -83,6 +84,40 @@ def test_eval_non_finite_family(tmp_path):
     member = {"n": 1, "field": "real", "entries": [[float("inf")]]}
     path.write_text(json.dumps({"p": 3, "members": [member] * 3}))  # writes Infinity
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+
+
+def huge_families():
+    """A p = 4 family of diagonal 2x2 members with entries 1e200..4e200, and its
+    copy with an upper off-diagonal 5e199: both far past ``pdcore.MAX_ENTRY``."""
+    diagonals = [(1e200, 2e200), (2e200, 3e200), (3e200, 4e200), (4e200, 1e200)]
+
+    def family(upper):
+        members = [[[x, upper], [0.0, y]] for x, y in diagonals]
+        return {"p": 4, "members": [{"n": 2, "field": "real", "entries": m} for m in members]}
+
+    return {"diagonal": family(0.0), "asymmetric": family(5e199)}
+
+
+@pytest.mark.parametrize("name", ["diagonal", "asymmetric"])
+def test_huge_entry_family_rejected(tmp_path, capsys, name):
+    doc = huge_families()[name]
+    with pytest.raises(cp.EntryTooLarge):
+        cp.family_from_dict(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--family", str(path), "--expr", "margin"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "1e+100" in captured.err
+    assert captured.out == ""
+
+
+def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
+    """The entry bound holds loaded members, not computed matrices: here
+    A_1 (A_2 + A_3)^{-1} = 5e110 I."""
+    path = tmp_path / "wide.json"
+    cp.save_family(cp.CyclicFamily(tuple(cp.make_pd(np.eye(2) * s) for s in (1e100, 1e-11, 1e-11))), path)
+    assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
+    assert json.loads(capsys.readouterr().out)["min_real"] > 1e110
 
 
 @pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
@@ -173,6 +208,22 @@ def test_search_cli_and_replay(tmp_path, capsys):
         json.loads(out2.read_text()))
 
 
+def test_search_at_min_ridge_replays(tmp_path, capsys):
+    """At the smallest accepted ridge a member sits on the ridge floor, and the
+    reported family still loads and evaluates to the reported margin."""
+    out = tmp_path / "s.json"
+    assert main(["search", "--p", "23", "--n", "3", "--restarts", "2", "--max-iters", "1000",
+                 "--seed", "11", "--ridge", repr(MIN_RIDGE), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
+    floor = min(np.linalg.eigvalsh(np.array(m["entries"]))[0] for m in res["best_family"]["members"])
+    assert floor < 2 * MIN_RIDGE
+    fam = tmp_path / "best.json"
+    fam.write_text(json.dumps(res["best_family"]))
+    capsys.readouterr()
+    assert main(["eval", "--family", str(fam), "--expr", "margin"]) == 0
+    assert json.loads(capsys.readouterr().out) == pytest.approx(res["best_margin"], abs=1e-9)
+
+
 def test_search_bad_config():
     assert main(["search", "--p", "2"]) == 2
 
@@ -186,6 +237,8 @@ def test_search_bad_config():
     ["search", "--p", "5", "--ridge", "nan"],
     ["search", "--p", "5", "--ridge", "inf"],
     ["search", "--p", "5", "--ridge", "1e200"],
+    ["search", "--p", "23", "--n", "3", "--restarts", "2", "--max-iters", "1000",
+     "--seed", "11", "--ridge", "1e-14"],
     ["search", "--p", "5", "--step-init", "nan"],
     ["verify", "--seed", "-1"],
     ["search", "--p", "5", "--seed", "-1"],

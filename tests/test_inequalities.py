@@ -280,6 +280,20 @@ class TestKernelHelpersOracle:
         got, want = ineq._sum_over_p(terms), oracle.looped_sum_over_p(terms)
         assert type(got) is type(want) and same_bits(got, want)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("p", [3, 5, 14, 23])
+    def test_psum_matches_loop(self, p, field):
+        rng = RNG(20 * p + len(field))
+        for n in (1, 2, 3):
+            for lead in LEADING_AXES:
+                mats = spread_stack(rng, (*lead, p, n, n), field)
+                want = oracle.looped_sum_over_p(np.moveaxis(mats, -3, -1))
+                assert same_bits(ineq._psum(mats), want)
+        negative_zeros = np.full((2, p, 2, 2), -0.0 - 0.0j)
+        got = ineq._psum(negative_zeros)
+        assert same_bits(got, oracle.looped_sum_over_p(np.moveaxis(negative_zeros, -3, -1)))
+        assert not np.signbit(got.real).any() and not np.signbit(got.imag).any()
+
     @pytest.mark.parametrize("p", [3, 5, 14, 23])
     def test_sum_over_p_signed_zeros(self, p):
         cases = [

@@ -38,6 +38,13 @@ class TestMakePD:
         with pytest.raises(cp.NotFinite):
             cp.make_pd([[bad, 0.0], [0.0, 1.0]])
 
+    def test_entry_scale_bound(self):
+        assert cp.make_pd(np.eye(2) * 1e100).min_eig == 1e100
+        for huge in (np.diag([1e200, 4e200]), np.array([[1e200, 5e199], [0.0, 1e200]]),
+                     np.diag([1.0, 1.01e100]), np.array([[1.0, 2e100j], [-2e100j, 1.0]])):
+            with pytest.raises(cp.EntryTooLarge):
+                cp.make_pd(huge)
+
     def test_pd_matrix_is_a_frozen_herm_matrix(self):
         m = cp.make_pd([[2.0, 1.0], [1.0, 2.0]])
         assert isinstance(m, cp.HermMatrix)

@@ -111,6 +111,9 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="ridge"):
             cp.SearchConfig(p=3, ridge=1e200)
         assert cp.SearchConfig(p=3, ridge=search.MAX_RIDGE).ridge == 1e100
+        with pytest.raises(ValueError, match="ridge"):
+            cp.SearchConfig(p=3, ridge=1e-14)
+        assert cp.SearchConfig(p=3, ridge=search.MIN_RIDGE).ridge == 1e-10
 
 
 class TestMinimizeMargin:
