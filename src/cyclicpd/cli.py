@@ -57,7 +57,8 @@ def _manifest(command: str, config: dict, seed: int, started: float, results) ->
 
 
 def _emit(doc: dict, out_path) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    # no indent: an indented dump runs the pure-Python encoder, several times slower
+    text = json.dumps(doc, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

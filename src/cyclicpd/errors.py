@@ -31,6 +31,10 @@ class NotPositiveDefinite(CyclicPDError):
         self.min_eig = float(min_eig)
         super().__init__(message or f"matrix is not positive definite (min eigenvalue {self.min_eig:g})")
 
+    def __reduce__(self):
+        # ``args`` holds only the message; rebuild from both constructor arguments
+        return type(self), (self.min_eig, str(self)), self.__dict__
+
 
 class ConvergenceFailure(CyclicPDError):
     """The eigensolver did not converge or produced an inconsistent spectrum."""
