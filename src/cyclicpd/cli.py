@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 import time
 
@@ -112,13 +113,12 @@ def cmd_reproduce(args) -> int:
             print(f"computed  eigenvalues: {eigs[0]:.6f}, {eigs[1]:.6f}")
             results.append(rep.to_dict())
         if args.case in ("shapiro4-trace", "all"):
-            fam = ineq.counterexample_family()
-            rep = ineq.check_shapiro_trace(fam)
+            quad = [m.mat[None] for m in ineq.counterexample_fixture()]  # one trial each
+            rep = ineq.batch_shapiro_trace(np.stack(quad, axis=1)).report()
             print(f"published trace: {ineq.FIXTURE_TRACE}  computed trace: {rep.lhs:.6f} (bound {rep.rhs})")
             if abs(rep.lhs - ineq.FIXTURE_TRACE) > ineq.FIXTURE_ATOL:
                 raise FixtureMismatch(f"trace {rep.lhs:.6f} deviates from published value")
-            a, b, c, d = ineq.counterexample_fixture()
-            results.append(ineq.check_s4_decomposition(a, b, c, d).to_dict())
+            results.append(ineq.batch_s4_decomposition(*quad).report().to_dict())
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
         return 1
@@ -176,13 +176,13 @@ def cmd_eval(args) -> int:
             elif args.expr == "margin":
                 out.append(shapiro_margin(fam))
             elif args.expr == "nesbitt_eigs":
-                spec = ineq.bidirectional_spectrum(fam)
+                eigs = ineq.bidirectional_spectrum(fam)
                 out.append({
-                    "forward_backward_eigs": [[z.real, z.imag] for z in spec.values],
-                    "min_real": spec.min_real,
+                    "forward_backward_eigs": [[z.real, z.imag] for z in eigs],
+                    "min_real": float(eigs.real.min()),
                 })
             elif args.expr == "bidirectional":
-                rep = ineq.check_bidirectional(fam)
+                rep = ineq.batch_bidirectional(np.stack(fam.arrays())[None]).report()
                 out.append(rep.to_dict())
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -254,6 +254,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", 0) < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
+    out = getattr(args, "out", None)
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out)))):
+        print(f"error: --out {out!r} is not a file path in an existing directory", file=sys.stderr)
         return 2
     return args.fn(args)
 

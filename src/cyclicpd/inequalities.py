@@ -1,19 +1,17 @@
 """Numerical checkers for the cyclic-sum and trace inequalities.
 
-Each checker evaluates one inequality (or exact identity) on concrete positive
-definite operands and returns a :class:`CheckReport` carrying the two sides,
-the signed margin in the inequality's direction, and a verdict under the
-tolerance policy. A checker ``check_<name>`` is the one-trial view of its
-stacked kernel ``batch_<name>``, which evaluates the same inequality on T
-trials at once (operands stacked as (T, n, n), families as (T, p, n, n)) and
-returns a :class:`CheckBatch` of per-trial arrays. A ``batch_<name>`` takes
-each stack either as a plain array or as a :class:`StackContext`, which
-computes the intermediates that several checkers of one stack need (A_i^{-1},
-sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms, the cyclic trace sum) once,
-with the same calls, so both give the same bits. Checkers whose proofs go
-through an auxiliary construction (block matrices, W/Z factor pairs) expose
-that construction as a :class:`Certificate` so both derivation paths can be
-cross-validated.
+Each checker ``batch_<name>`` evaluates one inequality (or exact identity) on
+T trials of concrete positive definite operands at once (operands stacked as
+(T, n, n), families as (T, p, n, n)) and returns a :class:`CheckBatch` of
+per-trial arrays: the two sides, the signed margin in the inequality's
+direction, and a verdict under the tolerance policy. ``report(t)`` gives trial
+t as a :class:`CheckReport`; a one-trial stack (1, ...) evaluates one set of
+operands. A ``batch_<name>`` takes each stack either as a plain array or as a
+:class:`StackContext`, which computes the intermediates that several checkers
+of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
+the cyclic trace sum) once, with the same calls, so both give the same bits.
+Checkers whose proofs go through an auxiliary construction (block matrices,
+W/Z factor pairs) rebuild it and gate on its identities.
 
 The module also embeds the published 2x2 quadruple whose cyclic-sum matrix has
 the complex eigenvalue pair 2.6393 +/- 0.1871i, showing that the eigenvalue
@@ -26,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, FixtureMismatch, SingularDenominator
+from .errors import FixtureMismatch, SingularDenominator
 from .pdcore import (
     _LOOSE_TOL,
     DEFAULT_TOL,
@@ -38,7 +36,6 @@ from .pdcore import (
     _pd_floor,
     _refined_inverse,
     _symmetrize,
-    eig_general,
     eig_general_stack,
     eig_herm_stack,
     herm_powers,
@@ -124,18 +121,6 @@ def _trial(v, t: int):
     return v.item() if v.ndim == 0 else v
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Auxiliary matrices that re-derive a theorem.
-
-    kind "block_psd": blocks M_1..M_p = [[A_i^{-1}, I], [I, A_i]] and their sum M.
-    kind "wz_pair": block-row factors W, Z plus the per-block W_i/Z_i pieces.
-    """
-
-    kind: str
-    blocks: dict
-
-
 def _jsonable(v):
     if isinstance(v, complex):
         return [v.real, v.imag]
@@ -183,22 +168,6 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 of each entry, rounded as the scalar abs(complex(z)) ** 2 is: by
     hypot and pow (np.abs and the array square may round differently)."""
     return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
-def _check_dims(*mats: PDMatrix):
-    dims = {m.dim for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
-
-
-def _one(*mats: PDMatrix) -> list[np.ndarray]:
-    """PD operands as one-trial stacks (1, n, n)."""
-    return [m.mat[None] for m in mats]
-
-
-def _one_family(f: CyclicFamily) -> np.ndarray:
-    """A family as a one-trial stack (1, p, n, n)."""
-    return np.stack(f.arrays())[None]
 
 
 class StackContext:
@@ -265,12 +234,13 @@ def _context(stack) -> StackContext:
 # ---------------------------------------------------------------------------
 # Two-operand trace bounds
 #
-# Each ``check_<name>`` below is the one-trial view of ``batch_<name>``, which
-# takes its operands stacked over T trials, (T, n, n) per operand or (T, p, n, n)
-# per family, each a plain array or a StackContext, and returns a CheckBatch.
+# Each ``batch_<name>`` below takes its operands stacked over T trials, (T, n, n)
+# per operand or (T, p, n, n) per family, each a plain array or a StackContext,
+# and returns a CheckBatch.
 # ---------------------------------------------------------------------------
 
 def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
     am, bm = _context(am).mats, _context(bm).mats
     tr_ab = _rtr(am @ bm)
     tr_a, tr_b = _rtr(am), _rtr(bm)
@@ -283,15 +253,8 @@ def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
-    am, bm = a.entries, b.entries
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
-    return batch_trace_product(am[None], bm[None], tol).report()
-
-
 def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
     x, y, a = _context(x).mats, _context(y).mats, _context(am)
     am = a.mats
     lhs = _abs2(np.trace(_ct(x) @ y, axis1=-2, axis2=-1))
@@ -306,16 +269,8 @@ def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.shape[0] != a.dim:
-        raise DimensionMismatch(f"X {x.shape}, Y {y.shape}, A {a.mat.shape}")
-    return batch_weighted_cs(x[None], y[None], a.mat[None], tol).report()
-
-
 def batch_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """|Tr(AB*)|^2 <= Tr(AA*) Tr(BB*) (Cauchy-Schwarz in the trace inner product)."""
     a, b = _context(a).mats, _context(b).mats
     lhs = _abs2(np.trace(a @ _ct(b), axis1=-2, axis2=-1))
     rhs = _rtr(a @ _ct(a)) * _rtr(b @ _ct(b))
@@ -324,20 +279,18 @@ def batch_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     return CheckBatch("cs_trace", a.shape[-2], 0, lhs, rhs, margin, margin >= -slack, tol)
 
 
-def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """|Tr(AB*)|^2 <= Tr(AA*) Tr(BB*) (Cauchy-Schwarz in the trace inner product)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    return batch_cs_trace(a[None], b[None], tol).report()
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue bounds for products of PD matrices
 # ---------------------------------------------------------------------------
 
 def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
+
+    Evaluated through the identity with X = A B^{-1}: the spectrum equals that
+    of X + X^{-1} - 2I, reduced to the Hermitian form H + H^{-1} - 2I with
+    H = B^{-1/2} A B^{-1/2}. A direct nonsymmetric eigendecomposition of
+    (A-B)(B^{-1}-A^{-1}) is carried in ``detail`` for cross-validation.
+    """
     a, b = _context(am), _context(bm)
     am, bm = a.mats, b.mats
     (r,) = herm_powers(bm, -0.5)
@@ -357,19 +310,8 @@ def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
-
-    Evaluated through the identity with X = A B^{-1}: the spectrum equals that
-    of X + X^{-1} - 2I, reduced to the Hermitian form H + H^{-1} - 2I with
-    H = B^{-1/2} A B^{-1/2}. A direct nonsymmetric eigendecomposition of
-    (A-B)(B^{-1}-A^{-1}) is carried in ``detail`` for cross-validation.
-    """
-    _check_dims(a, b)
-    return batch_eigineq1(*_one(a, b), tol).report()
-
-
 def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
     ctx = _context(mats)
     mats = ctx.mats
     p = mats.shape[-3]
@@ -384,11 +326,6 @@ def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_harmonic_loewner(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
-    return batch_harmonic_loewner(_one_family(f), tol).report()
-
-
 def _block_stack(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """Blocks M_i = [[A_i^{-1}, I], [I, A_i]] of (..., p, n, n) as (..., p, 2n, 2n),
     from the stack and its inverses."""
@@ -401,20 +338,6 @@ def _block_stack(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def build_block_certificate(f: CyclicFamily) -> Certificate:
-    """The proof object behind the harmonic Loewner bound.
-
-    Each block M_i = [[A_i^{-1}, I], [I, A_i]] is PSD; their sum M is PSD, and
-    the Schur complement of M with respect to its (2,2) block equals
-    sum(A_i^{-1}) - p^2 (sum A_i)^{-1}.
-    """
-    mats = np.stack(f.arrays())
-    blocks = _block_stack(mats, _inv(mats))
-    out = {f"M_{i}": m for i, m in enumerate(blocks, start=1)}
-    out["M"] = _psum(blocks)
-    return Certificate("block_psd", out)
-
-
 def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
     """Schur complement of the trailing n x n block of (a stack of) 2n x 2n matrices."""
     a, b = m[..., :n, :n], m[..., :n, n:]
@@ -423,6 +346,11 @@ def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """The proof behind the harmonic Loewner bound: each block
+    M_i = [[A_i^{-1}, I], [I, A_i]] is PSD, so is their sum M, and the Schur
+    complement of M with respect to its (2,2) block equals
+    sum(A_i^{-1}) - p^2 (sum A_i)^{-1}. Checks PSD-ness of every M_i and of M,
+    plus agreement of the Schur-complement path with the direct Loewner margin."""
     ctx = _context(mats)
     mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
@@ -443,18 +371,13 @@ def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """PSD-ness of every block M_i and of M, plus agreement of the
-    Schur-complement path with the direct Loewner margin."""
-    return batch_block_certificate(_one_family(f), tol).report()
-
-
 def _loose(tol: Tolerance) -> Tolerance:
     # construction gate for matrices we know are PD by closure properties
     return Tolerance(rel=tol.rel, abs=np.finfo(float).tiny)
 
 
 def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
     ctx = _context(mats)
     mats = ctx.mats
     p = mats.shape[-3]
@@ -473,12 +396,14 @@ def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
-    return batch_product_sum_eigs(_one_family(f), tol).report()
-
-
 def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Three-variable cyclic bound: every eigenvalue of
+    A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
+
+    Evaluated via the sum identity M = (1/2)(X+Y+Z)(X^{-1}+Y^{-1}+Z^{-1}) - 3I
+    with X=B+C, Y=C+A, Z=A+B, which reduces the spectrum to a Hermitian
+    problem; the direct construction of M is cross-checked entrywise.
+    """
     a, b, c = _context(am), _context(bm), _context(cm)
     am, bm, cm = a.mats, b.mats, c.mats
     n = am.shape[-1]
@@ -500,19 +425,9 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Three-variable cyclic bound: every eigenvalue of
-    A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
-
-    Evaluated via the sum identity M = (1/2)(X+Y+Z)(X^{-1}+Y^{-1}+Z^{-1}) - 3I
-    with X=B+C, Y=C+A, Z=A+B, which reduces the spectrum to a Hermitian
-    problem; the direct construction of M is cross-checked entrywise.
-    """
-    _check_dims(a, b, c)
-    return batch_nesbitt(*_one(a, b, c), tol).report()
-
-
 def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
+    are >= k/(k-1), with S the sum of the family."""
     ctx = _context(mats)
     mats = ctx.mats
     k = mats.shape[-3]
@@ -528,12 +443,6 @@ def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
         "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, tol,
         {"eigs": vals},
     )
-
-
-def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
-    are >= k/(k-1), with S the sum of the family."""
-    return batch_nesbitt_k(_one_family(f), tol).report()
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +508,8 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3).
 
     With ``refine`` the denominators pass the Hermitian and PD gates and are
-    inverted with one Newton step plus a residual gate (the kernel behind
-    :func:`inverse_pd`) rather than by a plain solve; used for high-scrutiny
+    inverted with one Newton step plus a residual gate
+    (``pdcore._refined_inverse``) rather than by a plain solve; used for high-scrutiny
     re-verification of search results.
     """
     mats = np.stack(f.arrays())
@@ -613,6 +522,11 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
 
 
 def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Conditional cyclic trace bound: Tr-sum >= p*n/2.
+
+    A failed verdict is a counterexample candidate, not necessarily a bug:
+    the scalar analogue is known false outside ``SCALAR_VALID_P``.
+    """
     ctx = _context(mats)
     n, p = ctx.mats.shape[-1], ctx.mats.shape[-3]
     val = ctx.traces
@@ -625,16 +539,13 @@ def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Conditional cyclic trace bound: Tr-sum >= p*n/2.
-
-    A failed verdict is a counterexample candidate, not necessarily a bug:
-    the scalar analogue is known false outside ``SCALAR_VALID_P``.
-    """
-    return batch_shapiro_trace(_one_family(f), tol).report()
-
-
 def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
+
+    M, N and P are sum_i A_{i+k} (A_{i+1} + A_{i+2})^{-1} over (A, B, C, D)
+    for k = 0, 1, 2. Verifies the exact identity N + P = 4I, the intermediate
+    bounds Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
+    """
     a, b, c, d = _context(am), _context(bm), _context(cm), _context(dm)
     n = a.mats.shape[-1]
     mats = a.cycle(b, c, d).mats
@@ -666,20 +577,8 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     )
 
 
-def check_s4_decomposition(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
-
-    M, N and P are sum_i A_{i+k} (A_{i+1} + A_{i+2})^{-1} over (A, B, C, D)
-    for k = 0, 1, 2. Verifies the exact identity N + P = 4I, the intermediate
-    bounds Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
-    """
-    _check_dims(a, b, c, d)
-    return batch_s4_decomposition(*_one(a, b, c, d), tol).report()
-
-
 def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
     ctx = _context(mats)
     mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
@@ -694,12 +593,8 @@ def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
-    return batch_shapiro_extension(_one_family(f), tol).report()
-
-
 def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
     ctx = _context(mats)
     mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
@@ -711,11 +606,6 @@ def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
         "bidirectional", n, p, fwd + rev, rhs, margin, margin >= -slack, tol,
         {"forward": fwd, "reversed": rev},
     )
-
-
-def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
-    return batch_bidirectional(_one_family(f), tol).report()
 
 
 def _cyclic_matrix_sum(mats) -> np.ndarray:
@@ -734,6 +624,8 @@ def _bidirectional_matrix(mats) -> np.ndarray:
 
 
 def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Four-variable eigenvalue form: the forward plus backward cyclic-sum
+    matrix has every eigenvalue with real part >= 4."""
     a1, a2, a3, a4 = _context(a1), _context(a2), _context(a3), _context(a4)
     total = _bidirectional_matrix(a1.cycle(a2, a3, a4).mats)
     eigs, _ = eig_general_stack(total)
@@ -752,19 +644,11 @@ def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> Ch
     )
 
 
-def check_bidirectional_eig4(
-    a1: PDMatrix, a2: PDMatrix, a3: PDMatrix, a4: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Four-variable eigenvalue form: the forward plus backward cyclic-sum
-    matrix has every eigenvalue with real part >= 4."""
-    _check_dims(a1, a2, a3, a4)
-    return batch_bidirectional_eig4(*_one(a1, a2, a3, a4), tol).report()
-
-
-def bidirectional_spectrum(f: CyclicFamily):
-    """Exploratory diagnostic: spectrum of the forward+backward cyclic-sum
-    matrix for general p >= 3. No verdict is attached beyond p=4."""
-    return eig_general(_bidirectional_matrix(np.stack(f.arrays())))
+def bidirectional_spectrum(f: CyclicFamily) -> np.ndarray:
+    """Exploratory diagnostic: eigenvalues, sorted by (Re, Im), of the
+    forward+backward cyclic-sum matrix for general p >= 3. No verdict is
+    attached beyond p=4."""
+    return eig_general_stack(_bidirectional_matrix(np.stack(f.arrays())))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +665,11 @@ def _two_ab_sums(mats) -> tuple[np.ndarray, np.ndarray]:
 
 
 def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Tr(A(2A+B)^{-1} + B(2B+C)^{-1} + C(2C+A)^{-1}) <= (3n-1)/2.
+
+    Verifies the exact identity 2M + N = 3I and the lower bound Tr(N) >= 1
+    that together give the upper bound.
+    """
     a, b, c = _context(am), _context(bm), _context(cm)
     n = a.mats.shape[-1]
     m, nn = a.cycle(b, c).two_ab
@@ -797,18 +686,6 @@ def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatc
     )
 
 
-def check_upper_bound_2ab(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Tr(A(2A+B)^{-1} + B(2B+C)^{-1} + C(2C+A)^{-1}) <= (3n-1)/2.
-
-    Verifies the exact identity 2M + N = 3I and the lower bound Tr(N) >= 1
-    that together give the upper bound.
-    """
-    _check_dims(a, b, c)
-    return batch_upper_bound_2ab(*_one(a, b, c), tol).report()
-
-
 def _wz_blocks(inner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the cycle (A, B, C) stacked as (..., 3, n, n): the outer factors
     (B, C, A) and the blocks W_i, Z_i of the W/Z certificate, each stacked
@@ -821,26 +698,14 @@ def _wz_blocks(inner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return outer, wi, zi
 
 
-def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
-    """Factor pair behind Tr(N) >= 1 in the damped upper bound.
+def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Verify the W/Z certificate identities and the quotient bound
+    |Tr(WZ*)|^2 / Tr(ZZ*) >= 1, which gives Tr(N) >= 1 in the damped upper bound.
 
     W = (B W_1, C W_2, A W_3) and Z = (Z_1, Z_2, Z_3) with
     W_1 = (2 B^{1/2} A B^{1/2} + B^2)^{-1/2} = Z_1^{-1} and cyclic analogues.
-    Key identities: W Z* = A + B + C, Tr(ZZ*) = Tr((A+B+C)^2),
-    Tr(WW*) = Tr(N).
+    Key identities: W Z* = A + B + C, Tr(ZZ*) = Tr((A+B+C)^2), Tr(WW*) = Tr(N).
     """
-    _check_dims(a, b, c)
-    outer, wi, zi = _wz_blocks(np.stack([a.mat, b.mat, c.mat]))
-    blocks = {}
-    for i in range(3):
-        blocks[f"W_{i + 1}"] = wi[i]
-        blocks[f"Z_{i + 1}"] = zi[i]
-    blocks["W"] = _hstack(outer @ wi)
-    blocks["Z"] = _hstack(zi)
-    return Certificate("wz_pair", blocks)
-
-
-def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     a, b, c = _context(am), _context(bm), _context(cm)
     am, bm, cm = a.mats, b.mats, c.mats
     abc = a.cycle(b, c)
@@ -876,16 +741,12 @@ def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch
     )
 
 
-def check_wz_certificate(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
-) -> CheckReport:
-    """Verify the W/Z certificate identities and the quotient bound
-    |Tr(WZ*)|^2 / Tr(ZZ*) >= 1."""
-    _check_dims(a, b, c)
-    return batch_wz_certificate(*_one(a, b, c), tol).report()
-
-
 def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+    """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
+
+    The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
+    rebuilt and its identities W Z* = Z Z* = sum(A_i) are verified in detail.
+    """
     ctx = _context(mats)
     mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
@@ -904,15 +765,6 @@ def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
         "square_cycle", n, p, lhs, rhs, margin, holds, tol,
         {"wz_residual": res_wz, "zz_residual": res_zz},
     )
-
-
-def check_square_cycle(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
-
-    The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
-    rebuilt and its identities W Z* = Z Z* = sum(A_i) are verified in detail.
-    """
-    return batch_square_cycle(_one_family(f), tol).report()
 
 
 # ---------------------------------------------------------------------------
@@ -938,21 +790,21 @@ def reproduce_counterexample(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """
     a, b, c, d = counterexample_fixture()
     m = _cyclic_matrix_sum(np.stack([a.mat, b.mat, c.mat, d.mat]))
-    spec = eig_general(m)
+    eigs, _ = eig_general_stack(m)
     expected = np.array(FIXTURE_EIGS)
-    dev = float(np.abs(spec.values - expected).max())
+    dev = float(np.abs(eigs - expected).max())
     trace = float(_rtr(m))
     if dev > FIXTURE_ATOL or abs(trace - FIXTURE_TRACE) > FIXTURE_ATOL:
         raise FixtureMismatch(
-            f"computed spectrum {spec.values} / trace {trace:.6f} deviates from "
+            f"computed spectrum {eigs} / trace {trace:.6f} deviates from "
             f"published values beyond {FIXTURE_ATOL:g}"
         )
-    max_imag = spec.max_imag_abs
+    max_imag = float(np.abs(eigs.imag).max())
     return CheckReport(
-        "counterexample_p4_eigs", 2, 4, spec.values, 2.0, -max_imag,
+        "counterexample_p4_eigs", 2, 4, eigs, 2.0, -max_imag,
         True, tol,
         {
-            "eigs": spec.values,
+            "eigs": eigs,
             "trace": trace,
             "max_imag": max_imag,
             "eigenvalue_form_fails": max_imag > 1e-8 * float(np.linalg.norm(m)),

@@ -1,12 +1,10 @@
 """Hermitian / positive definite matrix types and the linear algebra they need.
 
 Everything downstream (inequality checkers, counterexample search) is built on
-the handful of primitives here: validated construction, random sampling,
-Hermitian and general eigensolvers, square roots, inverses with refinement,
-and Loewner-order comparison with an explicit tolerance policy. The sampler,
-the gates, the eigensolvers and the Hermitian powers also come in forms that
-work on stacks (..., n, n) of raw arrays, which the batched checkers use; for
-one matrix they compute exactly what the single-matrix forms compute.
+the handful of primitives here: validated construction, random sampling, and
+the kernels the batched checkers run on stacks (..., n, n) of raw arrays:
+Hermitian and general eigensolvers, Hermitian powers, and one refined inverse
+with a residual gate.
 
 All values are immutable after construction (backing arrays are frozen), so
 they are safe to share between concurrent trials.
@@ -33,8 +31,8 @@ DEFAULT_COND_CAP = 1e8
 # Largest accepted entry magnitude of a Hermitian or PD input: from about
 # 1e154 the sums of squares behind the Frobenius norms overflow, and the
 # Hermitian gate's bound becomes infinite. Computed matrices given to
-# eig_general are not held to it: a loaded family's cyclic-sum matrix can
-# exceed it.
+# eig_general_stack are not held to it: a loaded family's cyclic-sum matrix
+# can exceed it.
 MAX_ENTRY = 1e100
 
 
@@ -89,13 +87,6 @@ class HermMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.entries)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -170,11 +161,7 @@ class PDMatrix(HermMatrix):
 
 @dataclass(frozen=True)
 class CyclicFamily:
-    """Ordered tuple (A_1, ..., A_p) of equal-dimension PD matrices.
-
-    Indexing is cyclic and 1-based to match the usual statement of the
-    inequalities: ``member(p + 1)`` is ``member(1)``.
-    """
+    """Ordered tuple (A_1, ..., A_p) of equal-dimension PD matrices."""
 
     members: tuple[PDMatrix, ...]
 
@@ -193,39 +180,8 @@ class CyclicFamily:
     def dim(self) -> int:
         return self.members[0].dim
 
-    def member(self, i: int) -> PDMatrix:
-        return self.members[(i - 1) % self.p]
-
     def arrays(self) -> list[np.ndarray]:
         return [m.mat for m in self.members]
-
-    def reversed(self) -> "CyclicFamily":
-        return CyclicFamily(tuple(self.members[::-1]))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by (real, imaginary) part, with a residual bound.
-
-    ``residual_bound`` dominates max_i ||M v_i - lambda_i v_i|| / ||M||.
-    """
-
-    values: np.ndarray
-    residual_bound: float
-
-    @property
-    def min_real(self) -> float:
-        return float(self.values.real.min())
-
-    @property
-    def max_imag_abs(self) -> float:
-        return float(np.abs(np.asarray(self.values).imag).max())
-
-
-@dataclass(frozen=True)
-class LoewnerResult:
-    holds: bool
-    margin: float
 
 
 def make_pd(entries, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
@@ -334,10 +290,6 @@ def random_family(
     return family_from_stack(random_pd_stack(n, 1, p, rng, field, ridge)[0])
 
 
-def _entries_of(m) -> np.ndarray:
-    return m.entries if isinstance(m, HermMatrix) else np.asarray(m)
-
-
 def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh over a stack (..., n, n), raising ConvergenceFailure
     where LAPACK does not converge."""
@@ -347,21 +299,12 @@ def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def eig_herm(h) -> Spectrum:
-    """Hermitian eigenvalues (real, ascending) with a computed residual bound."""
-    a = _entries_of(h)
-    w, v = eig_herm_stack(a)
-    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
-    res = float(np.linalg.norm(a @ v - v * w, axis=0).max()) / scale
-    return Spectrum(_freeze(w.copy()), res)
-
-
 def eig_general_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Complex spectra of a stack (..., n, n) of general square matrices.
 
     Returns the eigenvalues of each matrix sorted by (Re, Im) and each
-    matrix's residual bound (see :class:`Spectrum`). Raises
-    ConvergenceFailure if any spectrum's sum disagrees with its trace.
+    matrix's residual bound, which dominates max_i ||M v_i - lambda_i v_i|| / ||M||.
+    Raises ConvergenceFailure if any spectrum's sum disagrees with its trace.
     """
     if not np.isfinite(a).all():
         raise NotFinite("matrix has an infinite or NaN entry")
@@ -376,12 +319,6 @@ def eig_general_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure("eigenvalue sum disagrees with the trace")
     order = np.lexsort((w.imag, w.real))
     return np.take_along_axis(w, order, axis=-1), res
-
-
-def eig_general(m) -> Spectrum:
-    """Full complex spectrum of a general square matrix, sorted by (Re, Im)."""
-    w, res = eig_general_stack(_as_matrix(m))
-    return Spectrum(_freeze(w), float(res))
 
 
 def herm_powers(a: np.ndarray, *powers: float) -> list[np.ndarray]:
@@ -400,22 +337,6 @@ def pd_product_similar(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     has the product's eigenvalues, and Hermitian up to rounding."""
     (r,) = herm_powers(s, 0.5)
     return r @ t @ r
-
-
-def eig_pd_product(p: PDMatrix, q: PDMatrix) -> Spectrum:
-    """Spectrum of P*Q via the similar Hermitian matrix Q^{1/2} P Q^{1/2}.
-
-    Guaranteed real positive output, unlike a nonsymmetric solver.
-    """
-    if p.dim != q.dim:
-        raise DimensionMismatch(f"{p.dim} vs {q.dim}")
-    return eig_herm(pd_product_similar(q.mat, p.mat))
-
-
-def sqrt_pd(a: PDMatrix) -> PDMatrix:
-    """Principal square root, computed spectrally."""
-    s = herm_powers(a.mat, 0.5)[0]
-    return PDMatrix(_freeze(s), float(np.sqrt(a.min_eig)))
 
 
 def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -438,18 +359,3 @@ def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         raise IllConditioned(f"inverse residual {residual[bad][0]:g} exceeds bound {bound[bad][0]:g}")
     return x, _pd_floor(x, _LOOSE_TOL)
-
-
-def inverse_pd(a: PDMatrix) -> PDMatrix:
-    """Inverse with one Newton refinement step and a conditioning-scaled residual gate."""
-    x, w0 = _refined_inverse(a.mat)
-    return PDMatrix(_freeze(x), float(w0))
-
-
-def loewner_geq(a, b, tol: Tolerance = DEFAULT_TOL) -> LoewnerResult:
-    """A >= B in the Loewner order, up to -rel*(1 + ||A|| + ||B||) slack."""
-    am, bm = _entries_of(a), _entries_of(b)
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
-    margin = float(np.linalg.eigvalsh((am - bm + (am - bm).conj().T) / 2.0)[0])
-    return LoewnerResult(margin >= -tol.slack(np.linalg.norm(am), np.linalg.norm(bm)), margin)

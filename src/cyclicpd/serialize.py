@@ -2,19 +2,18 @@
 
 Matrix: {"n": int, "field": "real"|"complex", "entries": [[..]]} where a
 complex entry is a [re, im] pair. Family: {"p": int, "members": [matrix, ..]}.
-Doubles round-trip bit-exactly (shortest-repr decimal serialization).
+Doubles round-trip bit-exactly (shortest-repr decimal serialization). A
+document of any other shape raises ValueError.
 """
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .pdcore import CyclicFamily, PDMatrix, Tolerance, DEFAULT_TOL, _entries_of, make_pd
+from .pdcore import CyclicFamily, PDMatrix, Tolerance, DEFAULT_TOL, make_pd
 
 
 def matrix_to_dict(m) -> dict:
-    a = _entries_of(m)
+    a = m.entries
     if np.iscomplexobj(a):
         entries = [[[float(z.real), float(z.imag)] for z in row] for row in a]
         field = "complex"
@@ -24,18 +23,25 @@ def matrix_to_dict(m) -> dict:
     return {"n": int(a.shape[0]), "field": field, "entries": entries}
 
 
+def _int(d: dict, key: str) -> int:
+    if type(d[key]) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {d[key]!r}")
+    return d[key]
+
+
 def matrix_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
-    n = int(d["n"])
-    if d["field"] == "complex":
-        a = np.array(
-            [[complex(e[0], e[1]) for e in row] for row in d["entries"]],
-            dtype=np.complex128,
-        )
-    else:
+    if not isinstance(d, dict) or d.get("field") not in ("real", "complex"):
+        raise ValueError(f'a matrix must be an object with field "real" or "complex", got {d!r:.80}')
+    n, field = _int(d, "n"), d["field"]
+    try:
         a = np.array(d["entries"], dtype=np.float64)
-    if a.shape != (n, n):
-        raise ValueError(f"entries shape {a.shape} does not match n={n}")
-    return make_pd(a, tol)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"matrix entries must be numbers: {exc}") from exc
+    pairs = field == "complex"
+    if a.shape != ((n, n, 2) if pairs else (n, n)):
+        raise ValueError(f"entries shape {a.shape} does not match n={n}"
+                         + (" with [re, im] pairs" if pairs else ""))
+    return make_pd(a.view(np.complex128)[..., 0] if pairs else a, tol)
 
 
 def family_to_dict(f: CyclicFamily) -> dict:
@@ -43,17 +49,9 @@ def family_to_dict(f: CyclicFamily) -> dict:
 
 
 def family_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> CyclicFamily:
+    if not isinstance(d, dict) or not isinstance(d.get("members"), list):
+        raise ValueError(f"a family must be an object with a list of members, got {d!r:.80}")
     members = tuple(matrix_from_dict(m, tol) for m in d["members"])
-    if int(d["p"]) != len(members):
+    if _int(d, "p") != len(members):
         raise ValueError("declared p does not match member count")
     return CyclicFamily(members)
-
-
-def save_family(f: CyclicFamily, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(family_to_dict(f), fh)
-
-
-def load_family(path, tol: Tolerance = DEFAULT_TOL) -> CyclicFamily:
-    with open(path, encoding="utf-8") as fh:
-        return family_from_dict(json.load(fh), tol)

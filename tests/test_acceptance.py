@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
+from cyclicpd import inequalities as ineq
 from cyclicpd import verify as vf
 from cyclicpd.cli import main
 
@@ -101,7 +102,7 @@ def test_criterion_6_counterexample_rediscovery():
     scalars = [float(m.mat[0, 0]) for m in res.best_family.members]
     lifted = cp.diagonal_embed(scalars, 3)
     lifted_value = cp.cyclic_sum_trace(lifted, refine=True)
-    recheck = cp.check_shapiro_trace(lifted)
+    recheck = ineq.batch_shapiro_trace(np.stack(lifted.arrays())[None]).report()
     ok = (
         res.best_margin < 0
         and res.classification == "verified_counterexample"

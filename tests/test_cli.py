@@ -16,6 +16,10 @@ def strip_timestamps(doc):
     return {k: v for k, v in doc.items() if k not in ("started", "elapsed_ms")}
 
 
+def save_family(fam, path):
+    path.write_text(json.dumps(cp.family_to_dict(fam)))
+
+
 def test_parse_range():
     assert _parse_range("3..6") == [3, 4, 5, 6]
     assert _parse_range("5") == [5]
@@ -52,7 +56,7 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
 def test_eval_identity_family(tmp_path, capsys):
     fam = cp.CyclicFamily(tuple(cp.make_pd(np.eye(2)) for _ in range(4)))
     path = tmp_path / "id.json"
-    cp.save_family(fam, path)
+    save_family(fam, path)
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 0
     assert json.loads(capsys.readouterr().out) == pytest.approx(4.0, abs=1e-12)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
@@ -65,7 +69,7 @@ def test_eval_identity_family(tmp_path, capsys):
 
 def test_eval_fixture_values(tmp_path, capsys):
     path = tmp_path / "fix.json"
-    cp.save_family(cp.counterexample_family(), path)
+    save_family(cp.counterexample_family(), path)
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 0
     assert json.loads(capsys.readouterr().out) == pytest.approx(5.2786, abs=1e-3)
     assert main(["eval", "--family", str(path), "--expr", "margin"]) == 0
@@ -77,6 +81,29 @@ def test_eval_bad_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"p": 3, "members": []}')
     assert main(["eval", "--family", str(bad), "--expr", "Fp"]) == 2
+
+
+MEMBER = {"n": 1, "field": "real", "entries": [[1.0]]}
+MALFORMED_FAMILIES = {
+    "number": 5,
+    "list_of_number": [1],
+    "members_number": {"p": 3, "members": 5},
+    "complex_entry_not_a_pair": {"p": 3, "members": [{"n": 1, "field": "complex", "entries": [[1.0]]}] * 3},
+    "quaternion_field": {"p": 3, "members": [{**MEMBER, "field": "quaternion"}] * 3},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FAMILIES))
+def test_malformed_family_rejected(tmp_path, capsys, name):
+    doc = MALFORMED_FAMILIES[name]
+    for d in doc if isinstance(doc, list) else [doc]:
+        with pytest.raises(ValueError):
+            cp.family_from_dict(d)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load family:") and captured.out == ""
 
 
 def test_eval_non_finite_family(tmp_path):
@@ -115,7 +142,7 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
     """The entry bound holds loaded members, not computed matrices: here
     A_1 (A_2 + A_3)^{-1} = 5e110 I."""
     path = tmp_path / "wide.json"
-    cp.save_family(cp.CyclicFamily(tuple(cp.make_pd(np.eye(2) * s) for s in (1e100, 1e-11, 1e-11))), path)
+    save_family(cp.CyclicFamily(tuple(cp.make_pd(np.eye(2) * s) for s in (1e100, 1e-11, 1e-11))), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
     assert json.loads(capsys.readouterr().out)["min_real"] > 1e110
 
@@ -123,7 +150,7 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
 @pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
 def test_eval_p2_family_rejected(tmp_path, capsys, expr):
     path = tmp_path / "p2.json"
-    cp.save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * 2), path)
+    save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * 2), path)
     assert main(["eval", "--family", str(path), "--expr", expr]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -131,7 +158,7 @@ def test_eval_p2_family_rejected(tmp_path, capsys, expr):
 @pytest.mark.parametrize("p", [1, 2])
 def test_eval_nesbitt_eigs_rejects_short_family(tmp_path, capsys, p):
     path = tmp_path / "short.json"
-    cp.save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * p), path)
+    save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * p), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
@@ -243,13 +270,19 @@ def test_search_bad_config():
     ["verify", "--seed", "-1"],
     ["search", "--p", "5", "--seed", "-1"],
     ["sample", "--n", "2", "--p", "3", "--seed", "-1"],
+    ["verify", "--suite", "identities", "--dims", "1", "--p", "3", "--trials", "1",
+     "--out", "nodir/x.json"],
+    ["sample", "--n", "2", "--p", "3", "--out", "nodir/x.json"],
+    ["sample", "--n", "2", "--p", "3", "--out", "."],
 ], ids="_".join)
-def test_invalid_input_rejected_before_work(tmp_path, capsys, argv):
-    out = tmp_path / "out.json"
-    assert main(argv + ["--out", str(out)]) == 2
+def test_invalid_input_rejected_before_work(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    if "--out" not in argv:
+        argv = argv + ["--out", "out.json"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_sweep_manifest_lists_dims(tmp_path):
