@@ -3,10 +3,13 @@
 Minimizes the cyclic trace-sum margin (the defect of the conditional bound
 Tr-sum >= p*n/2) by multi-restart gradient descent with Armijo backtracking.
 Iterates are parameterized as A_i = L_i L_i^T + ridge*I, so the feasible set
-is unconstrained and every iterate stays strictly positive definite. All
-restarts descend in lockstep as one (restarts, p, n, n) stack, in one thread;
-each keeps its own step and stopping state, so a restart's trajectory does
-not depend on which other restarts run beside it.
+is unconstrained and every iterate stays strictly positive definite. The
+restarts descend in lockstep as one (restarts, p, n, n) stack; each keeps its
+own step and stopping state, so a restart's trajectory does not depend on
+which other restarts run beside it. At n >= 2, where LAPACK work dominates,
+the restarts are cut into one contiguous share per CPU this process may use,
+and each share descends in a forked process; at n = 1 the work is per-call
+overhead that a fork would only add to, so one stack runs in this process.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
@@ -16,10 +19,11 @@ p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from ._fork import cpu_count as _cpu_count, run_units
 from .pdcore import DEFAULT_TOL, CyclicFamily, PDMatrix, Tolerance, _freeze, family_from_stack
 from .inequalities import _sum_over_p, cyclic_denominators, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
@@ -33,6 +37,10 @@ MAX_RIDGE = 1e100
 # eigenvalue above the 1e-12 floor that ``eval`` applies when it loads a
 # ``best_family``, so every reported family replays.
 MIN_RIDGE = 1e-10
+# Largest step a line search starts from, and so the largest accepted
+# step_init: from a start of about 1e16 up, 50 halvings never reach a step
+# the line search accepts, and the search would report its starting point.
+MAX_STEP = 1e3
 VERIFY_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
@@ -53,9 +61,9 @@ class SearchConfig:
             raise ValueError("p must be >= 3")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValueError("n, restarts and max_iters must be positive")
-        if not (0.0 < self.step_init < np.inf and MIN_RIDGE <= self.ridge <= MAX_RIDGE):
+        if not (0.0 < self.step_init <= MAX_STEP and MIN_RIDGE <= self.ridge <= MAX_RIDGE):
             raise ValueError(
-                f"step_init must be positive and finite, and ridge in [{MIN_RIDGE:g}, {MAX_RIDGE:g}]"
+                f"step_init must be in (0, {MAX_STEP:g}], and ridge in [{MIN_RIDGE:g}, {MAX_RIDGE:g}]"
             )
 
     def to_dict(self) -> dict:
@@ -244,7 +252,7 @@ def _descend(cfg: SearchConfig, factors):
         iters[live] = it
         for r in live:
             histories[r].append((it, float(f[r])))
-        step[live] = np.minimum(2.0 * t, 1e3)
+        step[live] = np.minimum(2.0 * t, MAX_STEP)
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
@@ -271,14 +279,26 @@ def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
 def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
-    The restarts run in lockstep (see ``_descend``); restarts that diverge
-    (LinAlgError, or a non-finite final margin) are dropped. The winning
-    family is re-evaluated through the checker path with fresh
-    refined inverses before being reported; a candidate is classified as a
-    verified counterexample only when that margin also lies below the noise
-    band of the tightened tolerance ``VERIFY_TOL``.
+    The restarts run in lockstep (see ``_descend``). At n >= 2 they are cut
+    into W = min(``_cpu_count()``, restarts) contiguous shares, each descended
+    in lockstep, share 0 here and the others in forked processes (see
+    :func:`cyclicpd._fork.run_units`); the shares are joined in restart order.
+    Restarts are independent, so the result is the same at every W; n = 1
+    runs as one share. Restarts that diverge (LinAlgError, or a non-finite
+    final margin) are dropped. The winning family is re-evaluated through the
+    checker path with fresh refined inverses before being reported; a
+    candidate is classified as a verified counterexample only when that
+    margin also lies below the noise band of the tightened tolerance
+    ``VERIFY_TOL``.
     """
-    factors, margins, histories, iters = _descend(cfg, _initial_factors(cfg))
+    starts = _initial_factors(cfg)
+    workers = 1 if cfg.n == 1 else min(_cpu_count(), cfg.restarts)
+    shares = np.array_split(starts, workers)
+    parts = run_units([partial(_descend, cfg, share) for share in shares],
+                      [len(share) for share in shares], workers)
+    factors, margins, histories, iters = zip(*parts)
+    factors, margins, iters = (np.concatenate(x) for x in (factors, margins, iters))
+    histories = [h for share in histories for h in share]
     survivors = [r for r in range(cfg.restarts) if np.isfinite(margins[r])]
     if not survivors:
         raise RuntimeError("all restarts diverged")

@@ -29,14 +29,12 @@ another's, the outcome is the same at every process count.
 from __future__ import annotations
 
 import functools
-import os
-import pickle
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import inequalities as ineq
+from ._fork import cpu_count as _cpu_count, run_units
 from .pdcore import DEFAULT_TOL, family_from_stack, random_pd_stack
 from .serialize import family_to_dict
 
@@ -264,10 +262,10 @@ def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     """Dispatch; returns {suite name: SuiteOutcome} for the suites asked for.
 
     The work is cut into units of one (suite, n) each, run as
-    ``run_<suite>([n], ...)`` and split across up to :func:`_cpu_count`
-    processes (see :func:`_run_units`). Every suite's outermost loop is over n,
-    so the units' records and events, concatenated in serial order, are the
-    serial outcome whatever the number of processes.
+    ``run_<suite>([n], ...)`` and split across up to ``_cpu_count()``
+    processes (see :func:`cyclicpd._fork.run_units`). Every suite's outermost
+    loop is over n, so the units' records and events, concatenated in serial
+    order, are the serial outcome whatever the number of processes.
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
@@ -277,107 +275,9 @@ def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     jobs = [functools.partial(globals()[f"run_{name}"], [n], p_values, trials, seed, tol, fields)
             for name, n in units]
     results = {name: SuiteOutcome() for name in names}
-    for (name, _), outcome in zip(units, _run_units(jobs, [n for _, n in units])):
+    # _cpu_count is looked up here, so a count bound on this module is used
+    outcomes = run_units(jobs, [n for _, n in units], _cpu_count())
+    for (name, _), outcome in zip(units, outcomes):
         results[name].records.extend(outcome.records)
         results[name].events.extend(outcome.events)
     return results
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _run_units(jobs, costs) -> list:
-    """Call every job and return their results in job order.
-
-    With W = min(CPUs, jobs) above 1, the jobs are sorted by descending cost
-    and dealt round-robin into W shares. The parent runs share 0 itself; each
-    other share runs in a child made by ``os.fork``, which sends its results
-    back through a pipe. A share runs its jobs in job order and stops at the
-    first error, so the error of the lowest-numbered job that raised is the one
-    a serial run would have raised first; it is raised once every child has
-    been read and reaped. Without ``os.fork``, at W = 1, or when other Python
-    threads are running (a fork copies no thread but the caller's), the jobs
-    run in order in this process.
-    """
-    workers = min(_cpu_count(), len(jobs))
-    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [job() for job in jobs]
-    order = sorted(range(len(jobs)), key=lambda i: (-costs[i], i))
-    shares = [sorted(order[w::workers]) for w in range(workers)]
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(jobs, share))
-        ran = [_run_share(jobs, shares[0])]
-    finally:
-        # read and reap every child, also when a fork failed or the parent was interrupted
-        replies = [_reap(*child) for child in children]
-    ran += [_decode(*reply) for reply in replies]
-    results, errors = [None] * len(jobs), []
-    for share, (done, error) in zip(shares, ran):
-        for i, result in zip(share, done):
-            results[i] = result
-        if error is not None:
-            errors.append((share[len(done)], error))
-    if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    return results
-
-
-def _run_share(jobs, share):
-    """Run the share's jobs in order until one raises: (results so far, error or None)."""
-    done = []
-    try:
-        for i in share:
-            done.append(jobs[i]())
-    except Exception as exc:  # handed to the parent, which raises it in serial order
-        return done, exc
-    return done, None
-
-
-def _fork_share(jobs, share):
-    """Run a share in a forked child; returns (pid, read end of its result pipe)."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(rfd)
-            done, error = _run_share(jobs, share)
-            try:
-                data = pickle.dumps((done, error))
-            except Exception as exc:  # an unpicklable error or result
-                data = pickle.dumps((done, RuntimeError(f"verify worker could not send its result: {exc!r}")))
-            with os.fdopen(wfd, "wb") as fh:
-                fh.write(data)
-            status = 0
-        finally:
-            # never return into the parent's code
-            os._exit(status)
-    os.close(wfd)
-    return pid, rfd
-
-
-def _reap(pid, rfd):
-    """Read a child's pipe to the end, then reap the child: (pid, bytes, wait status)."""
-    with os.fdopen(rfd, "rb") as fh:
-        data = fh.read()
-    return pid, data, os.waitpid(pid, 0)[1]
-
-
-def _decode(pid, data, status):
-    """A child's (results, error); an error if it ended without sending them."""
-    if not data:
-        return [], RuntimeError(f"verify worker {pid} ended without a result "
-                                f"(exit code {os.waitstatus_to_exitcode(status)})")
-    return pickle.loads(data)  # bytes written by this module's child

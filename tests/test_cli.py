@@ -267,6 +267,8 @@ def test_search_bad_config():
     ["search", "--p", "23", "--n", "3", "--restarts", "2", "--max-iters", "1000",
      "--seed", "11", "--ridge", "1e-14"],
     ["search", "--p", "5", "--step-init", "nan"],
+    ["search", "--p", "14", "--n", "1", "--restarts", "8", "--max-iters", "50",
+     "--seed", "11", "--step-init", "1e16"],
     ["verify", "--seed", "-1"],
     ["search", "--p", "5", "--seed", "-1"],
     ["sample", "--n", "2", "--p", "3", "--seed", "-1"],

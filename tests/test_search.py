@@ -114,6 +114,10 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="ridge"):
             cp.SearchConfig(p=3, ridge=1e-14)
         assert cp.SearchConfig(p=3, ridge=search.MIN_RIDGE).ridge == 1e-10
+        for bad in (np.nextafter(search.MAX_STEP, np.inf), 1e16, 1e300):
+            with pytest.raises(ValueError, match="step_init"):
+                cp.SearchConfig(p=3, step_init=bad)
+        assert cp.SearchConfig(p=3, step_init=search.MAX_STEP).step_init == 1e3
 
 
 class TestMinimizeMargin:
