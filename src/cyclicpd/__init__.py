@@ -18,18 +18,13 @@ from .errors import (
 )
 from .pdcore import (
     CyclicFamily,
-    HermMatrix,
     PDMatrix,
     Tolerance,
-    make_herm,
-    make_pd,
-    random_family,
-    random_pd,
+    validate_family,
 )
 from .inequalities import (
     CheckReport,
     counterexample_family,
-    counterexample_fixture,
     cyclic_sum_trace,
     reproduce_counterexample,
 )
@@ -43,11 +38,6 @@ from .search import (
     scalar_cyclic_sum,
     shapiro_margin,
 )
-from .serialize import (
-    family_from_dict,
-    family_to_dict,
-    matrix_from_dict,
-    matrix_to_dict,
-)
+from .serialize import family_from_dict, family_to_dict
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,7 +19,7 @@ from . import __version__
 from . import inequalities as ineq
 from . import verify as verify_mod
 from .errors import CyclicPDError, FixtureMismatch
-from .pdcore import Tolerance, random_family
+from .pdcore import CyclicFamily, Tolerance, random_pd_stack
 from .search import (
     SearchConfig,
     minimize_margin,
@@ -30,7 +30,7 @@ from .serialize import family_from_dict, family_to_dict
 
 
 def _parse_range(text: str) -> list[int]:
-    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]."""
+    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]. A value may appear once."""
     out = []
     for part in text.split(","):
         if ".." in part:
@@ -40,6 +40,8 @@ def _parse_range(text: str) -> list[int]:
             out.append(int(part))
     if not out:
         raise ValueError(f"empty range {text!r}")
+    if len(set(out)) != len(out):
+        raise ValueError(f"repeated value in range {text!r}")
     return out
 
 
@@ -113,11 +115,12 @@ def cmd_reproduce(args) -> int:
             print(f"computed  eigenvalues: {eigs[0]:.6f}, {eigs[1]:.6f}")
             results.append(rep.to_dict())
         if args.case in ("shapiro4-trace", "all"):
-            quad = [m.mat[None] for m in ineq.counterexample_fixture()]  # one trial each
-            rep = ineq.batch_shapiro_trace(np.stack(quad, axis=1)).report()
+            mats = ineq.counterexample_family().mats[None]  # one trial
+            rep = ineq.batch_shapiro_trace(mats).report()
             print(f"published trace: {ineq.FIXTURE_TRACE}  computed trace: {rep.lhs:.6f} (bound {rep.rhs})")
             if abs(rep.lhs - ineq.FIXTURE_TRACE) > ineq.FIXTURE_ATOL:
                 raise FixtureMismatch(f"trace {rep.lhs:.6f} deviates from published value")
+            quad = np.moveaxis(mats, 1, 0)  # A, B, C, D, each as a one-trial stack
             results.append(ineq.batch_s4_decomposition(*quad).report().to_dict())
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
@@ -182,7 +185,7 @@ def cmd_eval(args) -> int:
                     "min_real": float(eigs.real.min()),
                 })
             elif args.expr == "bidirectional":
-                rep = ineq.batch_bidirectional(np.stack(fam.arrays())[None]).report()
+                rep = ineq.batch_bidirectional(fam.mats[None]).report()
                 out.append(rep.to_dict())
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -196,7 +199,8 @@ def cmd_sample(args) -> int:
         print("error: invalid sample parameters", file=sys.stderr)
         return 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
-    fams = [family_to_dict(random_family(args.n, args.p, rng, args.field)) for _ in range(args.count)]
+    stacks = random_pd_stack(args.n, args.count, args.p, rng, args.field)
+    fams = [family_to_dict(CyclicFamily(mats)) for mats in stacks]
     _emit(fams[0] if args.count == 1 else fams, args.out)
     return 0
 

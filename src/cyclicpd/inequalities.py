@@ -29,7 +29,6 @@ from .pdcore import (
     _LOOSE_TOL,
     DEFAULT_TOL,
     CyclicFamily,
-    PDMatrix,
     Tolerance,
     _ct,
     _fro,
@@ -39,8 +38,8 @@ from .pdcore import (
     eig_general_stack,
     eig_herm_stack,
     herm_powers,
-    make_pd,
-    pd_product_similar,
+    pd_product_eigvals,
+    validate_family,
 )
 
 # p for which the scalar cyclic-sum inequality S_p >= p/2 is a theorem.
@@ -156,12 +155,6 @@ def _hstack(blocks: np.ndarray) -> np.ndarray:
     """The block row [B_1 ... B_k] of each stack (..., k, n, m), as (..., n, k*m)."""
     moved = np.moveaxis(blocks, -3, -2)
     return moved.reshape(moved.shape[:-2] + (-1,))
-
-
-def _pd_product_eigvals(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Eigenvalues of S T for stacks of PD S and T, from the symmetrized similar matrix."""
-    h = pd_product_similar(s, t)
-    return np.linalg.eigvalsh((h + _ct(h)) / 2.0)
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -371,22 +364,17 @@ def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def _loose(tol: Tolerance) -> Tolerance:
-    # construction gate for matrices we know are PD by closure properties
-    return Tolerance(rel=tol.rel, abs=np.finfo(float).tiny)
-
-
 def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
     ctx = _context(mats)
     mats = ctx.mats
     p = mats.shape[-3]
-    loose = _loose(tol)
-    s = _symmetrize(ctx.total, loose)
-    hinv = _symmetrize(ctx.inv_total, loose)
-    _pd_floor(s, loose)
-    _pd_floor(hinv, loose)
-    vals = eig_herm_stack(pd_product_similar(hinv, s))[0]
+    s = _symmetrize(ctx.total, tol)
+    hinv = _symmetrize(ctx.inv_total, tol)
+    # the sums are PD by closure, so only the positivity floor applies
+    _pd_floor(s, _LOOSE_TOL)
+    _pd_floor(hinv, _LOOSE_TOL)
+    vals = pd_product_eigvals(hinv, s)
     rhs = float(p**2)
     margin = vals.min(axis=-1) - rhs
     slack = tol.slack(_fro(s), _fro(hinv))
@@ -410,7 +398,7 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     x, y, z = bm + cm, cm + am, am + bm
     ix, iy, iz = _inv(np.stack([x, y, z]))
     inv_sum = ix + iy + iz
-    vals = 0.5 * _pd_product_eigvals(x + y + z, inv_sum) - 3.0
+    vals = 0.5 * pd_product_eigvals(x + y + z, inv_sum) - 3.0
     margin = vals.min(axis=-1) - 1.5
     m_direct = am @ ix + bm @ iy + cm @ iz
     m_ident = 0.5 * (x + y + z) @ inv_sum - 3.0 * np.eye(n)
@@ -435,7 +423,7 @@ def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
         raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
     s = ctx.total
     inv_sum = _psum(_inv(s[..., None, :, :] - mats))
-    vals = _pd_product_eigvals(s, inv_sum) - k
+    vals = pd_product_eigvals(s, inv_sum) - k
     rhs = k / (k - 1)
     margin = vals.min(axis=-1) - rhs
     slack = tol.slack(*np.moveaxis(ctx.fro, -1, 0))
@@ -512,7 +500,7 @@ def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
     (``pdcore._refined_inverse``) rather than by a plain solve; used for high-scrutiny
     re-verification of search results.
     """
-    mats = np.stack(f.arrays())
+    mats = f.mats
     if not refine:
         return float(cyclic_traces(mats))
     _require_cycle(f.p)
@@ -648,7 +636,7 @@ def bidirectional_spectrum(f: CyclicFamily) -> np.ndarray:
     """Exploratory diagnostic: eigenvalues, sorted by (Re, Im), of the
     forward+backward cyclic-sum matrix for general p >= 3. No verdict is
     attached beyond p=4."""
-    return eig_general_stack(_bidirectional_matrix(np.stack(f.arrays())))[0]
+    return eig_general_stack(_bidirectional_matrix(f.mats))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -771,13 +759,9 @@ def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
 # The published four-variable counterexample
 # ---------------------------------------------------------------------------
 
-def counterexample_fixture() -> tuple[PDMatrix, PDMatrix, PDMatrix, PDMatrix]:
-    """The 2x2 quadruple (A, B, C, D) of the eigenvalue counterexample."""
-    return tuple(make_pd(FIXTURE_ENTRIES[k]) for k in "ABCD")
-
-
 def counterexample_family() -> CyclicFamily:
-    return CyclicFamily(counterexample_fixture())
+    """The 2x2 quadruple (A, B, C, D) of the eigenvalue counterexample."""
+    return CyclicFamily(validate_family([FIXTURE_ENTRIES[k] for k in "ABCD"]))
 
 
 def reproduce_counterexample(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -788,8 +772,7 @@ def reproduce_counterexample(tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     Raises :class:`FixtureMismatch` if the spectrum or trace deviates by more
     than 1e-3 from the published values.
     """
-    a, b, c, d = counterexample_fixture()
-    m = _cyclic_matrix_sum(np.stack([a.mat, b.mat, c.mat, d.mat]))
+    m = _cyclic_matrix_sum(counterexample_family().mats)
     eigs, _ = eig_general_stack(m)
     expected = np.array(FIXTURE_EIGS)
     dev = float(np.abs(eigs - expected).max())

@@ -1,13 +1,13 @@
-"""Hermitian / positive definite matrix types and the linear algebra they need.
+"""Cyclic families of Hermitian positive definite matrices, and the linear
+algebra they need.
 
-Everything downstream (inequality checkers, counterexample search) is built on
-the handful of primitives here: validated construction, random sampling, and
-the kernels the batched checkers run on stacks (..., n, n) of raw arrays:
-Hermitian and general eigensolvers, Hermitian powers, and one refined inverse
-with a residual gate.
-
-All values are immutable after construction (backing arrays are frozen), so
-they are safe to share between concurrent trials.
+A family (A_1, ..., A_p) is one stack (p, n, n). Input from outside the
+program enters through one gate, :func:`validate_family`, which returns the
+stack read-only; :class:`CyclicFamily` is a record of such a stack.
+Everything downstream (inequality checkers, counterexample search) runs on
+stacks (..., n, n) of raw arrays, with the handful of kernels here: random
+sampling, Hermitian and general eigensolvers, Hermitian powers, the spectrum
+of a PD product, and one refined inverse with a residual gate.
 """
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
-    DimensionMismatch,
     EntryTooLarge,
     IllConditioned,
     NotFinite,
@@ -62,33 +61,6 @@ DEFAULT_TOL = Tolerance()
 _LOOSE_TOL = Tolerance(abs=np.finfo(float).tiny)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
-
-
-def _as_matrix(entries) -> np.ndarray:
-    a = np.asarray(entries)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSquare(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise NotFinite("matrix has an infinite or NaN entry")
-    if np.iscomplexobj(a):
-        return a.astype(np.complex128, copy=True)
-    return a.astype(np.float64, copy=True)
-
-
-@dataclass(frozen=True)
-class HermMatrix:
-    """A Hermitian matrix; ``entries`` are exactly symmetrized at construction."""
-
-    entries: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack (..., n, n)."""
     return np.swapaxes(a, -1, -2).conj()
@@ -112,8 +84,9 @@ def _symmetrize(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     A complex stack whose symmetrized entries are all real comes back real.
     """
     asym = _fro(a - _ct(a))
-    if (asym > tol.rel * (1.0 + _fro(a))).any():
-        raise NotHermitian(f"asymmetry {float(asym.max()):g} exceeds tolerance")
+    bad = asym > tol.rel * (1.0 + _fro(a))
+    if bad.any():
+        raise NotHermitian(f"asymmetry {float(asym[bad][0]):g} exceeds tolerance")
     h = (a + _ct(a)) / 2.0
     if np.iscomplexobj(h) and float(np.abs(h.imag).max(initial=0.0)) == 0.0:
         h = h.real.copy()
@@ -129,74 +102,67 @@ def _pd_floor(h: np.ndarray, tol: Tolerance) -> np.ndarray:
     w0 = np.linalg.eigvalsh(h)[..., 0]
     bad = w0 <= tol.abs
     if bad.any():
-        raise NotPositiveDefinite(np.ravel(w0)[np.ravel(bad)][0])
+        raise NotPositiveDefinite(w0[bad][0])
     return w0
 
 
-def make_herm(entries, tol: Tolerance = DEFAULT_TOL) -> HermMatrix:
-    """Validate Hermitian symmetry and symmetrize exactly.
+def validate_family(entries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """The construction gate: a read-only Hermitian positive definite stack (p, n, n).
 
-    Round-off level asymmetry (below ``tol.rel`` relative) is silently folded
-    into (H + H*)/2; anything larger raises :class:`NotHermitian`. An entry
-    whose real or imaginary part exceeds ``MAX_ENTRY`` raises
-    :class:`EntryTooLarge`.
+    Checks, in order, that the input is a non-empty stack of square matrices,
+    that every entry is finite, and that no entry's real or imaginary part
+    exceeds ``MAX_ENTRY`` (:class:`EntryTooLarge`). Round-off level asymmetry
+    (below ``tol.rel`` relative) is then folded into (A + A*)/2, anything
+    larger raises :class:`NotHermitian`, and every smallest eigenvalue must
+    exceed ``tol.abs``. Each check reports the first member that fails it.
     """
-    a = _as_matrix(entries)
+    a = np.asarray(entries)
+    if a.shape[:1] == (0,):
+        raise ValueError("a cyclic family needs at least one member")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise NotSquare(f"expected a stack (p, n, n) of square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NotFinite("matrix has an infinite or NaN entry")
+    a = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
     # real and imaginary parts apart: the modulus of a huge complex entry overflows
     if max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)) > MAX_ENTRY:
         raise EntryTooLarge(f"matrix has an entry above {MAX_ENTRY:g} in magnitude")
-    return HermMatrix(_freeze(_symmetrize(a, tol)))
+    h = _symmetrize(a, tol)
+    _pd_floor(h, tol)
+    h.setflags(write=False)
+    return h
 
 
 @dataclass(frozen=True)
-class PDMatrix(HermMatrix):
-    """Hermitian positive definite matrix with its smallest eigenvalue cached."""
+class PDMatrix:
+    """One member of a :class:`CyclicFamily`: a read-only view ``mat`` of its stack."""
 
-    min_eig: float
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.entries
+    mat: np.ndarray
 
 
 @dataclass(frozen=True)
 class CyclicFamily:
-    """Ordered tuple (A_1, ..., A_p) of equal-dimension PD matrices."""
+    """The cyclic family (A_1, ..., A_p) of one Hermitian PD stack (p, n, n).
 
-    members: tuple[PDMatrix, ...]
+    The stack comes from :func:`validate_family`, or is one the program built
+    as PD (a sample, a search result), which the writer holds to the
+    positivity floor (:func:`cyclicpd.serialize.family_to_dict`).
+    """
 
-    def __post_init__(self):
-        if len(self.members) < 1:
-            raise ValueError("a cyclic family needs at least one member")
-        dims = {m.dim for m in self.members}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
+    mats: np.ndarray
 
     @property
     def p(self) -> int:
-        return len(self.members)
+        return self.mats.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.members[0].dim
+        return self.mats.shape[-1]
 
-    def arrays(self) -> list[np.ndarray]:
-        return [m.mat for m in self.members]
-
-
-def make_pd(entries, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
-    """Construction gate: symmetrize, then require min eigenvalue > tol.abs."""
-    h = make_herm(entries, tol).entries
-    return PDMatrix(h, float(_pd_floor(h, tol)))
-
-
-def _check_sampling(n: int, field: str, ridge: float):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
-    if field not in ("real", "complex"):
-        raise ValueError(f"unknown field {field!r}")
+    @property
+    def members(self) -> tuple[PDMatrix, ...]:
+        """The members as one-matrix views, for readers of ``m.mat``."""
+        return tuple(PDMatrix(m) for m in self.mats)
 
 
 def _gaussian(rng: np.random.Generator, shape: tuple, n: int, field: str) -> np.ndarray:
@@ -215,25 +181,6 @@ def _gram(g: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     return a, np.linalg.eigvalsh(a)
 
 
-def random_pd(
-    n: int,
-    rng: np.random.Generator,
-    field: str = "real",
-    ridge: float = DEFAULT_RIDGE,
-    cond_cap: float = DEFAULT_COND_CAP,
-) -> PDMatrix:
-    """Sample A = G G* + ridge*I with standard-normal G; reject ill-conditioned draws.
-
-    Deterministic given the generator state.
-    """
-    _check_sampling(n, field, ridge)
-    for _ in range(1000):
-        a, w = _gram(_gaussian(rng, (), n, field), ridge)
-        if w[-1] / w[0] <= cond_cap:
-            return PDMatrix(_freeze(a), float(w[0]))
-    raise IllConditioned("could not sample a matrix under the condition cap")
-
-
 def random_pd_stack(
     n: int,
     trials: int,
@@ -244,18 +191,23 @@ def random_pd_stack(
     cond_cap: float = DEFAULT_COND_CAP,
     gaussian_tail: int = 0,
 ) -> np.ndarray:
-    """``trials`` rows of ``members`` :func:`random_pd` draws, as one
-    (trials, members + gaussian_tail, n, n) array.
+    """``trials`` rows of ``members`` random PD matrices G G* + ridge*I (G
+    standard normal, redrawn up to 1000 times while the condition number
+    exceeds ``cond_cap``) and ``gaussian_tail`` raw standard-normal (n, n)
+    squares, as one (trials, members + gaussian_tail, n, n) array.
 
-    Row after row, the stream is taken exactly as ``members`` sequential
-    :func:`random_pd` calls and then ``gaussian_tail`` raw standard-normal
-    (n, n) squares (complex: real part, then imaginary part) would take it;
-    the tail entries of each row are those squares, not PD matrices. All
-    rows are drawn at once; if any member breaks ``cond_cap``, the generator
-    is rewound and the rows are redrawn one matrix at a time, so the result
-    and the final generator state equal the sequential ones.
+    The stream is taken row after row, one draw per matrix (complex: real
+    part, then imaginary part). All rows are drawn at once; if any member
+    breaks ``cond_cap``, the generator is rewound and the rows are redrawn
+    one matrix at a time, so the result and the final generator state equal
+    the sequential ones.
     """
-    _check_sampling(n, field, ridge)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if ridge <= 0:
+        raise ValueError("ridge must be positive")
+    if field not in ("real", "complex"):
+        raise ValueError(f"unknown field {field!r}")
     state = rng.bit_generator.state
     out = _gaussian(rng, (trials, members + gaussian_tail), n, field)
     a, w = _gram(out[:, :members], ridge)
@@ -265,29 +217,14 @@ def random_pd_stack(
     rng.bit_generator.state = state
     for row in out:
         for i in range(members):
-            row[i] = random_pd(n, rng, field, ridge, cond_cap).mat
+            for _ in range(1000):
+                row[i], w = _gram(_gaussian(rng, (), n, field), ridge)
+                if w[-1] / w[0] <= cond_cap:
+                    break
+            else:
+                raise IllConditioned("could not sample a matrix under the condition cap")
         row[members:] = _gaussian(rng, (gaussian_tail,), n, field)
     return out
-
-
-def family_from_stack(mats: np.ndarray) -> CyclicFamily:
-    """The cyclic family of an exactly Hermitian stack (p, n, n), entries copied.
-
-    The stack is PD by construction (a sample, or factors times their
-    transposes plus a ridge), so only the positivity floor is checked.
-    """
-    w0 = _pd_floor(mats, _LOOSE_TOL)
-    return CyclicFamily(tuple(PDMatrix(_freeze(np.array(m)), float(w)) for m, w in zip(mats, w0)))
-
-
-def random_family(
-    n: int,
-    p: int,
-    rng: np.random.Generator,
-    field: str = "real",
-    ridge: float = DEFAULT_RIDGE,
-) -> CyclicFamily:
-    return family_from_stack(random_pd_stack(n, 1, p, rng, field, ridge)[0])
 
 
 def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,11 +269,12 @@ def herm_powers(a: np.ndarray, *powers: float) -> list[np.ndarray]:
     return out
 
 
-def pd_product_similar(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """S^{1/2} T S^{1/2} for stacks of PD S and T: similar to S T (and T S), so it
-    has the product's eigenvalues, and Hermitian up to rounding."""
+def pd_product_eigvals(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of S T (and T S) for stacks of PD S and T: those of
+    the similar matrix S^{1/2} T S^{1/2}, symmetrized."""
     (r,) = herm_powers(s, 0.5)
-    return r @ t @ r
+    h = r @ t @ r
+    return np.linalg.eigvalsh((h + _ct(h)) / 2.0)
 
 
 def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units
-from .pdcore import DEFAULT_TOL, CyclicFamily, PDMatrix, Tolerance, _freeze, family_from_stack
+from .pdcore import DEFAULT_TOL, CyclicFamily, Tolerance, validate_family
 from .inequalities import _sum_over_p, cyclic_denominators, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
@@ -108,13 +108,12 @@ def shapiro_margin(f: CyclicFamily) -> float:
 
 def diagonal_embed(scalars, n: int) -> CyclicFamily:
     """Lift positive scalars to a_i * I_n; the trace functional scales by n."""
-    a = [float(v) for v in scalars]
+    a = np.array([float(v) for v in scalars])
     if min(a) <= 0:
         raise ValueError("scalars must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    eye = np.eye(n)
-    return CyclicFamily(tuple(PDMatrix(_freeze(v * eye), v) for v in a))
+    return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +306,9 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     f, factors, history = float(margins[r]), factors[r], histories[r]
     total_iters = sum(int(iters[s]) for s in survivors)
     mats = _mats_from_factors(factors, cfg.ridge)
-    family = family_from_stack((mats + np.swapaxes(mats, -1, -2)) / 2.0)
+    mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
+    mats.setflags(write=False)
+    family = CyclicFamily(mats)
     recomputed = cyclic_sum_trace(family, refine=True) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):
         raise RuntimeError(

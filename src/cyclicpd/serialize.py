@@ -1,19 +1,19 @@
-"""JSON wire formats for matrices and cyclic families.
+"""JSON wire format for cyclic families.
 
-Matrix: {"n": int, "field": "real"|"complex", "entries": [[..]]} where a
-complex entry is a [re, im] pair. Family: {"p": int, "members": [matrix, ..]}.
-Doubles round-trip bit-exactly (shortest-repr decimal serialization). A
-document of any other shape raises ValueError.
+Family: {"p": int, "members": [matrix, ..]}, each member a matrix
+{"n": int, "field": "real"|"complex", "entries": [[..]]} where a complex
+entry is a [re, im] pair. Doubles round-trip bit-exactly (shortest-repr
+decimal serialization). A document of any other shape raises ValueError.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .pdcore import CyclicFamily, PDMatrix, Tolerance, DEFAULT_TOL, make_pd
+from .errors import DimensionMismatch
+from .pdcore import _LOOSE_TOL, CyclicFamily, Tolerance, DEFAULT_TOL, _pd_floor, validate_family
 
 
-def matrix_to_dict(m) -> dict:
-    a = m.entries
+def _matrix_to_dict(a: np.ndarray) -> dict:
     if np.iscomplexobj(a):
         entries = [[[float(z.real), float(z.imag)] for z in row] for row in a]
         field = "complex"
@@ -29,7 +29,7 @@ def _int(d: dict, key: str) -> int:
     return d[key]
 
 
-def matrix_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
+def _matrix_from_dict(d: dict) -> np.ndarray:
     if not isinstance(d, dict) or d.get("field") not in ("real", "complex"):
         raise ValueError(f'a matrix must be an object with field "real" or "complex", got {d!r:.80}')
     n, field = _int(d, "n"), d["field"]
@@ -41,17 +41,25 @@ def matrix_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> PDMatrix:
     if a.shape != ((n, n, 2) if pairs else (n, n)):
         raise ValueError(f"entries shape {a.shape} does not match n={n}"
                          + (" with [re, im] pairs" if pairs else ""))
-    return make_pd(a.view(np.complex128)[..., 0] if pairs else a, tol)
+    return a.view(np.complex128)[..., 0] if pairs else a
 
 
 def family_to_dict(f: CyclicFamily) -> dict:
-    return {"p": f.p, "members": [matrix_to_dict(m) for m in f.members]}
+    """The document of a family. The families the program writes are PD by
+    construction, so only the positivity floor is checked here."""
+    _pd_floor(f.mats, _LOOSE_TOL)
+    return {"p": f.p, "members": [_matrix_to_dict(m) for m in f.mats]}
 
 
 def family_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> CyclicFamily:
+    """The family of a document: its form is checked first (each member, the
+    declared p, one dimension), then its numbers, by ``validate_family``."""
     if not isinstance(d, dict) or not isinstance(d.get("members"), list):
         raise ValueError(f"a family must be an object with a list of members, got {d!r:.80}")
-    members = tuple(matrix_from_dict(m, tol) for m in d["members"])
+    members = [_matrix_from_dict(m) for m in d["members"]]
     if _int(d, "p") != len(members):
         raise ValueError("declared p does not match member count")
-    return CyclicFamily(members)
+    dims = {len(m) for m in members}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
+    return CyclicFamily(validate_family(np.array(members), tol))

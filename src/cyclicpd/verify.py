@@ -35,7 +35,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from ._fork import cpu_count as _cpu_count, run_units
-from .pdcore import DEFAULT_TOL, family_from_stack, random_pd_stack
+from .pdcore import DEFAULT_TOL, CyclicFamily, random_pd_stack
 from .serialize import family_to_dict
 
 SUITES = ("unconditional", "conditional", "identities")
@@ -137,7 +137,7 @@ def _batch(name: str):
 
 
 def _family_witness(fams):
-    return lambda t: family_to_dict(family_from_stack(fams[t]))
+    return lambda t: family_to_dict(CyclicFamily(fams[t]))
 
 
 def _add_residual(rec: GridRecord, residual, allowed):
@@ -252,7 +252,7 @@ def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real
                             "p": p,
                             "field": fld,
                             "margin": float(batch.margin[t]),
-                            "family": family_to_dict(family_from_stack(fams[t])),
+                            "family": family_to_dict(CyclicFamily(fams[t])),
                         })
                 out.records.append(rec)
     return out

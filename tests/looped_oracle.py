@@ -12,14 +12,15 @@ the current rule: a violation that a theorem covers is a record failure.
 kernel helpers as they were before the index gather and the cumulative sum.
 ``Certificate``, ``Spectrum``, ``eig_herm`` and ``eig_general`` are the
 one-object types and eigensolvers the looped checkers were written against.
+``random_pd`` draws one matrix at a time: the sequential stream that
+``pdcore.random_pd_stack`` must take.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-import cyclicpd as cp
 from cyclicpd import verify
-from cyclicpd.errors import DimensionMismatch, SingularDenominator
+from cyclicpd.errors import DimensionMismatch, IllConditioned, SingularDenominator
 from cyclicpd.inequalities import (
     SCALAR_VALID_P,
     CheckReport,
@@ -28,14 +29,19 @@ from cyclicpd.inequalities import (
     cyclic_traces,
 )
 from cyclicpd.pdcore import (
+    _LOOSE_TOL,
+    DEFAULT_COND_CAP,
+    DEFAULT_RIDGE,
     DEFAULT_TOL,
     CyclicFamily,
     PDMatrix,
     Tolerance,
-    _as_matrix,
+    _gaussian,
+    _gram,
+    _pd_floor,
+    _symmetrize,
     eig_general_stack,
     eig_herm_stack,
-    make_pd,
 )
 from cyclicpd.serialize import family_to_dict
 
@@ -70,7 +76,7 @@ class Spectrum:
 
 def eig_herm(h) -> Spectrum:
     """Hermitian eigenvalues (real, ascending) with a computed residual bound."""
-    a = np.asarray(getattr(h, "entries", h))
+    a = np.asarray(getattr(h, "mat", h))
     w, v = eig_herm_stack(a)
     scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
     return Spectrum(w, float(np.linalg.norm(a @ v - v * w, axis=0).max()) / scale)
@@ -78,12 +84,12 @@ def eig_herm(h) -> Spectrum:
 
 def eig_general(m) -> Spectrum:
     """Full complex spectrum of a general square matrix, sorted by (Re, Im)."""
-    w, res = eig_general_stack(_as_matrix(m))
+    w, res = eig_general_stack(np.asarray(m))
     return Spectrum(w, float(res))
 
 
 def _norm(m) -> float:
-    return float(np.linalg.norm(m.entries))
+    return float(np.linalg.norm(m.mat))
 
 
 def _sqrtm_pd(a, power=0.5):
@@ -98,8 +104,26 @@ def eig_pd_product(p, q):
     return eig_herm(s @ p.mat @ s)
 
 
+def random_pd(n, rng, field="real", ridge=DEFAULT_RIDGE, cond_cap=DEFAULT_COND_CAP) -> PDMatrix:
+    """One A = G G* + ridge*I with standard-normal G, redrawn while its
+    condition number exceeds ``cond_cap``; deterministic given the generator."""
+    for _ in range(1000):
+        a, w = _gram(_gaussian(rng, (), n, field), ridge)
+        if w[-1] / w[0] <= cond_cap:
+            return PDMatrix(a)
+    raise IllConditioned("could not sample a matrix under the condition cap")
+
+
 def random_family(n, p, rng, field="real"):
-    return CyclicFamily(tuple(cp.random_pd(n, rng, field) for _ in range(p)))
+    return CyclicFamily(np.stack([random_pd(n, rng, field).mat for _ in range(p)]))
+
+
+def closure_pd(a, tol: Tolerance) -> PDMatrix:
+    """A matrix that is PD by closure: symmetrized under ``tol.rel``, then held
+    to the positivity floor."""
+    h = _symmetrize(np.asarray(a), tol)
+    _pd_floor(h, _LOOSE_TOL)
+    return PDMatrix(h)
 
 
 def _add(rec, report, witness_fn=None):
@@ -140,15 +164,14 @@ def _rtr(a: np.ndarray) -> float:
 
 
 def _check_dims(*mats: PDMatrix):
-    dims = {m.dim for m in mats}
+    dims = {m.mat.shape[0] for m in mats}
     if len(dims) != 1:
         raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
 
 
 def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
-    am = a.mat if isinstance(a, PDMatrix) else a.entries
-    bm = b.mat if isinstance(b, PDMatrix) else b.entries
+    am, bm = a.mat, b.mat
     if am.shape != bm.shape:
         raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
     tr_ab = _rtr(am @ bm)
@@ -166,7 +189,7 @@ def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.shape != y.shape or x.shape[0] != a.dim:
+    if x.shape != y.shape or x.shape[0] != a.mat.shape[0]:
         raise DimensionMismatch(f"X {x.shape}, Y {y.shape}, A {a.mat.shape}")
     lhs = abs(complex(np.trace(x.conj().T @ y))) ** 2
     t_x = _rtr(x.conj().T @ a.mat @ x)
@@ -175,7 +198,7 @@ def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     margin = rhs - lhs
     slack = tol.rel * (1.0 + lhs + abs(rhs))
     return CheckReport(
-        "weighted_cs", a.dim, 0, lhs, rhs, margin, margin >= -slack, tol,
+        "weighted_cs", a.mat.shape[0], 0, lhs, rhs, margin, margin >= -slack, tol,
         {"tr_xax": t_x, "tr_yainvy": t_y},
     )
 
@@ -210,7 +233,7 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
     direct = eig_general((a.mat - b.mat) @ (_inv(b.mat) - _inv(a.mat)))
     slack = tol.slack(_norm(a), _norm(b))
     return CheckReport(
-        "eigineq1", a.dim, 0, float(vals.min()), 0.0, margin, margin >= -slack, tol,
+        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, tol,
         {
             "eigs": vals,
             "direct_min_real": direct.min_real,
@@ -221,7 +244,7 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 def check_harmonic_loewner(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
-    mats = f.arrays()
+    mats = list(f.mats)
     lhs = sum(_inv(m) for m in mats)
     rhs = f.p**2 * _inv(sum(mats))
     diff = (lhs - rhs + (lhs - rhs).conj().T) / 2.0
@@ -244,7 +267,7 @@ def build_block_certificate(f: CyclicFamily) -> Certificate:
     eye = np.eye(n)
     blocks = {}
     total = None
-    for i, m in enumerate(f.arrays(), start=1):
+    for i, m in enumerate(list(f.mats), start=1):
         mi = np.block([[_inv(m), eye], [eye, m]])
         blocks[f"M_{i}"] = mi
         total = mi if total is None else total + mi
@@ -272,7 +295,7 @@ def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
     m = cert.blocks["M"]
     m_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
     sc = schur_complement(m, n)
-    direct = sum(_inv(x) for x in f.arrays()) - f.p**2 * _inv(sum(f.arrays()))
+    direct = sum(_inv(x) for x in list(f.mats)) - f.p**2 * _inv(sum(list(f.mats)))
     sc_gap = float(np.linalg.norm(sc - direct))
     scale = float(np.linalg.norm(m))
     slack = tol.slack(scale)
@@ -286,9 +309,9 @@ def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
-    mats = f.arrays()
-    s = make_pd(sum(mats), _loose(tol))
-    hinv = make_pd(sum(_inv(m) for m in mats), _loose(tol))
+    mats = list(f.mats)
+    s = closure_pd(sum(mats), tol)
+    hinv = closure_pd(sum(_inv(m) for m in mats), tol)
     vals = eig_pd_product(s, hinv).values
     rhs = float(f.p**2)
     margin = float(vals.min()) - rhs
@@ -297,11 +320,6 @@ def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Che
         "product_sum_eigs", f.dim, f.p, float(vals.min()), rhs, margin,
         margin >= -slack, tol, {"eigs": vals},
     )
-
-
-def _loose(tol: Tolerance) -> Tolerance:
-    # construction gate for matrices we know are PD by closure properties
-    return Tolerance(rel=tol.rel, abs=np.finfo(float).tiny)
 
 
 def _min_eig_pd_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -325,10 +343,10 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAUL
     vals = 0.5 * prod_eigs - 3.0
     margin = float(vals.min()) - 1.5
     m_direct = a.mat @ _inv(x) + b.mat @ _inv(y) + c.mat @ _inv(z)
-    m_ident = 0.5 * (x + y + z) @ (_inv(x) + _inv(y) + _inv(z)) - 3.0 * np.eye(a.dim)
+    m_ident = 0.5 * (x + y + z) @ (_inv(x) + _inv(y) + _inv(z)) - 3.0 * np.eye(a.mat.shape[0])
     slack = tol.slack(_norm(a), _norm(b), _norm(c))
     return CheckReport(
-        "nesbitt", a.dim, 3, float(vals.min()), 1.5, margin, margin >= -slack, tol,
+        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, tol,
         {
             "eigs": vals,
             "construction_gap": float(np.linalg.norm(m_direct - m_ident)),
@@ -343,7 +361,7 @@ def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRepor
     k = f.p
     if k < 2:
         raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
-    mats = f.arrays()
+    mats = list(f.mats)
     s = sum(mats)
     inv_sum = sum(_inv(s - m) for m in mats)
     vals = _min_eig_pd_product(s, inv_sum) - k
@@ -381,7 +399,7 @@ def check_s4_decomposition(
     Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
     """
     _check_dims(a, b, c, d)
-    n = a.dim
+    n = a.mat.shape[0]
     am, bm, cm, dm = a.mat, b.mat, c.mat, d.mat
     i_bc, i_cd = _inv(bm + cm), _inv(cm + dm)
     i_da, i_ab = _inv(dm + am), _inv(am + bm)
@@ -413,7 +431,7 @@ def check_s4_decomposition(
 def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
     base = cyclic_sum_trace(f)
-    extended = CyclicFamily(f.members + (f.members[0], f.members[1]))
+    extended = CyclicFamily(np.concatenate([f.mats, f.mats[:2]]))
     ext = cyclic_sum_trace(extended)
     expected = base + f.dim
     diff = abs(ext - expected)
@@ -426,7 +444,7 @@ def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
 
 def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
-    mats = f.arrays()
+    mats = list(f.mats)
     fwd, rev = cyclic_traces(np.stack([mats, mats[::-1]])).tolist()
     rhs = float(f.p * f.dim)
     margin = fwd + rev - rhs
@@ -450,7 +468,7 @@ def check_bidirectional_eig4(
     scale = float(np.linalg.norm(total))
     slack = tol.slack(scale)
     return CheckReport(
-        "bidirectional_eig4", a1.dim, 4, spec.min_real, 4.0, margin, margin >= -slack, tol,
+        "bidirectional_eig4", a1.mat.shape[0], 4, spec.min_real, 4.0, margin, margin >= -slack, tol,
         {
             "eigs": spec.values,
             "max_imag": spec.max_imag_abs,
@@ -468,7 +486,7 @@ def check_upper_bound_2ab(
     that together give the upper bound.
     """
     _check_dims(a, b, c)
-    n = a.dim
+    n = a.mat.shape[0]
     am, bm, cm = a.mat, b.mat, c.mat
     i1, i2, i3 = _inv(2 * am + bm), _inv(2 * bm + cm), _inv(2 * cm + am)
     m = am @ i1 + bm @ i2 + cm @ i3
@@ -521,7 +539,7 @@ def check_wz_certificate(
     cert = build_wz_certificate(a, b, c)
     w, z = cert.blocks["W"], cert.blocks["Z"]
     am, bm, cm = a.mat, b.mat, c.mat
-    n = a.dim
+    n = a.mat.shape[0]
     wz = w @ z.conj().T
     res_wz = float(np.linalg.norm(wz - (am + bm + cm)))
     tr_zz = _rtr(z @ z.conj().T)
@@ -559,7 +577,7 @@ def check_square_cycle(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRe
     The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
     rebuilt and its identities W Z* = Z Z* = sum(A_i) are verified in detail.
     """
-    mats = f.arrays()
+    mats = list(f.mats)
     p = f.p
     lhs = sum(_rtr(mats[i] @ mats[i] @ _inv(mats[(i + 1) % p])) for i in range(p))
     rhs = sum(_rtr(m) for m in mats)
@@ -597,7 +615,7 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
             fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], operands)
                      for name, operands in verify.UNCONDITIONAL_FIXED]
             for _ in range(trials):
-                a, b, c, d = (cp.random_pd(n, rng, fld) for _ in range(4))
+                a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
                 drawn = {"a": a, "b": b, "c": c, "d": d, "x": x, "y": y}
                 for rec, check, operands in fixed:
@@ -629,7 +647,7 @@ def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real"
             }
             ext_recs = {p: verify.GridRecord("extension_identity", n, p, fld) for p in p_values}
             for _ in range(trials):
-                a, b, c, d = (cp.random_pd(n, rng, fld) for _ in range(4))
+                a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 scale = 1.0 + sum(_norm(m) for m in (a, b, c, d))
                 r = check_s4_decomposition(a, b, c, d, tol)
                 _add(recs["s4_identity"], _residual_report(

@@ -99,10 +99,10 @@ def test_criterion_6_counterexample_rediscovery():
     t0 = time.time()
     res = cp.minimize_margin(cp.SearchConfig(p=14, n=1, restarts=32, master_seed=11))
     elapsed = time.time() - t0
-    scalars = [float(m.mat[0, 0]) for m in res.best_family.members]
+    scalars = res.best_family.mats[:, 0, 0]
     lifted = cp.diagonal_embed(scalars, 3)
     lifted_value = cp.cyclic_sum_trace(lifted, refine=True)
-    recheck = ineq.batch_shapiro_trace(np.stack(lifted.arrays())[None]).report()
+    recheck = ineq.batch_shapiro_trace(lifted.mats[None]).report()
     ok = (
         res.best_margin < 0
         and res.classification == "verified_counterexample"

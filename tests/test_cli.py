@@ -24,6 +24,9 @@ def test_parse_range():
     assert _parse_range("3..6") == [3, 4, 5, 6]
     assert _parse_range("5") == [5]
     assert _parse_range("3,5,7") == [3, 5, 7]
+    for repeated in ("3,3", "3..5,4", "1..2,1..2"):
+        with pytest.raises(ValueError, match="repeated"):
+            _parse_range(repeated)
 
 
 def test_reproduce_all(capsys):
@@ -54,7 +57,7 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
 
 
 def test_eval_identity_family(tmp_path, capsys):
-    fam = cp.CyclicFamily(tuple(cp.make_pd(np.eye(2)) for _ in range(4)))
+    fam = cp.CyclicFamily(cp.validate_family([np.eye(2)] * 4))
     path = tmp_path / "id.json"
     save_family(fam, path)
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 0
@@ -106,6 +109,57 @@ def test_malformed_family_rejected(tmp_path, capsys, name):
     assert captured.err.startswith("error: cannot load family:") and captured.out == ""
 
 
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+NAN = [[float("nan"), 0.0], [0.0, 1.0]]
+
+
+def family_doc(*members, p=None):
+    docs = [{"n": len(m), "field": "real", "entries": m} for m in members]
+    return {"p": len(docs) if p is None else p, "members": docs}
+
+
+# One fault in one member of a p = 3 family of 2x2 identities, and eval's error line for it.
+FAULTY_FAMILIES = {
+    "non_square": (family_doc(I2, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], I2),
+                   "entries shape (2, 3) does not match n=2"),
+    "nan": (family_doc(I2, NAN, I2), "matrix has an infinite or NaN entry"),
+    "huge": (family_doc(I2, [[1e101, 0.0], [0.0, 1.0]], I2),
+             "matrix has an entry above 1e+100 in magnitude"),
+    "asymmetric": (family_doc(I2, [[1.0, 5.0], [0.0, 1.0]], I2), "asymmetry 7.07107 exceeds tolerance"),
+    "indefinite": (family_doc(I2, INDEFINITE, I2),
+                   "matrix is not positive definite (min eigenvalue -1)"),
+    "mixed_dims": (family_doc(I2, [[1.0]], I2), "members have mixed dimensions [1, 2]"),
+    "wrong_p": (family_doc(I2, I2, I2, p=4), "declared p does not match member count"),
+    "empty": ({"p": 0, "members": []}, "a cyclic family needs at least one member"),
+    # faults in several members: the form (member shapes, p, one dimension)
+    # is checked before the numbers, and each numeric check runs over the
+    # whole stack, in the gate's order, and names the first failing member
+    "asymmetric_twice": (family_doc(I2, [[1.0, 5.0], [0.0, 1.0]], [[1.0, 9.0], [0.0, 1.0]]),
+                         "asymmetry 7.07107 exceeds tolerance"),
+    "indefinite_twice": (family_doc(I2, INDEFINITE, [[1.0, 4.0], [4.0, 1.0]]),
+                         "matrix is not positive definite (min eigenvalue -1)"),
+    "asymmetric_then_indefinite": (family_doc([[1.0, 5.0], [0.0, 1.0]], I2, INDEFINITE),
+                                   "asymmetry 7.07107 exceeds tolerance"),
+    "mixed_dims_and_wrong_p": (family_doc(I2, [[1.0]], I2, p=4), "declared p does not match member count"),
+    "indefinite_then_nan": (family_doc(INDEFINITE, NAN, I2), "matrix has an infinite or NaN entry"),
+    "indefinite_then_huge": (family_doc(INDEFINITE, [[1e101, 0.0], [0.0, 1.0]], I2),
+                             "matrix has an entry above 1e+100 in magnitude"),
+    "nan_and_wrong_p": (family_doc(I2, NAN, I2, p=4), "declared p does not match member count"),
+    "mixed_dims_and_indefinite": (family_doc(INDEFINITE, [[1.0]], I2), "members have mixed dimensions [1, 2]"),
+}
+
+
+@pytest.mark.parametrize("name", list(FAULTY_FAMILIES))
+def test_eval_error_line_names_the_fault(tmp_path, capsys, name):
+    doc, message = FAULTY_FAMILIES[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))  # NaN is written as the JSON extension NaN
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot load family: {message}\n" and captured.out == ""
+
+
 def test_eval_non_finite_family(tmp_path):
     path = tmp_path / "inf.json"
     member = {"n": 1, "field": "real", "entries": [[float("inf")]]}
@@ -142,7 +196,7 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
     """The entry bound holds loaded members, not computed matrices: here
     A_1 (A_2 + A_3)^{-1} = 5e110 I."""
     path = tmp_path / "wide.json"
-    save_family(cp.CyclicFamily(tuple(cp.make_pd(np.eye(2) * s) for s in (1e100, 1e-11, 1e-11))), path)
+    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2) * s for s in (1e100, 1e-11, 1e-11)])), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
     assert json.loads(capsys.readouterr().out)["min_real"] > 1e110
 
@@ -150,7 +204,7 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
 @pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
 def test_eval_p2_family_rejected(tmp_path, capsys, expr):
     path = tmp_path / "p2.json"
-    save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * 2), path)
+    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * 2)), path)
     assert main(["eval", "--family", str(path), "--expr", expr]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -158,7 +212,7 @@ def test_eval_p2_family_rejected(tmp_path, capsys, expr):
 @pytest.mark.parametrize("p", [1, 2])
 def test_eval_nesbitt_eigs_rejects_short_family(tmp_path, capsys, p):
     path = tmp_path / "short.json"
-    save_family(cp.CyclicFamily((cp.make_pd(np.eye(2)),) * p), path)
+    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * p)), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
@@ -259,6 +313,8 @@ def test_search_bad_config():
     ["verify", "--dims", "0"],
     ["verify", "--p", "2"],
     ["verify", "--p", "1"],
+    ["verify", "--dims", "2", "--p", "3,3", "--trials", "5"],
+    ["verify", "--dims", "1..2,2", "--p", "3", "--trials", "5"],
     ["verify", "--tol-rel", "nan"],
     ["verify", "--tol-rel", "inf"],
     ["search", "--p", "5", "--ridge", "nan"],

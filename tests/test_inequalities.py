@@ -9,8 +9,13 @@ from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
 
+def pd(entries):
+    """One matrix through the construction gate."""
+    return cp.validate_family([entries])[0]
+
+
 def identity_family(n, p):
-    return cp.CyclicFamily(tuple(cp.make_pd(np.eye(n)) for _ in range(p)))
+    return cp.CyclicFamily(cp.validate_family([np.eye(n)] * p))
 
 
 def scalar_family(values):
@@ -18,48 +23,48 @@ def scalar_family(values):
 
 
 def one(*ops):
-    """Operands as one-trial stacks (1, n, n): PD or Hermitian matrices, or plain arrays."""
-    return [np.asarray(getattr(m, "entries", m))[None] for m in ops]
+    """Operands as one-trial stacks (1, n, n): one-matrix PD objects (``.mat``) or plain arrays."""
+    return [np.asarray(getattr(m, "mat", m))[None] for m in ops]
 
 
 def one_family(f):
     """A family as a one-trial stack (1, p, n, n)."""
-    return np.stack(f.arrays())[None]
+    return f.mats[None]
 
 
 def block_sum(f):
     """M = sum_i [[A_i^{-1}, I], [I, A_i]], the matrix of the block certificate."""
-    mats = np.stack(f.arrays())
+    mats = f.mats
     return ineq._psum(ineq._block_stack(mats, ineq._inv(mats)))
 
 
 class TestTraceProduct:
     def test_identity(self):
-        r = ineq.batch_trace_product(*one(cp.make_pd(np.eye(2)), cp.make_pd(np.eye(2)))).report()
+        r = ineq.batch_trace_product(*one(pd(np.eye(2)), pd(np.eye(2)))).report()
         assert r.holds and r.lhs == 2.0 and r.rhs == 4.0
 
     def test_orthogonal_supports_boundary(self):
-        a = cp.make_herm(np.diag([1.0, 0.0]))
-        b = cp.make_herm(np.diag([0.0, 1.0]))
+        a = np.diag([1.0, 0.0])
+        b = np.diag([0.0, 1.0])
         r = ineq.batch_trace_product(*one(a, b)).report()
         assert r.holds and r.detail["tr_ab"] == 0.0
 
     def test_random(self):
         rng = RNG(0)
         for _ in range(100):
-            assert ineq.batch_trace_product(*one(cp.random_pd(4, rng), cp.random_pd(4, rng))).report().holds
+            assert ineq.batch_trace_product(*one(oracle.random_pd(4, rng), oracle.random_pd(4, rng))).report().holds
 
 
 class TestWeightedCS:
     def test_equality_boundary(self):
         n = 3
-        r = ineq.batch_weighted_cs(*one(np.eye(n), np.eye(n), cp.make_pd(np.eye(n)))).report()
+        r = ineq.batch_weighted_cs(*one(np.eye(n), np.eye(n), pd(np.eye(n)))).report()
         assert r.holds
         assert r.lhs == pytest.approx(n * n, abs=1e-12)
         assert r.rhs == pytest.approx(n * n, abs=1e-12)
 
     def test_zero_case(self):
-        r = ineq.batch_weighted_cs(*one(np.eye(2), np.zeros((2, 2)), cp.make_pd(np.eye(2)))).report()
+        r = ineq.batch_weighted_cs(*one(np.eye(2), np.zeros((2, 2)), pd(np.eye(2)))).report()
         assert r.holds and r.lhs == 0.0
 
     def test_random_rectangular(self):
@@ -67,23 +72,23 @@ class TestWeightedCS:
         for _ in range(100):
             x = rng.standard_normal((3, 2))
             y = rng.standard_normal((3, 2))
-            assert ineq.batch_weighted_cs(*one(x, y, cp.random_pd(3, rng))).report().holds
+            assert ineq.batch_weighted_cs(*one(x, y, oracle.random_pd(3, rng))).report().holds
 
 
 class TestEigIneq1:
     def test_equal_operands_boundary(self):
-        a = cp.make_pd([[3.0, 1.0], [1.0, 2.0]])
+        a = pd([[3.0, 1.0], [1.0, 2.0]])
         r = ineq.batch_eigineq1(*one(a, a)).report()
         assert r.holds and abs(r.margin) < 1e-12
 
     def test_scaled_identity(self):
-        r = ineq.batch_eigineq1(*one(cp.make_pd(2 * np.eye(2)), cp.make_pd(np.eye(2)))).report()
+        r = ineq.batch_eigineq1(*one(pd(2 * np.eye(2)), pd(np.eye(2)))).report()
         assert r.holds and r.margin == pytest.approx(0.5, abs=1e-10)
 
     def test_cross_oracle(self):
         rng = RNG(2)
         for _ in range(100):
-            a, b = cp.random_pd(3, rng), cp.random_pd(3, rng)
+            a, b = oracle.random_pd(3, rng), oracle.random_pd(3, rng)
             r = ineq.batch_eigineq1(*one(a, b)).report()
             assert r.holds
             assert r.detail["direct_min_real"] >= -1e-8
@@ -92,7 +97,7 @@ class TestEigIneq1:
 
 class TestHarmonicLoewner:
     def test_p1_boundary(self):
-        fam = cp.CyclicFamily((cp.make_pd([[2.0, 1.0], [1.0, 3.0]]),))
+        fam = cp.CyclicFamily(cp.validate_family([[[2.0, 1.0], [1.0, 3.0]]]))
         r = ineq.batch_harmonic_loewner(one_family(fam)).report()
         assert r.holds and abs(r.margin) < 1e-12
 
@@ -121,7 +126,7 @@ class TestBlockCertificate:
     def test_schur_matches_direct_margin(self):
         rng = RNG(3)
         for _ in range(50):
-            fam = cp.random_family(3, 4, rng)
+            fam = oracle.random_family(3, 4, rng)
             r = ineq.batch_block_certificate(one_family(fam)).report()
             assert r.holds
             assert r.detail["schur_gap"] <= 1e-8
@@ -141,12 +146,12 @@ class TestProductSumEigs:
 
 class TestNesbitt:
     def test_identity_boundary(self):
-        r = ineq.batch_nesbitt(*one(*(cp.make_pd(np.eye(3)) for _ in range(3)))).report()
+        r = ineq.batch_nesbitt(*one(*(pd(np.eye(3)) for _ in range(3)))).report()
         assert r.holds and abs(r.margin) < 1e-12
         assert np.allclose(r.detail["eigs"], 1.5, atol=1e-12)
 
     def test_scalar_123(self):
-        a, b, c = (cp.make_pd([[v]]) for v in (1.0, 2.0, 3.0))
+        a, b, c = (pd([[v]]) for v in (1.0, 2.0, 3.0))
         r = ineq.batch_nesbitt(*one(a, b, c)).report()
         assert r.holds and r.lhs == pytest.approx(1.7, abs=1e-12)
         assert r.margin == pytest.approx(0.2, abs=1e-12)
@@ -154,7 +159,7 @@ class TestNesbitt:
     def test_construction_paths_agree(self):
         rng = RNG(4)
         for _ in range(100):
-            r = ineq.batch_nesbitt(*one(*(cp.random_pd(3, rng) for _ in range(3)))).report()
+            r = ineq.batch_nesbitt(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
             assert r.holds and r.detail["construction_gap"] <= 1e-9
 
 
@@ -167,9 +172,9 @@ class TestNesbittK:
 
     def test_k3_matches_nesbitt(self):
         rng = RNG(5)
-        trip = [cp.random_pd(2, rng) for _ in range(3)]
+        trip = [oracle.random_pd(2, rng) for _ in range(3)]
         r1 = ineq.batch_nesbitt(*one(*trip)).report()
-        r2 = ineq.batch_nesbitt_k(one_family(cp.CyclicFamily(tuple(trip)))).report()
+        r2 = ineq.batch_nesbitt_k(one_family(cp.CyclicFamily(np.stack([m.mat for m in trip])))).report()
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
 
     def test_scalar_k4(self):
@@ -197,13 +202,13 @@ def ref_refined_inverse(m):
 
 
 def ref_cyclic_sum_trace(f, refine=False):
-    mats = f.arrays()
+    mats = list(f.mats)
     p = f.p
     total = 0.0
     for i in range(p):
         s = mats[(i + 1) % p] + mats[(i + 2) % p]
         if refine:
-            x = ref_refined_inverse(cp.make_pd(s, cp.Tolerance(abs=np.finfo(float).tiny)).mat)
+            x = ref_refined_inverse(oracle.closure_pd(s, cp.Tolerance()).mat)
             total += float(np.trace(mats[i] @ x).real)
         else:
             total += float(np.trace(np.linalg.solve(s, mats[i])).real)
@@ -228,9 +233,9 @@ class TestCyclicKernelOracle:
         assert cp.cyclic_sum_trace(fam, refine=True) == ref_cyclic_sum_trace(fam, refine=True)
         r = ineq.batch_bidirectional(one_family(fam)).report()
         assert r.detail["forward"] == ref
-        assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.members[::-1]))
-        got = _cyclic_matrix_sum(np.stack(fam.arrays()))
-        want = ref_cyclic_matrix_sum(fam.arrays())
+        assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.mats[::-1]))
+        got = _cyclic_matrix_sum(fam.mats)
+        want = ref_cyclic_matrix_sum(list(fam.mats))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -239,7 +244,7 @@ class TestCyclicKernelOracle:
         rng = RNG(100 * p + len(field))
         for n in range(1, 7):
             for _ in range(3):
-                self.assert_family_matches_looped(cp.random_family(n, p, rng, field))
+                self.assert_family_matches_looped(oracle.random_family(n, p, rng, field))
 
     @pytest.mark.parametrize("p", [3, 5, 14, 23])
     def test_scalar_families_at_extreme_scales(self, p):
@@ -385,14 +390,14 @@ class TestShapiroTrace:
 
 class TestS4Decomposition:
     def test_identity_boundaries(self):
-        r = ineq.batch_s4_decomposition(*one(*(cp.make_pd(np.eye(3)) for _ in range(4)))).report()
+        r = ineq.batch_s4_decomposition(*one(*(pd(np.eye(3)) for _ in range(4)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(6.0, abs=1e-12)
         assert abs(r.detail["margin_m"]) < 1e-12
         assert abs(r.detail["margin_m_plus_p"]) < 1e-12
 
     def test_fixture(self):
-        r = ineq.batch_s4_decomposition(*one(*cp.counterexample_fixture())).report()
+        r = ineq.batch_s4_decomposition(*one(*cp.counterexample_family().mats)).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(5.2786, abs=1e-3)
         assert r.detail["identity_residual"] <= 1e-12
@@ -400,7 +405,7 @@ class TestS4Decomposition:
     def test_random(self):
         rng = RNG(7)
         for _ in range(100):
-            r = ineq.batch_s4_decomposition(*one(*(cp.random_pd(3, rng) for _ in range(4)))).report()
+            r = ineq.batch_s4_decomposition(*one(*(oracle.random_pd(3, rng) for _ in range(4)))).report()
             assert r.holds
 
 
@@ -444,19 +449,19 @@ class TestBidirectional:
 
 class TestBidirectionalEig4:
     def test_identity_exact(self):
-        r = ineq.batch_bidirectional_eig4(*one(*(cp.make_pd(np.eye(2)) for _ in range(4)))).report()
+        r = ineq.batch_bidirectional_eig4(*one(*(pd(np.eye(2)) for _ in range(4)))).report()
         assert r.holds and abs(r.margin) < 1e-10
 
     def test_scalars(self):
         s = [1.0, 2.0, 3.0, 4.0]
         fwd = cp.scalar_cyclic_sum(s)
         bwd = cp.scalar_cyclic_sum(s[::-1])
-        r = ineq.batch_bidirectional_eig4(*one(*(cp.make_pd([[v]]) for v in s))).report()
+        r = ineq.batch_bidirectional_eig4(*one(*(pd([[v]]) for v in s))).report()
         assert r.holds
         assert r.lhs == pytest.approx(fwd + bwd, abs=1e-12)
 
     def test_fixture(self):
-        r = ineq.batch_bidirectional_eig4(*one(*cp.counterexample_fixture())).report()
+        r = ineq.batch_bidirectional_eig4(*one(*cp.counterexample_family().mats)).report()
         assert r.holds and r.lhs >= 4.0
 
 
@@ -480,13 +485,13 @@ class TestCSTrace:
 
 class TestUpperBound2AB:
     def test_scalar_double_boundary(self):
-        r = ineq.batch_upper_bound_2ab(*one(*(cp.make_pd([[1.0]]) for _ in range(3)))).report()
+        r = ineq.batch_upper_bound_2ab(*one(*(pd([[1.0]]) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(1.0, abs=1e-12)
         assert r.detail["tr_n"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_2x2(self):
-        r = ineq.batch_upper_bound_2ab(*one(*(cp.make_pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_upper_bound_2ab(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(2.0, abs=1e-12)
         assert r.rhs == 2.5
@@ -494,22 +499,22 @@ class TestUpperBound2AB:
     def test_random(self):
         rng = RNG(11)
         for _ in range(100):
-            r = ineq.batch_upper_bound_2ab(*one(*(cp.random_pd(3, rng) for _ in range(3)))).report()
+            r = ineq.batch_upper_bound_2ab(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
             assert r.holds
 
 
 class TestWZCertificate:
     def test_scalar_identity(self):
-        outer, wi, zi = ineq._wz_blocks(np.stack([cp.make_pd([[1.0]]).mat] * 3))
+        outer, wi, zi = ineq._wz_blocks(np.stack([pd([[1.0]])] * 3))
         assert wi[0][0, 0] == pytest.approx(3 ** -0.5, abs=1e-12)
         w, z = ineq._hstack(outer @ wi), ineq._hstack(zi)
         assert (w @ z.T)[0, 0] == pytest.approx(3.0, abs=1e-12)
         assert (z @ z.T)[0, 0] == pytest.approx(9.0, abs=1e-12)
-        r = ineq.batch_wz_certificate(*one(*(cp.make_pd([[1.0]]) for _ in range(3)))).report()
+        r = ineq.batch_wz_certificate(*one(*(pd([[1.0]]) for _ in range(3)))).report()
         assert r.holds and r.lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_2x2_quotient(self):
-        r = ineq.batch_wz_certificate(*one(*(cp.make_pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_wz_certificate(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_zz"] == pytest.approx(18.0, abs=1e-12)
         assert r.lhs == pytest.approx(2.0, abs=1e-12)
@@ -517,7 +522,7 @@ class TestWZCertificate:
     def test_random_identities(self):
         rng = RNG(12)
         for _ in range(100):
-            r = ineq.batch_wz_certificate(*one(*(cp.random_pd(3, rng) for _ in range(3)))).report()
+            r = ineq.batch_wz_certificate(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
             assert r.holds
             assert r.detail["wz_residual"] <= 1e-9 * 100
 
@@ -536,7 +541,7 @@ class TestSquareCycle:
     def test_random_with_certificate(self):
         rng = RNG(13)
         for _ in range(50):
-            r = ineq.batch_square_cycle(one_family(cp.random_family(3, 5, rng))).report()
+            r = ineq.batch_square_cycle(one_family(oracle.random_family(3, 5, rng))).report()
             assert r.holds
             assert max(r.detail["wz_residual"], r.detail["zz_residual"]) <= 1e-8
 
@@ -554,7 +559,7 @@ class TestCertificateGates:
     every other identity within its bound, and leaves the margin holding."""
 
     def test_schur_gap(self, monkeypatch):
-        fam = cp.random_family(3, 4, RNG(30))
+        fam = oracle.random_family(3, 4, RNG(30))
         base = ineq.batch_block_certificate(one_family(fam)).report()
         assert base.holds
         real = ineq.schur_complement
@@ -576,7 +581,7 @@ class TestCertificateGates:
     @pytest.mark.parametrize("broken", sorted(WZ_PATCHES))
     def test_wz_identities(self, monkeypatch, broken):
         rng = RNG(31)
-        ops = [cp.random_pd(3, rng) for _ in range(3)]
+        ops = [oracle.random_pd(3, rng) for _ in range(3)]
         assert ineq.batch_wz_certificate(*one(*ops)).report().margin > 0.1
         c, turn, k = self.WZ_PATCHES[broken]
         blocks, sums = ineq._wz_blocks, ineq._two_ab_sums
@@ -606,7 +611,7 @@ class TestCertificateGates:
 
     @pytest.mark.parametrize("broken", ["wz_residual", "zz_residual"])
     def test_square_cycle_residuals(self, monkeypatch, broken):
-        fam = cp.random_family(3, 5, RNG(32))
+        fam = oracle.random_family(3, 5, RNG(32))
         base = ineq.batch_square_cycle(one_family(fam)).report()
         assert base.holds
         powers = ineq.herm_powers
@@ -620,7 +625,7 @@ class TestCertificateGates:
         monkeypatch.setattr(ineq, "herm_powers", herm_powers)
         r = ineq.batch_square_cycle(one_family(fam)).report()
         other = ({"wz_residual", "zz_residual"} - {broken}).pop()
-        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m.mat) for m in fam.members))
+        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m) for m in fam.mats))
         assert r.detail[broken] > 100 * bound and r.detail[other] <= bound
         assert r.margin == base.margin > 0
         assert not r.holds
@@ -645,7 +650,7 @@ class TestCounterexampleReproduction:
 
 class TestReportSerialization:
     def test_to_dict_schema(self):
-        r = ineq.batch_nesbitt(*one(*(cp.make_pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_nesbitt(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
         d = r.to_dict()
         assert set(d) == {"check", "n", "p", "holds", "margin", "lhs", "rhs", "detail", "tol"}
         assert d["tol"] == {"rel": 1e-9, "abs": 1e-12}

@@ -1,54 +1,75 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cyclicpd as cp
-from cyclicpd.pdcore import _refined_inverse, eig_general_stack, herm_powers, pd_product_similar
+import looped_oracle as oracle
+from cyclicpd.cli import main
+from cyclicpd.pdcore import _refined_inverse, eig_general_stack, herm_powers, pd_product_eigvals, random_pd_stack
 
 
 def rng_for(seed):
     return np.random.default_rng(seed)
 
 
+def pd(entries):
+    """One matrix through the construction gate."""
+    return cp.validate_family([entries])[0]
+
+
+def min_eig(a):
+    return float(np.linalg.eigvalsh(a)[0])
+
+
 class TestMakePD:
+    """The construction gate, ``validate_family``, on one-member stacks; how it
+    orders faults over several members is pinned by eval's error lines in
+    test_cli.py."""
+
     def test_identity(self):
-        m = cp.make_pd(np.eye(2))
-        assert m.min_eig == 1.0
-        assert m.dim == 2
+        mats = cp.validate_family([np.eye(2)])
+        assert mats.shape == (1, 2, 2) and min_eig(mats[0]) == 1.0
 
     def test_analytic_2x2(self):
-        assert cp.make_pd([[2.0, 1.0], [1.0, 2.0]]).min_eig == pytest.approx(1.0, abs=1e-12)
+        assert min_eig(pd([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(1.0, abs=1e-12)
 
     def test_indefinite_rejected(self):
         with pytest.raises(cp.NotPositiveDefinite) as exc:
-            cp.make_pd([[1.0, 2.0], [2.0, 1.0]])
+            pd([[1.0, 2.0], [2.0, 1.0]])
         assert exc.value.min_eig == pytest.approx(-1.0, abs=1e-12)
 
     def test_not_square(self):
         with pytest.raises(cp.NotSquare):
-            cp.make_pd(np.ones((2, 3)))
+            pd(np.ones((2, 3)))
+        with pytest.raises(cp.NotSquare):
+            cp.validate_family(np.eye(2))  # one matrix, not a stack
 
     def test_not_hermitian(self):
         with pytest.raises(cp.NotHermitian):
-            cp.make_pd([[1.0, 5.0], [0.0, 1.0]])
+            pd([[1.0, 5.0], [0.0, 1.0]])
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(cp.NotFinite):
-            cp.make_pd([[bad, 0.0], [0.0, 1.0]])
+            pd([[bad, 0.0], [0.0, 1.0]])
 
     def test_entry_scale_bound(self):
-        assert cp.make_pd(np.eye(2) * 1e100).min_eig == 1e100
+        assert min_eig(pd(np.eye(2) * 1e100)) == 1e100
         for huge in (np.diag([1e200, 4e200]), np.array([[1e200, 5e199], [0.0, 1e200]]),
                      np.diag([1.0, 1.01e100]), np.array([[1.0, 2e100j], [-2e100j, 1.0]])):
             with pytest.raises(cp.EntryTooLarge):
-                cp.make_pd(huge)
+                pd(huge)
 
-    def test_pd_matrix_is_a_frozen_herm_matrix(self):
-        m = cp.make_pd([[2.0, 1.0], [1.0, 2.0]])
-        assert isinstance(m, cp.HermMatrix)
-        assert m.mat is m.entries and not m.entries.flags.writeable
+    def test_validated_stack_is_a_read_only_copy(self):
+        entries = np.array([[[2.0, 1.0], [1.0, 2.0]]])
+        mats = cp.validate_family(entries)
+        assert not mats.flags.writeable and not np.shares_memory(mats, entries)
+        fam = cp.CyclicFamily(mats)
+        assert (fam.p, fam.dim) == (1, 2)
+        assert fam.members[0].mat.base is mats and not fam.members[0].mat.flags.writeable
 
     @pytest.mark.parametrize("kw", [{"rel": np.nan}, {"rel": np.inf}, {"abs": np.nan}, {"abs": 0.0}])
     def test_tolerance_must_be_positive_and_finite(self, kw):
@@ -56,39 +77,48 @@ class TestMakePD:
             cp.Tolerance(**kw)
 
     def test_roundoff_asymmetry_symmetrized(self):
-        a = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
-        m = cp.make_pd(a)
-        assert np.array_equal(m.mat, m.mat.T)
+        m = pd(np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]]))
+        assert np.array_equal(m, m.T)
+
+
+class TestValidateFamily:
+    def test_complex_stack_with_real_entries_comes_back_real(self):
+        assert cp.validate_family(np.eye(2)[None] + 0j).dtype == np.float64
+        mixed = cp.validate_family([np.eye(2), [[1.0, 0.5j], [-0.5j, 1.0]]])
+        assert mixed.dtype == np.complex128
+
+    def test_writer_holds_families_to_the_positivity_floor(self):
+        with pytest.raises(cp.NotPositiveDefinite):
+            cp.family_to_dict(cp.CyclicFamily(np.array([np.eye(2), -np.eye(2)])))
 
 
 class TestRandomPD:
     def test_scalar_positive(self):
-        m = cp.random_pd(1, rng_for(0))
-        assert m.mat[0, 0] > 0
+        assert random_pd_stack(1, 1, 1, rng_for(0))[0, 0, 0, 0] > 0
 
     def test_deterministic(self):
-        a = cp.random_pd(4, rng_for(42), "complex")
-        b = cp.random_pd(4, rng_for(42), "complex")
-        assert np.array_equal(a.mat, b.mat)
+        a = random_pd_stack(4, 2, 3, rng_for(42), "complex")
+        b = random_pd_stack(4, 2, 3, rng_for(42), "complex")
+        assert np.array_equal(a, b)
 
     def test_ridge_floor(self):
-        m = cp.random_pd(3, rng_for(1), ridge=1e-3)
-        assert m.min_eig >= 1e-3 - 1e-12
+        mats = random_pd_stack(3, 4, 5, rng_for(1), ridge=1e-3)
+        assert np.linalg.eigvalsh(mats)[..., 0].min() >= 1e-3 - 1e-12
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
-            cp.random_pd(0, rng_for(0))
+            random_pd_stack(0, 1, 1, rng_for(0))
         with pytest.raises(ValueError):
-            cp.random_pd(2, rng_for(0), ridge=-1.0)
+            random_pd_stack(2, 1, 1, rng_for(0), ridge=-1.0)
         with pytest.raises(ValueError):
-            cp.random_pd(2, rng_for(0), field="quaternion")
+            random_pd_stack(2, 1, 1, rng_for(0), field="quaternion")
 
 
 def sequential_rows(n, trials, members, rng, field, tail=0, cond_cap=cp.pdcore.DEFAULT_COND_CAP):
-    """What random_pd_stack must equal: one random_pd (or raw square) per entry."""
+    """What random_pd_stack must equal: one oracle random_pd (or raw square) per entry."""
     rows = []
     for _ in range(trials):
-        row = [cp.random_pd(n, rng, field, cond_cap=cond_cap).mat for _ in range(members)]
+        row = [oracle.random_pd(n, rng, field, cond_cap=cond_cap).mat for _ in range(members)]
         for _ in range(tail):
             x = rng.standard_normal((n, n))
             row.append(x + 1j * rng.standard_normal((n, n)) if field == "complex" else x)
@@ -103,7 +133,7 @@ class TestRandomPDStack:
         for members, tail in [(5, 0), (4, 2)]:
             r1, r2 = rng_for(n), rng_for(n)
             want = sequential_rows(n, 3, members, r1, field, tail)
-            got = cp.pdcore.random_pd_stack(n, 3, members, r2, field, gaussian_tail=tail)
+            got = random_pd_stack(n, 3, members, r2, field, gaussian_tail=tail)
             assert np.array_equal(got, want)
             assert r1.bit_generator.state == r2.bit_generator.state
 
@@ -111,21 +141,25 @@ class TestRandomPDStack:
     def test_rejections_fall_back_to_the_sequential_stream(self, field):
         n, cap = 3, 10.0
         # the first stacked draw holds members over the cap, so the fallback runs
-        raw = cp.pdcore.random_pd_stack(n, 4, 3, rng_for(3), field, cond_cap=np.inf)
+        raw = random_pd_stack(n, 4, 3, rng_for(3), field, cond_cap=np.inf)
         w = np.linalg.eigvalsh(raw)
         assert (w[..., -1] / w[..., 0] > cap).any()
         r1, r2 = rng_for(3), rng_for(3)
         want = sequential_rows(n, 4, 3, r1, field, tail=1, cond_cap=cap)
-        got = cp.pdcore.random_pd_stack(n, 4, 3, r2, field, cond_cap=cap, gaussian_tail=1)
+        got = random_pd_stack(n, 4, 3, r2, field, cond_cap=cap, gaussian_tail=1)
         assert np.array_equal(got, want)
         assert r1.bit_generator.state == r2.bit_generator.state
         w = np.linalg.eigvalsh(got[:, :3])
         assert (w[..., -1] / w[..., 0] <= cap).all()
 
-    def test_random_family_is_one_stacked_row(self):
-        fam = cp.random_family(3, 5, rng_for(8), "complex")
-        want = sequential_rows(3, 1, 5, rng_for(8), "complex")[0]
-        assert np.array_equal(np.stack(fam.arrays()), want)
+    def test_sample_families_are_stacked_rows(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["sample", "--n", "3", "--p", "5", "--count", "2", "--field", "complex",
+                     "--seed", "8", "--out", str(out)]) == 0
+        docs = json.loads(out.read_text())
+        want = sequential_rows(3, 2, 5, np.random.default_rng(np.random.SeedSequence(entropy=8)), "complex")
+        for doc, row in zip(docs, want):
+            assert np.array_equal(cp.family_from_dict(doc).mats, row)
 
 
 class TestEigHerm:
@@ -135,11 +169,11 @@ class TestEigHerm:
         assert np.linalg.norm(np.eye(3) @ v - v * w) <= 1e-10
 
     def test_diagonal(self):
-        w, _ = cp.pdcore.eig_herm_stack(cp.make_pd(np.diag([5.0, 2.0, 7.0])).mat)
+        w, _ = cp.pdcore.eig_herm_stack(pd(np.diag([5.0, 2.0, 7.0])))
         assert np.allclose(w, [2, 5, 7])
 
     def test_analytic_2x2(self):
-        w, _ = cp.pdcore.eig_herm_stack(cp.make_pd([[2.0, 1.0], [1.0, 2.0]]).mat)
+        w, _ = cp.pdcore.eig_herm_stack(pd([[2.0, 1.0], [1.0, 2.0]]))
         assert np.allclose(w, [1, 3])
 
 
@@ -173,30 +207,24 @@ class TestEigGeneral:
             assert np.allclose(general_eigs(a), roots, atol=1e-10)
 
 
-def pd_product_eigs(p, q):
-    """Eigenvalues of P Q through the Hermitian similar matrix Q^{1/2} P Q^{1/2}."""
-    return np.linalg.eigvalsh(pd_product_similar(q.mat, p.mat))
-
-
 class TestEigPDProduct:
     def test_identity(self):
-        i2 = cp.make_pd(np.eye(2))
-        assert np.allclose(pd_product_eigs(i2, i2), [1, 1])
+        i2 = pd(np.eye(2))
+        assert np.allclose(pd_product_eigvals(i2, i2), [1, 1])
 
     def test_diagonal(self):
-        p = cp.make_pd(np.diag([2.0, 1.0]))
-        q = cp.make_pd(np.eye(2))
-        assert np.allclose(pd_product_eigs(p, q), [1, 2])
+        assert np.allclose(pd_product_eigvals(pd(np.eye(2)), pd(np.diag([2.0, 1.0]))), [1, 2])
 
     def test_cross_oracle_vs_general(self):
         rng = rng_for(9)
         for _ in range(100):
-            p = cp.random_pd(3, rng)
-            q = cp.random_pd(3, rng)
-            h = pd_product_similar(q.mat, p.mat)
+            p = oracle.random_pd(3, rng).mat
+            q = oracle.random_pd(3, rng).mat
+            (r,) = herm_powers(q, 0.5)
+            h = r @ p @ r
             assert np.linalg.norm(h - h.conj().T) <= 1e-12 * np.linalg.norm(h)
-            sym = pd_product_eigs(p, q)
-            gen = np.sort(general_eigs(p.mat @ q.mat).real)
+            sym = pd_product_eigvals(q, p)
+            gen = np.sort(general_eigs(p @ q).real)
             assert np.allclose(sym, gen, rtol=1e-8, atol=1e-10)
             assert (sym > 0).all()
 
@@ -206,11 +234,11 @@ class TestSqrtInverse:
         assert np.allclose(herm_powers(np.eye(3), 0.5)[0], np.eye(3))
 
     def test_sqrt_diagonal(self):
-        (s,) = herm_powers(cp.make_pd(np.diag([4.0, 9.0])).mat, 0.5)
+        (s,) = herm_powers(pd(np.diag([4.0, 9.0])), 0.5)
         assert np.allclose(s, np.diag([2.0, 3.0]))
 
     def test_inverse_diagonal(self):
-        x, w0 = _refined_inverse(cp.make_pd(np.diag([2.0, 4.0])).mat)
+        x, w0 = _refined_inverse(pd(np.diag([2.0, 4.0])))
         assert np.allclose(x, np.diag([0.5, 0.25])) and w0 == pytest.approx(0.25)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -218,7 +246,7 @@ class TestSqrtInverse:
         """The stacked kernel gives each matrix what it gives that matrix alone,
         as the removed one-matrix ``inverse_pd`` did."""
         rng = rng_for(11)
-        stack = np.stack([cp.random_pd(3, rng, field).mat for _ in range(6)])
+        stack = np.stack([oracle.random_pd(3, rng, field).mat for _ in range(6)])
         x, w0 = _refined_inverse(stack)
         for m, xi, wi in zip(stack, x, w0):
             x1, w1 = _refined_inverse(m)
@@ -226,14 +254,14 @@ class TestSqrtInverse:
 
     def test_inverse_residual_gate(self):
         k = np.arange(8)
-        hilbert = cp.make_pd(1.0 / (k[:, None] + k + 1.0))  # condition number about 1e10
+        hilbert = pd(1.0 / (k[:, None] + k + 1.0))  # condition number about 1e10
         with pytest.raises(cp.IllConditioned):
-            _refined_inverse(hilbert.mat)
+            _refined_inverse(hilbert)
 
     def test_trace_product_lower_bound(self):
         rng = rng_for(10)
         for _ in range(200):
-            a = cp.random_pd(4, rng, "complex")
+            a = oracle.random_pd(4, rng, "complex")
             x, _ = _refined_inverse(a.mat)
             assert np.trace(a.mat).real * np.trace(x).real >= 16 - 1e-8
 
@@ -242,8 +270,8 @@ class TestSumFormulaFacts:
     def test_x_plus_xinv_eigs(self):
         rng = rng_for(12)
         for _ in range(200):
-            a = cp.random_pd(3, rng)
-            b = cp.random_pd(3, rng)
+            a = oracle.random_pd(3, rng)
+            b = oracle.random_pd(3, rng)
             (r,) = herm_powers(b.mat, -0.5)
             h = r @ a.mat @ r
             w = np.linalg.eigvalsh(h + np.linalg.inv(h))
@@ -254,7 +282,7 @@ class TestSumFormulaFacts:
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 8),
        field=st.sampled_from(["real", "complex"]))
 def test_sqrt_squares_back(seed, n, field):
-    a = cp.random_pd(n, rng_for(seed), field)
+    a = oracle.random_pd(n, rng_for(seed), field)
     (s,) = herm_powers(a.mat, 0.5)
     assert np.linalg.norm(s @ s - a.mat) <= 1e-10 * max(1.0, np.linalg.norm(a.mat))
     assert np.linalg.eigvalsh(s)[0] > 0
@@ -264,14 +292,14 @@ def test_sqrt_squares_back(seed, n, field):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 5), p=st.integers(1, 6),
        field=st.sampled_from(["real", "complex"]))
 def test_family_roundtrip_bit_exact(seed, n, p, field):
-    fam = cp.random_family(n, p, rng_for(seed), field)
+    fam = oracle.random_family(n, p, rng_for(seed), field)
     back = cp.family_from_dict(cp.family_to_dict(fam))
     assert back.p == fam.p
-    for m1, m2 in zip(fam.members, back.members):
-        assert np.array_equal(m1.mat, m2.mat)
+    assert np.array_equal(back.mats, fam.mats)
 
 
 class TestCyclicFamily:
     def test_mixed_dims_rejected(self):
+        members = [cp.family_to_dict(cp.CyclicFamily(np.eye(k)[None]))["members"][0] for k in (2, 3)]
         with pytest.raises(cp.DimensionMismatch):
-            cp.CyclicFamily((cp.make_pd(np.eye(2)), cp.make_pd(np.eye(3))))
+            cp.family_from_dict({"p": 2, "members": members})

@@ -1,29 +1,33 @@
-"""The package's public names, and the program attributes the benchmark reads.
+"""The package's public names, and the program the benchmark reads.
 
 A name added to or dropped from ``cyclicpd.__all__`` is added to or dropped
 from ``PUBLIC`` here in the same change. ``perfbench/`` drives the CLI and
-re-checks each search result through the program's own functions; the
-benchmark's output checks run outside tier-1, but every attribute they read
-must exist here, or the benchmark cannot run at all.
+re-checks each search result through the program's own functions. The tests
+below run small commands and pass their JSON through the benchmark's own
+output checks (``perfbench/workloads.py``, imported by path), so a change that
+breaks what the benchmark reads fails here, not only in a benchmark run.
 """
 import importlib
+import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
-import numpy as np
+import pytest
 
 import cyclicpd
+import cyclicpd.cli
 
 PUBLIC = [
     "CheckReport", "ConvergenceFailure", "CyclicFamily", "CyclicPDError", "DimensionMismatch",
-    "EntryTooLarge", "FixtureMismatch", "HermMatrix", "IllConditioned", "NotFinite",
-    "NotHermitian", "NotPositiveDefinite", "NotSquare", "PDMatrix", "SearchConfig",
-    "SearchResult", "SingularDenominator", "Tolerance", "counterexample_family",
-    "counterexample_fixture", "cyclic_sum_trace", "diagonal_embed", "errors",
-    "family_from_dict", "family_to_dict", "inequalities", "make_herm", "make_pd",
-    "margin_gradient", "matrix_from_dict", "matrix_to_dict", "minimize_margin", "pdcore",
-    "probe_conjecture", "random_family", "random_pd", "reproduce_counterexample",
-    "scalar_cyclic_sum", "search", "serialize", "shapiro_margin",
+    "EntryTooLarge", "FixtureMismatch", "IllConditioned", "NotFinite", "NotHermitian",
+    "NotPositiveDefinite", "NotSquare", "PDMatrix", "SearchConfig", "SearchResult",
+    "SingularDenominator", "Tolerance", "counterexample_family", "cyclic_sum_trace",
+    "diagonal_embed", "errors", "family_from_dict", "family_to_dict", "inequalities",
+    "margin_gradient", "minimize_margin", "pdcore", "probe_conjecture",
+    "reproduce_counterexample", "scalar_cyclic_sum", "search", "serialize", "shapiro_margin",
+    "validate_family",
 ]
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -31,6 +35,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def test_public_names_are_the_listed_ones():
     assert sorted(cyclicpd.__all__) == PUBLIC
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, imported by path as the benchmark imports it."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_cli(argv, out: Path) -> dict:
+    assert cyclicpd.cli.main(argv + ["--out", str(out)]) == 0
+    return json.loads(out.read_text())
 
 
 def test_attributes_the_benchmark_reads_exist():
@@ -41,8 +60,20 @@ def test_attributes_the_benchmark_reads_exist():
                      ("inequalities", "cyclic_sum_trace"), ("search", "scalar_cyclic_sum")}
     for module, attr in sorted(reads):
         assert callable(getattr(importlib.import_module(f"cyclicpd.{module}"), attr)), (module, attr)
-    # what workloads.check_search reads from a loaded best_family
-    fam = cyclicpd.family_from_dict(cyclicpd.family_to_dict(
-        cyclicpd.random_family(1, 14, np.random.default_rng(0))))
-    assert (fam.p, fam.dim) == (14, 1)
-    assert all(m.mat.shape == (1, 1) for m in fam.members)
+
+
+@pytest.mark.parametrize("p, n", [(14, 1), (5, 3)])
+def test_benchmark_accepts_search_output(workloads, tmp_path, p, n):
+    restarts, max_iters = 2, 20
+    doc = run_cli(["search", "--p", str(p), "--n", str(n), "--restarts", str(restarts),
+                   "--max-iters", str(max_iters), "--seed", "3"], tmp_path / "s.json")
+    work, problems = workloads.check_search(doc, cyclicpd, p, n, restarts, max_iters)
+    assert problems == [] and work == doc["results"]["iterations_used"] > 0
+
+
+def test_benchmark_accepts_verify_output(workloads, tmp_path):
+    dims, ps, trials = range(1, 3), range(3, 5), 2
+    doc = run_cli(["verify", "--suite", "all", "--dims", "1..2", "--p", "3..4", "--field", "both",
+                   "--trials", str(trials), "--seed", "3"], tmp_path / "v.json")
+    work, problems = workloads.check_verify(doc, dims, ps, trials)
+    assert problems == [] and work > 0

@@ -26,7 +26,7 @@ class TestScalarOracle:
 
 class TestShapiroMargin:
     def test_identity_zero(self):
-        fam = cp.CyclicFamily(tuple(cp.make_pd(np.eye(2)) for _ in range(5)))
+        fam = cp.CyclicFamily(cp.validate_family([np.eye(2)] * 5))
         assert cp.shapiro_margin(fam) == pytest.approx(0.0, abs=1e-12)
 
     def test_fixture(self):

@@ -12,7 +12,7 @@ import looped_oracle as oracle
 from cyclicpd import inequalities as ineq
 from cyclicpd import verify
 from cyclicpd.cli import main
-from cyclicpd.pdcore import family_from_stack, random_pd_stack
+from cyclicpd.pdcore import CyclicFamily, PDMatrix, random_pd_stack
 
 DIMS, PS, TRIALS = range(1, 5), (3, 5, 8), 7
 SUITE_NAMES = ("unconditional", "identities", "conditional")
@@ -94,12 +94,12 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
     for name, letters in verify.UNCONDITIONAL_FIXED:
         batch = getattr(ineq, f"batch_{name}")(*(drawn[:, "abcdxy".index(k)] for k in letters))
         for t in range(trials):
-            ops = dict(zip("abcdxy", family_from_stack(drawn[t, :4]).members + tuple(drawn[t, 4:])))
+            ops = dict(zip("abcdxy", [PDMatrix(m) for m in drawn[t, :4]] + list(drawn[t, 4:])))
             same_report(batch.report(t), getattr(oracle, f"check_{name}")(*(ops[k] for k in letters)))
     for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
         batch = getattr(ineq, f"batch_{name}")(fams)
         for t in range(trials):
-            same_report(batch.report(t), getattr(oracle, f"check_{name}")(family_from_stack(fams[t])))
+            same_report(batch.report(t), getattr(oracle, f"check_{name}")(CyclicFamily(fams[t])))
 
 
 class TestGridRecord:
