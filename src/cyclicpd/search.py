@@ -6,10 +6,15 @@ Iterates are parameterized as A_i = L_i L_i^T + ridge*I, so the feasible set
 is unconstrained and every iterate stays strictly positive definite. The
 restarts descend in lockstep as one (restarts, p, n, n) stack; each keeps its
 own step and stopping state, so a restart's trajectory does not depend on
-which other restarts run beside it. At n >= 2, where LAPACK work dominates,
-the restarts are cut into one contiguous share per CPU this process may use,
-and each share descends in a forked process; at n = 1 the work is per-call
-overhead that a fork would only add to, so one stack runs in this process.
+which other restarts run beside it. An iteration is one accepted step. Each
+line search starts at min(2 x the restart's last accepted step, 1e3) (the
+first at ``step_init``) and tries at most 50 halvings of it; the halvings are
+evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
+the result of trying them one at a time. Every 100 iterations a gauge fix
+rescales the factors. At n >= 2, where LAPACK work dominates, the restarts
+are cut into one contiguous share per CPU this process may use, and each
+share descends in a forked process; at n = 1 the work is per-call overhead
+that a fork would only add to, so one stack runs in this process.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
@@ -41,6 +46,11 @@ MIN_RIDGE = 1e-10
 # step_init: from a start of about 1e16 up, 50 halvings never reach a step
 # the line search accepts, and the search would report its starting point.
 MAX_STEP = 1e3
+# A line search tries at most MAX_HALVINGS trial steps, evaluated in stacked
+# chunks of these sizes: most accept within the first chunk, and a restart
+# that fails them all costs four stacked evaluations, not fifty.
+HALVING_CHUNKS = (3, 8, 16, 23)
+MAX_HALVINGS = sum(HALVING_CHUNKS)
 VERIFY_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
@@ -182,11 +192,13 @@ def _initial_factors(cfg: SearchConfig):
 
 
 def _evaluate(fn, factors, ridge: float):
-    """``fn`` on the restarts of a stack that it can evaluate: (ok, fn(factors[ok])).
+    """``fn`` on the rows of a stack that it can evaluate: (ok, fn(factors[ok])).
 
-    numpy raises LinAlgError for a whole stack when one matrix in it is
-    singular, so the stack is then tried restart by restart and only the
-    restarts that fail on their own are left out.
+    A row is one family's factors: a restart, or one trial step of a restart
+    in a line search. Each row's value does not depend on which other rows
+    share its stack. numpy raises LinAlgError for a whole stack when one
+    matrix in it is singular, so the stack is then tried row by row and only
+    the rows that fail on their own are left out.
     """
     ok = np.ones(len(factors), dtype=bool)
     try:
@@ -207,8 +219,18 @@ def _descend(cfg: SearchConfig, factors):
     ``factors`` is (restarts, p, n, n). Each restart keeps its own margin,
     step, trial step, iteration count and history, and nothing reduced across
     restarts steers one, so every trajectory is the one the restart follows
-    alone. Returns (factors, margins, histories, iters); a restart whose
-    evaluation raised LinAlgError is retired there with margin nan.
+    alone. An iteration is one accepted step; a restart stops when its
+    gradient vanishes or a line search fails. Each line search starts at
+    min(2 x the last accepted step, MAX_STEP) and tries up to MAX_HALVINGS
+    halvings; for every pending restart, one ``_evaluate`` call takes the
+    next chunk of HALVING_CHUNKS trial steps as one stacked evaluation, and
+    the restart accepts its first trial step that passes the Armijo test.
+    Trial steps after that one are discarded, so the result is that of a
+    search that tries one halving at a time. Every 100 iterations the gauge
+    fix rescales the factors. Returns (factors, margins, histories, iters);
+    a restart whose evaluation raised LinAlgError (at the initial point, a
+    gradient, or a trial step before the one it would accept) is retired
+    there with margin nan.
     """
     ridge = cfg.ridge
     factors = np.array(factors, dtype=np.float64)
@@ -229,29 +251,45 @@ def _descend(cfg: SearchConfig, factors):
         gnorm2 = _sum_over_p((grads * grads).reshape(len(live), cfg.p, cfg.n * cfg.n).sum(axis=-1))
         moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
         live, grads, gnorm2 = live[moving], grads[moving], gnorm2[moving]
-        t = step[live]
+        # trial steps t, t/2, ... by repeated halving, as a serial line search
+        # forms them: t * 0.5**j would round differently once t is subnormal
+        halvings = np.full((len(live), MAX_HALVINGS), 0.5)
+        halvings[:, 0] = step[live]
+        trials = np.multiply.accumulate(halvings, axis=1)
         accepted = np.zeros(len(live), dtype=bool)
         pending = np.arange(len(live))
-        for _ in range(50):
+        start = 0
+        for k in HALVING_CHUNKS:
             if pending.size == 0:
                 break
-            cand = factors[live[pending]] - t[pending, None, None, None] * grads[pending]
-            ok, f2 = _evaluate(_margin_value, cand, ridge)
-            diverged[live[pending[~ok]]] = True
-            pending, cand = pending[ok], cand[ok]
-            win = f2 <= f[live[pending]] - 1e-4 * t[pending] * gnorm2[pending]
-            done = live[pending[win]]
-            factors[done], f[done] = cand[win], f2[win]
-            accepted[pending[win]] = True
-            pending = pending[~win]
-            t[pending] *= 0.5
-        live, t = live[accepted], t[accepted]
+            ts = trials[pending, start:start + k]
+            start += k
+            cand = factors[live[pending], None] - ts[:, :, None, None, None] * grads[pending, None]
+            ok, f2 = _evaluate(_margin_value, cand.reshape(-1, *cand.shape[2:]), ridge)
+            ok = ok.reshape(ts.shape)
+            vals = np.full(ts.shape, np.nan)
+            vals[ok] = f2
+            win = ok & (vals <= f[live[pending], None] - 1e-4 * ts * gnorm2[pending, None])
+            # each restart stops at its first halving that raised or passed;
+            # the halvings after it are discarded, unseen by the serial search
+            stop = win | ~ok
+            stopped = stop.any(axis=1)
+            rows = np.flatnonzero(stopped)
+            first = stop[rows].argmax(axis=1)
+            won = win[rows, first]
+            diverged[live[pending[rows[~won]]]] = True
+            rows, first = rows[won], first[won]
+            done = live[pending[rows]]
+            factors[done], f[done] = cand[rows, first], vals[rows, first]
+            step[done] = np.minimum(2.0 * ts[rows, first], MAX_STEP)
+            accepted[pending[rows]] = True
+            pending = pending[~stopped]
+        live = live[accepted]
         if live.size == 0:
             break
         iters[live] = it
         for r in live:
             histories[r].append((it, float(f[r])))
-        step[live] = np.minimum(2.0 * t, MAX_STEP)
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
@@ -284,7 +322,8 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     :func:`cyclicpd._fork.run_units`); the shares are joined in restart order.
     Restarts are independent, so the result is the same at every W; n = 1
     runs as one share. Restarts that diverge (LinAlgError, or a non-finite
-    final margin) are dropped. The winning family is re-evaluated through the
+    final margin) are dropped, and ``iterations_used`` sums the accepted
+    steps of the others. The winning family is re-evaluated through the
     checker path with fresh refined inverses before being reported; a
     candidate is classified as a verified counterexample only when that
     margin also lies below the noise band of the tightened tolerance

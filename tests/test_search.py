@@ -209,7 +209,13 @@ def ref_margin_gradient(factors, ridge):
     return [2.0 * (invs[j] - ks[(j - 1) % p] - ks[(j - 2) % p]) @ factors[j] for j in range(p)]
 
 
-def ref_descend(cfg, factors):
+def ref_descend(cfg, factors, line_searches=None):
+    """Serial descent of one restart, one trial step per evaluation.
+
+    When ``line_searches`` is a list, each line search appends to it
+    (iteration, factors, grads, trial steps tried, accepted halving index or
+    None when all 50 fail).
+    """
     f = ref_margin_value(factors, cfg.ridge)
     history = [(0, f)]
     step = cfg.step_init
@@ -220,15 +226,19 @@ def ref_descend(cfg, factors):
         if gnorm2 < 1e-24:
             break
         t = step
-        accepted = False
-        for _ in range(50):
+        accepted = None
+        tried = []
+        for j in range(50):
+            tried.append(t)
             cand = [l - t * g for l, g in zip(factors, grads)]
             f2 = ref_margin_value(cand, cfg.ridge)
             if f2 <= f - 1e-4 * t * gnorm2:
-                accepted = True
+                accepted = j
                 break
             t *= 0.5
-        if not accepted:
+        if line_searches is not None:
+            line_searches.append((it, factors, grads, tried, accepted))
+        if accepted is None:
             break
         factors, f = cand, f2
         iters = it
@@ -280,6 +290,27 @@ class TestLockstepOracle:
             assert len({g[1] for g in got}) > 1
         if cfg.max_iters == 250:
             assert max(g[1] for g in got) > 100
+
+    def test_grid_reaches_every_halving_chunk(self):
+        # the grid above must exercise each stacked chunk of the line search,
+        # a line search that fails all its halvings, and the gauge fix
+        reached, accepted_at = set(), set()
+        for kw in ORACLE_CONFIGS:
+            cfg = cp.SearchConfig(**kw)
+            for r in range(cfg.restarts):
+                line_searches = []
+                ref_descend(cfg, ref_init_factors(cfg, r), line_searches)
+                for it, _, _, _, j in line_searches:
+                    reached.add(j)
+                    if j is not None:
+                        accepted_at.add(it)
+        assert search.MAX_HALVINGS == 50
+        lo = 0
+        for k in search.HALVING_CHUNKS:
+            assert reached & set(range(lo, lo + k)), f"no halving in {lo}..{lo + k - 1} accepted"
+            lo += k
+        assert None in reached  # a line search that failed all 50 halvings
+        assert max(accepted_at) > 100
 
     @staticmethod
     def assert_kernels_match_looped(stack, ridge=1e-8):
@@ -351,6 +382,84 @@ class TestRestartIsolation:
         monkeypatch.setattr(search, "_initial_factors", lambda cfg: np.full((2, 4, 2, 2), np.nan))
         with pytest.raises(RuntimeError, match="all restarts diverged"):
             cp.minimize_margin(cfg)
+
+
+class TestBatchedLineSearch:
+    """The line search evaluates several halvings per stacked call."""
+
+    CFG = TestRestartIsolation.CFG
+
+    @staticmethod
+    def chunk_of(j):
+        return int(np.searchsorted(np.cumsum(search.HALVING_CHUNKS), j, side="right"))
+
+    def line_search_inside_a_chunk(self):
+        """(restart, serial run, line search): the latest line search whose
+        accepted halving j has halvings j - 1 and j + 1 in its own chunk."""
+        found = []
+        for r in range(self.CFG.restarts):
+            line_searches = []
+            run = ref_descend(self.CFG, ref_init_factors(self.CFG, r), line_searches)
+            found += [(ls[0], r, run, ls) for ls in line_searches
+                      if ls[4] is not None and ls[4] >= 1 and self.chunk_of(ls[4] - 1) == self.chunk_of(ls[4] + 1)]
+        assert found, "no accepted halving with both neighbours in its chunk"
+        _, r, run, ls = max(found, key=lambda x: (x[0], x[1]))
+        return r, run, ls
+
+    def run_poisoned(self, monkeypatch, bad):
+        """Lockstep results when evaluating the factors ``bad`` raises LinAlgError."""
+        original = search._margin_value
+        hits = []
+
+        def poisoned(factors, ridge):
+            if (factors == bad).all(axis=(1, 2, 3)).any():
+                hits.append(len(factors))
+                raise np.linalg.LinAlgError("injected")
+            return original(factors, ridge)
+
+        monkeypatch.setattr(search, "_margin_value", poisoned)
+        return lockstep_results(self.CFG, search._initial_factors(self.CFG)), hits
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raise_after_the_accepted_halving_is_ignored(self, monkeypatch):
+        r, _, (it, factors, grads, tried, j) = self.line_search_inside_a_chunk()
+        # the serial search stops at halving j and never evaluates j + 1
+        bad = np.stack(factors) - (tried[j] * 0.5) * np.stack(grads)
+        clean = lockstep_results(self.CFG, search._initial_factors(self.CFG))
+        got, hits = self.run_poisoned(monkeypatch, bad)
+        assert hits  # the batched search did evaluate it
+        for s in range(self.CFG.restarts):
+            assert_same_restart(got[s], clean[s])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raise_before_the_accepted_halving_retires_the_restart(self, monkeypatch):
+        r, (_, _, history, _), (it, factors, grads, tried, j) = self.line_search_inside_a_chunk()
+        bad = np.stack(factors) - tried[j - 1] * np.stack(grads)
+        clean = lockstep_results(self.CFG, search._initial_factors(self.CFG))
+        got, hits = self.run_poisoned(monkeypatch, bad)
+        assert hits
+        margin, iters, got_history, _ = got[r]
+        assert np.isnan(margin)
+        # the serial search retires it in iteration it, before accepting
+        assert iters == it - 1
+        assert got_history == history[:it]
+        for s in range(self.CFG.restarts):
+            if s != r:
+                assert_same_restart(got[s], clean[s])
+
+    def test_stacked_calls_per_descent(self, monkeypatch):
+        # search-scalar golden argv: 154 calls at one halving per call
+        cfg = cp.SearchConfig(p=14, n=1, restarts=8, max_iters=50, master_seed=11)
+        original = search._margin_value
+        calls = []
+
+        def counting(factors, ridge):
+            calls.append(len(factors))
+            return original(factors, ridge)
+
+        monkeypatch.setattr(search, "_margin_value", counting)
+        search._descend(cfg, search._initial_factors(cfg))
+        assert len(calls) <= 60
 
 
 class TestDrinfeldBound:
