@@ -9,7 +9,7 @@ import pytest
 
 import cyclicpd as cp
 from cyclicpd.cli import main, _parse_range
-from cyclicpd.search import MIN_RIDGE
+from cyclicpd.search import MAX_RIDGE, MIN_RIDGE
 
 
 def strip_timestamps(doc):
@@ -298,6 +298,23 @@ def test_search_at_min_ridge_replays(tmp_path, capsys):
     res = json.loads(out.read_text())["results"]
     floor = min(np.linalg.eigvalsh(np.array(m["entries"]))[0] for m in res["best_family"]["members"])
     assert floor < 2 * MIN_RIDGE
+    fam = tmp_path / "best.json"
+    fam.write_text(json.dumps(res["best_family"]))
+    capsys.readouterr()
+    assert main(["eval", "--family", str(fam), "--expr", "margin"]) == 0
+    assert json.loads(capsys.readouterr().out) == pytest.approx(res["best_margin"], abs=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_at_max_ridge_replays(tmp_path, capsys, n):
+    """At the largest accepted ridge each denominator's determinant is about
+    (2e100)^n, near overflow at n = 3; the search still ends cleanly, and its
+    family evaluates to the reported margin."""
+    out = tmp_path / "s.json"
+    assert main(["search", "--p", "5", "--n", str(n), "--restarts", "2", "--max-iters", "50",
+                 "--seed", "3", "--ridge", repr(MAX_RIDGE), "--out", str(out)]) == 0
+    res = json.loads(out.read_text())["results"]
     fam = tmp_path / "best.json"
     fam.write_text(json.dumps(res["best_family"]))
     capsys.readouterr()

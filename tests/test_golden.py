@@ -7,8 +7,10 @@ strings, booleans and integers (verdicts, classifications, failure, trial and
 iteration counts) exactly, floats (margins, histories, matrix entries) to
 |new - golden| <= rtol * (1 + |golden|).
 
-Regenerating the files (``python tests/test_golden.py``) changes the reference
-itself; say why in CHANGES.md.
+Regenerating the files changes the reference itself; say why in CHANGES.md.
+``python tests/test_golden.py`` regenerates every file, and
+``python tests/test_golden.py NAME...`` only the named ones (the manifest's
+environment block is rewritten either way).
 """
 import json
 import sys
@@ -69,9 +71,13 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert not problems, f"{len(problems)} differences from {name}: {problems[:5]}"
 
 
-def regenerate():
+def regenerate(names=()):
+    """Rewrite the named golden files (all of them when none are named)."""
     import numpy as np
 
+    unknown = sorted(set(names) - MANIFEST["files"].keys())
+    if unknown:
+        raise SystemExit(f"not in the manifest: {', '.join(unknown)}")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     MANIFEST["environment"] = {
         "python": sys.version.split()[0],
@@ -79,10 +85,12 @@ def regenerate():
         "blas": f"{blas['name']} {blas['version']}",
     }
     for name, entry in MANIFEST["files"].items():
+        if names and name not in names:
+            continue
         doc = run_cli(entry["argv"], GOLDEN / name)
         (GOLDEN / name).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
     (GOLDEN / "manifest.json").write_text(json.dumps(MANIFEST, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -189,14 +192,57 @@ def ref_mats(factors, ridge):
     return [l @ l.T + ridge * eye for l in factors]
 
 
+def ref_closed_form(s):
+    """(cofactor matrix, det) of one symmetric 2x2 or 3x3 block, by the
+    textbook minors and a first-row expansion in Python floats; None when the
+    search's guard sends the block to LAPACK."""
+    s = s.tolist()
+    n = len(s)
+    if n == 2:
+        cof = [[s[1][1], -s[1][0]], [-s[0][1], s[0][0]]]
+        diag = s[0][0] * s[1][1]
+    else:
+        def minor(j, k):
+            (r0, r1), (c0, c1) = [x for x in range(3) if x != j], [x for x in range(3) if x != k]
+            return s[r0][c0] * s[r1][c1] - s[r0][c1] * s[r1][c0]
+        cof = [[minor(j, k) if (j + k) % 2 == 0 else -minor(j, k) for k in range(3)] for j in range(3)]
+        diag = s[0][0] * s[1][1] * s[2][2]
+    det = s[0][0] * cof[0][0]
+    for k in range(1, n):
+        det += s[0][k] * cof[0][k]
+    if not (math.isfinite(det) and det > 0.0 and det >= search.MIN_DET_RATIO * diag):
+        return None
+    return cof, det
+
+
+def ref_family_closed_form(mats):
+    """Each S_i's closed form, or None when the family goes to LAPACK."""
+    p, n = len(mats), mats[0].shape[0]
+    if n not in (2, 3):
+        return None
+    forms = [ref_closed_form(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
+    return None if any(f is None for f in forms) else forms
+
+
 def ref_margin_value(factors, ridge):
     mats = ref_mats(factors, ridge)
     p = len(mats)
     n = mats[0].shape[0]
+    forms = ref_family_closed_form(mats)
     total = 0.0
     for i in range(p):
-        s = mats[(i + 1) % p] + mats[(i + 2) % p]
-        total += float(np.trace(np.linalg.solve(s, mats[i])))
+        if forms is None:
+            s = mats[(i + 1) % p] + mats[(i + 2) % p]
+            total += float(np.trace(np.linalg.solve(s, mats[i])))
+            continue
+        cof, det = forms[i]
+        a = mats[i].tolist()
+        # sum over j <= k, row by row; an off-diagonal entry counts twice
+        pairs = [(j, k) for j in range(n) for k in range(j, n)]
+        tr = cof[0][0] * a[0][0]
+        for j, k in pairs[1:]:
+            tr += cof[j][k] * a[j][k] * (1.0 if j == k else 2.0)
+        total += tr / det
     return total - p * n / 2.0
 
 
@@ -204,7 +250,11 @@ def ref_margin_gradient(factors, ridge):
     factors = [np.asarray(l, dtype=np.float64) for l in factors]
     p = len(factors)
     mats = ref_mats(factors, ridge)
-    invs = [np.linalg.inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
+    forms = ref_family_closed_form(mats)
+    if forms is None:
+        invs = [np.linalg.inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
+    else:
+        invs = [np.array([[c / det for c in row] for row in cof]) for cof, det in forms]
     ks = [invs[i] @ mats[i] @ invs[i] for i in range(p)]
     return [2.0 * (invs[j] - ks[(j - 1) % p] - ks[(j - 2) % p]) @ factors[j] for j in range(p)]
 
@@ -393,15 +443,27 @@ class TestBatchedLineSearch:
     def chunk_of(j):
         return int(np.searchsorted(np.cumsum(search.HALVING_CHUNKS), j, side="right"))
 
+    @staticmethod
+    def moves(ls):
+        """Whether trial steps j - 1, j and j + 1 of line search ``ls`` each
+        leave its start point. Near the round-off floor t * g can vanish
+        beside the factors; such a trial point is the start point itself, so
+        a fault keyed on its value would hit every evaluation of that point."""
+        _, factors, grads, tried, j = ls
+        start, g = np.stack(factors), np.stack(grads)
+        return all(not np.array_equal(start - t * g, start) for t in (tried[j - 1], tried[j], tried[j] * 0.5))
+
     def line_search_inside_a_chunk(self):
         """(restart, serial run, line search): the latest line search whose
-        accepted halving j has halvings j - 1 and j + 1 in its own chunk."""
+        accepted halving j has halvings j - 1 and j + 1 in its own chunk, and
+        whose trial points j - 1, j and j + 1 move (see ``moves``)."""
         found = []
         for r in range(self.CFG.restarts):
             line_searches = []
             run = ref_descend(self.CFG, ref_init_factors(self.CFG, r), line_searches)
             found += [(ls[0], r, run, ls) for ls in line_searches
-                      if ls[4] is not None and ls[4] >= 1 and self.chunk_of(ls[4] - 1) == self.chunk_of(ls[4] + 1)]
+                      if ls[4] is not None and ls[4] >= 1 and self.chunk_of(ls[4] - 1) == self.chunk_of(ls[4] + 1)
+                      and self.moves(ls)]
         assert found, "no accepted halving with both neighbours in its chunk"
         _, r, run, ls = max(found, key=lambda x: (x[0], x[1]))
         return r, run, ls
@@ -460,6 +522,193 @@ class TestBatchedLineSearch:
         monkeypatch.setattr(search, "_margin_value", counting)
         search._descend(cfg, search._initial_factors(cfg))
         assert len(calls) <= 60
+
+
+class TestMatsFromFactors:
+    """``_mats_from_factors`` multiplies by a contiguous copy of the
+    transpose; it must round as the transposed view does."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_contiguous_transpose_is_bit_identical(self, n):
+        rng = rng_for(300 + n)
+        for size in range(1, 65):
+            # each block scaled by its own e^-8..e^8
+            factors = rng.standard_normal((size, 3, n, n)) * np.exp(rng.uniform(-8.0, 8.0, (size, 3, 1, 1)))
+            want = factors @ np.swapaxes(factors, -1, -2) + 1e-8 * np.eye(n)
+            assert np.array_equal(search._mats_from_factors(factors, 1e-8), want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_products_are_exactly_symmetric(self, n):
+        # the closed form reads only the upper triangle of each block
+        rng = rng_for(310 + n)
+        factors = rng.standard_normal((64, 23, n, n)) * np.exp(rng.uniform(-8.0, 8.0, (64, 23, 1, 1)))
+        mats = search._mats_from_factors(factors, 1e-8)
+        assert np.array_equal(mats, np.swapaxes(mats, -1, -2))
+
+
+def lapack_margin(factors, ridge):
+    """The margin by one batched LAPACK solve, the path of n >= 4."""
+    mats = search._mats_from_factors(factors, ridge)
+    return cp.inequalities.cyclic_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
+
+
+def lapack_gradient(factors, ridge):
+    """The gradient with S_i^{-1} from one batched LAPACK inv."""
+    mats = search._mats_from_factors(factors, ridge)
+    invs = np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+    ks = invs @ mats @ invs
+    d = invs - cp.inequalities.cyclic_shift(ks, -1) - cp.inequalities.cyclic_shift(ks, -2)
+    return 2.0 * d @ factors
+
+
+def admitted(factors, ridge):
+    """Per family: whether the guard lets the closed form evaluate it."""
+    with np.errstate(all="ignore"):  # as the kernels call it
+        return search._closed_form(search._mats_from_factors(factors, ridge))[3]
+
+
+def exact_inverse(s):
+    """Inverse of a float matrix in exact rational arithmetic, rounded once."""
+    n = len(s)
+    m = [[Fraction(float(x)) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(s)]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c] != 0)
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c:
+                m[r] = [x - m[r][c] * y for x, y in zip(m[r], m[c])]
+    return np.array([[float(x) for x in row[n:]] for row in m])
+
+
+class TestClosedFormAgainstLapack:
+    """At n = 2, 3 the search inverts S_i in closed form. LAPACK stays the
+    accuracy oracle: families the guard admits agree with it to 1e-12
+    relative, and families it refuses (ill-conditioned, det <= 0, nan) get
+    the LAPACK path's value, nan or LinAlgError bit for bit."""
+
+    RTOL = 1e-12
+
+    @staticmethod
+    def stack(kind, n, p, rng, size=32):
+        eye = np.eye(n)
+        if kind == "random":
+            return eye + 0.4 * rng.standard_normal((size, p, n, n))
+        if kind == "scaled":
+            # A_i = L_i L_i^T spans e^-8..e^8 across members
+            return (eye + 0.4 * rng.standard_normal((size, p, n, n))) * np.exp(rng.uniform(-4.0, 4.0, (size, p, 1, 1)))
+        # ridge floor: each A_i = L_i L_i^T + ridge*I has an eigenvalue at the
+        # ridge. In the first half its null direction is random; in the second
+        # every A_i of a family shares it, so S_i has one at 2 * ridge.
+        factors = rng.standard_normal((size, p, n, n))
+        factors[:size // 2, ..., -1] = 0.0
+        factors[size // 2:, ..., -1, :] = 0.0
+        turn = np.linalg.qr(rng.standard_normal((size - size // 2, 1, n, n)))[0]
+        factors[size // 2:] = turn @ factors[size // 2:]
+        return factors
+
+    def check(self, factors, ridge):
+        """Asserts the kernels against LAPACK on a stack; returns which
+        families the guard admitted."""
+        p, n = factors.shape[-3], factors.shape[-1]
+        ok = admitted(factors, ridge)
+        values, want_values = _margin_value(factors, ridge), lapack_margin(factors, ridge)
+        grads, want_grads = cp.margin_gradient(factors, ridge), lapack_gradient(factors, ridge)
+        assert np.array_equal(values[~ok], want_values[~ok], equal_nan=True)
+        assert np.array_equal(grads[~ok], want_grads[~ok], equal_nan=True)
+        # relative to the size of what each result sums: the trace sum for the
+        # margin, and for the gradient 2 (|S_j^{-1}| + |K_{j-1}| + |K_{j-2}|) |L_j|,
+        # K_i = S_i^{-1} A_i S_i^{-1}, since its terms can cancel
+        traces = want_values + p * n / 2.0
+        mats = search._mats_from_factors(factors, ridge)
+        invs = np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+        ks = np.abs(invs @ mats @ invs)
+        terms = np.abs(invs) + cp.inequalities.cyclic_shift(ks, -1) + cp.inequalities.cyclic_shift(ks, -2)
+        scale = (2.0 * terms @ np.abs(factors)).max(axis=(1, 2, 3))
+        assert np.all(np.abs(values - want_values)[ok] <= self.RTOL * traces[ok])
+        assert np.all(np.abs(grads - want_grads).max(axis=(1, 2, 3))[ok] <= self.RTOL * scale[ok])
+        return ok
+
+    @pytest.mark.parametrize("ridge", [1e-8, search.MIN_RIDGE, search.MAX_RIDGE])
+    @pytest.mark.parametrize("kind", ["random", "scaled", "floor"])
+    @pytest.mark.parametrize("n,p", [(2, 12), (3, 23), (2, 3), (3, 5)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_admitted_agree_refused_identical(self, n, p, kind, ridge):
+        ok = self.check(self.stack(kind, n, p, rng_for(1000 * n + 10 * p + len(kind))), ridge)
+        assert ok.any()
+        if kind == "random" or ridge > 1.0:
+            assert ok.all()
+        if kind == "floor" and ridge < 1.0:
+            # a shared null direction is always refused
+            assert not ok[16:].any()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inverses_agree_with_lapack(self, n):
+        rng = rng_for(400 + n)
+        for kind in ("random", "scaled", "floor"):
+            mats = search._mats_from_factors(self.stack(kind, n, 7, rng), search.MIN_RIDGE)
+            ok = search._closed_form(mats)[3]
+            got, want = search._inverses(mats), np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+            err = np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))
+            assert np.all(err[ok] <= self.RTOL)
+            assert np.array_equal(got[~ok], want[~ok])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_admitted_blocks_near_the_guard_are_accurate(self, n):
+        # blocks with condition numbers up to 1e7: the admitted ones, down to
+        # det / prod(diag) = MIN_DET_RATIO, invert to 1e-12 of the exact inverse
+        rng = rng_for(500 + n)
+        q = np.linalg.qr(rng.standard_normal((4000, n, n)))[0]
+        s = (q * np.exp(rng.uniform(0.0, np.log(1e7), (4000, 1, n)))) @ np.swapaxes(q, -1, -2)
+        s = (s + np.swapaxes(s, -1, -2)) / 2.0
+        cof, det, ok = (x[..., 0] for x in search._cofactors(s.reshape(-1, n * n)[:, search._UNIQUE[n]].T[..., None]))
+        ratio = det / np.prod(np.diagonal(s, axis1=-2, axis2=-1), axis=-1)
+        near = np.flatnonzero(ok & (ratio < 4 * search.MIN_DET_RATIO))
+        assert len(near) >= 20 and (~ok).any()
+        for i in near[:40]:
+            got = cof[:, i][search._FULL[n]].reshape(n, n) / det[i]
+            want = exact_inverse(s[i])
+            assert np.abs(got - want).max() <= self.RTOL * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("poison", ["singular", "zero", "nan", "huge"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_poisoned_family_takes_the_lapack_path(self, n, poison):
+        rng = rng_for(600 + n)
+        factors = self.stack("random", n, 5, rng, size=4)
+        ridge = 0.0 if poison == "zero" else 1e-8
+        if poison == "singular":
+            factors[1] = 1e10  # A_i = L L^T + ridge*I rounds to a rank-one matrix: det 0
+        elif poison == "zero":
+            factors[1, :, -1, :] = 0.0  # with no ridge, S_i has a zero row: det and diagonal 0
+        elif poison == "nan":
+            factors[1, 0, 0, 0] = np.nan
+        else:
+            factors[1] = (1e80 if n == 2 else 1e52) * np.eye(n)  # det overflows to inf; LAPACK does not
+        assert admitted(factors, ridge).tolist() == [True, False, True, True]
+        singular = poison in ("singular", "zero")
+        for fn, ref in ((_margin_value, lapack_margin), (cp.margin_gradient, lapack_gradient)):
+            if singular:
+                for rows in (factors, factors[1:2]):
+                    for f in (fn, ref):
+                        with pytest.raises(np.linalg.LinAlgError):
+                            f(rows, ridge)
+            else:
+                with np.errstate(invalid="ignore"):  # as LAPACK meets nan entries
+                    self.check(factors, ridge)
+                assert np.isnan(fn(factors[1:2], ridge)).any() == (poison == "nan")
+            ok, _ = search._evaluate(fn, factors, ridge)
+            assert ok.tolist() == [True, not singular, True, True]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_empty_and_single_family(self, n):
+        rng = rng_for(700 + n)
+        factors = self.stack("random", n, 4, rng, size=2)
+        assert _margin_value(factors[:0], 1e-8).shape == (0,)
+        assert cp.margin_gradient(factors[:0], 1e-8).shape == (0, 4, n, n)
+        one = _margin_value(factors[0], 1e-8)
+        assert isinstance(one, np.float64) and one == _margin_value(factors, 1e-8)[0]
+        assert np.array_equal(cp.margin_gradient(factors[0], 1e-8), cp.margin_gradient(factors, 1e-8)[0])
 
 
 class TestDrinfeldBound:
