@@ -10,6 +10,8 @@ operands. A ``batch_<name>`` takes each stack either as a plain array or as a
 :class:`StackContext`, which computes the intermediates that several checkers
 of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
 the cyclic trace sum) once, with the same calls, so both give the same bits.
+The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
+``eval`` and the search.
 Checkers whose proofs go through an auxiliary construction (block matrices,
 W/Z factor pairs) rebuild it and gate on its identities.
 
@@ -436,6 +438,17 @@ def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
 # ---------------------------------------------------------------------------
 # The cyclic trace functional and its inequalities
 # ---------------------------------------------------------------------------
+#
+# ``cyclic_traces`` (every F_p the program takes) and ``cyclic_inverses`` (the
+# search gradient's S_i^{-1}) invert S_i = A_{i+1} + A_{i+2} the same way:
+# real 1x1 blocks divide; real 2x2 and 3x3 blocks, symmetric as every family
+# is built, take cof / det from S_i's n(n+1)/2 unique entries, unless some
+# S_i's det is not finite and positive or below MIN_DET_RATIO * prod(diag S_i)
+# (the closed form's error grows like eps / that ratio), when the family takes
+# LAPACK, with its value, nan or LinAlgError; complex stacks and n >= 4 take
+# LAPACK. Sums add in order, so a family's result does not depend on its
+# stack, and each path rounds exactly as its looped oracle
+# (tests/looped_oracle.py).
 
 @lru_cache(maxsize=128)
 def _shift_index(p: int, k: int) -> np.ndarray:
@@ -460,7 +473,8 @@ def cyclic_denominators(mats):
 
 
 def cyclic_terms(mats):
-    """S_i^{-1} A_i over stacked families (..., p, n, n).
+    """S_i^{-1} A_i over stacked families (..., p, n, n): the LAPACK path of
+    ``cyclic_traces`` and ``_cyclic_matrix_sum``.
 
     Real 1x1 blocks divide; on the shipped BLAS a 1x1 solve rounds the same
     (tests/test_inequalities.py checks it). Otherwise one batched solve.
@@ -481,15 +495,128 @@ def _sum_over_p(terms):
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
+# Smallest det / prod(diag) of a 2x2 or 3x3 denominator that the closed form
+# takes. Against an extended-precision reference, on 4e5 random SPD blocks
+# per n and kind (condition numbers up to 1e7; one scale per block, or each
+# row and column scaled by e^-8..e^8), the closed form's relative error
+# stayed below 4e-13 at ratios from 1e-3 up, and grows as 1 / ratio below.
+# LAPACK's was up to 6e-13 there on blocks of one scale, and up to 1.5e-10
+# on the rescaled ones.
+MIN_DET_RATIO = 1e-3
+# Flat positions of a symmetric block's unique entries (upper triangle, row
+# by row), and the full block from them. The closed form holds a stack of
+# blocks entries first, (u, p, B), so each entry is one contiguous array.
+_UNIQUE = {2: np.array([0, 1, 3]), 3: np.array([0, 1, 2, 4, 5, 8])}
+_FULL = {2: np.array([0, 1, 1, 2]), 3: np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])}
+# Weight of each unique entry in a trace sum_jk C_jk A_jk of two symmetric
+# blocks: an off-diagonal entry counts twice.
+_WEIGHT = {2: np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1),
+           3: np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]).reshape(6, 1, 1)}
+# 2x2 cofactors from (s00, s01, s11): (s11, -s01, s00)
+_SIGN2 = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
+# 3x3 cofactors from u = (s00, s01, s02, s11, s12, s22): row k of _COF3 picks
+# the factors x_k, and cof = x_0 * x_1 - x_2 * x_3, e.g. cof_00 = s11 * s22 - s12 * s12
+_COF3 = np.array([
+    [3, 4, 1, 0, 1, 0],
+    [5, 2, 4, 5, 2, 3],
+    [4, 1, 3, 2, 0, 1],
+    [4, 5, 2, 2, 4, 1],
+]).ravel()
+
+
+def _cofactors(s):
+    """Cofactors, determinant and guard of symmetric 2x2 or 3x3 blocks.
+
+    ``s`` holds the blocks' unique entries first, (3, p, B) or (6, p, B), in
+    ``_UNIQUE`` order; returns the cofactors in the same layout, the
+    determinant (the first row times its cofactors, added in order), and
+    whether the closed form may be used: det finite, positive and at least
+    MIN_DET_RATIO times the product of the diagonal.
+    """
+    if len(s) == 3:
+        n = 2
+        cof = s[::-1] * _SIGN2
+        diag = s[0] * s[2]
+    else:
+        n = 3
+        x = s.take(_COF3, axis=0).reshape((4, 6) + s.shape[1:])
+        cof = x[0] * x[1] - x[2] * x[3]
+        diag = s[0] * s[3] * s[5]
+    row = s[:n] * cof[:n]
+    det = row[0] + row[1]
+    if n == 3:
+        det += row[2]
+    ok = (det > 0.0) & (det < np.inf) & (det >= MIN_DET_RATIO * diag)
+    return cof, det, ok
+
+
+@lru_cache(maxsize=128)
+def _gather_index(p: int, n: int) -> np.ndarray:
+    """Flat positions in a (p, n, n) family of the unique entries of A_{i+k},
+    k = 0, 1, 2, as (3, u, p)."""
+    idx = np.stack([_shift_index(p, k) * (n * n) + _UNIQUE[n][:, None] for k in range(3)])
+    idx.flags.writeable = False
+    return idx
+
+
+def _closed_form(mats):
+    """For families (B, p, n, n) at n in {2, 3}: the unique entries of each
+    A_i, and the cofactors and determinant of each S_i = A_{i+1} + A_{i+2},
+    entries first, (u, p, B) and (p, B); and, per family, whether every S_i
+    passes the guard."""
+    b, p, n = mats.shape[0], mats.shape[1], mats.shape[-1]
+    x = mats.reshape(b, p * n * n).T.take(_gather_index(p, n), axis=0)
+    a, s = x[0], x[1] + x[2]
+    cof, det, ok = _cofactors(s)
+    return a, cof, det, ok.all(axis=0)
+
+
 def _require_cycle(p: int):
     if p < 3:
         raise ValueError("the cyclic sum needs p >= 3")
 
 
 def cyclic_traces(mats):
-    """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3."""
+    """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3:
+    the closed form where the guard admits it, else ``cyclic_terms``."""
     _require_cycle(mats.shape[-3])
-    return _sum_over_p(np.trace(cyclic_terms(mats), axis1=-2, axis2=-1).real)
+    n = mats.shape[-1]
+    if n not in _UNIQUE or np.iscomplexobj(mats):
+        return _sum_over_p(np.trace(cyclic_terms(mats), axis1=-2, axis2=-1).real)
+    flat = mats.reshape((-1,) + mats.shape[-3:])
+    # families the guard refuses are evaluated again below; nothing here may warn
+    with np.errstate(all="ignore"):
+        a, cof, det, ok = _closed_form(flat)
+        # Tr(S_i^{-1} A_i) = sum_jk cof_jk (A_i)_jk / det, entries added in order
+        terms = cof * a * _WEIGHT[n]
+        tr = terms[0] + terms[1]
+        for t in terms[2:]:
+            tr += t
+        traces = _sum_over_p((tr / det).T)
+    if not ok.all():
+        traces[~ok] = _sum_over_p(np.trace(cyclic_terms(flat[~ok]), axis1=-2, axis2=-1))
+    return traces.reshape(mats.shape[:-3])[()]
+
+
+def cyclic_inverses(mats):
+    """S_i^{-1} over stacked families (..., p, n, n), inverted as
+    ``cyclic_traces`` inverts them: real 1x1 blocks divide, real 2x2 and 3x3
+    families the guard admits take cof / det, and the others LAPACK's inv."""
+    n, real = mats.shape[-1], not np.iscomplexobj(mats)
+    if n not in _UNIQUE or not real:
+        # 1x1 blocks divide, as in cyclic_terms; a 1x1 inv rounds the same
+        dens = cyclic_denominators(mats)
+        return 1.0 / dens if n == 1 and real else np.linalg.inv(dens)
+    flat = mats.reshape((-1,) + mats.shape[-3:])
+    invs = np.empty(flat.shape[:-2] + (n * n,))
+    with np.errstate(all="ignore"):
+        _, cof, det, ok = _closed_form(flat)
+        # written through the (n*n, p, B) view of invs, which stays C-contiguous
+        np.divide(cof.take(_FULL[n], axis=0), det, out=invs.T)
+    invs = invs.reshape(flat.shape)
+    if not ok.all():
+        invs[~ok] = np.linalg.inv(cyclic_denominators(flat[~ok]))
+    return invs.reshape(mats.shape)
 
 
 def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:

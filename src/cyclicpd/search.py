@@ -11,10 +11,11 @@ line search starts at min(2 x the restart's last accepted step, 1e3) (the
 first at ``step_init``) and tries at most 50 halvings of it; the halvings are
 evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
 the result of trying them one at a time. Every 100 iterations a gauge fix
-rescales the factors. The denominators S_i = A_{i+1} + A_{i+2} are divided
-by at n = 1, inverted in closed form (cofactors over the determinant) at
-n = 2 and 3, and solved by LAPACK at n >= 4; a family whose S_i fail the
-closed form's conditioning guard goes to LAPACK too. At n >= 2 the restarts
+rescales the factors. The margin is the cyclic trace sum of
+``inequalities.cyclic_traces`` and the gradient takes its inverses from
+``inequalities.cyclic_inverses``, the one kernel that verify and ``eval``
+use too (division at n = 1, a guarded closed form at n = 2 and 3, LAPACK
+otherwise). At n >= 2 the restarts
 are cut into one contiguous share per CPU this process may use, and each
 share descends in a forked process; at n = 1 the work is per-call overhead
 that a fork would only add to, so one stack runs in this process.
@@ -33,7 +34,7 @@ import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units
 from .pdcore import DEFAULT_TOL, CyclicFamily, Tolerance, validate_family
-from .inequalities import _shift_index, _sum_over_p, cyclic_denominators, cyclic_shift, cyclic_sum_trace, cyclic_traces
+from .inequalities import _sum_over_p, cyclic_inverses, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
 NOISE_FACTOR = 10.0  # margins in (-NOISE_FACTOR*tol, 0) are classified as round-off
@@ -133,50 +134,9 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
 # Objective and gradient on the factor parameterization
 # ---------------------------------------------------------------------------
 #
-# The kernels take factors stacked as (..., p, n, n): the leading axes index
-# restarts, so one call evaluates every restart at once. Cyclic neighbours are
-# gathered by index (``cyclic_shift``). At n = 1 the denominators S_i are
-# divided by; at n >= 4 one batched LAPACK solve (or inv) covers every
-# restart. At n = 2 and 3 each S_i is inverted in closed form: L L^T rounds
-# to an exactly symmetric matrix, so S_i is one too, and its cofactors and
-# determinant come from its n(n+1)/2 unique entries by elementwise products,
-# with S_i^{-1} = cof / det. The closed form's relative error grows like
-# eps / (det / prod(diag S_i)), so a family with any S_i whose det is not
-# finite and positive or whose ratio det / prod(diag) is below MIN_DET_RATIO
-# is evaluated by the LAPACK path instead, with that path's value, nan or
-# LinAlgError. Sums over the p axis and over a block's entries add in order
-# (``_sum_over_p``, fixed-order elementwise adds), so a family's result does
-# not depend on the stack it is in. Each path rounds exactly as the np.roll /
-# LAPACK / closed-form Python-loop oracle it is tested against
-# (tests/looped_oracle.py, tests/test_search.py).
-
-# Smallest det / prod(diag) of a 2x2 or 3x3 denominator that the closed form
-# takes. Against an extended-precision reference, on 4e5 random SPD blocks
-# per n and kind (condition numbers up to 1e7; one scale per block, or each
-# row and column scaled by e^-8..e^8), the closed form's relative error
-# stayed below 4e-13 at ratios from 1e-3 up, and grows as 1 / ratio below.
-# LAPACK's was up to 6e-13 there on blocks of one scale, and up to 1.5e-10
-# on the rescaled ones.
-MIN_DET_RATIO = 1e-3
-# Flat positions of a symmetric block's unique entries (upper triangle, row
-# by row), and the full block from them. The closed form holds a stack of
-# blocks entries first, (u, p, B), so each entry is one contiguous array.
-_UNIQUE = {2: np.array([0, 1, 3]), 3: np.array([0, 1, 2, 4, 5, 8])}
-_FULL = {2: np.array([0, 1, 1, 2]), 3: np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])}
-# Weight of each unique entry in a trace sum_jk C_jk A_jk of two symmetric
-# blocks: an off-diagonal entry counts twice.
-_WEIGHT = {2: np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1),
-           3: np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]).reshape(6, 1, 1)}
-# 2x2 cofactors from (s00, s01, s11): (s11, -s01, s00)
-_SIGN2 = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
-# 3x3 cofactors from u = (s00, s01, s02, s11, s12, s22): row k of _COF3 picks
-# the factors x_k, and cof = x_0 * x_1 - x_2 * x_3, e.g. cof_00 = s11 * s22 - s12 * s12
-_COF3 = np.array([
-    [3, 4, 1, 0, 1, 0],
-    [5, 2, 4, 5, 2, 3],
-    [4, 1, 3, 2, 0, 1],
-    [4, 5, 2, 2, 4, 1],
-]).ravel()
+# The kernels take factors stacked as (..., p, n, n), one family per restart,
+# and evaluate them through ``cyclic_traces`` and ``cyclic_inverses``; L L^T
+# rounds to an exactly symmetric matrix, as their 2x2 and 3x3 closed form needs.
 
 
 @lru_cache(maxsize=128)
@@ -192,88 +152,10 @@ def _mats_from_factors(factors, ridge: float):
     return factors @ np.ascontiguousarray(factors.swapaxes(-1, -2)) + ridge * _eye(factors.shape[-1])
 
 
-def _cofactors(s):
-    """Cofactors, determinant and guard of symmetric 2x2 or 3x3 blocks.
-
-    ``s`` holds the blocks' unique entries first, (3, p, B) or (6, p, B), in
-    ``_UNIQUE`` order; returns the cofactors in the same layout, the
-    determinant (the first row times its cofactors, added in order), and
-    whether the closed form may be used: det finite, positive and at least
-    MIN_DET_RATIO times the product of the diagonal.
-    """
-    if len(s) == 3:
-        n = 2
-        cof = s[::-1] * _SIGN2
-        diag = s[0] * s[2]
-    else:
-        n = 3
-        x = s.take(_COF3, axis=0).reshape((4, 6) + s.shape[1:])
-        cof = x[0] * x[1] - x[2] * x[3]
-        diag = s[0] * s[3] * s[5]
-    row = s[:n] * cof[:n]
-    det = row[0] + row[1]
-    if n == 3:
-        det += row[2]
-    ok = (det > 0.0) & (det < np.inf) & (det >= MIN_DET_RATIO * diag)
-    return cof, det, ok
-
-
-@lru_cache(maxsize=128)
-def _gather_index(p: int, n: int) -> np.ndarray:
-    """Flat positions in a (p, n, n) family of the unique entries of A_{i+k},
-    k = 0, 1, 2, as (3, u, p)."""
-    idx = np.stack([_shift_index(p, k) * (n * n) + _UNIQUE[n][:, None] for k in range(3)])
-    idx.flags.writeable = False
-    return idx
-
-
-def _closed_form(mats):
-    """For families (B, p, n, n) at n in {2, 3}: the unique entries of each
-    A_i, and the cofactors and determinant of each S_i = A_{i+1} + A_{i+2},
-    entries first, (u, p, B) and (p, B); and, per family, whether every S_i
-    passes the guard."""
-    b, p, n = mats.shape[0], mats.shape[1], mats.shape[-1]
-    x = mats.reshape(b, p * n * n).T.take(_gather_index(p, n), axis=0)
-    a, s = x[0], x[1] + x[2]
-    cof, det, ok = _cofactors(s)
-    return a, cof, det, ok.all(axis=0)
-
-
 def _margin_value(factors, ridge: float):
     """Margin of stacked factors (..., p, n, n); one family's p blocks give a scalar."""
     mats = _mats_from_factors(np.asarray(factors, dtype=np.float64), ridge)
-    p, n = mats.shape[-3], mats.shape[-1]
-    if n not in _UNIQUE:
-        return cyclic_traces(mats) - p * n / 2.0
-    lead, mats = mats.shape[:-3], mats.reshape((-1,) + mats.shape[-3:])
-    # families the guard refuses are evaluated again below; nothing here may warn
-    with np.errstate(all="ignore"):
-        a, cof, det, ok = _closed_form(mats)
-        # Tr(S_i^{-1} A_i) = sum_jk cof_jk (A_i)_jk / det, entries added in order
-        terms = cof * a * _WEIGHT[n]
-        tr = terms[0] + terms[1]
-        for t in terms[2:]:
-            tr += t
-        traces = _sum_over_p((tr / det).T)
-    if not ok.all():
-        traces[~ok] = cyclic_traces(mats[~ok])
-    return traces.reshape(lead) - p * n / 2.0
-
-
-def _inverses(mats):
-    """S_i^{-1} of families (..., p, n, n), n in {2, 3}: cof / det, or LAPACK
-    for a family the guard refuses."""
-    n = mats.shape[-1]
-    flat = mats.reshape((-1,) + mats.shape[-3:])
-    invs = np.empty(flat.shape[:-2] + (n * n,))
-    with np.errstate(all="ignore"):
-        _, cof, det, ok = _closed_form(flat)
-        # written through the (n*n, p, B) view of invs, which stays C-contiguous
-        np.divide(cof.take(_FULL[n], axis=0), det, out=invs.T)
-    invs = invs.reshape(flat.shape)
-    if not ok.all():
-        invs[~ok] = np.linalg.inv(cyclic_denominators(flat[~ok]))
-    return invs.reshape(mats.shape)
+    return cyclic_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
 
 
 def margin_gradient(factors, ridge: float):
@@ -286,14 +168,7 @@ def margin_gradient(factors, ridge: float):
     """
     factors = np.asarray(factors, dtype=np.float64)
     mats = _mats_from_factors(factors, ridge)
-    n = mats.shape[-1]
-    if n in _UNIQUE:
-        invs = _inverses(mats)
-    elif n == 1:
-        # 1x1 blocks divide, as in cyclic_terms; a 1x1 inv rounds the same
-        invs = 1.0 / cyclic_denominators(mats)
-    else:
-        invs = np.linalg.inv(cyclic_denominators(mats))
+    invs = cyclic_inverses(mats)
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
     ks = invs @ mats @ invs
     d = invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)
@@ -432,11 +307,14 @@ def _descend(cfg: SearchConfig, factors):
 
 
 def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
+    """Verdict on a re-verified margin: a verified counterexample only below
+    the noise band of ``tol`` and of ``VERIFY_TOL`` both, so a ``tol.rel``
+    under 1e-12 does not narrow the band; a nan margin is noise."""
     if margin >= 0.0:
         return "no_counterexample_found"
-    if margin > -NOISE_FACTOR * tol.rel:
-        return "numerical_noise"
-    return "candidate"
+    if margin <= -NOISE_FACTOR * tol.rel and margin < -NOISE_FACTOR * VERIFY_TOL.rel:
+        return "verified_counterexample"
+    return "numerical_noise"
 
 
 def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchResult:
@@ -450,10 +328,8 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     runs as one share. Restarts that diverge (LinAlgError, or a non-finite
     final margin) are dropped, and ``iterations_used`` sums the accepted
     steps of the others. The winning family is re-evaluated through the
-    checker path with fresh refined inverses before being reported; a
-    candidate is classified as a verified counterexample only when that
-    margin also lies below the noise band of the tightened tolerance
-    ``VERIFY_TOL``.
+    checker path with fresh refined inverses before being reported, and
+    that margin is classified (``classify_margin``).
     """
     starts = _initial_factors(cfg)
     workers = 1 if cfg.n == 1 else min(_cpu_count(), cfg.restarts)
@@ -480,16 +356,12 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
             f"soundness gate: optimizer margin {f!r} disagrees with "
             f"re-verified margin {recomputed!r}"
         )
-    classification = classify_margin(recomputed, tol)
-    if classification == "candidate":
-        verified = recomputed < -NOISE_FACTOR * VERIFY_TOL.rel
-        classification = "verified_counterexample" if verified else "numerical_noise"
     return SearchResult(
         best_family=family,
         best_margin=recomputed,
         iterations_used=total_iters,
         margin_history=history,
-        classification=classification,
+        classification=classify_margin(recomputed, tol),
         restart_index=r,
     )
 

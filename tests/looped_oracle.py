@@ -3,10 +3,14 @@
 These are the checkers and suites as they were before trial batching: one
 trial at a time, one matrix at a time, with a running record update. The
 stacked ``batch_`` kernels in ``cyclicpd.inequalities`` and the suites in
-``cyclicpd.verify`` are tested against them. The cyclic-sum kernel
-(``cyclic_traces``, ``_cyclic_matrix_sum``) has its own looped oracle in
-``test_inequalities.py`` and is used here as is. The conditional suite follows
-the current rule: a violation that a theorem covers is a record failure.
+``cyclicpd.verify`` are tested against them; they take the cyclic-sum
+kernel (``cyclic_traces``, ``_cyclic_matrix_sum``) as it is. The conditional
+suite follows the current rule: a violation that a theorem covers is a
+record failure.
+
+``ref_closed_form``, ``ref_family_closed_form`` and ``looped_cyclic_sum`` are
+that kernel one member at a time in Python floats: the guarded 2x2/3x3 closed
+form, or one LAPACK solve per member where it does not apply.
 
 ``roll_shift``, ``roll_denominators`` and ``looped_sum_over_p`` are the
 kernel helpers as they were before the index gather and the cumulative sum.
@@ -15,6 +19,7 @@ one-object types and eigensolvers the looped checkers were written against.
 ``random_pd`` draws one matrix at a time: the sequential stream that
 ``pdcore.random_pd_stack`` must take.
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +27,7 @@ import numpy as np
 from cyclicpd import verify
 from cyclicpd.errors import DimensionMismatch, IllConditioned, SingularDenominator
 from cyclicpd.inequalities import (
+    MIN_DET_RATIO,
     SCALAR_VALID_P,
     CheckReport,
     _cyclic_matrix_sum,
@@ -151,6 +157,62 @@ def looped_sum_over_p(terms):
     total = 0.0
     for i in range(terms.shape[-1]):
         total = total + terms[..., i]
+    return total
+
+
+def ref_closed_form(s):
+    """(cofactor matrix, det) of one symmetric 2x2 or 3x3 block, by the
+    textbook minors and a first-row expansion in Python floats; None when the
+    guard sends the block to LAPACK."""
+    s = s.tolist()
+    n = len(s)
+    if n == 2:
+        cof = [[s[1][1], -s[1][0]], [-s[0][1], s[0][0]]]
+        diag = s[0][0] * s[1][1]
+    else:
+        def minor(j, k):
+            (r0, r1), (c0, c1) = [x for x in range(3) if x != j], [x for x in range(3) if x != k]
+            return s[r0][c0] * s[r1][c1] - s[r0][c1] * s[r1][c0]
+        cof = [[minor(j, k) if (j + k) % 2 == 0 else -minor(j, k) for k in range(3)] for j in range(3)]
+        diag = s[0][0] * s[1][1] * s[2][2]
+    det = s[0][0] * cof[0][0]
+    for k in range(1, n):
+        det += s[0][k] * cof[0][k]
+    if not (math.isfinite(det) and det > 0.0 and det >= MIN_DET_RATIO * diag):
+        return None
+    return cof, det
+
+
+def ref_family_closed_form(mats):
+    """Each S_i's closed form, or None when the family goes to LAPACK:
+    complex, n not in {2, 3}, or some S_i refused by the guard."""
+    p, n = len(mats), mats[0].shape[0]
+    if n not in (2, 3) or np.iscomplexobj(mats[0]):
+        return None
+    forms = [ref_closed_form(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
+    return None if any(f is None for f in forms) else forms
+
+
+def looped_cyclic_sum(mats):
+    """F_p of one family (p blocks), one member at a time: the closed form
+    when ``ref_family_closed_form`` admits the family, else one LAPACK solve
+    per member."""
+    p, n = len(mats), mats[0].shape[0]
+    forms = ref_family_closed_form(mats)
+    total = 0.0
+    for i in range(p):
+        if forms is None:
+            s = mats[(i + 1) % p] + mats[(i + 2) % p]
+            total += float(np.trace(np.linalg.solve(s, mats[i])).real)
+            continue
+        cof, det = forms[i]
+        a = mats[i].tolist()
+        # sum over j <= k, row by row; an off-diagonal entry counts twice
+        pairs = [(j, k) for j in range(n) for k in range(j, n)]
+        tr = cof[0][0] * a[0][0]
+        for j, k in pairs[1:]:
+            tr += cof[j][k] * a[j][k] * (1.0 if j == k else 2.0)
+        total += tr / det
     return total
 
 

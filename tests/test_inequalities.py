@@ -202,16 +202,17 @@ def ref_refined_inverse(m):
 
 
 def ref_cyclic_sum_trace(f, refine=False):
+    """F_p of one family: the looped kernel (the closed form for real n = 2, 3
+    families the guard admits, else one solve per member), or with ``refine``
+    one refined inverse per member."""
     mats = list(f.mats)
+    if not refine:
+        return oracle.looped_cyclic_sum(mats)
     p = f.p
     total = 0.0
     for i in range(p):
-        s = mats[(i + 1) % p] + mats[(i + 2) % p]
-        if refine:
-            x = ref_refined_inverse(oracle.closure_pd(s, cp.Tolerance()).mat)
-            total += float(np.trace(mats[i] @ x).real)
-        else:
-            total += float(np.trace(np.linalg.solve(s, mats[i])).real)
+        x = ref_refined_inverse(oracle.closure_pd(mats[(i + 1) % p] + mats[(i + 2) % p], cp.Tolerance()).mat)
+        total += float(np.trace(mats[i] @ x).real)
     return total
 
 

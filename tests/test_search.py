@@ -1,11 +1,11 @@
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cyclicpd as cp
-from cyclicpd import search
+import looped_oracle as oracle
+from cyclicpd import inequalities as ineq, search
 from cyclicpd.search import _margin_value, classify_margin
 
 DRINFELD_GAMMA = 0.98913  # S_p >= gamma * p / 2 for positive scalars (Drinfeld, 1971)
@@ -153,12 +153,39 @@ class TestMinimizeMargin:
         assert cp.shapiro_margin(fam) == pytest.approx(res.best_margin, abs=1e-9)
 
 
+def two_step_classification(margin, tol):
+    """The verdict as it was reached in two steps: the noise band of ``tol``,
+    then a "candidate" below it checked against the band of VERIFY_TOL."""
+    if margin >= 0.0:
+        return "no_counterexample_found"
+    if margin > -search.NOISE_FACTOR * tol.rel:
+        return "numerical_noise"
+    verified = margin < -search.NOISE_FACTOR * search.VERIFY_TOL.rel
+    return "verified_counterexample" if verified else "numerical_noise"
+
+
 class TestClassification:
     def test_bands(self):
         tol = cp.Tolerance()
         assert classify_margin(0.5, tol) == "no_counterexample_found"
         assert classify_margin(-1e-10, tol) == "numerical_noise"
-        assert classify_margin(-1e-4, tol) == "candidate"
+        assert classify_margin(-1e-4, tol) == "verified_counterexample"
+
+    @pytest.mark.parametrize("rel, table", [
+        # below 1e-12, VERIFY_TOL floors the band at 1e-11
+        (1e-13, [(1e-13, "no_counterexample_found"), (-5e-13, "numerical_noise"),
+                 (-5e-12, "numerical_noise"), (-2e-11, "verified_counterexample")]),
+        (1e-9, [(1e-9, "no_counterexample_found"), (-5e-11, "numerical_noise"),
+                (-5e-9, "numerical_noise"), (-2e-8, "verified_counterexample")]),
+    ])
+    def test_one_step_equals_two_steps_at_every_band_edge(self, rel, table):
+        tol = cp.Tolerance(rel=rel)
+        for margin, verdict in table:
+            assert classify_margin(margin, tol) == verdict
+        edges = (0.0, -search.NOISE_FACTOR * rel, -search.NOISE_FACTOR * search.VERIFY_TOL.rel)
+        margins = [m for e in edges for m in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
+        for margin in margins + [np.nan]:
+            assert classify_margin(margin, tol) == two_step_classification(margin, tol), margin
 
 
 class TestProbeConjecture:
@@ -192,65 +219,16 @@ def ref_mats(factors, ridge):
     return [l @ l.T + ridge * eye for l in factors]
 
 
-def ref_closed_form(s):
-    """(cofactor matrix, det) of one symmetric 2x2 or 3x3 block, by the
-    textbook minors and a first-row expansion in Python floats; None when the
-    search's guard sends the block to LAPACK."""
-    s = s.tolist()
-    n = len(s)
-    if n == 2:
-        cof = [[s[1][1], -s[1][0]], [-s[0][1], s[0][0]]]
-        diag = s[0][0] * s[1][1]
-    else:
-        def minor(j, k):
-            (r0, r1), (c0, c1) = [x for x in range(3) if x != j], [x for x in range(3) if x != k]
-            return s[r0][c0] * s[r1][c1] - s[r0][c1] * s[r1][c0]
-        cof = [[minor(j, k) if (j + k) % 2 == 0 else -minor(j, k) for k in range(3)] for j in range(3)]
-        diag = s[0][0] * s[1][1] * s[2][2]
-    det = s[0][0] * cof[0][0]
-    for k in range(1, n):
-        det += s[0][k] * cof[0][k]
-    if not (math.isfinite(det) and det > 0.0 and det >= search.MIN_DET_RATIO * diag):
-        return None
-    return cof, det
-
-
-def ref_family_closed_form(mats):
-    """Each S_i's closed form, or None when the family goes to LAPACK."""
-    p, n = len(mats), mats[0].shape[0]
-    if n not in (2, 3):
-        return None
-    forms = [ref_closed_form(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
-    return None if any(f is None for f in forms) else forms
-
-
 def ref_margin_value(factors, ridge):
     mats = ref_mats(factors, ridge)
-    p = len(mats)
-    n = mats[0].shape[0]
-    forms = ref_family_closed_form(mats)
-    total = 0.0
-    for i in range(p):
-        if forms is None:
-            s = mats[(i + 1) % p] + mats[(i + 2) % p]
-            total += float(np.trace(np.linalg.solve(s, mats[i])))
-            continue
-        cof, det = forms[i]
-        a = mats[i].tolist()
-        # sum over j <= k, row by row; an off-diagonal entry counts twice
-        pairs = [(j, k) for j in range(n) for k in range(j, n)]
-        tr = cof[0][0] * a[0][0]
-        for j, k in pairs[1:]:
-            tr += cof[j][k] * a[j][k] * (1.0 if j == k else 2.0)
-        total += tr / det
-    return total - p * n / 2.0
+    return oracle.looped_cyclic_sum(mats) - len(mats) * mats[0].shape[0] / 2.0
 
 
 def ref_margin_gradient(factors, ridge):
     factors = [np.asarray(l, dtype=np.float64) for l in factors]
     p = len(factors)
     mats = ref_mats(factors, ridge)
-    forms = ref_family_closed_form(mats)
+    forms = oracle.ref_family_closed_form(mats)
     if forms is None:
         invs = [np.linalg.inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
     else:
@@ -546,10 +524,15 @@ class TestMatsFromFactors:
         assert np.array_equal(mats, np.swapaxes(mats, -1, -2))
 
 
+def lapack_traces(mats):
+    """The cyclic trace sums by one batched LAPACK solve, the path of n >= 4."""
+    return ineq._sum_over_p(np.trace(ineq.cyclic_terms(mats), axis1=-2, axis2=-1))
+
+
 def lapack_margin(factors, ridge):
-    """The margin by one batched LAPACK solve, the path of n >= 4."""
+    """The margin by one batched LAPACK solve."""
     mats = search._mats_from_factors(factors, ridge)
-    return cp.inequalities.cyclic_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
+    return lapack_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
 
 
 def lapack_gradient(factors, ridge):
@@ -564,7 +547,7 @@ def lapack_gradient(factors, ridge):
 def admitted(factors, ridge):
     """Per family: whether the guard lets the closed form evaluate it."""
     with np.errstate(all="ignore"):  # as the kernels call it
-        return search._closed_form(search._mats_from_factors(factors, ridge))[3]
+        return ineq._closed_form(search._mats_from_factors(factors, ridge))[3]
 
 
 def exact_inverse(s):
@@ -582,7 +565,8 @@ def exact_inverse(s):
 
 
 class TestClosedFormAgainstLapack:
-    """At n = 2, 3 the search inverts S_i in closed form. LAPACK stays the
+    """At real n = 2, 3 the cyclic-sum kernel inverts S_i in closed form,
+    and the search's margin and gradient go through it. LAPACK stays the
     accuracy oracle: families the guard admits agree with it to 1e-12
     relative, and families it refuses (ill-conditioned, det <= 0, nan) get
     the LAPACK path's value, nan or LinAlgError bit for bit."""
@@ -647,11 +631,24 @@ class TestClosedFormAgainstLapack:
         rng = rng_for(400 + n)
         for kind in ("random", "scaled", "floor"):
             mats = search._mats_from_factors(self.stack(kind, n, 7, rng), search.MIN_RIDGE)
-            ok = search._closed_form(mats)[3]
-            got, want = search._inverses(mats), np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+            ok = ineq._closed_form(mats)[3]
+            got, want = ineq.cyclic_inverses(mats), np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
             err = np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))
             assert np.all(err[ok] <= self.RTOL)
             assert np.array_equal(got[~ok], want[~ok])
+
+    @pytest.mark.parametrize("n,p", [(2, 12), (3, 23)])
+    def test_refused_families_give_lapack_bits_to_every_caller(self, n, p):
+        # verify and eval read F_p through cyclic_traces and cyclic_sum_trace
+        rng = rng_for(800 + n)
+        factors = np.concatenate([self.stack(kind, n, p, rng) for kind in ("scaled", "floor")])
+        mats = search._mats_from_factors(factors, search.MIN_RIDGE)
+        ok = ineq._closed_form(mats)[3]
+        assert ok.any() and (~ok).any()
+        got, want = ineq.cyclic_traces(mats), lapack_traces(mats)
+        assert np.array_equal(got[~ok], want[~ok])
+        for i in np.flatnonzero(~ok):
+            assert cp.cyclic_sum_trace(cp.CyclicFamily(mats[i])) == want[i]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_admitted_blocks_near_the_guard_are_accurate(self, n):
@@ -661,12 +658,12 @@ class TestClosedFormAgainstLapack:
         q = np.linalg.qr(rng.standard_normal((4000, n, n)))[0]
         s = (q * np.exp(rng.uniform(0.0, np.log(1e7), (4000, 1, n)))) @ np.swapaxes(q, -1, -2)
         s = (s + np.swapaxes(s, -1, -2)) / 2.0
-        cof, det, ok = (x[..., 0] for x in search._cofactors(s.reshape(-1, n * n)[:, search._UNIQUE[n]].T[..., None]))
+        cof, det, ok = (x[..., 0] for x in ineq._cofactors(s.reshape(-1, n * n)[:, ineq._UNIQUE[n]].T[..., None]))
         ratio = det / np.prod(np.diagonal(s, axis1=-2, axis2=-1), axis=-1)
-        near = np.flatnonzero(ok & (ratio < 4 * search.MIN_DET_RATIO))
+        near = np.flatnonzero(ok & (ratio < 4 * ineq.MIN_DET_RATIO))
         assert len(near) >= 20 and (~ok).any()
         for i in near[:40]:
-            got = cof[:, i][search._FULL[n]].reshape(n, n) / det[i]
+            got = cof[:, i][ineq._FULL[n]].reshape(n, n) / det[i]
             want = exact_inverse(s[i])
             assert np.abs(got - want).max() <= self.RTOL * np.abs(want).max()
 
