@@ -1,14 +1,21 @@
 """Run independent jobs split across forked processes, with the serial result.
 
 ``verify`` splits its grid and ``search`` its restarts through
-:func:`run_units`; the caller chooses the number of processes, usually from
-:func:`cpu_count`.
+:func:`run_units`, into the number of processes that :func:`workers_for`
+picks from the run's work: one per CPU and per unit, but no more than the
+work repays.
 """
 from __future__ import annotations
 
 import os
 import pickle
 import threading
+
+# Work below which one more process costs more than it saves. Work is counted
+# in search block-iterations: a search's is restarts x p x n**2 x max_iters,
+# and ``verify`` weights its grid into the same unit. Measured with
+# ``tools/bench_kernel.py`` (its fork layer) on a 2-core x86_64 machine.
+FLOOR = 200_000
 
 
 def cpu_count() -> int:
@@ -17,6 +24,12 @@ def cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def workers_for(work, units: int, cpus: int) -> int:
+    """W = min(cpus, units, max(1, floor(work / FLOOR))): the processes a run
+    of ``units`` jobs and ``work`` in all is split into."""
+    return min(cpus, units, max(1, int(work // FLOOR)))
 
 
 def run_units(jobs, costs, workers: int) -> list:

@@ -195,7 +195,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1 or args.p < 1 or args.count < 1 or args.field not in ("real", "complex"):
+    if args.n < 1 or args.p < 3 or args.count < 1 or args.field not in ("real", "complex"):
         print("error: invalid sample parameters", file=sys.stderr)
         return 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))

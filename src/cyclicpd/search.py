@@ -15,10 +15,10 @@ rescales the factors. The margin is the cyclic trace sum of
 ``inequalities.cyclic_traces`` and the gradient takes its inverses from
 ``inequalities.cyclic_inverses``, the one kernel that verify and ``eval``
 use too (division at n = 1, a guarded closed form at n = 2 and 3, LAPACK
-otherwise). At n >= 2 the restarts
-are cut into one contiguous share per CPU this process may use, and each
-share descends in a forked process; at n = 1 the work is per-call overhead
-that a fork would only add to, so one stack runs in this process.
+otherwise). The restarts are cut into contiguous shares, one per process
+that ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
+max_iters), and each share descends in a forked process; a search below the
+fork floor, such as a small or scalar one, runs as one stack in this process.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
@@ -32,7 +32,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._fork import cpu_count as _cpu_count, run_units
+from ._fork import cpu_count as _cpu_count, run_units, workers_for
 from .pdcore import DEFAULT_TOL, CyclicFamily, Tolerance, validate_family
 from .inequalities import _sum_over_p, cyclic_inverses, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
@@ -320,19 +320,21 @@ def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
 def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
-    The restarts run in lockstep (see ``_descend``). At n >= 2 they are cut
-    into W = min(``_cpu_count()``, restarts) contiguous shares, each descended
-    in lockstep, share 0 here and the others in forked processes (see
-    :func:`cyclicpd._fork.run_units`); the shares are joined in restart order.
-    Restarts are independent, so the result is the same at every W; n = 1
-    runs as one share. Restarts that diverge (LinAlgError, or a non-finite
-    final margin) are dropped, and ``iterations_used`` sums the accepted
-    steps of the others. The winning family is re-evaluated through the
-    checker path with fresh refined inverses before being reported, and
-    that margin is classified (``classify_margin``).
+    The restarts run in lockstep (see ``_descend``). They are cut into
+    W = min(``_cpu_count()``, restarts, max(1, work // FLOOR)) contiguous
+    shares, where work = restarts x p x n**2 x max_iters (see
+    :func:`cyclicpd._fork.workers_for`); each share descends in lockstep,
+    share 0 here and the others in forked processes (see
+    :func:`cyclicpd._fork.run_units`), and the shares are joined in restart
+    order. Restarts are independent, so the result is the same at every W.
+    Restarts that diverge (LinAlgError, or a non-finite final margin) are
+    dropped, and ``iterations_used`` sums the accepted steps of the others.
+    The winning family is re-evaluated through the checker path with fresh
+    refined inverses before being reported, and that margin is classified
+    (``classify_margin``).
     """
     starts = _initial_factors(cfg)
-    workers = 1 if cfg.n == 1 else min(_cpu_count(), cfg.restarts)
+    workers = workers_for(cfg.restarts * cfg.p * cfg.n**2 * cfg.max_iters, cfg.restarts, _cpu_count())
     shares = np.array_split(starts, workers)
     parts = run_units([partial(_descend, cfg, share) for share in shares],
                       [len(share) for share in shares], workers)

@@ -23,8 +23,9 @@ stack, by the same calls and with the same bits as on the raw arrays. The
 conditional suite runs one checker per stack and hands it the raw array.
 
 :func:`run_suites` runs each (suite, n) as a unit of its own and splits the
-units across forked processes; since no grid point's stream depends on
-another's, the outcome is the same at every process count.
+units across as many forked processes as the grid's work repays; since no
+grid point's stream depends on another's, the outcome is the same at every
+process count.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inequalities as ineq
-from ._fork import cpu_count as _cpu_count, run_units
+from ._fork import cpu_count as _cpu_count, run_units, workers_for
 from .pdcore import DEFAULT_TOL, CyclicFamily, random_pd_stack
 from .serialize import family_to_dict
 
@@ -56,6 +57,12 @@ IDENTITIES = ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_i
 # Trials evaluated as one stack. It bounds the memory a grid point takes (about
 # 55 kB per trial at n = 6, p = 8, complex) and changes no result.
 TRIALS_PER_STACK = 512
+# The fork rule's work of one trial of one family per unit of n, in the search
+# block-iterations that ``_fork.FLOOR`` counts. A grid's fork repays itself
+# from about 50 ms of serial time, a search's from about 100 ms, so a trial
+# weighs more than the 400 or so block-iterations its time would buy
+# (``tools/bench_kernel.py``, fork layer).
+TRIAL_WORK = 1000
 
 
 @dataclass
@@ -262,10 +269,13 @@ def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     """Dispatch; returns {suite name: SuiteOutcome} for the suites asked for.
 
     The work is cut into units of one (suite, n) each, run as
-    ``run_<suite>([n], ...)`` and split across up to ``_cpu_count()``
-    processes (see :func:`cyclicpd._fork.run_units`). Every suite's outermost
-    loop is over n, so the units' records and events, concatenated in serial
-    order, are the serial outcome whatever the number of processes.
+    ``run_<suite>([n], ...)``. A unit's work is TRIAL_WORK x n x trials x
+    |p_values| x |fields|, and the units are split across
+    W = min(``_cpu_count()``, units, max(1, work // FLOOR)) processes (see
+    :func:`cyclicpd._fork.workers_for` and :func:`cyclicpd._fork.run_units`).
+    Every suite's outermost loop is over n, so the units' records and events,
+    concatenated in serial order, are the serial outcome whatever the number
+    of processes.
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
@@ -275,8 +285,9 @@ def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     jobs = [functools.partial(globals()[f"run_{name}"], [n], p_values, trials, seed, tol, fields)
             for name, n in units]
     results = {name: SuiteOutcome() for name in names}
+    costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) for _, n in units]
     # _cpu_count is looked up here, so a count bound on this module is used
-    outcomes = run_units(jobs, [n for _, n in units], _cpu_count())
+    outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))
     for (name, _), outcome in zip(units, outcomes):
         results[name].records.extend(outcome.records)
         results[name].events.extend(outcome.events)

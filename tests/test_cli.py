@@ -229,6 +229,9 @@ def test_python_dash_m_entry_point():
 
 def test_sample_bad_params():
     assert main(["sample", "--n", "0", "--p", "3"]) == 2
+    # no cyclic sum has fewer than three members, so eval would reject the family
+    assert main(["sample", "--n", "2", "--p", "2"]) == 2
+    assert main(["sample", "--n", "2", "--p", "1"]) == 2
 
 
 def test_verify_small_run(tmp_path):

@@ -1,6 +1,8 @@
-"""search.minimize_margin split over forked workers at n >= 2: the same result,
-dropped restarts, tie-breaks and errors at every worker count as the serial
-lockstep descent (W = 1), no fork at n = 1, and no child left behind."""
+"""search.minimize_margin split over forked workers: the same result, dropped
+restarts, tie-breaks and errors at every worker count as the serial lockstep
+descent (W = 1), no fork for a search below the fork rule's floor, and no
+child left behind. The configs are small, so the tests of the split lower the
+floor until every restart could have a process of its own."""
 import os
 import threading
 
@@ -8,7 +10,8 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
-from cyclicpd import search
+from cyclicpd import _fork, search
+from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
 
 CONFIGS = [
@@ -33,6 +36,12 @@ def forks(monkeypatch):
     return count
 
 
+@pytest.fixture
+def low_floor(monkeypatch):
+    """A fork floor under any search's work: W = min(CPUs, restarts)."""
+    monkeypatch.setattr(_fork, "FLOOR", 1)
+
+
 def run_at(monkeypatch, workers, cfg):
     monkeypatch.setattr(search, "_cpu_count", lambda: workers)
     return cp.minimize_margin(cfg)
@@ -48,7 +57,7 @@ def start_with(monkeypatch, init):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"p{c.p}-n{c.n}-r{c.restarts}-i{c.max_iters}")
-def test_same_result_at_every_worker_count(monkeypatch, forks, cfg):
+def test_same_result_at_every_worker_count(monkeypatch, forks, low_floor, cfg):
     want = run_at(monkeypatch, 1, cfg).to_dict()
     assert forks[0] == 0
     for workers in (2, 3, cfg.restarts + 2):
@@ -59,7 +68,7 @@ def test_same_result_at_every_worker_count(monkeypatch, forks, cfg):
 
 
 @pytest.mark.parametrize("poison", ["nan", "singular"])
-def test_diverging_restart_in_a_child_dropped_alone(monkeypatch, forks, poison):
+def test_diverging_restart_in_a_child_dropped_alone(monkeypatch, forks, low_floor, poison):
     """At W = 2 the last restart is in the child's share, at W = 3 in the last child's."""
     cfg = CONFIGS[1]
     clean_init = search._initial_factors(cfg)
@@ -82,7 +91,7 @@ def test_diverging_restart_in_a_child_dropped_alone(monkeypatch, forks, poison):
     assert_no_child_left()
 
 
-def test_all_restarts_diverged(monkeypatch, forks):
+def test_all_restarts_diverged(monkeypatch, forks, low_floor):
     cfg = cp.SearchConfig(p=4, n=2, restarts=3, max_iters=10)
     start_with(monkeypatch, np.full((3, 4, 2, 2), np.nan))
     for workers in (1, 2, 3):
@@ -92,7 +101,7 @@ def test_all_restarts_diverged(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_tie_across_shares_goes_to_the_lower_index(monkeypatch, forks):
+def test_tie_across_shares_goes_to_the_lower_index(monkeypatch, forks, low_floor):
     """Every restart starts from the same factors, so all margins tie."""
     cfg = CONFIGS[1]
     one = search._initial_factors(cfg)[2]
@@ -105,7 +114,7 @@ def test_tie_across_shares_goes_to_the_lower_index(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_error_in_a_child_reaches_the_caller(monkeypatch, forks):
+def test_error_in_a_child_reaches_the_caller(monkeypatch, forks, low_floor):
     """The gradient raises on the last restart, which no W > 1 gives the parent."""
     cfg = CONFIGS[1]
     marked = search._initial_factors(cfg)[-1]
@@ -128,15 +137,29 @@ def test_error_in_a_child_reaches_the_caller(monkeypatch, forks):
     assert forks[0] == 1 + 2
 
 
-def test_scalar_search_makes_no_fork(monkeypatch, forks):
+def test_scalar_search_below_the_floor_makes_no_fork(monkeypatch, forks):
+    """The benchmark's search-scalar config."""
     cfg = cp.SearchConfig(p=14, n=1, restarts=8, max_iters=50, master_seed=11)
     want = run_at(monkeypatch, 1, cfg).to_dict()
-    assert run_at(monkeypatch, 4, cfg).to_dict() == want
+    assert run_at(monkeypatch, 2, cfg).to_dict() == want
     assert forks[0] == 0
 
 
+@pytest.mark.parametrize("argv, want", [
+    # the benchmark's search-matrix command: two shares of two restarts cost
+    # more together than one stack of four
+    (["--p", "23", "--n", "3", "--restarts", "4", "--max-iters", "100"], 0),
+    (["--p", "12", "--n", "3", "--restarts", "32", "--max-iters", "300"], 1),
+], ids=["search-matrix", "p12-n3-r32"])
+def test_matrix_search_forks_by_its_work(monkeypatch, forks, tmp_path, argv, want):
+    monkeypatch.setattr(search, "_cpu_count", lambda: 2)
+    assert main(["search", *argv, "--seed", "11", "--out", str(tmp_path / "s.json")]) == 0
+    assert forks[0] == want
+    assert_no_child_left()
+
+
 @pytest.mark.parametrize("hide_fork", [True, False])
-def test_serial_without_fork_or_with_other_threads(monkeypatch, forks, hide_fork):
+def test_serial_without_fork_or_with_other_threads(monkeypatch, forks, low_floor, hide_fork):
     cfg = CONFIGS[2]
     want = run_at(monkeypatch, 1, cfg).to_dict()
     stop = threading.Event()

@@ -1,6 +1,8 @@
 """verify.run_suites split over forked workers: the same outcome, failures,
 events, witnesses and errors at every worker count as the serial in-process
-loop (W = 1), and no child left behind."""
+loop (W = 1), no fork for a grid below the fork rule's floor, and no child
+left behind. The grids are small, so the tests of the split lower the floor
+until every (suite, n) unit could have a process of its own."""
 import dataclasses
 import errno
 import os
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 from cyclicpd import inequalities as ineq
-from cyclicpd import verify
+from cyclicpd import _fork, verify
 from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
 
@@ -29,6 +31,12 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", counting_fork)
     return count
+
+
+@pytest.fixture
+def low_floor(monkeypatch):
+    """A fork floor under any grid's work: W = min(CPUs, units)."""
+    monkeypatch.setattr(_fork, "FLOOR", 1)
 
 
 def run_at(monkeypatch, workers, *args, **kwargs):
@@ -51,7 +59,7 @@ def assert_no_child_left():
     ([5, 1, 3], [4, 3, 7], 2, ("complex",)),
     ([1], [3], verify.TRIALS_PER_STACK + 3, ("real",)),
 ])
-def test_same_outcome_at_every_worker_count(monkeypatch, forks, suite, dims, p_values, trials, fields):
+def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite, dims, p_values, trials, fields):
     serial = run_at(monkeypatch, 1, suite, dims, p_values, trials, 4, fields=fields)
     assert forks[0] == 0
     want = as_dicts(serial)
@@ -69,7 +77,7 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, suite, dims, p_v
     assert_no_child_left()
 
 
-def test_failures_events_and_witnesses_in_serial_order(monkeypatch, forks):
+def test_failures_events_and_witnesses_in_serial_order(monkeypatch, forks, low_floor):
     """Some trials at several (n, p) violate the trace bound: failures where a
     theorem covers (n, p), events elsewhere, each with its witness family."""
     real = ineq.batch_shapiro_trace
@@ -110,7 +118,7 @@ def raise_at(monkeypatch, bad_dims):
 # At W = 2, identities over dims [1, 2, 3] puts n = 3 and n = 1 in the parent's
 # share and n = 2 in the child's; a share runs in serial order, n = 1 first.
 @pytest.mark.parametrize("bad_dims", [{2}, {3}, {2, 3}, {1, 2}, {1, 3}])
-def test_error_is_the_serial_runs_first(monkeypatch, forks, bad_dims):
+def test_error_is_the_serial_runs_first(monkeypatch, forks, low_floor, bad_dims):
     raise_at(monkeypatch, bad_dims)
     args = ("identities", [1, 2, 3], [3, 5], 2, 3)
     with pytest.raises(NotPositiveDefinite) as serial:
@@ -125,7 +133,7 @@ def test_error_is_the_serial_runs_first(monkeypatch, forks, bad_dims):
     assert forks[0] == 1 + 2
 
 
-def test_child_that_ends_without_a_result(monkeypatch, forks):
+def test_child_that_ends_without_a_result(monkeypatch, forks, low_floor):
     parent = os.getpid()
     real = ineq.batch_square_cycle
 
@@ -141,7 +149,7 @@ def test_child_that_ends_without_a_result(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_unpicklable_error_in_a_child(monkeypatch, forks):
+def test_unpicklable_error_in_a_child(monkeypatch, forks, low_floor):
     """At W = 2, identities over dims [1, 2] runs n = 1 in the child."""
     class Unpicklable(Exception):
         pass  # a local class cannot be pickled by reference
@@ -160,7 +168,7 @@ def test_unpicklable_error_in_a_child(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_failed_fork_reaps_the_children_already_made(monkeypatch):
+def test_failed_fork_reaps_the_children_already_made(monkeypatch, low_floor):
     real_fork = os.fork
     calls = [0]
 
@@ -178,7 +186,7 @@ def test_failed_fork_reaps_the_children_already_made(monkeypatch):
 
 
 @pytest.mark.parametrize("hide_fork", [True, False])
-def test_serial_without_fork_or_with_other_threads(monkeypatch, forks, hide_fork):
+def test_serial_without_fork_or_with_other_threads(monkeypatch, forks, low_floor, hide_fork):
     args = ("all", [1, 2], [3, 4], 2, 5)
     want = as_dicts(run_at(monkeypatch, 1, *args))
     stop = threading.Event()
@@ -198,7 +206,7 @@ def test_serial_without_fork_or_with_other_threads(monkeypatch, forks, hide_fork
     assert got == want
 
 
-def test_cli_output_equal_across_worker_counts(monkeypatch, tmp_path):
+def test_cli_output_equal_across_worker_counts(monkeypatch, low_floor, tmp_path):
     argv = ["verify", "--suite", "all", "--dims", "1..3", "--p", "3..5", "--trials", "3", "--seed", "2"]
     texts = []
     for workers in (1, 2, 3):
@@ -208,4 +216,14 @@ def test_cli_output_equal_across_worker_counts(monkeypatch, tmp_path):
         text = out.read_text()
         texts.append(text[text.index('"results"'):])  # past the timestamps
     assert texts[0] == texts[1] == texts[2]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("dims, p_values, trials, want", [
+    ([1], [3], 1, 0),  # a fork costs more than the three tiny units take
+    (list(range(1, 7)), list(range(3, 9)), 4, 1),  # the benchmark's verify-grid command
+], ids=["tiny", "verify-grid"])
+def test_grid_forks_by_its_work(monkeypatch, forks, dims, p_values, trials, want):
+    run_at(monkeypatch, 2, "all", dims, p_values, trials, 6)
+    assert forks[0] == want
     assert_no_child_left()

@@ -1,5 +1,7 @@
-"""Kernel layer: microseconds of the search's ``_margin_value`` plus
-``margin_gradient`` per descent iteration, and of one ``cyclic_traces`` call.
+"""Kernel and fork layers: microseconds of the search's ``_margin_value``
+plus ``margin_gradient`` per descent iteration and of one ``cyclic_traces``
+call, and the wall time of whole searches and verify grids in one process
+against two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
@@ -10,9 +12,17 @@ on T real families drawn as verify draws them: the median over ``--runs``
 runs of the mean µs per call, and the largest relative difference from the
 trace sums of one batched LAPACK solve. Which ``cyclicpd`` it measures is
 the one ``import cyclicpd`` finds, so two checkouts compare by their
-``PYTHONPATH``:
+``PYTHONPATH``.
+
+The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
+search case and ``run_suites`` for each verify grid, in this process, at
+W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
+``--pairs`` alternating pairs. Per case it gives the work that
+``_fork.workers_for`` weighs, the W the rule picks at 2 CPUs, the median
+milliseconds at each W, and their ratio.
 
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
+    PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
 """
 from __future__ import annotations
 
@@ -24,12 +34,17 @@ import time
 import numpy as np
 
 import cyclicpd
-from cyclicpd import inequalities, search
+from cyclicpd import _fork, inequalities, search, verify
 from cyclicpd.pdcore import random_pd_stack
 
 CASES = [(3, 23, 2), (3, 23, 4), (2, 12, 2), (2, 12, 4)]
 TRACE_CASES = [(4, 3, 2), (4, 8, 3), (512, 8, 3)]
 TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
+# (p, n, restarts, iterations); the first is one command of the benchmark's search-matrix
+FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
+                 (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300)]
+# name -> (dims, p values, trials) of a verify --suite all --field both run
+FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4)}
 
 
 def timed(fn, spent):
@@ -74,13 +89,67 @@ def trace_case(trials: int, p: int, n: int, runs: int, seed: int):
     return statistics.median(per_call) * 1e6, rel
 
 
+def with_rule(rule, fn):
+    """fn() with ``rule(work, units)`` in place of the fork rule in search and verify."""
+    saved = search.workers_for, verify.workers_for
+    search.workers_for = verify.workers_for = lambda work, units, cpus: rule(work, units)
+    try:
+        return fn()
+    finally:
+        search.workers_for, verify.workers_for = saved
+
+
+def fork_case(fn, pairs: int):
+    """W = 1 against W = 2 for one run ``fn``: the work the rule weighs, the W
+    it picks at 2 CPUs, and the median ms at each W over ``pairs`` pairs, the
+    pair's order alternating."""
+    asked = []
+
+    def rule(work, units):
+        asked.append((work, _fork.workers_for(work, units, 2)))
+        return asked[-1][1]
+
+    with_rule(rule, fn)
+    ms = {1: [], 2: []}
+    for k in range(pairs):
+        for workers in ((1, 2) if k % 2 == 0 else (2, 1)):
+            t0 = time.perf_counter()
+            with_rule(lambda work, units: min(workers, units), fn)
+            ms[workers].append((time.perf_counter() - t0) * 1e3)
+    w1, w2 = statistics.median(ms[1]), statistics.median(ms[2])
+    return {"work": asked[0][0], "rule_workers": asked[0][1], "ms_w1": round(w1, 1), "ms_w2": round(w2, 1),
+            "ratio_w2_w1": round(w2 / w1, 2),
+            "pairs_w2_faster": sum(b < a for a, b in zip(ms[1], ms[2]))}
+
+
+def fork_layer(pairs: int, seed: int) -> dict:
+    out = {"floor": _fork.FLOOR, "pairs": pairs, "searches": [], "verify_grids": []}
+    for p, n, restarts, iters in FORK_SEARCHES:
+        cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
+        out["searches"].append({"p": p, "n": n, "restarts": restarts, "iterations": iters,
+                                **fork_case(lambda: search.minimize_margin(cfg), pairs)})
+    for name, (dims, ps, trials) in FORK_GRIDS.items():
+        run = lambda: verify.run_suites("all", dims, ps, trials, seed)  # noqa: E731
+        out["verify_grids"].append({"grid": name, "dims": dims, "p": ps, "trials": trials,
+                                    **fork_case(run, pairs)})
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--iters", type=int, default=100)
     ap.add_argument("--seed", type=int, default=11)
+    ap.add_argument("--layer", choices=["kernel", "fork", "all"], default="all")
+    ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    out = {"cyclicpd": cyclicpd.__file__, "numpy": np.__version__, "cases": []}
+    out = {"cyclicpd": cyclicpd.__file__, "numpy": np.__version__}
+    if args.layer != "kernel":
+        out["fork"] = fork_layer(args.pairs, args.seed)
+    if args.layer == "fork":
+        print(json.dumps(out, indent=1))
+        return 0
+    out["cases"] = []
     for n, p, restarts in CASES:
         runs = [run_case(n, p, restarts, args.iters, args.seed) for _ in range(args.runs)]
         iters = runs[0][2]
