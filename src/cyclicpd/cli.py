@@ -187,10 +187,11 @@ def cmd_eval(args) -> int:
             elif args.expr == "bidirectional":
                 rep = ineq.batch_bidirectional(fam.mats[None]).report()
                 out.append(rep.to_dict())
+        # a non-finite value fails the strict encoder here, before any output
+        _emit(out[0] if len(out) == 1 else out, None)
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps(out[0] if len(out) == 1 else out))
     return 0
 
 

@@ -474,7 +474,7 @@ def cyclic_denominators(mats):
 
 def cyclic_terms(mats):
     """S_i^{-1} A_i over stacked families (..., p, n, n): the LAPACK path of
-    ``cyclic_traces`` and ``_cyclic_matrix_sum``.
+    ``cyclic_traces``, its one caller.
 
     Real 1x1 blocks divide; on the shipped BLAS a 1x1 solve rounds the same
     (tests/test_inequalities.py checks it). Otherwise one batched solve.
@@ -724,13 +724,10 @@ def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
 
 
 def _cyclic_matrix_sum(mats) -> np.ndarray:
-    """sum_i A_i S_i^{-1} of each stacked family (..., p, n, n); p >= 3.
-
-    A_i S_i^{-1} is the conjugate transpose of S_i^{-1} A_i, as A_i and S_i
-    are Hermitian.
-    """
+    """sum_i A_i S_i^{-1} of each stacked family (..., p, n, n); p >= 3, with
+    S_i^{-1} from ``cyclic_inverses``, as the search's gradient takes it."""
     _require_cycle(mats.shape[-3])
-    return _psum(_ct(cyclic_terms(mats)))
+    return _psum(mats @ cyclic_inverses(mats))
 
 
 def _bidirectional_matrix(mats) -> np.ndarray:

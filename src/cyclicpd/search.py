@@ -228,26 +228,26 @@ def _descend(cfg: SearchConfig, factors):
     the restart accepts its first trial step that passes the Armijo test.
     Trial steps after that one are discarded, so the result is that of a
     search that tries one halving at a time. Every 100 iterations the gauge
-    fix rescales the factors. Returns (factors, margins, histories, iters);
-    a restart whose evaluation raised LinAlgError (at the initial point, a
-    gradient, or a trial step before the one it would accept) is retired
-    there with margin nan.
+    fix rescales the factors. Returns (factors, margins, history, iters) by
+    restart; ``history`` has one row of margins per iteration run, and
+    restart r's are rows 0..iters[r]. A restart whose evaluation raised
+    LinAlgError (at the initial point, a gradient, a trial step before the
+    one it would accept, or a gauge fix) is retired there: its margin is nan.
     """
     ridge = cfg.ridge
     factors = np.array(factors, dtype=np.float64)
     ok, f0 = _evaluate(_margin_value, factors, ridge)
     f = np.full(len(factors), np.nan)
     f[ok] = f0
-    histories = [[(0, float(v))] for v in f]
+    history = [f.copy()]
     step = np.full(len(factors), cfg.step_init)
     iters = np.zeros(len(factors), dtype=int)
-    diverged = ~ok
     live = np.flatnonzero(ok)
     for it in range(1, cfg.max_iters + 1):
         if live.size == 0:
             break
         ok, grads = _evaluate(margin_gradient, factors[live], ridge)
-        diverged[live[~ok]] = True
+        f[live[~ok]] = np.nan
         live = live[ok]
         gnorm2 = _sum_over_p((grads * grads).reshape(len(live), cfg.p, cfg.n * cfg.n).sum(axis=-1))
         moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
@@ -278,7 +278,7 @@ def _descend(cfg: SearchConfig, factors):
             rows = np.flatnonzero(stopped)
             first = stop[rows].argmax(axis=1)
             won = win[rows, first]
-            diverged[live[pending[rows[~won]]]] = True
+            f[live[pending[rows[~won]]]] = np.nan
             rows, first = rows[won], first[won]
             done = live[pending[rows]]
             factors[done], f[done] = cand[rows, first], vals[rows, first]
@@ -289,8 +289,7 @@ def _descend(cfg: SearchConfig, factors):
         if live.size == 0:
             break
         iters[live] = it
-        for r in live:
-            histories[r].append((it, float(f[r])))
+        history.append(f.copy())
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
@@ -298,12 +297,11 @@ def _descend(cfg: SearchConfig, factors):
             scale = cfg.p * cfg.n / _sum_over_p(np.trace(mats, axis1=-2, axis2=-1))
             fixed = np.sqrt(scale)[:, None, None, None] * factors[live]
             ok, f_fixed = _evaluate(_margin_value, fixed, ridge)
-            diverged[live[~ok]] = True
+            f[live[~ok]] = np.nan
             live, fixed, f_cur = live[ok], fixed[ok], f[live[ok]]
             keep = f_fixed <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))
             factors[live[keep]], f[live[keep]] = fixed[keep], f_fixed[keep]
-    f[diverged] = np.nan
-    return factors, f, histories, iters
+    return factors, f, np.array(history), iters
 
 
 def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
@@ -325,13 +323,13 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
     shares, where work = restarts x p x n**2 x max_iters (see
     :func:`cyclicpd._fork.workers_for`); each share descends in lockstep,
     share 0 here and the others in forked processes (see
-    :func:`cyclicpd._fork.run_units`), and the shares are joined in restart
-    order. Restarts are independent, so the result is the same at every W.
-    Restarts that diverge (LinAlgError, or a non-finite final margin) are
-    dropped, and ``iterations_used`` sums the accepted steps of the others.
-    The winning family is re-evaluated through the checker path with fresh
-    refined inverses before being reported, and that margin is classified
-    (``classify_margin``).
+    :func:`cyclicpd._fork.run_units`), and the shares' arrays are joined in
+    restart order. Restarts are independent, so the result is the same at
+    every W. Restarts with a non-finite margin (nan if ``_descend`` retired
+    them) are dropped, and ``iterations_used`` sums the accepted steps of the
+    others. The winning family is re-evaluated through the checker path with
+    fresh refined inverses before being reported, and that margin is
+    classified (``classify_margin``).
     """
     starts = _initial_factors(cfg)
     workers = workers_for(cfg.restarts * cfg.p * cfg.n**2 * cfg.max_iters, cfg.restarts, _cpu_count())
@@ -340,14 +338,16 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
                       [len(share) for share in shares], workers)
     factors, margins, histories, iters = zip(*parts)
     factors, margins, iters = (np.concatenate(x) for x in (factors, margins, iters))
-    histories = [h for share in histories for h in share]
-    survivors = [r for r in range(cfg.restarts) if np.isfinite(margins[r])]
-    if not survivors:
+    depth = max(len(h) for h in histories)  # shares stop at different iterations
+    history = np.hstack([np.pad(h, ((0, depth - len(h)), (0, 0)), constant_values=np.nan) for h in histories])
+    survivors = np.isfinite(margins)
+    if not survivors.any():
         raise RuntimeError("all restarts diverged")
     # deterministic merge: lowest margin, ties broken by lowest restart index
-    r = min(survivors, key=lambda s: (margins[s], s))
-    f, factors, history = float(margins[r]), factors[r], histories[r]
-    total_iters = sum(int(iters[s]) for s in survivors)
+    r = int(np.argmin(np.where(survivors, margins, np.inf)))
+    f, factors = float(margins[r]), factors[r]
+    history = [(k, float(m)) for k, m in enumerate(history[:iters[r] + 1, r])]
+    total_iters = int(iters[survivors].sum())
     mats = _mats_from_factors(factors, cfg.ridge)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)

@@ -201,6 +201,17 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["min_real"] > 1e110
 
 
+def test_eval_output_is_strict_json(tmp_path, capsys, monkeypatch):
+    """eval prints through the strict JSON writer: a non-finite value is an
+    error line and exit 2, never a bare NaN on stdout."""
+    path = tmp_path / "id.json"
+    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * 3)), path)
+    monkeypatch.setattr(cp.inequalities, "cyclic_sum_trace", lambda fam: float("nan"))
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 @pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
 def test_eval_p2_family_rejected(tmp_path, capsys, expr):
     path = tmp_path / "p2.json"

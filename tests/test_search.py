@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -283,8 +284,9 @@ def ref_descend(cfg, factors, line_searches=None):
 
 def lockstep_results(cfg, init):
     """Per-restart (margin, iters, history, factors) of one lockstep descent."""
-    factors, margins, histories, iters = search._descend(cfg, init)
-    return [(margins[r], iters[r], histories[r], factors[r]) for r in range(len(init))]
+    factors, margins, history, iters = search._descend(cfg, init)
+    return [(margins[r], iters[r], [(k, history[k, r]) for k in range(iters[r] + 1)], factors[r])
+            for r in range(len(init))]
 
 
 def assert_same_restart(a, b):
@@ -410,6 +412,21 @@ class TestRestartIsolation:
         monkeypatch.setattr(search, "_initial_factors", lambda cfg: np.full((2, 4, 2, 2), np.nan))
         with pytest.raises(RuntimeError, match="all restarts diverged"):
             cp.minimize_margin(cfg)
+
+
+def test_history_memory_follows_iterations_run():
+    # max_iters has no upper bound: a history sized by it would trace 32 MB here
+    cfg = cp.SearchConfig(p=3, n=1, restarts=4, max_iters=10**6, master_seed=1)
+    init = search._initial_factors(cfg)
+    tracemalloc.start()
+    try:
+        _, _, history, iters = search._descend(cfg, init)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iters.max() < 1000  # every restart stops early
+    assert history.shape == (iters.max() + 1, cfg.restarts)
+    assert peak < 2**20
 
 
 class TestBatchedLineSearch:

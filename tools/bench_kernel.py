@@ -6,11 +6,12 @@ against two.
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
 case, and prints one JSON document: per case the median over ``--runs`` runs
-of kernel time per accepted iteration, of the whole descent's time, and the
-iterations. Then, for each (T, p, n) trace case, it times ``cyclic_traces``
-on T real families drawn as verify draws them: the median over ``--runs``
-runs of the mean µs per call, and the largest relative difference from the
-trace sums of one batched LAPACK solve. Which ``cyclicpd`` it measures is
+of kernel time per accepted iteration, of the whole descent's time and of
+the kernels' share of it (kernel time / descent time), and the iterations.
+Then, for each (T, p, n) trace case, it times ``cyclic_traces`` on T real
+families drawn as verify draws them: the median over ``--runs`` runs of the
+mean µs per call, and the largest relative difference from the trace sums
+of one batched LAPACK solve. Which ``cyclicpd`` it measures is
 the one ``import cyclicpd`` finds, so two checkouts compare by their
 ``PYTHONPATH``.
 
@@ -37,7 +38,8 @@ import cyclicpd
 from cyclicpd import _fork, inequalities, search, verify
 from cyclicpd.pdcore import random_pd_stack
 
-CASES = [(3, 23, 2), (3, 23, 4), (2, 12, 2), (2, 12, 4)]
+# (n, p, restarts); the last is the scalar rediscovery at the default restarts (search --p 14 --n 1)
+CASES = [(3, 23, 2), (3, 23, 4), (2, 12, 2), (2, 12, 4), (1, 14, 32)]
 TRACE_CASES = [(4, 3, 2), (4, 8, 3), (512, 8, 3)]
 TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
 # (p, n, restarts, iterations); the first is one command of the benchmark's search-matrix
@@ -157,6 +159,7 @@ def main(argv=None) -> int:
             "n": n, "p": p, "restarts": restarts, "iterations": iters,
             "kernel_us_per_iteration": round(statistics.median(k for k, _, _ in runs) / iters * 1e6, 1),
             "descend_ms": round(statistics.median(w for _, w, _ in runs) * 1e3, 2),
+            "kernel_share": round(statistics.median(k / w for k, w, _ in runs), 3),
         })
     out["trace_cases"] = []
     for trials, p, n in TRACE_CASES:
