@@ -1,8 +1,9 @@
 """Command-line entry point: verify / reproduce / search / eval / sample.
 
-Every run emits UTF-8 JSON. Numeric output uses shortest round-trip decimal
-serialization, so re-running a command with the same flags and seed gives
-identical output modulo the timestamp fields.
+Every run emits one UTF-8 JSON document, to ``--out`` or else to stdout, and
+its summary lines to stderr. Numbers use shortest round-trip decimals, so a
+command re-run with the same flags and seed gives identical output modulo
+the timestamp fields.
 """
 from __future__ import annotations
 
@@ -111,13 +112,14 @@ def cmd_reproduce(args) -> int:
         if args.case in ("shapiro4-eig", "all"):
             rep = ineq.reproduce_counterexample()
             eigs = rep.detail["eigs"]
-            print("published eigenvalues: 2.6393 +/- 0.1871i")
-            print(f"computed  eigenvalues: {eigs[0]:.6f}, {eigs[1]:.6f}")
+            print("published eigenvalues: 2.6393 +/- 0.1871i", file=sys.stderr)
+            print(f"computed  eigenvalues: {eigs[0]:.6f}, {eigs[1]:.6f}", file=sys.stderr)
             results.append(rep.to_dict())
         if args.case in ("shapiro4-trace", "all"):
             mats = ineq.counterexample_family().mats[None]  # one trial
             rep = ineq.batch_shapiro_trace(mats).report()
-            print(f"published trace: {ineq.FIXTURE_TRACE}  computed trace: {rep.lhs:.6f} (bound {rep.rhs})")
+            print(f"published trace: {ineq.FIXTURE_TRACE}  computed trace: {rep.lhs:.6f} (bound {rep.rhs})",
+                  file=sys.stderr)
             if abs(rep.lhs - ineq.FIXTURE_TRACE) > ineq.FIXTURE_ATOL:
                 raise FixtureMismatch(f"trace {rep.lhs:.6f} deviates from published value")
             quad = np.moveaxis(mats, 1, 0)  # A, B, C, D, each as a one-trial stack
@@ -125,8 +127,7 @@ def cmd_reproduce(args) -> int:
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        _emit({"command": "reproduce", "case": args.case, "results": results}, args.out)
+    _emit({"command": "reproduce", "case": args.case, "results": results}, args.out)
     return 0
 
 
@@ -141,24 +142,22 @@ def cmd_search(args) -> int:
             ridge=args.ridge,
             master_seed=args.seed,
         )
-        tol = Tolerance(rel=args.tol_rel)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.time()
     config = cfg.to_dict()
-    if args.n is None and args.p in (12, 23):
-        sweep = probe_conjecture(args.p, cfg, tol=tol)
-        config["n"] = list(sweep)  # the dimensions the sweep ran, not the placeholder 1
-        results = {str(n): res.to_dict() for n, res in sweep.items()}
-        for n, res in sweep.items():
-            print(f"p={args.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]")
-            if res.classification == "verified_counterexample":
-                print(f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={args.p}, n={n}")
+    sweep = args.n is None and args.p in (12, 23)
+    runs = probe_conjecture(args.p, cfg) if sweep else {cfg.n: minimize_margin(cfg)}
+    for n, res in runs.items():
+        print(f"p={cfg.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]", file=sys.stderr)
+        if sweep and res.classification == "verified_counterexample":
+            print(f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={cfg.p}, n={n}", file=sys.stderr)
+    if sweep:
+        config["n"] = list(runs)  # the dimensions the sweep ran, not the placeholder 1
+        results = {str(n): res.to_dict() for n, res in runs.items()}
     else:
-        res = minimize_margin(cfg, tol)
-        results = res.to_dict()
-        print(f"p={cfg.p} n={cfg.n}: best margin {res.best_margin:.12g} [{res.classification}]")
+        results = runs[cfg.n].to_dict()
     _emit(_manifest("search", config, args.seed, started, results), args.out)
     return 0
 
@@ -236,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ridge", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
-    sp.add_argument("--tol-rel", type=float, default=1e-9)
     sp.set_defaults(fn=cmd_search)
 
     sp = sub.add_parser("eval", help="evaluate a quantity on a stored family")

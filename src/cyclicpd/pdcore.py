@@ -26,7 +26,6 @@ from .errors import (
 )
 
 DEFAULT_RIDGE = 1e-3
-DEFAULT_COND_CAP = 1e8
 # Largest accepted entry magnitude of a Hermitian or PD input: from about
 # 1e154 the sums of squares behind the Frobenius norms overflow, and the
 # Hermitian gate's bound becomes infinite. Computed matrices given to
@@ -106,15 +105,15 @@ def _pd_floor(h: np.ndarray, tol: Tolerance) -> np.ndarray:
     return w0
 
 
-def validate_family(entries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def validate_family(entries) -> np.ndarray:
     """The construction gate: a read-only Hermitian positive definite stack (p, n, n).
 
     Checks, in order, that the input is a non-empty stack of square matrices,
     that every entry is finite, and that no entry's real or imaginary part
-    exceeds ``MAX_ENTRY`` (:class:`EntryTooLarge`). Round-off level asymmetry
-    (below ``tol.rel`` relative) is then folded into (A + A*)/2, anything
-    larger raises :class:`NotHermitian`, and every smallest eigenvalue must
-    exceed ``tol.abs``. Each check reports the first member that fails it.
+    exceeds ``MAX_ENTRY`` (:class:`EntryTooLarge`). Under ``DEFAULT_TOL``, an
+    asymmetry below 1e-9 relative is folded into (A + A*)/2, a larger one raises
+    :class:`NotHermitian`, and every smallest eigenvalue must exceed 1e-12.
+    Each check reports the first member that fails it.
     """
     a = np.asarray(entries)
     if a.shape[:1] == (0,):
@@ -127,8 +126,8 @@ def validate_family(entries, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     # real and imaginary parts apart: the modulus of a huge complex entry overflows
     if max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)) > MAX_ENTRY:
         raise EntryTooLarge(f"matrix has an entry above {MAX_ENTRY:g} in magnitude")
-    h = _symmetrize(a, tol)
-    _pd_floor(h, tol)
+    h = _symmetrize(a, DEFAULT_TOL)
+    _pd_floor(h, DEFAULT_TOL)
     h.setflags(write=False)
     return h
 
@@ -174,11 +173,10 @@ def _gaussian(rng: np.random.Generator, shape: tuple, n: int, field: str) -> np.
     return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
-def _gram(g: np.ndarray, ridge: float) -> tuple[np.ndarray, np.ndarray]:
-    """G G* + ridge*I, exactly Hermitian, and its ascending eigenvalues, over stacks."""
-    a = g @ _ct(g) + ridge * np.eye(g.shape[-1])
-    a = (a + _ct(a)) / 2.0
-    return a, np.linalg.eigvalsh(a)
+def _gram(g: np.ndarray) -> np.ndarray:
+    """G G* + DEFAULT_RIDGE*I over stacks, exactly Hermitian."""
+    a = g @ _ct(g) + DEFAULT_RIDGE * np.eye(g.shape[-1])
+    return (a + _ct(a)) / 2.0
 
 
 def random_pd_stack(
@@ -187,43 +185,23 @@ def random_pd_stack(
     members: int,
     rng: np.random.Generator,
     field: str = "real",
-    ridge: float = DEFAULT_RIDGE,
-    cond_cap: float = DEFAULT_COND_CAP,
     gaussian_tail: int = 0,
 ) -> np.ndarray:
-    """``trials`` rows of ``members`` random PD matrices G G* + ridge*I (G
-    standard normal, redrawn up to 1000 times while the condition number
-    exceeds ``cond_cap``) and ``gaussian_tail`` raw standard-normal (n, n)
+    """``trials`` rows of ``members`` random PD matrices G G* + DEFAULT_RIDGE*I
+    (G standard normal) and ``gaussian_tail`` raw standard-normal (n, n)
     squares, as one (trials, members + gaussian_tail, n, n) array.
 
     The stream is taken row after row, one draw per matrix (complex: real
-    part, then imaginary part). All rows are drawn at once; if any member
-    breaks ``cond_cap``, the generator is rewound and the rows are redrawn
-    one matrix at a time, so the result and the final generator state equal
-    the sequential ones.
+    part, then imaginary part). A member's condition number is at most
+    1 + ||G||_2^2 / 1e-3: under 1e6 at verify's n <= 6 (pinned by the tests),
+    and 1e8 only from ||G||_2^2 = 1e5, near n = 25 000 (real) or 12 500 (complex).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
     if field not in ("real", "complex"):
         raise ValueError(f"unknown field {field!r}")
-    state = rng.bit_generator.state
     out = _gaussian(rng, (trials, members + gaussian_tail), n, field)
-    a, w = _gram(out[:, :members], ridge)
-    if (w[..., -1] / w[..., 0] <= cond_cap).all():
-        out[:, :members] = a
-        return out
-    rng.bit_generator.state = state
-    for row in out:
-        for i in range(members):
-            for _ in range(1000):
-                row[i], w = _gram(_gaussian(rng, (), n, field), ridge)
-                if w[-1] / w[0] <= cond_cap:
-                    break
-            else:
-                raise IllConditioned("could not sample a matrix under the condition cap")
-        row[members:] = _gaussian(rng, (gaussian_tail,), n, field)
+    out[:, :members] = _gram(out[:, :members])
     return out
 
 
@@ -236,26 +214,23 @@ def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def eig_general_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complex spectra of a stack (..., n, n) of general square matrices.
+def eig_general_stack(a: np.ndarray) -> np.ndarray:
+    """Complex eigenvalues of each matrix of a stack (..., n, n) of general
+    square matrices, sorted by (Re, Im).
 
-    Returns the eigenvalues of each matrix sorted by (Re, Im) and each
-    matrix's residual bound, which dominates max_i ||M v_i - lambda_i v_i|| / ||M||.
     Raises ConvergenceFailure if any spectrum's sum disagrees with its trace.
     """
     if not np.isfinite(a).all():
         raise NotFinite("matrix has an infinite or NaN entry")
     try:
-        w, v = np.linalg.eig(a)
+        w = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    scale = np.maximum(_fro(a), np.finfo(float).tiny)
-    res = np.linalg.norm(a @ v - v * w[..., None, :], axis=-2).max(axis=-1) / scale
     tr = np.trace(a, axis1=-2, axis2=-1)
     if (abs(w.sum(axis=-1) - tr) > 1e-8 * (1.0 + abs(tr))).any():
         raise ConvergenceFailure("eigenvalue sum disagrees with the trace")
     order = np.lexsort((w.imag, w.real))
-    return np.take_along_axis(w, order, axis=-1), res
+    return np.take_along_axis(w, order, axis=-1)
 
 
 def herm_powers(a: np.ndarray, *powers: float) -> list[np.ndarray]:

@@ -19,6 +19,8 @@ otherwise). The restarts are cut into contiguous shares, one per process
 that ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
 max_iters), and each share descends in a forked process; a search below the
 fork floor, such as a small or scalar one, runs as one stack in this process.
+The winner's margin is re-checked with refined inverses; at or below
+-NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
@@ -33,11 +35,11 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import DEFAULT_TOL, CyclicFamily, Tolerance, validate_family
+from .pdcore import CyclicFamily, validate_family
 from .inequalities import _sum_over_p, cyclic_inverses, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
-NOISE_FACTOR = 10.0  # margins in (-NOISE_FACTOR*tol, 0) are classified as round-off
+NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
 # Largest accepted ridge: from about 1e154 the squared entries that the
 # re-check's norms and residual gate form overflow, and the search would
 # report margin 0 after overflow warnings.
@@ -55,7 +57,6 @@ MAX_STEP = 1e3
 # that fails them all costs four stacked evaluations, not fifty.
 HALVING_CHUNKS = (3, 8, 16, 23)
 MAX_HALVINGS = sum(HALVING_CHUNKS)
-VERIFY_TOL = Tolerance(rel=1e-12, abs=1e-15)
 
 
 @dataclass(frozen=True)
@@ -304,18 +305,18 @@ def _descend(cfg: SearchConfig, factors):
     return factors, f, np.array(history), iters
 
 
-def classify_margin(margin: float, tol: Tolerance = DEFAULT_TOL) -> str:
-    """Verdict on a re-verified margin: a verified counterexample only below
-    the noise band of ``tol`` and of ``VERIFY_TOL`` both, so a ``tol.rel``
-    under 1e-12 does not narrow the band; a nan margin is noise."""
+def classify_margin(margin: float) -> str:
+    """Verdict on a re-verified margin: no counterexample found at or above 0,
+    a verified counterexample at or below -NOISE_BAND, and numerical noise in
+    between; a nan margin is noise."""
     if margin >= 0.0:
         return "no_counterexample_found"
-    if margin <= -NOISE_FACTOR * tol.rel and margin < -NOISE_FACTOR * VERIFY_TOL.rel:
+    if margin <= -NOISE_BAND:
         return "verified_counterexample"
     return "numerical_noise"
 
 
-def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchResult:
+def minimize_margin(cfg: SearchConfig) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
     The restarts run in lockstep (see ``_descend``). They are cut into
@@ -363,14 +364,12 @@ def minimize_margin(cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL) -> SearchRe
         best_margin=recomputed,
         iterations_used=total_iters,
         margin_history=history,
-        classification=classify_margin(recomputed, tol),
+        classification=classify_margin(recomputed),
         restart_index=r,
     )
 
 
-def probe_conjecture(
-    p: int, cfg: SearchConfig, dims=(1, 2, 3), tol: Tolerance = DEFAULT_TOL
-) -> dict:
+def probe_conjecture(p: int, cfg: SearchConfig, dims=(1, 2, 3)) -> dict:
     """Sweep n over ``dims`` at p in {12, 23}; returns {n: SearchResult}.
 
     A verified negative margin at any n is a conjecture-relevant event and is
@@ -380,5 +379,5 @@ def probe_conjecture(
         raise ValueError("the open cases are p = 12 and p = 23")
     results = {}
     for n in dims:
-        results[n] = minimize_margin(replace(cfg, p=p, n=n), tol)
+        results[n] = minimize_margin(replace(cfg, p=p, n=n))
     return results

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .pdcore import _LOOSE_TOL, CyclicFamily, Tolerance, DEFAULT_TOL, _pd_floor, validate_family
+from .pdcore import _LOOSE_TOL, CyclicFamily, _pd_floor, validate_family
 
 
 def _matrix_to_dict(a: np.ndarray) -> dict:
@@ -51,7 +51,7 @@ def family_to_dict(f: CyclicFamily) -> dict:
     return {"p": f.p, "members": [_matrix_to_dict(m) for m in f.mats]}
 
 
-def family_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> CyclicFamily:
+def family_from_dict(d: dict) -> CyclicFamily:
     """The family of a document: its form is checked first (each member, the
     declared p, one dimension), then its numbers, by ``validate_family``."""
     if not isinstance(d, dict) or not isinstance(d.get("members"), list):
@@ -62,4 +62,4 @@ def family_from_dict(d: dict, tol: Tolerance = DEFAULT_TOL) -> CyclicFamily:
     dims = {len(m) for m in members}
     if len(dims) > 1:
         raise DimensionMismatch(f"members have mixed dimensions {sorted(dims)}")
-    return CyclicFamily(validate_family(np.array(members), tol))
+    return CyclicFamily(validate_family(np.array(members)))

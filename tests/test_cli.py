@@ -31,8 +31,11 @@ def test_parse_range():
 
 def test_reproduce_all(capsys):
     assert main(["reproduce", "--case", "all"]) == 0
-    out = capsys.readouterr().out
-    assert "2.6393" in out
+    captured = capsys.readouterr()
+    assert "2.6393" in captured.err
+    doc = json.loads(captured.out)
+    assert doc["command"] == "reproduce"
+    assert [r["check"] for r in doc["results"]] == ["counterexample_p4_eigs", "s4_decomposition"]
 
 
 def test_reproduce_single_cases():
@@ -338,6 +341,23 @@ def test_search_at_max_ridge_replays(tmp_path, capsys, n):
 
 def test_search_bad_config():
     assert main(["search", "--p", "2"]) == 2
+
+
+def test_search_tolerance_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--p", "5", "--tol-rel", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol-rel" in capsys.readouterr().err
+
+
+def test_search_stdout_is_one_json_document(capsys):
+    """Without --out the JSON goes to stdout alone; the summary line goes to stderr."""
+    assert main(["search", "--p", "14", "--n", "1", "--restarts", "2", "--max-iters", "20",
+                 "--seed", "3"]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["command"] == "search" and "best_margin" in doc["results"]
+    assert captured.err.startswith("p=14 n=1: best margin")
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import cyclicpd as cp
 import looped_oracle as oracle
 from cyclicpd.cli import main
+from cyclicpd.inequalities import _cyclic_matrix_sum
 from cyclicpd.pdcore import _refined_inverse, eig_general_stack, herm_powers, pd_product_eigvals, random_pd_stack
 
 
@@ -102,23 +103,21 @@ class TestRandomPD:
         assert np.array_equal(a, b)
 
     def test_ridge_floor(self):
-        mats = random_pd_stack(3, 4, 5, rng_for(1), ridge=1e-3)
-        assert np.linalg.eigvalsh(mats)[..., 0].min() >= 1e-3 - 1e-12
+        mats = random_pd_stack(3, 4, 5, rng_for(1))
+        assert np.linalg.eigvalsh(mats)[..., 0].min() >= cp.pdcore.DEFAULT_RIDGE - 1e-12
 
     def test_bad_params(self):
         with pytest.raises(ValueError):
             random_pd_stack(0, 1, 1, rng_for(0))
         with pytest.raises(ValueError):
-            random_pd_stack(2, 1, 1, rng_for(0), ridge=-1.0)
-        with pytest.raises(ValueError):
             random_pd_stack(2, 1, 1, rng_for(0), field="quaternion")
 
 
-def sequential_rows(n, trials, members, rng, field, tail=0, cond_cap=cp.pdcore.DEFAULT_COND_CAP):
+def sequential_rows(n, trials, members, rng, field, tail=0):
     """What random_pd_stack must equal: one oracle random_pd (or raw square) per entry."""
     rows = []
     for _ in range(trials):
-        row = [oracle.random_pd(n, rng, field, cond_cap=cond_cap).mat for _ in range(members)]
+        row = [oracle.random_pd(n, rng, field).mat for _ in range(members)]
         for _ in range(tail):
             x = rng.standard_normal((n, n))
             row.append(x + 1j * rng.standard_normal((n, n)) if field == "complex" else x)
@@ -138,19 +137,13 @@ class TestRandomPDStack:
             assert r1.bit_generator.state == r2.bit_generator.state
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_rejections_fall_back_to_the_sequential_stream(self, field):
-        n, cap = 3, 10.0
-        # the first stacked draw holds members over the cap, so the fallback runs
-        raw = random_pd_stack(n, 4, 3, rng_for(3), field, cond_cap=np.inf)
-        w = np.linalg.eigvalsh(raw)
-        assert (w[..., -1] / w[..., 0] > cap).any()
-        r1, r2 = rng_for(3), rng_for(3)
-        want = sequential_rows(n, 4, 3, r1, field, tail=1, cond_cap=cap)
-        got = random_pd_stack(n, 4, 3, r2, field, cond_cap=cap, gaussian_tail=1)
-        assert np.array_equal(got, want)
-        assert r1.bit_generator.state == r2.bit_generator.state
-        w = np.linalg.eigvalsh(got[:, :3])
-        assert (w[..., -1] / w[..., 0] <= cap).all()
+    def test_condition_numbers_stay_far_under_the_old_cap(self, field):
+        """The sampler keeps no condition cap: at verify's shapes its members
+        stay 100x under the 1e8 cap it once enforced, so the sequential
+        oracle's redraw never runs there."""
+        for n in range(1, 7):
+            w = np.linalg.eigvalsh(random_pd_stack(n, 512, 8, rng_for(n), field))
+            assert (w[..., -1] / w[..., 0]).max() < 1e6, n
 
     def test_sample_families_are_stacked_rows(self, tmp_path):
         out = tmp_path / "s.json"
@@ -179,7 +172,19 @@ class TestEigHerm:
 
 def general_eigs(a):
     """The sorted eigenvalues of one square matrix, from the stacked solver."""
-    return eig_general_stack(np.asarray(a))[0]
+    return eig_general_stack(np.asarray(a))
+
+
+def same_bits(got, want) -> bool:
+    """Same dtype, shape and bytes: equality that also tells -0.0 from +0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def sorted_eig(a):
+    """Eigenvalues of each matrix from np.linalg.eig, sorted by (Re, Im)."""
+    w = np.linalg.eig(a)[0]
+    return np.take_along_axis(w, np.lexsort((w.imag, w.real)), axis=-1)
 
 
 class TestEigGeneral:
@@ -195,6 +200,20 @@ class TestEigGeneral:
             a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
             w = general_eigs(a)
             assert abs(w.sum() - np.trace(a)) <= 1e-8 * (1 + abs(np.trace(a)))
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_eigenvalues_alone_equal_eig(self, n, field):
+        """eigvals gives the eigenvalues that eig computes beside its vectors."""
+        rng = rng_for(20 + n)
+        a = rng.standard_normal((50, n, n))
+        if field == "complex":
+            a = a + 1j * rng.standard_normal((50, n, n))
+        assert same_bits(eig_general_stack(a), sorted_eig(a))
+
+    def test_eigenvalues_alone_equal_eig_on_the_fixture(self):
+        m = _cyclic_matrix_sum(cp.counterexample_family().mats)
+        assert same_bits(eig_general_stack(m), sorted_eig(m))
 
     def test_closed_form_2x2_cross_check(self):
         # quadratic-formula roots of the characteristic polynomial

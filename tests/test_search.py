@@ -154,39 +154,33 @@ class TestMinimizeMargin:
         assert cp.shapiro_margin(fam) == pytest.approx(res.best_margin, abs=1e-9)
 
 
-def two_step_classification(margin, tol):
-    """The verdict as it was reached in two steps: the noise band of ``tol``,
-    then a "candidate" below it checked against the band of VERIFY_TOL."""
+def old_default_two_steps(margin):
+    """The verdict as ``search --tol-rel`` reached it at its default 1e-9, in
+    two steps: the noise band of that tolerance (10 x 1e-9), then a
+    "candidate" below it checked against the band of the re-check's 1e-12
+    tolerance (10 x 1e-12)."""
     if margin >= 0.0:
         return "no_counterexample_found"
-    if margin > -search.NOISE_FACTOR * tol.rel:
+    if margin > -10.0 * 1e-9:
         return "numerical_noise"
-    verified = margin < -search.NOISE_FACTOR * search.VERIFY_TOL.rel
-    return "verified_counterexample" if verified else "numerical_noise"
+    return "verified_counterexample" if margin < -10.0 * 1e-12 else "numerical_noise"
 
 
 class TestClassification:
     def test_bands(self):
-        tol = cp.Tolerance()
-        assert classify_margin(0.5, tol) == "no_counterexample_found"
-        assert classify_margin(-1e-10, tol) == "numerical_noise"
-        assert classify_margin(-1e-4, tol) == "verified_counterexample"
+        assert classify_margin(0.5) == "no_counterexample_found"
+        assert classify_margin(-1e-10) == "numerical_noise"
+        assert classify_margin(-1e-4) == "verified_counterexample"
 
-    @pytest.mark.parametrize("rel, table", [
-        # below 1e-12, VERIFY_TOL floors the band at 1e-11
-        (1e-13, [(1e-13, "no_counterexample_found"), (-5e-13, "numerical_noise"),
-                 (-5e-12, "numerical_noise"), (-2e-11, "verified_counterexample")]),
-        (1e-9, [(1e-9, "no_counterexample_found"), (-5e-11, "numerical_noise"),
-                (-5e-9, "numerical_noise"), (-2e-8, "verified_counterexample")]),
-    ])
-    def test_one_step_equals_two_steps_at_every_band_edge(self, rel, table):
-        tol = cp.Tolerance(rel=rel)
+    def test_one_band_equals_the_old_default_two_steps_at_every_edge(self):
+        table = [(1e-9, "no_counterexample_found"), (-5e-11, "numerical_noise"),
+                 (-5e-9, "numerical_noise"), (-2e-8, "verified_counterexample")]
         for margin, verdict in table:
-            assert classify_margin(margin, tol) == verdict
-        edges = (0.0, -search.NOISE_FACTOR * rel, -search.NOISE_FACTOR * search.VERIFY_TOL.rel)
+            assert classify_margin(margin) == verdict
+        edges = (0.0, -search.NOISE_BAND, -1e-11)
         margins = [m for e in edges for m in (np.nextafter(e, -np.inf), e, np.nextafter(e, np.inf))]
         for margin in margins + [np.nan]:
-            assert classify_margin(margin, tol) == two_step_classification(margin, tol), margin
+            assert classify_margin(margin) == old_default_two_steps(margin), margin
 
 
 class TestProbeConjecture:

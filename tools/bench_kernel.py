@@ -1,7 +1,8 @@
-"""Kernel and fork layers: microseconds of the search's ``_margin_value``
-plus ``margin_gradient`` per descent iteration and of one ``cyclic_traces``
-call, and the wall time of whole searches and verify grids in one process
-against two.
+"""Kernel, suite and fork layers: microseconds of the search's
+``_margin_value`` plus ``margin_gradient`` per descent iteration and of one
+``cyclic_traces`` call, the wall time of each verify suite in one process,
+and the wall time of whole searches and verify grids in one process against
+two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
@@ -15,6 +16,11 @@ of one batched LAPACK solve. Which ``cyclicpd`` it measures is
 the one ``import cyclicpd`` finds, so two checkouts compare by their
 ``PYTHONPATH``.
 
+The suite layer times ``run_unconditional``, ``run_identities`` and
+``run_conditional`` in this process (W = 1, no fork) on the grid of the
+benchmark's verify-grid workload (n 1..6, p 3..8, 4 trials, both fields):
+the median milliseconds of each over ``--runs`` runs.
+
 The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
 search case and ``run_suites`` for each verify grid, in this process, at
 W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
@@ -23,6 +29,7 @@ W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
 milliseconds at each W, and their ratio.
 
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
+    PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
     PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
 """
 from __future__ import annotations
@@ -137,18 +144,34 @@ def fork_layer(pairs: int, seed: int) -> dict:
     return out
 
 
+def suite_layer(runs: int, seed: int) -> dict:
+    dims, ps, trials = FORK_GRIDS["verify-grid"]
+    out = {"dims": dims, "p": ps, "trials": trials, "runs": runs}
+    for name in ("unconditional", "identities", "conditional"):
+        run = getattr(verify, f"run_{name}")
+        ms = []
+        for _ in range(runs):
+            t0 = time.perf_counter()
+            run(dims, ps, trials, seed)
+            ms.append((time.perf_counter() - t0) * 1e3)
+        out[f"{name}_ms"] = round(statistics.median(ms), 1)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--iters", type=int, default=100)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--layer", choices=["kernel", "fork", "all"], default="all")
+    ap.add_argument("--layer", choices=["kernel", "suite", "fork", "all"], default="all")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     out = {"cyclicpd": cyclicpd.__file__, "numpy": np.__version__}
-    if args.layer != "kernel":
+    if args.layer in ("fork", "all"):
         out["fork"] = fork_layer(args.pairs, args.seed)
-    if args.layer == "fork":
+    if args.layer in ("suite", "all"):
+        out["suite"] = suite_layer(args.runs, args.seed)
+    if args.layer not in ("kernel", "all"):
         print(json.dumps(out, indent=1))
         return 0
     out["cases"] = []
