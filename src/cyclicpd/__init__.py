@@ -31,7 +31,6 @@ from .inequalities import (
 from .search import (
     SearchConfig,
     SearchResult,
-    diagonal_embed,
     margin_gradient,
     minimize_margin,
     probe_conjecture,

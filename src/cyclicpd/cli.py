@@ -167,6 +167,8 @@ def cmd_eval(args) -> int:
         with open(args.family, encoding="utf-8") as fh:
             doc = json.load(fh)
         families = [family_from_dict(d) for d in (doc if isinstance(doc, list) else [doc])]
+        if not families:
+            raise ValueError("the file holds an empty list, not a family")
     except (OSError, ValueError, KeyError, CyclicPDError) as exc:
         print(f"error: cannot load family: {exc}", file=sys.stderr)
         return 2

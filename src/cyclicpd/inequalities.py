@@ -139,9 +139,83 @@ def _jsonable(v):
 # Stacked helpers: every array argument is a stack (..., n, n) whose matrices
 # are handled one by one; a family stack is (..., p, n, n).
 
+# Smallest det / prod(diag) of a 2x2 or 3x3 denominator that the closed form
+# takes. Against an extended-precision reference, on 4e5 random SPD blocks
+# per n and kind (condition numbers up to 1e7; one scale per block, or each
+# row and column scaled by e^-8..e^8), the closed form's relative error
+# stayed below 4e-13 at ratios from 1e-3 up, and grows as 1 / ratio below.
+# LAPACK's was up to 6e-13 there on blocks of one scale, and up to 1.5e-10
+# on the rescaled ones.
+MIN_DET_RATIO = 1e-3
+# Flat positions of a symmetric block's unique entries (upper triangle, row
+# by row), and the full block from them. The closed form holds a stack of
+# blocks entries first, (u, ...), so each entry is one contiguous array.
+_UNIQUE = {2: np.array([0, 1, 3]), 3: np.array([0, 1, 2, 4, 5, 8])}
+_FULL = {2: np.array([0, 1, 1, 2]), 3: np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])}
+# 3x3 cofactors from u = (s00, s01, s02, s11, s12, s22): row k of _COF3 picks
+# the factors x_k, and cof = x_0 * x_1 - x_2 * x_3, e.g. cof_00 = s11 * s22 - s12 * s12
+_COF3 = np.array([
+    [3, 4, 1, 0, 1, 0],
+    [5, 2, 4, 5, 2, 3],
+    [4, 1, 3, 2, 0, 1],
+    [4, 5, 2, 2, 4, 1],
+]).ravel()
+
+
+def _cofactors(s):
+    """Cofactors, determinant and guard of symmetric 2x2 or 3x3 blocks.
+
+    ``s`` holds the blocks' unique entries first, (3, ...) or (6, ...), in
+    ``_UNIQUE`` order; returns the cofactors in the same layout, the
+    determinant (the first row times its cofactors, added in order), and
+    whether the closed form may be used: det finite, positive and at least
+    MIN_DET_RATIO times the product of the diagonal.
+    """
+    if len(s) == 3:
+        n = 2
+        cof = s[::-1].copy()  # (s11, -s01, s00)
+        cof[1] = -cof[1]
+        diag = s[0] * s[2]
+    else:
+        n = 3
+        x = s.take(_COF3, axis=0).reshape((4, 6) + s.shape[1:])
+        cof = x[0] * x[1] - x[2] * x[3]
+        diag = s[0] * s[3] * s[5]
+    row = s[:n] * cof[:n]
+    det = row[0] + row[1]
+    if n == 3:
+        det += row[2]
+    ok = (det > 0.0) & (det < np.inf) & (det >= MIN_DET_RATIO * diag)
+    return cof, det, ok
+
+
 def _inv(a: np.ndarray) -> np.ndarray:
-    x = np.linalg.inv(a)
-    return (x + _ct(x)) / 2.0
+    """A^{-1} of each matrix of a stack (..., n, n), by the program's one
+    inversion rule: a real 1x1 divides; a real 2x2 or 3x3, symmetric as every
+    matrix the program inverts is, takes cof / det from its unique entries
+    when the guard of ``_cofactors`` admits it; every other matrix (refused,
+    complex, n >= 4) takes LAPACK's inv, symmetrized, with its value, nan or
+    LinAlgError. Each result is exactly Hermitian, and each matrix's inverse
+    does not depend on its stack."""
+    n, real = a.shape[-1], not np.iscomplexobj(a)
+    if n == 1 and real:
+        return 1.0 / a
+    if n not in _UNIQUE or not real:
+        x = np.linalg.inv(a)
+        return (x + _ct(x)) / 2.0
+    flat = a.reshape(-1, n * n)
+    x = np.empty(flat.shape)
+    # blocks the guard refuses are inverted again below; nothing here may warn
+    with np.errstate(all="ignore"):
+        cof, det, ok = _cofactors(flat.T.take(_UNIQUE[n], axis=0))
+        # written through the (n*n, B) view of x, which stays C-contiguous
+        np.divide(cof.take(_FULL[n], axis=0), det, out=x.T)
+    x = x.reshape(a.shape)
+    if not ok.all():
+        refused = ~ok.reshape(a.shape[:-2])
+        y = np.linalg.inv(a[refused])
+        x[refused] = (y + _ct(y)) / 2.0
+    return x
 
 
 def _rtr(a: np.ndarray) -> np.ndarray:
@@ -395,15 +469,15 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     problem; the direct construction of M is cross-checked entrywise.
     """
     a, b, c = _context(am), _context(bm), _context(cm)
-    am, bm, cm = a.mats, b.mats, c.mats
-    n = am.shape[-1]
-    x, y, z = bm + cm, cm + am, am + bm
-    ix, iy, iz = _inv(np.stack([x, y, z]))
-    inv_sum = ix + iy + iz
-    vals = 0.5 * pd_product_eigvals(x + y + z, inv_sum) - 3.0
+    mats = a.cycle(b, c).mats
+    n = mats.shape[-1]
+    # X, Y, Z are the denominators S_i of the cycle (A, B, C)
+    invs = cyclic_inverses(mats)
+    total, inv_sum = _psum(cyclic_denominators(mats)), _psum(invs)
+    vals = 0.5 * pd_product_eigvals(total, inv_sum) - 3.0
     margin = vals.min(axis=-1) - 1.5
-    m_direct = am @ ix + bm @ iy + cm @ iz
-    m_ident = 0.5 * (x + y + z) @ inv_sum - 3.0 * np.eye(n)
+    m_direct = _psum(mats @ invs)  # M, summed as _cyclic_matrix_sum sums it
+    m_ident = 0.5 * total @ inv_sum - 3.0 * np.eye(n)
     slack = tol.slack(a.fro, b.fro, c.fro)
     return CheckBatch(
         "nesbitt", n, 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, tol,
@@ -439,16 +513,14 @@ def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
 # The cyclic trace functional and its inequalities
 # ---------------------------------------------------------------------------
 #
-# ``cyclic_traces`` (every F_p the program takes) and ``cyclic_inverses`` (the
-# search gradient's S_i^{-1}) invert S_i = A_{i+1} + A_{i+2} the same way:
-# real 1x1 blocks divide; real 2x2 and 3x3 blocks, symmetric as every family
-# is built, take cof / det from S_i's n(n+1)/2 unique entries, unless some
-# S_i's det is not finite and positive or below MIN_DET_RATIO * prod(diag S_i)
-# (the closed form's error grows like eps / that ratio), when the family takes
-# LAPACK, with its value, nan or LinAlgError; complex stacks and n >= 4 take
-# LAPACK. Sums add in order, so a family's result does not depend on its
-# stack, and each path rounds exactly as its looped oracle
-# (tests/looped_oracle.py).
+# Every S_i = A_{i+1} + A_{i+2} is inverted by the one rule of ``_inv``, whose
+# guard admits an S_i with det finite, positive and at least MIN_DET_RATIO *
+# prod(diag S_i) (the closed form's error grows like eps / that ratio).
+# ``cyclic_inverses`` is ``_inv`` of the denominators; ``cyclic_traces`` (every
+# F_p the program takes) applies the rule in trace form, with one LAPACK solve
+# for each term whose S_i the guard refuses, that term alone. Sums add in
+# order, so a family's result does not depend on its stack, and each path
+# rounds exactly as its looped oracle (tests/looped_oracle.py).
 
 @lru_cache(maxsize=128)
 def _shift_index(p: int, k: int) -> np.ndarray:
@@ -472,19 +544,6 @@ def cyclic_denominators(mats):
     return cyclic_shift(mats, 1) + cyclic_shift(mats, 2)
 
 
-def cyclic_terms(mats):
-    """S_i^{-1} A_i over stacked families (..., p, n, n): the LAPACK path of
-    ``cyclic_traces``, its one caller.
-
-    Real 1x1 blocks divide; on the shipped BLAS a 1x1 solve rounds the same
-    (tests/test_inequalities.py checks it). Otherwise one batched solve.
-    """
-    dens = cyclic_denominators(mats)
-    if mats.shape[-1] == 1 and not np.iscomplexobj(mats):
-        return mats / dens
-    return np.linalg.solve(dens, mats)
-
-
 def _sum_over_p(terms):
     """Sum of terms[..., i] over the last axis, added in order i = 0..p-1.
 
@@ -495,59 +554,10 @@ def _sum_over_p(terms):
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
-# Smallest det / prod(diag) of a 2x2 or 3x3 denominator that the closed form
-# takes. Against an extended-precision reference, on 4e5 random SPD blocks
-# per n and kind (condition numbers up to 1e7; one scale per block, or each
-# row and column scaled by e^-8..e^8), the closed form's relative error
-# stayed below 4e-13 at ratios from 1e-3 up, and grows as 1 / ratio below.
-# LAPACK's was up to 6e-13 there on blocks of one scale, and up to 1.5e-10
-# on the rescaled ones.
-MIN_DET_RATIO = 1e-3
-# Flat positions of a symmetric block's unique entries (upper triangle, row
-# by row), and the full block from them. The closed form holds a stack of
-# blocks entries first, (u, p, B), so each entry is one contiguous array.
-_UNIQUE = {2: np.array([0, 1, 3]), 3: np.array([0, 1, 2, 4, 5, 8])}
-_FULL = {2: np.array([0, 1, 1, 2]), 3: np.array([0, 1, 2, 1, 3, 4, 2, 4, 5])}
 # Weight of each unique entry in a trace sum_jk C_jk A_jk of two symmetric
 # blocks: an off-diagonal entry counts twice.
 _WEIGHT = {2: np.array([1.0, 2.0, 1.0]).reshape(3, 1, 1),
            3: np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0]).reshape(6, 1, 1)}
-# 2x2 cofactors from (s00, s01, s11): (s11, -s01, s00)
-_SIGN2 = np.array([1.0, -1.0, 1.0]).reshape(3, 1, 1)
-# 3x3 cofactors from u = (s00, s01, s02, s11, s12, s22): row k of _COF3 picks
-# the factors x_k, and cof = x_0 * x_1 - x_2 * x_3, e.g. cof_00 = s11 * s22 - s12 * s12
-_COF3 = np.array([
-    [3, 4, 1, 0, 1, 0],
-    [5, 2, 4, 5, 2, 3],
-    [4, 1, 3, 2, 0, 1],
-    [4, 5, 2, 2, 4, 1],
-]).ravel()
-
-
-def _cofactors(s):
-    """Cofactors, determinant and guard of symmetric 2x2 or 3x3 blocks.
-
-    ``s`` holds the blocks' unique entries first, (3, p, B) or (6, p, B), in
-    ``_UNIQUE`` order; returns the cofactors in the same layout, the
-    determinant (the first row times its cofactors, added in order), and
-    whether the closed form may be used: det finite, positive and at least
-    MIN_DET_RATIO times the product of the diagonal.
-    """
-    if len(s) == 3:
-        n = 2
-        cof = s[::-1] * _SIGN2
-        diag = s[0] * s[2]
-    else:
-        n = 3
-        x = s.take(_COF3, axis=0).reshape((4, 6) + s.shape[1:])
-        cof = x[0] * x[1] - x[2] * x[3]
-        diag = s[0] * s[3] * s[5]
-    row = s[:n] * cof[:n]
-    det = row[0] + row[1]
-    if n == 3:
-        det += row[2]
-    ok = (det > 0.0) & (det < np.inf) & (det >= MIN_DET_RATIO * diag)
-    return cof, det, ok
 
 
 @lru_cache(maxsize=128)
@@ -559,64 +569,50 @@ def _gather_index(p: int, n: int) -> np.ndarray:
     return idx
 
 
-def _closed_form(mats):
-    """For families (B, p, n, n) at n in {2, 3}: the unique entries of each
-    A_i, and the cofactors and determinant of each S_i = A_{i+1} + A_{i+2},
-    entries first, (u, p, B) and (p, B); and, per family, whether every S_i
-    passes the guard."""
-    b, p, n = mats.shape[0], mats.shape[1], mats.shape[-1]
-    x = mats.reshape(b, p * n * n).T.take(_gather_index(p, n), axis=0)
-    a, s = x[0], x[1] + x[2]
-    cof, det, ok = _cofactors(s)
-    return a, cof, det, ok.all(axis=0)
-
-
 def _require_cycle(p: int):
     if p < 3:
         raise ValueError("the cyclic sum needs p >= 3")
 
 
 def cyclic_traces(mats):
-    """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3:
-    the closed form where the guard admits it, else ``cyclic_terms``."""
+    """Tr[ sum_i A_i S_i^{-1} ] of each stacked family (..., p, n, n); p >= 3.
+
+    Each term Tr(S_i^{-1} A_i) follows ``_inv``'s rule: a real 1x1 divides;
+    a real 2x2 or 3x3 is formed from S_i's cofactors, gathered with A_i's
+    unique entries by one cached index, unless the guard refuses S_i, when
+    that term alone takes one LAPACK solve; complex and n >= 4 terms take one
+    batched solve. On the shipped BLAS a 1x1 solve rounds as the division
+    (tests/test_inequalities.py checks it).
+    """
     _require_cycle(mats.shape[-3])
-    n = mats.shape[-1]
-    if n not in _UNIQUE or np.iscomplexobj(mats):
-        return _sum_over_p(np.trace(cyclic_terms(mats), axis1=-2, axis2=-1).real)
+    n, real = mats.shape[-1], not np.iscomplexobj(mats)
+    if n not in _UNIQUE or not real:
+        dens = cyclic_denominators(mats)
+        terms = mats / dens if n == 1 and real else np.linalg.solve(dens, mats)
+        return _sum_over_p(np.trace(terms, axis1=-2, axis2=-1).real)
     flat = mats.reshape((-1,) + mats.shape[-3:])
-    # families the guard refuses are evaluated again below; nothing here may warn
+    b, p = flat.shape[:2]
+    x = flat.reshape(b, p * n * n).T.take(_gather_index(p, n), axis=0)
+    a, s = x[0], x[1] + x[2]  # A_i and S_i, entries first: (u, p, B)
+    # terms the guard refuses are evaluated again below; nothing here may warn
     with np.errstate(all="ignore"):
-        a, cof, det, ok = _closed_form(flat)
+        cof, det, ok = _cofactors(s)
         # Tr(S_i^{-1} A_i) = sum_jk cof_jk (A_i)_jk / det, entries added in order
         terms = cof * a * _WEIGHT[n]
         tr = terms[0] + terms[1]
         for t in terms[2:]:
             tr += t
-        traces = _sum_over_p((tr / det).T)
+        tr /= det
     if not ok.all():
-        traces[~ok] = _sum_over_p(np.trace(cyclic_terms(flat[~ok]), axis1=-2, axis2=-1))
-    return traces.reshape(mats.shape[:-3])[()]
+        i, t = np.nonzero(~ok)  # member i of family t
+        dens = flat[t, (i + 1) % p] + flat[t, (i + 2) % p]
+        tr[i, t] = np.trace(np.linalg.solve(dens, flat[t, i]), axis1=-2, axis2=-1)
+    return _sum_over_p(tr.T).reshape(mats.shape[:-3])[()]
 
 
 def cyclic_inverses(mats):
-    """S_i^{-1} over stacked families (..., p, n, n), inverted as
-    ``cyclic_traces`` inverts them: real 1x1 blocks divide, real 2x2 and 3x3
-    families the guard admits take cof / det, and the others LAPACK's inv."""
-    n, real = mats.shape[-1], not np.iscomplexobj(mats)
-    if n not in _UNIQUE or not real:
-        # 1x1 blocks divide, as in cyclic_terms; a 1x1 inv rounds the same
-        dens = cyclic_denominators(mats)
-        return 1.0 / dens if n == 1 and real else np.linalg.inv(dens)
-    flat = mats.reshape((-1,) + mats.shape[-3:])
-    invs = np.empty(flat.shape[:-2] + (n * n,))
-    with np.errstate(all="ignore"):
-        _, cof, det, ok = _closed_form(flat)
-        # written through the (n*n, p, B) view of invs, which stays C-contiguous
-        np.divide(cof.take(_FULL[n], axis=0), det, out=invs.T)
-    invs = invs.reshape(flat.shape)
-    if not ok.all():
-        invs[~ok] = np.linalg.inv(cyclic_denominators(flat[~ok]))
-    return invs.reshape(mats.shape)
+    """S_i^{-1} over stacked families (..., p, n, n), by the one rule ``_inv``."""
+    return _inv(cyclic_denominators(mats))
 
 
 def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
@@ -664,7 +660,7 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     a, b, c, d = _context(am), _context(bm), _context(cm), _context(dm)
     n = a.mats.shape[-1]
     mats = a.cycle(b, c, d).mats
-    inv = _inv(cyclic_denominators(mats))
+    inv = cyclic_inverses(mats)
     numerators = np.stack([mats, cyclic_shift(mats, 1), cyclic_shift(mats, 2)], axis=-4)
     sums = _psum(numerators @ inv[..., None, :, :, :])
     m, nn, pp = (sums[..., i, :, :] for i in range(3))

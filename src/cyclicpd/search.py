@@ -14,11 +14,13 @@ the result of trying them one at a time. Every 100 iterations a gauge fix
 rescales the factors. The margin is the cyclic trace sum of
 ``inequalities.cyclic_traces`` and the gradient takes its inverses from
 ``inequalities.cyclic_inverses``, the one kernel that verify and ``eval``
-use too (division at n = 1, a guarded closed form at n = 2 and 3, LAPACK
-otherwise). The restarts are cut into contiguous shares, one per process
-that ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
-max_iters), and each share descends in a forked process; a search below the
-fork floor, such as a small or scalar one, runs as one stack in this process.
+use too, with the program's one inversion rule per S_i: division at n = 1,
+a closed form at n = 2 and 3 where its guard admits S_i, LAPACK otherwise
+(one solve per refused term, a symmetrized inverse). The restarts are cut
+into contiguous shares, one per process that ``_fork.workers_for`` grants
+the search's work (restarts x p x n**2 x max_iters), and each share descends
+in a forked process; a search below the fork floor, such as a small or
+scalar one, runs as one stack in this process.
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
@@ -35,7 +37,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import CyclicFamily, validate_family
+from .pdcore import CyclicFamily
 from .inequalities import _sum_over_p, cyclic_inverses, cyclic_shift, cyclic_sum_trace, cyclic_traces
 from .serialize import family_to_dict
 
@@ -119,16 +121,6 @@ def scalar_cyclic_sum(values) -> float:
 def shapiro_margin(f: CyclicFamily) -> float:
     """Defect of the conditional trace bound; negative means counterexample candidate."""
     return cyclic_sum_trace(f) - f.p * f.dim / 2.0
-
-
-def diagonal_embed(scalars, n: int) -> CyclicFamily:
-    """Lift positive scalars to a_i * I_n; the trace functional scales by n."""
-    a = np.array([float(v) for v in scalars])
-    if min(a) <= 0:
-        raise ValueError("scalars must be positive")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,19 @@ kernel (``cyclic_traces``, ``_cyclic_matrix_sum``) as it is. The conditional
 suite follows the current rule: a violation that a theorem covers is a
 record failure.
 
-``ref_closed_form``, ``ref_family_closed_form`` and ``looped_cyclic_sum`` are
-that kernel one member at a time in Python floats: the guarded 2x2/3x3 closed
-form, or one LAPACK solve per member where it does not apply.
+``ref_closed_form``, ``_inv`` and ``looped_cyclic_sum`` are the program's one
+inversion rule and its cyclic-sum kernel, one matrix at a time in Python
+floats: the guarded 2x2/3x3 closed form where it admits a matrix, a division
+for a real 1x1 inverse, and LAPACK otherwise (an inverse symmetrized, a
+cyclic-sum term by one solve).
 
 ``roll_shift``, ``roll_denominators`` and ``looped_sum_over_p`` are the
 kernel helpers as they were before the index gather and the cumulative sum.
 ``Certificate``, ``Spectrum``, ``eig_herm`` and ``eig_general`` are the
 one-object types and eigensolvers the looped checkers were written against.
 ``random_pd`` draws one matrix at a time: the sequential stream that
-``pdcore.random_pd_stack`` must take.
+``pdcore.random_pd_stack`` must take. ``diagonal_embed`` lifts scalars to the
+scalar-matrix families that the tests compare with the scalar cyclic sum.
 """
 import math
 from dataclasses import dataclass
@@ -47,6 +50,7 @@ from cyclicpd.pdcore import (
     _symmetrize,
     eig_general_stack,
     eig_herm_stack,
+    validate_family,
 )
 from cyclicpd.serialize import family_to_dict
 
@@ -124,6 +128,16 @@ def random_family(n, p, rng, field="real"):
     return CyclicFamily(np.stack([random_pd(n, rng, field).mat for _ in range(p)]))
 
 
+def diagonal_embed(scalars, n: int) -> CyclicFamily:
+    """Lift positive scalars to a_i * I_n; the trace functional scales by n."""
+    a = np.array([float(v) for v in scalars])
+    if min(a) <= 0:
+        raise ValueError("scalars must be positive")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
+
+
 def closure_pd(a, tol: Tolerance) -> PDMatrix:
     """A matrix that is PD by closure: symmetrized under ``tol.rel``, then held
     to the positivity floor."""
@@ -183,29 +197,26 @@ def ref_closed_form(s):
     return cof, det
 
 
-def ref_family_closed_form(mats):
-    """Each S_i's closed form, or None when the family goes to LAPACK:
-    complex, n not in {2, 3}, or some S_i refused by the guard."""
-    p, n = len(mats), mats[0].shape[0]
-    if n not in (2, 3) or np.iscomplexobj(mats[0]):
+def _closed_form(s):
+    """``ref_closed_form`` of a real 2x2 or 3x3 block; None for any other."""
+    if s.shape[0] not in (2, 3) or np.iscomplexobj(s):
         return None
-    forms = [ref_closed_form(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
-    return None if any(f is None for f in forms) else forms
+    return ref_closed_form(s)
 
 
 def looped_cyclic_sum(mats):
-    """F_p of one family (p blocks), one member at a time: the closed form
-    when ``ref_family_closed_form`` admits the family, else one LAPACK solve
-    per member."""
+    """F_p of one family (p blocks), one member at a time: each term from its
+    S_i's closed form where the guard admits that S_i, else by one LAPACK
+    solve."""
     p, n = len(mats), mats[0].shape[0]
-    forms = ref_family_closed_form(mats)
     total = 0.0
     for i in range(p):
-        if forms is None:
-            s = mats[(i + 1) % p] + mats[(i + 2) % p]
+        s = mats[(i + 1) % p] + mats[(i + 2) % p]
+        form = _closed_form(s)
+        if form is None:
             total += float(np.trace(np.linalg.solve(s, mats[i])).real)
             continue
-        cof, det = forms[i]
+        cof, det = form
         a = mats[i].tolist()
         # sum over j <= k, row by row; an off-diagonal entry counts twice
         pairs = [(j, k) for j in range(n) for k in range(j, n)]
@@ -217,6 +228,14 @@ def looped_cyclic_sum(mats):
 
 
 def _inv(a: np.ndarray) -> np.ndarray:
+    """A^{-1} of one matrix: 1 / a for a real 1x1, cof / det for a real 2x2
+    or 3x3 that ``ref_closed_form`` admits, else LAPACK's inv, symmetrized."""
+    if a.shape == (1, 1) and not np.iscomplexobj(a):
+        return 1.0 / a
+    form = _closed_form(a)
+    if form is not None:
+        cof, det = form
+        return np.array([[c / det for c in row] for row in cof])
     x = np.linalg.inv(a)
     return (x + x.conj().T) / 2.0
 

@@ -135,6 +135,7 @@ FAULTY_FAMILIES = {
     "mixed_dims": (family_doc(I2, [[1.0]], I2), "members have mixed dimensions [1, 2]"),
     "wrong_p": (family_doc(I2, I2, I2, p=4), "declared p does not match member count"),
     "empty": ({"p": 0, "members": []}, "a cyclic family needs at least one member"),
+    "empty_list": ([], "the file holds an empty list, not a family"),
     # faults in several members: the form (member shapes, p, one dimension)
     # is checked before the numbers, and each numeric check runs over the
     # whole stack, in the gate's order, and names the first failing member

@@ -3,7 +3,7 @@ import pytest
 
 import cyclicpd as cp
 import looped_oracle as oracle
-from cyclicpd import inequalities as ineq
+from cyclicpd import inequalities as ineq, pdcore
 from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
@@ -19,7 +19,7 @@ def identity_family(n, p):
 
 
 def scalar_family(values):
-    return cp.diagonal_embed(values, 1)
+    return oracle.diagonal_embed(values, 1)
 
 
 def one(*ops):
@@ -202,9 +202,9 @@ def ref_refined_inverse(m):
 
 
 def ref_cyclic_sum_trace(f, refine=False):
-    """F_p of one family: the looped kernel (the closed form for real n = 2, 3
-    families the guard admits, else one solve per member), or with ``refine``
-    one refined inverse per member."""
+    """F_p of one family: the looped kernel (each term by the closed form for
+    real n = 2, 3 where the guard admits its S_i, else by one solve), or with
+    ``refine`` one refined inverse per member."""
     mats = list(f.mats)
     if not refine:
         return oracle.looped_cyclic_sum(mats)
@@ -251,7 +251,7 @@ class TestCyclicKernelOracle:
     def test_scalar_families_at_extreme_scales(self, p):
         rng = RNG(7 * p)
         for _ in range(20):
-            self.assert_family_matches_looped(cp.diagonal_embed(np.exp(rng.uniform(-8.0, 8.0, p)), 1))
+            self.assert_family_matches_looped(oracle.diagonal_embed(np.exp(rng.uniform(-8.0, 8.0, p)), 1))
 
 
 def same_bits(got, want) -> bool:
@@ -334,10 +334,10 @@ class TestKernelHelpersOracle:
 
 
 class TestScalarDivisionPath:
-    """At n = 1 ``cyclic_terms`` divides and ``margin_gradient`` takes 1.0 / S.
-    That is the batched-solve result only because a 1x1 LAPACK solve and
-    inverse round as one division does; this holds on the shipped BLAS, and
-    a BLAS where it does not must fail here."""
+    """At real n = 1 ``cyclic_traces`` divides and ``_inv`` (so the gradient's
+    ``cyclic_inverses``) takes 1.0 / S. That is the batched-solve result only
+    because a 1x1 LAPACK solve and inverse round as one division does; this
+    holds on the shipped BLAS, and a BLAS where it does not must fail here."""
 
     @pytest.mark.parametrize("shape", [(4096, 1, 1), (8, 14, 1, 1), (3, 5, 23, 1, 1)])
     def test_1x1_solve_and_inv_are_division(self, shape):
@@ -350,12 +350,52 @@ class TestScalarDivisionPath:
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("p", [3, 14, 23])
     def test_cyclic_terms_match_batched_solve(self, p, field):
+        # the terms of cyclic_traces: a division for real 1x1 blocks, one
+        # batched solve for complex ones
         rng = RNG(3 * p + len(field))
         for lead in LEADING_AXES:
             mats = np.exp(rng.uniform(-8.0, 8.0, (*lead, p, 1, 1))).astype(
                 complex if field == "complex" else float)
-            want = np.linalg.solve(oracle.roll_denominators(mats), mats)
-            assert same_bits(ineq.cyclic_terms(mats), want)
+            dens = oracle.roll_denominators(mats)
+            terms = np.trace(np.linalg.solve(dens, mats), axis1=-2, axis2=-1).real
+            assert same_bits(ineq.cyclic_traces(mats), ineq._sum_over_p(terms))
+            x = np.linalg.inv(dens)
+            assert same_bits(ineq.cyclic_inverses(mats), (x + x.conj()) / 2.0 if field == "complex" else x)
+
+
+class TestOneInversionRule:
+    """``_inv`` inverts every matrix the program inverts, one rule per matrix:
+    its result and ``cyclic_inverses``' are exactly Hermitian whichever path
+    a matrix takes (division, closed form, LAPACK for refused, complex and
+    n >= 4 blocks), and each matrix's inverse is the looped oracle's."""
+
+    @staticmethod
+    def families(n, field, rng):
+        """Eight (5, n, n) families. In the last four every member
+        L L* + 1e-10 I shares one null direction of L, so their denominators
+        S_i have an eigenvalue near 2e-10, which the guard refuses."""
+        fams = pdcore.random_pd_stack(n, 8, 5, rng, field)
+        factors = pdcore._gaussian(rng, (4, 5), n, field)
+        factors[..., -1, :] = 0.0
+        factors = np.linalg.qr(rng.standard_normal((4, 1, n, n)))[0] @ factors
+        fams[4:] = factors @ np.swapaxes(factors, -1, -2).conj() + 1e-10 * np.eye(n)
+        return (fams + np.swapaxes(fams, -1, -2).conj()) / 2.0
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_results_are_exactly_hermitian(self, n, field):
+        fams = self.families(n, field, RNG(50 + 2 * n + len(field)))
+        dens = ineq.cyclic_denominators(fams)
+        if n in (2, 3):
+            ratio = np.linalg.det(dens).real / np.prod(np.diagonal(dens, axis1=-2, axis2=-1).real, axis=-1)
+            assert (ratio[4:] < 1e-6).all() and (ratio[:4] > ineq.MIN_DET_RATIO).any()
+        for stack in (fams, dens):
+            x = ineq._inv(stack)
+            assert np.array_equal(x, np.swapaxes(x, -1, -2).conj())  # bit for bit, but for the sign of 0
+            for got, a in zip(x.reshape(-1, n, n), stack.reshape(-1, n, n)):
+                assert same_bits(got, oracle._inv(a))
+        x = ineq.cyclic_inverses(fams)
+        assert same_bits(x, ineq._inv(dens)) and np.array_equal(x, np.swapaxes(x, -1, -2).conj())
 
 
 class TestCyclicSumTrace:
@@ -370,7 +410,7 @@ class TestCyclicSumTrace:
         rng = RNG(6)
         for p in range(3, 10):
             s = rng.uniform(0.1, 10.0, p)
-            fam = cp.diagonal_embed(s, 1)
+            fam = oracle.diagonal_embed(s, 1)
             assert cp.cyclic_sum_trace(fam) == pytest.approx(
                 cp.scalar_cyclic_sum(s), rel=1e-12)
 
@@ -445,7 +485,7 @@ class TestBidirectional:
         rng = RNG(8)
         for _ in range(20):
             s = np.exp(rng.uniform(-3, 3, 14))
-            assert ineq.batch_bidirectional(one_family(cp.diagonal_embed(s, 1))).report().holds
+            assert ineq.batch_bidirectional(one_family(oracle.diagonal_embed(s, 1))).report().holds
 
 
 class TestBidirectionalEig4:

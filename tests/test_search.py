@@ -37,12 +37,12 @@ class TestShapiroMargin:
         assert cp.shapiro_margin(cp.counterexample_family()) == pytest.approx(1.2786, abs=1e-3)
 
     def test_scalar_123(self):
-        assert cp.shapiro_margin(cp.diagonal_embed([1, 2, 3], 1)) == pytest.approx(0.2, abs=1e-12)
+        assert cp.shapiro_margin(oracle.diagonal_embed([1, 2, 3], 1)) == pytest.approx(0.2, abs=1e-12)
 
 
 class TestDiagonalEmbed:
     def test_identity(self):
-        fam = cp.diagonal_embed([1.0, 1.0, 1.0], 2)
+        fam = oracle.diagonal_embed([1.0, 1.0, 1.0], 2)
         assert cp.cyclic_sum_trace(fam) == pytest.approx(3.0, abs=1e-12)
 
     def test_scaling(self):
@@ -50,13 +50,13 @@ class TestDiagonalEmbed:
         for p in (3, 7, 14):
             s = np.exp(rng.uniform(-2, 2, p))
             for n in (1, 2, 4):
-                fam = cp.diagonal_embed(s, n)
+                fam = oracle.diagonal_embed(s, n)
                 assert cp.shapiro_margin(fam) == pytest.approx(
                     n * (cp.scalar_cyclic_sum(s) - p / 2), rel=1e-12, abs=1e-12)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            cp.diagonal_embed([1.0, 0.0, 2.0], 2)
+            oracle.diagonal_embed([1.0, 0.0, 2.0], 2)
 
 
 class TestGradient:
@@ -223,11 +223,7 @@ def ref_margin_gradient(factors, ridge):
     factors = [np.asarray(l, dtype=np.float64) for l in factors]
     p = len(factors)
     mats = ref_mats(factors, ridge)
-    forms = oracle.ref_family_closed_form(mats)
-    if forms is None:
-        invs = [np.linalg.inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
-    else:
-        invs = [np.array([[c / det for c in row] for row in cof]) for cof, det in forms]
+    invs = [oracle._inv(mats[(i + 1) % p] + mats[(i + 2) % p]) for i in range(p)]
     ks = [invs[i] @ mats[i] @ invs[i] for i in range(p)]
     return [2.0 * (invs[j] - ks[(j - 1) % p] - ks[(j - 2) % p]) @ factors[j] for j in range(p)]
 
@@ -537,7 +533,8 @@ class TestMatsFromFactors:
 
 def lapack_traces(mats):
     """The cyclic trace sums by one batched LAPACK solve, the path of n >= 4."""
-    return ineq._sum_over_p(np.trace(ineq.cyclic_terms(mats), axis1=-2, axis2=-1))
+    terms = np.linalg.solve(ineq.cyclic_denominators(mats), mats)
+    return ineq._sum_over_p(np.trace(terms, axis1=-2, axis2=-1))
 
 
 def lapack_margin(factors, ridge):
@@ -546,19 +543,33 @@ def lapack_margin(factors, ridge):
     return lapack_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
 
 
+def lapack_inverses(mats):
+    """S_i^{-1} by one batched LAPACK inv, symmetrized, as ``_inv`` takes it."""
+    x = np.linalg.inv(ineq.cyclic_denominators(mats))
+    return (x + np.swapaxes(x, -1, -2)) / 2.0
+
+
 def lapack_gradient(factors, ridge):
-    """The gradient with S_i^{-1} from one batched LAPACK inv."""
+    """The gradient with S_i^{-1} from ``lapack_inverses``."""
     mats = search._mats_from_factors(factors, ridge)
-    invs = np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+    invs = lapack_inverses(mats)
     ks = invs @ mats @ invs
-    d = invs - cp.inequalities.cyclic_shift(ks, -1) - cp.inequalities.cyclic_shift(ks, -2)
+    d = invs - ineq.cyclic_shift(ks, -1) - ineq.cyclic_shift(ks, -2)
     return 2.0 * d @ factors
 
 
-def admitted(factors, ridge):
-    """Per family: whether the guard lets the closed form evaluate it."""
+def admitted_blocks(s):
+    """Per block of a stack (..., n, n), n in {2, 3}: whether the guard lets
+    the closed form invert it."""
+    n = s.shape[-1]
+    unique = s.reshape(s.shape[:-2] + (n * n,))[..., ineq._UNIQUE[n]]
     with np.errstate(all="ignore"):  # as the kernels call it
-        return ineq._closed_form(search._mats_from_factors(factors, ridge))[3]
+        return ineq._cofactors(np.moveaxis(unique, -1, 0))[2]
+
+
+def admitted(factors, ridge):
+    """Per denominator S_i of stacked factors, (families, p): ``admitted_blocks``."""
+    return admitted_blocks(ineq.cyclic_denominators(search._mats_from_factors(factors, ridge)))
 
 
 def exact_inverse(s):
@@ -576,11 +587,13 @@ def exact_inverse(s):
 
 
 class TestClosedFormAgainstLapack:
-    """At real n = 2, 3 the cyclic-sum kernel inverts S_i in closed form,
-    and the search's margin and gradient go through it. LAPACK stays the
-    accuracy oracle: families the guard admits agree with it to 1e-12
-    relative, and families it refuses (ill-conditioned, det <= 0, nan) get
-    the LAPACK path's value, nan or LinAlgError bit for bit."""
+    """At real n = 2, 3 the one inversion rule inverts each S_i in closed
+    form unless the guard refuses that block, and the search's margin and
+    gradient go through it. LAPACK stays the accuracy oracle: admitted blocks
+    and the terms they give agree with it to 1e-12 relative, and each refused
+    block (ill-conditioned, det <= 0, nan) gets LAPACK's symmetrized inverse,
+    solve term, nan or LinAlgError bit for bit, whatever the other blocks of
+    its family."""
 
     RTOL = 1e-12
 
@@ -604,24 +617,33 @@ class TestClosedFormAgainstLapack:
 
     def check(self, factors, ridge):
         """Asserts the kernels against LAPACK on a stack; returns which
-        families the guard admitted."""
+        blocks the guard admitted, (families, p)."""
         p, n = factors.shape[-3], factors.shape[-1]
         ok = admitted(factors, ridge)
+        mats = search._mats_from_factors(factors, ridge)
+        invs, want_invs = ineq.cyclic_inverses(mats), lapack_inverses(mats)
+        assert np.array_equal(invs[~ok], want_invs[~ok], equal_nan=True)
+        err = np.abs(invs - want_invs).max(axis=(-1, -2)) / np.abs(want_invs).max(axis=(-1, -2))
+        assert np.all(err[ok] <= self.RTOL)
         values, want_values = _margin_value(factors, ridge), lapack_margin(factors, ridge)
         grads, want_grads = cp.margin_gradient(factors, ridge), lapack_gradient(factors, ridge)
-        assert np.array_equal(values[~ok], want_values[~ok], equal_nan=True)
-        assert np.array_equal(grads[~ok], want_grads[~ok], equal_nan=True)
+        # a refused block's term is LAPACK's solve term, as the looped kernel takes it
+        refs = [ref_margin_value(list(f), ridge) for f in factors]
+        assert np.array_equal(values, refs, equal_nan=True)
+        lapack_only = ~ok.any(axis=1)
+        assert np.array_equal(values[lapack_only], want_values[lapack_only], equal_nan=True)
+        assert np.array_equal(grads[lapack_only], want_grads[lapack_only], equal_nan=True)
         # relative to the size of what each result sums: the trace sum for the
         # margin, and for the gradient 2 (|S_j^{-1}| + |K_{j-1}| + |K_{j-2}|) |L_j|,
         # K_i = S_i^{-1} A_i S_i^{-1}, since its terms can cancel
+        finite = np.isfinite(want_values)
+        assert np.array_equal(finite, np.isfinite(values))
         traces = want_values + p * n / 2.0
-        mats = search._mats_from_factors(factors, ridge)
-        invs = np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
-        ks = np.abs(invs @ mats @ invs)
-        terms = np.abs(invs) + cp.inequalities.cyclic_shift(ks, -1) + cp.inequalities.cyclic_shift(ks, -2)
+        ks = np.abs(want_invs @ mats @ want_invs)
+        terms = np.abs(want_invs) + ineq.cyclic_shift(ks, -1) + ineq.cyclic_shift(ks, -2)
         scale = (2.0 * terms @ np.abs(factors)).max(axis=(1, 2, 3))
-        assert np.all(np.abs(values - want_values)[ok] <= self.RTOL * traces[ok])
-        assert np.all(np.abs(grads - want_grads).max(axis=(1, 2, 3))[ok] <= self.RTOL * scale[ok])
+        assert np.all(np.abs(values - want_values)[finite] <= self.RTOL * traces[finite])
+        assert np.all(np.abs(grads - want_grads).max(axis=(1, 2, 3))[finite] <= self.RTOL * scale[finite])
         return ok
 
     @pytest.mark.parametrize("ridge", [1e-8, search.MIN_RIDGE, search.MAX_RIDGE])
@@ -642,24 +664,29 @@ class TestClosedFormAgainstLapack:
         rng = rng_for(400 + n)
         for kind in ("random", "scaled", "floor"):
             mats = search._mats_from_factors(self.stack(kind, n, 7, rng), search.MIN_RIDGE)
-            ok = ineq._closed_form(mats)[3]
-            got, want = ineq.cyclic_inverses(mats), np.linalg.inv(cp.inequalities.cyclic_denominators(mats))
+            got, want = ineq.cyclic_inverses(mats), lapack_inverses(mats)
+            ok = admitted_blocks(ineq.cyclic_denominators(mats))
             err = np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))
             assert np.all(err[ok] <= self.RTOL)
             assert np.array_equal(got[~ok], want[~ok])
 
     @pytest.mark.parametrize("n,p", [(2, 12), (3, 23)])
     def test_refused_families_give_lapack_bits_to_every_caller(self, n, p):
-        # verify and eval read F_p through cyclic_traces and cyclic_sum_trace
+        # verify and eval read F_p through cyclic_traces and cyclic_sum_trace;
+        # a family with refused blocks takes the looped kernel's bits, and one
+        # whose every block is refused the batched LAPACK solve's
         rng = rng_for(800 + n)
         factors = np.concatenate([self.stack(kind, n, p, rng) for kind in ("scaled", "floor")])
         mats = search._mats_from_factors(factors, search.MIN_RIDGE)
-        ok = ineq._closed_form(mats)[3]
-        assert ok.any() and (~ok).any()
-        got, want = ineq.cyclic_traces(mats), lapack_traces(mats)
-        assert np.array_equal(got[~ok], want[~ok])
-        for i in np.flatnonzero(~ok):
-            assert cp.cyclic_sum_trace(cp.CyclicFamily(mats[i])) == want[i]
+        ok = admitted(factors, search.MIN_RIDGE)
+        mixed = ok.any(axis=1) & ~ok.all(axis=1)
+        lapack_only = ~ok.any(axis=1)
+        assert mixed.any() and lapack_only.any()
+        got = ineq.cyclic_traces(mats)
+        assert np.array_equal(got[lapack_only], lapack_traces(mats)[lapack_only])
+        for i in np.flatnonzero(~ok.all(axis=1)):
+            want = oracle.looped_cyclic_sum(list(mats[i]))
+            assert got[i] == want and cp.cyclic_sum_trace(cp.CyclicFamily(mats[i])) == want
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_admitted_blocks_near_the_guard_are_accurate(self, n):
@@ -669,12 +696,12 @@ class TestClosedFormAgainstLapack:
         q = np.linalg.qr(rng.standard_normal((4000, n, n)))[0]
         s = (q * np.exp(rng.uniform(0.0, np.log(1e7), (4000, 1, n)))) @ np.swapaxes(q, -1, -2)
         s = (s + np.swapaxes(s, -1, -2)) / 2.0
-        cof, det, ok = (x[..., 0] for x in ineq._cofactors(s.reshape(-1, n * n)[:, ineq._UNIQUE[n]].T[..., None]))
-        ratio = det / np.prod(np.diagonal(s, axis1=-2, axis2=-1), axis=-1)
+        ok = admitted_blocks(s)
+        ratio = np.linalg.det(s) / np.prod(np.diagonal(s, axis1=-2, axis2=-1), axis=-1)
         near = np.flatnonzero(ok & (ratio < 4 * ineq.MIN_DET_RATIO))
         assert len(near) >= 20 and (~ok).any()
         for i in near[:40]:
-            got = cof[:, i][ineq._FULL[n]].reshape(n, n) / det[i]
+            got = ineq._inv(s[i])
             want = exact_inverse(s[i])
             assert np.abs(got - want).max() <= self.RTOL * np.abs(want).max()
 
@@ -693,7 +720,10 @@ class TestClosedFormAgainstLapack:
             factors[1, 0, 0, 0] = np.nan
         else:
             factors[1] = (1e80 if n == 2 else 1e52) * np.eye(n)  # det overflows to inf; LAPACK does not
-        assert admitted(factors, ridge).tolist() == [True, False, True, True]
+        ok = admitted(factors, ridge)
+        assert ok.all(axis=1).tolist() == [True, False, True, True]
+        # a nan entry of A_0 poisons only the two S_i that hold A_0
+        assert ok[1].sum() == (3 if poison == "nan" else 0)
         singular = poison in ("singular", "zero")
         for fn, ref in ((_margin_value, lapack_margin), (cp.margin_gradient, lapack_gradient)):
             if singular:

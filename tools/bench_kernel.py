@@ -86,7 +86,8 @@ def trace_case(trials: int, p: int, n: int, runs: int, seed: int):
     """(median µs per ``cyclic_traces`` call, largest relative difference
     from LAPACK) on one (trials, p, n, n) real stack."""
     mats = random_pd_stack(n, trials, p, np.random.default_rng(seed))
-    lapack = inequalities._sum_over_p(np.trace(inequalities.cyclic_terms(mats), axis1=-2, axis2=-1))
+    terms = np.linalg.solve(inequalities.cyclic_denominators(mats), mats)
+    lapack = inequalities._sum_over_p(np.trace(terms, axis1=-2, axis2=-1))
     rel = float(np.max(np.abs(inequalities.cyclic_traces(mats) - lapack) / np.abs(lapack)))
     calls = -(-TRACE_ROWS // trials)
     per_call = []
