@@ -19,7 +19,6 @@ from .errors import (
 from .pdcore import (
     CyclicFamily,
     PDMatrix,
-    Tolerance,
     validate_family,
 )
 from .inequalities import (

@@ -20,7 +20,7 @@ from . import __version__
 from . import inequalities as ineq
 from . import verify as verify_mod
 from .errors import CyclicPDError, FixtureMismatch
-from .pdcore import CyclicFamily, Tolerance, random_pd_stack
+from .pdcore import REL_TOL, CyclicFamily, random_pd_stack
 from .search import (
     SearchConfig,
     minimize_margin,
@@ -80,17 +80,18 @@ def cmd_verify(args) -> int:
             raise ValueError("--p must be >= 3")
         if args.trials < 1:
             raise ValueError("--trials must be >= 1")
-        tol = Tolerance(rel=args.tol_rel)
+        if not 0.0 < args.tol_rel < 1.0:
+            raise ValueError("--tol-rel must be in (0, 1)")
         fields = ("real", "complex") if args.field == "both" else (args.field,)
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     started = time.time()
-    outcomes = verify_mod.run_suites(args.suite, dims, p_values, args.trials, args.seed, tol, fields)
+    outcomes = verify_mod.run_suites(args.suite, dims, p_values, args.trials, args.seed, args.tol_rel, fields)
     results = {name: oc.to_dict() for name, oc in outcomes.items()}
     config = {
         "suite": args.suite, "dims": dims, "p": p_values, "trials": args.trials,
-        "field": args.field, "tol": {"rel": tol.rel},
+        "field": args.field, "tol": {"rel": args.tol_rel},
     }
     _emit(_manifest("verify", config, args.seed, started, results), args.out)
     hard_failures = sum(oc.unconditional_failures for oc in outcomes.values())
@@ -213,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     sp = sub.add_parser("verify", help="run randomized theorem/identity suites")
-    sp.add_argument("--suite", choices=["unconditional", "conditional", "identities", "all"], default="all")
+    sp.add_argument("--suite", choices=[*verify_mod.SUITES, "all"], default="all")
     sp.add_argument("--dims", default="1..3")
     sp.add_argument("--p", default="3..6")
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", choices=["real", "complex", "both"], default="both")
     sp.add_argument("--out")
-    sp.add_argument("--tol-rel", type=float, default=1e-9)
+    sp.add_argument("--tol-rel", type=float, default=REL_TOL)
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("reproduce", help="reproduce the published p=4 counterexample")

@@ -4,14 +4,17 @@ Each checker ``batch_<name>`` evaluates one inequality (or exact identity) on
 T trials of concrete positive definite operands at once (operands stacked as
 (T, n, n), families as (T, p, n, n)) and returns a :class:`CheckBatch` of
 per-trial arrays: the two sides, the signed margin in the inequality's
-direction, and a verdict under the tolerance policy. ``report(t)`` gives trial
-t as a :class:`CheckReport`; a one-trial stack (1, ...) evaluates one set of
+direction, and a verdict under one relative slack ``rel`` (default
+``pdcore.REL_TOL`` = 1e-9): a margin holds when it is at least
+-rel * (1 + the operands' norms). ``report(t)`` gives trial t as a
+:class:`CheckReport`; a one-trial stack (1, ...) evaluates one set of
 operands. A ``batch_<name>`` takes each stack either as a plain array or as a
 :class:`StackContext`, which computes the intermediates that several checkers
 of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
 the cyclic trace sum) once, with the same calls, so both give the same bits.
 The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
-``eval`` and the search.
+``eval`` and the search; the search re-checks its winner with
+``_refined_cyclic_sum_trace``, through ``pdcore._refined_inverse``.
 Checkers whose proofs go through an auxiliary construction (block matrices,
 W/Z factor pairs) rebuild it and gate on its identities.
 
@@ -28,10 +31,9 @@ import numpy as np
 
 from .errors import FixtureMismatch, SingularDenominator
 from .pdcore import (
-    _LOOSE_TOL,
-    DEFAULT_TOL,
+    PD_FLOOR,
+    REL_TOL,
     CyclicFamily,
-    Tolerance,
     _ct,
     _fro,
     _pd_floor,
@@ -70,7 +72,7 @@ class CheckReport:
     rhs: float
     margin: float
     holds: bool
-    tol: Tolerance
+    rel: float
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -83,7 +85,8 @@ class CheckReport:
             "lhs": _jsonable(self.lhs),
             "rhs": float(self.rhs),
             "detail": {k: _jsonable(v) for k, v in self.detail.items()},
-            "tol": {"rel": self.tol.rel, "abs": self.tol.abs},
+            # "abs": the positivity floor of the gate every reported family passed
+            "tol": {"rel": self.rel, "abs": PD_FLOOR},
         }
 
 
@@ -103,14 +106,14 @@ class CheckBatch:
     rhs: object
     margin: np.ndarray
     holds: np.ndarray
-    tol: Tolerance
+    rel: float
     detail: dict = field(default_factory=dict)
 
     def report(self, t: int = 0) -> CheckReport:
         """The :class:`CheckReport` of trial ``t``."""
         return CheckReport(
             self.check_name, self.n, self.p, _trial(self.lhs, t), _trial(self.rhs, t),
-            _trial(self.margin, t), _trial(self.holds, t), self.tol,
+            _trial(self.margin, t), _trial(self.holds, t), self.rel,
             {k: _trial(v, t) for k, v in self.detail.items()},
         )
 
@@ -300,6 +303,11 @@ def _context(stack) -> StackContext:
     return stack if isinstance(stack, StackContext) else StackContext(stack)
 
 
+def _slack(rel: float, *norms):
+    """Allowed negative margin for operands of the given norms (floats or per-trial arrays)."""
+    return rel * (1.0 + sum(norms))
+
+
 # ---------------------------------------------------------------------------
 # Two-operand trace bounds
 #
@@ -308,21 +316,21 @@ def _context(stack) -> StackContext:
 # and returns a CheckBatch.
 # ---------------------------------------------------------------------------
 
-def batch_trace_product(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_trace_product(am, bm, rel: float = REL_TOL) -> CheckBatch:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
     am, bm = _context(am).mats, _context(bm).mats
     tr_ab = _rtr(am @ bm)
     tr_a, tr_b = _rtr(am), _rtr(bm)
     upper = tr_a * tr_b
     margin = np.minimum(tr_ab, upper - tr_ab)
-    slack = tol.rel * (1.0 + abs(tr_ab) + abs(upper))
+    slack = rel * (1.0 + abs(tr_ab) + abs(upper))
     return CheckBatch(
-        "trace_product", am.shape[-1], 0, tr_ab, upper, margin, margin >= -slack, tol,
+        "trace_product", am.shape[-1], 0, tr_ab, upper, margin, margin >= -slack, rel,
         {"tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab},
     )
 
 
-def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_weighted_cs(x, y, am, rel: float = REL_TOL) -> CheckBatch:
     """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
     x, y, a = _context(x).mats, _context(y).mats, _context(am)
     am = a.mats
@@ -331,28 +339,28 @@ def batch_weighted_cs(x, y, am, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     t_y = _rtr(_ct(y) @ a.inv @ y)
     rhs = t_x * t_y
     margin = rhs - lhs
-    slack = tol.rel * (1.0 + lhs + abs(rhs))
+    slack = rel * (1.0 + lhs + abs(rhs))
     return CheckBatch(
-        "weighted_cs", am.shape[-1], 0, lhs, rhs, margin, margin >= -slack, tol,
+        "weighted_cs", am.shape[-1], 0, lhs, rhs, margin, margin >= -slack, rel,
         {"tr_xax": t_x, "tr_yainvy": t_y},
     )
 
 
-def batch_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_cs_trace(a, b, rel: float = REL_TOL) -> CheckBatch:
     """|Tr(AB*)|^2 <= Tr(AA*) Tr(BB*) (Cauchy-Schwarz in the trace inner product)."""
     a, b = _context(a).mats, _context(b).mats
     lhs = _abs2(np.trace(a @ _ct(b), axis1=-2, axis2=-1))
     rhs = _rtr(a @ _ct(a)) * _rtr(b @ _ct(b))
     margin = rhs - lhs
-    slack = tol.rel * (1.0 + lhs + abs(rhs))
-    return CheckBatch("cs_trace", a.shape[-2], 0, lhs, rhs, margin, margin >= -slack, tol)
+    slack = rel * (1.0 + lhs + abs(rhs))
+    return CheckBatch("cs_trace", a.shape[-2], 0, lhs, rhs, margin, margin >= -slack, rel)
 
 
 # ---------------------------------------------------------------------------
 # Eigenvalue bounds for products of PD matrices
 # ---------------------------------------------------------------------------
 
-def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_eigineq1(am, bm, rel: float = REL_TOL) -> CheckBatch:
     """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
 
     Evaluated through the identity with X = A B^{-1}: the spectrum equals that
@@ -368,9 +376,9 @@ def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     vals = eig_herm_stack(h + _inv(h))[0] - 2.0
     margin = vals.min(axis=-1)
     direct = eig_general_stack((am - bm) @ (b.inv - a.inv))
-    slack = tol.slack(a.fro, b.fro)
+    slack = _slack(rel, a.fro, b.fro)
     return CheckBatch(
-        "eigineq1", am.shape[-1], 0, margin, 0.0, margin, margin >= -slack, tol,
+        "eigineq1", am.shape[-1], 0, margin, 0.0, margin, margin >= -slack, rel,
         {
             "eigs": vals,
             "direct_min_real": direct.real.min(axis=-1),
@@ -379,7 +387,7 @@ def batch_eigineq1(am, bm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_harmonic_loewner(mats, rel: float = REL_TOL) -> CheckBatch:
     """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
     ctx = _context(mats)
     mats = ctx.mats
@@ -388,10 +396,10 @@ def batch_harmonic_loewner(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     rhs = p**2 * ctx.total_inv
     diff = (lhs - rhs + _ct(lhs - rhs)) / 2.0
     margin = np.linalg.eigvalsh(diff)[..., 0]
-    slack = tol.slack(_fro(lhs), _fro(rhs))
+    slack = _slack(rel, _fro(lhs), _fro(rhs))
     return CheckBatch(
         "harmonic_loewner", mats.shape[-1], p, _rtr(lhs), _rtr(rhs), margin,
-        margin >= -slack, tol, {"loewner_margin": margin},
+        margin >= -slack, rel, {"loewner_margin": margin},
     )
 
 
@@ -414,7 +422,7 @@ def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
     return a - b @ _inv(d) @ c
 
 
-def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_block_certificate(mats, rel: float = REL_TOL) -> CheckBatch:
     """The proof behind the harmonic Loewner bound: each block
     M_i = [[A_i^{-1}, I], [I, A_i]] is PSD, so is their sum M, and the Schur
     complement of M with respect to its (2,2) block equals
@@ -431,36 +439,36 @@ def batch_block_certificate(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     direct = ctx.inv_total - p**2 * ctx.total_inv
     sc_gap = _fro(sc - direct)
     scale = _fro(m)
-    slack = tol.slack(scale)
+    slack = _slack(rel, scale)
     margin = np.minimum(block_min, m_min)
     holds = (margin >= -slack) & (sc_gap <= 1e-8 * (1.0 + scale))
     return CheckBatch(
-        "block_certificate", n, p, margin, 0.0, margin, holds, tol,
+        "block_certificate", n, p, margin, 0.0, margin, holds, rel,
         {"block_min_eig": block_min, "sum_min_eig": m_min, "schur_gap": sc_gap},
     )
 
 
-def batch_product_sum_eigs(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_product_sum_eigs(mats, rel: float = REL_TOL) -> CheckBatch:
     """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
     ctx = _context(mats)
     mats = ctx.mats
     p = mats.shape[-3]
-    s = _symmetrize(ctx.total, tol)
-    hinv = _symmetrize(ctx.inv_total, tol)
+    s = _symmetrize(ctx.total, rel)
+    hinv = _symmetrize(ctx.inv_total, rel)
     # the sums are PD by closure, so only the positivity floor applies
-    _pd_floor(s, _LOOSE_TOL)
-    _pd_floor(hinv, _LOOSE_TOL)
+    _pd_floor(s)
+    _pd_floor(hinv)
     vals = pd_product_eigvals(hinv, s)
     rhs = float(p**2)
     margin = vals.min(axis=-1) - rhs
-    slack = tol.slack(_fro(s), _fro(hinv))
+    slack = _slack(rel, _fro(s), _fro(hinv))
     return CheckBatch(
         "product_sum_eigs", mats.shape[-1], p, vals.min(axis=-1), rhs, margin,
-        margin >= -slack, tol, {"eigs": vals},
+        margin >= -slack, rel, {"eigs": vals},
     )
 
 
-def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_nesbitt(am, bm, cm, rel: float = REL_TOL) -> CheckBatch:
     """Three-variable cyclic bound: every eigenvalue of
     A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
 
@@ -478,9 +486,9 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     margin = vals.min(axis=-1) - 1.5
     m_direct = _psum(mats @ invs)  # M, summed as _cyclic_matrix_sum sums it
     m_ident = 0.5 * total @ inv_sum - 3.0 * np.eye(n)
-    slack = tol.slack(a.fro, b.fro, c.fro)
+    slack = _slack(rel, a.fro, b.fro, c.fro)
     return CheckBatch(
-        "nesbitt", n, 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, tol,
+        "nesbitt", n, 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, rel,
         {
             "eigs": vals,
             "construction_gap": _fro(m_direct - m_ident),
@@ -489,7 +497,7 @@ def batch_nesbitt(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     )
 
 
-def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_nesbitt_k(mats, rel: float = REL_TOL) -> CheckBatch:
     """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
     are >= k/(k-1), with S the sum of the family."""
     ctx = _context(mats)
@@ -502,9 +510,9 @@ def batch_nesbitt_k(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     vals = pd_product_eigvals(s, inv_sum) - k
     rhs = k / (k - 1)
     margin = vals.min(axis=-1) - rhs
-    slack = tol.slack(*np.moveaxis(ctx.fro, -1, 0))
+    slack = _slack(rel, *np.moveaxis(ctx.fro, -1, 0))
     return CheckBatch(
-        "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, tol,
+        "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, rel,
         {"eigs": vals},
     )
 
@@ -615,24 +623,24 @@ def cyclic_inverses(mats):
     return _inv(cyclic_denominators(mats))
 
 
-def cyclic_sum_trace(f: CyclicFamily, refine: bool = False) -> float:
-    """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3).
+def cyclic_sum_trace(f: CyclicFamily) -> float:
+    """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3)."""
+    return float(cyclic_traces(f.mats))
 
-    With ``refine`` the denominators pass the Hermitian and PD gates and are
-    inverted with one Newton step plus a residual gate
-    (``pdcore._refined_inverse``) rather than by a plain solve; used for high-scrutiny
-    re-verification of search results.
-    """
+
+def _refined_cyclic_sum_trace(f: CyclicFamily) -> float:
+    """:func:`cyclic_sum_trace` for the search's re-check of its winner: the
+    denominators pass the Hermitian and PD gates and are inverted with one
+    Newton step plus a residual gate (``pdcore._refined_inverse``) rather than
+    by the closed form or a plain solve."""
     mats = f.mats
-    if not refine:
-        return float(cyclic_traces(mats))
     _require_cycle(f.p)
-    dens = _symmetrize(cyclic_denominators(mats), _LOOSE_TOL)
-    _pd_floor(dens, _LOOSE_TOL)
+    dens = _symmetrize(cyclic_denominators(mats))
+    _pd_floor(dens)
     return float(_sum_over_p(_rtr(mats @ _refined_inverse(dens)[0])))
 
 
-def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_shapiro_trace(mats, rel: float = REL_TOL) -> CheckBatch:
     """Conditional cyclic trace bound: Tr-sum >= p*n/2.
 
     A failed verdict is a counterexample candidate, not necessarily a bug:
@@ -643,14 +651,14 @@ def batch_shapiro_trace(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     val = ctx.traces
     rhs = p * n / 2.0
     margin = val - rhs
-    slack = tol.rel * (1.0 + abs(val) + rhs)
+    slack = rel * (1.0 + abs(val) + rhs)
     return CheckBatch(
-        "shapiro_trace", n, p, val, rhs, margin, margin >= -slack, tol,
+        "shapiro_trace", n, p, val, rhs, margin, margin >= -slack, rel,
         {"scalar_theorem_p": p in SCALAR_VALID_P},
     )
 
 
-def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_s4_decomposition(am, bm, cm, dm, rel: float = REL_TOL) -> CheckBatch:
     """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
 
     M, N and P are sum_i A_{i+k} (A_{i+1} + A_{i+2})^{-1} over (A, B, C, D)
@@ -666,7 +674,7 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     m, nn, pp = (sums[..., i, :, :] for i in range(3))
     identity_res = _fro(nn + pp - 4.0 * np.eye(n))
     norms = (a.fro, b.fro, c.fro, d.fro)
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     tr_m = _rtr(m)
     margins = {
         "m_plus_p": _rtr(m + pp) - 4.0 * n,
@@ -677,7 +685,7 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     for v in margins.values():
         holds = holds & (v >= -slack)
     return CheckBatch(
-        "s4_decomposition", n, 4, tr_m, 2.0 * n, margins["m"], holds, tol,
+        "s4_decomposition", n, 4, tr_m, 2.0 * n, margins["m"], holds, rel,
         {
             "tr_m": tr_m,
             "tr_n": _rtr(nn),
@@ -688,7 +696,7 @@ def batch_s4_decomposition(am, bm, cm, dm, tol: Tolerance = DEFAULT_TOL) -> Chec
     )
 
 
-def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_shapiro_extension(mats, rel: float = REL_TOL) -> CheckBatch:
     """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
     ctx = _context(mats)
     mats = ctx.mats
@@ -699,12 +707,12 @@ def batch_shapiro_extension(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     diff = abs(ext - expected)
     allowed = 1e-10 * (1.0 + abs(base) + n)
     return CheckBatch(
-        "shapiro_extension", n, p, ext, expected, -diff, diff <= allowed, tol,
+        "shapiro_extension", n, p, ext, expected, -diff, diff <= allowed, rel,
         {"base": base, "extended": ext},
     )
 
 
-def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_bidirectional(mats, rel: float = REL_TOL) -> CheckBatch:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
     ctx = _context(mats)
     mats = ctx.mats
@@ -712,9 +720,9 @@ def batch_bidirectional(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     fwd, rev = ctx.traces, cyclic_traces(mats[..., ::-1, :, :])
     rhs = float(p * n)
     margin = fwd + rev - rhs
-    slack = tol.rel * (1.0 + fwd + rev + rhs)
+    slack = rel * (1.0 + fwd + rev + rhs)
     return CheckBatch(
-        "bidirectional", n, p, fwd + rev, rhs, margin, margin >= -slack, tol,
+        "bidirectional", n, p, fwd + rev, rhs, margin, margin >= -slack, rel,
         {"forward": fwd, "reversed": rev},
     )
 
@@ -731,7 +739,7 @@ def _bidirectional_matrix(mats) -> np.ndarray:
     return _cyclic_matrix_sum(np.stack([mats, mats[..., ::-1, :, :]], axis=-4)).sum(axis=-3)
 
 
-def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_bidirectional_eig4(a1, a2, a3, a4, rel: float = REL_TOL) -> CheckBatch:
     """Four-variable eigenvalue form: the forward plus backward cyclic-sum
     matrix has every eigenvalue with real part >= 4."""
     a1, a2, a3, a4 = _context(a1), _context(a2), _context(a3), _context(a4)
@@ -741,9 +749,9 @@ def batch_bidirectional_eig4(a1, a2, a3, a4, tol: Tolerance = DEFAULT_TOL) -> Ch
     max_imag = abs(eigs.imag).max(axis=-1)
     margin = min_real - 4.0
     scale = _fro(total)
-    slack = tol.slack(scale)
+    slack = _slack(rel, scale)
     return CheckBatch(
-        "bidirectional_eig4", a1.mats.shape[-1], 4, min_real, 4.0, margin, margin >= -slack, tol,
+        "bidirectional_eig4", a1.mats.shape[-1], 4, min_real, 4.0, margin, margin >= -slack, rel,
         {
             "eigs": eigs,
             "max_imag": max_imag,
@@ -772,7 +780,7 @@ def _two_ab_sums(mats) -> tuple[np.ndarray, np.ndarray]:
     return sums[..., 0, :, :], sums[..., 1, :, :]
 
 
-def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_upper_bound_2ab(am, bm, cm, rel: float = REL_TOL) -> CheckBatch:
     """Tr(A(2A+B)^{-1} + B(2B+C)^{-1} + C(2C+A)^{-1}) <= (3n-1)/2.
 
     Verifies the exact identity 2M + N = 3I and the lower bound Tr(N) >= 1
@@ -785,11 +793,11 @@ def batch_upper_bound_2ab(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatc
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
     norms = (a.fro, b.fro, c.fro)
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     margin = np.minimum(rhs - tr_m, tr_n - 1.0)
     holds = (margin >= -slack) & (identity_res <= 1e-10 * (1.0 + sum(norms)))
     return CheckBatch(
-        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, tol,
+        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, rel,
         {"tr_m": tr_m, "tr_n": tr_n, "identity_residual": identity_res},
     )
 
@@ -806,7 +814,7 @@ def _wz_blocks(inner) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return outer, wi, zi
 
 
-def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_wz_certificate(am, bm, cm, rel: float = REL_TOL) -> CheckBatch:
     """Verify the W/Z certificate identities and the quotient bound
     |Tr(WZ*)|^2 / Tr(ZZ*) >= 1, which gives Tr(N) >= 1 in the damped upper bound.
 
@@ -830,7 +838,7 @@ def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch
     quotient = _abs2(np.trace(wz, axis1=-2, axis2=-1)) / tr_zz
     norms = (a.fro, b.fro, c.fro)
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     holds = (
         (res_wz <= ident_tol)
         & (abs(tr_zz - tr_zz_expected) <= ident_tol)
@@ -838,7 +846,7 @@ def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch
         & (quotient >= 1.0 - slack)
     )
     return CheckBatch(
-        "wz_certificate", am.shape[-1], 3, quotient, 1.0, quotient - 1.0, holds, tol,
+        "wz_certificate", am.shape[-1], 3, quotient, 1.0, quotient - 1.0, holds, rel,
         {
             "wz_residual": res_wz,
             "tr_zz": tr_zz,
@@ -849,7 +857,7 @@ def batch_wz_certificate(am, bm, cm, tol: Tolerance = DEFAULT_TOL) -> CheckBatch
     )
 
 
-def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
+def batch_square_cycle(mats, rel: float = REL_TOL) -> CheckBatch:
     """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
 
     The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
@@ -866,11 +874,11 @@ def batch_square_cycle(mats, tol: Tolerance = DEFAULT_TOL) -> CheckBatch:
     res_wz = _fro(w @ _ct(z) - total)
     res_zz = _fro(z @ _ct(z) - total)
     margin = lhs - rhs
-    slack = tol.rel * (1.0 + abs(lhs) + abs(rhs))
+    slack = rel * (1.0 + abs(lhs) + abs(rhs))
     norms = _sum_over_p(ctx.fro)
     holds = (margin >= -slack) & (np.maximum(res_wz, res_zz) <= 1e-9 * (1.0 + norms))
     return CheckBatch(
-        "square_cycle", n, p, lhs, rhs, margin, holds, tol,
+        "square_cycle", n, p, lhs, rhs, margin, holds, rel,
         {"wz_residual": res_wz, "zz_residual": res_zz},
     )
 
@@ -905,7 +913,7 @@ def reproduce_counterexample() -> CheckReport:
     max_imag = float(np.abs(eigs.imag).max())
     return CheckReport(
         "counterexample_p4_eigs", 2, 4, eigs, 2.0, -max_imag,
-        True, DEFAULT_TOL,
+        True, REL_TOL,
         {
             "eigs": eigs,
             "trace": trace,

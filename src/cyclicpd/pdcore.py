@@ -7,7 +7,9 @@ stack read-only; :class:`CyclicFamily` is a record of such a stack.
 Everything downstream (inequality checkers, counterexample search) runs on
 stacks (..., n, n) of raw arrays, with the handful of kernels here: random
 sampling, Hermitian and general eigensolvers, Hermitian powers, the spectrum
-of a PD product, and one refined inverse with a residual gate.
+of a PD product, and one refined inverse with a residual gate. Two numbers
+set the tolerances: the relative slack ``REL_TOL`` of the margin checks and of
+the Hermitian gate, and the positivity floor ``PD_FLOOR`` of outside input.
 """
 from __future__ import annotations
 
@@ -34,30 +36,12 @@ DEFAULT_RIDGE = 1e-3
 MAX_ENTRY = 1e100
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison policy for floating-point inequality checks.
-
-    ``rel`` scales with the operand norms (margin checks accept
-    margin >= -rel*(1 + norms)); ``abs`` is the strictness floor for
-    positive definiteness at construction time.
-    """
-
-    rel: float = 1e-9
-    abs: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.rel < np.inf and 0.0 < self.abs < np.inf):
-            raise ValueError("tolerances must be positive and finite")
-
-    def slack(self, *norms):
-        """Allowed negative margin for operands of the given norms (floats or per-trial arrays)."""
-        return self.rel * (1.0 + sum(norms))
-
-
-DEFAULT_TOL = Tolerance()
-# the positivity floor alone, for matrices that are PD by construction
-_LOOSE_TOL = Tolerance(abs=np.finfo(float).tiny)
+# The relative slack of every margin check and of the Hermitian gate: a margin
+# passes when margin >= -REL_TOL * (1 + the operands' norms).
+REL_TOL = 1e-9
+# The positivity floor of outside input: every smallest eigenvalue of a loaded
+# family must exceed it.
+PD_FLOOR = 1e-12
 
 
 def _ct(a: np.ndarray) -> np.ndarray:
@@ -77,13 +61,13 @@ def _fro(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def _symmetrize(a: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _symmetrize(a: np.ndarray, rel: float = REL_TOL) -> np.ndarray:
     """The Hermitian gate over a stack (..., n, n): (A + A*)/2, or NotHermitian.
 
     A complex stack whose symmetrized entries are all real comes back real.
     """
     asym = _fro(a - _ct(a))
-    bad = asym > tol.rel * (1.0 + _fro(a))
+    bad = asym > rel * (1.0 + _fro(a))
     if bad.any():
         raise NotHermitian(f"asymmetry {float(asym[bad][0]):g} exceeds tolerance")
     h = (a + _ct(a)) / 2.0
@@ -92,14 +76,15 @@ def _symmetrize(a: np.ndarray, tol: Tolerance) -> np.ndarray:
     return h
 
 
-def _pd_floor(h: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _pd_floor(h: np.ndarray, floor: float = np.finfo(float).tiny) -> np.ndarray:
     """The positive definiteness gate over a Hermitian stack (..., n, n).
 
     Returns the smallest eigenvalues; raises NotPositiveDefinite unless each
-    exceeds ``tol.abs``.
+    exceeds ``floor``. The default, the smallest normal float, is the floor of
+    matrices that are PD by construction.
     """
     w0 = np.linalg.eigvalsh(h)[..., 0]
-    bad = w0 <= tol.abs
+    bad = w0 <= floor
     if bad.any():
         raise NotPositiveDefinite(w0[bad][0])
     return w0
@@ -110,10 +95,10 @@ def validate_family(entries) -> np.ndarray:
 
     Checks, in order, that the input is a non-empty stack of square matrices,
     that every entry is finite, and that no entry's real or imaginary part
-    exceeds ``MAX_ENTRY`` (:class:`EntryTooLarge`). Under ``DEFAULT_TOL``, an
-    asymmetry below 1e-9 relative is folded into (A + A*)/2, a larger one raises
-    :class:`NotHermitian`, and every smallest eigenvalue must exceed 1e-12.
-    Each check reports the first member that fails it.
+    exceeds ``MAX_ENTRY`` (:class:`EntryTooLarge`). An asymmetry below
+    ``REL_TOL`` (1e-9) relative is folded into (A + A*)/2, a larger one raises
+    :class:`NotHermitian`, and every smallest eigenvalue must exceed
+    ``PD_FLOOR`` (1e-12). Each check reports the first member that fails it.
     """
     a = np.asarray(entries)
     if a.shape[:1] == (0,):
@@ -126,8 +111,8 @@ def validate_family(entries) -> np.ndarray:
     # real and imaginary parts apart: the modulus of a huge complex entry overflows
     if max(np.abs(a.real).max(initial=0.0), np.abs(a.imag).max(initial=0.0)) > MAX_ENTRY:
         raise EntryTooLarge(f"matrix has an entry above {MAX_ENTRY:g} in magnitude")
-    h = _symmetrize(a, DEFAULT_TOL)
-    _pd_floor(h, DEFAULT_TOL)
+    h = _symmetrize(a)
+    _pd_floor(h, PD_FLOOR)
     h.setflags(write=False)
     return h
 
@@ -271,4 +256,4 @@ def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bad = residual > bound
     if bad.any():
         raise IllConditioned(f"inverse residual {residual[bad][0]:g} exceeds bound {bound[bad][0]:g}")
-    return x, _pd_floor(x, _LOOSE_TOL)
+    return x, _pd_floor(x)

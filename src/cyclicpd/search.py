@@ -38,7 +38,8 @@ import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
 from .pdcore import CyclicFamily
-from .inequalities import _sum_over_p, cyclic_inverses, cyclic_shift, cyclic_sum_trace, cyclic_traces
+from .inequalities import (_refined_cyclic_sum_trace, _sum_over_p, cyclic_inverses, cyclic_shift,
+                           cyclic_sum_trace, cyclic_traces)
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
@@ -345,7 +346,7 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)
     family = CyclicFamily(mats)
-    recomputed = cyclic_sum_trace(family, refine=True) - cfg.p * cfg.n / 2.0
+    recomputed = _refined_cyclic_sum_trace(family) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):
         raise RuntimeError(
             f"soundness gate: optimizer margin {f!r} disagrees with "

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch
-from .pdcore import _LOOSE_TOL, CyclicFamily, _pd_floor, validate_family
+from .pdcore import CyclicFamily, _pd_floor, validate_family
 
 
 def _matrix_to_dict(a: np.ndarray) -> dict:
@@ -47,7 +47,7 @@ def _matrix_from_dict(d: dict) -> np.ndarray:
 def family_to_dict(f: CyclicFamily) -> dict:
     """The document of a family. The families the program writes are PD by
     construction, so only the positivity floor is checked here."""
-    _pd_floor(f.mats, _LOOSE_TOL)
+    _pd_floor(f.mats)
     return {"p": f.p, "members": [_matrix_to_dict(m) for m in f.mats]}
 
 

@@ -36,10 +36,11 @@ import numpy as np
 
 from . import inequalities as ineq
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import DEFAULT_TOL, CyclicFamily, random_pd_stack
+from .pdcore import REL_TOL, CyclicFamily, random_pd_stack
 from .serialize import family_to_dict
 
-SUITES = ("unconditional", "conditional", "identities")
+# The suites in run order, which is also their order in the output.
+SUITES = ("unconditional", "identities", "conditional")
 
 # The unconditional suite's checkers in call order. Record ``name`` is checked by
 # ``ineq.batch_<name>``, looked up at call time so a wrapper bound there is called.
@@ -151,21 +152,21 @@ def _add_residual(rec: GridRecord, residual, allowed):
     rec.add(allowed - residual, residual <= allowed)
 
 
-def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
+def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
     out = SuiteOutcome()
     for n in dims:
         for fld in fields:
             rng = _rng_for(seed, 1, n, _FIELD_ID[fld])
             recs = [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED]
             for drawn in _stacks(n, trials, 4, rng, fld, gaussian_tail=2):
-                _add_fixed(recs, drawn, tol)
+                _add_fixed(recs, drawn, rel)
             out.records.extend(recs)
         for p in p_values:
             for fld in fields:
                 rng = _rng_for(seed, 2, n, p, _FIELD_ID[fld])
                 recs = [GridRecord(name, n, p, fld) for name in UNCONDITIONAL_FAMILY]
                 for fams in _stacks(n, trials, p, rng, fld):
-                    _add_family(recs, fams, tol)
+                    _add_family(recs, fams, rel)
                 out.records.extend(recs)
     return out
 
@@ -173,21 +174,21 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
 # The helpers below hold a stack's contexts, so their cached intermediates are
 # freed when the stack is done, before the next stack is drawn.
 
-def _add_fixed(recs, drawn, tol):
+def _add_fixed(recs, drawn, rel):
     operands = dict(zip("abcdxy", map(ineq.StackContext, np.moveaxis(drawn, 1, 0))))
     for rec, (name, letters) in zip(recs, UNCONDITIONAL_FIXED):
-        batch = _batch(name)(*(operands[k] for k in letters), tol)
+        batch = _batch(name)(*(operands[k] for k in letters), rel)
         rec.add(batch.margin, batch.holds)
 
 
-def _add_family(recs, fams, tol):
+def _add_family(recs, fams, rel):
     ctx = ineq.StackContext(fams)
     for rec in recs:
-        batch = _batch(rec.check)(ctx, tol)
+        batch = _batch(rec.check)(ctx, rel)
         rec.add(batch.margin, batch.holds, _family_witness(fams))
 
 
-def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
+def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
     """Exact identities only: residuals must sit at round-off, far below 1e-10."""
     out = SuiteOutcome()
     for n in dims:
@@ -197,21 +198,21 @@ def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real"
             ext_recs = {p: GridRecord("extension_identity", n, p, fld) for p in p_values}
             # each trial draws a, b, c, d, then one family per p in p_values
             for drawn in _stacks(n, trials, 4 + sum(p_values), rng, fld):
-                _add_identities(recs, ext_recs, drawn, p_values, tol)
+                _add_identities(recs, ext_recs, drawn, p_values, rel)
             out.records.extend(recs.values())
             out.records.extend(ext_recs.values())
     return out
 
 
-def _add_identities(recs, ext_recs, drawn, p_values, tol):
+def _add_identities(recs, ext_recs, drawn, p_values, rel):
     n = drawn.shape[-1]
     a, b, c, d = map(ineq.StackContext, np.moveaxis(drawn[:, :4], 1, 0))
     scale = 1.0 + sum(x.fro for x in (a, b, c, d))
-    r = ineq.batch_s4_decomposition(a, b, c, d, tol)
+    r = ineq.batch_s4_decomposition(a, b, c, d, rel)
     _add_residual(recs["s4_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_upper_bound_2ab(a, b, c, tol)
+    r = ineq.batch_upper_bound_2ab(a, b, c, rel)
     _add_residual(recs["two_ab_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_wz_certificate(a, b, c, tol)
+    r = ineq.batch_wz_certificate(a, b, c, rel)
     wz_res = np.maximum.reduce([
         r.detail["wz_residual"],
         abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),
@@ -222,11 +223,11 @@ def _add_identities(recs, ext_recs, drawn, p_values, tol):
     for p in p_values:
         fams = ineq.StackContext(drawn[:, start:start + p])
         start += p
-        r = ineq.batch_square_cycle(fams, tol)
+        r = ineq.batch_square_cycle(fams, rel)
         sc_res = np.maximum(r.detail["wz_residual"], r.detail["zz_residual"])
         allowed = 1e-10 * (1.0 + sum(np.moveaxis(fams.fro, -1, 0)))
         _add_residual(recs["square_cycle_identities"], sc_res, allowed)
-        r = ineq.batch_shapiro_extension(fams, tol)
+        r = ineq.batch_shapiro_extension(fams, rel)
         _add_residual(ext_recs[p], -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n))
 
 
@@ -237,7 +238,7 @@ def theorem_covers(n: int, p: int) -> bool:
     return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
-def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> SuiteOutcome:
+def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
     out = SuiteOutcome()
     for n in dims:
         for p in p_values:
@@ -245,7 +246,7 @@ def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real
                 rng = _rng_for(seed, 4, n, p, _FIELD_ID[fld])
                 rec = GridRecord("shapiro_trace", n, p, fld)
                 for fams in _stacks(n, trials, p, rng, fld):
-                    batch = ineq.batch_shapiro_trace(fams, tol)
+                    batch = ineq.batch_shapiro_trace(fams, rel)
                     if theorem_covers(n, p):
                         rec.add(batch.margin, batch.holds, _family_witness(fams))
                         continue
@@ -265,7 +266,7 @@ def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real
     return out
 
 
-def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")):
+def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):
     """Dispatch; returns {suite name: SuiteOutcome} for the suites asked for.
 
     The work is cut into units of one (suite, n) each, run as
@@ -279,10 +280,10 @@ def run_suites(suite, dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
-    names = [name for name in ("unconditional", "identities", "conditional") if suite in (name, "all")]
+    names = [name for name in SUITES if suite in (name, "all")]
     units = [(name, n) for name in names for n in dims]
     # runners are looked up at call time, so a wrapper bound on this module is called
-    jobs = [functools.partial(globals()[f"run_{name}"], [n], p_values, trials, seed, tol, fields)
+    jobs = [functools.partial(globals()[f"run_{name}"], [n], p_values, trials, seed, rel, fields)
             for name, n in units]
     results = {name: SuiteOutcome() for name in names}
     costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) for _, n in units]

@@ -38,12 +38,10 @@ from cyclicpd.inequalities import (
     cyclic_traces,
 )
 from cyclicpd.pdcore import (
-    _LOOSE_TOL,
     DEFAULT_RIDGE,
-    DEFAULT_TOL,
+    REL_TOL,
     CyclicFamily,
     PDMatrix,
-    Tolerance,
     _ct,
     _gaussian,
     _pd_floor,
@@ -138,12 +136,17 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
     return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
 
 
-def closure_pd(a, tol: Tolerance) -> PDMatrix:
-    """A matrix that is PD by closure: symmetrized under ``tol.rel``, then held
+def closure_pd(a, rel: float = REL_TOL) -> PDMatrix:
+    """A matrix that is PD by closure: symmetrized under ``rel``, then held
     to the positivity floor."""
-    h = _symmetrize(np.asarray(a), tol)
-    _pd_floor(h, _LOOSE_TOL)
+    h = _symmetrize(np.asarray(a), rel)
+    _pd_floor(h)
     return PDMatrix(h)
+
+
+def _slack(rel, *norms):
+    """Allowed negative margin for operands of the given norms."""
+    return rel * (1.0 + sum(norms))
 
 
 def _add(rec, report, witness_fn=None):
@@ -250,7 +253,7 @@ def _check_dims(*mats: PDMatrix):
         raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
 
 
-def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_trace_product(a, b, rel: float = REL_TOL) -> CheckReport:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
     am, bm = a.mat, b.mat
     if am.shape != bm.shape:
@@ -259,14 +262,14 @@ def check_trace_product(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     tr_a, tr_b = _rtr(am), _rtr(bm)
     upper = tr_a * tr_b
     margin = min(tr_ab, upper - tr_ab)
-    slack = tol.rel * (1.0 + abs(tr_ab) + abs(upper))
+    slack = rel * (1.0 + abs(tr_ab) + abs(upper))
     return CheckReport(
-        "trace_product", am.shape[0], 0, tr_ab, upper, margin, margin >= -slack, tol,
+        "trace_product", am.shape[0], 0, tr_ab, upper, margin, margin >= -slack, rel,
         {"tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab},
     )
 
 
-def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_weighted_cs(x, y, a: PDMatrix, rel: float = REL_TOL) -> CheckReport:
     """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
     x = np.asarray(x)
     y = np.asarray(y)
@@ -277,14 +280,14 @@ def check_weighted_cs(x, y, a: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckR
     t_y = _rtr(y.conj().T @ _inv(a.mat) @ y)
     rhs = t_x * t_y
     margin = rhs - lhs
-    slack = tol.rel * (1.0 + lhs + abs(rhs))
+    slack = rel * (1.0 + lhs + abs(rhs))
     return CheckReport(
-        "weighted_cs", a.mat.shape[0], 0, lhs, rhs, margin, margin >= -slack, tol,
+        "weighted_cs", a.mat.shape[0], 0, lhs, rhs, margin, margin >= -slack, rel,
         {"tr_xax": t_x, "tr_yainvy": t_y},
     )
 
 
-def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_cs_trace(a, b, rel: float = REL_TOL) -> CheckReport:
     """|Tr(AB*)|^2 <= Tr(AA*) Tr(BB*) (Cauchy-Schwarz in the trace inner product)."""
     a = np.asarray(a)
     b = np.asarray(b)
@@ -293,11 +296,11 @@ def check_cs_trace(a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     lhs = abs(complex(np.trace(a @ b.conj().T))) ** 2
     rhs = _rtr(a @ a.conj().T) * _rtr(b @ b.conj().T)
     margin = rhs - lhs
-    slack = tol.rel * (1.0 + lhs + abs(rhs))
-    return CheckReport("cs_trace", a.shape[0], 0, lhs, rhs, margin, margin >= -slack, tol)
+    slack = rel * (1.0 + lhs + abs(rhs))
+    return CheckReport("cs_trace", a.shape[0], 0, lhs, rhs, margin, margin >= -slack, rel)
 
 
-def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_eigineq1(a: PDMatrix, b: PDMatrix, rel: float = REL_TOL) -> CheckReport:
     """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
 
     Evaluated through the identity with X = A B^{-1}: the spectrum equals that
@@ -312,9 +315,9 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
     vals = eig_herm(h + _inv(h)).values - 2.0
     margin = float(vals.min())
     direct = eig_general((a.mat - b.mat) @ (_inv(b.mat) - _inv(a.mat)))
-    slack = tol.slack(_norm(a), _norm(b))
+    slack = _slack(rel, _norm(a), _norm(b))
     return CheckReport(
-        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, tol,
+        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, rel,
         {
             "eigs": vals,
             "direct_min_real": direct.min_real,
@@ -323,17 +326,17 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> Ch
     )
 
 
-def check_harmonic_loewner(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_harmonic_loewner(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
     mats = list(f.mats)
     lhs = sum(_inv(m) for m in mats)
     rhs = f.p**2 * _inv(sum(mats))
     diff = (lhs - rhs + (lhs - rhs).conj().T) / 2.0
     margin = float(np.linalg.eigvalsh(diff)[0])
-    slack = tol.slack(np.linalg.norm(lhs), np.linalg.norm(rhs))
+    slack = _slack(rel, np.linalg.norm(lhs), np.linalg.norm(rhs))
     return CheckReport(
         "harmonic_loewner", f.dim, f.p, _rtr(lhs), _rtr(rhs), margin,
-        margin >= -slack, tol, {"loewner_margin": margin},
+        margin >= -slack, rel, {"loewner_margin": margin},
     )
 
 
@@ -363,7 +366,7 @@ def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
     return a - b @ _inv(d) @ c
 
 
-def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_block_certificate(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """PSD-ness of every block M_i and of M, plus agreement of the
     Schur-complement path with the direct Loewner margin."""
     cert = build_block_certificate(f)
@@ -379,27 +382,27 @@ def check_block_certificate(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
     direct = sum(_inv(x) for x in list(f.mats)) - f.p**2 * _inv(sum(list(f.mats)))
     sc_gap = float(np.linalg.norm(sc - direct))
     scale = float(np.linalg.norm(m))
-    slack = tol.slack(scale)
+    slack = _slack(rel, scale)
     margin = min(block_min, m_min)
     holds = margin >= -slack and sc_gap <= 1e-8 * (1.0 + scale)
     return CheckReport(
-        "block_certificate", n, f.p, margin, 0.0, margin, holds, tol,
+        "block_certificate", n, f.p, margin, 0.0, margin, holds, rel,
         {"block_min_eig": block_min, "sum_min_eig": m_min, "schur_gap": sc_gap},
     )
 
 
-def check_product_sum_eigs(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_product_sum_eigs(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
     mats = list(f.mats)
-    s = closure_pd(sum(mats), tol)
-    hinv = closure_pd(sum(_inv(m) for m in mats), tol)
+    s = closure_pd(sum(mats), rel)
+    hinv = closure_pd(sum(_inv(m) for m in mats), rel)
     vals = eig_pd_product(s, hinv).values
     rhs = float(f.p**2)
     margin = float(vals.min()) - rhs
-    slack = tol.slack(_norm(s), _norm(hinv))
+    slack = _slack(rel, _norm(s), _norm(hinv))
     return CheckReport(
         "product_sum_eigs", f.dim, f.p, float(vals.min()), rhs, margin,
-        margin >= -slack, tol, {"eigs": vals},
+        margin >= -slack, rel, {"eigs": vals},
     )
 
 
@@ -410,7 +413,7 @@ def _min_eig_pd_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
 
 
-def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL) -> CheckReport:
     """Three-variable cyclic bound: every eigenvalue of
     A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
 
@@ -425,9 +428,9 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAUL
     margin = float(vals.min()) - 1.5
     m_direct = a.mat @ _inv(x) + b.mat @ _inv(y) + c.mat @ _inv(z)
     m_ident = 0.5 * (x + y + z) @ (_inv(x) + _inv(y) + _inv(z)) - 3.0 * np.eye(a.mat.shape[0])
-    slack = tol.slack(_norm(a), _norm(b), _norm(c))
+    slack = _slack(rel, _norm(a), _norm(b), _norm(c))
     return CheckReport(
-        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, tol,
+        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, rel,
         {
             "eigs": vals,
             "construction_gap": float(np.linalg.norm(m_direct - m_ident)),
@@ -436,7 +439,7 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAUL
     )
 
 
-def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_nesbitt_k(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
     are >= k/(k-1), with S the sum of the family."""
     k = f.p
@@ -448,14 +451,14 @@ def check_nesbitt_k(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRepor
     vals = _min_eig_pd_product(s, inv_sum) - k
     rhs = k / (k - 1)
     margin = float(vals.min()) - rhs
-    slack = tol.slack(*(float(np.linalg.norm(m)) for m in mats))
+    slack = _slack(rel, *(float(np.linalg.norm(m)) for m in mats))
     return CheckReport(
-        "nesbitt_k", f.dim, k, float(vals.min()), rhs, margin, margin >= -slack, tol,
+        "nesbitt_k", f.dim, k, float(vals.min()), rhs, margin, margin >= -slack, rel,
         {"eigs": vals},
     )
 
 
-def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_shapiro_trace(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Conditional cyclic trace bound: Tr-sum >= p*n/2.
 
     A failed verdict is a counterexample candidate, not necessarily a bug:
@@ -464,15 +467,15 @@ def check_shapiro_trace(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckR
     val = cyclic_sum_trace(f)
     rhs = f.p * f.dim / 2.0
     margin = val - rhs
-    slack = tol.rel * (1.0 + abs(val) + rhs)
+    slack = rel * (1.0 + abs(val) + rhs)
     return CheckReport(
-        "shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, tol,
+        "shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, rel,
         {"scalar_theorem_p": f.p in SCALAR_VALID_P},
     )
 
 
 def check_s4_decomposition(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, tol: Tolerance = DEFAULT_TOL
+    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, rel: float = REL_TOL
 ) -> CheckReport:
     """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
 
@@ -489,7 +492,7 @@ def check_s4_decomposition(
     pp = cm @ i_bc + dm @ i_cd + am @ i_da + bm @ i_ab
     identity_res = float(np.linalg.norm(nn + pp - 4.0 * np.eye(n)))
     norms = (_norm(a), _norm(b), _norm(c), _norm(d))
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     margins = {
         "m_plus_p": _rtr(m + pp) - 4.0 * n,
         "m_plus_n": _rtr(m + nn) - 4.0 * n,
@@ -498,7 +501,7 @@ def check_s4_decomposition(
     identity_ok = identity_res <= 1e-10 * (1.0 + sum(norms))
     holds = identity_ok and all(v >= -slack for v in margins.values())
     return CheckReport(
-        "s4_decomposition", n, 4, _rtr(m), 2.0 * n, margins["m"], holds, tol,
+        "s4_decomposition", n, 4, _rtr(m), 2.0 * n, margins["m"], holds, rel,
         {
             "tr_m": _rtr(m),
             "tr_n": _rtr(nn),
@@ -509,7 +512,7 @@ def check_s4_decomposition(
     )
 
 
-def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_shapiro_extension(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
     base = cyclic_sum_trace(f)
     extended = CyclicFamily(np.concatenate([f.mats, f.mats[:2]]))
@@ -518,26 +521,26 @@ def check_shapiro_extension(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> Ch
     diff = abs(ext - expected)
     allowed = 1e-10 * (1.0 + abs(base) + f.dim)
     return CheckReport(
-        "shapiro_extension", f.dim, f.p, ext, expected, -diff, diff <= allowed, tol,
+        "shapiro_extension", f.dim, f.p, ext, expected, -diff, diff <= allowed, rel,
         {"base": base, "extended": ext},
     )
 
 
-def check_bidirectional(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_bidirectional(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
     mats = list(f.mats)
     fwd, rev = cyclic_traces(np.stack([mats, mats[::-1]])).tolist()
     rhs = float(f.p * f.dim)
     margin = fwd + rev - rhs
-    slack = tol.rel * (1.0 + fwd + rev + rhs)
+    slack = rel * (1.0 + fwd + rev + rhs)
     return CheckReport(
-        "bidirectional", f.dim, f.p, fwd + rev, rhs, margin, margin >= -slack, tol,
+        "bidirectional", f.dim, f.p, fwd + rev, rhs, margin, margin >= -slack, rel,
         {"forward": fwd, "reversed": rev},
     )
 
 
 def check_bidirectional_eig4(
-    a1: PDMatrix, a2: PDMatrix, a3: PDMatrix, a4: PDMatrix, tol: Tolerance = DEFAULT_TOL
+    a1: PDMatrix, a2: PDMatrix, a3: PDMatrix, a4: PDMatrix, rel: float = REL_TOL
 ) -> CheckReport:
     """Four-variable eigenvalue form: the forward plus backward cyclic-sum
     matrix has every eigenvalue with real part >= 4."""
@@ -547,9 +550,9 @@ def check_bidirectional_eig4(
     spec = eig_general(total)
     margin = spec.min_real - 4.0
     scale = float(np.linalg.norm(total))
-    slack = tol.slack(scale)
+    slack = _slack(rel, scale)
     return CheckReport(
-        "bidirectional_eig4", a1.mat.shape[0], 4, spec.min_real, 4.0, margin, margin >= -slack, tol,
+        "bidirectional_eig4", a1.mat.shape[0], 4, spec.min_real, 4.0, margin, margin >= -slack, rel,
         {
             "eigs": spec.values,
             "max_imag": spec.max_imag_abs,
@@ -559,7 +562,7 @@ def check_bidirectional_eig4(
 
 
 def check_upper_bound_2ab(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
+    a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL
 ) -> CheckReport:
     """Tr(A(2A+B)^{-1} + B(2B+C)^{-1} + C(2C+A)^{-1}) <= (3n-1)/2.
 
@@ -576,11 +579,11 @@ def check_upper_bound_2ab(
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
     norms = (_norm(a), _norm(b), _norm(c))
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     margin = min(rhs - tr_m, tr_n - 1.0)
     holds = margin >= -slack and identity_res <= 1e-10 * (1.0 + sum(norms))
     return CheckReport(
-        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, tol,
+        "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, rel,
         {"tr_m": tr_m, "tr_n": tr_n, "identity_residual": identity_res},
     )
 
@@ -613,7 +616,7 @@ def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
 
 
 def check_wz_certificate(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, tol: Tolerance = DEFAULT_TOL
+    a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL
 ) -> CheckReport:
     """Verify the W/Z certificate identities and the quotient bound
     |Tr(WZ*)|^2 / Tr(ZZ*) >= 1."""
@@ -633,7 +636,7 @@ def check_wz_certificate(
     quotient = abs(complex(np.trace(wz))) ** 2 / tr_zz
     norms = (_norm(a), _norm(b), _norm(c))
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
-    slack = tol.slack(*norms)
+    slack = _slack(rel, *norms)
     holds = (
         res_wz <= ident_tol
         and abs(tr_zz - tr_zz_expected) <= ident_tol
@@ -641,7 +644,7 @@ def check_wz_certificate(
         and quotient >= 1.0 - slack
     )
     return CheckReport(
-        "wz_certificate", n, 3, quotient, 1.0, quotient - 1.0, holds, tol,
+        "wz_certificate", n, 3, quotient, 1.0, quotient - 1.0, holds, rel,
         {
             "wz_residual": res_wz,
             "tr_zz": tr_zz,
@@ -652,7 +655,7 @@ def check_wz_certificate(
     )
 
 
-def check_square_cycle(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_square_cycle(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
 
     The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
@@ -672,11 +675,11 @@ def check_square_cycle(f: CyclicFamily, tol: Tolerance = DEFAULT_TOL) -> CheckRe
     res_wz = float(np.linalg.norm(w @ z.conj().T - total))
     res_zz = float(np.linalg.norm(z @ z.conj().T - total))
     margin = lhs - rhs
-    slack = tol.rel * (1.0 + abs(lhs) + abs(rhs))
+    slack = rel * (1.0 + abs(lhs) + abs(rhs))
     norms = sum(float(np.linalg.norm(m)) for m in mats)
     holds = margin >= -slack and max(res_wz, res_zz) <= 1e-9 * (1.0 + norms)
     return CheckReport(
-        "square_cycle", f.dim, p, lhs, rhs, margin, holds, tol,
+        "square_cycle", f.dim, p, lhs, rhs, margin, holds, rel,
         {"wz_residual": res_wz, "zz_residual": res_zz},
     )
 
@@ -688,7 +691,7 @@ def _random_rect(rng, n, field):
     return x
 
 
-def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
+def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
     out = verify.SuiteOutcome()
     for n in dims:
         for fld in fields:
@@ -700,7 +703,7 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
                 x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
                 drawn = {"a": a, "b": b, "c": c, "d": d, "x": x, "y": y}
                 for rec, check, operands in fixed:
-                    _add(rec, check(*(drawn[k] for k in operands), tol))
+                    _add(rec, check(*(drawn[k] for k in operands), rel))
             out.records.extend(rec for rec, _, _ in fixed)
         for p in p_values:
             for fld in fields:
@@ -711,12 +714,12 @@ def run_unconditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("re
                     fam = random_family(n, p, rng, fld)
                     wit = lambda: family_to_dict(fam)  # noqa: E731
                     for rec, check in recs:
-                        _add(rec, check(fam, tol), wit)
+                        _add(rec, check(fam, rel), wit)
                 out.records.extend(rec for rec, _ in recs)
     return out
 
 
-def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
+def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
     """Exact identities only: residuals must sit at round-off, far below 1e-10."""
     out = verify.SuiteOutcome()
     for n in dims:
@@ -730,42 +733,42 @@ def run_identities(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real"
             for _ in range(trials):
                 a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 scale = 1.0 + sum(_norm(m) for m in (a, b, c, d))
-                r = check_s4_decomposition(a, b, c, d, tol)
+                r = check_s4_decomposition(a, b, c, d, rel)
                 _add(recs["s4_identity"], _residual_report(
-                    "s4_identity", n, r.detail["identity_residual"], 1e-10 * scale, tol))
-                r = check_upper_bound_2ab(a, b, c, tol)
+                    "s4_identity", n, r.detail["identity_residual"], 1e-10 * scale, rel))
+                r = check_upper_bound_2ab(a, b, c, rel)
                 _add(recs["two_ab_identity"], _residual_report(
-                    "two_ab_identity", n, r.detail["identity_residual"], 1e-10 * scale, tol))
-                r = check_wz_certificate(a, b, c, tol)
+                    "two_ab_identity", n, r.detail["identity_residual"], 1e-10 * scale, rel))
+                r = check_wz_certificate(a, b, c, rel)
                 wz_res = max(
                     r.detail["wz_residual"],
                     abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),
                     abs(r.detail["tr_ww"] - r.detail["tr_n"]),
                 )
                 _add(recs["wz_identities"], _residual_report(
-                    "wz_identities", n, wz_res, 1e-10 * scale**2, tol))
+                    "wz_identities", n, wz_res, 1e-10 * scale**2, rel))
                 for p in p_values:
                     fam = random_family(n, p, rng, fld)
                     fam_scale = 1.0 + sum(_norm(m) for m in fam.members)
-                    r = check_square_cycle(fam, tol)
+                    r = check_square_cycle(fam, rel)
                     sc_res = max(r.detail["wz_residual"], r.detail["zz_residual"])
                     _add(recs["square_cycle_identities"], _residual_report(
-                        "square_cycle_identities", n, sc_res, 1e-10 * fam_scale, tol))
-                    r = check_shapiro_extension(fam, tol)
+                        "square_cycle_identities", n, sc_res, 1e-10 * fam_scale, rel))
+                    r = check_shapiro_extension(fam, rel)
                     _add(ext_recs[p], _residual_report(
-                        "extension_identity", n, -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n), tol))
+                        "extension_identity", n, -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n), rel))
             out.records.extend(recs.values())
             out.records.extend(ext_recs.values())
     return out
 
 
-def _residual_report(name, n, residual, allowed, tol) -> CheckReport:
+def _residual_report(name, n, residual, allowed, rel) -> CheckReport:
     return CheckReport(
-        name, n, 0, residual, allowed, allowed - residual, residual <= allowed, tol
+        name, n, 0, residual, allowed, allowed - residual, residual <= allowed, rel
     )
 
 
-def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
+def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
     out = verify.SuiteOutcome()
     for n in dims:
         for p in p_values:
@@ -774,7 +777,7 @@ def run_conditional(dims, p_values, trials, seed, tol=DEFAULT_TOL, fields=("real
                 rec = verify.GridRecord("shapiro_trace", n, p, fld)
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
-                    rep = check_shapiro_trace(fam, tol)
+                    rep = check_shapiro_trace(fam, rel)
                     if verify.theorem_covers(n, p):
                         _add(rec, rep, lambda: family_to_dict(fam))
                         continue

@@ -102,7 +102,7 @@ def test_criterion_6_counterexample_rediscovery():
     elapsed = time.time() - t0
     scalars = res.best_family.mats[:, 0, 0]
     lifted = oracle.diagonal_embed(scalars, 3)
-    lifted_value = cp.cyclic_sum_trace(lifted, refine=True)
+    lifted_value = ineq._refined_cyclic_sum_trace(lifted)
     recheck = ineq.batch_shapiro_trace(lifted.mats[None]).report()
     ok = (
         res.best_margin < 0

@@ -369,6 +369,10 @@ def test_search_stdout_is_one_json_document(capsys):
     ["verify", "--dims", "1..2,2", "--p", "3", "--trials", "5"],
     ["verify", "--tol-rel", "nan"],
     ["verify", "--tol-rel", "inf"],
+    ["verify", "--tol-rel", "0"],
+    ["verify", "--tol-rel=-1e-9"],
+    ["verify", "--tol-rel", "1"],
+    ["verify", "--tol-rel", "1e308"],
     ["search", "--p", "5", "--ridge", "nan"],
     ["search", "--p", "5", "--ridge", "inf"],
     ["search", "--p", "5", "--ridge", "1e200"],

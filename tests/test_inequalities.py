@@ -202,16 +202,17 @@ def ref_refined_inverse(m):
 
 
 def ref_cyclic_sum_trace(f, refine=False):
-    """F_p of one family: the looped kernel (each term by the closed form for
-    real n = 2, 3 where the guard admits its S_i, else by one solve), or with
-    ``refine`` one refined inverse per member."""
+    """F_p of one family: the looped kernel of ``cyclic_sum_trace`` (each term
+    by the closed form for real n = 2, 3 where the guard admits its S_i, else
+    by one solve), or with ``refine`` that of ``_refined_cyclic_sum_trace``
+    (one refined inverse per member)."""
     mats = list(f.mats)
     if not refine:
         return oracle.looped_cyclic_sum(mats)
     p = f.p
     total = 0.0
     for i in range(p):
-        x = ref_refined_inverse(oracle.closure_pd(mats[(i + 1) % p] + mats[(i + 2) % p], cp.Tolerance()).mat)
+        x = ref_refined_inverse(oracle.closure_pd(mats[(i + 1) % p] + mats[(i + 2) % p]).mat)
         total += float(np.trace(mats[i] @ x).real)
     return total
 
@@ -231,7 +232,7 @@ class TestCyclicKernelOracle:
     def assert_family_matches_looped(fam):
         ref = ref_cyclic_sum_trace(fam)
         assert cp.cyclic_sum_trace(fam) == ref
-        assert cp.cyclic_sum_trace(fam, refine=True) == ref_cyclic_sum_trace(fam, refine=True)
+        assert ineq._refined_cyclic_sum_trace(fam) == ref_cyclic_sum_trace(fam, refine=True)
         r = ineq.batch_bidirectional(one_family(fam)).report()
         assert r.detail["forward"] == ref
         assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.mats[::-1]))

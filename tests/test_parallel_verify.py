@@ -83,8 +83,8 @@ def test_failures_events_and_witnesses_in_serial_order(monkeypatch, forks, low_f
     real = ineq.batch_shapiro_trace
     failing = {(1, 3), (1, 14), (2, 5), (3, 3), (3, 14), (4, 5)}
 
-    def some_fail(fams, tol):
-        batch = real(fams, tol)
+    def some_fail(fams, rel):
+        batch = real(fams, rel)
         n, p = fams.shape[-1], fams.shape[-3]
         if (n, p) not in failing:
             return batch
@@ -106,11 +106,11 @@ def raise_at(monkeypatch, bad_dims):
     """batch_square_cycle (identities suite) raises at the given dimensions."""
     real = ineq.batch_square_cycle
 
-    def raising(fams, tol):
+    def raising(fams, rel):
         n = fams.mats.shape[-1]
         if n in bad_dims:
             raise NotPositiveDefinite(-n)
-        return real(fams, tol)
+        return real(fams, rel)
 
     monkeypatch.setattr(ineq, "batch_square_cycle", raising)
 
@@ -137,10 +137,10 @@ def test_child_that_ends_without_a_result(monkeypatch, forks, low_floor):
     parent = os.getpid()
     real = ineq.batch_square_cycle
 
-    def dying(fams, tol):
+    def dying(fams, rel):
         if os.getpid() != parent:
             os._exit(3)
-        return real(fams, tol)
+        return real(fams, rel)
 
     monkeypatch.setattr(ineq, "batch_square_cycle", dying)
     with pytest.raises(RuntimeError, match=r"ended without a result \(exit code 3\)"):
@@ -156,10 +156,10 @@ def test_unpicklable_error_in_a_child(monkeypatch, forks, low_floor):
 
     real = ineq.batch_square_cycle
 
-    def raising(fams, tol):
+    def raising(fams, rel):
         if fams.mats.shape[-1] == 1:
             raise Unpicklable("local")
-        return real(fams, tol)
+        return real(fams, rel)
 
     monkeypatch.setattr(ineq, "batch_square_cycle", raising)
     with pytest.raises(RuntimeError, match="could not send its result"):

@@ -25,7 +25,7 @@ PUBLIC = [
     "CheckReport", "ConvergenceFailure", "CyclicFamily", "CyclicPDError", "DimensionMismatch",
     "EntryTooLarge", "FixtureMismatch", "IllConditioned", "NotFinite", "NotHermitian",
     "NotPositiveDefinite", "NotSquare", "PDMatrix", "SearchConfig", "SearchResult",
-    "SingularDenominator", "Tolerance", "counterexample_family", "cyclic_sum_trace",
+    "SingularDenominator", "counterexample_family", "cyclic_sum_trace",
     "errors", "family_from_dict", "family_to_dict", "inequalities",
     "margin_gradient", "minimize_margin", "pdcore", "probe_conjecture",
     "reproduce_counterexample", "scalar_cyclic_sum", "search", "serialize", "shapiro_margin",

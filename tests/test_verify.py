@@ -102,6 +102,42 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
             same_report(batch.report(t), getattr(oracle, f"check_{name}")(CyclicFamily(fams[t])))
 
 
+# (suite, rel): a rel under which some records fail. The unconditional suite
+# has margins at round-off (block_certificate's blocks are singular; the
+# Cauchy-Schwarz bounds are equalities at n = 1), which a slack of 1e-30 does
+# not cover. The conditional margins sit far from round-off, so only a
+# negative rel, which asks for a margin of |rel| * (1 + norms), fails some.
+# The identities suite's bounds are fixed at 1e-10 and read no rel.
+@pytest.mark.parametrize("suite, rel", [
+    ("unconditional", 1e-30), ("conditional", -0.1), ("identities", 1e-30),
+])
+def test_suites_read_the_rel_they_are_given(suite, rel):
+    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5, rel=rel)
+    want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5, rel=rel)
+    assert_same_outcome(got, want)
+    default = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
+    assert default.unconditional_failures == 0
+    if suite == "identities":
+        assert_same_outcome(got, default)
+    else:
+        assert got.unconditional_failures > 0
+        assert any(r.witness for r in got.records)
+
+
+def test_every_checker_reports_the_rel_it_was_given():
+    rng = np.random.default_rng(3)
+    drawn = random_pd_stack(2, 2, 4, rng, "real", gaussian_tail=2)
+    fams = random_pd_stack(2, 2, 5, rng, "real")
+    batches = [getattr(ineq, f"batch_{name}")(*(drawn[:, "abcdxy".index(k)] for k in letters), 3e-7)
+               for name, letters in verify.UNCONDITIONAL_FIXED]
+    batches += [getattr(ineq, f"batch_{name}")(fams, 3e-7)
+                for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",)]
+    assert len({b.check_name for b in batches}) == len([n for n in dir(ineq) if n.startswith("batch_")])
+    for batch in batches:
+        assert batch.rel == 3e-7
+        assert batch.report(1).to_dict()["tol"] == {"rel": 3e-7, "abs": 1e-12}
+
+
 class TestGridRecord:
     def test_first_failure_is_the_witness(self):
         rec = verify.GridRecord("x", 2, 3, "real")
@@ -135,8 +171,8 @@ class TestConditionalViolations:
     @pytest.fixture(autouse=True)
     def all_violated(self, monkeypatch):
         real = ineq.batch_shapiro_trace
-        monkeypatch.setattr(ineq, "batch_shapiro_trace", lambda fams, tol: dataclasses.replace(
-            real(fams, tol), holds=np.zeros(len(fams), dtype=bool)))
+        monkeypatch.setattr(ineq, "batch_shapiro_trace", lambda fams, rel: dataclasses.replace(
+            real(fams, rel), holds=np.zeros(len(fams), dtype=bool)))
 
     def test_covered_fail_uncovered_are_events(self):
         out = verify.run_conditional([1, 2], [3, 5, 14], 3, seed=2, fields=("real",))

@@ -19,7 +19,7 @@ the one ``import cyclicpd`` finds, so two checkouts compare by their
 The suite layer times ``run_unconditional``, ``run_identities`` and
 ``run_conditional`` in this process (W = 1, no fork) on the grid of the
 benchmark's verify-grid workload (n 1..6, p 3..8, 4 trials, both fields):
-the median milliseconds of each over ``--runs`` runs.
+the median milliseconds and cal of each over ``--runs`` runs.
 
 The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
 search case and ``run_suites`` for each verify grid, in this process, at
@@ -28,6 +28,14 @@ W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
 ``_fork.workers_for`` weighs, the W the rule picks at 2 CPUs, the median
 milliseconds at each W, and their ratio.
 
+Each timed run (a descent, a run of ``cyclic_traces`` calls, a suite, a
+fork case's run) is also reported in calibration units, as the benchmark
+reports its passes: the run's time over the mean time of the benchmark's
+``Calibration`` batch (``perfbench/run.py``, imported by path) taken just
+before and just after it. One ``cal`` is one run of that batch, so medians
+in ``cal`` cancel most of the drift in machine speed that medians in ms show
+on a shared host.
+
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
     PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
     PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
@@ -35,9 +43,12 @@ milliseconds at each W, and their ratio.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import statistics
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +65,33 @@ FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
                  (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300)]
 # name -> (dims, p values, trials) of a verify --suite all --field both run
 FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4)}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_calibration():
+    """The benchmark's ``Calibration`` batch, from ``perfbench/run.py`` imported
+    by path; run.py imports its sibling modules by name, so their directory
+    goes on the path first."""
+    sys.path.insert(0, str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module.Calibration(np)
+
+
+def calibrated(batch, fn):
+    """(seconds, cal, result) of one call of ``fn``: cal is its seconds over the
+    mean time of the calibration ``batch`` run just before and just after it."""
+    before = batch()
+    t0 = time.perf_counter()
+    result = fn()
+    wall = time.perf_counter() - t0
+    return wall, wall / ((before + batch()) / 2.0), result
+
+
+def four_digits(x: float) -> float:
+    return float(f"{x:.4g}")
 
 
 def timed(fn, spent):
@@ -66,37 +104,37 @@ def timed(fn, spent):
     return wrapper
 
 
-def run_case(n: int, p: int, restarts: int, iters: int, seed: int):
-    """(kernel s, descent s, iterations) of one in-process descent."""
+def run_case(n: int, p: int, restarts: int, iters: int, seed: int, batch):
+    """(kernel s, descent s, descent cal, iterations) of one in-process descent."""
     cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
     start = search._initial_factors(cfg)
     spent = [0.0]
     kernels = search._margin_value, search.margin_gradient
     search._margin_value, search.margin_gradient = (timed(fn, spent) for fn in kernels)
     try:
-        t0 = time.perf_counter()
-        _, _, _, done = search._descend(cfg, start)
-        wall = time.perf_counter() - t0
+        wall, cals, (_, _, _, done) = calibrated(batch, lambda: search._descend(cfg, start))
     finally:
         search._margin_value, search.margin_gradient = kernels
-    return spent[0], wall, int(done.sum())
+    return spent[0], wall, cals, int(done.sum())
 
 
-def trace_case(trials: int, p: int, n: int, runs: int, seed: int):
-    """(median µs per ``cyclic_traces`` call, largest relative difference
-    from LAPACK) on one (trials, p, n, n) real stack."""
+def trace_case(trials: int, p: int, n: int, runs: int, seed: int, batch):
+    """(median µs per ``cyclic_traces`` call, median cal per run of
+    ``TRACE_ROWS`` families, largest relative difference from LAPACK) on one
+    (trials, p, n, n) real stack."""
     mats = random_pd_stack(n, trials, p, np.random.default_rng(seed))
     terms = np.linalg.solve(inequalities.cyclic_denominators(mats), mats)
     lapack = inequalities._sum_over_p(np.trace(terms, axis1=-2, axis2=-1))
     rel = float(np.max(np.abs(inequalities.cyclic_traces(mats) - lapack) / np.abs(lapack)))
     calls = -(-TRACE_ROWS // trials)
-    per_call = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
+
+    def run():
         for _ in range(calls):
             inequalities.cyclic_traces(mats)
-        per_call.append((time.perf_counter() - t0) / calls)
-    return statistics.median(per_call) * 1e6, rel
+
+    timings = [calibrated(batch, run) for _ in range(runs)]
+    return (statistics.median(w for w, _, _ in timings) / calls * 1e6,
+            statistics.median(c for _, c, _ in timings), rel)
 
 
 def with_rule(rule, fn):
@@ -109,10 +147,10 @@ def with_rule(rule, fn):
         search.workers_for, verify.workers_for = saved
 
 
-def fork_case(fn, pairs: int):
+def fork_case(fn, pairs: int, batch):
     """W = 1 against W = 2 for one run ``fn``: the work the rule weighs, the W
-    it picks at 2 CPUs, and the median ms at each W over ``pairs`` pairs, the
-    pair's order alternating."""
+    it picks at 2 CPUs, and the median ms and cal at each W over ``pairs``
+    pairs, the pair's order alternating."""
     asked = []
 
     def rule(work, units):
@@ -120,42 +158,40 @@ def fork_case(fn, pairs: int):
         return asked[-1][1]
 
     with_rule(rule, fn)
-    ms = {1: [], 2: []}
+    ms, cals = {1: [], 2: []}, {1: [], 2: []}
     for k in range(pairs):
         for workers in ((1, 2) if k % 2 == 0 else (2, 1)):
-            t0 = time.perf_counter()
-            with_rule(lambda work, units: min(workers, units), fn)
-            ms[workers].append((time.perf_counter() - t0) * 1e3)
+            wall, c, _ = calibrated(batch, lambda: with_rule(lambda work, units: min(workers, units), fn))
+            ms[workers].append(wall * 1e3)
+            cals[workers].append(c)
     w1, w2 = statistics.median(ms[1]), statistics.median(ms[2])
     return {"work": asked[0][0], "rule_workers": asked[0][1], "ms_w1": round(w1, 1), "ms_w2": round(w2, 1),
+            "cal_w1": four_digits(statistics.median(cals[1])), "cal_w2": four_digits(statistics.median(cals[2])),
             "ratio_w2_w1": round(w2 / w1, 2),
             "pairs_w2_faster": sum(b < a for a, b in zip(ms[1], ms[2]))}
 
 
-def fork_layer(pairs: int, seed: int) -> dict:
+def fork_layer(pairs: int, seed: int, batch) -> dict:
     out = {"floor": _fork.FLOOR, "pairs": pairs, "searches": [], "verify_grids": []}
     for p, n, restarts, iters in FORK_SEARCHES:
         cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
         out["searches"].append({"p": p, "n": n, "restarts": restarts, "iterations": iters,
-                                **fork_case(lambda: search.minimize_margin(cfg), pairs)})
+                                **fork_case(lambda: search.minimize_margin(cfg), pairs, batch)})
     for name, (dims, ps, trials) in FORK_GRIDS.items():
         run = lambda: verify.run_suites("all", dims, ps, trials, seed)  # noqa: E731
         out["verify_grids"].append({"grid": name, "dims": dims, "p": ps, "trials": trials,
-                                    **fork_case(run, pairs)})
+                                    **fork_case(run, pairs, batch)})
     return out
 
 
-def suite_layer(runs: int, seed: int) -> dict:
+def suite_layer(runs: int, seed: int, batch) -> dict:
     dims, ps, trials = FORK_GRIDS["verify-grid"]
     out = {"dims": dims, "p": ps, "trials": trials, "runs": runs}
     for name in ("unconditional", "identities", "conditional"):
         run = getattr(verify, f"run_{name}")
-        ms = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            run(dims, ps, trials, seed)
-            ms.append((time.perf_counter() - t0) * 1e3)
-        out[f"{name}_ms"] = round(statistics.median(ms), 1)
+        timings = [calibrated(batch, lambda: run(dims, ps, trials, seed)) for _ in range(runs)]
+        out[f"{name}_ms"] = round(statistics.median(w for w, _, _ in timings) * 1e3, 1)
+        out[f"{name}_cal"] = four_digits(statistics.median(c for _, c, _ in timings))
     return out
 
 
@@ -167,29 +203,31 @@ def main(argv=None) -> int:
     ap.add_argument("--layer", choices=["kernel", "suite", "fork", "all"], default="all")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
+    batch = load_calibration()
     out = {"cyclicpd": cyclicpd.__file__, "numpy": np.__version__}
     if args.layer in ("fork", "all"):
-        out["fork"] = fork_layer(args.pairs, args.seed)
+        out["fork"] = fork_layer(args.pairs, args.seed, batch)
     if args.layer in ("suite", "all"):
-        out["suite"] = suite_layer(args.runs, args.seed)
+        out["suite"] = suite_layer(args.runs, args.seed, batch)
     if args.layer not in ("kernel", "all"):
         print(json.dumps(out, indent=1))
         return 0
     out["cases"] = []
     for n, p, restarts in CASES:
-        runs = [run_case(n, p, restarts, args.iters, args.seed) for _ in range(args.runs)]
-        iters = runs[0][2]
+        runs = [run_case(n, p, restarts, args.iters, args.seed, batch) for _ in range(args.runs)]
+        iters = runs[0][3]
         out["cases"].append({
             "n": n, "p": p, "restarts": restarts, "iterations": iters,
-            "kernel_us_per_iteration": round(statistics.median(k for k, _, _ in runs) / iters * 1e6, 1),
-            "descend_ms": round(statistics.median(w for _, w, _ in runs) * 1e3, 2),
-            "kernel_share": round(statistics.median(k / w for k, w, _ in runs), 3),
+            "kernel_us_per_iteration": round(statistics.median(k for k, _, _, _ in runs) / iters * 1e6, 1),
+            "descend_ms": round(statistics.median(w for _, w, _, _ in runs) * 1e3, 2),
+            "descend_cal": four_digits(statistics.median(c for _, _, c, _ in runs)),
+            "kernel_share": round(statistics.median(k / w for k, w, _, _ in runs), 3),
         })
     out["trace_cases"] = []
     for trials, p, n in TRACE_CASES:
-        us, rel = trace_case(trials, p, n, args.runs, args.seed)
+        us, cals, rel = trace_case(trials, p, n, args.runs, args.seed, batch)
         out["trace_cases"].append({"trials": trials, "p": p, "n": n, "us_per_call": round(us, 1),
-                                   "max_rel_diff_from_lapack": rel})
+                                   "cal_per_run": four_digits(cals), "max_rel_diff_from_lapack": rel})
     print(json.dumps(out, indent=1))
     return 0
 
