@@ -123,8 +123,7 @@ def cmd_reproduce(args) -> int:
                   file=sys.stderr)
             if abs(rep.lhs - ineq.FIXTURE_TRACE) > ineq.FIXTURE_ATOL:
                 raise FixtureMismatch(f"trace {rep.lhs:.6f} deviates from published value")
-            quad = np.moveaxis(mats, 1, 0)  # A, B, C, D, each as a one-trial stack
-            results.append(ineq.batch_s4_decomposition(*quad).report().to_dict())
+            results.append(ineq.batch_s4_decomposition(mats).report().to_dict())
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ program enters through one gate, :func:`validate_family`, which returns the
 stack read-only; :class:`CyclicFamily` is a record of such a stack.
 Everything downstream (inequality checkers, counterexample search) runs on
 stacks (..., n, n) of raw arrays, with the handful of kernels here: random
-sampling, Hermitian and general eigensolvers, Hermitian powers, the spectrum
+sampling, a general eigensolver, Hermitian powers, the spectrum
 of a PD product, and one refined inverse with a residual gate. Two numbers
 set the tolerances: the relative slack ``REL_TOL`` of the margin checks and of
 the Hermitian gate, and the positivity floor ``PD_FLOOR`` of outside input.
@@ -188,15 +188,6 @@ def random_pd_stack(
     out = _gaussian(rng, (trials, members + gaussian_tail), n, field)
     out[:, :members] = _gram(out[:, :members])
     return out
-
-
-def eig_herm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh over a stack (..., n, n), raising ConvergenceFailure
-    where LAPACK does not converge."""
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
 
 
 def eig_general_stack(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ Three suites:
                   it is recorded as a counterexample event, never as a failure.
 
 Aggregation is per grid point: trial count, failure count, worst margin, and
-a serialized witness for the first failure (or event). Each grid point has
+a serialized witness for the first failure (or event) of a check on a family
+or a cycle; the two-operand bounds keep none, since x and y are not PD and two
+operands are not a cyclic family. Each grid point has
 its own seeded stream. All of a grid point's trials are drawn from it in one
 stacked draw, which takes the same numbers in the same order as one draw per
 matrix would, and every checker then evaluates the whole (T, ...) stack at
@@ -17,10 +19,12 @@ once through its ``batch_`` kernel. Results therefore depend neither on
 scheduling nor on how the trials are grouped.
 
 The checkers of one stack share one :class:`~cyclicpd.inequalities.StackContext`
-per family stack and per fixed operand, so A_i^{-1}, sum A_i, sum A_i^{-1},
-(sum A_i)^{-1}, the norms and the cyclic trace sum are computed once per
-stack, by the same calls and with the same bits as on the raw arrays. The
-conditional suite runs one checker per stack and hands it the raw array.
+per family stack, and per cycle (a, b, c) and (a, b, c, d) of the drawn
+operands, so A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms and
+the cyclic trace sum are computed once per stack, by the same calls and with
+the same bits as on the raw arrays. The two-operand bounds take the drawn
+operands as plain arrays. The conditional suite runs one checker per stack
+and hands it the raw array.
 
 :func:`run_suites` runs each (suite, n) as a unit of its own and splits the
 units across as many forked processes as the grid's work repays; since no
@@ -44,10 +48,11 @@ SUITES = ("unconditional", "identities", "conditional")
 
 # The unconditional suite's checkers in call order. Record ``name`` is checked by
 # ``ineq.batch_<name>``, looked up at call time so a wrapper bound there is called.
-# Fixed-arity checkers take operands by letter: PD a, b, c, d and square x, y.
+# The fixed-shape checkers take one argument per word, from the drawn PD a, b,
+# c, d and square x, y: a letter is that operand, "abc" and "abcd" its cycle.
 UNCONDITIONAL_FIXED = (
-    ("trace_product", "ab"), ("weighted_cs", "xya"), ("cs_trace", "xy"),
-    ("eigineq1", "ab"), ("nesbitt", "abc"), ("upper_bound_2ab", "abc"),
+    ("trace_product", "a b"), ("weighted_cs", "x y a"), ("cs_trace", "x y"),
+    ("eigineq1", "a b"), ("nesbitt", "abc"), ("upper_bound_2ab", "abc"),
     ("wz_certificate", "abc"), ("s4_decomposition", "abcd"), ("bidirectional_eig4", "abcd"),
 )
 UNCONDITIONAL_FAMILY = (
@@ -174,11 +179,24 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
 # The helpers below hold a stack's contexts, so their cached intermediates are
 # freed when the stack is done, before the next stack is drawn.
 
+def _fixed_args(drawn):
+    """The fixed-shape checkers' arguments by word: each drawn operand a plain
+    (T, n, n) array, and the cycles (a, b, c) and (a, b, c, d) each a
+    contiguous family stack in a context of its own."""
+    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+    for w in ("abc", "abcd"):
+        args[w] = ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)]))
+    return args
+
+
 def _add_fixed(recs, drawn, rel):
-    operands = dict(zip("abcdxy", map(ineq.StackContext, np.moveaxis(drawn, 1, 0))))
-    for rec, (name, letters) in zip(recs, UNCONDITIONAL_FIXED):
-        batch = _batch(name)(*(operands[k] for k in letters), rel)
-        rec.add(batch.margin, batch.holds)
+    args = _fixed_args(drawn)
+    for rec, (name, words) in zip(recs, UNCONDITIONAL_FIXED):
+        words = words.split()
+        batch = _batch(name)(*(args[w] for w in words), rel)
+        # a one-word check runs on a cycle, which its witness replays as a family
+        witness = _family_witness(args[words[0]].mats) if len(words) == 1 else None
+        rec.add(batch.margin, batch.holds, witness)
 
 
 def _add_family(recs, fams, rel):
@@ -206,13 +224,13 @@ def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "c
 
 def _add_identities(recs, ext_recs, drawn, p_values, rel):
     n = drawn.shape[-1]
-    a, b, c, d = map(ineq.StackContext, np.moveaxis(drawn[:, :4], 1, 0))
-    scale = 1.0 + sum(x.fro for x in (a, b, c, d))
-    r = ineq.batch_s4_decomposition(a, b, c, d, rel)
+    args = _fixed_args(drawn)
+    scale = 1.0 + sum(np.moveaxis(args["abcd"].fro, -1, 0))
+    r = ineq.batch_s4_decomposition(args["abcd"], rel)
     _add_residual(recs["s4_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_upper_bound_2ab(a, b, c, rel)
+    r = ineq.batch_upper_bound_2ab(args["abc"], rel)
     _add_residual(recs["two_ab_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_wz_certificate(a, b, c, rel)
+    r = ineq.batch_wz_certificate(args["abc"], rel)
     wz_res = np.maximum.reduce([
         r.detail["wz_residual"],
         abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),

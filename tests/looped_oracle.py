@@ -47,7 +47,6 @@ from cyclicpd.pdcore import (
     _pd_floor,
     _symmetrize,
     eig_general_stack,
-    eig_herm_stack,
     validate_family,
 )
 from cyclicpd.serialize import family_to_dict
@@ -82,7 +81,7 @@ class Spectrum:
 
 def eig_herm(h) -> Spectrum:
     """Hermitian eigenvalues (real, ascending)."""
-    return Spectrum(eig_herm_stack(np.asarray(getattr(h, "mat", h)))[0])
+    return Spectrum(np.linalg.eigh(np.asarray(getattr(h, "mat", h)))[0])
 
 
 def eig_general(m) -> Spectrum:
@@ -305,8 +304,7 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, rel: float = REL_TOL) -> CheckRepor
 
     Evaluated through the identity with X = A B^{-1}: the spectrum equals that
     of X + X^{-1} - 2I, reduced to the Hermitian form H + H^{-1} - 2I with
-    H = B^{-1/2} A B^{-1/2}. A direct nonsymmetric eigendecomposition of
-    (A-B)(B^{-1}-A^{-1}) is carried in ``detail`` for cross-validation.
+    H = B^{-1/2} A B^{-1/2}.
     """
     _check_dims(a, b)
     r = _sqrtm_pd(b.mat, -0.5)
@@ -314,15 +312,9 @@ def check_eigineq1(a: PDMatrix, b: PDMatrix, rel: float = REL_TOL) -> CheckRepor
     h = (h + h.conj().T) / 2.0
     vals = eig_herm(h + _inv(h)).values - 2.0
     margin = float(vals.min())
-    direct = eig_general((a.mat - b.mat) @ (_inv(b.mat) - _inv(a.mat)))
     slack = _slack(rel, _norm(a), _norm(b))
     return CheckReport(
-        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, rel,
-        {
-            "eigs": vals,
-            "direct_min_real": direct.min_real,
-            "direct_max_imag": direct.max_imag_abs,
-        },
+        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, rel, {"eigs": vals},
     )
 
 
@@ -335,8 +327,7 @@ def check_harmonic_loewner(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport
     margin = float(np.linalg.eigvalsh(diff)[0])
     slack = _slack(rel, np.linalg.norm(lhs), np.linalg.norm(rhs))
     return CheckReport(
-        "harmonic_loewner", f.dim, f.p, _rtr(lhs), _rtr(rhs), margin,
-        margin >= -slack, rel, {"loewner_margin": margin},
+        "harmonic_loewner", f.dim, f.p, _rtr(lhs), _rtr(rhs), margin, margin >= -slack, rel,
     )
 
 
@@ -419,23 +410,16 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL) -
 
     Evaluated via the sum identity M = (1/2)(X+Y+Z)(X^{-1}+Y^{-1}+Z^{-1}) - 3I
     with X=B+C, Y=C+A, Z=A+B, which reduces the spectrum to a Hermitian
-    problem; the direct construction of M is cross-checked entrywise.
+    problem.
     """
     _check_dims(a, b, c)
     x, y, z = b.mat + c.mat, c.mat + a.mat, a.mat + b.mat
     prod_eigs = _min_eig_pd_product(x + y + z, _inv(x) + _inv(y) + _inv(z))
     vals = 0.5 * prod_eigs - 3.0
     margin = float(vals.min()) - 1.5
-    m_direct = a.mat @ _inv(x) + b.mat @ _inv(y) + c.mat @ _inv(z)
-    m_ident = 0.5 * (x + y + z) @ (_inv(x) + _inv(y) + _inv(z)) - 3.0 * np.eye(a.mat.shape[0])
     slack = _slack(rel, _norm(a), _norm(b), _norm(c))
     return CheckReport(
-        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, rel,
-        {
-            "eigs": vals,
-            "construction_gap": float(np.linalg.norm(m_direct - m_ident)),
-            "trace": _rtr(m_direct),
-        },
+        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, rel, {"eigs": vals},
     )
 
 
@@ -691,19 +675,26 @@ def _random_rect(rng, n, field):
     return x
 
 
+def _cycle_witness(ops):
+    return lambda: family_to_dict(CyclicFamily(np.stack([m.mat for m in ops])))
+
+
 def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
     out = verify.SuiteOutcome()
     for n in dims:
         for fld in fields:
             rng = verify._rng_for(seed, 1, n, verify._FIELD_ID[fld])
-            fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], operands)
-                     for name, operands in verify.UNCONDITIONAL_FIXED]
+            fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], words.split())
+                     for name, words in verify.UNCONDITIONAL_FIXED]
             for _ in range(trials):
                 a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
                 drawn = {"a": a, "b": b, "c": c, "d": d, "x": x, "y": y}
-                for rec, check, operands in fixed:
-                    _add(rec, check(*(drawn[k] for k in operands), rel))
+                for rec, check, words in fixed:
+                    # a word of several letters is a cycle: its operands in
+                    # order, and on failure the family they form
+                    ops = [drawn[k] for w in words for k in w]
+                    _add(rec, check(*ops, rel), _cycle_witness(ops) if len(words) == 1 else None)
             out.records.extend(rec for rec, _, _ in fixed)
         for p in p_values:
             for fld in fields:

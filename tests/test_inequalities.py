@@ -27,6 +27,11 @@ def one(*ops):
     return [np.asarray(getattr(m, "mat", m))[None] for m in ops]
 
 
+def one_cycle(*ops):
+    """Operands as one cycle, a one-trial family stack (1, k, n, n)."""
+    return np.stack(one(*ops), axis=1)
+
+
 def one_family(f):
     """A family as a one-trial stack (1, p, n, n)."""
     return f.mats[None]
@@ -86,13 +91,16 @@ class TestEigIneq1:
         assert r.holds and r.margin == pytest.approx(0.5, abs=1e-10)
 
     def test_cross_oracle(self):
+        """The Hermitian reduction against the direct nonsymmetric spectrum of
+        (A-B)(B^{-1}-A^{-1})."""
         rng = RNG(2)
         for _ in range(100):
-            a, b = oracle.random_pd(3, rng), oracle.random_pd(3, rng)
+            a, b = oracle.random_pd(3, rng).mat, oracle.random_pd(3, rng).mat
             r = ineq.batch_eigineq1(*one(a, b)).report()
+            direct = pdcore.eig_general_stack((a - b) @ (np.linalg.inv(b) - np.linalg.inv(a)))
             assert r.holds
-            assert r.detail["direct_min_real"] >= -1e-8
-            assert abs(r.detail["direct_min_real"] - r.margin) <= 1e-8 * (1 + abs(r.margin))
+            assert direct.real.min() >= -1e-8
+            assert abs(direct.real.min() - r.margin) <= 1e-8 * (1 + abs(r.margin))
 
 
 class TestHarmonicLoewner:
@@ -146,21 +154,27 @@ class TestProductSumEigs:
 
 class TestNesbitt:
     def test_identity_boundary(self):
-        r = ineq.batch_nesbitt(*one(*(pd(np.eye(3)) for _ in range(3)))).report()
+        r = ineq.batch_nesbitt(one_cycle(*(pd(np.eye(3)) for _ in range(3)))).report()
         assert r.holds and abs(r.margin) < 1e-12
         assert np.allclose(r.detail["eigs"], 1.5, atol=1e-12)
 
     def test_scalar_123(self):
         a, b, c = (pd([[v]]) for v in (1.0, 2.0, 3.0))
-        r = ineq.batch_nesbitt(*one(a, b, c)).report()
+        r = ineq.batch_nesbitt(one_cycle(a, b, c)).report()
         assert r.holds and r.lhs == pytest.approx(1.7, abs=1e-12)
         assert r.margin == pytest.approx(0.2, abs=1e-12)
 
     def test_construction_paths_agree(self):
+        """The spectrum from the sum identity against that of M built directly."""
         rng = RNG(4)
         for _ in range(100):
-            r = ineq.batch_nesbitt(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
-            assert r.holds and r.detail["construction_gap"] <= 1e-9
+            abc = one_cycle(*(oracle.random_pd(3, rng) for _ in range(3)))
+            r = ineq.batch_nesbitt(abc).report()
+            a, b, c = abc[0]
+            m = a @ np.linalg.inv(b + c) + b @ np.linalg.inv(c + a) + c @ np.linalg.inv(a + b)
+            direct = pdcore.eig_general_stack(m)
+            assert r.holds and abs(direct.imag).max() <= 1e-9
+            assert np.allclose(direct.real, r.detail["eigs"], rtol=0, atol=1e-9)
 
 
 class TestNesbittK:
@@ -173,7 +187,7 @@ class TestNesbittK:
     def test_k3_matches_nesbitt(self):
         rng = RNG(5)
         trip = [oracle.random_pd(2, rng) for _ in range(3)]
-        r1 = ineq.batch_nesbitt(*one(*trip)).report()
+        r1 = ineq.batch_nesbitt(one_cycle(*trip)).report()
         r2 = ineq.batch_nesbitt_k(one_family(cp.CyclicFamily(np.stack([m.mat for m in trip])))).report()
         assert r1.margin == pytest.approx(r2.margin, abs=1e-9)
 
@@ -432,14 +446,14 @@ class TestShapiroTrace:
 
 class TestS4Decomposition:
     def test_identity_boundaries(self):
-        r = ineq.batch_s4_decomposition(*one(*(pd(np.eye(3)) for _ in range(4)))).report()
+        r = ineq.batch_s4_decomposition(one_cycle(*(pd(np.eye(3)) for _ in range(4)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(6.0, abs=1e-12)
         assert abs(r.detail["margin_m"]) < 1e-12
         assert abs(r.detail["margin_m_plus_p"]) < 1e-12
 
     def test_fixture(self):
-        r = ineq.batch_s4_decomposition(*one(*cp.counterexample_family().mats)).report()
+        r = ineq.batch_s4_decomposition(one_cycle(*cp.counterexample_family().mats)).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(5.2786, abs=1e-3)
         assert r.detail["identity_residual"] <= 1e-12
@@ -447,7 +461,7 @@ class TestS4Decomposition:
     def test_random(self):
         rng = RNG(7)
         for _ in range(100):
-            r = ineq.batch_s4_decomposition(*one(*(oracle.random_pd(3, rng) for _ in range(4)))).report()
+            r = ineq.batch_s4_decomposition(one_cycle(*(oracle.random_pd(3, rng) for _ in range(4)))).report()
             assert r.holds
 
 
@@ -491,19 +505,19 @@ class TestBidirectional:
 
 class TestBidirectionalEig4:
     def test_identity_exact(self):
-        r = ineq.batch_bidirectional_eig4(*one(*(pd(np.eye(2)) for _ in range(4)))).report()
+        r = ineq.batch_bidirectional_eig4(one_cycle(*(pd(np.eye(2)) for _ in range(4)))).report()
         assert r.holds and abs(r.margin) < 1e-10
 
     def test_scalars(self):
         s = [1.0, 2.0, 3.0, 4.0]
         fwd = cp.scalar_cyclic_sum(s)
         bwd = cp.scalar_cyclic_sum(s[::-1])
-        r = ineq.batch_bidirectional_eig4(*one(*(pd([[v]]) for v in s))).report()
+        r = ineq.batch_bidirectional_eig4(one_cycle(*(pd([[v]]) for v in s))).report()
         assert r.holds
         assert r.lhs == pytest.approx(fwd + bwd, abs=1e-12)
 
     def test_fixture(self):
-        r = ineq.batch_bidirectional_eig4(*one(*cp.counterexample_family().mats)).report()
+        r = ineq.batch_bidirectional_eig4(one_cycle(*cp.counterexample_family().mats)).report()
         assert r.holds and r.lhs >= 4.0
 
 
@@ -527,13 +541,13 @@ class TestCSTrace:
 
 class TestUpperBound2AB:
     def test_scalar_double_boundary(self):
-        r = ineq.batch_upper_bound_2ab(*one(*(pd([[1.0]]) for _ in range(3)))).report()
+        r = ineq.batch_upper_bound_2ab(one_cycle(*(pd([[1.0]]) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(1.0, abs=1e-12)
         assert r.detail["tr_n"] == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_2x2(self):
-        r = ineq.batch_upper_bound_2ab(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_upper_bound_2ab(one_cycle(*(pd(np.eye(2)) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(2.0, abs=1e-12)
         assert r.rhs == 2.5
@@ -541,7 +555,7 @@ class TestUpperBound2AB:
     def test_random(self):
         rng = RNG(11)
         for _ in range(100):
-            r = ineq.batch_upper_bound_2ab(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
+            r = ineq.batch_upper_bound_2ab(one_cycle(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
             assert r.holds
 
 
@@ -552,11 +566,11 @@ class TestWZCertificate:
         w, z = ineq._hstack(outer @ wi), ineq._hstack(zi)
         assert (w @ z.T)[0, 0] == pytest.approx(3.0, abs=1e-12)
         assert (z @ z.T)[0, 0] == pytest.approx(9.0, abs=1e-12)
-        r = ineq.batch_wz_certificate(*one(*(pd([[1.0]]) for _ in range(3)))).report()
+        r = ineq.batch_wz_certificate(one_cycle(*(pd([[1.0]]) for _ in range(3)))).report()
         assert r.holds and r.lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_identity_2x2_quotient(self):
-        r = ineq.batch_wz_certificate(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_wz_certificate(one_cycle(*(pd(np.eye(2)) for _ in range(3)))).report()
         assert r.holds
         assert r.detail["tr_zz"] == pytest.approx(18.0, abs=1e-12)
         assert r.lhs == pytest.approx(2.0, abs=1e-12)
@@ -564,7 +578,7 @@ class TestWZCertificate:
     def test_random_identities(self):
         rng = RNG(12)
         for _ in range(100):
-            r = ineq.batch_wz_certificate(*one(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
+            r = ineq.batch_wz_certificate(one_cycle(*(oracle.random_pd(3, rng) for _ in range(3)))).report()
             assert r.holds
             assert r.detail["wz_residual"] <= 1e-9 * 100
 
@@ -624,7 +638,7 @@ class TestCertificateGates:
     def test_wz_identities(self, monkeypatch, broken):
         rng = RNG(31)
         ops = [oracle.random_pd(3, rng) for _ in range(3)]
-        assert ineq.batch_wz_certificate(*one(*ops)).report().margin > 0.1
+        assert ineq.batch_wz_certificate(one_cycle(*ops)).report().margin > 0.1
         c, turn, k = self.WZ_PATCHES[broken]
         blocks, sums = ineq._wz_blocks, ineq._two_ab_sums
 
@@ -638,7 +652,7 @@ class TestCertificateGates:
 
         monkeypatch.setattr(ineq, "_wz_blocks", wz_blocks)
         monkeypatch.setattr(ineq, "_two_ab_sums", two_ab_sums)
-        r = ineq.batch_wz_certificate(*one(*ops)).report()
+        r = ineq.batch_wz_certificate(one_cycle(*ops)).report()
         d = r.detail
         gaps = {
             "wz_residual": d["wz_residual"],
@@ -692,7 +706,7 @@ class TestCounterexampleReproduction:
 
 class TestReportSerialization:
     def test_to_dict_schema(self):
-        r = ineq.batch_nesbitt(*one(*(pd(np.eye(2)) for _ in range(3)))).report()
+        r = ineq.batch_nesbitt(one_cycle(*(pd(np.eye(2)) for _ in range(3)))).report()
         d = r.to_dict()
         assert set(d) == {"check", "n", "p", "holds", "margin", "lhs", "rhs", "detail", "tol"}
         assert d["tol"] == {"rel": 1e-9, "abs": 1e-12}

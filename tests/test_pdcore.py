@@ -150,21 +150,6 @@ class TestRandomPDStack:
             assert np.array_equal(cp.family_from_dict(doc).mats, row)
 
 
-class TestEigHerm:
-    def test_identity(self):
-        w, v = cp.pdcore.eig_herm_stack(np.eye(3))
-        assert np.allclose(w, [1, 1, 1])
-        assert np.linalg.norm(np.eye(3) @ v - v * w) <= 1e-10
-
-    def test_diagonal(self):
-        w, _ = cp.pdcore.eig_herm_stack(pd(np.diag([5.0, 2.0, 7.0])))
-        assert np.allclose(w, [2, 5, 7])
-
-    def test_analytic_2x2(self):
-        w, _ = cp.pdcore.eig_herm_stack(pd([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(w, [1, 3])
-
-
 def general_eigs(a):
     """The sorted eigenvalues of one square matrix, from the stacked solver."""
     return eig_general_stack(np.asarray(a))

@@ -1,9 +1,10 @@
 """The shared per-stack context against the raw-array path.
 
-A ``batch_<name>`` given a :class:`StackContext` reads the intermediates that
-earlier checkers of the same stack computed; given a plain array it wraps it
-in a fresh context and computes everything itself. The raw-array path is the
-oracle: both must give the same bits, whatever order the checkers run in.
+A ``batch_<name>`` given a :class:`StackContext` of a family or a cycle reads
+the intermediates that earlier checkers of the same stack computed; given a
+plain array it wraps it in a fresh context and computes everything itself.
+The raw-array path is the oracle: both must give the same bits, whatever
+order the checkers run in.
 Each intermediate is also checked against its definition, with the member
 sum written as a Python loop.
 """
@@ -41,11 +42,14 @@ def draw(n, p, field):
 def test_context_equals_raw_arrays(n, p, field):
     drawn, fams = draw(n, p, field)
     raw = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+    raw.update({w: np.ascontiguousarray(drawn[:, :len(w)]) for w in ("abc", "abcd")})
     for order in (1, -1):
-        shared = {k: ineq.StackContext(v) for k, v in raw.items()}
-        for name, letters in verify.UNCONDITIONAL_FIXED[::order]:
+        # the cycles as verify builds them, each in one context its checkers share
+        shared = verify._fixed_args(drawn)
+        for name, words in verify.UNCONDITIONAL_FIXED[::order]:
             fn = getattr(ineq, f"batch_{name}")
-            assert_same_batch(fn(*(shared[k] for k in letters)), fn(*(raw[k] for k in letters)))
+            words = words.split()
+            assert_same_batch(fn(*(shared[w] for w in words)), fn(*(raw[w] for w in words)))
         ctx = ineq.StackContext(fams)
         for name in (verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))[::order]:
             fn = getattr(ineq, f"batch_{name}")
@@ -64,13 +68,13 @@ def test_intermediates_match_their_definitions(n, p, field):
     assert same_bits(ctx.total_inv, ineq._inv(psum(fams)))
     assert same_bits(ctx.fro, _fro(fams))
     assert same_bits(ctx.traces, ineq.cyclic_traces(fams))
-    a, b, c, d = map(ineq.StackContext, np.moveaxis(drawn[:, :4], 1, 0))
-    # per-operand norms are the columns of the norms of the operand stack
-    assert same_bits(np.stack([x.fro for x in (a, b, c, d)], axis=-1), _fro(drawn[:, :4]))
-    abc = a.cycle(b, c)
-    assert abc is a.cycle(b, c) and abc is not a.cycle(b, c, d)
-    assert same_bits(abc.mats, drawn[:, :3])
-    for got, want in zip(abc.two_ab, ineq._two_ab_sums(np.ascontiguousarray(drawn[:, :3]))):
+    cycles = verify._fixed_args(drawn)
+    # each operand's norm is a column of its cycle's norms
+    for w in ("abc", "abcd"):
+        cyc = cycles[w]
+        assert same_bits(cyc.mats, drawn[:, :len(w)]) and cyc.mats.flags.c_contiguous
+        assert same_bits(cyc.fro, np.stack([_fro(x) for x in np.moveaxis(drawn[:, :len(w)], 1, 0)], axis=-1))
+    for got, want in zip(cycles["abc"].two_ab, ineq._two_ab_sums(np.ascontiguousarray(drawn[:, :3]))):
         assert same_bits(got, want)
 
 

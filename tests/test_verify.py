@@ -47,7 +47,8 @@ def flip_by_margin(margin):
 
 @pytest.mark.parametrize("suite, name, witnessed", [
     ("unconditional", "square_cycle", True),
-    ("unconditional", "nesbitt", False),
+    ("unconditional", "nesbitt", True),
+    ("unconditional", "weighted_cs", False),
     ("conditional", "shapiro_trace", True),
 ])
 def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, witnessed):
@@ -91,11 +92,13 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
     rng = np.random.default_rng(seed)
     drawn = random_pd_stack(n, trials, 4, rng, field, gaussian_tail=2)
     fams = random_pd_stack(n, trials, p, rng, field)
-    for name, letters in verify.UNCONDITIONAL_FIXED:
-        batch = getattr(ineq, f"batch_{name}")(*(drawn[:, "abcdxy".index(k)] for k in letters))
+    args = verify._fixed_args(drawn)
+    for name, words in verify.UNCONDITIONAL_FIXED:
+        batch = getattr(ineq, f"batch_{name}")(*(args[w] for w in words.split()))
         for t in range(trials):
             ops = dict(zip("abcdxy", [PDMatrix(m) for m in drawn[t, :4]] + list(drawn[t, 4:])))
-            same_report(batch.report(t), getattr(oracle, f"check_{name}")(*(ops[k] for k in letters)))
+            # the looped checkers take a cycle's operands one by one
+            same_report(batch.report(t), getattr(oracle, f"check_{name}")(*(ops[k] for k in words.replace(" ", ""))))
     for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
         batch = getattr(ineq, f"batch_{name}")(fams)
         for t in range(trials):
@@ -128,14 +131,37 @@ def test_every_checker_reports_the_rel_it_was_given():
     rng = np.random.default_rng(3)
     drawn = random_pd_stack(2, 2, 4, rng, "real", gaussian_tail=2)
     fams = random_pd_stack(2, 2, 5, rng, "real")
-    batches = [getattr(ineq, f"batch_{name}")(*(drawn[:, "abcdxy".index(k)] for k in letters), 3e-7)
-               for name, letters in verify.UNCONDITIONAL_FIXED]
+    args = verify._fixed_args(drawn)
+    batches = [getattr(ineq, f"batch_{name}")(*(args[w] for w in words.split()), 3e-7)
+               for name, words in verify.UNCONDITIONAL_FIXED]
     batches += [getattr(ineq, f"batch_{name}")(fams, 3e-7)
                 for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",)]
     assert len({b.check_name for b in batches}) == len([n for n in dir(ineq) if n.startswith("batch_")])
     for batch in batches:
         assert batch.rel == 3e-7
         assert batch.report(1).to_dict()["tol"] == {"rel": 3e-7, "abs": 1e-12}
+
+
+def test_every_checker_is_in_one_table():
+    """Every ``batch_`` checker runs in exactly one suite table (the conditional
+    suite runs ``shapiro_trace``), and every table entry has a checker."""
+    tables = [name for name, _ in verify.UNCONDITIONAL_FIXED] + list(verify.UNCONDITIONAL_FAMILY)
+    tables.append("shapiro_trace")
+    assert len(tables) == len(set(tables))
+    assert {n for n in dir(ineq) if n.startswith("batch_")} == {f"batch_{name}" for name in tables}
+
+
+CYCLE_CHECKERS = [(name, len(words)) for name, words in verify.UNCONDITIONAL_FIXED if " " not in words]
+
+
+@pytest.mark.parametrize("name, p", CYCLE_CHECKERS)
+def test_cycle_checkers_take_exactly_their_cycle(name, p):
+    fn = getattr(ineq, f"batch_{name}")
+    fams = random_pd_stack(2, 2, p + 1, np.random.default_rng(4), "real")
+    assert fn(fams[:, :p]).holds.all()
+    for wrong in (fams[:, :p - 1], fams, ineq.StackContext(fams)):
+        with pytest.raises(ValueError, match=f"cycle of {p} members"):
+            fn(wrong)
 
 
 class TestGridRecord:

@@ -1,8 +1,8 @@
-"""Kernel, suite and fork layers: microseconds of the search's
+"""Kernel, checker, suite and fork layers: microseconds of the search's
 ``_margin_value`` plus ``margin_gradient`` per descent iteration and of one
-``cyclic_traces`` call, the wall time of each verify suite in one process,
-and the wall time of whole searches and verify grids in one process against
-two.
+``cyclic_traces`` call, microseconds per trial of each ``batch_`` checker,
+the wall time of each verify suite in one process, and the wall time of
+whole searches and verify grids in one process against two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
@@ -15,6 +15,14 @@ mean µs per call, and the largest relative difference from the trace sums
 of one batched LAPACK solve. Which ``cyclicpd`` it measures is
 the one ``import cyclicpd`` finds, so two checkouts compare by their
 ``PYTHONPATH``.
+
+The checker layer times every checker of the verify tables (the unconditional
+suite's and ``shapiro_trace``) on one stack of T = 512 trials, for n in
+{1, 3, 6} and both fields, on operands drawn and mapped to arguments as the
+unconditional suite does (``verify._fixed_args``), with p = 8 for the family
+checkers. Each call gets plain arrays, so it computes every intermediate
+itself. Per (checker, n, field): the median over ``--runs`` runs of the µs
+and of the cal per trial.
 
 The suite layer times ``run_unconditional``, ``run_identities`` and
 ``run_conditional`` in this process (W = 1, no fork) on the grid of the
@@ -37,6 +45,7 @@ in ``cal`` cancel most of the drift in machine speed that medians in ms show
 on a shared host.
 
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
+    PYTHONPATH=src python tools/bench_kernel.py --layer checker --runs 5
     PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
     PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
 """
@@ -65,6 +74,9 @@ FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
                  (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300)]
 # name -> (dims, p values, trials) of a verify --suite all --field both run
 FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4)}
+# the checker layer's trials per stack, family size and (n, field) cases
+CHECKER_TRIALS, CHECKER_P = 512, 8
+CHECKER_CASES = [(n, field) for n in (1, 3, 6) for field in ("real", "complex")]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -184,6 +196,27 @@ def fork_layer(pairs: int, seed: int, batch) -> dict:
     return out
 
 
+def checker_layer(runs: int, seed: int, batch) -> dict:
+    out = {"trials": CHECKER_TRIALS, "p": CHECKER_P, "runs": runs, "cases": []}
+    rng = np.random.default_rng(seed)
+    for n, field in CHECKER_CASES:
+        drawn = random_pd_stack(n, CHECKER_TRIALS, 4, rng, field, gaussian_tail=2)
+        fams = random_pd_stack(n, CHECKER_TRIALS, CHECKER_P, rng, field)
+        # plain arrays, so no call reads what an earlier one cached
+        args = {w: getattr(a, "mats", a) for w, a in verify._fixed_args(drawn).items()}
+        calls = {name: [args[w] for w in words.split()] for name, words in verify.UNCONDITIONAL_FIXED}
+        calls.update((name, [fams]) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))
+        for name, ops in calls.items():
+            fn = getattr(inequalities, f"batch_{name}")
+            timings = [calibrated(batch, lambda: fn(*ops)) for _ in range(runs)]
+            out["cases"].append({
+                "checker": name, "n": n, "field": field,
+                "us_per_trial": round(statistics.median(w for w, _, _ in timings) / CHECKER_TRIALS * 1e6, 2),
+                "cal_per_trial": four_digits(statistics.median(c for _, c, _ in timings) / CHECKER_TRIALS),
+            })
+    return out
+
+
 def suite_layer(runs: int, seed: int, batch) -> dict:
     dims, ps, trials = FORK_GRIDS["verify-grid"]
     out = {"dims": dims, "p": ps, "trials": trials, "runs": runs}
@@ -200,13 +233,15 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--iters", type=int, default=100)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--layer", choices=["kernel", "suite", "fork", "all"], default="all")
+    ap.add_argument("--layer", choices=["kernel", "checker", "suite", "fork", "all"], default="all")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     batch = load_calibration()
     out = {"cyclicpd": cyclicpd.__file__, "numpy": np.__version__}
     if args.layer in ("fork", "all"):
         out["fork"] = fork_layer(args.pairs, args.seed, batch)
+    if args.layer in ("checker", "all"):
+        out["checker"] = checker_layer(args.runs, args.seed, batch)
     if args.layer in ("suite", "all"):
         out["suite"] = suite_layer(args.runs, args.seed, batch)
     if args.layer not in ("kernel", "all"):
