@@ -7,14 +7,16 @@ the inequality's direction, and a verdict under one relative slack ``rel``
 (default ``pdcore.REL_TOL`` = 1e-9): a margin holds when it is at least
 -rel * (1 + the operands' norms). ``report(t)`` gives trial t as a
 :class:`CheckReport`; a one-trial stack (1, ...) evaluates one set of
-operands. The two-operand trace and eigenvalue bounds take their operands as
+operands, and a trial's results do not depend on the other trials of its
+stack. The two-operand trace and eigenvalue bounds take their operands as
 plain (T, n, n) arrays. Every other checker takes one family stack
 (T, p, n, n): the Nesbitt and damped three-variable bounds a cycle
 (A, B, C) of p = 3, the four-variable bounds a cycle (A, B, C, D) of p = 4,
 and the rest a family of any p. A family is a plain array or a
 :class:`StackContext`, which computes the intermediates that several checkers
 of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
-the cyclic trace sum) once, with the same calls, so both give the same bits.
+the cyclic trace sum) once, with the same calls, so both give the same bits;
+a row view of a context (``StackContext.rows``) takes its parent's, sliced.
 The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
 ``eval`` and the search; the search re-checks its winner with
 ``_refined_cyclic_sum_trace``, through ``pdcore._refined_inverse``.
@@ -28,7 +30,7 @@ form of the four-variable cyclic inequality fails.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -244,50 +246,54 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
+# The intermediates a StackContext keeps, by name: each from the context.
+_INTERMEDIATES = {
+    "inv": lambda ctx: _inv(ctx.mats),  # A_i^{-1} of each matrix
+    "total": lambda ctx: _psum(ctx.mats),  # sum_i A_i over the member axis
+    "inv_total": lambda ctx: _psum(ctx.inv),  # sum_i A_i^{-1}
+    "total_inv": lambda ctx: _inv(ctx.total),  # (sum_i A_i)^{-1}
+    "fro": lambda ctx: _fro(ctx.mats),  # Frobenius norm of each matrix
+    "traces": lambda ctx: cyclic_traces(ctx.mats),  # Tr[ sum_i A_i S_i^{-1} ] of each family; p >= 3
+    "two_ab": lambda ctx: _two_ab_sums(ctx.mats),  # M and N of _two_ab_sums over the cycle (A, B, C)
+}
+
+
 class StackContext:
-    """One family stack (..., p, n, n) and the intermediates that several
-    checkers of it share. Each intermediate is computed on first use by the
-    call a checker makes on the raw array, then kept for the other checkers
-    of the stack; they read the cached arrays and never write them.
+    """One family stack (T, p, n, n) and the intermediates that several
+    checkers of it share (``_INTERMEDIATES``: ``inv``, ``total``,
+    ``inv_total``, ``total_inv``, ``fro``, ``traces``, ``two_ab``). Each is
+    computed on first use by the call a checker makes on the raw array, then
+    kept for the other checkers of the stack; they read the cached arrays and
+    never write them. A row view (:meth:`rows`), whose ``parent`` is the
+    (context, rows) it views, shares them with that context.
     """
 
-    def __init__(self, mats: np.ndarray):
+    def __init__(self, mats: np.ndarray, parent=None):
         self.mats = mats
+        self._parent = parent
 
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """A_i^{-1} of each matrix."""
-        return _inv(self.mats)
+    def rows(self, lo: int, hi: int) -> StackContext:
+        """The context of trials lo:hi. Its intermediates are this context's,
+        sliced, so each is computed once, on every row; a trial's do not
+        depend on the other rows. All of the rows are this context itself."""
+        if (lo, hi) == (0, len(self.mats)):
+            return self
+        return StackContext(self.mats[lo:hi], (self, slice(lo, hi)))
 
-    @cached_property
-    def total(self) -> np.ndarray:
-        """sum_i A_i over the member axis."""
-        return _psum(self.mats)
-
-    @cached_property
-    def inv_total(self) -> np.ndarray:
-        """sum_i A_i^{-1}."""
-        return _psum(self.inv)
-
-    @cached_property
-    def total_inv(self) -> np.ndarray:
-        """(sum_i A_i)^{-1}."""
-        return _inv(self.total)
-
-    @cached_property
-    def fro(self) -> np.ndarray:
-        """Frobenius norm of each matrix."""
-        return _fro(self.mats)
-
-    @cached_property
-    def traces(self) -> np.ndarray:
-        """Tr[ sum_i A_i S_i^{-1} ] of each family; p >= 3."""
-        return cyclic_traces(self.mats)
-
-    @cached_property
-    def two_ab(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sums M and N of :func:`_two_ab_sums` over the cycle (A, B, C)."""
-        return _two_ab_sums(self.mats)
+    def __getattr__(self, name):
+        # called only for a name not set yet: an intermediate is computed (in
+        # a row view, sliced from the parent's) and set
+        make = _INTERMEDIATES.get(name)
+        if make is None:
+            raise AttributeError(name)
+        if self._parent is None:
+            value = make(self)
+        else:
+            parent, rows = self._parent
+            value = getattr(parent, name)
+            value = tuple(v[rows] for v in value) if isinstance(value, tuple) else value[rows]
+        self.__dict__[name] = value
+        return value
 
 
 def _context(stack) -> StackContext:
@@ -377,8 +383,8 @@ def batch_harmonic_loewner(mats, rel: float = REL_TOL) -> CheckBatch:
     p = mats.shape[-3]
     lhs = ctx.inv_total
     rhs = p**2 * ctx.total_inv
-    diff = (lhs - rhs + _ct(lhs - rhs)) / 2.0
-    margin = np.linalg.eigvalsh(diff)[..., 0]
+    # exactly Hermitian, as every _inv result and so their sums are
+    margin = np.linalg.eigvalsh(lhs - rhs)[..., 0]
     slack = _slack(rel, _fro(lhs), _fro(rhs))
     return CheckBatch(
         "harmonic_loewner", mats.shape[-1], p, _rtr(lhs), _rtr(rhs), margin, margin >= -slack, rel,
@@ -414,9 +420,10 @@ def batch_block_certificate(mats, rel: float = REL_TOL) -> CheckBatch:
     mats = ctx.mats
     n, p = mats.shape[-1], mats.shape[-3]
     blocks = _block_stack(mats, ctx.inv)
-    block_min = np.linalg.eigvalsh((blocks + _ct(blocks)) / 2.0)[..., 0].min(axis=-1)
+    # exactly Hermitian, as the members, their _inv results and so the sums are
+    block_min = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
     m = _psum(blocks)
-    m_min = np.linalg.eigvalsh((m + _ct(m)) / 2.0)[..., 0]
+    m_min = np.linalg.eigvalsh(m)[..., 0]
     sc = schur_complement(m, n)
     direct = ctx.inv_total - p**2 * ctx.total_inv
     sc_gap = _fro(sc - direct)

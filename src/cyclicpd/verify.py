@@ -11,25 +11,30 @@ Three suites:
 Aggregation is per grid point: trial count, failure count, worst margin, and
 a serialized witness for the first failure (or event) of a check on a family
 or a cycle; the two-operand bounds keep none, since x and y are not PD and two
-operands are not a cyclic family. Each grid point has
-its own seeded stream. All of a grid point's trials are drawn from it in one
-stacked draw, which takes the same numbers in the same order as one draw per
-matrix would, and every checker then evaluates the whole (T, ...) stack at
-once through its ``batch_`` kernel. Results therefore depend neither on
-scheduling nor on how the trials are grouped.
+operands are not a cyclic family. Each suite has its own seeded stream per
+grid point and draws its trials from it in chunks of at most
+``TRIALS_PER_STACK``, one stacked draw each, which takes the same numbers in
+the same order as one draw per matrix would; every checker then evaluates a
+whole (T, ...) stack at once through its ``batch_`` kernel.
 
-The checkers of one stack share one :class:`~cyclicpd.inequalities.StackContext`
-per family stack, and per cycle (a, b, c) and (a, b, c, d) of the drawn
-operands, so A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms and
-the cyclic trace sum are computed once per stack, by the same calls and with
-the same bits as on the raw arrays. The two-operand bounds take the drawn
-operands as plain arrays. The conditional suite runs one checker per stack
-and hands it the raw array.
+The asked suites run in one walk, n by n (:func:`_walk`). Per (n, field,
+chunk) the cycles (a, b, c) and (a, b, c, d) of the unconditional and
+identities draws, and per (n, p, field, chunk) the families of all three
+suites, are joined on the trial axis, in ``SUITES`` order, in one
+:class:`~cyclicpd.inequalities.StackContext`. Each checker runs once, on the
+rows of the suites that read it (a row view of the context), so A_i^{-1},
+sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms and the cyclic trace sum
+are computed once per joined stack, and a ``SHARED`` checker once for both
+suites that read it. A trial's result does not depend on the other rows of
+its stack, so each suite's outcome is the one it gives alone, bit for bit,
+and depends neither on scheduling nor on how the trials are chunked. A
+single suite joins nothing and hands its checkers its drawn arrays; the
+two-operand bounds always take the drawn operands as plain arrays.
 
-:func:`run_suites` runs each (suite, n) as a unit of its own and splits the
-units across as many forked processes as the grid's work repays; since no
-grid point's stream depends on another's, the outcome is the same at every
-process count.
+:func:`run_suites` runs each n, with every asked suite, as a unit of its own
+and splits the units across as many forked processes as the grid's work
+repays; since no grid point's stream depends on another's, the outcome is
+the same at every process count.
 """
 from __future__ import annotations
 
@@ -60,14 +65,19 @@ UNCONDITIONAL_FAMILY = (
     "shapiro_extension", "bidirectional", "square_cycle",
 )
 IDENTITIES = ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_identities")
-# Trials evaluated as one stack. It bounds the memory a grid point takes (about
-# 55 kB per trial at n = 6, p = 8, complex) and changes no result.
+# The unconditional checkers whose batches the identities suite reads too: with
+# both suites asked, each runs once on both suites' joined stack, whose first
+# rows are the unconditional suite's.
+SHARED = frozenset({"upper_bound_2ab", "wz_certificate", "s4_decomposition", "shapiro_extension", "square_cycle"})
+# Trials per suite drawn and evaluated as one chunk. It bounds the memory a
+# chunk takes (about 55 kB per trial and suite at n = 6, p = 8, complex) and
+# changes no result.
 TRIALS_PER_STACK = 512
-# The fork rule's work of one trial of one family per unit of n, in the search
-# block-iterations that ``_fork.FLOOR`` counts. A grid's fork repays itself
-# from about 50 ms of serial time, a search's from about 100 ms, so a trial
-# weighs more than the 400 or so block-iterations its time would buy
-# (``tools/bench_kernel.py``, fork layer).
+# The fork rule's work of one trial of one suite at one (p, field) per unit of
+# n, in the search block-iterations that ``_fork.FLOOR`` counts. A grid's fork
+# repays itself from about 50 ms of serial time, a search's from about 100 ms,
+# so a trial weighs more than the 400 or so block-iterations its time would
+# buy (``tools/bench_kernel.py``, fork layer).
 TRIAL_WORK = 1000
 
 
@@ -136,13 +146,11 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 _FIELD_ID = {"real": 0, "complex": 1}
 
 
-def _stacks(n, trials, members, rng, field, gaussian_tail=0):
-    """A grid point's trials as consecutive :func:`random_pd_stack` draws of
-    at most ``TRIALS_PER_STACK`` rows; together they take the stream as one
+def _chunks(trials):
+    """The row counts of a grid point's consecutive stacks, each at most
+    ``TRIALS_PER_STACK``; drawn one after another, they take the stream as one
     draw of all the trials would."""
-    for start in range(0, trials, TRIALS_PER_STACK):
-        rows = min(TRIALS_PER_STACK, trials - start)
-        yield random_pd_stack(n, rows, members, rng, field, gaussian_tail=gaussian_tail)
+    return [min(TRIALS_PER_STACK, trials - start) for start in range(0, trials, TRIALS_PER_STACK)]
 
 
 def _batch(name: str):
@@ -157,96 +165,161 @@ def _add_residual(rec: GridRecord, residual, allowed):
     rec.add(allowed - residual, residual <= allowed)
 
 
+def _joined(parts):
+    """The parts' trials as one stack, in order; one part is passed on as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
-    out = SuiteOutcome()
-    for n in dims:
-        for fld in fields:
-            rng = _rng_for(seed, 1, n, _FIELD_ID[fld])
-            recs = [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED]
-            for drawn in _stacks(n, trials, 4, rng, fld, gaussian_tail=2):
-                _add_fixed(recs, drawn, rel)
-            out.records.extend(recs)
-        for p in p_values:
-            for fld in fields:
-                rng = _rng_for(seed, 2, n, p, _FIELD_ID[fld])
-                recs = [GridRecord(name, n, p, fld) for name in UNCONDITIONAL_FAMILY]
-                for fams in _stacks(n, trials, p, rng, fld):
-                    _add_family(recs, fams, rel)
-                out.records.extend(recs)
-    return out
-
-
-# The helpers below hold a stack's contexts, so their cached intermediates are
-# freed when the stack is done, before the next stack is drawn.
-
-def _fixed_args(drawn):
-    """The fixed-shape checkers' arguments by word: each drawn operand a plain
-    (T, n, n) array, and the cycles (a, b, c) and (a, b, c, d) each a
-    contiguous family stack in a context of its own."""
-    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
-    for w in ("abc", "abcd"):
-        args[w] = ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)]))
-    return args
-
-
-def _add_fixed(recs, drawn, rel):
-    args = _fixed_args(drawn)
-    for rec, (name, words) in zip(recs, UNCONDITIONAL_FIXED):
-        words = words.split()
-        batch = _batch(name)(*(args[w] for w in words), rel)
-        # a one-word check runs on a cycle, which its witness replays as a family
-        witness = _family_witness(args[words[0]].mats) if len(words) == 1 else None
-        rec.add(batch.margin, batch.holds, witness)
-
-
-def _add_family(recs, fams, rel):
-    ctx = ineq.StackContext(fams)
-    for rec in recs:
-        batch = _batch(rec.check)(ctx, rel)
-        rec.add(batch.margin, batch.holds, _family_witness(fams))
+    return _walk(("unconditional",), dims, p_values, trials, seed, rel, fields)["unconditional"]
 
 
 def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
     """Exact identities only: residuals must sit at round-off, far below 1e-10."""
-    out = SuiteOutcome()
+    return _walk(("identities",), dims, p_values, trials, seed, rel, fields)["identities"]
+
+
+def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
+    return _walk(("conditional",), dims, p_values, trials, seed, rel, fields)["conditional"]
+
+
+def _walk(names, dims, p_values, trials, seed, rel, fields) -> dict:
+    """The suites ``names`` over the grid in one walk: {suite: SuiteOutcome}.
+
+    Per n, field and chunk of trials, each suite draws from its own streams
+    what it would draw alone; its (a, b, c[, d]) cycles and each p's families
+    are joined with the other suites' on the trial axis, in ``SUITES`` order.
+    """
+    u, i, c = (name in names for name in SUITES)
+    out = {name: SuiteOutcome() for name in names}
     for n in dims:
+        points = [(p, fld) for p in p_values for fld in fields]
+        if u:
+            fixed = {fld: [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED] for fld in fields}
+            family = {pt: [GridRecord(name, n, *pt) for name in UNCONDITIONAL_FAMILY] for pt in points}
+            out["unconditional"].records += [r for recs in (*fixed.values(), *family.values()) for r in recs]
+        if i:
+            ident = {fld: {name: GridRecord(name, n, 0, fld) for name in IDENTITIES} for fld in fields}
+            ext = {pt: GridRecord("extension_identity", n, *pt) for pt in points}
+            out["identities"].records += [r for fld in fields for r in
+                                          (*ident[fld].values(), *(ext[p, fld] for p in p_values))]
+        if c:
+            cond = {pt: GridRecord("shapiro_trace", n, *pt) for pt in points}
+            events = {pt: [] for pt in points}
+            out["conditional"].records += cond.values()
         for fld in fields:
-            rng = _rng_for(seed, 3, n, _FIELD_ID[fld])
-            recs = {name: GridRecord(name, n, 0, fld) for name in IDENTITIES}
-            ext_recs = {p: GridRecord("extension_identity", n, p, fld) for p in p_values}
-            # each trial draws a, b, c, d, then one family per p in p_values
-            for drawn in _stacks(n, trials, 4 + sum(p_values), rng, fld):
-                _add_identities(recs, ext_recs, drawn, p_values, rel)
-            out.records.extend(recs.values())
-            out.records.extend(ext_recs.values())
+            key = _FIELD_ID[fld]
+            if u:
+                rng_fixed = _rng_for(seed, 1, n, key)
+                rng_family = {p: _rng_for(seed, 2, n, p, key) for p in p_values}
+            if i:
+                rng_ident = _rng_for(seed, 3, n, key)
+            if c:
+                rng_cond = {p: _rng_for(seed, 4, n, p, key) for p in p_values}
+            for rows in _chunks(trials):
+                du = random_pd_stack(n, rows, 4, rng_fixed, fld, gaussian_tail=2) if u else None
+                # each trial draws a, b, c, d, then one family per p in p_values
+                di = random_pd_stack(n, rows, 4 + sum(p_values), rng_ident, fld) if i else None
+                if u or i:
+                    _add_cycles(fixed[fld] if u else None, ident[fld] if i else None, du, di, rel)
+                start = 4
+                for p in p_values:
+                    pt = p, fld
+                    fu = random_pd_stack(n, rows, p, rng_family[p], fld) if u else None
+                    fi = di[:, start:start + p] if i else None
+                    fc = random_pd_stack(n, rows, p, rng_cond[p], fld) if c else None
+                    start += p
+                    _add_families(family[pt] if u else None, (ident[fld], ext[pt]) if i else None,
+                                  (cond[pt], events[pt]) if c else None, fu, fi, fc, rel)
+        if c:
+            out["conditional"].events += [e for pt in points for e in events[pt]]
     return out
 
 
-def _add_identities(recs, ext_recs, drawn, p_values, rel):
-    n = drawn.shape[-1]
-    args = _fixed_args(drawn)
-    scale = 1.0 + sum(np.moveaxis(args["abcd"].fro, -1, 0))
-    r = ineq.batch_s4_decomposition(args["abcd"], rel)
-    _add_residual(recs["s4_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_upper_bound_2ab(args["abc"], rel)
-    _add_residual(recs["two_ab_identity"], r.detail["identity_residual"], 1e-10 * scale)
-    r = ineq.batch_wz_certificate(args["abc"], rel)
+# The helpers below hold a chunk's contexts, so their cached intermediates are
+# freed when the chunk is done, before the next one is drawn.
+
+def _shared(done, name, ctx, rel):
+    """The batch of ``name`` that the unconditional suite ran on the joined
+    rows, else one of its own on ``ctx``."""
+    return done[name] if name in done else _batch(name)(ctx, rel)
+
+
+def _fixed_args(drawn, cycles=None):
+    """The fixed-shape checkers' arguments by word: each drawn operand a plain
+    (T, n, n) array, and the cycles (a, b, c) and (a, b, c, d) each the first
+    T rows of the context in ``cycles``, by default a contiguous stack of
+    ``drawn``'s own."""
+    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+    for w in ("abc", "abcd"):
+        ctx = cycles[w] if cycles else ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)]))
+        args[w] = ctx.rows(0, len(drawn))
+    return args
+
+
+def _add_cycles(recs, ident, du, di, rel):
+    """One chunk of the fixed-shape draws: the unconditional suite's ``du``
+    into its records ``recs`` and the identities suite's ``di`` into
+    ``ident``, each None when its suite is not asked."""
+    parts = [d for d in (du, di) if d is not None]
+    rows = len(parts[0])
+    cycles = {w: ineq.StackContext(np.ascontiguousarray(_joined([d[:, :len(w)] for d in parts])))
+              for w in ("abc", "abcd")}
+    done = {}
+    if du is not None:
+        args = _fixed_args(du, cycles)
+        for rec, (name, words) in zip(recs, UNCONDITIONAL_FIXED):
+            ops = [cycles[words]] if name in SHARED else [args[w] for w in words.split()]
+            batch = done[name] = _batch(name)(*ops, rel)
+            # a one-word check runs on a cycle, which its witness replays as a family
+            witness = _family_witness(args[words].mats) if words in cycles else None
+            rec.add(batch.margin[:rows], batch.holds[:rows], witness)
+    if di is None:
+        return
+    # the identity residuals are the last rows of a shared checker's batch
+    last = slice(-rows, None)
+    scale = 1.0 + sum(np.moveaxis(cycles["abcd"].fro[last], -1, 0))
+    r = _shared(done, "s4_decomposition", cycles["abcd"], rel)
+    _add_residual(ident["s4_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
+    r = _shared(done, "upper_bound_2ab", cycles["abc"], rel)
+    _add_residual(ident["two_ab_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
+    r = _shared(done, "wz_certificate", cycles["abc"], rel)
     wz_res = np.maximum.reduce([
-        r.detail["wz_residual"],
-        abs(r.detail["tr_zz"] - r.detail["tr_zz_expected"]),
-        abs(r.detail["tr_ww"] - r.detail["tr_n"]),
+        r.detail["wz_residual"][last],
+        abs(r.detail["tr_zz"][last] - r.detail["tr_zz_expected"][last]),
+        abs(r.detail["tr_ww"][last] - r.detail["tr_n"][last]),
     ])
-    _add_residual(recs["wz_identities"], wz_res, 1e-10 * scale**2)
-    start = 4
-    for p in p_values:
-        fams = ineq.StackContext(drawn[:, start:start + p])
-        start += p
-        r = ineq.batch_square_cycle(fams, rel)
-        sc_res = np.maximum(r.detail["wz_residual"], r.detail["zz_residual"])
+    _add_residual(ident["wz_identities"], wz_res, 1e-10 * scale**2)
+
+
+def _add_families(recs, ident, cond, fu, fi, fc, rel):
+    """One chunk of one p's families: the unconditional suite's ``fu`` into its
+    records ``recs``, the identities suite's ``fi`` into its (per-field,
+    extension) records ``ident`` and the conditional suite's ``fc`` into its
+    (record, events) ``cond``, each None when its suite is not asked."""
+    parts = [f for f in (fu, fi, fc) if f is not None]
+    rows = len(parts[0])
+    ctx = ineq.StackContext(_joined(parts))
+    # the unconditional and identities rows end at mid
+    mid = rows * ((fu is not None) + (fi is not None))
+    done = {}
+    if fu is not None:
+        own, both, witness = ctx.rows(0, rows), ctx.rows(0, mid), _family_witness(fu)
+        for rec in recs:
+            batch = done[rec.check] = _batch(rec.check)(both if rec.check in SHARED else own, rel)
+            rec.add(batch.margin[:rows], batch.holds[:rows], witness)
+    if fi is not None:
+        (field_recs, ext), fams, last = ident, ctx.rows(mid - rows, mid), slice(-rows, None)
+        r = _shared(done, "square_cycle", fams, rel)
+        sc_res = np.maximum(r.detail["wz_residual"][last], r.detail["zz_residual"][last])
         allowed = 1e-10 * (1.0 + sum(np.moveaxis(fams.fro, -1, 0)))
-        _add_residual(recs["square_cycle_identities"], sc_res, allowed)
-        r = ineq.batch_shapiro_extension(fams, rel)
-        _add_residual(ext_recs[p], -r.margin, 1e-10 * (1.0 + abs(r.detail["base"]) + n))
+        _add_residual(field_recs["square_cycle_identities"], sc_res, allowed)
+        r = _shared(done, "shapiro_extension", fams, rel)
+        base = r.detail["base"][last]
+        _add_residual(ext, -r.margin[last], 1e-10 * (1.0 + abs(base) + fi.shape[-1]))
+    if fc is not None:
+        # alone, the conditional checker is handed the drawn array itself
+        _add_conditional(*cond, ctx.rows(mid, mid + rows) if len(parts) > 1 else fc, fc, rel)
 
 
 def theorem_covers(n: int, p: int) -> bool:
@@ -256,40 +329,33 @@ def theorem_covers(n: int, p: int) -> bool:
     return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
-def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
-    out = SuiteOutcome()
-    for n in dims:
-        for p in p_values:
-            for fld in fields:
-                rng = _rng_for(seed, 4, n, p, _FIELD_ID[fld])
-                rec = GridRecord("shapiro_trace", n, p, fld)
-                for fams in _stacks(n, trials, p, rng, fld):
-                    batch = ineq.batch_shapiro_trace(fams, rel)
-                    if theorem_covers(n, p):
-                        rec.add(batch.margin, batch.holds, _family_witness(fams))
-                        continue
-                    # outside the theorems a violation is an event, not a failure
-                    rec.add(batch.margin, np.ones_like(batch.holds))
-                    for t in np.flatnonzero(~batch.holds):
-                        out.events.append({
-                            "kind": "counterexample",
-                            "check": "shapiro_trace",
-                            "n": n,
-                            "p": p,
-                            "field": fld,
-                            "margin": float(batch.margin[t]),
-                            "family": family_to_dict(CyclicFamily(fams[t])),
-                        })
-                out.records.append(rec)
-    return out
+def _add_conditional(rec, events, fams, drawn, rel):
+    """One chunk of the conditional suite: ``fams`` is the checker's argument
+    and ``drawn`` the draw, which witnesses and events serialize."""
+    batch = ineq.batch_shapiro_trace(fams, rel)
+    if theorem_covers(rec.n, rec.p):
+        rec.add(batch.margin, batch.holds, _family_witness(drawn))
+        return
+    # outside the theorems a violation is an event, not a failure
+    rec.add(batch.margin, np.ones_like(batch.holds))
+    for t in np.flatnonzero(~batch.holds):
+        events.append({
+            "kind": "counterexample",
+            "check": "shapiro_trace",
+            "n": rec.n,
+            "p": rec.p,
+            "field": rec.field,
+            "margin": float(batch.margin[t]),
+            "family": family_to_dict(CyclicFamily(drawn[t])),
+        })
 
 
 def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):
     """Dispatch; returns {suite name: SuiteOutcome} for the suites asked for.
 
-    The work is cut into units of one (suite, n) each, run as
-    ``run_<suite>([n], ...)``. A unit's work is TRIAL_WORK x n x trials x
-    |p_values| x |fields|, and the units are split across
+    The work is cut into units of one n each, running every asked suite in
+    one walk. A unit's work is TRIAL_WORK x n x trials x |p_values| x
+    |fields| x |suites|, and the units are split across
     W = min(``_cpu_count()``, units, max(1, work // FLOOR)) processes (see
     :func:`cyclicpd._fork.workers_for` and :func:`cyclicpd._fork.run_units`).
     Every suite's outermost loop is over n, so the units' records and events,
@@ -298,16 +364,22 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
-    names = [name for name in SUITES if suite in (name, "all")]
-    units = [(name, n) for name in names for n in dims]
-    # runners are looked up at call time, so a wrapper bound on this module is called
-    jobs = [functools.partial(globals()[f"run_{name}"], [n], p_values, trials, seed, rel, fields)
-            for name, n in units]
-    results = {name: SuiteOutcome() for name in names}
-    costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) for _, n in units]
+    names = tuple(name for name in SUITES if suite in (name, "all"))
+    jobs = [functools.partial(_unit, names, [n], p_values, trials, seed, rel, fields) for n in dims]
+    costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) * len(names) for n in dims]
     # _cpu_count is looked up here, so a count bound on this module is used
     outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))
-    for (name, _), outcome in zip(units, outcomes):
-        results[name].records.extend(outcome.records)
-        results[name].events.extend(outcome.events)
+    results = {name: SuiteOutcome() for name in names}
+    for outcome in outcomes:
+        for name, part in outcome.items():
+            results[name].records.extend(part.records)
+            results[name].events.extend(part.events)
     return results
+
+
+def _unit(names, *args) -> dict:
+    """One unit's {suite: SuiteOutcome}. A single suite runs through its runner,
+    looked up at call time, so a wrapper bound on this module is called."""
+    if len(names) == 1:
+        return {names[0]: globals()[f"run_{names[0]}"](*args)}
+    return _walk(names, *args)

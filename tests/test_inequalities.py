@@ -140,6 +140,20 @@ class TestBlockCertificate:
             assert r.detail["schur_gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_loewner_and_block_stacks_are_exactly_hermitian(field):
+    """batch_harmonic_loewner and batch_block_certificate hand eigvalsh their
+    stacks unsymmetrized: on verify's draws (n 1..6, p 3..8) each is exactly
+    Hermitian, as every member and every _inv result is."""
+    for n in range(1, 7):
+        for p in range(3, 9):
+            fams = pdcore.random_pd_stack(n, 4, p, RNG(10 * n + p), field)
+            ctx = ineq.StackContext(fams)
+            blocks = ineq._block_stack(fams, ctx.inv)
+            for x in (ctx.inv_total - p**2 * ctx.total_inv, blocks, ineq._psum(blocks)):
+                assert (x == pdcore._ct(x)).all(), (n, p)
+
+
 class TestProductSumEigs:
     def test_identity_exact(self):
         for p in (1, 3, 5):

@@ -2,7 +2,7 @@
 events, witnesses and errors at every worker count as the serial in-process
 loop (W = 1), no fork for a grid below the fork rule's floor, and no child
 left behind. The grids are small, so the tests of the split lower the floor
-until every (suite, n) unit could have a process of its own."""
+until every unit (one n, all the asked suites) could have a process of its own."""
 import dataclasses
 import errno
 import os
@@ -67,7 +67,7 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
     unsplit = {name: getattr(verify, f"run_{name}")(dims, p_values, trials, 4, fields=fields).to_dict()
                for name in serial}
     assert want == unsplit
-    units = len(serial) * len(dims)
+    units = len(dims)  # one unit per n, whatever the suites
     for workers in (2, 3):
         forks[0] = 0
         got = run_at(monkeypatch, workers, suite, dims, p_values, trials, 4, fields=fields)

@@ -104,3 +104,64 @@ def test_grid_point_inverts_and_traces_its_family_stack_once(monkeypatch):
     assert fams.shape == (4, 5, 2, 2)
     for name, args in calls.items():
         assert sum(a is fams for a in args) == 1, name
+
+
+def raw_args(drawn):
+    """The fixed-shape checkers' arguments by word, all plain arrays."""
+    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+    args.update({w: np.ascontiguousarray(drawn[:, :len(w)]) for w in ("abc", "abcd")})
+    return args
+
+
+def assert_rows_of(joined, lo, hi, part):
+    """Trials lo:hi of the joined batch are, bit for bit, the part's batch: its
+    per-trial arrays are the joined ones' rows, its shared values equal."""
+    assert (joined.check_name, joined.n, joined.p) == (part.check_name, part.n, part.p)
+    assert joined.detail.keys() == part.detail.keys()
+    pairs = [(joined.lhs, part.lhs), (joined.rhs, part.rhs), (joined.margin, part.margin),
+             (joined.holds, part.holds)] + [(joined.detail[k], part.detail[k]) for k in part.detail]
+    for got, want in pairs:
+        got = np.asarray(got)
+        assert same_bits(got[lo:hi] if got.ndim else got, want), part.check_name
+
+
+ROW_GRID = [(n, p, field) for n in (1, 2, 3, 4) for p in (3, 4, 8) for field in ("real", "complex")]
+
+
+@pytest.mark.parametrize("n, p, field", ROW_GRID)
+def test_a_trial_does_not_depend_on_its_stack(n, p, field):
+    """Every checker on X and Y stacked on the trial axis gives, row for row,
+    what it gives on X alone and on Y alone: the fact that lets verify join
+    the suites' stacks and cut trials into chunks."""
+    rng = np.random.default_rng(1000 * n + 10 * p + len(field))
+    x, y = (random_pd_stack(n, t, 4, rng, field, gaussian_tail=2) for t in (3, 2))
+    fx, fy = (random_pd_stack(n, t, p, rng, field) for t in (3, 2))
+    cases = [(f"batch_{name}", words.split(), x, y) for name, words in verify.UNCONDITIONAL_FIXED]
+    cases += [(f"batch_{name}", None, fx, fy) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",)]
+    assert {name for name, *_ in cases} == {k for k in dir(ineq) if k.startswith("batch_")}
+    for name, words, first, second in cases:
+        fn = getattr(ineq, name)
+        run = (lambda s: fn(s)) if words is None else (lambda s: fn(*(raw_args(s)[w] for w in words)))
+        joined = run(np.concatenate([first, second]))
+        assert_rows_of(joined, 0, 3, run(first))
+        assert_rows_of(joined, 3, 5, run(second))
+
+
+@pytest.mark.parametrize("n, p, field", ROW_GRID)
+def test_row_view_equals_a_fresh_context(n, p, field):
+    """A row view's intermediates are its parent's rows, computed once, with
+    the bits of a fresh context on those rows; so are its checkers' batches."""
+    rng = np.random.default_rng(2000 * n + 10 * p + len(field))
+    fams = random_pd_stack(n, 5, p, rng, field)
+    ctx = ineq.StackContext(fams)
+    view = ctx.rows(3, 5)
+    fresh = ineq.StackContext(fams[3:5])
+    assert ctx.rows(0, 5) is ctx and same_bits(view.mats, fresh.mats)
+    for name in ineq._INTERMEDIATES:
+        got, want = getattr(view, name), getattr(fresh, name)
+        for g, w, whole in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, want, getattr(ctx, name)))):
+            assert same_bits(g, w), name
+            assert np.shares_memory(g, whole), name
+    for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
+        fn = getattr(ineq, f"batch_{name}")
+        assert_same_batch(fn(view), fn(fresh))

@@ -75,6 +75,64 @@ def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, wi
     assert_same_outcome(got, want)
 
 
+@pytest.mark.parametrize("flipped", [None, "square_cycle", "shapiro_extension", "shapiro_trace"])
+@pytest.mark.parametrize("stack", [verify.TRIALS_PER_STACK, 3])
+def test_one_walk_equals_the_suites_apart(monkeypatch, stack, flipped):
+    """run_suites("all") joins the suites' stacks and runs a shared checker
+    once, yet each suite's outcome is exactly the one it gives alone. With a
+    checker's verdicts flipped by its margins' digits, the failures, witnesses
+    and events show that each suite reads its own rows."""
+    monkeypatch.setattr(verify, "TRIALS_PER_STACK", stack)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    if flipped:
+        real = getattr(ineq, f"batch_{flipped}")
+
+        def flipping(*args):
+            batch = real(*args)
+            return dataclasses.replace(batch, holds=flip_by_margin(batch.margin))
+
+        monkeypatch.setattr(ineq, f"batch_{flipped}", flipping)
+    together = verify.run_suites("all", DIMS, PS, TRIALS, 6)
+    assert list(together) == list(SUITE_NAMES)
+    for name, outcome in together.items():
+        assert outcome.to_dict() == getattr(verify, f"run_{name}")(DIMS, PS, TRIALS, 6).to_dict(), name
+    if flipped:
+        suite = "conditional" if flipped == "shapiro_trace" else "unconditional"
+        failed = [r for r in together[suite].records if r.failures]
+        assert failed and all(r.check == flipped and r.witness for r in failed)
+        assert bool(together["conditional"].events) == (flipped == "shapiro_trace")
+
+
+def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
+    """With every suite asked, each (n, p, field, chunk) of R trials runs
+    cyclic_traces once on the three suites' joined family stack (3R rows)
+    besides its extended (2R) and reversed (R) families, and
+    batch_square_cycle and batch_shapiro_extension once, on the 2R rows of
+    the two suites that read them."""
+    monkeypatch.setattr(verify, "TRIALS_PER_STACK", 3)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    calls = {"cyclic_traces": [], "batch_square_cycle": [], "batch_shapiro_extension": []}
+
+    def counted(name):
+        real = getattr(ineq, name)
+
+        def wrapper(stack, *args):
+            mats = getattr(stack, "mats", stack)
+            calls[name].append((mats.shape[0], mats.shape[-3], mats.shape[-1], mats.dtype.kind))
+            return real(stack, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ineq, name, counted(name))
+    dims, ps = [1, 2], [3, 5]
+    verify.run_suites("all", dims, ps, 5, 2)
+    points = [(n, p, kind, rows) for n in dims for p in ps for kind in "fc" for rows in (3, 2)]
+    assert sorted(calls["cyclic_traces"]) == sorted(
+        shape for n, p, kind, r in points for shape in [(3 * r, p, n, kind), (2 * r, p + 2, n, kind), (r, p, n, kind)])
+    for name in ("batch_square_cycle", "batch_shapiro_extension"):
+        assert sorted(calls[name]) == sorted((2 * r, p, n, kind) for n, p, kind, r in points)
+
+
 def same_report(got, want):
     assert got.check_name == want.check_name and (got.n, got.p) == (want.n, want.p)
     assert got.holds == want.holds

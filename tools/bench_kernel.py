@@ -1,8 +1,9 @@
-"""Kernel, checker, suite and fork layers: microseconds of the search's
+"""Kernel, checker, suite, count and fork layers: microseconds of the search's
 ``_margin_value`` plus ``margin_gradient`` per descent iteration and of one
 ``cyclic_traces`` call, microseconds per trial of each ``batch_`` checker,
-the wall time of each verify suite in one process, and the wall time of
-whole searches and verify grids in one process against two.
+the wall time of each verify suite and of all three in one process, the
+calls a verify grid makes, and the wall time of whole searches and verify
+grids in one process against two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
@@ -24,10 +25,19 @@ checkers. Each call gets plain arrays, so it computes every intermediate
 itself. Per (checker, n, field): the median over ``--runs`` runs of the µs
 and of the cal per trial.
 
-The suite layer times ``run_unconditional``, ``run_identities`` and
-``run_conditional`` in this process (W = 1, no fork) on the grid of the
-benchmark's verify-grid workload (n 1..6, p 3..8, 4 trials, both fields):
-the median milliseconds and cal of each over ``--runs`` runs.
+The suite layer times ``run_suites("all")``, which ``verify-grid`` runs,
+and ``run_unconditional``, ``run_identities`` and ``run_conditional``
+alone, in this process (W = 1, no fork) on the grid of the benchmark's
+verify-grid workload (n 1..6, p 3..8, 4 trials, both fields): the median
+milliseconds and cal of each over ``--runs`` runs. The suite runs share
+work when run together, so the three alone do not add up to ``all``.
+
+The count layer runs ``run_suites`` on the same grid at W = 1 under
+cProfile, for ``all`` and for each suite alone, after one unprofiled run
+that fills the module's caches: the total calls cProfile sees (Python
+functions and the built-ins they call) and the calls of each ``np.linalg``
+routine in ``LINALG_COUNTED``. The counts are exact for a given tree and
+seed, so a difference between two trees is a fact, not a median.
 
 The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
 search case and ``run_suites`` for each verify grid, in this process, at
@@ -47,13 +57,16 @@ on a shared host.
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
     PYTHONPATH=src python tools/bench_kernel.py --layer checker --runs 5
     PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
+    PYTHONPATH=src python tools/bench_kernel.py --layer count
     PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
 """
 from __future__ import annotations
 
 import argparse
+import cProfile
 import importlib.util
 import json
+import pstats
 import statistics
 import sys
 import time
@@ -78,6 +91,8 @@ FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(ran
 CHECKER_TRIALS, CHECKER_P = 512, 8
 CHECKER_CASES = [(n, field) for n in (1, 3, 6) for field in ("real", "complex")]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the np.linalg routines whose calls the count layer reports
+LINALG_COUNTED = ("eigh", "eigvalsh", "solve", "inv", "eigvals")
 
 
 def load_calibration():
@@ -217,14 +232,35 @@ def checker_layer(runs: int, seed: int, batch) -> dict:
     return out
 
 
+def serial_suites(suite: str, seed: int):
+    """``run_suites(suite)`` on the verify-grid grid in this process (W = 1)."""
+    dims, ps, trials = FORK_GRIDS["verify-grid"]
+    return with_rule(lambda work, units: 1, lambda: verify.run_suites(suite, dims, ps, trials, seed))
+
+
 def suite_layer(runs: int, seed: int, batch) -> dict:
     dims, ps, trials = FORK_GRIDS["verify-grid"]
     out = {"dims": dims, "p": ps, "trials": trials, "runs": runs}
-    for name in ("unconditional", "identities", "conditional"):
-        run = getattr(verify, f"run_{name}")
-        timings = [calibrated(batch, lambda: run(dims, ps, trials, seed)) for _ in range(runs)]
+    for name in ("all",) + verify.SUITES:
+        timings = [calibrated(batch, lambda: serial_suites(name, seed)) for _ in range(runs)]
         out[f"{name}_ms"] = round(statistics.median(w for w, _, _ in timings) * 1e3, 1)
         out[f"{name}_cal"] = four_digits(statistics.median(c for _, c, _ in timings))
+    return out
+
+
+def count_layer(seed: int) -> dict:
+    dims, ps, trials = FORK_GRIDS["verify-grid"]
+    out = {"dims": dims, "p": ps, "trials": trials, "seed": seed}
+    serial_suites("all", seed)  # fill the lru caches, whose misses cProfile counts
+    for name in ("all",) + verify.SUITES:
+        prof = cProfile.Profile()
+        prof.runcall(serial_suites, name, seed)
+        stats = pstats.Stats(prof)
+        linalg = dict.fromkeys(LINALG_COUNTED, 0)
+        for (path, _, func), (_, calls, *_) in stats.stats.items():
+            if func in linalg and Path(path).parent.name == "linalg":
+                linalg[func] += calls
+        out[name] = {"calls": stats.total_calls, "linalg": linalg}
     return out
 
 
@@ -233,7 +269,7 @@ def main(argv=None) -> int:
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--iters", type=int, default=100)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--layer", choices=["kernel", "checker", "suite", "fork", "all"], default="all")
+    ap.add_argument("--layer", choices=["kernel", "checker", "suite", "count", "fork", "all"], default="all")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     batch = load_calibration()
@@ -244,6 +280,8 @@ def main(argv=None) -> int:
         out["checker"] = checker_layer(args.runs, args.seed, batch)
     if args.layer in ("suite", "all"):
         out["suite"] = suite_layer(args.runs, args.seed, batch)
+    if args.layer in ("count", "all"):
+        out["count"] = count_layer(args.seed)
     if args.layer not in ("kernel", "all"):
         print(json.dumps(out, indent=1))
         return 0
