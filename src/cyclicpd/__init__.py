@@ -34,7 +34,6 @@ from .search import (
     minimize_margin,
     probe_conjecture,
     scalar_cyclic_sum,
-    shapiro_margin,
 )
 from .serialize import family_from_dict, family_to_dict
 

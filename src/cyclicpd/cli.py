@@ -25,7 +25,6 @@ from .search import (
     SearchConfig,
     minimize_margin,
     probe_conjecture,
-    shapiro_margin,
 )
 from .serialize import family_from_dict, family_to_dict
 
@@ -178,7 +177,7 @@ def cmd_eval(args) -> int:
             if args.expr == "Fp":
                 out.append(ineq.cyclic_sum_trace(fam))
             elif args.expr == "margin":
-                out.append(shapiro_margin(fam))
+                out.append(ineq.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0)
             elif args.expr == "nesbitt_eigs":
                 eigs = ineq.bidirectional_spectrum(fam)
                 out.append({

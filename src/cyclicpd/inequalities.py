@@ -442,9 +442,9 @@ def batch_product_sum_eigs(mats, rel: float = REL_TOL) -> CheckBatch:
     ctx = _context(mats)
     mats = ctx.mats
     p = mats.shape[-3]
-    s = _symmetrize(ctx.total, rel)
-    hinv = _symmetrize(ctx.inv_total, rel)
-    # the sums are PD by closure, so only the positivity floor applies
+    # the sums are exactly Hermitian, as the members and their _inv results
+    # are, and PD by closure, so only the positivity floor applies
+    s, hinv = ctx.total, ctx.inv_total
     _pd_floor(s)
     _pd_floor(hinv)
     vals = pd_product_eigvals(hinv, s)

@@ -61,13 +61,14 @@ def _fro(a: np.ndarray) -> np.ndarray:
     return np.sqrt(sq[..., 0, 0])
 
 
-def _symmetrize(a: np.ndarray, rel: float = REL_TOL) -> np.ndarray:
-    """The Hermitian gate over a stack (..., n, n): (A + A*)/2, or NotHermitian.
+def _symmetrize(a: np.ndarray) -> np.ndarray:
+    """The Hermitian gate over a stack (..., n, n): (A + A*)/2, or NotHermitian
+    for an asymmetry above ``REL_TOL`` relative.
 
     A complex stack whose symmetrized entries are all real comes back real.
     """
     asym = _fro(a - _ct(a))
-    bad = asym > rel * (1.0 + _fro(a))
+    bad = asym > REL_TOL * (1.0 + _fro(a))
     if bad.any():
         raise NotHermitian(f"asymmetry {float(asym[bad][0]):g} exceeds tolerance")
     h = (a + _ct(a)) / 2.0

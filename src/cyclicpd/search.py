@@ -39,7 +39,7 @@ import numpy as np
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
 from .pdcore import CyclicFamily
 from .inequalities import (_refined_cyclic_sum_trace, _sum_over_p, cyclic_inverses, cyclic_shift,
-                           cyclic_sum_trace, cyclic_traces)
+                           cyclic_traces)
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
@@ -117,11 +117,6 @@ def scalar_cyclic_sum(values) -> float:
     if min(a) <= 0:
         raise ValueError("scalars must be positive")
     return sum(a[i] / (a[(i + 1) % p] + a[(i + 2) % p]) for i in range(p))
-
-
-def shapiro_margin(f: CyclicFamily) -> float:
-    """Defect of the conditional trace bound; negative means counterexample candidate."""
-    return cyclic_sum_trace(f) - f.p * f.dim / 2.0
 
 
 # ---------------------------------------------------------------------------

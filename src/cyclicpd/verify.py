@@ -28,13 +28,15 @@ are computed once per joined stack, and a ``SHARED`` checker once for both
 suites that read it. A trial's result does not depend on the other rows of
 its stack, so each suite's outcome is the one it gives alone, bit for bit,
 and depends neither on scheduling nor on how the trials are chunked. A
-single suite joins nothing and hands its checkers its drawn arrays; the
-two-operand bounds always take the drawn operands as plain arrays.
+single suite takes the same path and joins nothing: its contexts hold its
+own draws. The two-operand bounds always take the drawn operands as plain
+arrays.
 
-:func:`run_suites` runs each n, with every asked suite, as a unit of its own
-and splits the units across as many forked processes as the grid's work
-repays; since no grid point's stream depends on another's, the outcome is
-the same at every process count.
+:func:`run_suites`, the one runner, takes the suite to run (or "all") and
+runs each n, with every asked suite, as a unit of its own; it splits the
+units across as many forked processes as the grid's work repays. Since no
+grid point's stream depends on another's, the outcome is the same at every
+process count.
 """
 from __future__ import annotations
 
@@ -168,19 +170,6 @@ def _add_residual(rec: GridRecord, residual, allowed):
 def _joined(parts):
     """The parts' trials as one stack, in order; one part is passed on as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
-    return _walk(("unconditional",), dims, p_values, trials, seed, rel, fields)["unconditional"]
-
-
-def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
-    """Exact identities only: residuals must sit at round-off, far below 1e-10."""
-    return _walk(("identities",), dims, p_values, trials, seed, rel, fields)["identities"]
-
-
-def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> SuiteOutcome:
-    return _walk(("conditional",), dims, p_values, trials, seed, rel, fields)["conditional"]
 
 
 def _walk(names, dims, p_values, trials, seed, rel, fields) -> dict:
@@ -318,8 +307,7 @@ def _add_families(recs, ident, cond, fu, fi, fc, rel):
         base = r.detail["base"][last]
         _add_residual(ext, -r.margin[last], 1e-10 * (1.0 + abs(base) + fi.shape[-1]))
     if fc is not None:
-        # alone, the conditional checker is handed the drawn array itself
-        _add_conditional(*cond, ctx.rows(mid, mid + rows) if len(parts) > 1 else fc, fc, rel)
+        _add_conditional(*cond, ctx.rows(mid, mid + rows), rel)
 
 
 def theorem_covers(n: int, p: int) -> bool:
@@ -329,12 +317,11 @@ def theorem_covers(n: int, p: int) -> bool:
     return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
-def _add_conditional(rec, events, fams, drawn, rel):
-    """One chunk of the conditional suite: ``fams`` is the checker's argument
-    and ``drawn`` the draw, which witnesses and events serialize."""
+def _add_conditional(rec, events, fams, rel):
+    """One chunk of the conditional suite, whose families are the context ``fams``."""
     batch = ineq.batch_shapiro_trace(fams, rel)
     if theorem_covers(rec.n, rec.p):
-        rec.add(batch.margin, batch.holds, _family_witness(drawn))
+        rec.add(batch.margin, batch.holds, _family_witness(fams.mats))
         return
     # outside the theorems a violation is an event, not a failure
     rec.add(batch.margin, np.ones_like(batch.holds))
@@ -346,7 +333,7 @@ def _add_conditional(rec, events, fams, drawn, rel):
             "p": rec.p,
             "field": rec.field,
             "margin": float(batch.margin[t]),
-            "family": family_to_dict(CyclicFamily(drawn[t])),
+            "family": family_to_dict(CyclicFamily(fams.mats[t])),
         })
 
 
@@ -365,7 +352,7 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
     names = tuple(name for name in SUITES if suite in (name, "all"))
-    jobs = [functools.partial(_unit, names, [n], p_values, trials, seed, rel, fields) for n in dims]
+    jobs = [functools.partial(_walk, names, [n], p_values, trials, seed, rel, fields) for n in dims]
     costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) * len(names) for n in dims]
     # _cpu_count is looked up here, so a count bound on this module is used
     outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))
@@ -376,10 +363,3 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
             results[name].events.extend(part.events)
     return results
 
-
-def _unit(names, *args) -> dict:
-    """One unit's {suite: SuiteOutcome}. A single suite runs through its runner,
-    looked up at call time, so a wrapper bound on this module is called."""
-    if len(names) == 1:
-        return {names[0]: globals()[f"run_{names[0]}"](*args)}
-    return _walk(names, *args)

@@ -135,10 +135,10 @@ def diagonal_embed(scalars, n: int) -> CyclicFamily:
     return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
 
 
-def closure_pd(a, rel: float = REL_TOL) -> PDMatrix:
-    """A matrix that is PD by closure: symmetrized under ``rel``, then held
-    to the positivity floor."""
-    h = _symmetrize(np.asarray(a), rel)
+def closure_pd(a) -> PDMatrix:
+    """A matrix that is PD by closure: symmetrized, then held to the
+    positivity floor."""
+    h = _symmetrize(np.asarray(a))
     _pd_floor(h)
     return PDMatrix(h)
 
@@ -385,8 +385,8 @@ def check_block_certificate(f: CyclicFamily, rel: float = REL_TOL) -> CheckRepor
 def check_product_sum_eigs(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
     mats = list(f.mats)
-    s = closure_pd(sum(mats), rel)
-    hinv = closure_pd(sum(_inv(m) for m in mats), rel)
+    s = closure_pd(sum(mats))
+    hinv = closure_pd(sum(_inv(m) for m in mats))
     vals = eig_pd_product(s, hinv).values
     rhs = float(f.p**2)
     margin = float(vals.min()) - rhs

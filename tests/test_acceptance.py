@@ -39,7 +39,7 @@ def test_criterion_1_fixture_reproduction():
 
 def test_criterion_2_unconditional_suite():
     t0 = time.time()
-    out = vf.run_unconditional(range(1, 7), range(3, 9), 1000, seed=20240817)
+    out = vf.run_suites("unconditional", range(1, 7), range(3, 9), 1000, 20240817)["unconditional"]
     bad = [r for r in out.records if r.failures]
     elapsed = time.time() - t0
     report(
@@ -51,7 +51,7 @@ def test_criterion_2_unconditional_suite():
 
 
 def test_criterion_3_exact_identities():
-    out = vf.run_identities([2, 3], [3, 5], 50, seed=7)
+    out = vf.run_suites("identities", [2, 3], [3, 5], 50, 7)["identities"]
     totals, fails = {}, {}
     for r in out.records:
         totals[r.check] = totals.get(r.check, 0) + r.trials

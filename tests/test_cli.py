@@ -56,7 +56,7 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--family", str(out), "--expr", "margin"]) == 0
     val = json.loads(capsys.readouterr().out)
-    assert val == pytest.approx(cp.shapiro_margin(fam), abs=0)
+    assert val == pytest.approx(cp.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0, abs=0)
 
 
 def test_eval_identity_family(tmp_path, capsys):
@@ -296,7 +296,7 @@ def test_search_cli_and_replay(tmp_path, capsys):
     doc = json.loads(out.read_text())
     res = doc["results"]
     fam = cp.family_from_dict(res["best_family"])
-    assert cp.shapiro_margin(fam) == pytest.approx(res["best_margin"], abs=1e-9)
+    assert cp.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0 == pytest.approx(res["best_margin"], abs=1e-9)
     assert res["best_margin"] >= -1e-9  # p=4 is a theorem
 
     out2 = tmp_path / "s2.json"

@@ -15,6 +15,7 @@ from cyclicpd import inequalities as ineq
 from cyclicpd import _fork, verify
 from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
+from cyclicpd.pdcore import REL_TOL
 
 SUITES = ("all", "unconditional", "identities", "conditional")
 
@@ -63,10 +64,9 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
     serial = run_at(monkeypatch, 1, suite, dims, p_values, trials, 4, fields=fields)
     assert forks[0] == 0
     want = as_dicts(serial)
-    # the units rebuild what one unsplit run_<suite> call over all of dims gives
-    unsplit = {name: getattr(verify, f"run_{name}")(dims, p_values, trials, 4, fields=fields).to_dict()
-               for name in serial}
-    assert want == unsplit
+    # the units rebuild what one unsplit walk over all of dims gives
+    unsplit = verify._walk(tuple(serial), dims, p_values, trials, 4, REL_TOL, fields)
+    assert want == as_dicts(unsplit)
     units = len(dims)  # one unit per n, whatever the suites
     for workers in (2, 3):
         forks[0] = 0
@@ -85,7 +85,7 @@ def test_failures_events_and_witnesses_in_serial_order(monkeypatch, forks, low_f
 
     def some_fail(fams, rel):
         batch = real(fams, rel)
-        n, p = fams.shape[-1], fams.shape[-3]
+        n, p = fams.mats.shape[-1], fams.mats.shape[-3]
         if (n, p) not in failing:
             return batch
         return dataclasses.replace(batch, holds=np.floor(batch.margin * 1e6) % 2 == 0)

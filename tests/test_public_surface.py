@@ -28,7 +28,7 @@ PUBLIC = [
     "SingularDenominator", "counterexample_family", "cyclic_sum_trace",
     "errors", "family_from_dict", "family_to_dict", "inequalities",
     "margin_gradient", "minimize_margin", "pdcore", "probe_conjecture",
-    "reproduce_counterexample", "scalar_cyclic_sum", "search", "serialize", "shapiro_margin",
+    "reproduce_counterexample", "scalar_cyclic_sum", "search", "serialize",
     "validate_family",
 ]
 

@@ -79,8 +79,9 @@ def test_intermediates_match_their_definitions(n, p, field):
 
 
 def test_grid_point_inverts_and_traces_its_family_stack_once(monkeypatch):
-    """Four checkers need A_i^{-1} and two the cyclic trace sum; one
-    run_unconditional grid point computes each once on its family stack."""
+    """Four checkers need A_i^{-1} and two the cyclic trace sum; one grid
+    point of the unconditional suite alone computes each once on its family
+    stack."""
     drawn, calls = [], {"_inv": [], "cyclic_traces": []}
 
     def draw(*args, **kwargs):
@@ -98,7 +99,7 @@ def test_grid_point_inverts_and_traces_its_family_stack_once(monkeypatch):
     monkeypatch.setattr(verify, "random_pd_stack", draw)
     for name in calls:
         monkeypatch.setattr(ineq, name, counted(name))
-    out = verify.run_unconditional([2], [5], 4, seed=3, fields=("real",))
+    out = verify.run_suites("unconditional", [2], [5], 4, 3, fields=("real",))["unconditional"]
     assert [r.trials for r in out.records] == [4] * len(out.records)
     fams = drawn[-1]
     assert fams.shape == (4, 5, 2, 2)
@@ -132,12 +133,17 @@ ROW_GRID = [(n, p, field) for n in (1, 2, 3, 4) for p in (3, 4, 8) for field in 
 def test_a_trial_does_not_depend_on_its_stack(n, p, field):
     """Every checker on X and Y stacked on the trial axis gives, row for row,
     what it gives on X alone and on Y alone: the fact that lets verify join
-    the suites' stacks and cut trials into chunks."""
+    the suites' stacks and cut trials into chunks. In the complex field, X
+    is also taken with its imaginary parts dropped, but still complex, so
+    that real-valued rows are joined to genuinely complex ones."""
     rng = np.random.default_rng(1000 * n + 10 * p + len(field))
     x, y = (random_pd_stack(n, t, 4, rng, field, gaussian_tail=2) for t in (3, 2))
     fx, fy = (random_pd_stack(n, t, p, rng, field) for t in (3, 2))
-    cases = [(f"batch_{name}", words.split(), x, y) for name, words in verify.UNCONDITIONAL_FIXED]
-    cases += [(f"batch_{name}", None, fx, fy) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",)]
+    stacks = [(x, y, fx, fy)] + ([(x.real + 0j, y, fx.real + 0j, fy)] if field == "complex" else [])
+    cases = [(f"batch_{name}", words.split(), ops, more)
+             for name, words in verify.UNCONDITIONAL_FIXED for ops, more, _, _ in stacks]
+    cases += [(f"batch_{name}", None, fams, more)
+              for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",) for _, _, fams, more in stacks]
     assert {name for name, *_ in cases} == {k for k in dir(ineq) if k.startswith("batch_")}
     for name, words, first, second in cases:
         fn = getattr(ineq, name)

@@ -35,7 +35,7 @@ def assert_same_outcome(got, want):
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_batched_suite_matches_looped(monkeypatch, suite, stack):
     monkeypatch.setattr(verify, "TRIALS_PER_STACK", stack)
-    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
+    got = verify.run_suites(suite, DIMS, PS, TRIALS, 5)[suite]
     want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
     assert_same_outcome(got, want)
 
@@ -67,7 +67,7 @@ def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, wi
     monkeypatch.setattr(ineq, f"batch_{name}", batched)
     monkeypatch.setattr(oracle, f"check_{name}", looped)
     monkeypatch.setattr(verify, "TRIALS_PER_STACK", 4)  # witnesses may come from a later stack
-    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=6)
+    got = verify.run_suites(suite, DIMS, PS, TRIALS, 6)[suite]
     want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=6)
     assert sum(r.failures for r in got.records) > 0
     assert any(r.witness for r in got.records) == witnessed
@@ -95,7 +95,7 @@ def test_one_walk_equals_the_suites_apart(monkeypatch, stack, flipped):
     together = verify.run_suites("all", DIMS, PS, TRIALS, 6)
     assert list(together) == list(SUITE_NAMES)
     for name, outcome in together.items():
-        assert outcome.to_dict() == getattr(verify, f"run_{name}")(DIMS, PS, TRIALS, 6).to_dict(), name
+        assert outcome.to_dict() == verify.run_suites(name, DIMS, PS, TRIALS, 6)[name].to_dict(), name
     if flipped:
         suite = "conditional" if flipped == "shapiro_trace" else "unconditional"
         failed = [r for r in together[suite].records if r.failures]
@@ -106,31 +106,47 @@ def test_one_walk_equals_the_suites_apart(monkeypatch, stack, flipped):
 def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
     """With every suite asked, each (n, p, field, chunk) of R trials runs
     cyclic_traces once on the three suites' joined family stack (3R rows)
-    besides its extended (2R) and reversed (R) families, and
-    batch_square_cycle and batch_shapiro_extension once, on the 2R rows of
-    the two suites that read them."""
+    besides its extended (2R) and reversed (R) families. Each checker runs
+    once per chunk: one that the identities suite reads too (``SHARED``) on
+    the 2R rows of the two suites, every other one on the R rows of its own
+    suite."""
     monkeypatch.setattr(verify, "TRIALS_PER_STACK", 3)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    calls = {"cyclic_traces": [], "batch_square_cycle": [], "batch_shapiro_extension": []}
+    calls = {name: [] for name in dir(ineq) if name.startswith("batch_")}
+    calls["cyclic_traces"] = []
 
     def counted(name):
         real = getattr(ineq, name)
 
         def wrapper(stack, *args):
             mats = getattr(stack, "mats", stack)
-            calls[name].append((mats.shape[0], mats.shape[-3], mats.shape[-1], mats.dtype.kind))
+            # (rows, members: () for a two-operand bound, n, dtype kind)
+            calls[name].append((mats.shape[0], mats.shape[1:-2], mats.shape[-1], mats.dtype.kind))
             return real(stack, *args)
         return wrapper
 
     for name in calls:
         monkeypatch.setattr(ineq, name, counted(name))
     dims, ps = [1, 2], [3, 5]
+    verify.run_suites("identities", dims, ps, 5, 2)
+    shared = {name[len("batch_"):] for name, got in calls.items() if got and name.startswith("batch_")}
+    assert shared == verify.SHARED
+    for got in calls.values():
+        got.clear()
     verify.run_suites("all", dims, ps, 5, 2)
+    chunks = [(n, kind, rows) for n in dims for kind in "fc" for rows in (3, 2)]
     points = [(n, p, kind, rows) for n in dims for p in ps for kind in "fc" for rows in (3, 2)]
-    assert sorted(calls["cyclic_traces"]) == sorted(
-        shape for n, p, kind, r in points for shape in [(3 * r, p, n, kind), (2 * r, p + 2, n, kind), (r, p, n, kind)])
-    for name in ("batch_square_cycle", "batch_shapiro_extension"):
-        assert sorted(calls[name]) == sorted((2 * r, p, n, kind) for n, p, kind, r in points)
+    assert sorted(calls.pop("cyclic_traces")) == sorted(
+        (r * k, (p + extra,), n, kind) for n, p, kind, r in points for k, extra in [(3, 0), (2, 2), (1, 0)])
+    want = {"batch_shapiro_trace": [(r, (p,), n, kind) for n, p, kind, r in points]}
+    for name, words in verify.UNCONDITIONAL_FIXED:
+        members = (len(words),) if " " not in words else ()
+        want[f"batch_{name}"] = [(r * (1 + (name in shared)), members, n, kind) for n, kind, r in chunks]
+    for name in verify.UNCONDITIONAL_FAMILY:
+        want[f"batch_{name}"] = [(r * (1 + (name in shared)), (p,), n, kind) for n, p, kind, r in points]
+    assert want.keys() == calls.keys()
+    for name, got in calls.items():
+        assert sorted(got) == sorted(want[name]), name
 
 
 def same_report(got, want):
@@ -173,10 +189,10 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
     ("unconditional", 1e-30), ("conditional", -0.1), ("identities", 1e-30),
 ])
 def test_suites_read_the_rel_they_are_given(suite, rel):
-    got = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5, rel=rel)
+    got = verify.run_suites(suite, DIMS, PS, TRIALS, 5, rel=rel)[suite]
     want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5, rel=rel)
     assert_same_outcome(got, want)
-    default = getattr(verify, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
+    default = verify.run_suites(suite, DIMS, PS, TRIALS, 5)[suite]
     assert default.unconditional_failures == 0
     if suite == "identities":
         assert_same_outcome(got, default)
@@ -256,10 +272,10 @@ class TestConditionalViolations:
     def all_violated(self, monkeypatch):
         real = ineq.batch_shapiro_trace
         monkeypatch.setattr(ineq, "batch_shapiro_trace", lambda fams, rel: dataclasses.replace(
-            real(fams, rel), holds=np.zeros(len(fams), dtype=bool)))
+            real(fams, rel), holds=np.zeros(len(fams.mats), dtype=bool)))
 
     def test_covered_fail_uncovered_are_events(self):
-        out = verify.run_conditional([1, 2], [3, 5, 14], 3, seed=2, fields=("real",))
+        out = verify.run_suites("conditional", [1, 2], [3, 5, 14], 3, 2, fields=("real",))["conditional"]
         failures = {(r.n, r.p): r.failures for r in out.records}
         assert failures == {(1, 3): 3, (1, 5): 3, (1, 14): 0, (2, 3): 3, (2, 5): 0, (2, 14): 0}
         assert all((r.witness is not None) == (r.failures > 0) for r in out.records)

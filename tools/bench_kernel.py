@@ -2,8 +2,8 @@
 ``_margin_value`` plus ``margin_gradient`` per descent iteration and of one
 ``cyclic_traces`` call, microseconds per trial of each ``batch_`` checker,
 the wall time of each verify suite and of all three in one process, the
-calls a verify grid makes, and the wall time of whole searches and verify
-grids in one process against two.
+calls a verify grid and one call of each checker make, and the wall time of
+whole searches and verify grids in one process against two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
@@ -26,18 +26,22 @@ itself. Per (checker, n, field): the median over ``--runs`` runs of the µs
 and of the cal per trial.
 
 The suite layer times ``run_suites("all")``, which ``verify-grid`` runs,
-and ``run_unconditional``, ``run_identities`` and ``run_conditional``
-alone, in this process (W = 1, no fork) on the grid of the benchmark's
-verify-grid workload (n 1..6, p 3..8, 4 trials, both fields): the median
-milliseconds and cal of each over ``--runs`` runs. The suite runs share
-work when run together, so the three alone do not add up to ``all``.
+and ``run_suites`` of each suite alone, in this process (W = 1, no fork) on
+the grid of the benchmark's verify-grid workload (n 1..6, p 3..8, 4 trials,
+both fields): the median milliseconds and cal of each over ``--runs`` runs.
+The suites share work when run together, so the three alone do not add up
+to ``all``.
 
 The count layer runs ``run_suites`` on the same grid at W = 1 under
 cProfile, for ``all`` and for each suite alone, after one unprofiled run
 that fills the module's caches: the total calls cProfile sees (Python
 functions and the built-ins they call) and the calls of each ``np.linalg``
-routine in ``LINALG_COUNTED``. The counts are exact for a given tree and
-seed, so a difference between two trees is a fact, not a median.
+routine in ``LINALG_COUNTED``. Then, per (checker, n, field), it counts the
+calls of one call of each checker at the grid's chunk shape (T = 4 trials,
+n in {1, 3, 6}, p = 8 for the family checkers), on plain arrays drawn as the
+checker layer draws them, after one unprofiled call. The counts are exact
+for a given tree and seed, so a difference between two trees is a fact, not
+a median.
 
 The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
 search case and ``run_suites`` for each verify grid, in this process, at
@@ -211,17 +215,23 @@ def fork_layer(pairs: int, seed: int, batch) -> dict:
     return out
 
 
+def checker_args(n: int, field: str, trials: int, rng) -> dict:
+    """{checker: arguments} of every checker of the verify tables on one draw
+    of ``trials`` trials, mapped as the unconditional suite maps them, as
+    plain arrays, so no call reads what an earlier one cached."""
+    drawn = random_pd_stack(n, trials, 4, rng, field, gaussian_tail=2)
+    fams = random_pd_stack(n, trials, CHECKER_P, rng, field)
+    args = {w: getattr(a, "mats", a) for w, a in verify._fixed_args(drawn).items()}
+    calls = {name: [args[w] for w in words.split()] for name, words in verify.UNCONDITIONAL_FIXED}
+    calls.update((name, [fams]) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))
+    return calls
+
+
 def checker_layer(runs: int, seed: int, batch) -> dict:
     out = {"trials": CHECKER_TRIALS, "p": CHECKER_P, "runs": runs, "cases": []}
     rng = np.random.default_rng(seed)
     for n, field in CHECKER_CASES:
-        drawn = random_pd_stack(n, CHECKER_TRIALS, 4, rng, field, gaussian_tail=2)
-        fams = random_pd_stack(n, CHECKER_TRIALS, CHECKER_P, rng, field)
-        # plain arrays, so no call reads what an earlier one cached
-        args = {w: getattr(a, "mats", a) for w, a in verify._fixed_args(drawn).items()}
-        calls = {name: [args[w] for w in words.split()] for name, words in verify.UNCONDITIONAL_FIXED}
-        calls.update((name, [fams]) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))
-        for name, ops in calls.items():
+        for name, ops in checker_args(n, field, CHECKER_TRIALS, rng).items():
             fn = getattr(inequalities, f"batch_{name}")
             timings = [calibrated(batch, lambda: fn(*ops)) for _ in range(runs)]
             out["cases"].append({
@@ -248,19 +258,33 @@ def suite_layer(runs: int, seed: int, batch) -> dict:
     return out
 
 
+def counted(fn, *args):
+    """(total calls, {np.linalg routine: calls}) that cProfile sees in fn(*args)."""
+    prof = cProfile.Profile()
+    prof.runcall(fn, *args)
+    stats = pstats.Stats(prof)
+    linalg = dict.fromkeys(LINALG_COUNTED, 0)
+    for (path, _, func), (_, calls, *_) in stats.stats.items():
+        if func in linalg and Path(path).parent.name == "linalg":
+            linalg[func] += calls
+    return stats.total_calls, linalg
+
+
 def count_layer(seed: int) -> dict:
     dims, ps, trials = FORK_GRIDS["verify-grid"]
     out = {"dims": dims, "p": ps, "trials": trials, "seed": seed}
     serial_suites("all", seed)  # fill the lru caches, whose misses cProfile counts
     for name in ("all",) + verify.SUITES:
-        prof = cProfile.Profile()
-        prof.runcall(serial_suites, name, seed)
-        stats = pstats.Stats(prof)
-        linalg = dict.fromkeys(LINALG_COUNTED, 0)
-        for (path, _, func), (_, calls, *_) in stats.stats.items():
-            if func in linalg and Path(path).parent.name == "linalg":
-                linalg[func] += calls
-        out[name] = {"calls": stats.total_calls, "linalg": linalg}
+        calls, linalg = counted(serial_suites, name, seed)
+        out[name] = {"calls": calls, "linalg": linalg}
+    out["checkers"] = {"trials": trials, "p": CHECKER_P, "cases": []}
+    rng = np.random.default_rng(seed)
+    for n, field in CHECKER_CASES:
+        for name, ops in checker_args(n, field, trials, rng).items():
+            fn = getattr(inequalities, f"batch_{name}")
+            fn(*ops)
+            calls, _ = counted(fn, *ops)
+            out["checkers"]["cases"].append({"checker": name, "n": n, "field": field, "calls": calls})
     return out
 
 
