@@ -20,7 +20,7 @@ from . import __version__
 from . import inequalities as ineq
 from . import verify as verify_mod
 from .errors import CyclicPDError, FixtureMismatch
-from .pdcore import REL_TOL, CyclicFamily, random_pd_stack
+from .pdcore import REL_TOL, random_pd_stack
 from .search import (
     SearchConfig,
     minimize_margin,
@@ -116,7 +116,7 @@ def cmd_reproduce(args) -> int:
             print(f"computed  eigenvalues: {eigs[0]:.6f}, {eigs[1]:.6f}", file=sys.stderr)
             results.append(rep.to_dict())
         if args.case in ("shapiro4-trace", "all"):
-            mats = ineq.counterexample_family().mats[None]  # one trial
+            mats = ineq.counterexample_family()[None]  # one trial
             rep = ineq.batch_shapiro_trace(mats).report()
             print(f"published trace: {ineq.FIXTURE_TRACE}  computed trace: {rep.lhs:.6f} (bound {rep.rhs})",
                   file=sys.stderr)
@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
     try:
         with open(args.family, encoding="utf-8") as fh:
             doc = json.load(fh)
-        families = [family_from_dict(d) for d in (doc if isinstance(doc, list) else [doc])]
+        families = [family_from_dict(d).mats for d in (doc if isinstance(doc, list) else [doc])]
         if not families:
             raise ValueError("the file holds an empty list, not a family")
     except (OSError, ValueError, KeyError, CyclicPDError) as exc:
@@ -173,19 +173,18 @@ def cmd_eval(args) -> int:
         return 2
     out = []
     try:
-        for fam in families:
-            if args.expr == "Fp":
-                out.append(ineq.cyclic_sum_trace(fam))
-            elif args.expr == "margin":
-                out.append(ineq.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0)
+        for mats in families:
+            if args.expr in ("Fp", "margin"):
+                fp = float(ineq.cyclic_traces(mats))
+                out.append(fp if args.expr == "Fp" else fp - len(mats) * mats.shape[-1] / 2.0)
             elif args.expr == "nesbitt_eigs":
-                eigs = ineq.bidirectional_spectrum(fam)
+                eigs = ineq.bidirectional_spectrum(mats)
                 out.append({
                     "forward_backward_eigs": [[z.real, z.imag] for z in eigs],
                     "min_real": float(eigs.real.min()),
                 })
             elif args.expr == "bidirectional":
-                rep = ineq.batch_bidirectional(fam.mats[None]).report()
+                rep = ineq.batch_bidirectional(mats[None]).report()
                 out.append(rep.to_dict())
         # a non-finite value fails the strict encoder here, before any output
         _emit(out[0] if len(out) == 1 else out, None)
@@ -201,7 +200,7 @@ def cmd_sample(args) -> int:
         return 2
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     stacks = random_pd_stack(args.n, args.count, args.p, rng, args.field)
-    fams = [family_to_dict(CyclicFamily(mats)) for mats in stacks]
+    fams = [family_to_dict(mats) for mats in stacks]
     _emit(fams[0] if args.count == 1 else fams, args.out)
     return 0
 

@@ -3,8 +3,8 @@ algebra they need.
 
 A family (A_1, ..., A_p) is one stack (p, n, n). Input from outside the
 program enters through one gate, :func:`validate_family`, which returns the
-stack read-only; :class:`CyclicFamily` is a record of such a stack.
-Everything downstream (inequality checkers, counterexample search) runs on
+stack read-only. The program builds, writes, checks and searches families as
+such stacks: the inequality checkers and the counterexample search run on
 stacks (..., n, n) of raw arrays, with the handful of kernels here: random
 sampling, a general eigensolver, Hermitian powers, the spectrum
 of a PD product, and one refined inverse with a residual gate. Two numbers
@@ -120,18 +120,20 @@ def validate_family(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PDMatrix:
-    """One member of a :class:`CyclicFamily`: a read-only view ``mat`` of its stack."""
+    """One member of a :class:`CyclicFamily`: a read-only view ``mat`` of its
+    stack. Kept only for the benchmark's reader until ROADMAP item 1."""
 
     mat: np.ndarray
 
 
 @dataclass(frozen=True)
 class CyclicFamily:
-    """The cyclic family (A_1, ..., A_p) of one Hermitian PD stack (p, n, n).
+    """The cyclic family (A_1, ..., A_p) of one Hermitian PD stack (p, n, n),
+    as :func:`cyclicpd.serialize.family_from_dict` returns it.
 
-    The stack comes from :func:`validate_family`, or is one the program built
-    as PD (a sample, a search result), which the writer holds to the
-    positivity floor (:func:`cyclicpd.serialize.family_to_dict`).
+    The program passes the stack itself. This record is kept only for the
+    benchmark's reader (``.p``, ``.dim``, ``.members``, ``cyclic_sum_trace``)
+    until ROADMAP item 1.
     """
 
     mats: np.ndarray

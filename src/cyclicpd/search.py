@@ -37,7 +37,6 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import CyclicFamily
 from .inequalities import (_refined_cyclic_sum_trace, _sum_over_p, cyclic_inverses, cyclic_shift,
                            cyclic_traces)
 from .serialize import family_to_dict
@@ -90,7 +89,7 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    best_family: CyclicFamily
+    best_family: np.ndarray  # the winner's read-only stack (p, n, n)
     best_margin: float
     iterations_used: int
     margin_history: list
@@ -340,15 +339,14 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     mats = _mats_from_factors(factors, cfg.ridge)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)
-    family = CyclicFamily(mats)
-    recomputed = _refined_cyclic_sum_trace(family) - cfg.p * cfg.n / 2.0
+    recomputed = _refined_cyclic_sum_trace(mats) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):
         raise RuntimeError(
             f"soundness gate: optimizer margin {f!r} disagrees with "
             f"re-verified margin {recomputed!r}"
         )
     return SearchResult(
-        best_family=family,
+        best_family=mats,
         best_margin=recomputed,
         iterations_used=total_iters,
         margin_history=history,

@@ -2,8 +2,10 @@
 
 Family: {"p": int, "members": [matrix, ..]}, each member a matrix
 {"n": int, "field": "real"|"complex", "entries": [[..]]} where a complex
-entry is a [re, im] pair. Doubles round-trip bit-exactly (shortest-repr
-decimal serialization). A document of any other shape raises ValueError.
+entry is a [re, im] pair, and each number a JSON integer or float. Doubles
+round-trip bit-exactly (shortest-repr decimal serialization). A document of
+any other shape raises ValueError. The writer takes the family's (p, n, n)
+stack; the reader wraps the validated stack in a ``CyclicFamily``.
 """
 from __future__ import annotations
 
@@ -33,27 +35,34 @@ def _matrix_from_dict(d: dict) -> np.ndarray:
     if not isinstance(d, dict) or d.get("field") not in ("real", "complex"):
         raise ValueError(f'a matrix must be an object with field "real" or "complex", got {d!r:.80}')
     n, field = _int(d, "n"), d["field"]
-    try:
-        a = np.array(d["entries"], dtype=np.float64)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"matrix entries must be numbers: {exc}") from exc
+    # as objects, so that no string or boolean is converted to a number
+    a = np.array(d["entries"], dtype=object)
     pairs = field == "complex"
     if a.shape != ((n, n, 2) if pairs else (n, n)):
         raise ValueError(f"entries shape {a.shape} does not match n={n}"
                          + (" with [re, im] pairs" if pairs else ""))
+    for x in a.flat:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"matrix entries must be numbers, got {x!r:.40}")
+    try:
+        a = a.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"matrix entry out of the float range: {exc}") from exc
     return a.view(np.complex128)[..., 0] if pairs else a
 
 
-def family_to_dict(f: CyclicFamily) -> dict:
-    """The document of a family. The families the program writes are PD by
-    construction, so only the positivity floor is checked here."""
-    _pd_floor(f.mats)
-    return {"p": f.p, "members": [_matrix_to_dict(m) for m in f.mats]}
+def family_to_dict(mats: np.ndarray) -> dict:
+    """The document of the family of one stack (p, n, n). The families the
+    program writes are PD by construction, so only the positivity floor is
+    checked here."""
+    _pd_floor(mats)
+    return {"p": len(mats), "members": [_matrix_to_dict(m) for m in mats]}
 
 
 def family_from_dict(d: dict) -> CyclicFamily:
     """The family of a document: its form is checked first (each member, the
-    declared p, one dimension), then its numbers, by ``validate_family``."""
+    declared p, one dimension), then its numbers, by ``validate_family``. The
+    program reads only ``.mats``; the record is kept for the benchmark's reader."""
     if not isinstance(d, dict) or not isinstance(d.get("members"), list):
         raise ValueError(f"a family must be an object with a list of members, got {d!r:.80}")
     members = [_matrix_from_dict(m) for m in d["members"]]

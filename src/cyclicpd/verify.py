@@ -11,7 +11,8 @@ Three suites:
 Aggregation is per grid point: trial count, failure count, worst margin, and
 a serialized witness for the first failure (or event) of a check on a family
 or a cycle; the two-operand bounds keep none, since x and y are not PD and two
-operands are not a cyclic family. Each suite has its own seeded stream per
+operands are not a cyclic family. A record takes its trials' family stack and
+serializes the failing row itself. Each suite has its own seeded stream per
 grid point and draws its trials from it in chunks of at most
 ``TRIALS_PER_STACK``, one stacked draw each, which takes the same numbers in
 the same order as one draw per matrix would; every checker then evaluates a
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import inequalities as ineq
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import REL_TOL, CyclicFamily, random_pd_stack
+from .pdcore import REL_TOL, random_pd_stack
 from .serialize import family_to_dict
 
 # The suites in run order, which is also their order in the output.
@@ -94,11 +95,11 @@ class GridRecord:
     min_margin: float = float("inf")
     witness: dict | None = None
 
-    def add(self, margins, holds, witness_fn=None):
+    def add(self, margins, holds, fams=None):
         """Fold in one stack of trials: their margins and verdicts, in trial order.
 
-        ``witness_fn(t)`` serializes trial t; it is called for the first
-        failing trial if the record has no witness yet.
+        If the record has no witness yet, the first failing trial's family,
+        from the trials' stack ``fams`` (T, p, n, n), becomes its witness.
         """
         margins = np.asarray(margins, dtype=float)
         failed = np.flatnonzero(~np.asarray(holds, dtype=bool))
@@ -106,8 +107,8 @@ class GridRecord:
         # fmin skips NaN margins, as a running min(current, margin) does
         self.min_margin = min(self.min_margin, float(np.fmin.reduce(margins, initial=np.inf)))
         self.failures += failed.size
-        if failed.size and self.witness is None and witness_fn is not None:
-            self.witness = witness_fn(int(failed[0]))
+        if failed.size and self.witness is None and fams is not None:
+            self.witness = family_to_dict(fams[failed[0]])
 
     def to_dict(self) -> dict:
         d = {
@@ -157,10 +158,6 @@ def _chunks(trials):
 
 def _batch(name: str):
     return getattr(ineq, f"batch_{name}")
-
-
-def _family_witness(fams):
-    return lambda t: family_to_dict(CyclicFamily(fams[t]))
 
 
 def _add_residual(rec: GridRecord, residual, allowed):
@@ -261,8 +258,7 @@ def _add_cycles(recs, ident, du, di, rel):
             ops = [cycles[words]] if name in SHARED else [args[w] for w in words.split()]
             batch = done[name] = _batch(name)(*ops, rel)
             # a one-word check runs on a cycle, which its witness replays as a family
-            witness = _family_witness(args[words].mats) if words in cycles else None
-            rec.add(batch.margin[:rows], batch.holds[:rows], witness)
+            rec.add(batch.margin[:rows], batch.holds[:rows], args[words].mats if words in cycles else None)
     if di is None:
         return
     # the identity residuals are the last rows of a shared checker's batch
@@ -273,12 +269,7 @@ def _add_cycles(recs, ident, du, di, rel):
     r = _shared(done, "upper_bound_2ab", cycles["abc"], rel)
     _add_residual(ident["two_ab_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
     r = _shared(done, "wz_certificate", cycles["abc"], rel)
-    wz_res = np.maximum.reduce([
-        r.detail["wz_residual"][last],
-        abs(r.detail["tr_zz"][last] - r.detail["tr_zz_expected"][last]),
-        abs(r.detail["tr_ww"][last] - r.detail["tr_n"][last]),
-    ])
-    _add_residual(ident["wz_identities"], wz_res, 1e-10 * scale**2)
+    _add_residual(ident["wz_identities"], r.detail["identity_residual"][last], 1e-10 * scale**2)
 
 
 def _add_families(recs, ident, cond, fu, fi, fc, rel):
@@ -293,16 +284,15 @@ def _add_families(recs, ident, cond, fu, fi, fc, rel):
     mid = rows * ((fu is not None) + (fi is not None))
     done = {}
     if fu is not None:
-        own, both, witness = ctx.rows(0, rows), ctx.rows(0, mid), _family_witness(fu)
+        own, both = ctx.rows(0, rows), ctx.rows(0, mid)
         for rec in recs:
             batch = done[rec.check] = _batch(rec.check)(both if rec.check in SHARED else own, rel)
-            rec.add(batch.margin[:rows], batch.holds[:rows], witness)
+            rec.add(batch.margin[:rows], batch.holds[:rows], fu)
     if fi is not None:
         (field_recs, ext), fams, last = ident, ctx.rows(mid - rows, mid), slice(-rows, None)
         r = _shared(done, "square_cycle", fams, rel)
-        sc_res = np.maximum(r.detail["wz_residual"][last], r.detail["zz_residual"][last])
         allowed = 1e-10 * (1.0 + sum(np.moveaxis(fams.fro, -1, 0)))
-        _add_residual(field_recs["square_cycle_identities"], sc_res, allowed)
+        _add_residual(field_recs["square_cycle_identities"], r.detail["identity_residual"][last], allowed)
         r = _shared(done, "shapiro_extension", fams, rel)
         base = r.detail["base"][last]
         _add_residual(ext, -r.margin[last], 1e-10 * (1.0 + abs(base) + fi.shape[-1]))
@@ -321,7 +311,7 @@ def _add_conditional(rec, events, fams, rel):
     """One chunk of the conditional suite, whose families are the context ``fams``."""
     batch = ineq.batch_shapiro_trace(fams, rel)
     if theorem_covers(rec.n, rec.p):
-        rec.add(batch.margin, batch.holds, _family_witness(fams.mats))
+        rec.add(batch.margin, batch.holds, fams.mats)
         return
     # outside the theorems a violation is an event, not a failure
     rec.add(batch.margin, np.ones_like(batch.holds))
@@ -333,7 +323,7 @@ def _add_conditional(rec, events, fams, rel):
             "p": rec.p,
             "field": rec.field,
             "margin": float(batch.margin[t]),
-            "family": family_to_dict(CyclicFamily(fams.mats[t])),
+            "family": family_to_dict(fams.mats[t]),
         })
 
 

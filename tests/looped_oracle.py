@@ -621,15 +621,12 @@ def check_wz_certificate(
     norms = (_norm(a), _norm(b), _norm(c))
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
     slack = _slack(rel, *norms)
-    holds = (
-        res_wz <= ident_tol
-        and abs(tr_zz - tr_zz_expected) <= ident_tol
-        and abs(tr_ww - tr_n) <= ident_tol
-        and quotient >= 1.0 - slack
-    )
+    identity_res = max(res_wz, abs(tr_zz - tr_zz_expected), abs(tr_ww - tr_n))
+    holds = identity_res <= ident_tol and quotient >= 1.0 - slack
     return CheckReport(
         "wz_certificate", n, 3, quotient, 1.0, quotient - 1.0, holds, rel,
         {
+            "identity_residual": identity_res,
             "wz_residual": res_wz,
             "tr_zz": tr_zz,
             "tr_zz_expected": tr_zz_expected,
@@ -661,10 +658,11 @@ def check_square_cycle(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     margin = lhs - rhs
     slack = rel * (1.0 + abs(lhs) + abs(rhs))
     norms = sum(float(np.linalg.norm(m)) for m in mats)
-    holds = margin >= -slack and max(res_wz, res_zz) <= 1e-9 * (1.0 + norms)
+    identity_res = max(res_wz, res_zz)
+    holds = margin >= -slack and identity_res <= 1e-9 * (1.0 + norms)
     return CheckReport(
         "square_cycle", f.dim, p, lhs, rhs, margin, holds, rel,
-        {"wz_residual": res_wz, "zz_residual": res_zz},
+        {"identity_residual": identity_res, "wz_residual": res_wz, "zz_residual": res_zz},
     )
 
 
@@ -676,7 +674,7 @@ def _random_rect(rng, n, field):
 
 
 def _cycle_witness(ops):
-    return lambda: family_to_dict(CyclicFamily(np.stack([m.mat for m in ops])))
+    return lambda: family_to_dict(np.stack([m.mat for m in ops]))
 
 
 def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
@@ -703,7 +701,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
                         for name in verify.UNCONDITIONAL_FAMILY]
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
-                    wit = lambda: family_to_dict(fam)  # noqa: E731
+                    wit = lambda: family_to_dict(fam.mats)  # noqa: E731
                     for rec, check in recs:
                         _add(rec, check(fam, rel), wit)
                 out.records.extend(rec for rec, _ in recs)
@@ -770,7 +768,7 @@ def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "
                     fam = random_family(n, p, rng, fld)
                     rep = check_shapiro_trace(fam, rel)
                     if verify.theorem_covers(n, p):
-                        _add(rec, rep, lambda: family_to_dict(fam))
+                        _add(rec, rep, lambda: family_to_dict(fam.mats))
                         continue
                     rec.trials += 1
                     rec.min_margin = min(rec.min_margin, rep.margin)
@@ -782,7 +780,7 @@ def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "
                             "p": p,
                             "field": fld,
                             "margin": rep.margin,
-                            "family": family_to_dict(fam),
+                            "family": family_to_dict(fam.mats),
                         })
                 out.records.append(rec)
     return out

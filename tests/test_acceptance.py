@@ -100,9 +100,9 @@ def test_criterion_6_counterexample_rediscovery():
     t0 = time.time()
     res = cp.minimize_margin(cp.SearchConfig(p=14, n=1, restarts=32, master_seed=11))
     elapsed = time.time() - t0
-    scalars = res.best_family.mats[:, 0, 0]
+    scalars = res.best_family[:, 0, 0]
     lifted = oracle.diagonal_embed(scalars, 3)
-    lifted_value = ineq._refined_cyclic_sum_trace(lifted)
+    lifted_value = ineq._refined_cyclic_sum_trace(lifted.mats)
     recheck = ineq.batch_shapiro_trace(lifted.mats[None]).report()
     ok = (
         res.best_margin < 0

@@ -16,8 +16,8 @@ def strip_timestamps(doc):
     return {k: v for k, v in doc.items() if k not in ("started", "elapsed_ms")}
 
 
-def save_family(fam, path):
-    path.write_text(json.dumps(cp.family_to_dict(fam)))
+def save_family(mats, path):
+    path.write_text(json.dumps(cp.family_to_dict(mats)))
 
 
 def test_parse_range():
@@ -60,9 +60,8 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
 
 
 def test_eval_identity_family(tmp_path, capsys):
-    fam = cp.CyclicFamily(cp.validate_family([np.eye(2)] * 4))
     path = tmp_path / "id.json"
-    save_family(fam, path)
+    save_family(cp.validate_family([np.eye(2)] * 4), path)
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 0
     assert json.loads(capsys.readouterr().out) == pytest.approx(4.0, abs=1e-12)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
@@ -96,6 +95,17 @@ MALFORMED_FAMILIES = {
     "members_number": {"p": 3, "members": 5},
     "complex_entry_not_a_pair": {"p": 3, "members": [{"n": 1, "field": "complex", "entries": [[1.0]]}] * 3},
     "quaternion_field": {"p": 3, "members": [{**MEMBER, "field": "quaternion"}] * 3},
+    # every entry must be a JSON number: no string, boolean, null or nested list
+    "string_entry": {"p": 3, "members": [{**MEMBER, "entries": [["2"]]}, MEMBER, MEMBER]},
+    "boolean_entry": {"p": 3, "members": [{**MEMBER, "entries": [[True]]}, MEMBER, MEMBER]},
+    "boolean_beside_float": {"p": 3, "members": [
+        {"n": 2, "field": "real", "entries": [[True, 0.0], [0.0, 1.0]]}] * 3},
+    "null_entry": {"p": 3, "members": [{**MEMBER, "entries": [[None]]}, MEMBER, MEMBER]},
+    "nested_list_entry": {"p": 3, "members": [
+        {"n": 2, "field": "real", "entries": [[1.0, [0.0]], [0.0, 1.0]]}] * 3},
+    "string_imaginary_part": {"p": 3, "members": [
+        {"n": 1, "field": "complex", "entries": [[[2, "0"]]]}] * 3},
+    "huge_integer": {"p": 3, "members": [{**MEMBER, "entries": [[10**400]]}] * 3},
 }
 
 
@@ -164,6 +174,17 @@ def test_eval_error_line_names_the_fault(tmp_path, capsys, name):
     assert captured.err == f"error: cannot load family: {message}\n" and captured.out == ""
 
 
+def test_integer_entries_load(tmp_path, capsys):
+    doc = {"p": 3, "members": [{"n": 1, "field": "real", "entries": [[k]]} for k in (1, 2, 3)]}
+    assert np.array_equal(cp.family_from_dict(doc).mats, [[[1.0]], [[2.0]], [[3.0]]])
+    complex_doc = {"p": 3, "members": [{"n": 1, "field": "complex", "entries": [[[2, 0]]]}] * 3}
+    assert np.array_equal(cp.family_from_dict(complex_doc).mats, np.full((3, 1, 1), 2.0))
+    path = tmp_path / "int.json"
+    path.write_text(json.dumps(doc))
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 0
+    assert json.loads(capsys.readouterr().out) == 1 / 5 + 2 / 4 + 3 / 3
+
+
 def test_eval_non_finite_family(tmp_path):
     path = tmp_path / "inf.json"
     member = {"n": 1, "field": "real", "entries": [[float("inf")]]}
@@ -200,7 +221,7 @@ def test_eval_spectrum_beyond_the_entry_bound(tmp_path, capsys):
     """The entry bound holds loaded members, not computed matrices: here
     A_1 (A_2 + A_3)^{-1} = 5e110 I."""
     path = tmp_path / "wide.json"
-    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2) * s for s in (1e100, 1e-11, 1e-11)])), path)
+    save_family(cp.validate_family([np.eye(2) * s for s in (1e100, 1e-11, 1e-11)]), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 0
     assert json.loads(capsys.readouterr().out)["min_real"] > 1e110
 
@@ -209,8 +230,8 @@ def test_eval_output_is_strict_json(tmp_path, capsys, monkeypatch):
     """eval prints through the strict JSON writer: a non-finite value is an
     error line and exit 2, never a bare NaN on stdout."""
     path = tmp_path / "id.json"
-    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * 3)), path)
-    monkeypatch.setattr(cp.inequalities, "cyclic_sum_trace", lambda fam: float("nan"))
+    save_family(cp.validate_family([np.eye(2)] * 3), path)
+    monkeypatch.setattr(cp.inequalities, "cyclic_traces", lambda mats: float("nan"))
     assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
@@ -219,7 +240,7 @@ def test_eval_output_is_strict_json(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("expr", ["Fp", "margin", "bidirectional"])
 def test_eval_p2_family_rejected(tmp_path, capsys, expr):
     path = tmp_path / "p2.json"
-    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * 2)), path)
+    save_family(cp.validate_family([np.eye(2)] * 2), path)
     assert main(["eval", "--family", str(path), "--expr", expr]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
@@ -227,7 +248,7 @@ def test_eval_p2_family_rejected(tmp_path, capsys, expr):
 @pytest.mark.parametrize("p", [1, 2])
 def test_eval_nesbitt_eigs_rejects_short_family(tmp_path, capsys, p):
     path = tmp_path / "short.json"
-    save_family(cp.CyclicFamily(cp.validate_family([np.eye(2)] * p)), path)
+    save_family(cp.validate_family([np.eye(2)] * p), path)
     assert main(["eval", "--family", str(path), "--expr", "nesbitt_eigs"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""

@@ -260,7 +260,7 @@ class TestCyclicKernelOracle:
     def assert_family_matches_looped(fam):
         ref = ref_cyclic_sum_trace(fam)
         assert cp.cyclic_sum_trace(fam) == ref
-        assert ineq._refined_cyclic_sum_trace(fam) == ref_cyclic_sum_trace(fam, refine=True)
+        assert ineq._refined_cyclic_sum_trace(fam.mats) == ref_cyclic_sum_trace(fam, refine=True)
         r = ineq.batch_bidirectional(one_family(fam)).report()
         assert r.detail["forward"] == ref
         assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.mats[::-1]))
@@ -433,7 +433,7 @@ class TestCyclicSumTrace:
             assert cp.cyclic_sum_trace(identity_family(n, p)) == pytest.approx(p * n / 2, abs=1e-12)
 
     def test_fixture_value(self):
-        assert cp.cyclic_sum_trace(cp.counterexample_family()) == pytest.approx(5.2786, abs=1e-3)
+        assert cp.cyclic_sum_trace(cp.CyclicFamily(cp.counterexample_family())) == pytest.approx(5.2786, abs=1e-3)
 
     def test_scalar_equivalence(self):
         rng = RNG(6)
@@ -454,7 +454,7 @@ class TestShapiroTrace:
         assert r.holds and abs(r.margin) < 1e-12
 
     def test_fixture(self):
-        r = ineq.batch_shapiro_trace(one_family(cp.counterexample_family())).report()
+        r = ineq.batch_shapiro_trace(cp.counterexample_family()[None]).report()
         assert r.holds and r.lhs == pytest.approx(5.2786, abs=1e-3)
 
 
@@ -467,7 +467,7 @@ class TestS4Decomposition:
         assert abs(r.detail["margin_m_plus_p"]) < 1e-12
 
     def test_fixture(self):
-        r = ineq.batch_s4_decomposition(one_cycle(*cp.counterexample_family().mats)).report()
+        r = ineq.batch_s4_decomposition(one_cycle(*cp.counterexample_family())).report()
         assert r.holds
         assert r.detail["tr_m"] == pytest.approx(5.2786, abs=1e-3)
         assert r.detail["identity_residual"] <= 1e-12
@@ -493,7 +493,7 @@ class TestShapiroExtension:
         assert r.holds and r.lhs == pytest.approx(s5, abs=1e-12)
 
     def test_fixture_extended(self):
-        r = ineq.batch_shapiro_extension(one_family(cp.counterexample_family())).report()
+        r = ineq.batch_shapiro_extension(cp.counterexample_family()[None]).report()
         assert r.holds
         assert r.lhs == pytest.approx(5.2786 + 2, abs=1e-3)
 
@@ -504,7 +504,7 @@ class TestBidirectional:
         assert r.holds and abs(r.margin) < 1e-12
 
     def test_fixture(self):
-        r = ineq.batch_bidirectional(one_family(cp.counterexample_family())).report()
+        r = ineq.batch_bidirectional(cp.counterexample_family()[None]).report()
         assert r.holds
         assert r.detail["forward"] == pytest.approx(5.2786, abs=1e-3)
         assert r.lhs >= 8.0
@@ -531,7 +531,7 @@ class TestBidirectionalEig4:
         assert r.lhs == pytest.approx(fwd + bwd, abs=1e-12)
 
     def test_fixture(self):
-        r = ineq.batch_bidirectional_eig4(one_cycle(*cp.counterexample_family().mats)).report()
+        r = ineq.batch_bidirectional_eig4(one_cycle(*cp.counterexample_family())).report()
         assert r.holds and r.lhs >= 4.0
 
 

@@ -65,6 +65,42 @@ def test_attributes_the_benchmark_reads_exist():
         assert callable(getattr(importlib.import_module(f"cyclicpd.{module}"), attr)), (module, attr)
 
 
+class _Calls(ast.NodeVisitor):
+    """The enclosing function of each call of ``name`` in one module."""
+
+    def __init__(self, name):
+        self.name, self.scope, self.found = name, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Call(self, node):
+        f = node.func
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == self.name:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def calls_in_program(name):
+    """(module, function) of each call of ``name`` in the package's source."""
+    found = []
+    for path in sorted(Path(cyclicpd.__file__).parent.glob("*.py")):
+        visitor = _Calls(name)
+        visitor.visit(ast.parse(path.read_text()))
+        found += [(path.stem, fn) for fn in visitor.found]
+    return found
+
+
+def test_the_program_passes_families_as_stacks():
+    """Inside the program a family is its stack: ``CyclicFamily`` is built only
+    where the benchmark's reader gets one, and ``cyclic_sum_trace``, kept for
+    that reader, has no caller."""
+    assert calls_in_program("CyclicFamily") == [("serialize", "family_from_dict")]
+    assert calls_in_program("cyclic_sum_trace") == []
+
+
 def test_attributes_the_kernel_tool_reads_exist():
     """Every ``cyclicpd`` name that the tool imports, or reads through a
     ``cyclicpd`` module it imports, exists."""

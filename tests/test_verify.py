@@ -13,6 +13,7 @@ from cyclicpd import inequalities as ineq
 from cyclicpd import verify
 from cyclicpd.cli import main
 from cyclicpd.pdcore import CyclicFamily, PDMatrix, random_pd_stack
+from cyclicpd.serialize import family_to_dict
 
 DIMS, PS, TRIALS = range(1, 5), (3, 5, 8), 7
 SUITE_NAMES = ("unconditional", "identities", "conditional")
@@ -240,11 +241,12 @@ def test_cycle_checkers_take_exactly_their_cycle(name, p):
 
 class TestGridRecord:
     def test_first_failure_is_the_witness(self):
-        rec = verify.GridRecord("x", 2, 3, "real")
-        rec.add([3.0, -1.0, 2.0, -5.0], [True, False, True, False], lambda t: {"trial": t})
-        rec.add([-7.0], [False], lambda t: {"trial": 10 + t})
+        fams = random_pd_stack(2, 5, 3, np.random.default_rng(0), "complex")
+        rec = verify.GridRecord("x", 2, 3, "complex")
+        rec.add([3.0, -1.0, 2.0, -5.0], [True, False, True, False], fams[:4])
+        rec.add([-7.0], [False], fams[4:])
         assert (rec.trials, rec.failures, rec.min_margin) == (5, 3, -7.0)
-        assert rec.witness == {"trial": 1}
+        assert rec.witness == family_to_dict(fams[1])
 
     def test_nan_margins_do_not_set_the_minimum(self):
         rec = verify.GridRecord("x", 1, 0, "real")
