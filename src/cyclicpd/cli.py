@@ -59,14 +59,20 @@ def _manifest(command: str, config: dict, seed: int, started: float, results) ->
     }
 
 
-def _emit(doc: dict, out_path) -> None:
+def _emit(doc: dict, out_path) -> int:
+    """Write ``doc`` to ``out_path`` or else to stdout; 2 if ``out_path`` cannot be written."""
     # no indent: an indented dump runs the pure-Python encoder, several times slower
     text = json.dumps(doc, allow_nan=False)
-    if out_path:
+    if not out_path:
+        print(text)
+        return 0
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {out_path!r}: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_verify(args) -> int:
@@ -92,7 +98,8 @@ def cmd_verify(args) -> int:
         "suite": args.suite, "dims": dims, "p": p_values, "trials": args.trials,
         "field": args.field, "tol": {"rel": args.tol_rel},
     }
-    _emit(_manifest("verify", config, args.seed, started, results), args.out)
+    if _emit(_manifest("verify", config, args.seed, started, results), args.out):
+        return 2
     hard_failures = sum(oc.unconditional_failures for oc in outcomes.values())
     for name, oc in outcomes.items():
         found = f"{oc.unconditional_failures} failures"
@@ -126,8 +133,7 @@ def cmd_reproduce(args) -> int:
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
         return 1
-    _emit({"command": "reproduce", "case": args.case, "results": results}, args.out)
-    return 0
+    return _emit({"command": "reproduce", "case": args.case, "results": results}, args.out)
 
 
 def cmd_search(args) -> int:
@@ -157,8 +163,7 @@ def cmd_search(args) -> int:
         results = {str(n): res.to_dict() for n, res in runs.items()}
     else:
         results = runs[cfg.n].to_dict()
-    _emit(_manifest("search", config, args.seed, started, results), args.out)
-    return 0
+    return _emit(_manifest("search", config, args.seed, started, results), args.out)
 
 
 def cmd_eval(args) -> int:
@@ -201,8 +206,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
     stacks = random_pd_stack(args.n, args.count, args.p, rng, args.field)
     fams = [family_to_dict(mats) for mats in stacks]
-    _emit(fams[0] if args.count == 1 else fams, args.out)
-    return 0
+    return _emit(fams[0] if args.count == 1 else fams, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

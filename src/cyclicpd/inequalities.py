@@ -12,7 +12,8 @@ stack. The two-operand trace and eigenvalue bounds take their operands as
 plain (T, n, n) arrays. Every other checker takes one family stack
 (T, p, n, n): the Nesbitt and damped three-variable bounds a cycle
 (A, B, C) of p = 3, the four-variable bounds a cycle (A, B, C, D) of p = 4,
-and the rest a family of any p. A family is a plain array or a
+and the rest a family of any p. The Nesbitt bound is checked as the k = 3
+case of the k-variable bound, by one kernel. A family is a plain array or a
 :class:`StackContext`, which computes the intermediates that several checkers
 of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
 the cyclic trace sum) once, with the same calls, so both give the same bits;
@@ -363,14 +364,16 @@ def batch_eigineq1(am, bm, rel: float = REL_TOL) -> CheckBatch:
     """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
 
     Evaluated through the identity with X = A B^{-1}: the spectrum equals that
-    of X + X^{-1} - 2I, reduced to the Hermitian form H + H^{-1} - 2I with
-    H = B^{-1/2} A B^{-1/2}, whose eigenvalues one Hermitian solve gives.
+    of X + X^{-1} - 2I: w + 1/w - 2 over the eigenvalues w of the Hermitian
+    H = B^{-1/2} A B^{-1/2}. The margin comes from the w nearest 1, with a
+    round-off of about eps * ||H||; the ``eigs`` from w << 1 carry a relative
+    error of about eps * cond(H), and no verdict reads them.
     """
     (r,) = herm_powers(bm, -0.5)
     h = r @ am @ r
-    h = (h + _ct(h)) / 2.0
-    vals = np.linalg.eigh(h + _inv(h))[0] - 2.0
-    margin = vals.min(axis=-1)
+    w = np.linalg.eigvalsh((h + _ct(h)) / 2.0)
+    vals = np.sort(w + 1.0 / w - 2.0, axis=-1)
+    margin = vals[..., 0]
     slack = _slack(rel, _fro(am), _fro(bm))
     return CheckBatch(
         "eigineq1", am.shape[-1], 0, margin, 0.0, margin, margin >= -slack, rel, {"eigs": vals},
@@ -404,11 +407,11 @@ def _block_stack(mats: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
-    """Schur complement of the trailing n x n block of (a stack of) 2n x 2n matrices."""
-    a, b = m[..., :n, :n], m[..., :n, n:]
-    c, d = m[..., n:, :n], m[..., n:, n:]
-    return a - b @ _inv(d) @ c
+def schur_complement(m: np.ndarray, n: int, d_inv: np.ndarray) -> np.ndarray:
+    """Schur complement of the trailing n x n block of (a stack of) 2n x 2n
+    matrices, given that block's inverse ``d_inv``."""
+    a, b, c = m[..., :n, :n], m[..., :n, n:], m[..., n:, :n]
+    return a - b @ d_inv @ c
 
 
 def batch_block_certificate(mats, rel: float = REL_TOL) -> CheckBatch:
@@ -425,7 +428,8 @@ def batch_block_certificate(mats, rel: float = REL_TOL) -> CheckBatch:
     block_min = np.linalg.eigvalsh(blocks)[..., 0].min(axis=-1)
     m = _psum(blocks)
     m_min = np.linalg.eigvalsh(m)[..., 0]
-    sc = schur_complement(m, n)
+    # the trailing block of M is sum A_i, added as ctx.total adds it
+    sc = schur_complement(m, n, ctx.total_inv)
     direct = ctx.inv_total - p**2 * ctx.total_inv
     sc_gap = _fro(sc - direct)
     scale = _fro(m)
@@ -458,31 +462,8 @@ def batch_product_sum_eigs(mats, rel: float = REL_TOL) -> CheckBatch:
     )
 
 
-def batch_nesbitt(abc, rel: float = REL_TOL) -> CheckBatch:
-    """Three-variable cyclic bound on the cycle (A, B, C): every eigenvalue of
-    A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
-
-    Evaluated via the sum identity M = (1/2)(X+Y+Z)(X^{-1}+Y^{-1}+Z^{-1}) - 3I
-    with X=B+C, Y=C+A, Z=A+B, which reduces the spectrum to a Hermitian
-    problem.
-    """
-    ctx = _cycle(abc, 3)
-    mats = ctx.mats
-    # X, Y, Z are the denominators S_i of the cycle (A, B, C)
-    total, inv_sum = _psum(cyclic_denominators(mats)), _psum(cyclic_inverses(mats))
-    vals = 0.5 * pd_product_eigvals(total, inv_sum) - 3.0
-    margin = vals.min(axis=-1) - 1.5
-    slack = _slack(rel, *np.moveaxis(ctx.fro, -1, 0))
-    return CheckBatch(
-        "nesbitt", mats.shape[-1], 3, vals.min(axis=-1), 1.5, margin, margin >= -slack, rel,
-        {"eigs": vals},
-    )
-
-
-def batch_nesbitt_k(mats, rel: float = REL_TOL) -> CheckBatch:
-    """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
-    are >= k/(k-1), with S the sum of the family."""
-    ctx = _context(mats)
+def _nesbitt_k(name: str, ctx: StackContext, rel: float) -> CheckBatch:
+    """The bound of :func:`batch_nesbitt_k` on a family context, as the check ``name``."""
     mats = ctx.mats
     k = mats.shape[-3]
     if k < 2:
@@ -494,9 +475,23 @@ def batch_nesbitt_k(mats, rel: float = REL_TOL) -> CheckBatch:
     margin = vals.min(axis=-1) - rhs
     slack = _slack(rel, *np.moveaxis(ctx.fro, -1, 0))
     return CheckBatch(
-        "nesbitt_k", mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, rel,
+        name, mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, rel,
         {"eigs": vals},
     )
+
+
+def batch_nesbitt(abc, rel: float = REL_TOL) -> CheckBatch:
+    """Three-variable cyclic bound on the cycle (A, B, C): every eigenvalue of
+    A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2, the k = 3 case of
+    :func:`batch_nesbitt_k` (B + C = S - A)."""
+    return _nesbitt_k("nesbitt", _cycle(abc, 3), rel)
+
+
+def batch_nesbitt_k(mats, rel: float = REL_TOL) -> CheckBatch:
+    """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
+    are >= k/(k-1), with S the sum of the family; they are those of
+    S (sum_i (S - A_i)^{-1}) - kI, which reduces to a Hermitian problem."""
+    return _nesbitt_k("nesbitt_k", _context(mats), rel)
 
 
 # ---------------------------------------------------------------------------

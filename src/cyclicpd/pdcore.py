@@ -46,7 +46,7 @@ PD_FLOOR = 1e-12
 
 def _ct(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of each matrix of a stack (..., n, n)."""
-    return np.swapaxes(a, -1, -2).conj()
+    return a.swapaxes(-1, -2).conj()
 
 
 def _fro(a: np.ndarray) -> np.ndarray:
@@ -57,7 +57,7 @@ def _fro(a: np.ndarray) -> np.ndarray:
     """
     flat = a.reshape(a.shape[:-2] + (1, -1))
     parts = (flat.real, flat.imag) if np.iscomplexobj(flat) else (flat,)
-    sq = sum(x @ np.swapaxes(x, -1, -2) for x in parts)
+    sq = sum(x @ x.swapaxes(-1, -2) for x in parts)
     return np.sqrt(sq[..., 0, 0])
 
 

@@ -420,6 +420,23 @@ def test_invalid_input_rejected_before_work(tmp_path, monkeypatch, capsys, argv)
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "identities", "--dims", "1", "--p", "3", "--trials", "1"],
+    ["reproduce", "--case", "all"],
+    ["search", "--p", "5", "--n", "1", "--restarts", "1", "--max-iters", "5"],
+    ["sample", "--n", "1", "--p", "3"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_an_error(tmp_path, capsys, argv):
+    """An --out file that cannot be opened (here a name too long for the file
+    system, in an existing directory) ends in an error line and exit 2, once
+    the run's JSON is to be written."""
+    out = tmp_path / ("x" * 300 + ".json")
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1].startswith(f"error: cannot write --out {str(out)!r}")
+    assert captured.out == "" and list(tmp_path.iterdir()) == []
+
+
 def test_search_sweep_manifest_lists_dims(tmp_path):
     out = tmp_path / "sweep.json"
     assert main(["search", "--p", "12", "--restarts", "2", "--max-iters", "20",
