@@ -60,11 +60,20 @@ def _manifest(command: str, config: dict, seed: int, started: float, results) ->
 
 
 def _emit(doc: dict, out_path) -> int:
-    """Write ``doc`` to ``out_path`` or else to stdout; 2 if ``out_path`` cannot be written."""
+    """Write ``doc`` to ``out_path`` or else to stdout; 2 if it cannot be written."""
     # no indent: an indented dump runs the pure-Python encoder, several times slower
     text = json.dumps(doc, allow_nan=False)
     if not out_path:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left: send what remains buffered to devnull, so
+            # the interpreter's flush at exit has nothing to report
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print("error: standard output was closed before the output was written", file=sys.stderr)
+            return 2
         return 0
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -192,11 +201,10 @@ def cmd_eval(args) -> int:
                 rep = ineq.batch_bidirectional(mats[None]).report()
                 out.append(rep.to_dict())
         # a non-finite value fails the strict encoder here, before any output
-        _emit(out[0] if len(out) == 1 else out, None)
+        return _emit(out[0] if len(out) == 1 else out, None)
     except (ValueError, CyclicPDError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 def cmd_sample(args) -> int:

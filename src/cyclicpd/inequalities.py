@@ -210,30 +210,43 @@ def _inv(a: np.ndarray) -> np.ndarray:
     if n == 1 and real:
         return 1.0 / a
     if n not in _UNIQUE or not real:
-        x = np.linalg.inv(a)
-        return (x + _ct(x)) / 2.0
+        return _lapack_inv(a)
     flat = a.reshape(-1, n * n)
-    x = np.empty(flat.shape)
     # blocks the guard refuses are inverted again below; nothing here may warn
     with np.errstate(all="ignore"):
         cof, det, ok = _cofactors(flat.T.take(_UNIQUE[n], axis=0))
-        # written through the (n*n, B) view of x, which stays C-contiguous
+    blocks = a.reshape(-1, n, n)
+    return _inv_from_cofactors(cof, det, ok, lambda refused: blocks[refused]).reshape(a.shape)
+
+
+def _lapack_inv(a: np.ndarray) -> np.ndarray:
+    x = np.linalg.inv(a)
+    return (x + _ct(x)) / 2.0
+
+
+def _inv_from_cofactors(cof, det, ok, blocks) -> np.ndarray:
+    """``_inv`` of blocks from their ``_cofactors``, over axes K: cof / det,
+    or LAPACK for each block the guard refused, taken from
+    ``blocks(refused)`` by a mask over K reversed, the result's axes."""
+    n = 2 if len(cof) == 3 else 3
+    x = np.empty(det.shape[::-1] + (n * n,))
+    with np.errstate(all="ignore"):
+        # written through the (n*n, *K) view of x, which stays contiguous
         np.divide(cof.take(_FULL[n], axis=0), det, out=x.T)
-    x = x.reshape(a.shape)
+    x = x.reshape(det.shape[::-1] + (n, n))
     if not ok.all():
-        refused = ~ok.reshape(a.shape[:-2])
-        y = np.linalg.inv(a[refused])
-        x[refused] = (y + _ct(y)) / 2.0
+        refused = ~ok.T
+        x[refused] = _lapack_inv(blocks(refused))
     return x
 
 
 def _rtr(a: np.ndarray) -> np.ndarray:
-    return np.trace(a, axis1=-2, axis2=-1).real
+    return a.trace(axis1=-2, axis2=-1).real
 
 
 def _psum(mats: np.ndarray) -> np.ndarray:
     """Sum over the member axis of (..., p, n, n), added in order (as _sum_over_p adds)."""
-    return np.cumsum(mats, axis=-3)[..., -1, :, :] + 0.0
+    return mats.cumsum(axis=-3)[..., -1, :, :] + 0.0
 
 
 def _hstack(blocks: np.ndarray) -> np.ndarray:
@@ -521,7 +534,7 @@ def cyclic_shift(mats, k: int):
     matmul on a differently strided copy can round differently), gathered by
     one cached index.
     """
-    return np.take(mats, _shift_index(mats.shape[-3], k), axis=-3)
+    return mats.take(_shift_index(mats.shape[-3], k), axis=-3)
 
 
 def cyclic_denominators(mats):
@@ -536,7 +549,7 @@ def _sum_over_p(terms):
     a cumulative sum adds in order. The closing + 0.0 makes an all -0.0 sum
     +0.0, as a sum started from 0.0 is.
     """
-    return np.cumsum(terms, axis=-1)[..., -1] + 0.0
+    return terms.cumsum(axis=-1)[..., -1] + 0.0
 
 
 # Weight of each unique entry in a trace sum_jk C_jk A_jk of two symmetric
@@ -569,12 +582,18 @@ def cyclic_traces(mats):
     batched solve. On the shipped BLAS a 1x1 solve rounds as the division
     (tests/test_inequalities.py checks it).
     """
+    return _cyclic_traces(mats)[0]
+
+
+def _cyclic_traces(mats):
+    """(``cyclic_traces(mats)``, kept) for ``_kept_inverses``: kept is the
+    (cof, det, ok) of each S_i, (p, B), on the closed-form path, else the S_i."""
     _require_cycle(mats.shape[-3])
     n, real = mats.shape[-1], not np.iscomplexobj(mats)
     if n not in _UNIQUE or not real:
         dens = cyclic_denominators(mats)
         terms = mats / dens if n == 1 and real else np.linalg.solve(dens, mats)
-        return _sum_over_p(np.trace(terms, axis1=-2, axis2=-1).real)
+        return _sum_over_p(_rtr(terms)), dens
     flat = mats.reshape((-1,) + mats.shape[-3:])
     b, p = flat.shape[:2]
     x = flat.reshape(b, p * n * n).T.take(_gather_index(p, n), axis=0)
@@ -592,7 +611,17 @@ def cyclic_traces(mats):
         i, t = np.nonzero(~ok)  # member i of family t
         dens = flat[t, (i + 1) % p] + flat[t, (i + 2) % p]
         tr[i, t] = np.trace(np.linalg.solve(dens, flat[t, i]), axis1=-2, axis2=-1)
-    return _sum_over_p(tr.T).reshape(mats.shape[:-3])[()]
+    return _sum_over_p(tr.T).reshape(mats.shape[:-3])[()], (cof, det, ok)
+
+
+def _kept_inverses(mats, kept, rows):
+    """``cyclic_inverses(mats[rows])`` of families (B, p, n, n), bit for bit,
+    from kept = ``_cyclic_traces(mats)[1]``: S_i is formed again only if
+    the closed form's guard refused a block."""
+    if not isinstance(kept, tuple):
+        return _inv(kept[rows])
+    cof, det, ok = (k[..., rows] for k in kept)
+    return _inv_from_cofactors(cof, det, ok, lambda refused: cyclic_denominators(mats[rows])[refused])
 
 
 def cyclic_inverses(mats):

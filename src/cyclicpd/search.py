@@ -12,15 +12,18 @@ first at ``step_init``) and tries at most 50 halvings of it; the halvings are
 evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
 the result of trying them one at a time. Every 100 iterations a gauge fix
 rescales the factors. The margin is the cyclic trace sum of
-``inequalities.cyclic_traces`` and the gradient takes its inverses from
-``inequalities.cyclic_inverses``, the one kernel that verify and ``eval``
-use too, with the program's one inversion rule per S_i: division at n = 1,
-a closed form at n = 2 and 3 where its guard admits S_i, LAPACK otherwise
-(one solve per refused term, a symmetrized inverse). The restarts are cut
-into contiguous shares, one per process that ``_fork.workers_for`` grants
-the search's work (restarts x p x n**2 x max_iters), and each share descends
-in a forked process; a search below the fork floor, such as a small or
-scalar one, runs as one stack in this process.
+``inequalities.cyclic_traces``, the one kernel that verify and ``eval`` use
+too, with the program's one inversion rule per S_i: division at n = 1, a
+closed form at n = 2 and 3 where its guard admits S_i, LAPACK otherwise (one
+solve per refused term, a symmetrized inverse). Each iterate is evaluated
+once: the trial evaluation that accepts it keeps its A_i and what it formed
+S_i from, and the next gradient takes S_i^{-1} from those by the same rule,
+bit for bit what ``margin_gradient`` (A_i and ``cyclic_inverses`` formed
+afresh) gives. The descent carries only the restarts still descending. The
+restarts are cut into contiguous shares, one per process that
+``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
+max_iters), and each share descends in a forked process; a search below the
+fork floor, such as a small or scalar one, runs as one stack in this process.
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
@@ -37,8 +40,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .inequalities import (_refined_cyclic_sum_trace, _sum_over_p, cyclic_inverses, cyclic_shift,
-                           cyclic_traces)
+from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_trace, _sum_over_p,
+                           cyclic_inverses, cyclic_shift)
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
@@ -123,8 +126,9 @@ def scalar_cyclic_sum(values) -> float:
 # ---------------------------------------------------------------------------
 #
 # The kernels take factors stacked as (..., p, n, n), one family per restart,
-# and evaluate them through ``cyclic_traces`` and ``cyclic_inverses``; L L^T
-# rounds to an exactly symmetric matrix, as their 2x2 and 3x3 closed form needs.
+# and evaluate them through the cyclic trace and inverse kernels of
+# ``inequalities``; L L^T rounds to an exactly symmetric matrix, as their 2x2
+# and 3x3 closed form needs.
 
 
 @lru_cache(maxsize=128)
@@ -140,10 +144,18 @@ def _mats_from_factors(factors, ridge: float):
     return factors @ np.ascontiguousarray(factors.swapaxes(-1, -2)) + ridge * _eye(factors.shape[-1])
 
 
+def _trial(factors, ridge: float):
+    """(margins, mats, kept) of stacked factors (B, p, n, n): each family's
+    margin, its A_i = L_i L_i^T + ridge*I, and what ``_kept_inverses`` builds
+    its S_i^{-1} from without forming S_i again."""
+    mats = _mats_from_factors(factors, ridge)
+    traces, kept = _cyclic_traces(mats)
+    return traces - mats.shape[-3] * mats.shape[-1] / 2.0, mats, kept
+
+
 def _margin_value(factors, ridge: float):
     """Margin of stacked factors (..., p, n, n); one family's p blocks give a scalar."""
-    mats = _mats_from_factors(np.asarray(factors, dtype=np.float64), ridge)
-    return cyclic_traces(mats) - mats.shape[-3] * mats.shape[-1] / 2.0
+    return _trial(np.asarray(factors, dtype=np.float64), ridge)[0]
 
 
 def margin_gradient(factors, ridge: float):
@@ -156,7 +168,11 @@ def margin_gradient(factors, ridge: float):
     """
     factors = np.asarray(factors, dtype=np.float64)
     mats = _mats_from_factors(factors, ridge)
-    invs = cyclic_inverses(mats)
+    return _gradient(factors, mats, cyclic_inverses(mats))
+
+
+def _gradient(factors, mats, invs):
+    """``margin_gradient`` from the factors' A_i and S_i^{-1}."""
     # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
     ks = invs @ mats @ invs
     d = invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)
@@ -180,26 +196,54 @@ def _initial_factors(cfg: SearchConfig):
     ])
 
 
-def _evaluate(fn, factors, ridge: float):
-    """``fn`` on the rows of a stack that it can evaluate: (ok, fn(factors[ok])).
+def _evaluate(fn, *stacks):
+    """``fn`` on the rows of its stacks that it can evaluate: (ok, fn(*(s[ok] for s in stacks))).
 
-    A row is one family's factors: a restart, or one trial step of a restart
-    in a line search. Each row's value does not depend on which other rows
-    share its stack. numpy raises LinAlgError for a whole stack when one
-    matrix in it is singular, so the stack is then tried row by row and only
-    the rows that fail on their own are left out.
+    A row is one family: a restart, or one trial step of a restart in a line
+    search, with what the stacks hold of it. Each row's value does not depend
+    on which other rows share its stack. numpy raises LinAlgError for a whole
+    stack when one matrix in it is singular, so the stacks are then tried row
+    by row and only the rows that fail on their own are left out.
     """
-    ok = np.ones(len(factors), dtype=bool)
+    ok = np.ones(len(stacks[0]), dtype=bool)
     try:
-        return ok, fn(factors, ridge)
+        return ok, fn(*stacks)
     except np.linalg.LinAlgError:
         pass
-    for r in range(len(factors)):
+    for r in range(len(ok)):
         try:
-            fn(factors[r:r + 1], ridge)
+            fn(*(s[r:r + 1] for s in stacks))
         except np.linalg.LinAlgError:
             ok[r] = False
-    return ok, fn(factors[ok], ridge)
+    return ok, fn(*(s[ok] for s in stacks))
+
+
+class _Live:
+    """The restarts of a descent that still descend, as compact arrays with one
+    row each: restart index, factors, margin, step, A_i and S_i^{-1}. A restart
+    that retires is written back to the descent's arrays by restart index,
+    ``out`` = (factors, margins, iterations)."""
+
+    def __init__(self, out, index, factors, margin, step, mats, invs):
+        self.out = out
+        self.index, self.factors, self.margin, self.step, self.mats, self.invs = (
+            index, factors, margin, step, mats, invs)
+
+    def accept(self, rows, factors, margin, step, mats, invs):
+        """Rows ``rows`` move to a new iterate."""
+        self.factors[rows], self.margin[rows], self.mats[rows], self.invs[rows] = factors, margin, mats, invs
+        if step is not None:
+            self.step[rows] = step
+
+    def retire(self, gone, iters: int):
+        """Writes back the rows of mask ``gone``, which ran ``iters``
+        iterations, and keeps the others."""
+        factors, margins, done = self.out
+        r = self.index[gone]
+        factors[r], margins[r], done[r] = self.factors[gone], self.margin[gone], iters
+        keep = ~gone
+        self.index, self.factors, self.margin, self.step, self.mats, self.invs = (
+            x[keep] for x in (self.index, self.factors, self.margin, self.step, self.mats, self.invs))
 
 
 def _descend(cfg: SearchConfig, factors):
@@ -211,84 +255,112 @@ def _descend(cfg: SearchConfig, factors):
     alone. An iteration is one accepted step; a restart stops when its
     gradient vanishes or a line search fails. Each line search starts at
     min(2 x the last accepted step, MAX_STEP) and tries up to MAX_HALVINGS
-    halvings; for every pending restart, one ``_evaluate`` call takes the
-    next chunk of HALVING_CHUNKS trial steps as one stacked evaluation, and
-    the restart accepts its first trial step that passes the Armijo test.
-    Trial steps after that one are discarded, so the result is that of a
-    search that tries one halving at a time. Every 100 iterations the gauge
-    fix rescales the factors. Returns (factors, margins, history, iters) by
-    restart; ``history`` has one row of margins per iteration run, and
-    restart r's are rows 0..iters[r]. A restart whose evaluation raised
-    LinAlgError (at the initial point, a gradient, a trial step before the
-    one it would accept, or a gauge fix) is retired there: its margin is nan.
+    halvings; for every pending restart, one ``_evaluate`` call of ``_trial``
+    takes the next chunk of HALVING_CHUNKS trial steps as one stacked
+    evaluation, and the restart accepts its first trial step that passes the
+    Armijo test. Trial steps after that one are discarded, so the result is
+    that of a search that tries one halving at a time. Every 100 iterations
+    the gauge fix rescales the factors.
+
+    Each iterate is evaluated once: the trial evaluation that accepts it
+    forms its A_i and the cofactors of its S_i, and the next gradient
+    (``_gradient``) reads the A_i and the S_i^{-1} assembled from them (see
+    ``inequalities._kept_inverses``), bit for bit what ``margin_gradient``
+    forms again. Only the live restarts are carried, as ``_Live``.
+
+    Returns (factors, margins, history, iters) by restart; ``history`` has
+    one row of margins per iteration run, and restart r's are rows
+    0..iters[r]. A restart whose evaluation raised LinAlgError (at the
+    initial point, a gradient, a trial step before the one it would accept,
+    or a gauge fix) is retired there: its margin is nan.
     """
-    ridge = cfg.ridge
+    trial = partial(_trial, ridge=cfg.ridge)
     factors = np.array(factors, dtype=np.float64)
-    ok, f0 = _evaluate(_margin_value, factors, ridge)
     f = np.full(len(factors), np.nan)
+    iters = np.zeros(len(factors), dtype=int)
+    ok, (f0, mats, kept) = _evaluate(trial, factors)
     f[ok] = f0
     history = [f.copy()]
-    step = np.full(len(factors), cfg.step_init)
-    iters = np.zeros(len(factors), dtype=int)
-    live = np.flatnonzero(ok)
+    live = _Live((factors, f, iters), np.flatnonzero(ok), factors[ok], f0, np.full(len(f0), cfg.step_init),
+                 mats, _kept_inverses(mats, kept, slice(None)))
     for it in range(1, cfg.max_iters + 1):
-        if live.size == 0:
+        if live.index.size == 0:
             break
-        ok, grads = _evaluate(margin_gradient, factors[live], ridge)
-        f[live[~ok]] = np.nan
-        live = live[ok]
-        gnorm2 = _sum_over_p((grads * grads).reshape(len(live), cfg.p, cfg.n * cfg.n).sum(axis=-1))
+        ok, grads = _evaluate(_gradient, live.factors, live.mats, live.invs)
+        if not ok.all():
+            live.margin[~ok] = np.nan
+            live.retire(~ok, it - 1)
+        gnorm2 = _sum_over_p((grads * grads).reshape(len(grads), cfg.p, cfg.n * cfg.n).sum(axis=-1))
         moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
-        live, grads, gnorm2 = live[moving], grads[moving], gnorm2[moving]
+        if not moving.all():
+            live.retire(~moving, it - 1)
+            grads, gnorm2 = grads[moving], gnorm2[moving]
         # trial steps t, t/2, ... by repeated halving, as a serial line search
         # forms them: t * 0.5**j would round differently once t is subnormal
-        halvings = np.full((len(live), MAX_HALVINGS), 0.5)
-        halvings[:, 0] = step[live]
+        halvings = np.full((len(grads), MAX_HALVINGS), 0.5)
+        halvings[:, 0] = live.step
         trials = np.multiply.accumulate(halvings, axis=1)
-        accepted = np.zeros(len(live), dtype=bool)
-        pending = np.arange(len(live))
+        accepted = np.zeros(len(grads), dtype=bool)
+        pending = None  # the first chunk takes every restart
         start = 0
         for k in HALVING_CHUNKS:
-            if pending.size == 0:
-                break
-            ts = trials[pending, start:start + k]
+            if pending is None:
+                ts, base, g, f_base, g2 = trials[:, :k], live.factors, grads, live.margin, gnorm2
+            else:
+                ts, base, g = trials[pending, start:start + k], live.factors[pending], grads[pending]
+                f_base, g2 = live.margin[pending], gnorm2[pending]
             start += k
-            cand = factors[live[pending], None] - ts[:, :, None, None, None] * grads[pending, None]
-            ok, f2 = _evaluate(_margin_value, cand.reshape(-1, *cand.shape[2:]), ridge)
-            ok = ok.reshape(ts.shape)
-            vals = np.full(ts.shape, np.nan)
-            vals[ok] = f2
-            win = ok & (vals <= f[live[pending], None] - 1e-4 * ts * gnorm2[pending, None])
+            cand = base[:, None] - ts[:, :, None, None, None] * g[:, None]
+            ok, (f2, mats, kept) = _evaluate(trial, cand.reshape(-1, *cand.shape[2:]))
+            raised = not ok.all()
+            if raised:
+                ok = ok.reshape(ts.shape)
+                vals = np.full(ts.shape, np.nan)
+                vals[ok] = f2
+            else:
+                vals = f2.reshape(ts.shape)
+            win = vals <= f_base[:, None] - 1e-4 * ts * g2[:, None]
             # each restart stops at its first halving that raised or passed;
             # the halvings after it are discarded, unseen by the serial search
-            stop = win | ~ok
+            stop = win | ~ok if raised else win  # a trial step that raised has a nan margin
             stopped = stop.any(axis=1)
             rows = np.flatnonzero(stopped)
             first = stop[rows].argmax(axis=1)
-            won = win[rows, first]
-            f[live[pending[rows[~won]]]] = np.nan
-            rows, first = rows[won], first[won]
-            done = live[pending[rows]]
-            factors[done], f[done] = cand[rows, first], vals[rows, first]
-            step[done] = np.minimum(2.0 * ts[rows, first], MAX_STEP)
-            accepted[pending[rows]] = True
-            pending = pending[~stopped]
-        live = live[accepted]
-        if live.size == 0:
+            at = rows if pending is None else pending[rows]
+            # row of each accepted trial step in the evaluated rows
+            pos = rows * k + first
+            if raised:
+                won = ok[rows, first]
+                live.margin[at[~won]] = np.nan
+                rows, first, at = rows[won], first[won], at[won]
+                pos = np.cumsum(ok)[pos[won]] - 1
+            live.accept(at, cand[rows, first], vals[rows, first], np.minimum(2.0 * ts[rows, first], MAX_STEP),
+                        mats[pos], _kept_inverses(mats, kept, pos))
+            accepted[at] = True
+            if stopped.all():
+                break
+            pending = np.flatnonzero(~stopped) if pending is None else pending[~stopped]
+        if not accepted.all():
+            live.retire(~accepted, it - 1)
+        if live.index.size == 0:
             break
-        iters[live] = it
-        history.append(f.copy())
+        row = np.full(len(f), np.nan)
+        row[live.index] = live.margin
+        history.append(row)
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
-            mats = _mats_from_factors(factors[live], ridge)
-            scale = cfg.p * cfg.n / _sum_over_p(np.trace(mats, axis1=-2, axis2=-1))
-            fixed = np.sqrt(scale)[:, None, None, None] * factors[live]
-            ok, f_fixed = _evaluate(_margin_value, fixed, ridge)
-            f[live[~ok]] = np.nan
-            live, fixed, f_cur = live[ok], fixed[ok], f[live[ok]]
-            keep = f_fixed <= f_cur + 1e-12 * (1.0 + np.abs(f_cur))
-            factors[live[keep]], f[live[keep]] = fixed[keep], f_fixed[keep]
+            scale = cfg.p * cfg.n / _sum_over_p(live.mats.trace(axis1=-2, axis2=-1))
+            fixed = np.sqrt(scale)[:, None, None, None] * live.factors
+            ok, (f_fixed, mats, kept) = _evaluate(trial, fixed)
+            if not ok.all():
+                live.margin[~ok] = np.nan
+                live.retire(~ok, it)
+                fixed = fixed[ok]
+            f_cur = live.margin
+            keep = np.flatnonzero(f_fixed <= f_cur + 1e-12 * (1.0 + np.abs(f_cur)))
+            live.accept(keep, fixed[keep], f_fixed[keep], None, mats[keep], _kept_inverses(mats, kept, keep))
+    live.retire(np.ones(live.index.size, dtype=bool), cfg.max_iters)
     return factors, f, np.array(history), iters
 
 

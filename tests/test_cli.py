@@ -263,6 +263,25 @@ def test_python_dash_m_entry_point():
     assert done.stdout.strip() == cp.__version__
 
 
+def test_stdout_closed_early_ends_with_one_error_line():
+    # 2000 families are far more JSON than a 64 KiB pipe buffer holds, so the
+    # write is still blocked when the reader leaves
+    src = str(Path(cp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "cyclicpd", "sample", "--n", "2", "--p", "3", "--count", "2000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(10) == b'[{"p": 3, '
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_sample_bad_params():
     assert main(["sample", "--n", "0", "--p", "3"]) == 2
     # no cyclic sum has fewer than three members, so eval would reject the family

@@ -118,14 +118,14 @@ def test_error_in_a_child_reaches_the_caller(monkeypatch, forks, low_floor):
     """The gradient raises on the last restart, which no W > 1 gives the parent."""
     cfg = CONFIGS[1]
     marked = search._initial_factors(cfg)[-1]
-    real = search.margin_gradient
+    real = search._gradient
 
-    def raising(factors, ridge):
+    def raising(factors, mats, invs):
         if any(np.array_equal(f, marked) for f in factors):
             raise NotPositiveDefinite(-7.0)
-        return real(factors, ridge)
+        return real(factors, mats, invs)
 
-    monkeypatch.setattr(search, "margin_gradient", raising)
+    monkeypatch.setattr(search, "_gradient", raising)
     with pytest.raises(NotPositiveDefinite) as serial:
         run_at(monkeypatch, 1, cfg)
     for workers in (2, 3):

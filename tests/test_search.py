@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -382,14 +383,14 @@ class TestRestartIsolation:
             init[bad] = 1e10  # A_i = L L^T + ridge*I rounds to a rank-one matrix
         else:
             marked = init[bad].copy()
-            original = search.margin_gradient
+            original = search._gradient
 
-            def failing(factors, ridge):
+            def failing(factors, mats, invs):
                 if any(np.array_equal(f, marked) for f in factors):
                     raise np.linalg.LinAlgError("injected")
-                return original(factors, ridge)
+                return original(factors, mats, invs)
 
-            monkeypatch.setattr(search, "margin_gradient", failing)
+            monkeypatch.setattr(search, "_gradient", failing)
         monkeypatch.setattr(search, "_initial_factors", lambda cfg: init)
         got = lockstep_results(self.CFG, init)
         assert np.isnan(got[bad][0])
@@ -460,7 +461,7 @@ class TestBatchedLineSearch:
 
     def run_poisoned(self, monkeypatch, bad):
         """Lockstep results when evaluating the factors ``bad`` raises LinAlgError."""
-        original = search._margin_value
+        original = search._trial
         hits = []
 
         def poisoned(factors, ridge):
@@ -469,7 +470,7 @@ class TestBatchedLineSearch:
                 raise np.linalg.LinAlgError("injected")
             return original(factors, ridge)
 
-        monkeypatch.setattr(search, "_margin_value", poisoned)
+        monkeypatch.setattr(search, "_trial", poisoned)
         return lockstep_results(self.CFG, search._initial_factors(self.CFG)), hits
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -502,16 +503,33 @@ class TestBatchedLineSearch:
     def test_stacked_calls_per_descent(self, monkeypatch):
         # search-scalar golden argv: 154 calls at one halving per call
         cfg = cp.SearchConfig(p=14, n=1, restarts=8, max_iters=50, master_seed=11)
-        original = search._margin_value
+        original = search._trial
         calls = []
 
         def counting(factors, ridge):
             calls.append(len(factors))
             return original(factors, ridge)
 
-        monkeypatch.setattr(search, "_margin_value", counting)
+        monkeypatch.setattr(search, "_trial", counting)
         search._descend(cfg, search._initial_factors(cfg))
         assert len(calls) <= 60
+
+    def test_each_iterate_is_formed_once(self, monkeypatch):
+        # search-matrix golden argv: the gradient reads the A_i and cofactors
+        # of the trial evaluation that accepted its iterate, where forming
+        # them again took 206 and 204 calls
+        cfg = cp.SearchConfig(p=23, n=3, restarts=4, max_iters=100, master_seed=11)
+        calls = {"_mats_from_factors": 0, "_cofactors": 0}
+        for module, name in ((search, "_mats_from_factors"), (ineq, "_cofactors")):
+            def counting(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(search, "_cpu_count", lambda: 1)
+        assert cp.minimize_margin(cfg).iterations_used == 400
+        assert 0 < calls["_mats_from_factors"] <= 110
+        assert 0 < calls["_cofactors"] <= 110
 
 
 class TestMatsFromFactors:
@@ -740,8 +758,28 @@ class TestClosedFormAgainstLapack:
                 with np.errstate(invalid="ignore"):  # as LAPACK meets nan entries
                     self.check(factors, ridge)
                 assert np.isnan(fn(factors[1:2], ridge)).any() == (poison == "nan")
-            ok, _ = search._evaluate(fn, factors, ridge)
+            ok, _ = search._evaluate(partial(fn, ridge=ridge), factors)
             assert ok.tolist() == [True, not singular, True, True]
+
+    @pytest.mark.parametrize("n,kind", [(1, "scaled"), (5, "random"), (5, "floor")]
+                             + [(n, kind) for n in (2, 3) for kind in ("random", "scaled", "floor", "nan", "huge")])
+    def test_kept_inverses_are_cyclic_inverses(self, n, kind):
+        # the descent's gradient takes S_i^{-1} from what the trial evaluation
+        # kept; floor, nan and huge stacks hold blocks the guard refuses
+        rng = rng_for(900 + n)
+        factors = self.stack("random" if kind in ("nan", "huge") else kind, n, 7, rng, size=8)
+        if kind == "nan":
+            factors[1, 0, 0, 0] = np.nan
+        elif kind == "huge":
+            factors[1] = (1e80 if n == 2 else 1e52) * np.eye(n)
+        with np.errstate(invalid="ignore"):  # as LAPACK meets nan entries
+            mats = search._mats_from_factors(factors, search.MIN_RIDGE)
+            _, kept = ineq._cyclic_traces(mats)
+            for rows in (slice(None), np.array([6, 1, 1, 3]), np.array([], dtype=int)):
+                got, want = ineq._kept_inverses(mats, kept, rows), ineq.cyclic_inverses(mats[rows])
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if n in (2, 3) and kind in ("floor", "nan", "huge"):
+            assert not admitted(factors, search.MIN_RIDGE).all()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_empty_and_single_family(self, n):

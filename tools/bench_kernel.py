@@ -1,15 +1,18 @@
 """Kernel, checker, suite, count and fork layers: microseconds of the search's
-``_margin_value`` plus ``margin_gradient`` per descent iteration and of one
-``cyclic_traces`` call, microseconds per trial of each ``batch_`` checker,
-the wall time of each verify suite and of all three in one process, the
-calls a verify grid and one call of each checker make, and the wall time of
-whole searches and verify grids in one process against two.
+kernels per descent iteration and of one ``cyclic_traces`` call,
+microseconds per trial of each ``batch_`` checker, the wall time of each
+verify suite and of all three in one process, the calls a verify grid and
+one call of each checker make, and the wall time of whole searches and
+verify grids in one process against two.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
-a seeded search, with both kernels wrapped in a timer, for each (n, p, R)
-case, and prints one JSON document: per case the median over ``--runs`` runs
-of kernel time per accepted iteration, of the whole descent's time and of
-the kernels' share of it (kernel time / descent time), and the iterations.
+a seeded search, with the kernels it calls (``KERNELS``: the trial
+evaluation, the S_i^{-1} it keeps and the gradient, or in an older tree the
+margin and ``margin_gradient``) wrapped in a timer that counts only the
+outermost of nested kernel calls, for each (n, p, R) case, and prints one
+JSON document: per case the median over ``--runs`` runs of kernel time per
+accepted iteration, of the whole descent's time and of the kernels' share of
+it (kernel time / descent time), and the iterations.
 Then, for each (T, p, n) trace case, it times ``cyclic_traces`` on T real
 families drawn as verify draws them: the median over ``--runs`` runs of the
 mean µs per call, and the largest relative difference from the trace sums
@@ -36,8 +39,11 @@ The count layer runs ``run_suites`` on the same grid at W = 1 under
 cProfile, for ``all`` and for each suite alone, after one unprofiled run
 that fills the module's caches: the total calls cProfile sees (Python
 functions and the built-ins they call) and the calls of each ``np.linalg``
-routine in ``LINALG_COUNTED``. Then, per (checker, n, field), it counts the
-calls of one call of each checker at the grid's chunk shape (T = 4 trials,
+routine in ``LINALG_COUNTED``. It does the same for ``minimize_margin`` on
+the two benchmark search commands (``COUNT_SEARCHES``), and adds the calls
+of ``search._mats_from_factors`` and ``inequalities._cofactors``, which
+form each iterate's A_i and S_i cofactors. Then, per (checker, n, field),
+it counts the calls of one call of each checker at the grid's chunk shape (T = 4 trials,
 n in {1, 3, 6}, p = 8 for the family checkers), on plain arrays drawn as the
 checker layer draws them, after one unprofiled call. The counts are exact
 for a given tree and seed, so a difference between two trees is a fact, not
@@ -97,6 +103,13 @@ CHECKER_CASES = [(n, field) for n in (1, 3, 6) for field in ("real", "complex")]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # the np.linalg routines whose calls the count layer reports
 LINALG_COUNTED = ("eigh", "eigvalsh", "solve", "inv", "eigvals")
+# name -> (p, n, restarts, iterations) of the benchmark's search commands, at master_seed --seed
+COUNT_SEARCHES = {"search-scalar": (14, 1, 8, 50), "search-matrix": (23, 3, 4, 100)}
+# the search functions the count layer counts, as (module, name)
+FORMING = (("search", "_mats_from_factors"), ("inequalities", "_cofactors"))
+# what the descent calls to evaluate its iterates, in the search module; the
+# last two are an older tree's, so the layer times both trees of a comparison
+KERNELS = ("_trial", "_kept_inverses", "_gradient", "_margin_value", "margin_gradient")
 
 
 def load_calibration():
@@ -126,12 +139,18 @@ def four_digits(x: float) -> float:
 
 
 def timed(fn, spent):
-    def wrapper(factors, ridge):
+    """``fn`` adding its seconds to spent[0], unless it runs inside another
+    timed call (spent[1] is then set), whose time holds it already."""
+    def wrapper(*args, **kwargs):
+        if spent[1]:
+            return fn(*args, **kwargs)
+        spent[1] = True
         t0 = time.perf_counter()
         try:
-            return fn(factors, ridge)
+            return fn(*args, **kwargs)
         finally:
             spent[0] += time.perf_counter() - t0
+            spent[1] = False
     return wrapper
 
 
@@ -139,13 +158,15 @@ def run_case(n: int, p: int, restarts: int, iters: int, seed: int, batch):
     """(kernel s, descent s, descent cal, iterations) of one in-process descent."""
     cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
     start = search._initial_factors(cfg)
-    spent = [0.0]
-    kernels = search._margin_value, search.margin_gradient
-    search._margin_value, search.margin_gradient = (timed(fn, spent) for fn in kernels)
+    spent = [0.0, False]
+    kernels = {name: getattr(search, name) for name in KERNELS if hasattr(search, name)}
+    for name, fn in kernels.items():
+        setattr(search, name, timed(fn, spent))
     try:
         wall, cals, (_, _, _, done) = calibrated(batch, lambda: search._descend(cfg, start))
     finally:
-        search._margin_value, search.margin_gradient = kernels
+        for name, fn in kernels.items():
+            setattr(search, name, fn)
     return spent[0], wall, cals, int(done.sum())
 
 
@@ -258,16 +279,22 @@ def suite_layer(runs: int, seed: int, batch) -> dict:
     return out
 
 
-def counted(fn, *args):
-    """(total calls, {np.linalg routine: calls}) that cProfile sees in fn(*args)."""
+def counted(fn, *args, functions=()):
+    """(total calls, {np.linalg routine: calls}, {"module.name": calls}) that
+    cProfile sees in fn(*args), the last for each ``cyclicpd`` (module, name)
+    of ``functions``."""
     prof = cProfile.Profile()
     prof.runcall(fn, *args)
     stats = pstats.Stats(prof)
     linalg = dict.fromkeys(LINALG_COUNTED, 0)
+    own = {f"{module}.{name}": 0 for module, name in functions}
     for (path, _, func), (_, calls, *_) in stats.stats.items():
         if func in linalg and Path(path).parent.name == "linalg":
             linalg[func] += calls
-    return stats.total_calls, linalg
+        key = f"{Path(path).stem}.{func}"
+        if key in own and Path(path).parent.name == "cyclicpd":
+            own[key] += calls
+    return stats.total_calls, linalg, own
 
 
 def count_layer(seed: int) -> dict:
@@ -275,15 +302,23 @@ def count_layer(seed: int) -> dict:
     out = {"dims": dims, "p": ps, "trials": trials, "seed": seed}
     serial_suites("all", seed)  # fill the lru caches, whose misses cProfile counts
     for name in ("all",) + verify.SUITES:
-        calls, linalg = counted(serial_suites, name, seed)
+        calls, linalg, _ = counted(serial_suites, name, seed)
         out[name] = {"calls": calls, "linalg": linalg}
+    out["searches"] = {}
+    for name, (p, n, restarts, iters) in COUNT_SEARCHES.items():
+        cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
+        run = lambda: with_rule(lambda work, units: 1, lambda: search.minimize_margin(cfg))  # noqa: E731
+        run()
+        calls, linalg, own = counted(run, functions=FORMING)
+        out["searches"][name] = {"p": p, "n": n, "restarts": restarts, "iterations": iters,
+                                 "calls": calls, **own, "linalg": linalg}
     out["checkers"] = {"trials": trials, "p": CHECKER_P, "cases": []}
     rng = np.random.default_rng(seed)
     for n, field in CHECKER_CASES:
         for name, ops in checker_args(n, field, trials, rng).items():
             fn = getattr(inequalities, f"batch_{name}")
             fn(*ops)
-            calls, _ = counted(fn, *ops)
+            calls, _, _ = counted(fn, *ops)
             out["checkers"]["cases"].append({"checker": name, "n": n, "field": field, "calls": calls})
     return out
 
