@@ -152,8 +152,6 @@ def cmd_search(args) -> int:
             n=args.n if args.n is not None else 1,
             restarts=args.restarts,
             max_iters=args.max_iters,
-            step_init=args.step_init,
-            ridge=args.ridge,
             master_seed=args.seed,
         )
     except ValueError as exc:
@@ -182,7 +180,8 @@ def cmd_eval(args) -> int:
         families = [family_from_dict(d).mats for d in (doc if isinstance(doc, list) else [doc])]
         if not families:
             raise ValueError("the file holds an empty list, not a family")
-    except (OSError, ValueError, KeyError, CyclicPDError) as exc:
+    except (OSError, ValueError, KeyError, RecursionError, CyclicPDError) as exc:
+        # json and the family reader recurse once per nesting level
         print(f"error: cannot load family: {exc}", file=sys.stderr)
         return 2
     out = []
@@ -243,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, default=None)
     sp.add_argument("--restarts", type=int, default=32)
     sp.add_argument("--max-iters", type=int, default=3000)
-    sp.add_argument("--step-init", type=float, default=0.5)
-    sp.add_argument("--ridge", type=float, default=1e-8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_search)

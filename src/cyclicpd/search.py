@@ -2,13 +2,14 @@
 
 Minimizes the cyclic trace-sum margin (the defect of the conditional bound
 Tr-sum >= p*n/2) by multi-restart gradient descent with Armijo backtracking.
-Iterates are parameterized as A_i = L_i L_i^T + ridge*I, so the feasible set
-is unconstrained and every iterate stays strictly positive definite. The
-restarts descend in lockstep as one (restarts, p, n, n) stack; each keeps its
-own step and stopping state, so a restart's trajectory does not depend on
-which other restarts run beside it. An iteration is one accepted step. Each
-line search starts at min(2 x the restart's last accepted step, 1e3) (the
-first at ``step_init``) and tries at most 50 halvings of it; the halvings are
+Iterates are parameterized as A_i = L_i L_i^T + RIDGE*I (RIDGE = 1e-8), so the
+feasible set is unconstrained and every iterate stays strictly positive
+definite, above the floor at which ``eval`` loads a family. The restarts
+descend in lockstep as one (restarts, p, n, n) stack; each keeps its own step
+and stopping state, so a restart's trajectory does not depend on which other
+restarts run beside it. An iteration is one accepted step. Each line search
+starts at min(2 x the restart's last accepted step, 1e3) (the first at
+STEP_INIT = 0.5) and tries at most 50 halvings of it; the halvings are
 evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
 the result of trying them one at a time. Every 100 iterations a gauge fix
 rescales the factors. The margin is the cyclic trace sum of
@@ -34,7 +35,7 @@ p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -45,17 +46,13 @@ from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_t
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
-# Largest accepted ridge: from about 1e154 the squared entries that the
-# re-check's norms and residual gate form overflow, and the search would
-# report margin 0 after overflow warnings.
-MAX_RIDGE = 1e100
-# Smallest accepted ridge: a member at the ridge floor keeps its smallest
-# eigenvalue above the 1e-12 floor that ``eval`` applies when it loads a
-# ``best_family``, so every reported family replays.
-MIN_RIDGE = 1e-10
-# Largest step a line search starts from, and so the largest accepted
-# step_init: from a start of about 1e16 up, 50 halvings never reach a step
-# the line search accepts, and the search would report its starting point.
+# Every member is A_i = L_i L_i^T + RIDGE*I: its smallest eigenvalue stays
+# above the 1e-12 floor (``pdcore.PD_FLOOR``) that ``eval`` applies when it
+# loads a ``best_family``, so every reported family replays.
+RIDGE = 1e-8
+STEP_INIT = 0.5  # the first line search's first trial step
+# Largest step a later line search starts from: from a start of about 1e16 up,
+# 50 halvings never reach a step the line search accepts.
 MAX_STEP = 1e3
 # A line search tries at most MAX_HALVINGS trial steps, evaluated in stacked
 # chunks of these sizes: most accept within the first chunk, and a restart
@@ -72,8 +69,6 @@ class SearchConfig:
     n: int = 1
     restarts: int = 32
     max_iters: int = 3000
-    step_init: float = 0.5
-    ridge: float = 1e-8
     master_seed: int = 0
 
     def __post_init__(self):
@@ -81,13 +76,12 @@ class SearchConfig:
             raise ValueError("p must be >= 3")
         if self.n < 1 or self.restarts < 1 or self.max_iters < 1:
             raise ValueError("n, restarts and max_iters must be positive")
-        if not (0.0 < self.step_init <= MAX_STEP and MIN_RIDGE <= self.ridge <= MAX_RIDGE):
-            raise ValueError(
-                f"step_init must be in (0, {MAX_STEP:g}], and ridge in [{MIN_RIDGE:g}, {MAX_RIDGE:g}]"
-            )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config and the search's two constants, in a fixed key order;
+        ``ridge`` names the feasible set A_i >= RIDGE*I of the margins."""
+        return {"p": self.p, "n": self.n, "restarts": self.restarts, "max_iters": self.max_iters,
+                "step_init": STEP_INIT, "ridge": RIDGE, "master_seed": self.master_seed}
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
     if cfg.n == 1:
         # scalar starts span orders of magnitude, like the known counterexamples
         a = np.exp(rng.uniform(-3.0, 3.0, cfg.p))
-        return np.sqrt(np.maximum(a - cfg.ridge, 1e-12)).reshape(cfg.p, 1, 1)
+        return np.sqrt(a - RIDGE).reshape(cfg.p, 1, 1)
     return np.eye(cfg.n) + 0.5 * rng.standard_normal((cfg.p, cfg.n, cfg.n))
 
 
@@ -196,26 +190,26 @@ def _initial_factors(cfg: SearchConfig):
     ])
 
 
-def _evaluate(fn, *stacks):
-    """``fn`` on the rows of its stacks that it can evaluate: (ok, fn(*(s[ok] for s in stacks))).
+def _evaluate(fn, stack):
+    """``fn`` on the rows of ``stack`` that it can evaluate: (ok, fn(stack[ok])).
 
     A row is one family: a restart, or one trial step of a restart in a line
-    search, with what the stacks hold of it. Each row's value does not depend
-    on which other rows share its stack. numpy raises LinAlgError for a whole
-    stack when one matrix in it is singular, so the stacks are then tried row
-    by row and only the rows that fail on their own are left out.
+    search. Each row's value does not depend on which other rows share its
+    stack. numpy raises LinAlgError for a whole stack when one matrix in it is
+    singular, so the stack is then tried row by row and only the rows that
+    fail on their own are left out.
     """
-    ok = np.ones(len(stacks[0]), dtype=bool)
+    ok = np.ones(len(stack), dtype=bool)
     try:
-        return ok, fn(*stacks)
+        return ok, fn(stack)
     except np.linalg.LinAlgError:
         pass
     for r in range(len(ok)):
         try:
-            fn(*(s[r:r + 1] for s in stacks))
+            fn(stack[r:r + 1])
         except np.linalg.LinAlgError:
             ok[r] = False
-    return ok, fn(*(s[ok] for s in stacks))
+    return ok, fn(stack[ok])
 
 
 class _Live:
@@ -271,25 +265,24 @@ def _descend(cfg: SearchConfig, factors):
     Returns (factors, margins, history, iters) by restart; ``history`` has
     one row of margins per iteration run, and restart r's are rows
     0..iters[r]. A restart whose evaluation raised LinAlgError (at the
-    initial point, a gradient, a trial step before the one it would accept,
-    or a gauge fix) is retired there: its margin is nan.
+    initial point, a trial step before the one it would accept, or a gauge
+    fix) is retired there: its margin is nan. The gradient is matrix
+    products of arrays already formed and cannot raise; a nan gradient fails
+    the line search.
     """
-    trial = partial(_trial, ridge=cfg.ridge)
+    trial = partial(_trial, ridge=RIDGE)
     factors = np.array(factors, dtype=np.float64)
     f = np.full(len(factors), np.nan)
     iters = np.zeros(len(factors), dtype=int)
     ok, (f0, mats, kept) = _evaluate(trial, factors)
     f[ok] = f0
     history = [f.copy()]
-    live = _Live((factors, f, iters), np.flatnonzero(ok), factors[ok], f0, np.full(len(f0), cfg.step_init),
+    live = _Live((factors, f, iters), np.flatnonzero(ok), factors[ok], f0, np.full(len(f0), STEP_INIT),
                  mats, _kept_inverses(mats, kept, slice(None)))
     for it in range(1, cfg.max_iters + 1):
         if live.index.size == 0:
             break
-        ok, grads = _evaluate(_gradient, live.factors, live.mats, live.invs)
-        if not ok.all():
-            live.margin[~ok] = np.nan
-            live.retire(~ok, it - 1)
+        grads = _gradient(live.factors, live.mats, live.invs)
         gnorm2 = _sum_over_p((grads * grads).reshape(len(grads), cfg.p, cfg.n * cfg.n).sum(axis=-1))
         moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
         if not moving.all():
@@ -408,7 +401,7 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     f, factors = float(margins[r]), factors[r]
     history = [(k, float(m)) for k, m in enumerate(history[:iters[r] + 1, r])]
     total_iters = int(iters[survivors].sum())
-    mats = _mats_from_factors(factors, cfg.ridge)
+    mats = _mats_from_factors(factors, RIDGE)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)
     recomputed = _refined_cyclic_sum_trace(mats) - cfg.p * cfg.n / 2.0

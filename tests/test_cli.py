@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +10,8 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
-from cyclicpd.cli import main, _parse_range
-from cyclicpd.search import MAX_RIDGE, MIN_RIDGE
+from cyclicpd.cli import build_parser, main, _parse_range
+from cyclicpd.search import RIDGE
 
 
 def strip_timestamps(doc):
@@ -86,6 +88,15 @@ def test_eval_bad_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"p": 3, "members": []}')
     assert main(["eval", "--family", str(bad), "--expr", "Fp"]) == 2
+
+
+def test_eval_deeply_nested_file(tmp_path, capsys):
+    """A file nested deeper than the JSON reader recurses is a load error."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["eval", "--family", str(deep), "--expr", "Fp"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot load family:") and captured.out == ""
 
 
 MEMBER = {"n": 1, "field": "real", "entries": [[1.0]]}
@@ -348,31 +359,14 @@ def test_search_cli_and_replay(tmp_path, capsys):
 
 
 def test_search_at_min_ridge_replays(tmp_path, capsys):
-    """At the smallest accepted ridge a member sits on the ridge floor, and the
-    reported family still loads and evaluates to the reported margin."""
+    """Here a member sits on the ridge floor, and the reported family still
+    loads and evaluates to the reported margin."""
     out = tmp_path / "s.json"
     assert main(["search", "--p", "23", "--n", "3", "--restarts", "2", "--max-iters", "1000",
-                 "--seed", "11", "--ridge", repr(MIN_RIDGE), "--out", str(out)]) == 0
+                 "--seed", "11", "--out", str(out)]) == 0
     res = json.loads(out.read_text())["results"]
     floor = min(np.linalg.eigvalsh(np.array(m["entries"]))[0] for m in res["best_family"]["members"])
-    assert floor < 2 * MIN_RIDGE
-    fam = tmp_path / "best.json"
-    fam.write_text(json.dumps(res["best_family"]))
-    capsys.readouterr()
-    assert main(["eval", "--family", str(fam), "--expr", "margin"]) == 0
-    assert json.loads(capsys.readouterr().out) == pytest.approx(res["best_margin"], abs=1e-9)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", [2, 3])
-def test_search_at_max_ridge_replays(tmp_path, capsys, n):
-    """At the largest accepted ridge each denominator's determinant is about
-    (2e100)^n, near overflow at n = 3; the search still ends cleanly, and its
-    family evaluates to the reported margin."""
-    out = tmp_path / "s.json"
-    assert main(["search", "--p", "5", "--n", str(n), "--restarts", "2", "--max-iters", "50",
-                 "--seed", "3", "--ridge", repr(MAX_RIDGE), "--out", str(out)]) == 0
-    res = json.loads(out.read_text())["results"]
+    assert floor < 2 * RIDGE
     fam = tmp_path / "best.json"
     fam.write_text(json.dumps(res["best_family"]))
     capsys.readouterr()
@@ -389,6 +383,27 @@ def test_search_tolerance_flag_is_gone(capsys):
         main(["search", "--p", "5", "--tol-rel", "1e-9"])
     assert exc.value.code == 2
     assert "--tol-rel" in capsys.readouterr().err
+
+
+def test_search_ridge_and_step_init_flags_are_gone(capsys):
+    for flag in ("--ridge", "--step-init"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--p", "5", flag, "1e-8"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_readme_flags_are_parser_options():
+    """Every --flag the README names, outside its pip and tools/ command lines,
+    is an option of some cyclicpd subcommand."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {o for sp in subparsers.choices.values() for a in sp._actions for o in a.option_strings}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    named = {flag for line in readme.read_text(encoding="utf-8").splitlines()
+             if "pip " not in line and "tools/" not in line
+             for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", line)}
+    assert "--out" in named
+    assert named <= options, sorted(named - options)
 
 
 def test_search_stdout_is_one_json_document(capsys):
@@ -413,14 +428,6 @@ def test_search_stdout_is_one_json_document(capsys):
     ["verify", "--tol-rel=-1e-9"],
     ["verify", "--tol-rel", "1"],
     ["verify", "--tol-rel", "1e308"],
-    ["search", "--p", "5", "--ridge", "nan"],
-    ["search", "--p", "5", "--ridge", "inf"],
-    ["search", "--p", "5", "--ridge", "1e200"],
-    ["search", "--p", "23", "--n", "3", "--restarts", "2", "--max-iters", "1000",
-     "--seed", "11", "--ridge", "1e-14"],
-    ["search", "--p", "5", "--step-init", "nan"],
-    ["search", "--p", "14", "--n", "1", "--restarts", "8", "--max-iters", "50",
-     "--seed", "11", "--step-init", "1e16"],
     ["verify", "--seed", "-1"],
     ["search", "--p", "5", "--seed", "-1"],
     ["sample", "--n", "2", "--p", "3", "--seed", "-1"],

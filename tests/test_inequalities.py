@@ -230,13 +230,20 @@ def equal_members(n, field, scale, trials, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_equal_members_reach_equality(n, field, scale):
     """At A_i = A each of these bounds is an equality: every trial holds, with a
-    margin within 1e-10 of zero relative to the sides it compares."""
+    margin within 1e-10 of zero relative to the sides it compares.
+
+    ``block_certificate`` is left out: its margin is an eigenvalue in the
+    blocks' own scale, not relative to its sides, and reads 12 times this
+    bound at scale 1e6."""
     a = equal_members(n, field, scale, 20, n)
-    cases = [ineq.batch_eigineq1(a, a), ineq.batch_nesbitt(np.stack([a] * 3, axis=1))]
+    four = np.stack([a] * 4, axis=1)
+    cases = [ineq.batch_eigineq1(a, a), ineq.batch_nesbitt(np.stack([a] * 3, axis=1)),
+             ineq.batch_s4_decomposition(four), ineq.batch_bidirectional_eig4(four)]
     for p in (3, 5, 8):
         fams = np.stack([a] * p, axis=1)
         cases += [ineq.batch_nesbitt_k(fams), ineq.batch_product_sum_eigs(fams),
-                  ineq.batch_harmonic_loewner(fams)]
+                  ineq.batch_harmonic_loewner(fams), ineq.batch_shapiro_trace(fams),
+                  ineq.batch_bidirectional(fams), ineq.batch_square_cycle(fams)]
     for r in cases:
         bound = 1e-10 * (1.0 + abs(r.lhs) + abs(np.asarray(r.rhs)))
         assert r.holds.all(), (r.check_name, r.p)

@@ -111,23 +111,6 @@ class TestSearchConfig:
             cp.SearchConfig(p=2)
         with pytest.raises(ValueError):
             cp.SearchConfig(p=3, restarts=0)
-        with pytest.raises(ValueError):
-            cp.SearchConfig(p=3, ridge=0.0)
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ValueError):
-                cp.SearchConfig(p=3, ridge=bad)
-            with pytest.raises(ValueError):
-                cp.SearchConfig(p=3, step_init=bad)
-        with pytest.raises(ValueError, match="ridge"):
-            cp.SearchConfig(p=3, ridge=1e200)
-        assert cp.SearchConfig(p=3, ridge=search.MAX_RIDGE).ridge == 1e100
-        with pytest.raises(ValueError, match="ridge"):
-            cp.SearchConfig(p=3, ridge=1e-14)
-        assert cp.SearchConfig(p=3, ridge=search.MIN_RIDGE).ridge == 1e-10
-        for bad in (np.nextafter(search.MAX_STEP, np.inf), 1e16, 1e300):
-            with pytest.raises(ValueError, match="step_init"):
-                cp.SearchConfig(p=3, step_init=bad)
-        assert cp.SearchConfig(p=3, step_init=search.MAX_STEP).step_init == 1e3
 
 
 class TestMinimizeMargin:
@@ -210,7 +193,7 @@ def ref_init_factors(cfg, r):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(r,)))
     if cfg.n == 1:
         a = np.exp(rng.uniform(-3.0, 3.0, cfg.p))
-        return [np.array([[v]]) for v in np.sqrt(np.maximum(a - cfg.ridge, 1e-12))]
+        return [np.array([[v]]) for v in np.sqrt(np.maximum(a - 1e-8, 1e-12))]
     eye = np.eye(cfg.n)
     return [eye + 0.5 * rng.standard_normal((cfg.n, cfg.n)) for _ in range(cfg.p)]
 
@@ -241,12 +224,13 @@ def ref_descend(cfg, factors, line_searches=None):
     (iteration, factors, grads, trial steps tried, accepted halving index or
     None when all 50 fail).
     """
-    f = ref_margin_value(factors, cfg.ridge)
+    ridge = 1e-8
+    f = ref_margin_value(factors, ridge)
     history = [(0, f)]
-    step = cfg.step_init
+    step = 0.5
     iters = 0
     for it in range(1, cfg.max_iters + 1):
-        grads = ref_margin_gradient(factors, cfg.ridge)
+        grads = ref_margin_gradient(factors, ridge)
         gnorm2 = sum(float((g * g).sum()) for g in grads)
         if gnorm2 < 1e-24:
             break
@@ -256,7 +240,7 @@ def ref_descend(cfg, factors, line_searches=None):
         for j in range(50):
             tried.append(t)
             cand = [l - t * g for l, g in zip(factors, grads)]
-            f2 = ref_margin_value(cand, cfg.ridge)
+            f2 = ref_margin_value(cand, ridge)
             if f2 <= f - 1e-4 * t * gnorm2:
                 accepted = j
                 break
@@ -270,9 +254,9 @@ def ref_descend(cfg, factors, line_searches=None):
         history.append((it, f))
         step = min(2.0 * t, 1e3)
         if it % 100 == 0:
-            total_tr = sum(float(np.trace(m)) for m in ref_mats(factors, cfg.ridge))
+            total_tr = sum(float(np.trace(m)) for m in ref_mats(factors, ridge))
             fixed = [np.sqrt(cfg.p * cfg.n / total_tr) * l for l in factors]
-            f_fixed = ref_margin_value(fixed, cfg.ridge)
+            f_fixed = ref_margin_value(fixed, ridge)
             if f_fixed <= f + 1e-12 * (1.0 + abs(f)):
                 factors, f = fixed, f_fixed
     return factors, f, history, iters
@@ -371,7 +355,7 @@ class TestRestartIsolation:
         for r in range(self.CFG.restarts):
             assert_same_restart(reordered[-1 - r], batch[r])
 
-    @pytest.mark.parametrize("poison", ["nan", "singular", "gradient"])
+    @pytest.mark.parametrize("poison", ["nan", "singular"])
     def test_diverging_restart_dropped_alone(self, poison, monkeypatch):
         clean_init = search._initial_factors(self.CFG)
         clean = lockstep_results(self.CFG, clean_init)
@@ -379,18 +363,8 @@ class TestRestartIsolation:
         init = clean_init.copy()
         if poison == "nan":
             init[bad, 0, 0, 0] = np.nan
-        elif poison == "singular":
-            init[bad] = 1e10  # A_i = L L^T + ridge*I rounds to a rank-one matrix
         else:
-            marked = init[bad].copy()
-            original = search._gradient
-
-            def failing(factors, mats, invs):
-                if any(np.array_equal(f, marked) for f in factors):
-                    raise np.linalg.LinAlgError("injected")
-                return original(factors, mats, invs)
-
-            monkeypatch.setattr(search, "_gradient", failing)
+            init[bad] = 1e10  # A_i = L L^T + ridge*I rounds to a rank-one matrix
         monkeypatch.setattr(search, "_initial_factors", lambda cfg: init)
         got = lockstep_results(self.CFG, init)
         assert np.isnan(got[bad][0])
@@ -669,7 +643,7 @@ class TestClosedFormAgainstLapack:
         assert np.all(np.abs(grads - want_grads).max(axis=(1, 2, 3))[finite] <= self.RTOL * scale[finite])
         return ok
 
-    @pytest.mark.parametrize("ridge", [1e-8, search.MIN_RIDGE, search.MAX_RIDGE])
+    @pytest.mark.parametrize("ridge", [1e-8, 1e-10, 1e100])
     @pytest.mark.parametrize("kind", ["random", "scaled", "floor"])
     @pytest.mark.parametrize("n,p", [(2, 12), (3, 23), (2, 3), (3, 5)])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -686,7 +660,7 @@ class TestClosedFormAgainstLapack:
     def test_inverses_agree_with_lapack(self, n):
         rng = rng_for(400 + n)
         for kind in ("random", "scaled", "floor"):
-            mats = search._mats_from_factors(self.stack(kind, n, 7, rng), search.MIN_RIDGE)
+            mats = search._mats_from_factors(self.stack(kind, n, 7, rng), 1e-10)
             got, want = ineq.cyclic_inverses(mats), lapack_inverses(mats)
             ok = admitted_blocks(ineq.cyclic_denominators(mats))
             err = np.abs(got - want).max(axis=(-1, -2)) / np.abs(want).max(axis=(-1, -2))
@@ -700,8 +674,8 @@ class TestClosedFormAgainstLapack:
         # whose every block is refused the batched LAPACK solve's
         rng = rng_for(800 + n)
         factors = np.concatenate([self.stack(kind, n, p, rng) for kind in ("scaled", "floor")])
-        mats = search._mats_from_factors(factors, search.MIN_RIDGE)
-        ok = admitted(factors, search.MIN_RIDGE)
+        mats = search._mats_from_factors(factors, 1e-10)
+        ok = admitted(factors, 1e-10)
         mixed = ok.any(axis=1) & ~ok.all(axis=1)
         lapack_only = ~ok.any(axis=1)
         assert mixed.any() and lapack_only.any()
@@ -773,13 +747,13 @@ class TestClosedFormAgainstLapack:
         elif kind == "huge":
             factors[1] = (1e80 if n == 2 else 1e52) * np.eye(n)
         with np.errstate(invalid="ignore"):  # as LAPACK meets nan entries
-            mats = search._mats_from_factors(factors, search.MIN_RIDGE)
+            mats = search._mats_from_factors(factors, 1e-10)
             _, kept = ineq._cyclic_traces(mats)
             for rows in (slice(None), np.array([6, 1, 1, 3]), np.array([], dtype=int)):
                 got, want = ineq._kept_inverses(mats, kept, rows), ineq.cyclic_inverses(mats[rows])
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
         if n in (2, 3) and kind in ("floor", "nan", "huge"):
-            assert not admitted(factors, search.MIN_RIDGE).all()
+            assert not admitted(factors, 1e-10).all()
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_empty_and_single_family(self, n):
