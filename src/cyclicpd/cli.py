@@ -29,19 +29,21 @@ from .search import (
 from .serialize import family_from_dict, family_to_dict
 
 
-def _parse_range(text: str) -> list[int]:
-    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]. A value may appear once."""
+def _parse_range(text: str, flag: str) -> list[int]:
+    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]. A value may appear
+    once. Errors name the option ``flag`` and its text."""
     out = []
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        bounds = part.split("..")
+        try:
+            lo, hi = map(int, bounds) if len(bounds) == 2 else (int(part),) * 2
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {part!r} is not an integer or lo..hi") from None
+        out.extend(range(lo, hi + 1))
     if not out:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty {flag} range {text!r}")
     if len(set(out)) != len(out):
-        raise ValueError(f"repeated value in range {text!r}")
+        raise ValueError(f"repeated value in {flag} {text!r}")
     return out
 
 
@@ -86,8 +88,8 @@ def _emit(doc: dict, out_path) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        dims = _parse_range(args.dims)
-        p_values = _parse_range(args.p)
+        dims = _parse_range(args.dims, "--dims")
+        p_values = _parse_range(args.p, "--p")
         if min(dims) < 1:
             raise ValueError("--dims must be >= 1")
         if min(p_values) < 3:

@@ -20,11 +20,13 @@ solve per refused term, a symmetrized inverse). Each iterate is evaluated
 once: the trial evaluation that accepts it keeps its A_i and what it formed
 S_i from, and the next gradient takes S_i^{-1} from those by the same rule,
 bit for bit what ``margin_gradient`` (A_i and ``cyclic_inverses`` formed
-afresh) gives. The descent carries only the restarts still descending. The
-restarts are cut into contiguous shares, one per process that
-``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
-max_iters), and each share descends in a forked process; a search below the
-fork floor, such as a small or scalar one, runs as one stack in this process.
+afresh) gives. The descent carries only the restarts still descending, as
+arrays rebuilt each iteration from the first chunk's gathers; a later chunk
+only overwrites the rows of restarts still pending. The restarts are cut into
+contiguous shares, one per process that ``_fork.workers_for`` grants the
+search's work (restarts x p x n**2 x max_iters), and each share descends in a
+forked process; a search below the fork floor, such as a small or scalar one,
+runs as one stack in this process.
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
@@ -126,8 +128,8 @@ def scalar_cyclic_sum(values) -> float:
 
 
 @lru_cache(maxsize=128)
-def _eye(n: int) -> np.ndarray:
-    eye = np.eye(n)
+def _ridge_eye(n: int, ridge: float) -> np.ndarray:
+    eye = ridge * np.eye(n)
     eye.flags.writeable = False
     return eye
 
@@ -135,7 +137,7 @@ def _eye(n: int) -> np.ndarray:
 def _mats_from_factors(factors, ridge: float):
     # a contiguous transpose takes numpy's faster matmul path and rounds the
     # same as the transposed view
-    return factors @ np.ascontiguousarray(factors.swapaxes(-1, -2)) + ridge * _eye(factors.shape[-1])
+    return factors @ np.ascontiguousarray(factors.swapaxes(-1, -2)) + _ridge_eye(factors.shape[-1], ridge)
 
 
 def _trial(factors, ridge: float):
@@ -191,7 +193,8 @@ def _initial_factors(cfg: SearchConfig):
 
 
 def _evaluate(fn, stack):
-    """``fn`` on the rows of ``stack`` that it can evaluate: (ok, fn(stack[ok])).
+    """``fn`` on the rows of ``stack`` that it can evaluate: (ok, fn(stack[ok])),
+    ok None when it can evaluate all.
 
     A row is one family: a restart, or one trial step of a restart in a line
     search. Each row's value does not depend on which other rows share its
@@ -199,11 +202,11 @@ def _evaluate(fn, stack):
     singular, so the stack is then tried row by row and only the rows that
     fail on their own are left out.
     """
-    ok = np.ones(len(stack), dtype=bool)
     try:
-        return ok, fn(stack)
+        return None, fn(stack)
     except np.linalg.LinAlgError:
         pass
+    ok = np.ones(len(stack), dtype=bool)
     for r in range(len(ok)):
         try:
             fn(stack[r:r + 1])
@@ -212,26 +215,45 @@ def _evaluate(fn, stack):
     return ok, fn(stack[ok])
 
 
+def _try_steps(trial, ts, factors, grads, margin, gnorm2):
+    """(stop, ok, gather) of one stacked evaluation of the trial steps ts
+    (B, k) of B line searches: ``stop`` marks those that pass the Armijo test
+    or raised, ``ok`` those evaluated (None: all), and gather(rows, first)
+    takes evaluated ones (``_gather``)."""
+    cand = factors[:, None] - ts[:, :, None, None, None] * grads[:, None]
+    ok, (f2, mats, kept) = _evaluate(trial, cand.reshape(-1, *cand.shape[2:]))
+    if ok is None:
+        vals = f2.reshape(ts.shape)
+    else:  # a trial step that raised has a nan margin, and stops its line search
+        ok = ok.reshape(ts.shape)
+        vals = np.full(ts.shape, np.nan)
+        vals[ok] = f2
+    stop = vals <= margin[:, None] - 1e-4 * ts * gnorm2[:, None]
+    return stop if ok is None else stop | ~ok, ok, partial(_gather, ts, cand, vals, ok, mats, kept)
+
+
+def _gather(ts, cand, vals, ok, mats, kept, rows, first):
+    """(factors, margin, step, A_i, S_i^{-1}) at evaluated trial step first[j]
+    of line search rows[j] of a ``_try_steps`` evaluation."""
+    pos = rows * ts.shape[1] + first
+    if ok is not None:
+        pos = np.cumsum(ok)[pos] - 1  # its row among the evaluated trial steps
+    return (cand[rows, first], vals[rows, first], np.minimum(2.0 * ts[rows, first], MAX_STEP),
+            mats[pos], _kept_inverses(mats, kept, pos))
+
+
 class _Live:
     """The restarts of a descent that still descend, as compact arrays with one
-    row each: restart index, factors, margin, step, A_i and S_i^{-1}. A restart
-    that retires is written back to the descent's arrays by restart index,
-    ``out`` = (factors, margins, iterations)."""
+    row each: restart index, factors, margin, step, A_i and S_i^{-1}, rebound
+    each iteration to what its line search gathered. A restart that retires is
+    written back by restart index to ``out`` = (factors, margins, iterations)."""
 
-    def __init__(self, out, index, factors, margin, step, mats, invs):
+    def __init__(self, out, *state):
         self.out = out
-        self.index, self.factors, self.margin, self.step, self.mats, self.invs = (
-            index, factors, margin, step, mats, invs)
-
-    def accept(self, rows, factors, margin, step, mats, invs):
-        """Rows ``rows`` move to a new iterate."""
-        self.factors[rows], self.margin[rows], self.mats[rows], self.invs[rows] = factors, margin, mats, invs
-        if step is not None:
-            self.step[rows] = step
+        self.index, self.factors, self.margin, self.step, self.mats, self.invs = state
 
     def retire(self, gone, iters: int):
-        """Writes back the rows of mask ``gone``, which ran ``iters``
-        iterations, and keeps the others."""
+        """Writes back the rows of mask ``gone``, which ran ``iters`` iterations, and keeps the others."""
         factors, margins, done = self.out
         r = self.index[gone]
         factors[r], margins[r], done[r] = self.factors[gone], self.margin[gone], iters
@@ -244,117 +266,105 @@ def _descend(cfg: SearchConfig, factors):
     """Armijo-backtracking gradient descent of all restarts in lockstep.
 
     ``factors`` is (restarts, p, n, n). Each restart keeps its own margin,
-    step, trial step, iteration count and history, and nothing reduced across
-    restarts steers one, so every trajectory is the one the restart follows
-    alone. An iteration is one accepted step; a restart stops when its
-    gradient vanishes or a line search fails. Each line search starts at
-    min(2 x the last accepted step, MAX_STEP) and tries up to MAX_HALVINGS
-    halvings; for every pending restart, one ``_evaluate`` call of ``_trial``
-    takes the next chunk of HALVING_CHUNKS trial steps as one stacked
-    evaluation, and the restart accepts its first trial step that passes the
-    Armijo test. Trial steps after that one are discarded, so the result is
-    that of a search that tries one halving at a time. Every 100 iterations
-    the gauge fix rescales the factors.
-
-    Each iterate is evaluated once: the trial evaluation that accepts it
-    forms its A_i and the cofactors of its S_i, and the next gradient
-    (``_gradient``) reads the A_i and the S_i^{-1} assembled from them (see
-    ``inequalities._kept_inverses``), bit for bit what ``margin_gradient``
-    forms again. Only the live restarts are carried, as ``_Live``.
+    step, iteration count and history, so its trajectory is the one it
+    follows alone. An iteration is one accepted step; a restart stops when
+    its gradient vanishes or a line search fails. A line search tries up to
+    MAX_HALVINGS halvings of min(2 x the last accepted step, MAX_STEP), a
+    chunk of HALVING_CHUNKS per stacked evaluation (``_try_steps``), and
+    accepts the first that passes the Armijo test, as a search that tries
+    one halving at a time does. The first chunk takes every live restart,
+    and the live arrays (``_Live``) are rebound to what it gathers at each
+    one's first stop (``_gather``): the next state, with the A_i and
+    S_i^{-1} of the next gradient, or a placeholder that the later chunk
+    where the restart stops overwrites. Only such a restart, or one that
+    retires, writes or drops a row. Every 100 iterations the gauge fix
+    rescales the factors.
 
     Returns (factors, margins, history, iters) by restart; ``history`` has
     one row of margins per iteration run, and restart r's are rows
     0..iters[r]. A restart whose evaluation raised LinAlgError (at the
     initial point, a trial step before the one it would accept, or a gauge
-    fix) is retired there: its margin is nan. The gradient is matrix
-    products of arrays already formed and cannot raise; a nan gradient fails
-    the line search.
+    fix) is retired there with a nan margin. The gradient is matrix products
+    of arrays already formed and cannot raise; a nan gradient fails the
+    line search.
     """
     trial = partial(_trial, ridge=RIDGE)
     factors = np.array(factors, dtype=np.float64)
     f = np.full(len(factors), np.nan)
     iters = np.zeros(len(factors), dtype=int)
     ok, (f0, mats, kept) = _evaluate(trial, factors)
-    f[ok] = f0
-    history = [f.copy()]
-    live = _Live((factors, f, iters), np.flatnonzero(ok), factors[ok], f0, np.full(len(f0), STEP_INIT),
+    index = np.arange(len(f)) if ok is None else np.flatnonzero(ok)
+    f[index] = f0
+    history = np.full((min(cfg.max_iters, 63) + 1, len(f)), np.nan)
+    history[0] = f
+    live = _Live((factors, f, iters), index, factors[index], f0, np.full(len(f0), STEP_INIT),
                  mats, _kept_inverses(mats, kept, slice(None)))
     for it in range(1, cfg.max_iters + 1):
         if live.index.size == 0:
             break
         grads = _gradient(live.factors, live.mats, live.invs)
         gnorm2 = _sum_over_p((grads * grads).reshape(len(grads), cfg.p, cfg.n * cfg.n).sum(axis=-1))
-        moving = ~(gnorm2 < 1e-24)  # a nan norm goes on to fail the line search
-        if not moving.all():
-            live.retire(~moving, it - 1)
-            grads, gnorm2 = grads[moving], gnorm2[moving]
+        flat = gnorm2 < 1e-24  # a nan norm goes on to fail the line search
+        if flat.any():
+            live.retire(flat, it - 1)
+            grads, gnorm2 = grads[~flat], gnorm2[~flat]
         # trial steps t, t/2, ... by repeated halving, as a serial line search
         # forms them: t * 0.5**j would round differently once t is subnormal
         halvings = np.full((len(grads), MAX_HALVINGS), 0.5)
         halvings[:, 0] = live.step
         trials = np.multiply.accumulate(halvings, axis=1)
-        accepted = np.zeros(len(grads), dtype=bool)
-        pending = None  # the first chunk takes every restart
-        start = 0
-        for k in HALVING_CHUNKS:
-            if pending is None:
-                ts, base, g, f_base, g2 = trials[:, :k], live.factors, grads, live.margin, gnorm2
-            else:
-                ts, base, g = trials[pending, start:start + k], live.factors[pending], grads[pending]
-                f_base, g2 = live.margin[pending], gnorm2[pending]
-            start += k
-            cand = base[:, None] - ts[:, :, None, None, None] * g[:, None]
-            ok, (f2, mats, kept) = _evaluate(trial, cand.reshape(-1, *cand.shape[2:]))
-            raised = not ok.all()
-            if raised:
-                ok = ok.reshape(ts.shape)
-                vals = np.full(ts.shape, np.nan)
-                vals[ok] = f2
-            else:
-                vals = f2.reshape(ts.shape)
-            win = vals <= f_base[:, None] - 1e-4 * ts * g2[:, None]
-            # each restart stops at its first halving that raised or passed;
-            # the halvings after it are discarded, unseen by the serial search
-            stop = win | ~ok if raised else win  # a trial step that raised has a nan margin
-            stopped = stop.any(axis=1)
-            rows = np.flatnonzero(stopped)
-            first = stop[rows].argmax(axis=1)
-            at = rows if pending is None else pending[rows]
-            # row of each accepted trial step in the evaluated rows
-            pos = rows * k + first
-            if raised:
-                won = ok[rows, first]
-                live.margin[at[~won]] = np.nan
-                rows, first, at = rows[won], first[won], at[won]
-                pos = np.cumsum(ok)[pos[won]] - 1
-            live.accept(at, cand[rows, first], vals[rows, first], np.minimum(2.0 * ts[rows, first], MAX_STEP),
-                        mats[pos], _kept_inverses(mats, kept, pos))
-            accepted[at] = True
-            if stopped.all():
-                break
-            pending = np.flatnonzero(~stopped) if pending is None else pending[~stopped]
-        if not accepted.all():
-            live.retire(~accepted, it - 1)
-        if live.index.size == 0:
-            break
-        row = np.full(len(f), np.nan)
-        row[live.index] = live.margin
-        history.append(row)
+        stop, ok, gather = _try_steps(trial, trials[:, :HALVING_CHUNKS[0]], live.factors, grads, live.margin, gnorm2)
+        rows, first = np.arange(len(stop)), stop.argmax(axis=1)
+        if ok is not None:  # a restart whose first stop raised retires with a nan margin
+            won = ok[rows, first]
+            live.margin[~won] = np.nan
+            live.retire(~won, it - 1)
+            rows, first, grads, gnorm2, trials = (x[won] for x in (rows, first, grads, gnorm2, trials))
+        stopped = stop[rows, first]
+        state = gather(rows, first)
+        if not stopped.all():
+            # a pending restart's row of ``state`` is overwritten in the chunk
+            # it stops in; it retires if it fails every halving or its stop raised
+            gone = ~stopped
+            pending, start = np.flatnonzero(gone), HALVING_CHUNKS[0]
+            for k in HALVING_CHUNKS[1:]:
+                stop, ok, gather = _try_steps(trial, trials[pending, start:start + k], live.factors[pending],
+                                              grads[pending], live.margin[pending], gnorm2[pending])
+                start += k
+                at = np.flatnonzero(stop.any(axis=1))
+                first = stop[at].argmax(axis=1)
+                if ok is not None:
+                    won = ok[at, first]
+                    live.margin[pending[at[~won]]] = np.nan
+                    at, first = at[won], first[won]
+                for x, v in zip(state, gather(at, first)):
+                    x[pending[at]] = v
+                gone[pending[at]] = False
+                pending = pending[~stop.any(axis=1)]
+                if pending.size == 0:
+                    break
+            if gone.any():
+                live.retire(gone, it - 1)
+                state = (x[~gone] for x in state)
+        live.factors, live.margin, live.step, live.mats, live.invs = state
+        if it == len(history):
+            history = np.vstack((history, np.full_like(history, np.nan)))
+        history[it, live.index] = live.margin
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
             scale = cfg.p * cfg.n / _sum_over_p(live.mats.trace(axis1=-2, axis2=-1))
             fixed = np.sqrt(scale)[:, None, None, None] * live.factors
             ok, (f_fixed, mats, kept) = _evaluate(trial, fixed)
-            if not ok.all():
+            if ok is not None:
                 live.margin[~ok] = np.nan
                 live.retire(~ok, it)
                 fixed = fixed[ok]
-            f_cur = live.margin
-            keep = np.flatnonzero(f_fixed <= f_cur + 1e-12 * (1.0 + np.abs(f_cur)))
-            live.accept(keep, fixed[keep], f_fixed[keep], None, mats[keep], _kept_inverses(mats, kept, keep))
+            keep = np.flatnonzero(f_fixed <= live.margin + 1e-12 * (1.0 + np.abs(live.margin)))
+            live.factors[keep], live.margin[keep], live.mats[keep], live.invs[keep] = (
+                fixed[keep], f_fixed[keep], mats[keep], _kept_inverses(mats, kept, keep))
     live.retire(np.ones(live.index.size, dtype=bool), cfg.max_iters)
-    return factors, f, np.array(history), iters
+    return factors, f, history[:iters.max() + 1], iters
 
 
 def classify_margin(margin: float) -> str:

@@ -23,12 +23,12 @@ def save_family(mats, path):
 
 
 def test_parse_range():
-    assert _parse_range("3..6") == [3, 4, 5, 6]
-    assert _parse_range("5") == [5]
-    assert _parse_range("3,5,7") == [3, 5, 7]
+    assert _parse_range("3..6", "--p") == [3, 4, 5, 6]
+    assert _parse_range("5", "--p") == [5]
+    assert _parse_range("3,5,7", "--p") == [3, 5, 7]
     for repeated in ("3,3", "3..5,4", "1..2,1..2"):
         with pytest.raises(ValueError, match="repeated"):
-            _parse_range(repeated)
+            _parse_range(repeated, "--p")
 
 
 def test_reproduce_all(capsys):
@@ -422,6 +422,10 @@ def test_search_stdout_is_one_json_document(capsys):
     ["verify", "--p", "1"],
     ["verify", "--dims", "2", "--p", "3,3", "--trials", "5"],
     ["verify", "--dims", "1..2,2", "--p", "3", "--trials", "5"],
+    ["verify", "--dims", "1..2..3"],
+    ["verify", "--dims", "a"],
+    ["verify", "--dims", "1.."],
+    ["verify", "--p", "3,x"],
     ["verify", "--tol-rel", "nan"],
     ["verify", "--tol-rel", "inf"],
     ["verify", "--tol-rel", "0"],
@@ -444,6 +448,13 @@ def test_invalid_input_rejected_before_work(tmp_path, monkeypatch, capsys, argv)
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag,text", [("--dims", "1..2..3"), ("--dims", "a"), ("--p", "3,x"), ("--p", "5..")])
+def test_range_error_names_the_flag_and_the_text(capsys, flag, text):
+    assert main(["verify", flag, text]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {text!r}: ") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

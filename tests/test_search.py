@@ -198,6 +198,11 @@ def ref_init_factors(cfg, r):
     return [eye + 0.5 * rng.standard_normal((cfg.n, cfg.n)) for _ in range(cfg.p)]
 
 
+def evaluated_rows(ok, rows):
+    """The mask of rows that ``search._evaluate`` evaluated: its ok, where None means all."""
+    return np.ones(rows, dtype=bool) if ok is None else ok
+
+
 def ref_mats(factors, ridge):
     eye = np.eye(factors[0].shape[0])
     return [l @ l.T + ridge * eye for l in factors]
@@ -303,17 +308,30 @@ class TestLockstepOracle:
 
     def test_grid_reaches_every_halving_chunk(self):
         # the grid above must exercise each stacked chunk of the line search,
-        # a line search that fails all its halvings, and the gauge fix
-        reached, accepted_at = set(), set()
+        # a line search that fails all its halvings, and the gauge fix; and
+        # lockstep iterations where, beside a restart that accepts in the
+        # first chunk, another accepts in a later chunk (which overwrites its
+        # gathered placeholder) or fails all 50 halvings (and retires)
+        reached, accepted_at, mixed = set(), set(), set()
+        k0 = search.HALVING_CHUNKS[0]
         for kw in ORACLE_CONFIGS:
             cfg = cp.SearchConfig(**kw)
+            outcomes = {}  # iteration -> the accepted halving of each restart's line search
             for r in range(cfg.restarts):
                 line_searches = []
                 ref_descend(cfg, ref_init_factors(cfg, r), line_searches)
                 for it, _, _, _, j in line_searches:
                     reached.add(j)
+                    outcomes.setdefault(it, []).append(j)
                     if j is not None:
                         accepted_at.add(it)
+            for js in outcomes.values():
+                if any(j is not None and j < k0 for j in js):
+                    if any(j is not None and j >= k0 for j in js):
+                        mixed.add("later")
+                    if None in js:
+                        mixed.add("failed")
+        assert mixed == {"later", "failed"}
         assert search.MAX_HALVINGS == 50
         lo = 0
         for k in search.HALVING_CHUNKS:
@@ -465,6 +483,46 @@ class TestBatchedLineSearch:
         clean = lockstep_results(self.CFG, search._initial_factors(self.CFG))
         got, hits = self.run_poisoned(monkeypatch, bad)
         assert hits
+        margin, iters, got_history, _ = got[r]
+        assert np.isnan(margin)
+        # the serial search retires it in iteration it, before accepting
+        assert iters == it - 1
+        assert got_history == history[:it]
+        for s in range(self.CFG.restarts):
+            if s != r:
+                assert_same_restart(got[s], clean[s])
+
+    def line_search_accepting_in_the_first_chunk(self):
+        """(restart, serial run, line search): the latest line search that the
+        serial search accepts at halving 1 or 2, whose trial point 0 moves
+        (see ``moves``), in an iteration where every other restart still
+        descending accepts in the first chunk too."""
+        k0 = search.HALVING_CHUNKS[0]
+        runs, by_iteration = [], {}
+        for r in range(self.CFG.restarts):
+            line_searches = []
+            runs.append(ref_descend(self.CFG, ref_init_factors(self.CFG, r), line_searches))
+            for ls in line_searches:
+                by_iteration.setdefault(ls[0], {})[r] = ls
+        found = []
+        for it, searches in by_iteration.items():
+            for r, (_, factors, grads, tried, j) in searches.items():
+                start = np.stack(factors)
+                if (j in (1, 2) and not np.array_equal(start - tried[0] * np.stack(grads), start)
+                        and len(searches) > 1 and all(ls[4] is not None and ls[4] < k0 for ls in searches.values())):
+                    found.append((it, r))
+        assert found, "no line search accepted at halving 1 or 2 beside others in the first chunk"
+        it, r = max(found)
+        return r, runs[r], by_iteration[it][r], len(by_iteration[it])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_raise_in_the_first_chunk_retires_only_that_restart(self, monkeypatch):
+        r, (_, _, history, _), (it, factors, grads, tried, j), live = self.line_search_accepting_in_the_first_chunk()
+        bad = np.stack(factors) - tried[0] * np.stack(grads)
+        clean = lockstep_results(self.CFG, search._initial_factors(self.CFG))
+        got, hits = self.run_poisoned(monkeypatch, bad)
+        # the stacked first chunk of every live restart raised
+        assert hits[0] == search.HALVING_CHUNKS[0] * live
         margin, iters, got_history, _ = got[r]
         assert np.isnan(margin)
         # the serial search retires it in iteration it, before accepting
@@ -733,7 +791,7 @@ class TestClosedFormAgainstLapack:
                     self.check(factors, ridge)
                 assert np.isnan(fn(factors[1:2], ridge)).any() == (poison == "nan")
             ok, _ = search._evaluate(partial(fn, ridge=ridge), factors)
-            assert ok.tolist() == [True, not singular, True, True]
+            assert evaluated_rows(ok, len(factors)).tolist() == [True, not singular, True, True]
 
     @pytest.mark.parametrize("n,kind", [(1, "scaled"), (5, "random"), (5, "floor")]
                              + [(n, kind) for n in (2, 3) for kind in ("random", "scaled", "floor", "nan", "huge")])

@@ -9,10 +9,12 @@ Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with the kernels it calls (``KERNELS``: the trial
 evaluation, the S_i^{-1} it keeps and the gradient, or in an older tree the
 margin and ``margin_gradient``) wrapped in a timer that counts only the
-outermost of nested kernel calls, for each (n, p, R) case, and prints one
-JSON document: per case the median over ``--runs`` runs of kernel time per
-accepted iteration, of the whole descent's time and of the kernels' share of
-it (kernel time / descent time), and the iterations.
+outermost of nested kernel calls, for each (n, p, R, iterations) case, and
+prints one JSON document: per case the median over ``--runs`` runs of kernel
+time per accepted iteration, of the bookkeeping time per accepted iteration
+(descent time minus kernel time: the line search's gathers, masks and
+records), of the whole descent's time and of the kernels' share of it
+(kernel time / descent time), and the iterations.
 Then, for each (T, p, n) trace case, it times ``cyclic_traces`` on T real
 families drawn as verify draws them: the median over ``--runs`` runs of the
 mean µs per call, and the largest relative difference from the trace sums
@@ -88,8 +90,11 @@ import cyclicpd
 from cyclicpd import _fork, inequalities, search, verify
 from cyclicpd.pdcore import random_pd_stack
 
-# (n, p, restarts); the last is the scalar rediscovery at the default restarts (search --p 14 --n 1)
-CASES = [(3, 23, 2), (3, 23, 4), (2, 12, 2), (2, 12, 4), (1, 14, 32)]
+# (n, p, restarts, iterations), None for --iters: (1, 14, 32) is the scalar
+# rediscovery at the default restarts (search --p 14 --n 1), and the last is
+# one command of the benchmark's search-scalar workload
+CASES = [(3, 23, 2, None), (3, 23, 4, None), (2, 12, 2, None), (2, 12, 4, None), (1, 14, 32, None),
+         (1, 14, 8, 50)]
 TRACE_CASES = [(4, 3, 2), (4, 8, 3), (512, 8, 3)]
 TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
 # (p, n, restarts, iterations); the first is one command of the benchmark's search-matrix
@@ -345,12 +350,13 @@ def main(argv=None) -> int:
         print(json.dumps(out, indent=1))
         return 0
     out["cases"] = []
-    for n, p, restarts in CASES:
-        runs = [run_case(n, p, restarts, args.iters, args.seed, batch) for _ in range(args.runs)]
+    for n, p, restarts, max_iters in CASES:
+        runs = [run_case(n, p, restarts, max_iters or args.iters, args.seed, batch) for _ in range(args.runs)]
         iters = runs[0][3]
         out["cases"].append({
             "n": n, "p": p, "restarts": restarts, "iterations": iters,
             "kernel_us_per_iteration": round(statistics.median(k for k, _, _, _ in runs) / iters * 1e6, 1),
+            "bookkeeping_us_per_iteration": round(statistics.median(w - k for k, w, _, _ in runs) / iters * 1e6, 1),
             "descend_ms": round(statistics.median(w for _, w, _, _ in runs) * 1e3, 2),
             "descend_cal": four_digits(statistics.median(c for _, _, c, _ in runs)),
             "kernel_share": round(statistics.median(k / w for k, w, _, _ in runs), 3),
