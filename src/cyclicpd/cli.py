@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import os
 import sys
@@ -218,7 +219,11 @@ def cmd_sample(args) -> int:
     return _emit(fams[0] if args.count == 1 else fams, args.out)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built at the first call and shared by every
+    later one in the process. Each ``parse_args`` returns a new namespace, so
+    no parse sees an earlier one's values; callers must not modify the parser."""
     ap = argparse.ArgumentParser(prog="cyclicpd", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)

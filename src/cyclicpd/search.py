@@ -20,7 +20,8 @@ solve per refused term, a symmetrized inverse). Each iterate is evaluated
 once: the trial evaluation that accepts it keeps its A_i and what it formed
 S_i from, and the next gradient takes S_i^{-1} from those by the same rule,
 bit for bit what ``margin_gradient`` (A_i and ``cyclic_inverses`` formed
-afresh) gives. The descent carries only the restarts still descending, as
+afresh) gives. At n = 1 the products of L L^T and of the gradient multiply
+elementwise, with the 1x1 matmul's bits. The descent carries only the restarts still descending, as
 arrays rebuilt each iteration from the first chunk's gathers; a later chunk
 only overwrites the rows of restarts still pending. The restarts are cut into
 contiguous shares, one per process that ``_fork.workers_for`` grants the
@@ -126,6 +127,11 @@ def scalar_cyclic_sum(values) -> float:
 # ``inequalities``; L L^T rounds to an exactly symmetric matrix, as their 2x2
 # and 3x3 closed form needs.
 
+# The product of two stacks of n x n matrices, indexed by n == 1. A 1x1
+# matmul adds the one product to +0.0, so the elementwise product has its
+# bits, but for the sign of a zero product, without matmul's dispatch.
+_PRODUCT = (np.matmul, np.multiply)
+
 
 @lru_cache(maxsize=128)
 def _ridge_eye(n: int, ridge: float) -> np.ndarray:
@@ -135,9 +141,12 @@ def _ridge_eye(n: int, ridge: float) -> np.ndarray:
 
 
 def _mats_from_factors(factors, ridge: float):
-    # a contiguous transpose takes numpy's faster matmul path and rounds the
-    # same as the transposed view
-    return factors @ np.ascontiguousarray(factors.swapaxes(-1, -2)) + _ridge_eye(factors.shape[-1], ridge)
+    n = factors.shape[-1]
+    # a 1x1 factor is its own transpose, and L*L is never -0.0; a larger
+    # factor's contiguous transpose takes numpy's faster matmul path and
+    # rounds the same as the transposed view
+    lt = factors if n == 1 else np.ascontiguousarray(factors.swapaxes(-1, -2))
+    return _PRODUCT[n == 1](factors, lt) + _ridge_eye(n, ridge)
 
 
 def _trial(factors, ridge: float):
@@ -169,10 +178,17 @@ def margin_gradient(factors, ridge: float):
 
 def _gradient(factors, mats, invs):
     """``margin_gradient`` from the factors' A_i and S_i^{-1}."""
-    # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
-    ks = invs @ mats @ invs
+    n = factors.shape[-1]
+    mul = _PRODUCT[n == 1]
+    # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its
+    # denominator; at ridge >= 0 no factor of it is negative, so at n = 1 no
+    # product in it is -0.0
+    ks = mul(mul(invs, mats), invs)
     d = invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)
-    return 2.0 * d @ factors
+    grads = mul(2.0 * d, factors)
+    if n == 1:
+        grads += 0.0  # a -0.0 product becomes +0.0, as in the 1x1 matmul's sum
+    return grads
 
 
 def _init_factors(cfg: SearchConfig, rng: np.random.Generator):

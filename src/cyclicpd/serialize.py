@@ -39,7 +39,7 @@ def _matrix_from_dict(d: dict) -> np.ndarray:
     a = np.array(d["entries"], dtype=object)
     pairs = field == "complex"
     if a.shape != ((n, n, 2) if pairs else (n, n)):
-        raise ValueError(f"entries shape {a.shape} does not match n={n}"
+        raise ValueError(f"entries shape {a.shape!r:.80} does not match n={n}"
                          + (" with [re, im] pairs" if pairs else ""))
     for x in a.flat:
         if isinstance(x, bool) or not isinstance(x, (int, float)):

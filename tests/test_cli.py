@@ -99,6 +99,24 @@ def test_eval_deeply_nested_file(tmp_path, capsys):
     assert captured.err.startswith("error: cannot load family:") and captured.out == ""
 
 
+def test_deep_entries_shape_is_cut(tmp_path, capsys):
+    """A member whose entries nest 64 deep echoes its shape cut to 80
+    characters, as the other load errors cut what they echo."""
+    entries = 1.0
+    for _ in range(64):
+        entries = [entries]
+    path = tmp_path / "deep_entries.json"
+    path.write_text(json.dumps({"p": 3, "members": [{"n": 1, "field": "real", "entries": entries}] * 3}))
+    assert main(["eval", "--family", str(path), "--expr", "Fp"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1
+    assert lines[0].startswith("error: cannot load family: entries shape (1, 1, 1,")
+    # the longest line of the cut errors: the wrong-field message with 80 characters of the document
+    longest = len('error: cannot load family: a matrix must be an object with field "real" or "complex", got ') + 80
+    assert len(lines[0]) <= longest
+
+
 MEMBER = {"n": 1, "field": "real", "entries": [[1.0]]}
 MALFORMED_FAMILIES = {
     "number": 5,
@@ -279,16 +297,16 @@ def test_stdout_closed_early_ends_with_one_error_line():
     # write is still blocked when the reader leaves
     src = str(Path(cp.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "cyclicpd", "sample", "--n", "2", "--p", "3", "--count", "2000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    try:
-        assert proc.stdout.read(10) == b'[{"p": 3, '
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 2
-    finally:
-        proc.kill()
-        proc.wait()
+    # the with block closes every pipe of the child and waits for it
+    with subprocess.Popen([sys.executable, "-m", "cyclicpd", "sample", "--n", "2", "--p", "3", "--count", "2000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        try:
+            assert proc.stdout.read(10) == b'[{"p": 3, '
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 2
+        finally:
+            proc.kill()
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err and "Exception ignored" not in err
 
@@ -383,6 +401,19 @@ def test_search_tolerance_flag_is_gone(capsys):
         main(["search", "--p", "5", "--tol-rel", "1e-9"])
     assert exc.value.code == 2
     assert "--tol-rel" in capsys.readouterr().err
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_forgets_earlier_parses():
+    parser = build_parser()
+    assert parser.parse_args(["search", "--p", "5", "--n", "2"]).n == 2
+    args = parser.parse_args(["search", "--p", "12"])
+    assert args.p == 12 and args.n is None
+    assert parser.parse_args(["verify", "--trials", "7"]).trials == 7
+    assert parser.parse_args(["verify"]).trials == 100
 
 
 def test_search_ridge_and_step_init_flags_are_gone(capsys):

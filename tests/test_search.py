@@ -586,6 +586,54 @@ class TestMatsFromFactors:
         assert np.array_equal(mats, np.swapaxes(mats, -1, -2))
 
 
+class TestScalarProducts:
+    """At n = 1 the search multiplies its 1x1 products elementwise; the
+    results must be the matmul's bytes, signed zeros and nan included."""
+
+    @staticmethod
+    def matmul_mats(factors, ridge):
+        return factors @ np.swapaxes(factors, -1, -2) + ridge * np.eye(1)
+
+    @staticmethod
+    def matmul_gradient(factors, ridge):
+        mats = TestScalarProducts.matmul_mats(factors, ridge)
+        invs = ineq.cyclic_inverses(mats)
+        ks = invs @ mats @ invs
+        d = invs - ineq.cyclic_shift(ks, -1) - ineq.cyclic_shift(ks, -2)
+        return 2.0 * d @ factors
+
+    @staticmethod
+    def stacks():
+        rng = rng_for(330)
+        for k in range(40):
+            shape = (int(rng.integers(1, 30)), int(rng.integers(3, 16)), 1, 1)
+            # entries of either sign from 1e-150 to 1e150: the products
+            # overflow, underflow to zero of either sign, and meet 0 * inf
+            factors = 10.0 ** rng.uniform(-150.0, 150.0, shape) * rng.choice([-1.0, 1.0], shape)
+            if k % 4 == 0:
+                factors.flat[rng.integers(factors.size)] = -0.0
+            yield factors
+        nan = np.exp(rng.uniform(-3.0, 3.0, (4, 14, 1, 1)))
+        nan[2, 5] = np.nan
+        yield nan
+
+    @pytest.mark.parametrize("ridge", [1e-8, 0.0])
+    def test_bytes_equal_the_matmul(self, ridge):
+        for factors in self.stacks():
+            with np.errstate(all="ignore"):
+                mats, want_mats = search._mats_from_factors(factors, ridge), self.matmul_mats(factors, ridge)
+                grads, want_grads = cp.margin_gradient(factors, ridge), self.matmul_gradient(factors, ridge)
+            assert mats.tobytes() == want_mats.tobytes()
+            assert grads.tobytes() == want_grads.tobytes()
+
+    def test_negative_zero_products_become_positive_zero(self):
+        # d_i = 0 exactly at A_i = A for every i, so each gradient entry is
+        # the product 0 * L_i, which a 1x1 matmul adds to +0.0
+        factors = np.full((1, 6, 1, 1), -1.5)
+        grads = cp.margin_gradient(factors, 0.0)
+        assert grads.tobytes() == np.zeros_like(factors).tobytes()
+
+
 def lapack_traces(mats):
     """The cyclic trace sums by one batched LAPACK solve, the path of n >= 4."""
     terms = np.linalg.solve(ineq.cyclic_denominators(mats), mats)

@@ -1,9 +1,10 @@
-"""Kernel, checker, suite, count and fork layers: microseconds of the search's
-kernels per descent iteration and of one ``cyclic_traces`` call,
+"""Kernel, checker, suite, count, fork and CLI layers: microseconds of the
+search's kernels per descent iteration and of one ``cyclic_traces`` call,
 microseconds per trial of each ``batch_`` checker, the wall time of each
 verify suite and of all three in one process, the calls a verify grid and
-one call of each checker make, and the wall time of whole searches and
-verify grids in one process against two.
+one call of each checker make, the wall time of whole searches and verify
+grids in one process against two, and the time of whole commands, in this
+process and in a fresh one.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with the kernels it calls (``KERNELS``: the trial
@@ -58,6 +59,19 @@ W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
 ``_fork.workers_for`` weighs, the W the rule picks at 2 CPUs, the median
 milliseconds at each W, and their ratio.
 
+The CLI layer runs each benchmark workload's first command (its argv from
+``perfbench/workloads.py`` at ``--seed``, with ``--out`` into a temporary
+directory) through ``cli.main`` in this process, after one untimed call:
+per command the median over ``--runs`` calls of the µs and cal of one call,
+of the µs spent in ``cli.build_parser`` and of the µs in ``parse_args``,
+and the calls cProfile sees in one call. Whichever of the two runs first
+after the calibration batch meets its cold caches: a parse that takes
+about 0.1 ms warm then takes about 0.35 ms. Then it times a fresh
+``python -m cyclicpd`` process, from its start to its exit after the JSON
+is written, for ``reproduce --case all`` and the search-scalar command: the
+median ms and cal over ``--runs`` processes, which import the same
+``cyclicpd`` as this one.
+
 Each timed run (a descent, a run of ``cyclic_traces`` calls, a suite, a
 fork case's run) is also reported in calibration units, as the benchmark
 reports its passes: the run's time over the mean time of the benchmark's
@@ -71,23 +85,29 @@ on a shared host.
     PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
     PYTHONPATH=src python tools/bench_kernel.py --layer count
     PYTHONPATH=src python tools/bench_kernel.py --layer fork --pairs 10
+    PYTHONPATH=src python tools/bench_kernel.py --layer cli --runs 20
 """
 from __future__ import annotations
 
 import argparse
 import cProfile
 import importlib.util
+import io
 import json
+import os
 import pstats
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 
 import cyclicpd
-from cyclicpd import _fork, inequalities, search, verify
+from cyclicpd import _fork, cli, inequalities, search, verify
 from cyclicpd.pdcore import random_pd_stack
 
 # (n, p, restarts, iterations), None for --iters: (1, 14, 32) is the scalar
@@ -112,6 +132,8 @@ LINALG_COUNTED = ("eigh", "eigvalsh", "solve", "inv", "eigvals")
 COUNT_SEARCHES = {"search-scalar": (14, 1, 8, 50), "search-matrix": (23, 3, 4, 100)}
 # the search functions the count layer counts, as (module, name)
 FORMING = (("search", "_mats_from_factors"), ("inequalities", "_cofactors"))
+# the commands the CLI layer times in a fresh process, besides the search-scalar one
+PROCESS_ARGVS = [("reproduce", "--case", "all")]
 # what the descent calls to evaluate its iterates, in the search module; the
 # last two are an older tree's, so the layer times both trees of a comparison
 KERNELS = ("_trial", "_kept_inverses", "_gradient", "_margin_value", "margin_gradient")
@@ -328,12 +350,61 @@ def count_layer(seed: int) -> dict:
     return out
 
 
+def cli_commands(seed: int, out: str) -> dict:
+    """workload -> the argv of its first command at ``seed``, writing to ``out``;
+    ``perfbench/workloads.py`` is importable once ``load_calibration`` has run."""
+    from workloads import WORKLOADS
+    return {name: [*make(seed).commands[0].argv, "--out", out] for name, make in WORKLOADS.items()}
+
+
+def cli_layer(runs: int, seed: int, batch) -> dict:
+    out = {"runs": runs, "seed": seed, "commands": [], "processes": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = cli_commands(seed, os.path.join(tmp, "out.json"))
+        for name, argv in commands.items():
+            build, parse = [0.0, False], [0.0, False]
+            build_parser, parse_args = cli.build_parser, argparse.ArgumentParser.parse_args
+            cli.build_parser = timed(build_parser, build)
+            argparse.ArgumentParser.parse_args = timed(parse_args, parse)
+            samples = []
+            try:
+                with redirect_stderr(io.StringIO()):
+                    cli.main(argv)
+                    for _ in range(runs):
+                        build[0] = parse[0] = 0.0
+                        wall, cals, _ = calibrated(batch, lambda: cli.main(argv))
+                        samples.append((wall, cals, build[0], parse[0]))
+                    calls, _, _ = counted(cli.main, argv)
+            finally:
+                cli.build_parser, argparse.ArgumentParser.parse_args = build_parser, parse_args
+            out["commands"].append({
+                "workload": name, "argv": " ".join(argv[:-2]),
+                "main_us": round(statistics.median(s[0] for s in samples) * 1e6, 1),
+                "main_cal": four_digits(statistics.median(s[1] for s in samples)),
+                "build_parser_us": round(statistics.median(s[2] for s in samples) * 1e6, 1),
+                "parse_args_us": round(statistics.median(s[3] for s in samples) * 1e6, 1),
+                "calls": calls,
+            })
+        src = str(Path(cyclicpd.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in [*PROCESS_ARGVS, commands["search-scalar"][:-2]]:
+            cmd = [sys.executable, "-m", "cyclicpd", *argv, "--out", os.path.join(tmp, "process.json")]
+            timings = [calibrated(batch, lambda: subprocess.run(cmd, env=env, check=True, capture_output=True))
+                       for _ in range(runs)]
+            out["processes"].append({
+                "argv": " ".join(argv),
+                "ms": round(statistics.median(w for w, _, _ in timings) * 1e3, 1),
+                "cal": four_digits(statistics.median(c for _, c, _ in timings)),
+            })
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=20)
     ap.add_argument("--iters", type=int, default=100)
     ap.add_argument("--seed", type=int, default=11)
-    ap.add_argument("--layer", choices=["kernel", "checker", "suite", "count", "fork", "all"], default="all")
+    ap.add_argument("--layer", choices=["kernel", "checker", "suite", "count", "fork", "cli", "all"], default="all")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     batch = load_calibration()
@@ -346,6 +417,8 @@ def main(argv=None) -> int:
         out["suite"] = suite_layer(args.runs, args.seed, batch)
     if args.layer in ("count", "all"):
         out["count"] = count_layer(args.seed)
+    if args.layer in ("cli", "all"):
+        out["cli"] = cli_layer(args.runs, args.seed, batch)
     if args.layer not in ("kernel", "all"):
         print(json.dumps(out, indent=1))
         return 0
