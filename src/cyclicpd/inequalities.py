@@ -15,9 +15,10 @@ plain (T, n, n) arrays. Every other checker takes one family stack
 and the rest a family of any p. The Nesbitt bound is checked as the k = 3
 case of the k-variable bound, by one kernel. A family is a plain array or a
 :class:`StackContext`, which computes the intermediates that several checkers
-of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms,
-the cyclic trace sum) once, with the same calls, so both give the same bits;
-a row view of a context (``StackContext.rows``) takes its parent's, sliced.
+of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the
+member-norm sum sum_i ||A_i||_F, the cyclic trace sum) once, with the same
+calls, so both give the same bits; a row view of a context
+(``StackContext.rows``) takes its parent's, sliced.
 The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
 ``eval`` and the search; the search re-checks its winner with
 ``_refined_cyclic_sum_trace``, through ``pdcore._refined_inverse``. Outside
@@ -251,7 +252,7 @@ def _psum(mats: np.ndarray) -> np.ndarray:
 
 def _hstack(blocks: np.ndarray) -> np.ndarray:
     """The block row [B_1 ... B_k] of each stack (..., k, n, m), as (..., n, k*m)."""
-    moved = np.moveaxis(blocks, -3, -2)
+    moved = blocks.swapaxes(-3, -2)
     return moved.reshape(moved.shape[:-2] + (-1,))
 
 
@@ -267,7 +268,7 @@ _INTERMEDIATES = {
     "total": lambda ctx: _psum(ctx.mats),  # sum_i A_i over the member axis
     "inv_total": lambda ctx: _psum(ctx.inv),  # sum_i A_i^{-1}
     "total_inv": lambda ctx: _inv(ctx.total),  # (sum_i A_i)^{-1}
-    "fro": lambda ctx: _fro(ctx.mats),  # Frobenius norm of each matrix
+    "fro_sum": lambda ctx: _sum_over_p(_fro(ctx.mats)),  # sum_i ||A_i||_F, added in order
     "traces": lambda ctx: cyclic_traces(ctx.mats),  # Tr[ sum_i A_i S_i^{-1} ] of each family; p >= 3
     "two_ab": lambda ctx: _two_ab_sums(ctx.mats),  # M and N of _two_ab_sums over the cycle (A, B, C)
 }
@@ -276,11 +277,13 @@ _INTERMEDIATES = {
 class StackContext:
     """One family stack (T, p, n, n) and the intermediates that several
     checkers of it share (``_INTERMEDIATES``: ``inv``, ``total``,
-    ``inv_total``, ``total_inv``, ``fro``, ``traces``, ``two_ab``). Each is
-    computed on first use by the call a checker makes on the raw array, then
-    kept for the other checkers of the stack; they read the cached arrays and
-    never write them. A row view (:meth:`rows`), whose ``parent`` is the
-    (context, rows) it views, shares them with that context.
+    ``inv_total``, ``total_inv``, ``fro_sum``, ``traces``, ``two_ab``). Each
+    is computed on first use by the call a checker makes on the raw array,
+    then kept for the other checkers of the stack; they read the cached
+    arrays and never write them. ``fro_sum``, sum_i ||A_i||_F added in order,
+    is the one source of every slack and tolerance built from the members'
+    norms. A row view (:meth:`rows`), whose ``parent`` is the (context, rows)
+    it views, shares them with that context.
     """
 
     def __init__(self, mats: np.ndarray, parent=None):
@@ -486,7 +489,7 @@ def _nesbitt_k(name: str, ctx: StackContext, rel: float) -> CheckBatch:
     vals = pd_product_eigvals(s, inv_sum) - k
     rhs = k / (k - 1)
     margin = vals.min(axis=-1) - rhs
-    slack = _slack(rel, *np.moveaxis(ctx.fro, -1, 0))
+    slack = _slack(rel, ctx.fro_sum)
     return CheckBatch(
         name, mats.shape[-1], k, vals.min(axis=-1), rhs, margin, margin >= -slack, rel,
         {"eigs": vals},
@@ -680,15 +683,14 @@ def batch_s4_decomposition(abcd, rel: float = REL_TOL) -> CheckBatch:
     sums = _psum(numerators @ inv[..., None, :, :, :])
     m, nn, pp = (sums[..., i, :, :] for i in range(3))
     identity_res = _fro(nn + pp - 4.0 * np.eye(n))
-    norms = np.moveaxis(ctx.fro, -1, 0)
-    slack = _slack(rel, *norms)
+    slack = _slack(rel, ctx.fro_sum)
     tr_m = _rtr(m)
     margins = {
         "m_plus_p": _rtr(m + pp) - 4.0 * n,
         "m_plus_n": _rtr(m + nn) - 4.0 * n,
         "m": tr_m - 2.0 * n,
     }
-    holds = identity_res <= 1e-10 * (1.0 + sum(norms))
+    holds = identity_res <= 1e-10 * (1.0 + ctx.fro_sum)
     for v in margins.values():
         holds = holds & (v >= -slack)
     return CheckBatch(
@@ -799,10 +801,9 @@ def batch_upper_bound_2ab(abc, rel: float = REL_TOL) -> CheckBatch:
     identity_res = _fro(2.0 * m + nn - 3.0 * np.eye(n))
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
-    norms = np.moveaxis(ctx.fro, -1, 0)
-    slack = _slack(rel, *norms)
+    slack = _slack(rel, ctx.fro_sum)
     margin = np.minimum(rhs - tr_m, tr_n - 1.0)
-    holds = (margin >= -slack) & (identity_res <= 1e-10 * (1.0 + sum(norms)))
+    holds = (margin >= -slack) & (identity_res <= 1e-10 * (1.0 + ctx.fro_sum))
     return CheckBatch(
         "upper_bound_2ab", n, 3, tr_m, rhs, margin, holds, rel,
         {"tr_m": tr_m, "tr_n": tr_n, "identity_residual": identity_res},
@@ -844,9 +845,8 @@ def batch_wz_certificate(abc, rel: float = REL_TOL) -> CheckBatch:
     tr_n = _rtr(abc.two_ab[1])
     quotient = _abs2(np.trace(wz, axis1=-2, axis2=-1)) / tr_zz
     identity_res = np.maximum.reduce([res_wz, abs(tr_zz - tr_zz_expected), abs(tr_ww - tr_n)])
-    norms = np.moveaxis(abc.fro, -1, 0)
-    slack = _slack(rel, *norms)
-    holds = (identity_res <= 1e-9 * (1.0 + sum(norms) ** 2)) & (quotient >= 1.0 - slack)
+    slack = _slack(rel, abc.fro_sum)
+    holds = (identity_res <= 1e-9 * (1.0 + abc.fro_sum**2)) & (quotient >= 1.0 - slack)
     return CheckBatch(
         "wz_certificate", am.shape[-1], 3, quotient, 1.0, quotient - 1.0, holds, rel,
         {
@@ -879,8 +879,7 @@ def batch_square_cycle(mats, rel: float = REL_TOL) -> CheckBatch:
     identity_res = np.maximum(res_wz, res_zz)
     margin = lhs - rhs
     slack = rel * (1.0 + abs(lhs) + abs(rhs))
-    norms = _sum_over_p(ctx.fro)
-    holds = (margin >= -slack) & (identity_res <= 1e-9 * (1.0 + norms))
+    holds = (margin >= -slack) & (identity_res <= 1e-9 * (1.0 + ctx.fro_sum))
     return CheckBatch(
         "square_cycle", n, p, lhs, rhs, margin, holds, rel,
         {"identity_residual": identity_res, "wz_residual": res_wz, "zz_residual": res_zz},

@@ -24,14 +24,14 @@ identities draws, and per (n, p, field, chunk) the families of all three
 suites, are joined on the trial axis, in ``SUITES`` order, in one
 :class:`~cyclicpd.inequalities.StackContext`. Each checker runs once, on the
 rows of the suites that read it (a row view of the context), so A_i^{-1},
-sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the norms and the cyclic trace sum
-are computed once per joined stack, and a ``SHARED`` checker once for both
-suites that read it. A trial's result does not depend on the other rows of
-its stack, so each suite's outcome is the one it gives alone, bit for bit,
-and depends neither on scheduling nor on how the trials are chunked. A
-single suite takes the same path and joins nothing: its contexts hold its
-own draws. The two-operand bounds always take the drawn operands as plain
-arrays.
+sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the member-norm sum and the cyclic
+trace sum are computed once per joined stack, and a ``SHARED`` checker once
+for both suites that read it. A trial's result does not depend on the other
+rows of its stack, so each suite's outcome is the one it gives alone, bit
+for bit, and depends neither on scheduling nor on how the trials are
+chunked. A single suite takes the same path and joins nothing: its contexts
+hold its own draws. The two-operand bounds always take the drawn operands as
+plain arrays.
 
 :func:`run_suites`, the one runner, takes the suite to run (or "all") and
 runs each n, with every asked suite, as a unit of its own; it splits the
@@ -236,7 +236,7 @@ def _fixed_args(drawn, cycles=None):
     (T, n, n) array, and the cycles (a, b, c) and (a, b, c, d) each the first
     T rows of the context in ``cycles``, by default a contiguous stack of
     ``drawn``'s own."""
-    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
+    args = dict(zip("abcdxy", drawn.swapaxes(0, 1)))
     for w in ("abc", "abcd"):
         ctx = cycles[w] if cycles else ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)]))
         args[w] = ctx.rows(0, len(drawn))
@@ -263,7 +263,7 @@ def _add_cycles(recs, ident, du, di, rel):
         return
     # the identity residuals are the last rows of a shared checker's batch
     last = slice(-rows, None)
-    scale = 1.0 + sum(np.moveaxis(cycles["abcd"].fro[last], -1, 0))
+    scale = 1.0 + cycles["abcd"].fro_sum[last]
     r = _shared(done, "s4_decomposition", cycles["abcd"], rel)
     _add_residual(ident["s4_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
     r = _shared(done, "upper_bound_2ab", cycles["abc"], rel)
@@ -291,7 +291,7 @@ def _add_families(recs, ident, cond, fu, fi, fc, rel):
     if fi is not None:
         (field_recs, ext), fams, last = ident, ctx.rows(mid - rows, mid), slice(-rows, None)
         r = _shared(done, "square_cycle", fams, rel)
-        allowed = 1e-10 * (1.0 + sum(np.moveaxis(fams.fro, -1, 0)))
+        allowed = 1e-10 * (1.0 + fams.fro_sum)
         _add_residual(field_recs["square_cycle_identities"], r.detail["identity_residual"][last], allowed)
         r = _shared(done, "shapiro_extension", fams, rel)
         base = r.detail["base"][last]

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
-from cyclicpd import _fork, search
+from conftest import assert_no_child_left
+from cyclicpd import search
 from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
 
@@ -22,34 +23,9 @@ CONFIGS = [
 ]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the forks made in this process."""
-    count = [0]
-    real_fork = os.fork
-
-    def counting_fork():
-        count[0] += 1
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
-
-
-@pytest.fixture
-def low_floor(monkeypatch):
-    """A fork floor under any search's work: W = min(CPUs, restarts)."""
-    monkeypatch.setattr(_fork, "FLOOR", 1)
-
-
 def run_at(monkeypatch, workers, cfg):
     monkeypatch.setattr(search, "_cpu_count", lambda: workers)
     return cp.minimize_margin(cfg)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def start_with(monkeypatch, init):

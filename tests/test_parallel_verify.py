@@ -11,33 +11,14 @@ import threading
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left
 from cyclicpd import inequalities as ineq
-from cyclicpd import _fork, verify
+from cyclicpd import verify
 from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
 from cyclicpd.pdcore import REL_TOL
 
 SUITES = ("all", "unconditional", "identities", "conditional")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """Counts the forks made in this process."""
-    count = [0]
-    real_fork = os.fork
-
-    def counting_fork():
-        count[0] += 1
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return count
-
-
-@pytest.fixture
-def low_floor(monkeypatch):
-    """A fork floor under any grid's work: W = min(CPUs, units)."""
-    monkeypatch.setattr(_fork, "FLOOR", 1)
 
 
 def run_at(monkeypatch, workers, *args, **kwargs):
@@ -47,11 +28,6 @@ def run_at(monkeypatch, workers, *args, **kwargs):
 
 def as_dicts(results):
     return {name: oc.to_dict() for name, oc in results.items()}
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("suite", SUITES)

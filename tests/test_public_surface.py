@@ -6,9 +6,11 @@ re-checks each search result through the program's own functions. The tests
 below run small commands and pass their JSON through the benchmark's own
 output checks (``perfbench/workloads.py``, imported by path), so a change that
 breaks what the benchmark reads fails here, not only in a benchmark run. The
-names ``tools/bench_kernel.py`` reads are checked to exist too.
+names ``tools/bench_kernel.py`` reads are checked to exist too, and its
+count layer to count every call.
 """
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -16,10 +18,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cyclicpd
 import cyclicpd.cli
+from cyclicpd import inequalities as ineq
 
 PUBLIC = [
     "CheckReport", "ConvergenceFailure", "CyclicFamily", "CyclicPDError", "DimensionMismatch",
@@ -120,6 +124,23 @@ def test_attributes_the_kernel_tool_reads_exist():
                      ("cyclicpd.pdcore", "random_pd_stack")}
     for module, attr in sorted(reads):
         assert hasattr(importlib.import_module(module), attr), (module, attr)
+
+
+def test_count_layer_counts_every_dataclass_init():
+    """Two dataclasses' ``__init__``s share a file, line and name (``<string>``,
+    2, ``__init__``); the tool's count layer counts the calls of both, and
+    the np.linalg and ``cyclicpd`` calls by routine."""
+    spec = importlib.util.spec_from_file_location("bench_kernel", KERNEL_TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    first, second = dataclasses.make_dataclass("First", ["x"]), dataclasses.make_dataclass("Second", ["x", "y"])
+    base, _, _ = tool.counted(lambda: None)
+    calls, _, _ = tool.counted(lambda: (first(1), second(1, 2), second(3, 4)))
+    assert calls - base == 3
+    eye = np.eye(2)
+    _, linalg, own = tool.counted(lambda: (np.linalg.inv(eye), ineq._inv(eye), ineq._inv(eye)),
+                                  functions=[("inequalities", "_inv")])
+    assert linalg["inv"] == 1 and own == {"inequalities._inv": 2}
 
 
 @pytest.mark.parametrize("p, n", [(14, 1), (5, 3)])

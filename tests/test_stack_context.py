@@ -66,14 +66,15 @@ def test_intermediates_match_their_definitions(n, p, field):
     assert same_bits(ctx.total, psum(fams))
     assert same_bits(ctx.inv_total, psum(inv))
     assert same_bits(ctx.total_inv, ineq._inv(psum(fams)))
-    assert same_bits(ctx.fro, _fro(fams))
+    assert same_bits(ctx.fro_sum, oracle.looped_sum_over_p(_fro(fams)))
     assert same_bits(ctx.traces, ineq.cyclic_traces(fams))
     cycles = verify._fixed_args(drawn)
-    # each operand's norm is a column of its cycle's norms
+    # a cycle's norm sum adds its operands' norms, one operand at a time
     for w in ("abc", "abcd"):
         cyc = cycles[w]
         assert same_bits(cyc.mats, drawn[:, :len(w)]) and cyc.mats.flags.c_contiguous
-        assert same_bits(cyc.fro, np.stack([_fro(x) for x in np.moveaxis(drawn[:, :len(w)], 1, 0)], axis=-1))
+        norms = np.stack([_fro(x) for x in np.moveaxis(drawn[:, :len(w)], 1, 0)], axis=-1)
+        assert same_bits(cyc.fro_sum, oracle.looped_sum_over_p(norms))
     for got, want in zip(cycles["abc"].two_ab, ineq._two_ab_sums(np.ascontiguousarray(drawn[:, :3]))):
         assert same_bits(got, want)
 

@@ -95,7 +95,6 @@ import importlib.util
 import io
 import json
 import os
-import pstats
 import statistics
 import subprocess
 import sys
@@ -309,19 +308,25 @@ def suite_layer(runs: int, seed: int, batch) -> dict:
 def counted(fn, *args, functions=()):
     """(total calls, {np.linalg routine: calls}, {"module.name": calls}) that
     cProfile sees in fn(*args), the last for each ``cyclicpd`` (module, name)
-    of ``functions``."""
+    of ``functions``. It reads the profiler's own entries, one per code
+    object: pstats keys them by (file, line, name), and every dataclass
+    ``__init__`` is compiled at ``<string>`` line 2, so there all but one of
+    them would be dropped."""
     prof = cProfile.Profile()
     prof.runcall(fn, *args)
-    stats = pstats.Stats(prof)
+    entries = prof.getstats()
     linalg = dict.fromkeys(LINALG_COUNTED, 0)
     own = {f"{module}.{name}": 0 for module, name in functions}
-    for (path, _, func), (_, calls, *_) in stats.stats.items():
-        if func in linalg and Path(path).parent.name == "linalg":
-            linalg[func] += calls
-        key = f"{Path(path).stem}.{func}"
-        if key in own and Path(path).parent.name == "cyclicpd":
-            own[key] += calls
-    return stats.total_calls, linalg, own
+    for entry in entries:
+        if isinstance(entry.code, str):  # a built-in
+            continue
+        path, func = Path(entry.code.co_filename), entry.code.co_name
+        if func in linalg and path.parent.name == "linalg":
+            linalg[func] += entry.callcount
+        key = f"{path.stem}.{func}"
+        if key in own and path.parent.name == "cyclicpd":
+            own[key] += entry.callcount
+    return sum(entry.callcount for entry in entries), linalg, own
 
 
 def count_layer(seed: int) -> dict:
