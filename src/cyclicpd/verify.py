@@ -34,9 +34,10 @@ hold its own draws. The two-operand bounds always take the drawn operands as
 plain arrays.
 
 :func:`run_suites`, the one runner, takes the suite to run (or "all") and
-runs each n, with every asked suite, as a unit of its own; it splits the
-units across as many forked processes as the grid's work repays. Since no
-grid point's stream depends on another's, the outcome is the same at every
+runs each (n, field), with every asked suite, as a unit of its own; as many
+forked processes as the grid's work repays take the units from one queue,
+longest first. Since no grid point's stream depends on another's, the
+units' outcomes, put back in the order of one walk, are the same at every
 process count.
 """
 from __future__ import annotations
@@ -76,11 +77,12 @@ SHARED = frozenset({"upper_bound_2ab", "wz_certificate", "s4_decomposition", "sh
 # chunk takes (about 55 kB per trial and suite at n = 6, p = 8, complex) and
 # changes no result.
 TRIALS_PER_STACK = 512
-# The fork rule's work of one trial of one suite at one (p, field) per unit of
-# n, in the search block-iterations that ``_fork.FLOOR`` counts. A grid's fork
-# repays itself from about 50 ms of serial time, a search's from about 100 ms,
-# so a trial weighs more than the 400 or so block-iterations its time would
-# buy (``tools/bench_kernel.py``, fork layer).
+# The fork rule's work of one trial of one suite at one p per unit of n, in
+# the search block-iterations that ``_fork.FLOOR`` counts; a unit (n, field)
+# weighs it times n x trials x |p| x |suites|, which also orders the queue. A
+# grid's fork repays itself from about 50 ms of serial time, a search's from
+# about 100 ms, so a trial weighs more than the 400 or so block-iterations its
+# time would buy (``tools/bench_kernel.py``, fork layer).
 TRIAL_WORK = 1000
 
 
@@ -330,26 +332,44 @@ def _add_conditional(rec, events, fams, rel):
 def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):
     """Dispatch; returns {suite name: SuiteOutcome} for the suites asked for.
 
-    The work is cut into units of one n each, running every asked suite in
-    one walk. A unit's work is TRIAL_WORK x n x trials x |p_values| x
-    |fields| x |suites|, and the units are split across
-    W = min(``_cpu_count()``, units, max(1, work // FLOOR)) processes (see
+    The work is cut into units of one (n, field) each, running every asked
+    suite in one walk: the finest cut that keeps every stream, since the
+    fixed-shape and identities streams are keyed per (n, field). A unit's
+    work is TRIAL_WORK x n x trials x |p_values| x |suites|, and the units
+    are split across W = min(``_cpu_count()``, units, max(1, work // FLOOR))
+    processes, which take them longest first from one queue (see
     :func:`cyclicpd._fork.workers_for` and :func:`cyclicpd._fork.run_units`).
-    Every suite's outermost loop is over n, so the units' records and events,
-    concatenated in serial order, are the serial outcome whatever the number
-    of processes.
+    The units' records and events, put in serial order by :func:`_serial`,
+    are the serial outcome whatever the number of processes.
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
     names = tuple(name for name in SUITES if suite in (name, "all"))
-    jobs = [functools.partial(_walk, names, [n], p_values, trials, seed, rel, fields) for n in dims]
-    costs = [TRIAL_WORK * n * trials * len(p_values) * len(fields) * len(names) for n in dims]
+    units = [(n, fld) for n in dims for fld in fields]
+    jobs = [functools.partial(_walk, names, [n], p_values, trials, seed, rel, (fld,)) for n, fld in units]
+    costs = [TRIAL_WORK * n * trials * len(p_values) * len(names) for n, _ in units]
     # _cpu_count is looked up here, so a count bound on this module is used
     outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))
-    results = {name: SuiteOutcome() for name in names}
-    for outcome in outcomes:
-        for name, part in outcome.items():
-            results[name].records.extend(part.records)
-            results[name].events.extend(part.events)
-    return results
+    return _serial(names, outcomes, p_values, fields)
 
+
+def _serial(names, outcomes, p_values, fields):
+    """The outcomes of the units, one per (n, field) in ``run_suites``' job
+    order, joined in the order of one walk over the grid: n by n, and per n
+    the identities records field by field, and the other suites' records and
+    events p by p (the fixed-shape records, whose p is 0, first), each p's
+    fields in order."""
+    place = {pt: k for k, pt in enumerate([(0, fld) for fld in fields] +
+                                          [(p, fld) for p in p_values for fld in fields])}
+    out = {name: SuiteOutcome() for name in names}
+    for start in range(0, len(outcomes), len(fields)):
+        units = outcomes[start:start + len(fields)]
+        for name, whole in out.items():
+            records = [r for unit in units for r in unit[name].records]
+            events = [e for unit in units for e in unit[name].events]
+            if name != "identities":
+                records.sort(key=lambda r: place[r.p, r.field])
+                events.sort(key=lambda e: place[e["p"], e["field"]])
+            whole.records += records
+            whole.events += events
+    return out

@@ -2,7 +2,8 @@
 events, witnesses and errors at every worker count as the serial in-process
 loop (W = 1), no fork for a grid below the fork rule's floor, and no child
 left behind. The grids are small, so the tests of the split lower the floor
-until every unit (one n, all the asked suites) could have a process of its own."""
+until every unit (one n and field, all the asked suites) could have a process
+of its own."""
 import dataclasses
 import errno
 import os
@@ -43,7 +44,7 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
     # the units rebuild what one unsplit walk over all of dims gives
     unsplit = verify._walk(tuple(serial), dims, p_values, trials, 4, REL_TOL, fields)
     assert want == as_dicts(unsplit)
-    units = len(dims)  # one unit per n, whatever the suites
+    units = len(dims) * len(fields)  # one unit per (n, field), whatever the suites
     for workers in (2, 3):
         forks[0] = 0
         got = run_at(monkeypatch, workers, suite, dims, p_values, trials, 4, fields=fields)
@@ -91,8 +92,11 @@ def raise_at(monkeypatch, bad_dims):
     monkeypatch.setattr(ineq, "batch_square_cycle", raising)
 
 
-# At W = 2, identities over dims [1, 2, 3] puts n = 3 and n = 1 in the parent's
-# share and n = 2 in the child's; a share runs in serial order, n = 1 first.
+# Identities over dims [1, 2, 3] and both fields is six units, taken longest
+# first: at W = 2 and 3 the parent and the children start on units of n = 3
+# and pull the rest from one queue, so the units run out of serial order, in
+# processes that timing picks. The error raised must still be the serial
+# run's first: the real unit's at the smallest bad n.
 @pytest.mark.parametrize("bad_dims", [{2}, {3}, {2, 3}, {1, 2}, {1, 3}])
 def test_error_is_the_serial_runs_first(monkeypatch, forks, low_floor, bad_dims):
     raise_at(monkeypatch, bad_dims)
@@ -126,14 +130,15 @@ def test_child_that_ends_without_a_result(monkeypatch, forks, low_floor):
 
 
 def test_unpicklable_error_in_a_child(monkeypatch, forks, low_floor):
-    """At W = 2, identities over dims [1, 2] runs n = 1 in the child."""
+    """At W = 2 the child runs at least one unit, and every unit it runs raises."""
     class Unpicklable(Exception):
         pass  # a local class cannot be pickled by reference
 
+    parent = os.getpid()
     real = ineq.batch_square_cycle
 
     def raising(fams, rel):
-        if fams.mats.shape[-1] == 1:
+        if os.getpid() != parent:
             raise Unpicklable("local")
         return real(fams, rel)
 

@@ -53,7 +53,9 @@ for a given tree and seed, so a difference between two trees is a fact, not
 a median.
 
 The fork layer times ``minimize_margin`` for each (p, n, R, iterations)
-search case and ``run_suites`` for each verify grid, in this process, at
+search case and ``run_suites`` for each verify grid (``FORK_GRIDS``: a tiny
+one, the benchmark's verify-grid and the default ``verify`` command's
+n 1..3, p 3..6, 100 trials), in this process, at
 W = 1 and at W = 2 (the fork rule replaced by W = min(that, units)), in
 ``--pairs`` alternating pairs. Per case it gives the work that
 ``_fork.workers_for`` weighs, the W the rule picks at 2 CPUs, the median
@@ -63,10 +65,14 @@ The CLI layer runs each benchmark workload's first command (its argv from
 ``perfbench/workloads.py`` at ``--seed``, with ``--out`` into a temporary
 directory) through ``cli.main`` in this process, after one untimed call:
 per command the median over ``--runs`` calls of the µs and cal of one call,
-of the µs spent in ``cli.build_parser`` and of the µs in ``parse_args``,
-and the calls cProfile sees in one call. Whichever of the two runs first
-after the calibration batch meets its cold caches: a parse that takes
-about 0.1 ms warm then takes about 0.35 ms. Then it times a fresh
+of the µs spent in ``cli.build_parser`` and of the µs in ``parse_args``
+(whichever of the two runs first after the calibration batch meets its cold
+caches: a parse that takes about 0.1 ms warm then takes about 0.35 ms), the
+W that the fork rule picks for those timed calls at this process's CPUs
+(``workers``: where it is above 1 they time the parent, which waits for its
+children), and the calls cProfile sees in one call at W = 1 (``calls``: the
+fork rule replaced by W = 1, so a command that would fork is counted whole,
+in this process, as the count layer counts). Then it times a fresh
 ``python -m cyclicpd`` process, from its start to its exit after the JSON
 is written, for ``reproduce --case all`` and the search-scalar command: the
 median ms and cal over ``--runs`` processes, which import the same
@@ -119,8 +125,10 @@ TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
 # (p, n, restarts, iterations); the first is one command of the benchmark's search-matrix
 FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
                  (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300)]
-# name -> (dims, p values, trials) of a verify --suite all --field both run
-FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4)}
+# name -> (dims, p values, trials) of a verify --suite all --field both run:
+# "verify-default" is the default verify command's grid, "verify-grid" the benchmark's
+FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4),
+              "verify-default": ([1, 2, 3], [3, 4, 5, 6], 100)}
 # the checker layer's trials per stack, family size and (n, field) cases
 CHECKER_TRIALS, CHECKER_P = 512, 8
 CHECKER_CASES = [(n, field) for n in (1, 3, 6) for field in ("real", "complex")]
@@ -371,15 +379,20 @@ def cli_layer(runs: int, seed: int, batch) -> dict:
             build_parser, parse_args = cli.build_parser, argparse.ArgumentParser.parse_args
             cli.build_parser = timed(build_parser, build)
             argparse.ArgumentParser.parse_args = timed(parse_args, parse)
-            samples = []
+            samples, picked = [], []
+
+            def rule(work, units):
+                picked.append(_fork.workers_for(work, units, _fork.cpu_count()))
+                return picked[-1]
+
             try:
                 with redirect_stderr(io.StringIO()):
-                    cli.main(argv)
+                    with_rule(rule, lambda: cli.main(argv))
                     for _ in range(runs):
                         build[0] = parse[0] = 0.0
                         wall, cals, _ = calibrated(batch, lambda: cli.main(argv))
                         samples.append((wall, cals, build[0], parse[0]))
-                    calls, _, _ = counted(cli.main, argv)
+                    calls, _, _ = counted(with_rule, lambda work, units: 1, lambda: cli.main(argv))
             finally:
                 cli.build_parser, argparse.ArgumentParser.parse_args = build_parser, parse_args
             out["commands"].append({
@@ -388,7 +401,7 @@ def cli_layer(runs: int, seed: int, batch) -> dict:
                 "main_cal": four_digits(statistics.median(s[1] for s in samples)),
                 "build_parser_us": round(statistics.median(s[2] for s in samples) * 1e6, 1),
                 "parse_args_us": round(statistics.median(s[3] for s in samples) * 1e6, 1),
-                "calls": calls,
+                "workers": max(picked, default=1), "calls": calls,
             })
         src = str(Path(cyclicpd.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
