@@ -5,20 +5,24 @@ T trials of concrete positive definite operands at once and returns a
 :class:`CheckBatch` of per-trial arrays: the two sides, the signed margin in
 the inequality's direction, and a verdict under one relative slack ``rel``
 (default ``pdcore.REL_TOL`` = 1e-9): a margin holds when it is at least
--rel * (1 + the operands' norms). ``report(t)`` gives trial t as a
-:class:`CheckReport`; a one-trial stack (1, ...) evaluates one set of
-operands, and a trial's results do not depend on the other trials of its
-stack. The two-operand trace and eigenvalue bounds take their operands as
-plain (T, n, n) arrays. Every other checker takes one family stack
-(T, p, n, n): the Nesbitt and damped three-variable bounds a cycle
-(A, B, C) of p = 3, the four-variable bounds a cycle (A, B, C, D) of p = 4,
-and the rest a family of any p. The Nesbitt bound is checked as the k = 3
-case of the k-variable bound, by one kernel. A family is a plain array or a
-:class:`StackContext`, which computes the intermediates that several checkers
-of one stack need (A_i^{-1}, sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the
-member-norm sum sum_i ||A_i||_F, the cyclic trace sum) once, with the same
-calls, so both give the same bits; a row view of a context
-(``StackContext.rows``) takes its parent's, sliced.
+-rel * (1 + a scale). The scale is the operands' norms for eigineq1, nesbitt,
+nesbitt_k, s4_decomposition, upper_bound_2ab and wz_certificate; the
+magnitudes compared for trace_product, weighted_cs, cs_trace, shapiro_trace,
+bidirectional and square_cycle; derived matrices' norms for harmonic_loewner,
+block_certificate, product_sum_eigs and bidirectional_eig4; shapiro_extension
+reads no ``rel``. ``report(t)`` gives trial t as a :class:`CheckReport`; a
+one-trial stack (1, ...) evaluates one set of operands, and a trial's results
+do not depend on the other trials of its stack. The two-operand trace and
+eigenvalue bounds take their operands as plain (T, n, n) arrays. Every other
+checker takes one family stack (T, p, n, n): the Nesbitt and damped
+three-variable bounds a cycle (A, B, C) of p = 3, the four-variable bounds a
+cycle (A, B, C, D) of p = 4, and the rest a family of any p. The Nesbitt
+bound is checked as the k = 3 case of the k-variable bound, by one kernel. A
+family is a plain array or a :class:`StackContext`, which computes the
+intermediates that several checkers of one stack need (A_i^{-1}, sum A_i,
+sum A_i^{-1}, (sum A_i)^{-1}, the member-norm sum sum_i ||A_i||_F, the cyclic
+trace sum) once, with the same calls, so both give the same bits; a row view
+of a context (``StackContext.rows``) takes its parent's, sliced.
 The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
 ``eval`` and the search; the search re-checks its winner with
 ``_refined_cyclic_sum_trace``, through ``pdcore._refined_inverse``. Outside
@@ -32,6 +36,7 @@ form of the four-variable cyclic inequality fails.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -51,6 +56,47 @@ from .pdcore import (
     herm_powers,
     pd_product_eigvals,
     validate_family,
+)
+
+# The checkers in verify's order: ``batch_<name>`` -> (operand word, suite).
+# A letter of the word is that drawn operand (PD a, b, c, d; square x, y) as a
+# plain (T, n, n) array, "abc" and "abcd" their cycle, FAMILY a family of any
+# p. Only the trace bound is conditional: a theorem at some (n, p) only.
+FAMILY = "family"
+CHECKS = {
+    "trace_product": ("a b", "unconditional"),
+    "weighted_cs": ("x y a", "unconditional"),
+    "cs_trace": ("x y", "unconditional"),
+    "eigineq1": ("a b", "unconditional"),
+    "nesbitt": ("abc", "unconditional"),
+    "upper_bound_2ab": ("abc", "unconditional"),
+    "wz_certificate": ("abc", "unconditional"),
+    "s4_decomposition": ("abcd", "unconditional"),
+    "bidirectional_eig4": ("abcd", "unconditional"),
+    "harmonic_loewner": (FAMILY, "unconditional"),
+    "block_certificate": (FAMILY, "unconditional"),
+    "product_sum_eigs": (FAMILY, "unconditional"),
+    "nesbitt_k": (FAMILY, "unconditional"),
+    "shapiro_extension": (FAMILY, "unconditional"),
+    "bidirectional": (FAMILY, "unconditional"),
+    "square_cycle": (FAMILY, "unconditional"),
+    "shapiro_trace": (FAMILY, "conditional"),
+}
+
+# The identities suite's records in order: each reads ``check``'s batch's
+# ``detail["identity_residual"]`` and allows ``allowed(batch, ops)`` per trial,
+# ``ops`` being the suite's contexts by operand word ("abc", "abcd", FAMILY).
+# A ``per_p`` record is kept per p, the others once per (n, field).
+Identity = namedtuple("Identity", "record check allowed per_p", defaults=(False,))
+IDENTITY_CHECKS = (
+    Identity("s4_identity", "s4_decomposition", lambda batch, ops: 1e-10 * (1.0 + ops["abcd"].fro_sum)),
+    # identities of A, B, C alone, scaled by D's norm too, which loosens them
+    # for nothing; ROADMAP item 2 gives each identity one rule
+    Identity("two_ab_identity", "upper_bound_2ab", lambda batch, ops: 1e-10 * (1.0 + ops["abcd"].fro_sum)),
+    Identity("wz_identities", "wz_certificate", lambda batch, ops: 1e-10 * (1.0 + ops["abcd"].fro_sum) ** 2),
+    Identity("square_cycle_identities", "square_cycle", lambda batch, ops: 1e-10 * (1.0 + ops[FAMILY].fro_sum)),
+    Identity("extension_identity", "shapiro_extension",  # the checker's own gate
+             lambda batch, ops: 1e-10 * (1.0 + abs(batch.detail["base"]) + batch.n), per_p=True),
 )
 
 # p for which the scalar cyclic-sum inequality S_p >= p/2 is a theorem.
@@ -717,7 +763,7 @@ def batch_shapiro_extension(mats, rel: float = REL_TOL) -> CheckBatch:
     allowed = 1e-10 * (1.0 + abs(base) + n)
     return CheckBatch(
         "shapiro_extension", n, p, ext, expected, -diff, diff <= allowed, rel,
-        {"base": base, "extended": ext},
+        {"base": base, "extended": ext, "identity_residual": diff},
     )
 
 

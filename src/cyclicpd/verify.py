@@ -2,7 +2,8 @@
 
 Three suites:
   unconditional - every theorem-backed checker must hold on all draws.
-  identities    - the exact algebraic identities inside the proofs, to 1e-10.
+  identities    - the exact algebraic identities inside the proofs, each to
+                  its tolerance in ``inequalities.IDENTITY_CHECKS``.
   conditional   - the trace bound Tr-sum >= p*n/2. Where a theorem covers it
                   (p in {3, 4} for every n, and n = 1 with p in
                   ``SCALAR_VALID_P``) a violation is a suite failure; elsewhere
@@ -11,34 +12,29 @@ Three suites:
 Aggregation is per grid point: trial count, failure count, worst margin, and
 a serialized witness for the first failure (or event) of a check on a family
 or a cycle; the two-operand bounds keep none, since x and y are not PD and two
-operands are not a cyclic family. A record takes its trials' family stack and
-serializes the failing row itself. Each suite has its own seeded stream per
+operands are not a cyclic family. Each suite has its own seeded stream per
 grid point and draws its trials from it in chunks of at most
 ``TRIALS_PER_STACK``, one stacked draw each, which takes the same numbers in
 the same order as one draw per matrix would; every checker then evaluates a
 whole (T, ...) stack at once through its ``batch_`` kernel.
 
-The asked suites run in one walk, n by n (:func:`_walk`). Per (n, field,
-chunk) the cycles (a, b, c) and (a, b, c, d) of the unconditional and
-identities draws, and per (n, p, field, chunk) the families of all three
-suites, are joined on the trial axis, in ``SUITES`` order, in one
-:class:`~cyclicpd.inequalities.StackContext`. Each checker runs once, on the
-rows of the suites that read it (a row view of the context), so A_i^{-1},
-sum A_i, sum A_i^{-1}, (sum A_i)^{-1}, the member-norm sum and the cyclic
-trace sum are computed once per joined stack, and a ``SHARED`` checker once
-for both suites that read it. A trial's result does not depend on the other
-rows of its stack, so each suite's outcome is the one it gives alone, bit
-for bit, and depends neither on scheduling nor on how the trials are
-chunked. A single suite takes the same path and joins nothing: its contexts
-hold its own draws. The two-operand bounds always take the drawn operands as
-plain arrays.
+The suites' checkers, records and identity gates come from two tables,
+``inequalities.CHECKS`` and ``inequalities.IDENTITY_CHECKS``. The asked
+suites run in one walk per (n, field) (:func:`_walk`): per chunk, the cycles
+(a, b, c) and (a, b, c, d) of the unconditional and identities draws, and per
+p the families of all three suites, are joined on the trial axis, in
+``SUITES`` order, in one :class:`~cyclicpd.inequalities.StackContext` (a
+single suite joins nothing). Each checker runs once, on a row view of the
+suites that read it, so the context's intermediates are computed once per
+joined stack, and a checker that an identity gate reads once for both
+suites. A trial's result does not depend on the other rows of its stack, so
+each suite's outcome is the one it gives alone, bit for bit, however its
+trials are chunked.
 
-:func:`run_suites`, the one runner, takes the suite to run (or "all") and
-runs each (n, field), with every asked suite, as a unit of its own; as many
-forked processes as the grid's work repays take the units from one queue,
-longest first. Since no grid point's stream depends on another's, the
-units' outcomes, put back in the order of one walk, are the same at every
-process count.
+:func:`run_suites` runs each (n, field), with every asked suite, as a unit of
+its own; as many forked processes as the grid's work repays take the units
+from one queue, longest first, and the units' outcomes, put back in the
+order of one walk, are the same at every process count.
 """
 from __future__ import annotations
 
@@ -55,24 +51,9 @@ from .serialize import family_to_dict
 # The suites in run order, which is also their order in the output.
 SUITES = ("unconditional", "identities", "conditional")
 
-# The unconditional suite's checkers in call order. Record ``name`` is checked by
-# ``ineq.batch_<name>``, looked up at call time so a wrapper bound there is called.
-# The fixed-shape checkers take one argument per word, from the drawn PD a, b,
-# c, d and square x, y: a letter is that operand, "abc" and "abcd" its cycle.
-UNCONDITIONAL_FIXED = (
-    ("trace_product", "a b"), ("weighted_cs", "x y a"), ("cs_trace", "x y"),
-    ("eigineq1", "a b"), ("nesbitt", "abc"), ("upper_bound_2ab", "abc"),
-    ("wz_certificate", "abc"), ("s4_decomposition", "abcd"), ("bidirectional_eig4", "abcd"),
-)
-UNCONDITIONAL_FAMILY = (
-    "harmonic_loewner", "block_certificate", "product_sum_eigs", "nesbitt_k",
-    "shapiro_extension", "bidirectional", "square_cycle",
-)
-IDENTITIES = ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_identities")
-# The unconditional checkers whose batches the identities suite reads too: with
-# both suites asked, each runs once on both suites' joined stack, whose first
-# rows are the unconditional suite's.
-SHARED = frozenset({"upper_bound_2ab", "wz_certificate", "s4_decomposition", "shapiro_extension", "square_cycle"})
+# With both suites asked, a checker that an identity gate reads runs once on
+# both suites' joined stack, whose first rows are the unconditional suite's.
+_GATED = frozenset(g.check for g in ineq.IDENTITY_CHECKS)
 # Trials per suite drawn and evaluated as one chunk. It bounds the memory a
 # chunk takes (about 55 kB per trial and suite at n = 6, p = 8, complex) and
 # changes no result.
@@ -113,17 +94,10 @@ class GridRecord:
             self.witness = family_to_dict(fams[failed[0]])
 
     def to_dict(self) -> dict:
-        d = {
-            "check": self.check,
-            "n": self.n,
-            "p": self.p,
-            "field": self.field,
-            "trials": self.trials,
-            "failures": self.failures,
-            "min_margin": self.min_margin,
-        }
-        if self.witness is not None:
-            d["witness"] = self.witness
+        """The fields in order, without a witness that is None."""
+        d = dict(vars(self))
+        if self.witness is None:
+            del d["witness"]
         return d
 
 
@@ -151,155 +125,136 @@ def _rng_for(seed: int, *key: int) -> np.random.Generator:
 _FIELD_ID = {"real": 0, "complex": 1}
 
 
-def _chunks(trials):
-    """The row counts of a grid point's consecutive stacks, each at most
-    ``TRIALS_PER_STACK``; drawn one after another, they take the stream as one
-    draw of all the trials would."""
-    return [min(TRIALS_PER_STACK, trials - start) for start in range(0, trials, TRIALS_PER_STACK)]
-
-
-def _batch(name: str):
-    return getattr(ineq, f"batch_{name}")
-
-
-def _add_residual(rec: GridRecord, residual, allowed):
-    rec.add(allowed - residual, residual <= allowed)
-
-
 def _joined(parts):
     """The parts' trials as one stack, in order; one part is passed on as it is."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _walk(names, dims, p_values, trials, seed, rel, fields) -> dict:
-    """The suites ``names`` over the grid in one walk: {suite: SuiteOutcome}.
-
-    Per n, field and chunk of trials, each suite draws from its own streams
-    what it would draw alone; its (a, b, c[, d]) cycles and each p's families
-    are joined with the other suites' on the trial axis, in ``SUITES`` order.
-    """
+def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
+    """The suites ``names`` on one unit (n, field), {suite: SuiteOutcome}: per
+    chunk of trials, each suite draws from its own streams what it would draw
+    alone, and its cycles and each p's families are joined with the other
+    suites' on the trial axis, in ``SUITES`` order."""
     u, i, c = (name in names for name in SUITES)
+    key = _FIELD_ID[fld]
     out = {name: SuiteOutcome() for name in names}
-    for n in dims:
-        points = [(p, fld) for p in p_values for fld in fields]
-        if u:
-            fixed = {fld: [GridRecord(name, n, 0, fld) for name, _ in UNCONDITIONAL_FIXED] for fld in fields}
-            family = {pt: [GridRecord(name, n, *pt) for name in UNCONDITIONAL_FAMILY] for pt in points}
-            out["unconditional"].records += [r for recs in (*fixed.values(), *family.values()) for r in recs]
-        if i:
-            ident = {fld: {name: GridRecord(name, n, 0, fld) for name in IDENTITIES} for fld in fields}
-            ext = {pt: GridRecord("extension_identity", n, *pt) for pt in points}
-            out["identities"].records += [r for fld in fields for r in
-                                          (*ident[fld].values(), *(ext[p, fld] for p in p_values))]
-        if c:
-            cond = {pt: GridRecord("shapiro_trace", n, *pt) for pt in points}
-            events = {pt: [] for pt in points}
-            out["conditional"].records += cond.values()
-        for fld in fields:
-            key = _FIELD_ID[fld]
-            if u:
-                rng_fixed = _rng_for(seed, 1, n, key)
-                rng_family = {p: _rng_for(seed, 2, n, p, key) for p in p_values}
-            if i:
-                rng_ident = _rng_for(seed, 3, n, key)
-            if c:
-                rng_cond = {p: _rng_for(seed, 4, n, p, key) for p in p_values}
-            for rows in _chunks(trials):
-                du = random_pd_stack(n, rows, 4, rng_fixed, fld, gaussian_tail=2) if u else None
-                # each trial draws a, b, c, d, then one family per p in p_values
-                di = random_pd_stack(n, rows, 4 + sum(p_values), rng_ident, fld) if i else None
-                if u or i:
-                    _add_cycles(fixed[fld] if u else None, ident[fld] if i else None, du, di, rel)
-                start = 4
-                for p in p_values:
-                    pt = p, fld
-                    fu = random_pd_stack(n, rows, p, rng_family[p], fld) if u else None
-                    fi = di[:, start:start + p] if i else None
-                    fc = random_pd_stack(n, rows, p, rng_cond[p], fld) if c else None
-                    start += p
-                    _add_families(family[pt] if u else None, (ident[fld], ext[pt]) if i else None,
-                                  (cond[pt], events[pt]) if c else None, fu, fi, fc, rel)
-        if c:
-            out["conditional"].events += [e for pt in points for e in events[pt]]
+    # p = 0 stands for the fixed-shape draws and their cycles, each other p for its families
+    if u:
+        # ``ineq.batch_<name>`` checks record ``name``, looked up at call time
+        unc = {p: [GridRecord(name, n, p, fld) for name, (word, suite) in ineq.CHECKS.items()
+                   if suite == "unconditional" and (word == ineq.FAMILY) == (p > 0)] for p in (0, *p_values)}
+        out["unconditional"].records += [r for recs in unc.values() for r in recs]
+        rng_fixed = _rng_for(seed, 1, n, key)
+        rng_family = {p: _rng_for(seed, 2, n, p, key) for p in p_values}
+    if i:
+        # the records kept once per unit (p = 0), then those kept per p
+        recs = {(g.record, p): GridRecord(g.record, n, p, fld)
+                for p in (0, *p_values) for g in ineq.IDENTITY_CHECKS if g.per_p == (p > 0)}
+        out["identities"].records += recs.values()
+        gates = {p: [(recs[g.record, p if g.per_p else 0], g) for g in ineq.IDENTITY_CHECKS
+                     if (ineq.CHECKS[g.check][0] == ineq.FAMILY) == (p > 0)] for p in (0, *p_values)}
+        rng_ident = _rng_for(seed, 3, n, key)
+    if c:
+        cond = {p: GridRecord("shapiro_trace", n, p, fld) for p in p_values}
+        events = {p: [] for p in p_values}
+        out["conditional"].records += cond.values()
+        rng_cond = {p: _rng_for(seed, 4, n, p, key) for p in p_values}
+    # consecutive stacks of at most TRIALS_PER_STACK rows take each stream as
+    # one draw of all the trials would
+    for done in range(0, trials, TRIALS_PER_STACK):
+        rows = min(TRIALS_PER_STACK, trials - done)
+        du = random_pd_stack(n, rows, 4, rng_fixed, fld, gaussian_tail=2) if u else None
+        # each trial draws a, b, c, d, then one family per p in p_values
+        di = random_pd_stack(n, rows, 4 + sum(p_values), rng_ident, fld) if i else None
+        if u or i:
+            _add_cycles(unc[0] if u else None, gates[0] if i else None, du, di, rel)
+        start = 4
+        for p in p_values:
+            fu = random_pd_stack(n, rows, p, rng_family[p], fld) if u else None
+            fi = di[:, start:start + p] if i else None
+            fc = random_pd_stack(n, rows, p, rng_cond[p], fld) if c else None
+            start += p
+            _add_families(unc[p] if u else None, gates[p] if i else None,
+                          (cond[p], events[p]) if c else None, fu, fi, fc, rel)
+    if c:
+        out["conditional"].events += [e for p in p_values for e in events[p]]
     return out
 
 
 # The helpers below hold a chunk's contexts, so their cached intermediates are
 # freed when the chunk is done, before the next one is drawn.
 
-def _shared(done, name, ctx, rel):
-    """The batch of ``name`` that the unconditional suite ran on the joined
-    rows, else one of its own on ``ctx``."""
-    return done[name] if name in done else _batch(name)(ctx, rel)
-
-
-def _fixed_args(drawn, cycles=None):
-    """The fixed-shape checkers' arguments by word: each drawn operand a plain
-    (T, n, n) array, and the cycles (a, b, c) and (a, b, c, d) each the first
-    T rows of the context in ``cycles``, by default a contiguous stack of
-    ``drawn``'s own."""
+def checker_args(drawn, fams=None, cycles=None, plain=False) -> dict:
+    """{name: [argument, ...]} of every ``ineq.CHECKS`` checker, in order: a
+    letter of its word is that operand of ``drawn`` (T, 6, n, n), a cycle the
+    first T rows of its context in ``cycles`` (by default a contiguous one of
+    ``drawn``'s own), FAMILY is ``fams``. With ``plain``, each argument is a
+    plain array, so each call computes its intermediates itself."""
+    if cycles is None:
+        cycles = {w: ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)])) for w in ("abc", "abcd")}
     args = dict(zip("abcdxy", drawn.swapaxes(0, 1)))
-    for w in ("abc", "abcd"):
-        ctx = cycles[w] if cycles else ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)]))
-        args[w] = ctx.rows(0, len(drawn))
-    return args
+    args.update({w: ctx.rows(0, len(drawn)) for w, ctx in cycles.items()})
+    args[ineq.FAMILY] = fams
+    if plain:
+        args = {w: getattr(a, "mats", a) for w, a in args.items()}
+    return {name: [args[w] for w in word.split()] for name, (word, _) in ineq.CHECKS.items()}
 
 
-def _add_cycles(recs, ident, du, di, rel):
+def _add_cycles(recs, gates, du, di, rel):
     """One chunk of the fixed-shape draws: the unconditional suite's ``du``
-    into its records ``recs`` and the identities suite's ``di`` into
-    ``ident``, each None when its suite is not asked."""
+    into its records ``recs`` and the identities suite's ``di`` through its
+    (record, gate) pairs ``gates``, each None when its suite is not asked."""
     parts = [d for d in (du, di) if d is not None]
     rows = len(parts[0])
     cycles = {w: ineq.StackContext(np.ascontiguousarray(_joined([d[:, :len(w)] for d in parts])))
               for w in ("abc", "abcd")}
     done = {}
     if du is not None:
-        args = _fixed_args(du, cycles)
-        for rec, (name, words) in zip(recs, UNCONDITIONAL_FIXED):
-            ops = [cycles[words]] if name in SHARED else [args[w] for w in words.split()]
-            batch = done[name] = _batch(name)(*ops, rel)
+        args = checker_args(du, cycles=cycles)
+        for rec in recs:
+            word, ops = ineq.CHECKS[rec.check][0], args[rec.check]
+            batch = done[rec.check] = getattr(ineq, f"batch_{rec.check}")(
+                *([cycles[word]] if rec.check in _GATED else ops), rel)
             # a one-word check runs on a cycle, which its witness replays as a family
-            rec.add(batch.margin[:rows], batch.holds[:rows], args[words].mats if words in cycles else None)
-    if di is None:
-        return
-    # the identity residuals are the last rows of a shared checker's batch
-    last = slice(-rows, None)
-    scale = 1.0 + cycles["abcd"].fro_sum[last]
-    r = _shared(done, "s4_decomposition", cycles["abcd"], rel)
-    _add_residual(ident["s4_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
-    r = _shared(done, "upper_bound_2ab", cycles["abc"], rel)
-    _add_residual(ident["two_ab_identity"], r.detail["identity_residual"][last], 1e-10 * scale)
-    r = _shared(done, "wz_certificate", cycles["abc"], rel)
-    _add_residual(ident["wz_identities"], r.detail["identity_residual"][last], 1e-10 * scale**2)
+            rec.add(batch.margin[:rows], batch.holds[:rows], ops[0].mats if word in cycles else None)
+    if di is not None:
+        # the identities suite's rows are the last
+        _add_identities(gates, done, cycles, slice(-rows, None), rel)
 
 
-def _add_families(recs, ident, cond, fu, fi, fc, rel):
+def _add_families(recs, gates, cond, fu, fi, fc, rel):
     """One chunk of one p's families: the unconditional suite's ``fu`` into its
-    records ``recs``, the identities suite's ``fi`` into its (per-field,
-    extension) records ``ident`` and the conditional suite's ``fc`` into its
-    (record, events) ``cond``, each None when its suite is not asked."""
+    records ``recs``, the identities suite's ``fi`` through its (record, gate)
+    pairs ``gates`` and the conditional suite's ``fc`` into its (record,
+    events) ``cond``, each None when its suite is not asked."""
     parts = [f for f in (fu, fi, fc) if f is not None]
     rows = len(parts[0])
     ctx = ineq.StackContext(_joined(parts))
     # the unconditional and identities rows end at mid
     mid = rows * ((fu is not None) + (fi is not None))
+    both = ctx.rows(0, mid) if mid else None
     done = {}
     if fu is not None:
-        own, both = ctx.rows(0, rows), ctx.rows(0, mid)
+        own = ctx.rows(0, rows)
         for rec in recs:
-            batch = done[rec.check] = _batch(rec.check)(both if rec.check in SHARED else own, rel)
+            batch = done[rec.check] = getattr(ineq, f"batch_{rec.check}")(both if rec.check in _GATED else own, rel)
             rec.add(batch.margin[:rows], batch.holds[:rows], fu)
     if fi is not None:
-        (field_recs, ext), fams, last = ident, ctx.rows(mid - rows, mid), slice(-rows, None)
-        r = _shared(done, "square_cycle", fams, rel)
-        allowed = 1e-10 * (1.0 + fams.fro_sum)
-        _add_residual(field_recs["square_cycle_identities"], r.detail["identity_residual"][last], allowed)
-        r = _shared(done, "shapiro_extension", fams, rel)
-        base = r.detail["base"][last]
-        _add_residual(ext, -r.margin[last], 1e-10 * (1.0 + abs(base) + fi.shape[-1]))
+        _add_identities(gates, done, {ineq.FAMILY: both}, slice(mid - rows, mid), rel)
     if fc is not None:
         _add_conditional(*cond, ctx.rows(mid, mid + rows), rel)
+
+
+def _add_identities(gates, done, ops, mine, rel):
+    """One chunk of the identities suite: each (record, gate) in ``gates`` reads
+    rows ``mine`` of its checker's batch (in ``done`` if the unconditional suite
+    ran it, else run on ``ops``, the contexts by word) and of its tolerance."""
+    for rec, gate in gates:
+        batch = done[gate.check] if gate.check in done else \
+            getattr(ineq, f"batch_{gate.check}")(ops[ineq.CHECKS[gate.check][0]], rel)
+        residual = batch.detail["identity_residual"][mine]
+        allowed = gate.allowed(batch, ops)[mine]
+        rec.add(allowed - residual, residual <= allowed)
 
 
 def theorem_covers(n: int, p: int) -> bool:
@@ -318,15 +273,8 @@ def _add_conditional(rec, events, fams, rel):
     # outside the theorems a violation is an event, not a failure
     rec.add(batch.margin, np.ones_like(batch.holds))
     for t in np.flatnonzero(~batch.holds):
-        events.append({
-            "kind": "counterexample",
-            "check": "shapiro_trace",
-            "n": rec.n,
-            "p": rec.p,
-            "field": rec.field,
-            "margin": float(batch.margin[t]),
-            "family": family_to_dict(fams.mats[t]),
-        })
+        events.append({"kind": "counterexample", "check": rec.check, "n": rec.n, "p": rec.p, "field": rec.field,
+                       "margin": float(batch.margin[t]), "family": family_to_dict(fams.mats[t])})
 
 
 def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):
@@ -346,7 +294,7 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
         raise ValueError(f"unknown suite {suite!r}")
     names = tuple(name for name in SUITES if suite in (name, "all"))
     units = [(n, fld) for n in dims for fld in fields]
-    jobs = [functools.partial(_walk, names, [n], p_values, trials, seed, rel, (fld,)) for n, fld in units]
+    jobs = [functools.partial(_walk, names, n, p_values, trials, seed, rel, fld) for n, fld in units]
     costs = [TRIAL_WORK * n * trials * len(p_values) * len(names) for n, _ in units]
     # _cpu_count is looked up here, so a count bound on this module is used
     outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))

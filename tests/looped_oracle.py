@@ -6,7 +6,11 @@ stacked ``batch_`` kernels in ``cyclicpd.inequalities`` and the suites in
 ``cyclicpd.verify`` are tested against them; they take the cyclic-sum
 kernel (``cyclic_traces``, ``_cyclic_matrix_sum``) as it is. The conditional
 suite follows the current rule: a violation that a theorem covers is a
-record failure.
+record failure. The looped unconditional suite takes its checkers from
+``inequalities.CHECKS`` and reads each operand word itself, one trial's
+operands at a time; the looped identities suite writes its records and
+tolerances out by hand, a reference for ``inequalities.IDENTITY_CHECKS``.
+``assert_same_outcome`` compares a suite's outcome with the looped one.
 
 ``ref_closed_form``, ``_inv`` and ``looped_cyclic_sum`` are the program's one
 inversion rule and its cyclic-sum kernel, one matrix at a time in Python
@@ -30,6 +34,8 @@ import numpy as np
 from cyclicpd import verify
 from cyclicpd.errors import DimensionMismatch, IllConditioned, SingularDenominator
 from cyclicpd.inequalities import (
+    CHECKS,
+    FAMILY,
     MIN_DET_RATIO,
     SCALAR_VALID_P,
     CheckReport,
@@ -506,7 +512,7 @@ def check_shapiro_extension(f: CyclicFamily, rel: float = REL_TOL) -> CheckRepor
     allowed = 1e-10 * (1.0 + abs(base) + f.dim)
     return CheckReport(
         "shapiro_extension", f.dim, f.p, ext, expected, -diff, diff <= allowed, rel,
-        {"base": base, "extended": ext},
+        {"base": base, "extended": ext, "identity_residual": diff},
     )
 
 
@@ -666,6 +672,21 @@ def check_square_cycle(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     )
 
 
+def close(got, want, rel=1e-12):
+    return got == want or abs(got - want) <= rel * max(abs(got), abs(want))
+
+
+def assert_same_outcome(got, want):
+    """Two suite outcomes agree: the same events and records, the minimum
+    margins to a relative 1e-12."""
+    assert got.events == want.events
+    assert len(got.records) == len(want.records)
+    for g, w in zip(got.records, want.records):
+        g, w = g.to_dict(), w.to_dict()
+        assert close(g.pop("min_margin"), w.pop("min_margin")), (g, w)
+        assert g == w
+
+
 def _random_rect(rng, n, field):
     x = rng.standard_normal((n, n))
     if field == "complex":
@@ -682,8 +703,8 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     for n in dims:
         for fld in fields:
             rng = verify._rng_for(seed, 1, n, verify._FIELD_ID[fld])
-            fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], words.split())
-                     for name, words in verify.UNCONDITIONAL_FIXED]
+            fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], word.split())
+                     for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word != FAMILY]
             for _ in range(trials):
                 a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
                 x, y = _random_rect(rng, n, fld), _random_rect(rng, n, fld)
@@ -698,7 +719,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
             for fld in fields:
                 rng = verify._rng_for(seed, 2, n, p, verify._FIELD_ID[fld])
                 recs = [(verify.GridRecord(name, n, p, fld), globals()[f"check_{name}"])
-                        for name in verify.UNCONDITIONAL_FAMILY]
+                        for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word == FAMILY]
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
                     wit = lambda: family_to_dict(fam.mats)  # noqa: E731

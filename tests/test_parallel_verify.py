@@ -12,12 +12,12 @@ import threading
 import numpy as np
 import pytest
 
+import looped_oracle as oracle
 from conftest import assert_no_child_left
 from cyclicpd import inequalities as ineq
 from cyclicpd import verify
 from cyclicpd.cli import main
 from cyclicpd.errors import NotPositiveDefinite
-from cyclicpd.pdcore import REL_TOL
 
 SUITES = ("all", "unconditional", "identities", "conditional")
 
@@ -41,9 +41,9 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
     serial = run_at(monkeypatch, 1, suite, dims, p_values, trials, 4, fields=fields)
     assert forks[0] == 0
     want = as_dicts(serial)
-    # the units rebuild what one unsplit walk over all of dims gives
-    unsplit = verify._walk(tuple(serial), dims, p_values, trials, 4, REL_TOL, fields)
-    assert want == as_dicts(unsplit)
+    # the units, put back in order, give what the looped suites give over the grid
+    for name, outcome in serial.items():
+        oracle.assert_same_outcome(outcome, getattr(oracle, f"run_{name}")(dims, p_values, trials, 4, fields=fields))
     units = len(dims) * len(fields)  # one unit per (n, field), whatever the suites
     for workers in (2, 3):
         forks[0] = 0

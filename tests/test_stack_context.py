@@ -41,19 +41,14 @@ def draw(n, p, field):
 @pytest.mark.parametrize("n, p, field", GRID)
 def test_context_equals_raw_arrays(n, p, field):
     drawn, fams = draw(n, p, field)
-    raw = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
-    raw.update({w: np.ascontiguousarray(drawn[:, :len(w)]) for w in ("abc", "abcd")})
+    raw = verify.checker_args(drawn, fams, plain=True)
     for order in (1, -1):
-        # the cycles as verify builds them, each in one context its checkers share
-        shared = verify._fixed_args(drawn)
-        for name, words in verify.UNCONDITIONAL_FIXED[::order]:
+        # the cycles as verify builds them and the family, each in one context
+        # its checkers share
+        shared = verify.checker_args(drawn, ineq.StackContext(fams))
+        for name in list(ineq.CHECKS)[::order]:
             fn = getattr(ineq, f"batch_{name}")
-            words = words.split()
-            assert_same_batch(fn(*(shared[w] for w in words)), fn(*(raw[w] for w in words)))
-        ctx = ineq.StackContext(fams)
-        for name in (verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))[::order]:
-            fn = getattr(ineq, f"batch_{name}")
-            assert_same_batch(fn(ctx), fn(fams))
+            assert_same_batch(fn(*shared[name]), fn(*raw[name]))
 
 
 @pytest.mark.parametrize("n, p, field", GRID)
@@ -68,14 +63,16 @@ def test_intermediates_match_their_definitions(n, p, field):
     assert same_bits(ctx.total_inv, ineq._inv(psum(fams)))
     assert same_bits(ctx.fro_sum, oracle.looped_sum_over_p(_fro(fams)))
     assert same_bits(ctx.traces, ineq.cyclic_traces(fams))
-    cycles = verify._fixed_args(drawn)
+    args = verify.checker_args(drawn, fams)
     # a cycle's norm sum adds its operands' norms, one operand at a time
-    for w in ("abc", "abcd"):
-        cyc = cycles[w]
+    for name, (w, _) in ineq.CHECKS.items():
+        if w not in ("abc", "abcd"):
+            continue
+        (cyc,) = args[name]
         assert same_bits(cyc.mats, drawn[:, :len(w)]) and cyc.mats.flags.c_contiguous
         norms = np.stack([_fro(x) for x in np.moveaxis(drawn[:, :len(w)], 1, 0)], axis=-1)
         assert same_bits(cyc.fro_sum, oracle.looped_sum_over_p(norms))
-    for got, want in zip(cycles["abc"].two_ab, ineq._two_ab_sums(np.ascontiguousarray(drawn[:, :3]))):
+    for got, want in zip(args["nesbitt"][0].two_ab, ineq._two_ab_sums(np.ascontiguousarray(drawn[:, :3]))):
         assert same_bits(got, want)
 
 
@@ -108,13 +105,6 @@ def test_grid_point_inverts_and_traces_its_family_stack_once(monkeypatch):
         assert sum(a is fams for a in args) == 1, name
 
 
-def raw_args(drawn):
-    """The fixed-shape checkers' arguments by word, all plain arrays."""
-    args = dict(zip("abcdxy", np.moveaxis(drawn, 1, 0)))
-    args.update({w: np.ascontiguousarray(drawn[:, :len(w)]) for w in ("abc", "abcd")})
-    return args
-
-
 def assert_rows_of(joined, lo, hi, part):
     """Trials lo:hi of the joined batch are, bit for bit, the part's batch: its
     per-trial arrays are the joined ones' rows, its shared values equal."""
@@ -141,17 +131,14 @@ def test_a_trial_does_not_depend_on_its_stack(n, p, field):
     x, y = (random_pd_stack(n, t, 4, rng, field, gaussian_tail=2) for t in (3, 2))
     fx, fy = (random_pd_stack(n, t, p, rng, field) for t in (3, 2))
     stacks = [(x, y, fx, fy)] + ([(x.real + 0j, y, fx.real + 0j, fy)] if field == "complex" else [])
-    cases = [(f"batch_{name}", words.split(), ops, more)
-             for name, words in verify.UNCONDITIONAL_FIXED for ops, more, _, _ in stacks]
-    cases += [(f"batch_{name}", None, fams, more)
-              for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",) for _, _, fams, more in stacks]
-    assert {name for name, *_ in cases} == {k for k in dir(ineq) if k.startswith("batch_")}
-    for name, words, first, second in cases:
-        fn = getattr(ineq, name)
-        run = (lambda s: fn(s)) if words is None else (lambda s: fn(*(raw_args(s)[w] for w in words)))
-        joined = run(np.concatenate([first, second]))
-        assert_rows_of(joined, 0, 3, run(first))
-        assert_rows_of(joined, 3, 5, run(second))
+    for x, y, fx, fy in stacks:
+        joined, first, second = (verify.checker_args(d, f, plain=True) for d, f in
+                                 [(np.concatenate([x, y]), np.concatenate([fx, fy])), (x, fx), (y, fy)])
+        for name in ineq.CHECKS:
+            fn = getattr(ineq, f"batch_{name}")
+            whole = fn(*joined[name])
+            assert_rows_of(whole, 0, 3, fn(*first[name]))
+            assert_rows_of(whole, 3, 5, fn(*second[name]))
 
 
 @pytest.mark.parametrize("n, p, field", ROW_GRID)
@@ -169,6 +156,7 @@ def test_row_view_equals_a_fresh_context(n, p, field):
         for g, w, whole in zip(*(v if isinstance(v, tuple) else (v,) for v in (got, want, getattr(ctx, name)))):
             assert same_bits(g, w), name
             assert np.shares_memory(g, whole), name
-    for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
-        fn = getattr(ineq, f"batch_{name}")
-        assert_same_batch(fn(view), fn(fresh))
+    for name, (word, _) in ineq.CHECKS.items():
+        if word == ineq.FAMILY:
+            fn = getattr(ineq, f"batch_{name}")
+            assert_same_batch(fn(view), fn(fresh))

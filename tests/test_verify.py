@@ -19,26 +19,13 @@ DIMS, PS, TRIALS = range(1, 5), (3, 5, 8), 7
 SUITE_NAMES = ("unconditional", "identities", "conditional")
 
 
-def close(got, want, rel=1e-12):
-    return got == want or abs(got - want) <= rel * max(abs(got), abs(want))
-
-
-def assert_same_outcome(got, want):
-    assert got.events == want.events
-    assert len(got.records) == len(want.records)
-    for g, w in zip(got.records, want.records):
-        g, w = g.to_dict(), w.to_dict()
-        assert close(g.pop("min_margin"), w.pop("min_margin")), (g, w)
-        assert g == w
-
-
 @pytest.mark.parametrize("stack", [verify.TRIALS_PER_STACK, 3])
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_batched_suite_matches_looped(monkeypatch, suite, stack):
     monkeypatch.setattr(verify, "TRIALS_PER_STACK", stack)
     got = verify.run_suites(suite, DIMS, PS, TRIALS, 5)[suite]
     want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5)
-    assert_same_outcome(got, want)
+    oracle.assert_same_outcome(got, want)
 
 
 def flip_by_margin(margin):
@@ -73,7 +60,7 @@ def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, wi
     assert sum(r.failures for r in got.records) > 0
     assert any(r.witness for r in got.records) == witnessed
     assert bool(got.events) == (suite == "conditional")
-    assert_same_outcome(got, want)
+    oracle.assert_same_outcome(got, want)
 
 
 @pytest.mark.parametrize("flipped", [None, "square_cycle", "shapiro_extension", "shapiro_trace"])
@@ -108,9 +95,8 @@ def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
     """With every suite asked, each (n, p, field, chunk) of R trials runs
     cyclic_traces once on the three suites' joined family stack (3R rows)
     besides its extended (2R) and reversed (R) families. Each checker runs
-    once per chunk: one that the identities suite reads too (``SHARED``) on
-    the 2R rows of the two suites, every other one on the R rows of its own
-    suite."""
+    once per chunk: one that an identity gate reads on the 2R rows of the two
+    suites, every other one on the R rows of its own suite."""
     monkeypatch.setattr(verify, "TRIALS_PER_STACK", 3)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     calls = {name: [] for name in dir(ineq) if name.startswith("batch_")}
@@ -131,7 +117,7 @@ def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
     dims, ps = [1, 2], [3, 5]
     verify.run_suites("identities", dims, ps, 5, 2)
     shared = {name[len("batch_"):] for name, got in calls.items() if got and name.startswith("batch_")}
-    assert shared == verify.SHARED
+    assert shared == {g.check for g in ineq.IDENTITY_CHECKS}
     for got in calls.values():
         got.clear()
     verify.run_suites("all", dims, ps, 5, 2)
@@ -139,12 +125,16 @@ def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
     points = [(n, p, kind, rows) for n in dims for p in ps for kind in "fc" for rows in (3, 2)]
     assert sorted(calls.pop("cyclic_traces")) == sorted(
         (r * k, (p + extra,), n, kind) for n, p, kind, r in points for k, extra in [(3, 0), (2, 2), (1, 0)])
-    want = {"batch_shapiro_trace": [(r, (p,), n, kind) for n, p, kind, r in points]}
-    for name, words in verify.UNCONDITIONAL_FIXED:
-        members = (len(words),) if " " not in words else ()
-        want[f"batch_{name}"] = [(r * (1 + (name in shared)), members, n, kind) for n, kind, r in chunks]
-    for name in verify.UNCONDITIONAL_FAMILY:
-        want[f"batch_{name}"] = [(r * (1 + (name in shared)), (p,), n, kind) for n, p, kind, r in points]
+    want = {}
+    for name, (word, suite) in ineq.CHECKS.items():
+        k = 1 + (name in shared)
+        if suite == "conditional":
+            want[f"batch_{name}"] = [(r, (p,), n, kind) for n, p, kind, r in points]
+        elif word == ineq.FAMILY:
+            want[f"batch_{name}"] = [(r * k, (p,), n, kind) for n, p, kind, r in points]
+        else:
+            members = (len(word),) if word in ("abc", "abcd") else ()
+            want[f"batch_{name}"] = [(r * k, members, n, kind) for n, kind, r in chunks]
     assert want.keys() == calls.keys()
     for name, got in calls.items():
         assert sorted(got) == sorted(want[name]), name
@@ -153,8 +143,8 @@ def test_all_suites_evaluate_each_family_stack_once(monkeypatch):
 def same_report(got, want):
     assert got.check_name == want.check_name and (got.n, got.p) == (want.n, want.p)
     assert got.holds == want.holds
-    assert close(got.margin, want.margin)
-    assert close(got.lhs, want.lhs) and close(got.rhs, want.rhs)
+    assert oracle.close(got.margin, want.margin)
+    assert oracle.close(got.lhs, want.lhs) and oracle.close(got.rhs, want.rhs)
     assert got.detail.keys() == want.detail.keys()
     for key, value in want.detail.items():
         assert np.allclose(got.detail[key], value, rtol=1e-12, atol=0), key
@@ -167,17 +157,17 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
     rng = np.random.default_rng(seed)
     drawn = random_pd_stack(n, trials, 4, rng, field, gaussian_tail=2)
     fams = random_pd_stack(n, trials, p, rng, field)
-    args = verify._fixed_args(drawn)
-    for name, words in verify.UNCONDITIONAL_FIXED:
-        batch = getattr(ineq, f"batch_{name}")(*(args[w] for w in words.split()))
+    for name, args in verify.checker_args(drawn, fams).items():
+        batch = getattr(ineq, f"batch_{name}")(*args)
+        word, _ = ineq.CHECKS[name]
         for t in range(trials):
-            ops = dict(zip("abcdxy", [PDMatrix(m) for m in drawn[t, :4]] + list(drawn[t, 4:])))
-            # the looped checkers take a cycle's operands one by one
-            same_report(batch.report(t), getattr(oracle, f"check_{name}")(*(ops[k] for k in words.replace(" ", ""))))
-    for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",):
-        batch = getattr(ineq, f"batch_{name}")(fams)
-        for t in range(trials):
-            same_report(batch.report(t), getattr(oracle, f"check_{name}")(CyclicFamily(fams[t])))
+            if word == ineq.FAMILY:
+                looped = [CyclicFamily(fams[t])]
+            else:
+                ops = dict(zip("abcdxy", [PDMatrix(m) for m in drawn[t, :4]] + list(drawn[t, 4:])))
+                # the looped checkers take a cycle's operands one by one
+                looped = [ops[k] for k in word.replace(" ", "")]
+            same_report(batch.report(t), getattr(oracle, f"check_{name}")(*looped))
 
 
 # (suite, rel): a rel under which some records fail. The unconditional suite
@@ -185,18 +175,19 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
 # Cauchy-Schwarz bounds are equalities at n = 1), which a slack of 1e-30 does
 # not cover. The conditional margins sit far from round-off, so only a
 # negative rel, which asks for a margin of |rel| * (1 + norms), fails some.
-# The identities suite's bounds are fixed at 1e-10 and read no rel.
+# The identities suite's tolerances are those of ineq.IDENTITY_CHECKS, which
+# read no rel.
 @pytest.mark.parametrize("suite, rel", [
     ("unconditional", 1e-30), ("conditional", -0.1), ("identities", 1e-30),
 ])
 def test_suites_read_the_rel_they_are_given(suite, rel):
     got = verify.run_suites(suite, DIMS, PS, TRIALS, 5, rel=rel)[suite]
     want = getattr(oracle, f"run_{suite}")(DIMS, PS, TRIALS, seed=5, rel=rel)
-    assert_same_outcome(got, want)
+    oracle.assert_same_outcome(got, want)
     default = verify.run_suites(suite, DIMS, PS, TRIALS, 5)[suite]
     assert default.unconditional_failures == 0
     if suite == "identities":
-        assert_same_outcome(got, default)
+        oracle.assert_same_outcome(got, default)
     else:
         assert got.unconditional_failures > 0
         assert any(r.witness for r in got.records)
@@ -206,11 +197,8 @@ def test_every_checker_reports_the_rel_it_was_given():
     rng = np.random.default_rng(3)
     drawn = random_pd_stack(2, 2, 4, rng, "real", gaussian_tail=2)
     fams = random_pd_stack(2, 2, 5, rng, "real")
-    args = verify._fixed_args(drawn)
-    batches = [getattr(ineq, f"batch_{name}")(*(args[w] for w in words.split()), 3e-7)
-               for name, words in verify.UNCONDITIONAL_FIXED]
-    batches += [getattr(ineq, f"batch_{name}")(fams, 3e-7)
-                for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",)]
+    batches = [getattr(ineq, f"batch_{name}")(*args, 3e-7)
+               for name, args in verify.checker_args(drawn, fams).items()]
     assert len({b.check_name for b in batches}) == len([n for n in dir(ineq) if n.startswith("batch_")])
     for batch in batches:
         assert batch.rel == 3e-7
@@ -218,15 +206,16 @@ def test_every_checker_reports_the_rel_it_was_given():
 
 
 def test_every_checker_is_in_one_table():
-    """Every ``batch_`` checker runs in exactly one suite table (the conditional
-    suite runs ``shapiro_trace``), and every table entry has a checker."""
-    tables = [name for name, _ in verify.UNCONDITIONAL_FIXED] + list(verify.UNCONDITIONAL_FAMILY)
-    tables.append("shapiro_trace")
-    assert len(tables) == len(set(tables))
-    assert {n for n in dir(ineq) if n.startswith("batch_")} == {f"batch_{name}" for name in tables}
+    """``CHECKS`` holds exactly the module's ``batch_`` checkers, each in one
+    suite; every identity record reads a ``CHECKS`` checker, and the records
+    are distinct."""
+    assert {n for n in dir(ineq) if n.startswith("batch_")} == {f"batch_{name}" for name in ineq.CHECKS}
+    assert {suite for _, suite in ineq.CHECKS.values()} == {"unconditional", "conditional"}
+    assert all(g.check in ineq.CHECKS for g in ineq.IDENTITY_CHECKS)
+    assert len({g.record for g in ineq.IDENTITY_CHECKS}) == len(ineq.IDENTITY_CHECKS)
 
 
-CYCLE_CHECKERS = [(name, len(words)) for name, words in verify.UNCONDITIONAL_FIXED if " " not in words]
+CYCLE_CHECKERS = [(name, len(word)) for name, (word, _) in ineq.CHECKS.items() if word in ("abc", "abcd")]
 
 
 @pytest.mark.parametrize("name, p", CYCLE_CHECKERS)

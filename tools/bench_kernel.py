@@ -23,13 +23,13 @@ of one batched LAPACK solve. Which ``cyclicpd`` it measures is
 the one ``import cyclicpd`` finds, so two checkouts compare by their
 ``PYTHONPATH``.
 
-The checker layer times every checker of the verify tables (the unconditional
-suite's and ``shapiro_trace``) on one stack of T = 512 trials, for n in
-{1, 3, 6} and both fields, on operands drawn and mapped to arguments as the
-unconditional suite does (``verify._fixed_args``), with p = 8 for the family
-checkers. Each call gets plain arrays, so it computes every intermediate
-itself. Per (checker, n, field): the median over ``--runs`` runs of the µs
-and of the cal per trial.
+The checker layer times every checker of ``inequalities.CHECKS`` on one
+stack of T = 512 trials, for n in {1, 3, 6} and both fields, on operands
+drawn and mapped to arguments as the unconditional suite does
+(``verify.checker_args``), with p = 8 for the family checkers. Each call
+gets plain arrays, so it computes every intermediate itself. Per (checker,
+n, field): the median over ``--runs`` runs of the µs and of the cal per
+trial.
 
 The suite layer times ``run_suites("all")``, which ``verify-grid`` runs,
 and ``run_suites`` of each suite alone, in this process (W = 1, no fork) on
@@ -271,15 +271,12 @@ def fork_layer(pairs: int, seed: int, batch) -> dict:
 
 
 def checker_args(n: int, field: str, trials: int, rng) -> dict:
-    """{checker: arguments} of every checker of the verify tables on one draw
-    of ``trials`` trials, mapped as the unconditional suite maps them, as
+    """{checker: arguments} of every checker of ``inequalities.CHECKS`` on one
+    draw of ``trials`` trials, mapped as the unconditional suite maps them, as
     plain arrays, so no call reads what an earlier one cached."""
     drawn = random_pd_stack(n, trials, 4, rng, field, gaussian_tail=2)
     fams = random_pd_stack(n, trials, CHECKER_P, rng, field)
-    args = {w: getattr(a, "mats", a) for w, a in verify._fixed_args(drawn).items()}
-    calls = {name: [args[w] for w in words.split()] for name, words in verify.UNCONDITIONAL_FIXED}
-    calls.update((name, [fams]) for name in verify.UNCONDITIONAL_FAMILY + ("shapiro_trace",))
-    return calls
+    return verify.checker_args(drawn, fams, plain=True)
 
 
 def checker_layer(runs: int, seed: int, batch) -> dict:
