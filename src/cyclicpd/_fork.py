@@ -75,8 +75,8 @@ def run_units(jobs, costs, workers: int) -> list:
             # close the queue, then read and reap every child, also when a
             # fork failed or the parent was interrupted
             queue.truncate(0)
-            replies = [_reap(*child) for child in children]
-    ran += [_decode(first, *reply) for first, reply in zip(order[1:], replies)]
+            replies = [_reap(first, *child) for first, child in zip(order[1:], children)]
+    ran += replies
     results, errors = [None] * len(jobs), []
     for done, error in ran:
         for i, result in done.items():
@@ -132,17 +132,21 @@ def _fork_worker(jobs, first, queue):
     return pid, rfd
 
 
-def _reap(pid, rfd):
-    """Read a child's pipe to the end, then reap the child: (pid, bytes, wait status)."""
+def _reap(first, pid, rfd):
+    """Read a child's pipe to the end and decode it, then reap the child: its
+    ({index: result}, (index, error) or None), with an error at its first
+    job if it ended without sending them or they could not be decoded.
+    Decoding before the wait overlaps it with the child's exit."""
     with os.fdopen(rfd, "rb") as fh:
         data = fh.read()
-    return pid, data, os.waitpid(pid, 0)[1]
-
-
-def _decode(first, pid, data, status):
-    """A child's ({index: result}, (index, error) or None); an error at its
-    first job if it ended without sending them."""
-    if not data:
+    reply = None
+    if data:
+        try:
+            reply = pickle.loads(data)  # bytes written by this module's child
+        except Exception as exc:  # raised once every child is reaped
+            reply = {}, (first, exc)
+    status = os.waitpid(pid, 0)[1]
+    if reply is None:
         return {}, (first, RuntimeError(f"worker {pid} ended without a result "
                                         f"(exit code {os.waitstatus_to_exitcode(status)})"))
-    return pickle.loads(data)  # bytes written by this module's child
+    return reply

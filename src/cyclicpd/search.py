@@ -12,22 +12,31 @@ starts at min(2 x the restart's last accepted step, 1e3) (the first at
 STEP_INIT = 0.5) and tries at most 50 halvings of it; the halvings are
 evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
 the result of trying them one at a time. Every 100 iterations a gauge fix
-rescales the factors. The margin is the cyclic trace sum of
-``inequalities.cyclic_traces``, the one kernel that verify and ``eval`` use
-too, with the program's one inversion rule per S_i: division at n = 1, a
-closed form at n = 2 and 3 where its guard admits S_i, LAPACK otherwise (one
-solve per refused term, a symmetrized inverse). Each iterate is evaluated
-once: the trial evaluation that accepts it keeps its A_i and what it formed
-S_i from, and the next gradient takes S_i^{-1} from those by the same rule,
-bit for bit what ``margin_gradient`` (A_i and ``cyclic_inverses`` formed
-afresh) gives. At n = 1 the products of L L^T and of the gradient multiply
-elementwise, with the 1x1 matmul's bits. The descent carries only the restarts still descending, as
-arrays rebuilt each iteration from the first chunk's gathers; a later chunk
-only overwrites the rows of restarts still pending. The restarts are cut into
-contiguous shares, one per process that ``_fork.workers_for`` grants the
-search's work (restarts x p x n**2 x max_iters), and each share descends in a
-forked process; a search below the fork floor, such as a small or scalar one,
-runs as one stack in this process.
+rescales the factors. One driver runs the descent; it reads its objective
+(``_Objective``) only through the trial evaluation, the kept inverses, the
+gradient, the gradient's squared norm and the trace sum. The matrix objective
+(n >= 2) takes the cyclic trace sum of ``inequalities.cyclic_traces``, the
+one kernel that verify and ``eval`` use too, with the program's one inversion
+rule per S_i: a closed form at n = 2 and 3 where its guard admits S_i, LAPACK
+otherwise (one solve per refused term, a symmetrized inverse). Each iterate
+is evaluated once: the trial evaluation that accepts it keeps its A_i and
+what it formed S_i from, and the next gradient takes S_i^{-1} from those by
+the same rule, bit for bit what ``margin_gradient`` (A_i and
+``cyclic_inverses`` formed afresh) gives. The scalar objective (n = 1) holds
+each restart as one row of a flat (restarts, p) array: a_i = l_i^2 + RIDGE,
+S_i = a_{i+1} + a_{i+2}, the margin sum_i a_i / S_i - p/2 added in order and
+S_i^{-1} = 1 / S_i, with the matrix objective's bits on 1x1 blocks. It
+holds the search's one +0.0 rule (``_scalar_gradient``): a 1x1 matmul adds
+its one product to +0.0, so a gradient entry of -0.0 becomes +0.0. At n = 1
+the matrix objective stays the scalar one's test oracle and
+``margin_gradient``'s path. The descent carries only the restarts still
+descending, as arrays rebuilt each iteration from the first chunk's gathers;
+a later chunk only overwrites the rows of restarts still pending. The
+restarts are cut into contiguous shares, one per process that
+``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
+max_iters), and each share descends in a forked process; a search below the
+fork floor, such as a small or scalar one, runs as one stack in this
+process.
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
@@ -40,11 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_trace, _sum_over_p,
+from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_trace, _shift_index, _sum_over_p,
                            cyclic_inverses, cyclic_shift)
 from .serialize import family_to_dict
 
@@ -119,18 +129,15 @@ def scalar_cyclic_sum(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Objective and gradient on the factor parameterization
+# The descent's two objectives on the factor parameterization
 # ---------------------------------------------------------------------------
 #
-# The kernels take factors stacked as (..., p, n, n), one family per restart,
-# and evaluate them through the cyclic trace and inverse kernels of
-# ``inequalities``; L L^T rounds to an exactly symmetric matrix, as their 2x2
-# and 3x3 closed form needs.
-
-# The product of two stacks of n x n matrices, indexed by n == 1. A 1x1
-# matmul adds the one product to +0.0, so the elementwise product has its
-# bits, but for the sign of a zero product, without matmul's dispatch.
-_PRODUCT = (np.matmul, np.multiply)
+# The matrix objective takes factors stacked as (..., p, n, n), one family
+# per restart, and evaluates them through the cyclic trace and inverse kernels
+# of ``inequalities``; L L^T rounds to an exactly symmetric matrix, as their
+# 2x2 and 3x3 closed form needs. The scalar objective (n = 1) holds each
+# restart as one row of a flat (B, p) array and computes elementwise what
+# the matrix objective computes on 1x1 blocks, with the same bits.
 
 
 @lru_cache(maxsize=128)
@@ -141,12 +148,10 @@ def _ridge_eye(n: int, ridge: float) -> np.ndarray:
 
 
 def _mats_from_factors(factors, ridge: float):
-    n = factors.shape[-1]
-    # a 1x1 factor is its own transpose, and L*L is never -0.0; a larger
-    # factor's contiguous transpose takes numpy's faster matmul path and
-    # rounds the same as the transposed view
-    lt = factors if n == 1 else np.ascontiguousarray(factors.swapaxes(-1, -2))
-    return _PRODUCT[n == 1](factors, lt) + _ridge_eye(n, ridge)
+    # the contiguous transpose takes numpy's faster matmul path and rounds the
+    # same as the transposed view
+    lt = np.ascontiguousarray(factors.swapaxes(-1, -2))
+    return factors @ lt + _ridge_eye(factors.shape[-1], ridge)
 
 
 def _trial(factors, ridge: float):
@@ -178,17 +183,88 @@ def margin_gradient(factors, ridge: float):
 
 def _gradient(factors, mats, invs):
     """``margin_gradient`` from the factors' A_i and S_i^{-1}."""
-    n = factors.shape[-1]
-    mul = _PRODUCT[n == 1]
-    # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its
-    # denominator; at ridge >= 0 no factor of it is negative, so at n = 1 no
-    # product in it is -0.0
-    ks = mul(mul(invs, mats), invs)
-    d = invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)
-    grads = mul(2.0 * d, factors)
-    if n == 1:
-        grads += 0.0  # a -0.0 product becomes +0.0, as in the 1x1 matmul's sum
-    return grads
+    # K_i := S_i^{-1} A_i S_i^{-1} is the sensitivity of term i to its denominator
+    ks = invs @ mats @ invs
+    return 2.0 * (invs - cyclic_shift(ks, -1) - cyclic_shift(ks, -2)) @ factors
+
+
+def _norm2(grads):
+    """Squared Frobenius norm of each family's gradient (B, p, n, n), summed in order over p."""
+    b, p, n = grads.shape[:3]
+    return _sum_over_p((grads * grads).reshape(b, p, n * n).sum(axis=-1))
+
+
+def _trace_sum(mats):
+    """Sum of Tr A_i over each family (B, p, n, n), in order over p."""
+    return _sum_over_p(mats.trace(axis1=-2, axis2=-1))
+
+
+def _scalar_trial(factors, ridge: float):
+    """``_trial`` of flat factors (B, p), with its bits: (margins, a, S) with
+    a_i = l_i l_i + ridge and S_i = a_{i+1} + a_{i+2}; the margin is the sum
+    of a_i / S_i, added in order, - p/2. No a_i / S_i is -0.0, so the sum
+    needs no + 0.0."""
+    a = factors * factors
+    a += ridge
+    p = a.shape[1]
+    s = a.take(_shift_index(p, 1), axis=1)
+    s += a.take(_shift_index(p, 2), axis=1)
+    margins = np.add.accumulate(a / s, axis=1)[:, -1]
+    margins -= p / 2.0
+    return margins, a, s
+
+
+def _scalar_inverses(a, s, rows):
+    """``_kept_inverses`` of the scalar objective: 1 / S_i of families ``rows``."""
+    return 1.0 / s[rows]
+
+
+def _scalar_gradient(factors, a, inv):
+    """``_gradient`` of flat factors (B, p), with its bits, from a_i and
+    1 / S_i. The 1x1 matmul adds each product to +0.0, so a -0.0 product
+    becomes +0.0 here too; at ridge >= 0 no factor of K_i is negative, so
+    only the last product can be -0.0."""
+    ks = inv * a
+    ks *= inv
+    p = a.shape[1]
+    d = inv - ks.take(_shift_index(p, -1), axis=1)
+    d -= ks.take(_shift_index(p, -2), axis=1)
+    d *= 2.0
+    d *= factors
+    d += 0.0
+    return d
+
+
+def _scalar_norm2(grads):
+    """``_norm2`` of flat gradients (B, p); no square is -0.0."""
+    return np.add.accumulate(grads * grads, axis=1)[:, -1]
+
+
+class _Objective(NamedTuple):
+    """What ``_descend`` evaluates: ``layout`` views the (R, p, n, n) factors
+    as the objective's stack, one row per restart; trial(stack) gives
+    (margins, A_i, kept), kept_inverses(A_i, kept, rows) the S_i^{-1} of
+    those rows, gradient(stack, A_i, S_i^{-1}) the gradient, and norm2 and
+    trace_sum the per-row sums over p of the gradient's squares and of Tr A_i."""
+
+    layout: Callable
+    trial: Callable
+    kept_inverses: Callable
+    gradient: Callable
+    norm2: Callable
+    trace_sum: Callable
+
+
+def _matrix_objective() -> _Objective:
+    """The objective on (B, p, n, n) stacks; at n = 1 the oracle of the scalar one."""
+    return _Objective(lambda factors: factors, partial(_trial, ridge=RIDGE), _kept_inverses, _gradient,
+                      _norm2, _trace_sum)
+
+
+def _scalar_objective() -> _Objective:
+    """The objective at n = 1 on flat (B, p) stacks."""
+    return _Objective(lambda factors: factors.reshape(len(factors), -1), partial(_scalar_trial, ridge=RIDGE),
+                      _scalar_inverses, _scalar_gradient, _scalar_norm2, _sum_over_p)
 
 
 def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
@@ -231,31 +307,30 @@ def _evaluate(fn, stack):
     return ok, fn(stack[ok])
 
 
-def _try_steps(trial, ts, factors, grads, margin, gnorm2):
+def _try_steps(obj, ts, factors, grads, margin, gnorm2):
     """(stop, ok, gather) of one stacked evaluation of the trial steps ts
-    (B, k) of B line searches: ``stop`` marks those that pass the Armijo test
-    or raised, ``ok`` those evaluated (None: all), and gather(rows, first)
-    takes evaluated ones (``_gather``)."""
-    cand = factors[:, None] - ts[:, :, None, None, None] * grads[:, None]
-    ok, (f2, mats, kept) = _evaluate(trial, cand.reshape(-1, *cand.shape[2:]))
-    if ok is None:
-        vals = f2.reshape(ts.shape)
-    else:  # a trial step that raised has a nan margin, and stops its line search
-        ok = ok.reshape(ts.shape)
-        vals = np.full(ts.shape, np.nan)
+    (B, k) of B line searches of objective ``obj``: ``stop`` marks those that
+    pass the Armijo test or raised, ``ok`` those evaluated (None: all), and
+    gather(rows, first) takes evaluated ones (``_gather``)."""
+    cand = factors[:, None] - ts[(..., *(None,) * (factors.ndim - 1))] * grads[:, None]
+    stack = cand.reshape(-1, *cand.shape[2:])
+    ok, (vals, mats, kept) = _evaluate(obj.trial, stack)
+    if ok is not None:  # a trial step that raised has a nan margin, and stops its line search
+        f2, vals = vals, np.full(len(stack), np.nan)
         vals[ok] = f2
-    stop = vals <= margin[:, None] - 1e-4 * ts * gnorm2[:, None]
-    return stop if ok is None else stop | ~ok, ok, partial(_gather, ts, cand, vals, ok, mats, kept)
+        ok = ok.reshape(ts.shape)
+    stop = vals.reshape(ts.shape) <= margin[:, None] - 1e-4 * ts * gnorm2[:, None]
+    return stop if ok is None else stop | ~ok, ok, partial(_gather, obj, ts, stack, vals, ok, mats, kept)
 
 
-def _gather(ts, cand, vals, ok, mats, kept, rows, first):
+def _gather(obj, ts, stack, vals, ok, mats, kept, rows, first):
     """(factors, margin, step, A_i, S_i^{-1}) at evaluated trial step first[j]
-    of line search rows[j] of a ``_try_steps`` evaluation."""
-    pos = rows * ts.shape[1] + first
-    if ok is not None:
-        pos = np.cumsum(ok)[pos] - 1  # its row among the evaluated trial steps
-    return (cand[rows, first], vals[rows, first], np.minimum(2.0 * ts[rows, first], MAX_STEP),
-            mats[pos], _kept_inverses(mats, kept, pos))
+    of line search rows[j] of a ``_try_steps`` evaluation, whose ``stack`` and
+    ``vals`` hold every trial step, line search after line search."""
+    at = rows * ts.shape[1] + first
+    pos = at if ok is None else np.cumsum(ok)[at] - 1  # its row among the evaluated trial steps
+    return (stack.take(at, axis=0), vals[at], np.minimum(2.0 * ts[rows, first], MAX_STEP),
+            mats.take(pos, axis=0), obj.kept_inverses(mats, kept, pos))
 
 
 class _Live:
@@ -278,17 +353,18 @@ class _Live:
             x[keep] for x in (self.index, self.factors, self.margin, self.step, self.mats, self.invs))
 
 
-def _descend(cfg: SearchConfig, factors):
+def _descend(cfg: SearchConfig, factors, obj: _Objective | None = None):
     """Armijo-backtracking gradient descent of all restarts in lockstep.
 
-    ``factors`` is (restarts, p, n, n). Each restart keeps its own margin,
-    step, iteration count and history, so its trajectory is the one it
-    follows alone. An iteration is one accepted step; a restart stops when
-    its gradient vanishes or a line search fails. A line search tries up to
-    MAX_HALVINGS halvings of min(2 x the last accepted step, MAX_STEP), a
-    chunk of HALVING_CHUNKS per stacked evaluation (``_try_steps``), and
-    accepts the first that passes the Armijo test, as a search that tries
-    one halving at a time does. The first chunk takes every live restart,
+    ``factors`` is (restarts, p, n, n), evaluated through ``obj``: by
+    default the scalar objective at n = 1 and the matrix one otherwise.
+    Each restart keeps its own margin, step, iteration count and history, so
+    its trajectory is the one it follows alone. An iteration is one accepted
+    step; a restart stops when its gradient vanishes or a line search fails.
+    A line search tries up to MAX_HALVINGS halvings of min(2 x the last
+    accepted step, MAX_STEP), a chunk of HALVING_CHUNKS per stacked
+    evaluation (``_try_steps``), and accepts the first that passes the
+    Armijo test, as a search that tries one halving at a time does. The first chunk takes every live restart,
     and the live arrays (``_Live``) are rebound to what it gathers at each
     one's first stop (``_gather``): the next state, with the A_i and
     S_i^{-1} of the next gradient, or a placeholder that the later chunk
@@ -300,12 +376,15 @@ def _descend(cfg: SearchConfig, factors):
     one row of margins per iteration run, and restart r's are rows
     0..iters[r]. A restart whose evaluation raised LinAlgError (at the
     initial point, a trial step before the one it would accept, or a gauge
-    fix) is retired there with a nan margin. The gradient is matrix products
-    of arrays already formed and cannot raise; a nan gradient fails the
-    line search.
+    fix) is retired there with a nan margin. The gradient is products of
+    arrays already formed and cannot raise; a nan gradient fails the line
+    search.
     """
-    trial = partial(_trial, ridge=RIDGE)
-    factors = np.array(factors, dtype=np.float64)
+    if obj is None:
+        obj = _scalar_objective() if cfg.n == 1 else _matrix_objective()
+    trial, gradient, norm2 = obj.trial, obj.gradient, obj.norm2
+    out = np.array(factors, dtype=np.float64)
+    factors = obj.layout(out)  # a view: a retired restart's row is written into ``out``
     f = np.full(len(factors), np.nan)
     iters = np.zeros(len(factors), dtype=int)
     ok, (f0, mats, kept) = _evaluate(trial, factors)
@@ -314,22 +393,23 @@ def _descend(cfg: SearchConfig, factors):
     history = np.full((min(cfg.max_iters, 63) + 1, len(f)), np.nan)
     history[0] = f
     live = _Live((factors, f, iters), index, factors[index], f0, np.full(len(f0), STEP_INIT),
-                 mats, _kept_inverses(mats, kept, slice(None)))
+                 mats, obj.kept_inverses(mats, kept, slice(None)))
     for it in range(1, cfg.max_iters + 1):
         if live.index.size == 0:
             break
-        grads = _gradient(live.factors, live.mats, live.invs)
-        gnorm2 = _sum_over_p((grads * grads).reshape(len(grads), cfg.p, cfg.n * cfg.n).sum(axis=-1))
+        grads = gradient(live.factors, live.mats, live.invs)
+        gnorm2 = norm2(grads)
         flat = gnorm2 < 1e-24  # a nan norm goes on to fail the line search
         if flat.any():
             live.retire(flat, it - 1)
             grads, gnorm2 = grads[~flat], gnorm2[~flat]
         # trial steps t, t/2, ... by repeated halving, as a serial line search
         # forms them: t * 0.5**j would round differently once t is subnormal
-        halvings = np.full((len(grads), MAX_HALVINGS), 0.5)
+        halvings = np.empty((len(grads), MAX_HALVINGS))
         halvings[:, 0] = live.step
+        halvings[:, 1:] = 0.5
         trials = np.multiply.accumulate(halvings, axis=1)
-        stop, ok, gather = _try_steps(trial, trials[:, :HALVING_CHUNKS[0]], live.factors, grads, live.margin, gnorm2)
+        stop, ok, gather = _try_steps(obj, trials[:, :HALVING_CHUNKS[0]], live.factors, grads, live.margin, gnorm2)
         rows, first = np.arange(len(stop)), stop.argmax(axis=1)
         if ok is not None:  # a restart whose first stop raised retires with a nan margin
             won = ok[rows, first]
@@ -344,7 +424,7 @@ def _descend(cfg: SearchConfig, factors):
             gone = ~stopped
             pending, start = np.flatnonzero(gone), HALVING_CHUNKS[0]
             for k in HALVING_CHUNKS[1:]:
-                stop, ok, gather = _try_steps(trial, trials[pending, start:start + k], live.factors[pending],
+                stop, ok, gather = _try_steps(obj, trials[pending, start:start + k], live.factors[pending],
                                               grads[pending], live.margin[pending], gnorm2[pending])
                 start += k
                 at = np.flatnonzero(stop.any(axis=1))
@@ -369,8 +449,8 @@ def _descend(cfg: SearchConfig, factors):
         if it % 100 == 0:
             # gauge fix: the objective is scale invariant up to the ridge,
             # so renormalize total trace to p*n unless that would move uphill
-            scale = cfg.p * cfg.n / _sum_over_p(live.mats.trace(axis1=-2, axis2=-1))
-            fixed = np.sqrt(scale)[:, None, None, None] * live.factors
+            scale = cfg.p * cfg.n / obj.trace_sum(live.mats)
+            fixed = np.sqrt(scale)[(..., *(None,) * (factors.ndim - 1))] * live.factors
             ok, (f_fixed, mats, kept) = _evaluate(trial, fixed)
             if ok is not None:
                 live.margin[~ok] = np.nan
@@ -378,9 +458,9 @@ def _descend(cfg: SearchConfig, factors):
                 fixed = fixed[ok]
             keep = np.flatnonzero(f_fixed <= live.margin + 1e-12 * (1.0 + np.abs(live.margin)))
             live.factors[keep], live.margin[keep], live.mats[keep], live.invs[keep] = (
-                fixed[keep], f_fixed[keep], mats[keep], _kept_inverses(mats, kept, keep))
+                fixed[keep], f_fixed[keep], mats[keep], obj.kept_inverses(mats, kept, keep))
     live.retire(np.ones(live.index.size, dtype=bool), cfg.max_iters)
-    return factors, f, history[:iters.max() + 1], iters
+    return out, f, history[:iters.max() + 1], iters
 
 
 def classify_margin(margin: float) -> str:

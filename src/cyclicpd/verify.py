@@ -100,6 +100,12 @@ class GridRecord:
             del d["witness"]
         return d
 
+    def __reduce__(self):
+        # pickled as its field values: a forked verify's worker sends its
+        # records back, and the default would pickle every attribute's name
+        # with each record
+        return GridRecord, tuple(vars(self).values())
+
 
 @dataclass
 class SuiteOutcome:

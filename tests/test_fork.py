@@ -1,7 +1,8 @@
 """_fork.run_units on its own: every job once and the results in job order
 whatever the costs, each worker on its own first job of the longest-first
-order, the serial run's error, a queue longer than a pipe holds, and a queue
-that closes when the parent stops early; no child left behind."""
+order, the serial run's error, a queue longer than a pipe holds, a queue
+that closes when the parent stops early, and a reply that cannot be decoded;
+no child left behind."""
 import errno
 import functools
 import os
@@ -123,3 +124,23 @@ def test_interrupt_in_the_parent_closes_the_queue(tmp_path):
     lines = ran(log)
     assert lines[0][0] == 1 and lines[0][1] != parent
     assert len(lines) < len(jobs) // 2
+
+
+def refuse():
+    raise ValueError("cannot decode")
+
+
+class Undecodable:
+    """A result that pickles in the child but cannot be unpickled."""
+
+    def __reduce__(self):
+        return refuse, ()
+
+
+def test_a_reply_that_cannot_be_decoded_is_raised_after_every_child_is_reaped(forks):
+    # job 7 is the first child's first job at W = 3; the other child's reply decodes
+    jobs = [functools.partial(lambda i: Undecodable() if i == 7 else i, i) for i in range(len(COSTS))]
+    with pytest.raises(ValueError, match="cannot decode"):
+        _fork.run_units(jobs, COSTS, 3)
+    assert forks[0] == 2
+    assert_no_child_left()

@@ -361,6 +361,74 @@ class TestLockstepOracle:
         self.assert_kernels_match_looped(np.exp(rng.uniform(-4.0, 4.0, (4, p, 1, 1))))
 
 
+def assert_same_descent(got, want):
+    """Two ``_descend`` results (factors, margins, history, iters), bit for bit."""
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def poisoned_scalar_start():
+    """(cfg, starts) of an n = 1 descent whose rows meet each way a restart
+    stops: members all equal (a flat gradient at the start), one factor
+    1e200 (a_i overflows: an infinite margin), a nan factor, a zero factor
+    (a_i = ridge), and clean rows that pass the gauge fix at iteration 100."""
+    cfg = cp.SearchConfig(p=14, n=1, restarts=6, max_iters=150, master_seed=3)
+    init = search._initial_factors(cfg)
+    init[1] = 1.0
+    init[2, 3] = 1e200
+    init[3, 0] = np.nan
+    init[4, 2] = 0.0
+    return cfg, init
+
+
+class TestScalarObjective:
+    """At n = 1 the descent runs the scalar objective on flat (R, p) stacks;
+    the matrix objective on (R, p, 1, 1) stacks is its oracle."""
+
+    @staticmethod
+    def both(cfg, init):
+        with np.errstate(all="ignore"):
+            return search._descend(cfg, init), search._descend(cfg, init, search._matrix_objective())
+
+    @pytest.mark.parametrize("kw", [kw for kw in ORACLE_CONFIGS if kw["n"] == 1],
+                             ids=lambda kw: "p{p}-r{restarts}-it{max_iters}".format(**kw))
+    def test_bit_identical_to_the_matrix_objective(self, kw):
+        cfg = cp.SearchConfig(**kw)
+        got, want = self.both(cfg, search._initial_factors(cfg))
+        assert_same_descent(got, want)
+        if cfg.max_iters == 400:
+            assert want[3].max() > 100  # past the gauge fix
+
+    def test_grid_reaches_a_failed_line_search(self):
+        cfg = cp.SearchConfig(**ORACLE_CONFIGS[0])
+        assert (cfg.p, cfg.n) == (3, 1)
+        line_searches = []
+        ref_descend(cfg, ref_init_factors(cfg, 0), line_searches)
+        assert line_searches[-1][4] is None
+
+    def test_poisoned_rows_stop_as_in_the_matrix_objective(self):
+        cfg, init = poisoned_scalar_start()
+        got, want = self.both(cfg, init)
+        assert_same_descent(got, want)
+        _, margins, _, iters = got
+        assert iters[1] == 0 and np.isfinite(margins[1])  # retired flat
+        assert margins[2] == np.inf and np.isnan(margins[3])
+        assert iters[0] > 100 and iters[4] > 100
+
+    def test_two_shares_equal_one_stack(self):
+        cfg, init = poisoned_scalar_start()
+        whole = self.both(cfg, init)[0]
+        start = 0
+        for share in np.array_split(init, 2):
+            got, want = self.both(cfg, share)
+            assert_same_descent(got, want)
+            rows = slice(start, start + len(share))
+            for x, y in zip(got[:2] + got[3:], whole[:2] + whole[3:]):
+                assert x.tobytes() == y[rows].tobytes()
+            assert got[2].tobytes() == whole[2][:len(got[2]), rows].copy().tobytes()
+            start += len(share)
+
+
 class TestRestartIsolation:
     CFG = cp.SearchConfig(p=5, n=2, restarts=5, max_iters=150, master_seed=9)
 
@@ -535,16 +603,16 @@ class TestBatchedLineSearch:
     def test_stacked_calls_per_descent(self, monkeypatch):
         # search-scalar golden argv: 154 calls at one halving per call
         cfg = cp.SearchConfig(p=14, n=1, restarts=8, max_iters=50, master_seed=11)
-        original = search._trial
+        original = search._scalar_trial
         calls = []
 
         def counting(factors, ridge):
             calls.append(len(factors))
             return original(factors, ridge)
 
-        monkeypatch.setattr(search, "_trial", counting)
+        monkeypatch.setattr(search, "_scalar_trial", counting)
         search._descend(cfg, search._initial_factors(cfg))
-        assert len(calls) <= 60
+        assert 50 < len(calls) <= 60
 
     def test_each_iterate_is_formed_once(self, monkeypatch):
         # search-matrix golden argv: the gradient reads the A_i and cofactors
@@ -587,8 +655,9 @@ class TestMatsFromFactors:
 
 
 class TestScalarProducts:
-    """At n = 1 the search multiplies its 1x1 products elementwise; the
-    results must be the matmul's bytes, signed zeros and nan included."""
+    """At n = 1 the search's scalar objective multiplies what the matrix
+    objective multiplies as 1x1 matrices; the results must be the matmul's
+    bytes, signed zeros and nan included."""
 
     @staticmethod
     def matmul_mats(factors, ridge):
@@ -617,21 +686,36 @@ class TestScalarProducts:
         nan[2, 5] = np.nan
         yield nan
 
+    @staticmethod
+    def scalar(factors, ridge):
+        """(margins, A_i, S_i^{-1}, gradient) of the scalar objective, as (B, p, 1, 1) stacks."""
+        flat = factors.reshape(len(factors), -1)
+        margins, a, s = search._scalar_trial(flat, ridge)
+        invs = search._scalar_inverses(a, s, slice(None))
+        grads = search._scalar_gradient(flat, a, invs)
+        return (margins, *(x.reshape(factors.shape) for x in (a, invs, grads)))
+
     @pytest.mark.parametrize("ridge", [1e-8, 0.0])
     def test_bytes_equal_the_matmul(self, ridge):
         for factors in self.stacks():
             with np.errstate(all="ignore"):
-                mats, want_mats = search._mats_from_factors(factors, ridge), self.matmul_mats(factors, ridge)
-                grads, want_grads = cp.margin_gradient(factors, ridge), self.matmul_gradient(factors, ridge)
+                margins, mats, invs, grads = self.scalar(factors, ridge)
+                want_mats = self.matmul_mats(factors, ridge)
+                want_margins = search._trial(factors, ridge)[0]
+                want_invs, want_grads = ineq.cyclic_inverses(want_mats), self.matmul_gradient(factors, ridge)
+                matrix_grads = cp.margin_gradient(factors, ridge)
             assert mats.tobytes() == want_mats.tobytes()
-            assert grads.tobytes() == want_grads.tobytes()
+            assert margins.tobytes() == want_margins.tobytes()
+            assert invs.tobytes() == want_invs.tobytes()
+            assert grads.tobytes() == want_grads.tobytes() == matrix_grads.tobytes()
 
     def test_negative_zero_products_become_positive_zero(self):
         # d_i = 0 exactly at A_i = A for every i, so each gradient entry is
         # the product 0 * L_i, which a 1x1 matmul adds to +0.0
         factors = np.full((1, 6, 1, 1), -1.5)
-        grads = cp.margin_gradient(factors, 0.0)
+        grads = self.scalar(factors, 0.0)[3]
         assert grads.tobytes() == np.zeros_like(factors).tobytes()
+        assert cp.margin_gradient(factors, 0.0).tobytes() == grads.tobytes()
 
 
 def lapack_traces(mats):

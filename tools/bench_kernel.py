@@ -8,8 +8,9 @@ process and in a fresh one.
 
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with the kernels it calls (``KERNELS``: the trial
-evaluation, the S_i^{-1} it keeps and the gradient, or in an older tree the
-margin and ``margin_gradient``) wrapped in a timer that counts only the
+evaluation, the S_i^{-1} it keeps and the gradient of the matrix objective
+and, at n = 1, of the scalar one, or in an older tree the margin and
+``margin_gradient``) wrapped in a timer that counts only the
 outermost of nested kernel calls, for each (n, p, R, iterations) case, and
 prints one JSON document: per case the median over ``--runs`` runs of kernel
 time per accepted iteration, of the bookkeeping time per accepted iteration
@@ -44,8 +45,10 @@ that fills the module's caches: the total calls cProfile sees (Python
 functions and the built-ins they call) and the calls of each ``np.linalg``
 routine in ``LINALG_COUNTED``. It does the same for ``minimize_margin`` on
 the two benchmark search commands (``COUNT_SEARCHES``), and adds the calls
-of ``search._mats_from_factors`` and ``inequalities._cofactors``, which
-form each iterate's A_i and S_i cofactors. Then, per (checker, n, field),
+of the functions that form each iterate's A_i (``FORMING``):
+``search._mats_from_factors`` and ``inequalities._cofactors``, which forms
+the S_i cofactors, on the matrix objective, and ``search._scalar_trial`` on
+the scalar one. Then, per (checker, n, field),
 it counts the calls of one call of each checker at the grid's chunk shape (T = 4 trials,
 n in {1, 3, 6}, p = 8 for the family checkers), on plain arrays drawn as the
 checker layer draws them, after one unprofiled call. The counts are exact
@@ -137,13 +140,17 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LINALG_COUNTED = ("eigh", "eigvalsh", "solve", "inv", "eigvals")
 # name -> (p, n, restarts, iterations) of the benchmark's search commands, at master_seed --seed
 COUNT_SEARCHES = {"search-scalar": (14, 1, 8, 50), "search-matrix": (23, 3, 4, 100)}
-# the search functions the count layer counts, as (module, name)
-FORMING = (("search", "_mats_from_factors"), ("inequalities", "_cofactors"))
+# the search functions the count layer counts, as (module, name): the matrix
+# objective's, then the scalar objective's
+FORMING = (("search", "_mats_from_factors"), ("inequalities", "_cofactors"), ("search", "_scalar_trial"))
 # the commands the CLI layer times in a fresh process, besides the search-scalar one
 PROCESS_ARGVS = [("reproduce", "--case", "all")]
-# what the descent calls to evaluate its iterates, in the search module; the
-# last two are an older tree's, so the layer times both trees of a comparison
-KERNELS = ("_trial", "_kept_inverses", "_gradient", "_margin_value", "margin_gradient")
+# what the descent calls to evaluate its iterates, in the search module: the
+# matrix objective's trial, kept inverses and gradient, the scalar
+# objective's, and an older tree's two, so the layer times both trees of a
+# comparison
+KERNELS = ("_trial", "_kept_inverses", "_gradient", "_scalar_trial", "_scalar_inverses", "_scalar_gradient",
+           "_margin_value", "margin_gradient")
 
 
 def load_calibration():
