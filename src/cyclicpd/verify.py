@@ -20,16 +20,17 @@ whole (T, ...) stack at once through its ``batch_`` kernel.
 
 The suites' checkers, records and identity gates come from two tables,
 ``inequalities.CHECKS`` and ``inequalities.IDENTITY_CHECKS``. The asked
-suites run in one walk per (n, field) (:func:`_walk`): per chunk, the cycles
-(a, b, c) and (a, b, c, d) of the unconditional and identities draws, and per
-p the families of all three suites, are joined on the trial axis, in
-``SUITES`` order, in one :class:`~cyclicpd.inequalities.StackContext` (a
-single suite joins nothing). Each checker runs once, on a row view of the
-suites that read it, so the context's intermediates are computed once per
-joined stack, and a checker that an identity gate reads once for both
-suites. A trial's result does not depend on the other rows of its stack, so
-each suite's outcome is the one it gives alone, bit for bit, however its
-trials are chunked.
+suites run in one walk per (n, field) (:func:`_walk`), which adds each chunk
+slot by slot, through one :func:`_add_chunk` for every slot: slot 0 holds
+the fixed-shape draws and their cycles (a, b, c) and (a, b, c, d), each
+other slot p the families of p. A slot's operands of one word (a cycle or
+the families) are joined on the trial axis, in ``SUITES`` order, in one
+:class:`~cyclicpd.inequalities.StackContext` (a single suite joins nothing).
+Each checker runs once, on a row view of the suites that read it, so the
+context's intermediates are computed once per joined stack, and a checker
+that an identity gate reads once for both suites. A trial's result does not
+depend on the other rows of its stack, so each suite's outcome is the one it
+gives alone, bit for bit, however its trials are chunked.
 
 :func:`run_suites` runs each (n, field), with every asked suite, as a unit of
 its own; as many forked processes as the grid's work repays take the units
@@ -139,31 +140,35 @@ def _joined(parts):
 def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
     """The suites ``names`` on one unit (n, field), {suite: SuiteOutcome}: per
     chunk of trials, each suite draws from its own streams what it would draw
-    alone, and its cycles and each p's families are joined with the other
-    suites' on the trial axis, in ``SUITES`` order."""
+    alone, and each slot, the fixed-shape draws and then each p's families,
+    is added by one call of :func:`_add_chunk`, on its operands' contexts of
+    the asked suites' rows."""
     u, i, c = (name in names for name in SUITES)
     key = _FIELD_ID[fld]
     out = {name: SuiteOutcome() for name in names}
-    # p = 0 stands for the fixed-shape draws and their cycles, each other p for its families
+    # slot 0 is the fixed-shape draws and their cycles, each other slot p the
+    # families of p; a suite not asked has no records, gates or rows in any
+    slots = (0, *p_values)
+    unc = gates = cond = dict.fromkeys(slots, ())
     if u:
         # ``ineq.batch_<name>`` checks record ``name``, looked up at call time
         unc = {p: [GridRecord(name, n, p, fld) for name, (word, suite) in ineq.CHECKS.items()
-                   if suite == "unconditional" and (word == ineq.FAMILY) == (p > 0)] for p in (0, *p_values)}
+                   if suite == "unconditional" and (word == ineq.FAMILY) == (p > 0)] for p in slots}
         out["unconditional"].records += [r for recs in unc.values() for r in recs]
         rng_fixed = _rng_for(seed, 1, n, key)
         rng_family = {p: _rng_for(seed, 2, n, p, key) for p in p_values}
     if i:
         # the records kept once per unit (p = 0), then those kept per p
         recs = {(g.record, p): GridRecord(g.record, n, p, fld)
-                for p in (0, *p_values) for g in ineq.IDENTITY_CHECKS if g.per_p == (p > 0)}
+                for p in slots for g in ineq.IDENTITY_CHECKS if g.per_p == (p > 0)}
         out["identities"].records += recs.values()
         gates = {p: [(recs[g.record, p if g.per_p else 0], g) for g in ineq.IDENTITY_CHECKS
-                     if (ineq.CHECKS[g.check][0] == ineq.FAMILY) == (p > 0)] for p in (0, *p_values)}
+                     if (ineq.CHECKS[g.check][0] == ineq.FAMILY) == (p > 0)] for p in slots}
         rng_ident = _rng_for(seed, 3, n, key)
     if c:
-        cond = {p: GridRecord("shapiro_trace", n, p, fld) for p in p_values}
-        events = {p: [] for p in p_values}
-        out["conditional"].records += cond.values()
+        # the conditional suite's (record, events) of each p
+        cond = {p: (GridRecord("shapiro_trace", n, p, fld), []) if p else () for p in slots}
+        out["conditional"].records += [cond[p][0] for p in p_values]
         rng_cond = {p: _rng_for(seed, 4, n, p, key) for p in p_values}
     # consecutive stacks of at most TRIALS_PER_STACK rows take each stream as
     # one draw of all the trials would
@@ -173,105 +178,86 @@ def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
         # each trial draws a, b, c, d, then one family per p in p_values
         di = random_pd_stack(n, rows, 4 + sum(p_values), rng_ident, fld) if i else None
         if u or i:
-            _add_cycles(unc[0] if u else None, gates[0] if i else None, du, di, rel)
+            _add_chunk(unc[0], gates[0], cond[0], _fixed_operands(du, di), rows, rel)
         start = 4
         for p in p_values:
             fu = random_pd_stack(n, rows, p, rng_family[p], fld) if u else None
             fi = di[:, start:start + p] if i else None
             fc = random_pd_stack(n, rows, p, rng_cond[p], fld) if c else None
             start += p
-            _add_families(unc[p] if u else None, gates[p] if i else None,
-                          (cond[p], events[p]) if c else None, fu, fi, fc, rel)
+            parts = [f for f in (fu, fi, fc) if f is not None]
+            _add_chunk(unc[p], gates[p], cond[p], {ineq.FAMILY: ineq.StackContext(_joined(parts))}, rows, rel)
     if c:
-        out["conditional"].events += [e for p in p_values for e in events[p]]
+        out["conditional"].events += [e for p in p_values for e in cond[p][1]]
     return out
 
 
-# The helpers below hold a chunk's contexts, so their cached intermediates are
-# freed when the chunk is done, before the next one is drawn.
-
-def checker_args(drawn, fams=None, cycles=None, plain=False) -> dict:
-    """{name: [argument, ...]} of every ``ineq.CHECKS`` checker, in order: a
-    letter of its word is that operand of ``drawn`` (T, 6, n, n), a cycle the
-    first T rows of its context in ``cycles`` (by default a contiguous one of
-    ``drawn``'s own), FAMILY is ``fams``. With ``plain``, each argument is a
-    plain array, so each call computes its intermediates itself."""
-    if cycles is None:
-        cycles = {w: ineq.StackContext(np.ascontiguousarray(drawn[:, :len(w)])) for w in ("abc", "abcd")}
-    args = dict(zip("abcdxy", drawn.swapaxes(0, 1)))
-    args.update({w: ctx.rows(0, len(drawn)) for w, ctx in cycles.items()})
-    args[ineq.FAMILY] = fams
-    if plain:
-        args = {w: getattr(a, "mats", a) for w, a in args.items()}
-    return {name: [args[w] for w in word.split()] for name, (word, _) in ineq.CHECKS.items()}
+# Each checker's operand words, split once, and the words whose operand is a context.
+_WORDS = {name: word.split() for name, (word, _) in ineq.CHECKS.items()}
+_CONTEXTS = frozenset(("abc", "abcd", ineq.FAMILY))
 
 
-def _add_cycles(recs, gates, du, di, rel):
-    """One chunk of the fixed-shape draws: the unconditional suite's ``du``
-    into its records ``recs`` and the identities suite's ``di`` through its
-    (record, gate) pairs ``gates``, each None when its suite is not asked."""
+def _fixed_operands(du, di) -> dict:
+    """{word: operand} of one chunk's fixed-shape draws: a letter of "abcdxy"
+    is that operand of the unconditional suite's ``du`` (T, 6, n, n), "abc"
+    and "abcd" the context of that cycle of ``du`` and of the identities
+    suite's ``di`` (T, 4 + ..., n, n), joined in that order, contiguous;
+    either is None when its suite is not asked."""
     parts = [d for d in (du, di) if d is not None]
-    rows = len(parts[0])
-    cycles = {w: ineq.StackContext(np.ascontiguousarray(_joined([d[:, :len(w)] for d in parts])))
-              for w in ("abc", "abcd")}
-    done = {}
+    ops = {"abcd"[:k]: ineq.StackContext(np.ascontiguousarray(_joined([d[:, :k] for d in parts]))) for k in (3, 4)}
     if du is not None:
-        args = checker_args(du, cycles=cycles)
-        for rec in recs:
-            word, ops = ineq.CHECKS[rec.check][0], args[rec.check]
-            batch = done[rec.check] = getattr(ineq, f"batch_{rec.check}")(
-                *([cycles[word]] if rec.check in _GATED else ops), rel)
-            # a one-word check runs on a cycle, which its witness replays as a family
-            rec.add(batch.margin[:rows], batch.holds[:rows], ops[0].mats if word in cycles else None)
-    if di is not None:
-        # the identities suite's rows are the last
-        _add_identities(gates, done, cycles, slice(-rows, None), rel)
+        ops.update(zip("abcdxy", du.swapaxes(0, 1)))
+    return ops
 
 
-def _add_families(recs, gates, cond, fu, fi, fc, rel):
-    """One chunk of one p's families: the unconditional suite's ``fu`` into its
-    records ``recs``, the identities suite's ``fi`` through its (record, gate)
-    pairs ``gates`` and the conditional suite's ``fc`` into its (record,
-    events) ``cond``, each None when its suite is not asked."""
-    parts = [f for f in (fu, fi, fc) if f is not None]
-    rows = len(parts[0])
-    ctx = ineq.StackContext(_joined(parts))
+def checker_args(drawn, fams=None, plain=False) -> dict:
+    """{name: [argument, ...]} of every ``ineq.CHECKS`` checker, in order, from
+    the map the walk builds (:func:`_fixed_operands`) of ``drawn`` (T, 6, n,
+    n) alone, with FAMILY ``fams``. With ``plain``, each argument is a plain
+    array, so each call computes its intermediates itself."""
+    ops = {**_fixed_operands(drawn, None), ineq.FAMILY: fams}
+    if plain:
+        ops = {w: getattr(a, "mats", a) for w, a in ops.items()}
+    return {name: [ops[w] for w in words] for name, words in _WORDS.items()}
+
+
+# Only _add_chunk holds a slot's contexts, so their cached intermediates are
+# freed when the slot is done, before the next one is drawn.
+
+def _add_chunk(recs, gates, cond, ops, rows, rel):
+    """One chunk of ``rows`` trials of one slot: the unconditional suite's
+    rows into its records ``recs``, the identities suite's through its
+    (record, gate) pairs ``gates`` and the conditional suite's into its
+    (record, events) ``cond``; a suite not asked has none. ``ops`` maps each
+    operand word to its operand: a context holds the asked suites' rows,
+    joined in ``SUITES`` order, a letter's plain array the unconditional
+    suite's. A checker reads its own suite's rows and, if an identity gate
+    reads it, the identities suite's too."""
     # the unconditional and identities rows end at mid
-    mid = rows * ((fu is not None) + (fi is not None))
-    both = ctx.rows(0, mid) if mid else None
+    mid = rows * (bool(recs) + bool(gates))
+    if mid:
+        both = {w: ops[w].rows(0, mid) if w in _CONTEXTS else ops[w] for w in ops}
     done = {}
-    if fu is not None:
-        own = ctx.rows(0, rows)
+    if recs:
+        own = {w: ops[w].rows(0, rows) if w in _CONTEXTS else ops[w] for w in ops}
         for rec in recs:
-            batch = done[rec.check] = getattr(ineq, f"batch_{rec.check}")(both if rec.check in _GATED else own, rel)
-            rec.add(batch.margin[:rows], batch.holds[:rows], fu)
-    if fi is not None:
-        _add_identities(gates, done, {ineq.FAMILY: both}, slice(mid - rows, mid), rel)
-    if fc is not None:
-        _add_conditional(*cond, ctx.rows(mid, mid + rows), rel)
-
-
-def _add_identities(gates, done, ops, mine, rel):
-    """One chunk of the identities suite: each (record, gate) in ``gates`` reads
-    rows ``mine`` of its checker's batch (in ``done`` if the unconditional suite
-    ran it, else run on ``ops``, the contexts by word) and of its tolerance."""
+            word = ineq.CHECKS[rec.check][0]
+            batch = done[rec.check] = getattr(ineq, f"batch_{rec.check}")(
+                *map((both if rec.check in _GATED else own).__getitem__, _WORDS[rec.check]), rel)
+            # a check on a context keeps its trials' families for a witness
+            rec.add(batch.margin[:rows], batch.holds[:rows], own[word].mats if word in _CONTEXTS else None)
+    # each gate reads the identities rows of its checker's batch and of its tolerance
+    mine = slice(mid - rows, mid)
     for rec, gate in gates:
         batch = done[gate.check] if gate.check in done else \
-            getattr(ineq, f"batch_{gate.check}")(ops[ineq.CHECKS[gate.check][0]], rel)
+            getattr(ineq, f"batch_{gate.check}")(both[ineq.CHECKS[gate.check][0]], rel)
         residual = batch.detail["identity_residual"][mine]
-        allowed = gate.allowed(batch, ops)[mine]
+        allowed = gate.allowed(batch, both)[mine]
         rec.add(allowed - residual, residual <= allowed)
-
-
-def theorem_covers(n: int, p: int) -> bool:
-    """Whether a theorem proves the trace bound Tr-sum >= p*n/2 at (n, p): the
-    Nesbitt and four-variable theorems for p in {3, 4}, and the scalar cyclic
-    inequality at n = 1."""
-    return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
-
-
-def _add_conditional(rec, events, fams, rel):
-    """One chunk of the conditional suite, whose families are the context ``fams``."""
+    if not cond:
+        return
+    # the conditional suite's rows are the last
+    (rec, events), fams = cond, ops[ineq.FAMILY].rows(mid, mid + rows)
     batch = ineq.batch_shapiro_trace(fams, rel)
     if theorem_covers(rec.n, rec.p):
         rec.add(batch.margin, batch.holds, fams.mats)
@@ -281,6 +267,13 @@ def _add_conditional(rec, events, fams, rel):
     for t in np.flatnonzero(~batch.holds):
         events.append({"kind": "counterexample", "check": rec.check, "n": rec.n, "p": rec.p, "field": rec.field,
                        "margin": float(batch.margin[t]), "family": family_to_dict(fams.mats[t])})
+
+
+def theorem_covers(n: int, p: int) -> bool:
+    """Whether a theorem proves the trace bound Tr-sum >= p*n/2 at (n, p): the
+    Nesbitt and four-variable theorems for p in {3, 4}, and the scalar cyclic
+    inequality at n = 1."""
+    return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
 def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):

@@ -63,7 +63,8 @@ def test_failures_witnesses_and_events_match_looped(monkeypatch, suite, name, wi
     oracle.assert_same_outcome(got, want)
 
 
-@pytest.mark.parametrize("flipped", [None, "square_cycle", "shapiro_extension", "shapiro_trace"])
+@pytest.mark.parametrize("flipped", [None, "square_cycle", "shapiro_extension", "shapiro_trace",
+                                     "wz_certificate", "s4_decomposition", "nesbitt"])
 @pytest.mark.parametrize("stack", [verify.TRIALS_PER_STACK, 3])
 def test_one_walk_equals_the_suites_apart(monkeypatch, stack, flipped):
     """run_suites("all") joins the suites' stacks and runs a shared checker

@@ -34,24 +34,28 @@ trial.
 
 The suite layer times ``run_suites("all")``, which ``verify-grid`` runs,
 and ``run_suites`` of each suite alone, in this process (W = 1, no fork) on
-the grid of the benchmark's verify-grid workload (n 1..6, p 3..8, 4 trials,
-both fields): the median milliseconds and cal of each over ``--runs`` runs.
-The suites share work when run together, so the three alone do not add up
-to ``all``.
+each grid of ``SUITE_GRIDS``: the benchmark's verify-grid workload's (n
+1..6, p 3..8, 4 trials, both fields) and the default ``verify`` command's
+(n 1..3, p 3..6, 100 trials, both fields), whose chunks are 25 times as
+tall, so a change that saves per-chunk calls shows on the first and one
+that saves per-row work on the second. Per grid: the median milliseconds
+and cal of each over ``--runs`` runs. The suites share work when run
+together, so the three alone do not add up to ``all``.
 
-The count layer runs ``run_suites`` on the same grid at W = 1 under
-cProfile, for ``all`` and for each suite alone, after one unprofiled run
-that fills the module's caches: the total calls cProfile sees (Python
-functions and the built-ins they call) and the calls of each ``np.linalg``
-routine in ``LINALG_COUNTED``. It does the same for ``minimize_margin`` on
-the two benchmark search commands (``COUNT_SEARCHES``), and adds the calls
-of the functions that form each iterate's A_i (``FORMING``):
-``search._mats_from_factors`` and ``inequalities._cofactors``, which forms
-the S_i cofactors, on the matrix objective, and ``search._scalar_trial`` on
-the scalar one. Then, per (checker, n, field),
-it counts the calls of one call of each checker at the grid's chunk shape (T = 4 trials,
-n in {1, 3, 6}, p = 8 for the family checkers), on plain arrays drawn as the
-checker layer draws them, after one unprofiled call. The counts are exact
+The count layer runs ``run_suites`` on the same two grids at W = 1 under
+cProfile, for ``all`` and for each suite alone, after one unprofiled run of
+the grid that fills the module's caches: per grid, the total calls cProfile
+sees (Python functions and the built-ins they call) and the calls of each
+``np.linalg`` routine in ``LINALG_COUNTED``. It does the same for
+``minimize_margin`` on the two benchmark search commands
+(``COUNT_SEARCHES``), and adds the calls of the functions that form each
+iterate's A_i (``FORMING``): ``search._mats_from_factors`` and
+``inequalities._cofactors``, which forms the S_i cofactors, on the matrix
+objective, and ``search._scalar_trial`` on the scalar one. Then, per
+(checker, n, field), it counts the calls of one call of each checker at the
+verify-grid grid's chunk shape (T = 4 trials, n in {1, 3, 6}, p = 8 for the
+family checkers), on plain arrays drawn as the checker layer draws them,
+after one unprofiled call. The counts are exact
 for a given tree and seed, so a difference between two trees is a fact, not
 a median.
 
@@ -132,6 +136,9 @@ FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
 # "verify-default" is the default verify command's grid, "verify-grid" the benchmark's
 FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4),
               "verify-default": ([1, 2, 3], [3, 4, 5, 6], 100)}
+# the grids the suite and count layers run: the benchmark's, where a chunk
+# holds 4 trials, and the users' default, where it holds 100
+SUITE_GRIDS = ("verify-grid", "verify-default")
 # the checker layer's trials per stack, family size and (n, field) cases
 CHECKER_TRIALS, CHECKER_P = 512, 8
 CHECKER_CASES = [(n, field) for n in (1, 3, 6) for field in ("real", "complex")]
@@ -301,19 +308,21 @@ def checker_layer(runs: int, seed: int, batch) -> dict:
     return out
 
 
-def serial_suites(suite: str, seed: int):
-    """``run_suites(suite)`` on the verify-grid grid in this process (W = 1)."""
-    dims, ps, trials = FORK_GRIDS["verify-grid"]
+def serial_suites(suite: str, seed: int, grid: str):
+    """``run_suites(suite)`` on the ``FORK_GRIDS`` grid ``grid`` in this process (W = 1)."""
+    dims, ps, trials = FORK_GRIDS[grid]
     return with_rule(lambda work, units: 1, lambda: verify.run_suites(suite, dims, ps, trials, seed))
 
 
 def suite_layer(runs: int, seed: int, batch) -> dict:
-    dims, ps, trials = FORK_GRIDS["verify-grid"]
-    out = {"dims": dims, "p": ps, "trials": trials, "runs": runs}
-    for name in ("all",) + verify.SUITES:
-        timings = [calibrated(batch, lambda: serial_suites(name, seed)) for _ in range(runs)]
-        out[f"{name}_ms"] = round(statistics.median(w for w, _, _ in timings) * 1e3, 1)
-        out[f"{name}_cal"] = four_digits(statistics.median(c for _, c, _ in timings))
+    out = {"runs": runs, "grids": {}}
+    for grid in SUITE_GRIDS:
+        dims, ps, trials = FORK_GRIDS[grid]
+        case = out["grids"][grid] = {"dims": dims, "p": ps, "trials": trials}
+        for name in ("all",) + verify.SUITES:
+            timings = [calibrated(batch, lambda: serial_suites(name, seed, grid)) for _ in range(runs)]
+            case[f"{name}_ms"] = round(statistics.median(w for w, _, _ in timings) * 1e3, 1)
+            case[f"{name}_cal"] = four_digits(statistics.median(c for _, c, _ in timings))
     return out
 
 
@@ -342,12 +351,14 @@ def counted(fn, *args, functions=()):
 
 
 def count_layer(seed: int) -> dict:
-    dims, ps, trials = FORK_GRIDS["verify-grid"]
-    out = {"dims": dims, "p": ps, "trials": trials, "seed": seed}
-    serial_suites("all", seed)  # fill the lru caches, whose misses cProfile counts
-    for name in ("all",) + verify.SUITES:
-        calls, linalg, _ = counted(serial_suites, name, seed)
-        out[name] = {"calls": calls, "linalg": linalg}
+    out = {"seed": seed, "grids": {}}
+    for grid in SUITE_GRIDS:
+        dims, ps, trials = FORK_GRIDS[grid]
+        case = out["grids"][grid] = {"dims": dims, "p": ps, "trials": trials}
+        serial_suites("all", seed, grid)  # fill the lru caches, whose misses cProfile counts
+        for name in ("all",) + verify.SUITES:
+            calls, linalg, _ = counted(serial_suites, name, seed, grid)
+            case[name] = {"calls": calls, "linalg": linalg}
     out["searches"] = {}
     for name, (p, n, restarts, iters) in COUNT_SEARCHES.items():
         cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
@@ -356,6 +367,7 @@ def count_layer(seed: int) -> dict:
         calls, linalg, own = counted(run, functions=FORMING)
         out["searches"][name] = {"p": p, "n": n, "restarts": restarts, "iterations": iters,
                                  "calls": calls, **own, "linalg": linalg}
+    trials = FORK_GRIDS["verify-grid"][2]
     out["checkers"] = {"trials": trials, "p": CHECKER_P, "cases": []}
     rng = np.random.default_rng(seed)
     for n, field in CHECKER_CASES:
