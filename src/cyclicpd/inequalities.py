@@ -882,7 +882,7 @@ def batch_wz_certificate(abc, rel: float = REL_TOL) -> CheckBatch:
     outer, wi, zi = _wz_blocks(abc.mats)
     w, z = _hstack(outer @ wi), _hstack(zi)
     wz = w @ _ct(z)
-    res_wz = _fro(wz - (am + bm + cm))
+    res_wz = _fro(wz - abc.total)
     tr_zz = _rtr(z @ _ct(z))
     tr_zz_expected = _rtr(
         am @ am + bm @ bm + cm @ cm + 2.0 * (am @ bm + bm @ cm + cm @ am)

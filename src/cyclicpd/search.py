@@ -34,9 +34,11 @@ descending, as arrays rebuilt each iteration from the first chunk's gathers;
 a later chunk only overwrites the rows of restarts still pending. The
 restarts are cut into contiguous shares, one per process that
 ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
-max_iters), and each share descends in a forked process; a search below the
-fork floor, such as a small or scalar one, runs as one stack in this
-process.
+max_iters), and each share descends in a forked process; a search whose
+work is below the fork floor runs as one stack in this process. The rule
+weighs a scalar search as any other, so at the default budget (32 restarts
+of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 the
+fork costs more time than it saves (ROADMAP item 1).
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 

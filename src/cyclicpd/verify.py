@@ -34,8 +34,10 @@ gives alone, bit for bit, however its trials are chunked.
 
 :func:`run_suites` runs each (n, field), with every asked suite, as a unit of
 its own; as many forked processes as the grid's work repays take the units
-from one queue, longest first, and the units' outcomes, put back in the
-order of one walk, are the same at every process count.
+from one queue, longest first. Every suite's output is its units' outputs
+joined in job order, n as ``dims`` lists it, then field; a unit gives its
+fixed-shape records (p = 0) first, then each p's records and events. So the
+output is the same at every process count.
 """
 from __future__ import annotations
 
@@ -80,13 +82,13 @@ class GridRecord:
     witness: dict | None = None
 
     def add(self, margins, holds, fams=None):
-        """Fold in one stack of trials: their margins and verdicts, in trial order.
+        """Fold in one stack of trials: their margins (T,) and verdicts (T,)
+        bool, arrays in trial order.
 
         If the record has no witness yet, the first failing trial's family,
         from the trials' stack ``fams`` (T, p, n, n), becomes its witness.
         """
-        margins = np.asarray(margins, dtype=float)
-        failed = np.flatnonzero(~np.asarray(holds, dtype=bool))
+        failed = (~holds).nonzero()[0]
         self.trials += margins.size
         # fmin skips NaN margins, as a running min(current, margin) does
         self.min_margin = min(self.min_margin, float(np.fmin.reduce(margins, initial=np.inf)))
@@ -192,9 +194,10 @@ def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
     return out
 
 
-# Each checker's operand words, split once, and the words whose operand is a context.
+# Each checker's operand words, split once, and the words whose operand is a
+# context: those of several letters, a cycle or FAMILY.
 _WORDS = {name: word.split() for name, (word, _) in ineq.CHECKS.items()}
-_CONTEXTS = frozenset(("abc", "abcd", ineq.FAMILY))
+_CONTEXTS = frozenset(w for words in _WORDS.values() for w in words if len(w) > 1)
 
 
 def _fixed_operands(du, di) -> dict:
@@ -259,12 +262,10 @@ def _add_chunk(recs, gates, cond, ops, rows, rel):
     # the conditional suite's rows are the last
     (rec, events), fams = cond, ops[ineq.FAMILY].rows(mid, mid + rows)
     batch = ineq.batch_shapiro_trace(fams, rel)
-    if theorem_covers(rec.n, rec.p):
-        rec.add(batch.margin, batch.holds, fams.mats)
-        return
     # outside the theorems a violation is an event, not a failure
-    rec.add(batch.margin, np.ones_like(batch.holds))
-    for t in np.flatnonzero(~batch.holds):
+    covered = theorem_covers(rec.n, rec.p)
+    rec.add(batch.margin, batch.holds | (not covered), fams.mats)
+    for t in () if covered else (~batch.holds).nonzero()[0]:
         events.append({"kind": "counterexample", "check": rec.check, "n": rec.n, "p": rec.p, "field": rec.field,
                        "margin": float(batch.margin[t]), "family": family_to_dict(fams.mats[t])})
 
@@ -286,8 +287,9 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     are split across W = min(``_cpu_count()``, units, max(1, work // FLOOR))
     processes, which take them longest first from one queue (see
     :func:`cyclicpd._fork.workers_for` and :func:`cyclicpd._fork.run_units`).
-    The units' records and events, put in serial order by :func:`_serial`,
-    are the serial outcome whatever the number of processes.
+    The output is the units' records and events joined in job order (n as
+    ``dims`` lists it, then each field of ``fields``), which is the serial
+    outcome whatever the number of processes.
     """
     if suite not in SUITES + ("all",):
         raise ValueError(f"unknown suite {suite!r}")
@@ -297,26 +299,5 @@ def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     costs = [TRIAL_WORK * n * trials * len(p_values) * len(names) for n, _ in units]
     # _cpu_count is looked up here, so a count bound on this module is used
     outcomes = run_units(jobs, costs, workers_for(sum(costs), len(jobs), _cpu_count()))
-    return _serial(names, outcomes, p_values, fields)
-
-
-def _serial(names, outcomes, p_values, fields):
-    """The outcomes of the units, one per (n, field) in ``run_suites``' job
-    order, joined in the order of one walk over the grid: n by n, and per n
-    the identities records field by field, and the other suites' records and
-    events p by p (the fixed-shape records, whose p is 0, first), each p's
-    fields in order."""
-    place = {pt: k for k, pt in enumerate([(0, fld) for fld in fields] +
-                                          [(p, fld) for p in p_values for fld in fields])}
-    out = {name: SuiteOutcome() for name in names}
-    for start in range(0, len(outcomes), len(fields)):
-        units = outcomes[start:start + len(fields)]
-        for name, whole in out.items():
-            records = [r for unit in units for r in unit[name].records]
-            events = [e for unit in units for e in unit[name].events]
-            if name != "identities":
-                records.sort(key=lambda r: place[r.p, r.field])
-                events.sort(key=lambda e: place[e["p"], e["field"]])
-            whole.records += records
-            whole.events += events
-    return out
+    return {name: SuiteOutcome([r for unit in outcomes for r in unit[name].records],
+                               [e for unit in outcomes for e in unit[name].events]) for name in names}

@@ -715,8 +715,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
                     ops = [drawn[k] for w in words for k in w]
                     _add(rec, check(*ops, rel), _cycle_witness(ops) if len(words) == 1 else None)
             out.records.extend(rec for rec, _, _ in fixed)
-        for p in p_values:
-            for fld in fields:
+            for p in p_values:
                 rng = verify._rng_for(seed, 2, n, p, verify._FIELD_ID[fld])
                 recs = [(verify.GridRecord(name, n, p, fld), globals()[f"check_{name}"])
                         for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word == FAMILY]
@@ -781,8 +780,8 @@ def _residual_report(name, n, residual, allowed, rel) -> CheckReport:
 def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
     out = verify.SuiteOutcome()
     for n in dims:
-        for p in p_values:
-            for fld in fields:
+        for fld in fields:
+            for p in p_values:
                 rng = verify._rng_for(seed, 4, n, p, verify._FIELD_ID[fld])
                 rec = verify.GridRecord("shapiro_trace", n, p, fld)
                 for _ in range(trials):

@@ -31,6 +31,19 @@ def as_dicts(results):
     return {name: oc.to_dict() for name, oc in results.items()}
 
 
+def in_job_order(results, dims, fields):
+    """Each suite's records, and its events, never go back to an earlier unit
+    of the job order [(n, field) for n in dims for field in fields], and a
+    unit's fixed-shape records (p = 0) come before its other records."""
+    job = {unit: k for k, unit in enumerate((n, fld) for n in dims for fld in fields)}
+    for outcome in results.values():
+        for items in ([vars(r) for r in outcome.records], outcome.events):
+            keys = [(job[d["n"], d["field"]], d["p"] > 0) for d in items]
+            if keys != sorted(keys):
+                return False
+    return True
+
+
 @pytest.mark.parametrize("suite", SUITES)
 @pytest.mark.parametrize("dims, p_values, trials, fields", [
     ([1, 2, 3, 4], [3, 5, 8], 3, ("real", "complex")),
@@ -41,7 +54,8 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
     serial = run_at(monkeypatch, 1, suite, dims, p_values, trials, 4, fields=fields)
     assert forks[0] == 0
     want = as_dicts(serial)
-    # the units, put back in order, give what the looped suites give over the grid
+    assert in_job_order(serial, dims, fields)
+    # the units, joined in job order, give what the looped suites give over the grid
     for name, outcome in serial.items():
         oracle.assert_same_outcome(outcome, getattr(oracle, f"run_{name}")(dims, p_values, trials, 4, fields=fields))
     units = len(dims) * len(fields)  # one unit per (n, field), whatever the suites
@@ -50,6 +64,7 @@ def test_same_outcome_at_every_worker_count(monkeypatch, forks, low_floor, suite
         got = run_at(monkeypatch, workers, suite, dims, p_values, trials, 4, fields=fields)
         assert forks[0] == min(workers, units) - 1
         assert list(got) == list(serial)
+        assert in_job_order(got, dims, fields)
         assert as_dicts(got) == want
     assert_no_child_left()
 

@@ -233,14 +233,14 @@ class TestGridRecord:
     def test_first_failure_is_the_witness(self):
         fams = random_pd_stack(2, 5, 3, np.random.default_rng(0), "complex")
         rec = verify.GridRecord("x", 2, 3, "complex")
-        rec.add([3.0, -1.0, 2.0, -5.0], [True, False, True, False], fams[:4])
-        rec.add([-7.0], [False], fams[4:])
+        rec.add(np.array([3.0, -1.0, 2.0, -5.0]), np.array([True, False, True, False]), fams[:4])
+        rec.add(np.array([-7.0]), np.array([False]), fams[4:])
         assert (rec.trials, rec.failures, rec.min_margin) == (5, 3, -7.0)
         assert rec.witness == family_to_dict(fams[1])
 
     def test_nan_margins_do_not_set_the_minimum(self):
         rec = verify.GridRecord("x", 1, 0, "real")
-        rec.add([np.nan, 2.0, np.nan], [False, True, False])
+        rec.add(np.array([np.nan, 2.0, np.nan]), np.array([False, True, False]))
         assert (rec.trials, rec.failures, rec.min_margin) == (3, 2, 2.0)
         assert rec.witness is None
 

@@ -9,8 +9,7 @@ process and in a fresh one.
 Runs ``search._descend`` in this process (no fork) on the starting factors of
 a seeded search, with the kernels it calls (``KERNELS``: the trial
 evaluation, the S_i^{-1} it keeps and the gradient of the matrix objective
-and, at n = 1, of the scalar one, or in an older tree the margin and
-``margin_gradient``) wrapped in a timer that counts only the
+and, at n = 1, of the scalar one) wrapped in a timer that counts only the
 outermost of nested kernel calls, for each (n, p, R, iterations) case, and
 prints one JSON document: per case the median over ``--runs`` runs of kernel
 time per accepted iteration, of the bookkeeping time per accepted iteration
@@ -153,11 +152,9 @@ FORMING = (("search", "_mats_from_factors"), ("inequalities", "_cofactors"), ("s
 # the commands the CLI layer times in a fresh process, besides the search-scalar one
 PROCESS_ARGVS = [("reproduce", "--case", "all")]
 # what the descent calls to evaluate its iterates, in the search module: the
-# matrix objective's trial, kept inverses and gradient, the scalar
-# objective's, and an older tree's two, so the layer times both trees of a
-# comparison
-KERNELS = ("_trial", "_kept_inverses", "_gradient", "_scalar_trial", "_scalar_inverses", "_scalar_gradient",
-           "_margin_value", "margin_gradient")
+# matrix objective's trial, kept inverses and gradient, and the scalar
+# objective's
+KERNELS = ("_trial", "_kept_inverses", "_gradient", "_scalar_trial", "_scalar_inverses", "_scalar_gradient")
 
 
 def load_calibration():
@@ -207,7 +204,7 @@ def run_case(n: int, p: int, restarts: int, iters: int, seed: int, batch):
     cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
     start = search._initial_factors(cfg)
     spent = [0.0, False]
-    kernels = {name: getattr(search, name) for name in KERNELS if hasattr(search, name)}
+    kernels = {name: getattr(search, name) for name in KERNELS}
     for name, fn in kernels.items():
         setattr(search, name, timed(fn, spent))
     try:
