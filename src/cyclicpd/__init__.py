@@ -32,7 +32,6 @@ from .search import (
     SearchResult,
     margin_gradient,
     minimize_margin,
-    probe_conjecture,
     scalar_cyclic_sum,
 )
 from .serialize import family_from_dict, family_to_dict

@@ -14,19 +14,14 @@ import json
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from . import __version__
 from . import inequalities as ineq
 from . import verify as verify_mod
 from .errors import CyclicPDError, FixtureMismatch
-from .pdcore import REL_TOL, random_pd_stack
-from .search import (
-    SearchConfig,
-    minimize_margin,
-    probe_conjecture,
-)
+from .pdcore import REL_TOL, random_pd_stack, rng_for
+from .search import SearchConfig, minimize_margin
 from .serialize import family_from_dict, family_to_dict
 
 
@@ -162,12 +157,14 @@ def cmd_search(args) -> int:
         return 2
     started = time.time()
     config = cfg.to_dict()
-    sweep = args.n is None and args.p in (12, 23)
-    runs = probe_conjecture(args.p, cfg) if sweep else {cfg.n: minimize_margin(cfg)}
+    # with no --n, an open case sweeps n = 1, 2, 3
+    sweep = args.n is None and args.p in ineq.OPEN_P
+    runs = {n: minimize_margin(replace(cfg, n=n)) for n in ((1, 2, 3) if sweep else (cfg.n,))}
     for n, res in runs.items():
         print(f"p={cfg.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]", file=sys.stderr)
         if sweep and res.classification == "verified_counterexample":
-            print(f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={cfg.p}, n={n}", file=sys.stderr)
+            event = "THEOREM VIOLATED" if ineq.theorem_covers(n, cfg.p) else "CONJECTURE-RELEVANT EVENT"
+            print(f"{event}: verified negative margin at p={cfg.p}, n={n}", file=sys.stderr)
     if sweep:
         config["n"] = list(runs)  # the dimensions the sweep ran, not the placeholder 1
         results = {str(n): res.to_dict() for n, res in runs.items()}
@@ -213,8 +210,7 @@ def cmd_sample(args) -> int:
     if args.n < 1 or args.p < 3 or args.count < 1 or args.field not in ("real", "complex"):
         print("error: invalid sample parameters", file=sys.stderr)
         return 2
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=args.seed))
-    stacks = random_pd_stack(args.n, args.count, args.p, rng, args.field)
+    stacks = random_pd_stack(args.n, args.count, args.p, rng_for(args.seed), args.field)
     fams = [family_to_dict(mats) for mats in stacks]
     return _emit(fams[0] if args.count == 1 else fams, args.out)
 

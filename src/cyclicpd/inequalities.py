@@ -99,8 +99,19 @@ IDENTITY_CHECKS = (
              lambda batch, ops: 1e-10 * (1.0 + abs(batch.detail["base"]) + batch.n), per_p=True),
 )
 
-# p for which the scalar cyclic-sum inequality S_p >= p/2 is a theorem.
+# p for which the scalar cyclic-sum inequality S_p >= p/2 is a theorem, and
+# the open cases: the largest even and odd such p, where it is not known
+# whether the trace bound holds at n >= 2.
 SCALAR_VALID_P = frozenset(range(3, 13)) | frozenset(range(13, 24, 2))
+OPEN_P = (12, 23)
+
+
+def theorem_covers(n: int, p: int) -> bool:
+    """Whether a theorem proves the trace bound Tr-sum >= p*n/2 at (n, p): the
+    Nesbitt and four-variable theorems for p in {3, 4}, and the scalar cyclic
+    inequality at n = 1."""
+    return p in (3, 4) or (n == 1 and p in SCALAR_VALID_P)
+
 
 # Published data for the four-variable eigenvalue counterexample.
 FIXTURE_ENTRIES = {
@@ -698,8 +709,8 @@ def _refined_cyclic_sum_trace(mats) -> float:
 def batch_shapiro_trace(mats, rel: float = REL_TOL) -> CheckBatch:
     """Conditional cyclic trace bound: Tr-sum >= p*n/2.
 
-    A failed verdict is a counterexample candidate, not necessarily a bug:
-    the scalar analogue is known false outside ``SCALAR_VALID_P``.
+    A failed verdict is a counterexample candidate, not necessarily a bug,
+    unless ``theorem_covers`` its (n, p).
     """
     ctx = _context(mats)
     n, p = ctx.mats.shape[-1], ctx.mats.shape[-3]
@@ -707,10 +718,7 @@ def batch_shapiro_trace(mats, rel: float = REL_TOL) -> CheckBatch:
     rhs = p * n / 2.0
     margin = val - rhs
     slack = rel * (1.0 + abs(val) + rhs)
-    return CheckBatch(
-        "shapiro_trace", n, p, val, rhs, margin, margin >= -slack, rel,
-        {"scalar_theorem_p": p in SCALAR_VALID_P},
-    )
+    return CheckBatch("shapiro_trace", n, p, val, rhs, margin, margin >= -slack, rel)
 
 
 def batch_s4_decomposition(abcd, rel: float = REL_TOL) -> CheckBatch:

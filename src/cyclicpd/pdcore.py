@@ -152,6 +152,12 @@ class CyclicFamily:
         return tuple(PDMatrix(m) for m in self.mats)
 
 
+def rng_for(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under master ``seed``: every seeded
+    draw of the program takes its numbers from one of these."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 def _gaussian(rng: np.random.Generator, shape: tuple, n: int, field: str) -> np.ndarray:
     """Standard-normal (n, n) squares over ``shape``, in C order: the stream that
     one (n, n) draw per square (complex: real part, then imaginary part) takes."""

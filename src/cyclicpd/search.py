@@ -37,19 +37,20 @@ restarts are cut into contiguous shares, one per process that
 max_iters), and each share descends in a forked process; a search whose
 work is below the fork floor runs as one stack in this process. The rule
 weighs a scalar search as any other, so at the default budget (32 restarts
-of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 the
-fork costs more time than it saves (ROADMAP item 1).
+of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 and 23
+the fork saves no time (``tools/bench_kernel.py --layer fork``; ROADMAP item 19).
 The winner's margin is re-checked with refined inverses; at or below
 -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
-exactly for p in {3..12} and odd p <= 23, and fails for even p in 14..22 and
-all p > 23. The open question is whether the matrix version survives at
-p = 12 and p = 23 for n >= 2; ``probe_conjecture`` targets exactly that.
+exactly for p in ``inequalities.SCALAR_VALID_P`` (3..12 and odd p <= 23),
+and fails for even p in 14..22 and all p > 23. The open question is whether
+the matrix version survives at p in ``inequalities.OPEN_P`` (12 and 23) for
+n >= 2; ``search --p 12`` or ``--p 23`` without ``--n`` sweeps n = 1, 2, 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
@@ -58,6 +59,7 @@ import numpy as np
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
 from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_trace, _shift_index, _sum_over_p,
                            cyclic_inverses, cyclic_shift)
+from .pdcore import rng_for
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
@@ -273,17 +275,13 @@ def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
     if cfg.n == 1:
         # scalar starts span orders of magnitude, like the known counterexamples
         a = np.exp(rng.uniform(-3.0, 3.0, cfg.p))
-        return np.sqrt(a - RIDGE).reshape(cfg.p, 1, 1)
+        return np.sqrt(a - RIDGE)[:, None, None]
     return np.eye(cfg.n) + 0.5 * rng.standard_normal((cfg.p, cfg.n, cfg.n))
 
 
 def _initial_factors(cfg: SearchConfig):
     """Starting factors of every restart, (restarts, p, n, n); restart r has its own stream."""
-    return np.stack([
-        _init_factors(cfg, np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.master_seed, spawn_key=(r,))))
-        for r in range(cfg.restarts)
-    ])
+    return np.stack([_init_factors(cfg, rng_for(cfg.master_seed, r)) for r in range(cfg.restarts)])
 
 
 def _evaluate(fn, stack):
@@ -526,17 +524,3 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
         classification=classify_margin(recomputed),
         restart_index=r,
     )
-
-
-def probe_conjecture(p: int, cfg: SearchConfig, dims=(1, 2, 3)) -> dict:
-    """Sweep n over ``dims`` at p in {12, 23}; returns {n: SearchResult}.
-
-    A verified negative margin at any n is a conjecture-relevant event and is
-    carried in the result's classification, never suppressed.
-    """
-    if p not in (12, 23):
-        raise ValueError("the open cases are p = 12 and p = 23")
-    results = {}
-    for n in dims:
-        results[n] = minimize_margin(replace(cfg, p=p, n=n))
-    return results

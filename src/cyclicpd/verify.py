@@ -4,9 +4,11 @@ Three suites:
   unconditional - every theorem-backed checker must hold on all draws.
   identities    - the exact algebraic identities inside the proofs, each to
                   its tolerance in ``inequalities.IDENTITY_CHECKS``.
-  conditional   - the trace bound Tr-sum >= p*n/2. Where a theorem covers it
-                  (p in {3, 4} for every n, and n = 1 with p in
-                  ``SCALAR_VALID_P``) a violation is a suite failure; elsewhere
+  conditional   - the trace bound Tr-sum >= p*n/2, the one conditional row
+                  of ``inequalities.CHECKS``. Where a theorem covers it
+                  (``inequalities.theorem_covers``: p in {3, 4} for every n,
+                  and n = 1 with p in ``SCALAR_VALID_P``, so only n = 1 at the
+                  open cases ``OPEN_P``) a violation is a suite failure; elsewhere
                   it is recorded as a counterexample event, never as a failure.
 
 Aggregation is per grid point: trial count, failure count, worst margin, and
@@ -48,12 +50,15 @@ import numpy as np
 
 from . import inequalities as ineq
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .pdcore import REL_TOL, random_pd_stack
+from .pdcore import REL_TOL, random_pd_stack, rng_for
 from .serialize import family_to_dict
 
 # The suites in run order, which is also their order in the output.
 SUITES = ("unconditional", "identities", "conditional")
 
+# The conditional suite's one checker: a second conditional row of
+# ``ineq.CHECKS`` fails this unpacking.
+(_CONDITIONAL,) = (name for name, (_, suite) in ineq.CHECKS.items() if suite == "conditional")
 # With both suites asked, a checker that an identity gate reads runs once on
 # both suites' joined stack, whose first rows are the unconditional suite's.
 _GATED = frozenset(g.check for g in ineq.IDENTITY_CHECKS)
@@ -127,10 +132,6 @@ class SuiteOutcome:
         }
 
 
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
 _FIELD_ID = {"real": 0, "complex": 1}
 
 
@@ -157,8 +158,8 @@ def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
         unc = {p: [GridRecord(name, n, p, fld) for name, (word, suite) in ineq.CHECKS.items()
                    if suite == "unconditional" and (word == ineq.FAMILY) == (p > 0)] for p in slots}
         out["unconditional"].records += [r for recs in unc.values() for r in recs]
-        rng_fixed = _rng_for(seed, 1, n, key)
-        rng_family = {p: _rng_for(seed, 2, n, p, key) for p in p_values}
+        rng_fixed = rng_for(seed, 1, n, key)
+        rng_family = {p: rng_for(seed, 2, n, p, key) for p in p_values}
     if i:
         # the records kept once per unit (p = 0), then those kept per p
         recs = {(g.record, p): GridRecord(g.record, n, p, fld)
@@ -166,12 +167,12 @@ def _walk(names, n, p_values, trials, seed, rel, fld) -> dict:
         out["identities"].records += recs.values()
         gates = {p: [(recs[g.record, p if g.per_p else 0], g) for g in ineq.IDENTITY_CHECKS
                      if (ineq.CHECKS[g.check][0] == ineq.FAMILY) == (p > 0)] for p in slots}
-        rng_ident = _rng_for(seed, 3, n, key)
+        rng_ident = rng_for(seed, 3, n, key)
     if c:
         # the conditional suite's (record, events) of each p
-        cond = {p: (GridRecord("shapiro_trace", n, p, fld), []) if p else () for p in slots}
+        cond = {p: (GridRecord(_CONDITIONAL, n, p, fld), []) if p else () for p in slots}
         out["conditional"].records += [cond[p][0] for p in p_values]
-        rng_cond = {p: _rng_for(seed, 4, n, p, key) for p in p_values}
+        rng_cond = {p: rng_for(seed, 4, n, p, key) for p in p_values}
     # consecutive stacks of at most TRIALS_PER_STACK rows take each stream as
     # one draw of all the trials would
     for done in range(0, trials, TRIALS_PER_STACK):
@@ -261,20 +262,13 @@ def _add_chunk(recs, gates, cond, ops, rows, rel):
         return
     # the conditional suite's rows are the last
     (rec, events), fams = cond, ops[ineq.FAMILY].rows(mid, mid + rows)
-    batch = ineq.batch_shapiro_trace(fams, rel)
+    batch = getattr(ineq, f"batch_{rec.check}")(fams, rel)
     # outside the theorems a violation is an event, not a failure
-    covered = theorem_covers(rec.n, rec.p)
+    covered = ineq.theorem_covers(rec.n, rec.p)
     rec.add(batch.margin, batch.holds | (not covered), fams.mats)
     for t in () if covered else (~batch.holds).nonzero()[0]:
         events.append({"kind": "counterexample", "check": rec.check, "n": rec.n, "p": rec.p, "field": rec.field,
                        "margin": float(batch.margin[t]), "family": family_to_dict(fams.mats[t])})
-
-
-def theorem_covers(n: int, p: int) -> bool:
-    """Whether a theorem proves the trace bound Tr-sum >= p*n/2 at (n, p): the
-    Nesbitt and four-variable theorems for p in {3, 4}, and the scalar cyclic
-    inequality at n = 1."""
-    return p in (3, 4) or (n == 1 and p in ineq.SCALAR_VALID_P)
 
 
 def run_suites(suite, dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")):

@@ -37,11 +37,11 @@ from cyclicpd.inequalities import (
     CHECKS,
     FAMILY,
     MIN_DET_RATIO,
-    SCALAR_VALID_P,
     CheckReport,
     _cyclic_matrix_sum,
     cyclic_sum_trace,
     cyclic_traces,
+    theorem_covers,
 )
 from cyclicpd.pdcore import (
     DEFAULT_RIDGE,
@@ -53,6 +53,7 @@ from cyclicpd.pdcore import (
     _pd_floor,
     _symmetrize,
     eig_general_stack,
+    rng_for,
     validate_family,
 )
 from cyclicpd.serialize import family_to_dict
@@ -451,17 +452,14 @@ def check_nesbitt_k(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
 def check_shapiro_trace(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     """Conditional cyclic trace bound: Tr-sum >= p*n/2.
 
-    A failed verdict is a counterexample candidate, not necessarily a bug:
-    the scalar analogue is known false outside ``SCALAR_VALID_P``.
+    A failed verdict is a counterexample candidate, not necessarily a bug,
+    unless ``theorem_covers`` its (n, p).
     """
     val = cyclic_sum_trace(f)
     rhs = f.p * f.dim / 2.0
     margin = val - rhs
     slack = rel * (1.0 + abs(val) + rhs)
-    return CheckReport(
-        "shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, rel,
-        {"scalar_theorem_p": f.p in SCALAR_VALID_P},
-    )
+    return CheckReport("shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, rel)
 
 
 def check_s4_decomposition(
@@ -702,7 +700,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
     out = verify.SuiteOutcome()
     for n in dims:
         for fld in fields:
-            rng = verify._rng_for(seed, 1, n, verify._FIELD_ID[fld])
+            rng = rng_for(seed, 1, n, verify._FIELD_ID[fld])
             fixed = [(verify.GridRecord(name, n, 0, fld), globals()[f"check_{name}"], word.split())
                      for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word != FAMILY]
             for _ in range(trials):
@@ -716,7 +714,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
                     _add(rec, check(*ops, rel), _cycle_witness(ops) if len(words) == 1 else None)
             out.records.extend(rec for rec, _, _ in fixed)
             for p in p_values:
-                rng = verify._rng_for(seed, 2, n, p, verify._FIELD_ID[fld])
+                rng = rng_for(seed, 2, n, p, verify._FIELD_ID[fld])
                 recs = [(verify.GridRecord(name, n, p, fld), globals()[f"check_{name}"])
                         for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word == FAMILY]
                 for _ in range(trials):
@@ -733,7 +731,7 @@ def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "c
     out = verify.SuiteOutcome()
     for n in dims:
         for fld in fields:
-            rng = verify._rng_for(seed, 3, n, verify._FIELD_ID[fld])
+            rng = rng_for(seed, 3, n, verify._FIELD_ID[fld])
             recs = {
                 name: verify.GridRecord(name, n, 0, fld)
                 for name in ("s4_identity", "two_ab_identity", "wz_identities", "square_cycle_identities")
@@ -782,12 +780,12 @@ def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "
     for n in dims:
         for fld in fields:
             for p in p_values:
-                rng = verify._rng_for(seed, 4, n, p, verify._FIELD_ID[fld])
+                rng = rng_for(seed, 4, n, p, verify._FIELD_ID[fld])
                 rec = verify.GridRecord("shapiro_trace", n, p, fld)
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
                     rep = check_shapiro_trace(fam, rel)
-                    if verify.theorem_covers(n, p):
+                    if theorem_covers(n, p):
                         _add(rec, rep, lambda: family_to_dict(fam.mats))
                         continue
                     rec.trials += 1

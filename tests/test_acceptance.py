@@ -132,10 +132,9 @@ def test_criterion_7_theorem_respect():
 def test_criterion_8_conjecture_probe():
     lines = []
     ok = True
-    for p in (12, 23):
-        cfg = cp.SearchConfig(p=p, restarts=6, max_iters=600, master_seed=31)
-        sweep = cp.probe_conjecture(p, cfg, dims=(1, 2, 3))
-        for n, res in sweep.items():
+    for p in ineq.OPEN_P:
+        for n in (1, 2, 3):
+            res = cp.minimize_margin(cp.SearchConfig(p=p, n=n, restarts=6, max_iters=600, master_seed=31))
             assert res.classification
             lines.append(f"p={p} n={n}: {res.best_margin:.3g} [{res.classification}]")
             if n == 1 and res.best_margin < -SLACK:

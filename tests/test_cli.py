@@ -518,3 +518,20 @@ def test_search_sweep_manifest_lists_dims(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["config"]["n"] == 2
     assert doc["results"]["best_family"]["members"][0]["n"] == 2
+
+
+@pytest.mark.parametrize("p", cp.inequalities.OPEN_P)
+def test_search_sweep_names_a_covered_violation(monkeypatch, tmp_path, capsys, p):
+    """A verified counterexample that the sweep finds at n = 1, where the scalar
+    theorem covers (n, p), violates that theorem; at n = 2 and 3 it bears on
+    the open question."""
+    def found(cfg):
+        return cp.SearchResult(np.broadcast_to(np.eye(cfg.n), (cfg.p, cfg.n, cfg.n)), -1.0, 0, [],
+                               "verified_counterexample", 0)
+
+    monkeypatch.setattr(cp.cli, "minimize_margin", found)
+    assert main(["search", "--p", str(p), "--out", str(tmp_path / "sweep.json")]) == 0
+    events = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("p=")]
+    assert events == [f"THEOREM VIOLATED: verified negative margin at p={p}, n=1",
+                      f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={p}, n=2",
+                      f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={p}, n=3"]

@@ -493,6 +493,16 @@ class TestShapiroTrace:
         assert r.holds and r.lhs == pytest.approx(5.2786, abs=1e-3)
 
 
+def test_theorem_covers():
+    assert ineq.theorem_covers(5, 3) and ineq.theorem_covers(2, 4)
+    assert ineq.theorem_covers(1, 12) and ineq.theorem_covers(1, 23)
+    assert not ineq.theorem_covers(1, 14) and not ineq.theorem_covers(2, 5)
+    # the open cases are the scalar theorem's, proven at n = 1 only
+    for p in ineq.OPEN_P:
+        assert p in ineq.SCALAR_VALID_P
+        assert ineq.theorem_covers(1, p) and not ineq.theorem_covers(2, p)
+
+
 class TestS4Decomposition:
     def test_identity_boundaries(self):
         r = ineq.batch_s4_decomposition(one_cycle(*(pd(np.eye(3)) for _ in range(4)))).report()

@@ -31,9 +31,8 @@ PUBLIC = [
     "NotPositiveDefinite", "NotSquare", "PDMatrix", "SearchConfig", "SearchResult",
     "SingularDenominator", "counterexample_family", "cyclic_sum_trace",
     "errors", "family_from_dict", "family_to_dict", "inequalities",
-    "margin_gradient", "minimize_margin", "pdcore", "probe_conjecture",
-    "reproduce_counterexample", "scalar_cyclic_sum", "search", "serialize",
-    "validate_family",
+    "margin_gradient", "minimize_margin", "pdcore", "reproduce_counterexample",
+    "scalar_cyclic_sum", "search", "serialize", "validate_family",
 ]
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

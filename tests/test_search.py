@@ -172,19 +172,6 @@ class TestClassification:
             assert classify_margin(margin) == old_default_two_steps(margin), margin
 
 
-class TestProbeConjecture:
-    def test_rejects_other_p(self):
-        with pytest.raises(ValueError):
-            cp.probe_conjecture(14, cp.SearchConfig(p=14))
-
-    def test_small_budget_probe(self):
-        cfg = cp.SearchConfig(p=12, restarts=2, max_iters=120, master_seed=4)
-        out = cp.probe_conjecture(12, cfg, dims=(1,))
-        assert set(out) == {1}
-        assert out[1].best_margin >= -1e-9
-        assert out[1].classification
-
-
 # ---------------------------------------------------------------------------
 # Looped reference: the one-restart-at-a-time descent the lockstep one replaced
 # ---------------------------------------------------------------------------

@@ -250,12 +250,6 @@ class TestGridRecord:
         assert (rec.trials, rec.failures, rec.min_margin) == (0, 0, float("inf"))
 
 
-def test_theorem_covers():
-    assert verify.theorem_covers(5, 3) and verify.theorem_covers(2, 4)
-    assert verify.theorem_covers(1, 12) and verify.theorem_covers(1, 23)
-    assert not verify.theorem_covers(1, 14) and not verify.theorem_covers(2, 5)
-
-
 class TestConditionalViolations:
     """A shapiro_trace violation fails the suite where a theorem covers (n, p);
     elsewhere it is an event. Every trial is made a violation here."""

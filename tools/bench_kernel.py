@@ -128,9 +128,10 @@ CASES = [(3, 23, 2, None), (3, 23, 4, None), (2, 12, 2, None), (2, 12, 4, None),
          (1, 14, 8, 50)]
 TRACE_CASES = [(4, 3, 2), (4, 8, 3), (512, 8, 3)]
 TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
-# (p, n, restarts, iterations); the first is one command of the benchmark's search-matrix
+# (p, n, restarts, iterations); the first is one command of the benchmark's
+# search-matrix, the last two scalar searches at the default budget
 FORK_SEARCHES = [(23, 3, 4, 100), (23, 3, 8, 200), (23, 3, 32, 200),
-                 (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300)]
+                 (12, 3, 32, 300), (12, 2, 32, 300), (14, 1, 32, 300), (14, 1, 32, 3000), (23, 1, 32, 3000)]
 # name -> (dims, p values, trials) of a verify --suite all --field both run:
 # "verify-default" is the default verify command's grid, "verify-grid" the benchmark's
 FORK_GRIDS = {"tiny": ([1], [3], 1), "verify-grid": (list(range(1, 7)), list(range(3, 9)), 4),
