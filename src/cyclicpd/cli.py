@@ -160,17 +160,20 @@ def cmd_search(args) -> int:
     # with no --n, an open case sweeps n = 1, 2, 3
     sweep = args.n is None and args.p in ineq.OPEN_P
     runs = {n: minimize_margin(replace(cfg, n=n)) for n in ((1, 2, 3) if sweep else (cfg.n,))}
+    violated = False  # a verified counterexample where a theorem holds fails the run
     for n, res in runs.items():
         print(f"p={cfg.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]", file=sys.stderr)
-        if sweep and res.classification == "verified_counterexample":
-            event = "THEOREM VIOLATED" if ineq.theorem_covers(n, cfg.p) else "CONJECTURE-RELEVANT EVENT"
+        covered = ineq.theorem_covers(n, cfg.p)
+        if res.classification == "verified_counterexample" and (covered or cfg.p in ineq.OPEN_P):
+            violated |= covered
+            event = "THEOREM VIOLATED" if covered else "CONJECTURE-RELEVANT EVENT"
             print(f"{event}: verified negative margin at p={cfg.p}, n={n}", file=sys.stderr)
     if sweep:
         config["n"] = list(runs)  # the dimensions the sweep ran, not the placeholder 1
         results = {str(n): res.to_dict() for n, res in runs.items()}
     else:
         results = runs[cfg.n].to_dict()
-    return _emit(_manifest("search", config, args.seed, started, results), args.out)
+    return _emit(_manifest("search", config, args.seed, started, results), args.out) or int(violated)
 
 
 def cmd_eval(args) -> int:

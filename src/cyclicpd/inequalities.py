@@ -23,10 +23,10 @@ intermediates that several checkers of one stack need (A_i^{-1}, sum A_i,
 sum A_i^{-1}, (sum A_i)^{-1}, the member-norm sum sum_i ||A_i||_F, the cyclic
 trace sum) once, with the same calls, so both give the same bits; a row view
 of a context (``StackContext.rows``) takes its parent's, sliced.
-The cyclic trace sum has one kernel, ``cyclic_traces``, shared by verify,
-``eval`` and the search; the search re-checks its winner with
-``_refined_cyclic_sum_trace``, through ``pdcore._refined_inverse``. Outside
-the checkers too, one family is one (p, n, n) stack.
+The cyclic trace sum has one kernel, ``cyclic_traces`` (verify, ``eval``, the
+search's descent), and every inverse one rule, ``_inv`` (with the kernel's solve
+for terms its guard refuses); the search re-checks its winner apart from both.
+Outside the checkers too, one family is one (p, n, n) stack.
 Checkers whose proofs go through an auxiliary construction (block matrices,
 W/Z factor pairs) rebuild it and gate on its identities.
 
@@ -50,8 +50,6 @@ from .pdcore import (
     _ct,
     _fro,
     _pd_floor,
-    _refined_inverse,
-    _symmetrize,
     eig_general_stack,
     herm_powers,
     pd_product_eigvals,
@@ -693,17 +691,6 @@ def cyclic_sum_trace(f: CyclicFamily) -> float:
     """Tr[ sum_i A_i (A_{i+1} + A_{i+2})^{-1} ] with cyclic indices (p >= 3).
     No command calls it; it is kept for the benchmark's reader until ROADMAP item 1."""
     return float(cyclic_traces(f.mats))
-
-
-def _refined_cyclic_sum_trace(mats) -> float:
-    """F_p of one family (p, n, n) for the search's re-check of its winner: the
-    denominators pass the Hermitian and PD gates and are inverted with one
-    Newton step plus a residual gate (``pdcore._refined_inverse``) rather than
-    by the closed form or a plain solve."""
-    _require_cycle(len(mats))
-    dens = _symmetrize(cyclic_denominators(mats))
-    _pd_floor(dens)
-    return float(_sum_over_p(_rtr(mats @ _refined_inverse(dens)[0])))
 
 
 def batch_shapiro_trace(mats, rel: float = REL_TOL) -> CheckBatch:

@@ -6,10 +6,10 @@ program enters through one gate, :func:`validate_family`, which returns the
 stack read-only. The program builds, writes, checks and searches families as
 such stacks: the inequality checkers and the counterexample search run on
 stacks (..., n, n) of raw arrays, with the handful of kernels here: random
-sampling, a general eigensolver, Hermitian powers, the spectrum
-of a PD product, and one refined inverse with a residual gate. Two numbers
-set the tolerances: the relative slack ``REL_TOL`` of the margin checks and of
-the Hermitian gate, and the positivity floor ``PD_FLOOR`` of outside input.
+sampling, a general eigensolver, Hermitian powers and the spectrum of a PD
+product. Two numbers set the tolerances: the relative slack ``REL_TOL`` of
+the margin checks and of the Hermitian gate, and the positivity floor
+``PD_FLOOR`` of outside input.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     EntryTooLarge,
-    IllConditioned,
     NotFinite,
     NotHermitian,
     NotPositiveDefinite,
@@ -236,24 +235,3 @@ def pd_product_eigvals(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     h = r @ t @ r
     return np.linalg.eigvalsh((h + _ct(h)) / 2.0)
 
-
-def _refined_inverse(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of each PD matrix of a stack (..., n, n), with one Newton step.
-
-    Returns the symmetrized inverses and their smallest eigenvalues. Raises
-    IllConditioned when a residual ||M X - I|| exceeds 1e-10 * max(1, ||M|| ||X||),
-    and NotPositiveDefinite when an inverse is not positive.
-    """
-    eye = np.eye(m.shape[-1])
-    try:
-        x = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(str(exc)) from exc
-    x = x @ (2.0 * eye - m @ x)
-    x = (x + _ct(x)) / 2.0
-    residual = _fro(m @ x - eye)
-    bound = 1e-10 * np.fmax(1.0, _fro(m) * _fro(x))
-    bad = residual > bound
-    if bad.any():
-        raise IllConditioned(f"inverse residual {residual[bad][0]:g} exceeds bound {bound[bad][0]:g}")
-    return x, _pd_floor(x)

@@ -39,8 +39,8 @@ work is below the fork floor runs as one stack in this process. The rule
 weighs a scalar search as any other, so at the default budget (32 restarts
 of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 and 23
 the fork saves no time (``tools/bench_kernel.py --layer fork``; ROADMAP item 19).
-The winner's margin is re-checked with refined inverses; at or below
--NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
+The winner's margin is re-checked apart from the descent (``_recheck_trace``);
+at or below -NOISE_BAND (1e-8) it is a verified counterexample, in (-1e-8, 0) noise.
 
 Known scalar behavior consumed as search targets: the scalar inequality holds
 exactly for p in ``inequalities.SCALAR_VALID_P`` (3..12 and odd p <= 23),
@@ -57,9 +57,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._fork import cpu_count as _cpu_count, run_units, workers_for
-from .inequalities import (_cyclic_traces, _kept_inverses, _refined_cyclic_sum_trace, _shift_index, _sum_over_p,
-                           cyclic_inverses, cyclic_shift)
-from .pdcore import rng_for
+from .errors import IllConditioned
+from .inequalities import (_cyclic_traces, _kept_inverses, _require_cycle, _rtr, _shift_index, _sum_over_p,
+                           cyclic_denominators, cyclic_inverses, cyclic_shift)
+from .pdcore import _ct, _fro, _pd_floor, _symmetrize, rng_for
 from .serialize import family_to_dict
 
 NOISE_BAND = 1e-8  # margins in (-NOISE_BAND, 0) are classified as round-off
@@ -474,6 +475,30 @@ def classify_margin(margin: float) -> str:
     return "numerical_noise"
 
 
+def _recheck_trace(mats):
+    """The re-check's F_p of stacked families (..., p, n, n), apart from the descent's
+    kernel and ``inequalities._inv``: each gated S_i takes LAPACK's inverse, one Newton
+    step and symmetrization. Raises IllConditioned when LAPACK fails or ||S_i X - I||
+    exceeds 1e-10 * max(1, ||S_i|| ||X||), NotPositiveDefinite for an inverse not PD."""
+    _require_cycle(mats.shape[-3])
+    dens = _symmetrize(cyclic_denominators(mats))
+    _pd_floor(dens)
+    eye = np.eye(mats.shape[-1])
+    try:
+        x = np.linalg.inv(dens)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(str(exc)) from exc
+    x = x @ (2.0 * eye - dens @ x)
+    x = (x + _ct(x)) / 2.0
+    residual = _fro(dens @ x - eye)
+    bound = 1e-10 * np.fmax(1.0, _fro(dens) * _fro(x))
+    bad = residual > bound
+    if bad.any():
+        raise IllConditioned(f"inverse residual {residual[bad][0]:g} exceeds bound {bound[bad][0]:g}")
+    _pd_floor(x)
+    return _sum_over_p(_rtr(mats @ x))
+
+
 def minimize_margin(cfg: SearchConfig) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
@@ -486,9 +511,9 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     restart order. Restarts are independent, so the result is the same at
     every W. Restarts with a non-finite margin (nan if ``_descend`` retired
     them) are dropped, and ``iterations_used`` sums the accepted steps of the
-    others. The winning family is re-evaluated through the checker path with
-    fresh refined inverses before being reported, and that margin is
-    classified (``classify_margin``).
+    others. The winner's margin is computed again on a separate path
+    (``_recheck_trace``), held to the descent's within 1e-9 relative, then
+    reported and classified (``classify_margin``).
     """
     starts = _initial_factors(cfg)
     workers = workers_for(cfg.restarts * cfg.p * cfg.n**2 * cfg.max_iters, cfg.restarts, _cpu_count())
@@ -510,12 +535,10 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     mats = _mats_from_factors(factors, RIDGE)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)
-    recomputed = _refined_cyclic_sum_trace(mats) - cfg.p * cfg.n / 2.0
+    recomputed = float(_recheck_trace(mats)) - cfg.p * cfg.n / 2.0
     if abs(recomputed - f) > 1e-9 * (1.0 + abs(f)):
-        raise RuntimeError(
-            f"soundness gate: optimizer margin {f!r} disagrees with "
-            f"re-verified margin {recomputed!r}"
-        )
+        raise RuntimeError(f"soundness gate: optimizer margin {f!r} disagrees with "
+                           f"re-verified margin {recomputed!r}")
     return SearchResult(
         best_family=mats,
         best_margin=recomputed,

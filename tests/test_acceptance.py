@@ -13,6 +13,7 @@ import pytest
 import cyclicpd as cp
 import looped_oracle as oracle
 from cyclicpd import inequalities as ineq
+from cyclicpd import search
 from cyclicpd import verify as vf
 from cyclicpd.cli import main
 
@@ -102,7 +103,7 @@ def test_criterion_6_counterexample_rediscovery():
     elapsed = time.time() - t0
     scalars = res.best_family[:, 0, 0]
     lifted = oracle.diagonal_embed(scalars, 3)
-    lifted_value = ineq._refined_cyclic_sum_trace(lifted.mats)
+    lifted_value = search._recheck_trace(lifted.mats)
     recheck = ineq.batch_shapiro_trace(lifted.mats[None]).report()
     ok = (
         res.best_margin < 0

@@ -520,18 +520,48 @@ def test_search_sweep_manifest_lists_dims(tmp_path):
     assert doc["results"]["best_family"]["members"][0]["n"] == 2
 
 
+def found(cfg):
+    """A stand-in for ``minimize_margin`` that always reports a verified counterexample."""
+    return cp.SearchResult(np.broadcast_to(np.eye(cfg.n), (cfg.p, cfg.n, cfg.n)), -1.0, 0, [],
+                           "verified_counterexample", 0)
+
+
+def search_events(capsys):
+    return [line for line in capsys.readouterr().err.splitlines() if not line.startswith("p=")]
+
+
 @pytest.mark.parametrize("p", cp.inequalities.OPEN_P)
 def test_search_sweep_names_a_covered_violation(monkeypatch, tmp_path, capsys, p):
     """A verified counterexample that the sweep finds at n = 1, where the scalar
-    theorem covers (n, p), violates that theorem; at n = 2 and 3 it bears on
-    the open question."""
-    def found(cfg):
-        return cp.SearchResult(np.broadcast_to(np.eye(cfg.n), (cfg.p, cfg.n, cfg.n)), -1.0, 0, [],
-                               "verified_counterexample", 0)
-
+    theorem covers (n, p), violates that theorem and fails the run; at n = 2
+    and 3 it bears on the open question."""
     monkeypatch.setattr(cp.cli, "minimize_margin", found)
-    assert main(["search", "--p", str(p), "--out", str(tmp_path / "sweep.json")]) == 0
-    events = [line for line in capsys.readouterr().err.splitlines() if not line.startswith("p=")]
+    assert main(["search", "--p", str(p), "--out", str(tmp_path / "sweep.json")]) == 1
+    events = search_events(capsys)
     assert events == [f"THEOREM VIOLATED: verified negative margin at p={p}, n=1",
                       f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={p}, n=2",
                       f"CONJECTURE-RELEVANT EVENT: verified negative margin at p={p}, n=3"]
+
+
+@pytest.mark.parametrize("p, n, code, event", [
+    (12, 1, 1, "THEOREM VIOLATED"),
+    (4, 2, 1, "THEOREM VIOLATED"),
+    (12, 2, 0, "CONJECTURE-RELEVANT EVENT"),
+    (14, 1, 0, None),  # a known failure of the scalar inequality: no theorem, no open case
+])
+def test_search_names_a_verified_counterexample_by_its_cell(monkeypatch, tmp_path, capsys, p, n, code, event):
+    """Outside the sweep too, a verified counterexample where a theorem covers
+    (n, p) prints THEOREM VIOLATED and exits 1 once the JSON is written; at an
+    open p it is an event, and elsewhere it prints no event line."""
+    monkeypatch.setattr(cp.cli, "minimize_margin", found)
+    out = tmp_path / "search.json"
+    assert main(["search", "--p", str(p), "--n", str(n), "--out", str(out)]) == code
+    assert json.loads(out.read_text())["results"]["classification"] == "verified_counterexample"
+    assert search_events(capsys) == ([f"{event}: verified negative margin at p={p}, n={n}"] if event else [])
+
+
+def test_search_write_failure_outranks_a_violation(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cp.cli, "minimize_margin", found)
+    out = tmp_path / ("x" * 300 + ".json")
+    assert main(["search", "--p", "12", "--n", "1", "--out", str(out)]) == 2
+    assert search_events(capsys)[0] == "THEOREM VIOLATED: verified negative margin at p=12, n=1"

@@ -3,7 +3,7 @@ import pytest
 
 import cyclicpd as cp
 import looped_oracle as oracle
-from cyclicpd import inequalities as ineq, pdcore
+from cyclicpd import inequalities as ineq, pdcore, search
 from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
@@ -267,8 +267,8 @@ def ref_refined_inverse(m):
 def ref_cyclic_sum_trace(f, refine=False):
     """F_p of one family: the looped kernel of ``cyclic_sum_trace`` (each term
     by the closed form for real n = 2, 3 where the guard admits its S_i, else
-    by one solve), or with ``refine`` that of ``_refined_cyclic_sum_trace``
-    (one refined inverse per member)."""
+    by one solve), or with ``refine`` that of the search's re-check,
+    ``search._recheck_trace`` (one refined inverse per member)."""
     mats = list(f.mats)
     if not refine:
         return oracle.looped_cyclic_sum(mats)
@@ -295,7 +295,7 @@ class TestCyclicKernelOracle:
     def assert_family_matches_looped(fam):
         ref = ref_cyclic_sum_trace(fam)
         assert cp.cyclic_sum_trace(fam) == ref
-        assert ineq._refined_cyclic_sum_trace(fam.mats) == ref_cyclic_sum_trace(fam, refine=True)
+        assert search._recheck_trace(fam.mats) == ref_cyclic_sum_trace(fam, refine=True)
         r = ineq.batch_bidirectional(one_family(fam)).report()
         assert r.detail["forward"] == ref
         assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.mats[::-1]))

@@ -9,7 +9,8 @@ import cyclicpd as cp
 import looped_oracle as oracle
 from cyclicpd.cli import main
 from cyclicpd.inequalities import _cyclic_matrix_sum
-from cyclicpd.pdcore import _refined_inverse, eig_general_stack, herm_powers, pd_product_eigvals, random_pd_stack
+from cyclicpd.pdcore import eig_general_stack, herm_powers, pd_product_eigvals, random_pd_stack
+from cyclicpd.search import _recheck_trace
 
 
 def rng_for(seed):
@@ -19,6 +20,11 @@ def rng_for(seed):
 def pd(entries):
     """One matrix through the construction gate."""
     return cp.validate_family([entries])[0]
+
+
+def halves(m, p=3):
+    """The family A_i = M/2 (i < p) of each matrix M of a stack (..., n, n): S_i = M."""
+    return np.stack([m / 2.0] * p, axis=-3)
 
 
 def min_eig(a):
@@ -236,32 +242,35 @@ class TestSqrtInverse:
         (s,) = herm_powers(pd(np.diag([4.0, 9.0])), 0.5)
         assert np.allclose(s, np.diag([2.0, 3.0]))
 
+    # The search's re-check inverts each S_i by LAPACK with one Newton step; on
+    # the family A_i = M/2 (p = 3) every S_i is M exactly, so its F_p is
+    # sum_i Tr(M/2 X), X the refined inverse of M.
+
     def test_inverse_diagonal(self):
-        x, w0 = _refined_inverse(pd(np.diag([2.0, 4.0])))
-        assert np.allclose(x, np.diag([0.5, 0.25])) and w0 == pytest.approx(0.25)
+        # X = diag(1/2, 1/4) exactly, so each term is Tr(diag(1, 2) X) = 1
+        assert _recheck_trace(halves(pd(np.diag([2.0, 4.0])))) == 3.0
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_stacked_kernel_is_inverse_pd_per_matrix(self, field):
-        """The stacked kernel gives each matrix what it gives that matrix alone,
-        as the removed one-matrix ``inverse_pd`` did."""
+        """The re-check gives each family of a stack what it gives that family
+        alone, as the removed one-matrix ``inverse_pd`` did for each matrix."""
         rng = rng_for(11)
         stack = np.stack([oracle.random_pd(3, rng, field).mat for _ in range(6)])
-        x, w0 = _refined_inverse(stack)
-        for m, xi, wi in zip(stack, x, w0):
-            x1, w1 = _refined_inverse(m)
-            assert np.array_equal(x1, xi) and w1 == wi
+        f = _recheck_trace(halves(stack))
+        for m, fi in zip(stack, f):
+            assert _recheck_trace(halves(m)) == fi
 
     def test_inverse_residual_gate(self):
         k = np.arange(8)
         hilbert = pd(1.0 / (k[:, None] + k + 1.0))  # condition number about 1e10
         with pytest.raises(cp.IllConditioned):
-            _refined_inverse(hilbert)
+            _recheck_trace(halves(hilbert))
 
     def test_trace_product_lower_bound(self):
         rng = rng_for(10)
         for _ in range(200):
             a = oracle.random_pd(4, rng, "complex")
-            x, _ = _refined_inverse(a.mat)
+            (x,) = herm_powers(a.mat, -1.0)
             assert np.trace(a.mat).real * np.trace(x).real >= 16 - 1e-8
 
 

@@ -143,6 +143,31 @@ class TestMinimizeMargin:
         assert shapiro_margin(fam.mats) == pytest.approx(res.best_margin, abs=1e-9)
 
 
+class TestRecheck:
+    @pytest.mark.parametrize("n, field", [(1, "real"), (2, "real"), (3, "real"), (3, "complex"), (4, "real")])
+    def test_independent_of_the_descent_kernel(self, monkeypatch, n, field):
+        """The re-check of a winner runs neither the descent's kernel nor the
+        inversion rule of ``inequalities``: with them refused, it gives the
+        same margin bit for bit, so a verified margin is never the same float
+        computation run twice."""
+        rng = rng_for(n)
+        mats = cp.validate_family([oracle.random_pd(n, rng, field).mat for _ in range(7)])
+        want = float(search._recheck_trace(mats)) - 7 * n / 2.0
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the re-check ran the descent's kernel")
+
+        for module, name in ((ineq, "_cyclic_traces"), (ineq, "_cofactors"), (ineq, "_inv"),
+                             (search, "_cyclic_traces")):
+            monkeypatch.setattr(module, name, refused)
+        with pytest.raises(AssertionError):
+            ineq.cyclic_traces(mats)
+        with pytest.raises(AssertionError):
+            ineq.cyclic_inverses(mats)
+        got = float(search._recheck_trace(mats)) - 7 * n / 2.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def old_default_two_steps(margin):
     """The verdict as ``search --tol-rel`` reached it at its default 1e-9, in
     two steps: the noise band of that tolerance (10 x 1e-9), then a
