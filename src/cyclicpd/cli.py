@@ -159,7 +159,11 @@ def cmd_search(args) -> int:
     config = cfg.to_dict()
     # with no --n, an open case sweeps n = 1, 2, 3
     sweep = args.n is None and args.p in ineq.OPEN_P
-    runs = {n: minimize_margin(replace(cfg, n=n)) for n in ((1, 2, 3) if sweep else (cfg.n,))}
+    try:
+        runs = {n: minimize_margin(replace(cfg, n=n)) for n in ((1, 2, 3) if sweep else (cfg.n,))}
+    except CyclicPDError as exc:  # the winner's re-check failed: no verdict, no output
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     violated = False  # a verified counterexample where a theorem holds fails the run
     for n, res in runs.items():
         print(f"p={cfg.p} n={n}: best margin {res.best_margin:.12g} [{res.classification}]", file=sys.stderr)

@@ -10,9 +10,11 @@ and stopping state, so a restart's trajectory does not depend on which other
 restarts run beside it. An iteration is one accepted step. Each line search
 starts at min(2 x the restart's last accepted step, 1e3) (the first at
 STEP_INIT = 0.5) and tries at most 50 halvings of it; the halvings are
-evaluated in stacked chunks of 3, 8, 16 and 23 trial steps per restart, with
-the result of trying them one at a time. Every 100 iterations a gauge fix
-rescales the factors. One driver runs the descent; it reads its objective
+formed and evaluated chunk by chunk, in stacked chunks of 3, 8, 16 and 23
+trial steps per restart, with the result of trying them one at a time; the
+later chunks' halvings are formed only when some restart passes none of the
+first chunk's. Every 100 iterations a gauge fix rescales the factors. One
+driver runs the descent; it reads its objective
 (``_Objective``) only through the trial evaluation, the kept inverses, the
 gradient, the gradient's squared norm and the trace sum. The matrix objective
 (n >= 2) takes the cyclic trace sum of ``inequalities.cyclic_traces``, the
@@ -35,7 +37,8 @@ a later chunk only overwrites the rows of restarts still pending. The
 restarts are cut into contiguous shares, one per process that
 ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
 max_iters), and each share descends in a forked process; a search whose
-work is below the fork floor runs as one stack in this process. The rule
+work is below the fork floor runs as one stack in this process, whose
+arrays are the result as they stand, joined with nothing. The rule
 weighs a scalar search as any other, so at the default budget (32 restarts
 of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 and 23
 the fork saves no time (``tools/bench_kernel.py --layer fork``; ROADMAP item 19).
@@ -107,7 +110,7 @@ class SearchResult:
     best_family: np.ndarray  # the winner's read-only stack (p, n, n)
     best_margin: float
     iterations_used: int
-    margin_history: list
+    margin_history: list  # (iteration, margin) pairs of the winner, a Python int and float each
     classification: str
     restart_index: int
 
@@ -117,7 +120,7 @@ class SearchResult:
             "iterations_used": self.iterations_used,
             "classification": self.classification,
             "restart_index": self.restart_index,
-            "margin_history": [[int(i), float(m)] for i, m in self.margin_history],
+            "margin_history": [[i, m] for i, m in self.margin_history],
             "best_family": family_to_dict(self.best_family),
         }
 
@@ -272,17 +275,15 @@ def _scalar_objective() -> _Objective:
                       _scalar_inverses, _scalar_gradient, _scalar_norm2, _sum_over_p)
 
 
-def _init_factors(cfg: SearchConfig, rng: np.random.Generator):
-    if cfg.n == 1:
-        # scalar starts span orders of magnitude, like the known counterexamples
-        a = np.exp(rng.uniform(-3.0, 3.0, cfg.p))
-        return np.sqrt(a - RIDGE)[:, None, None]
-    return np.eye(cfg.n) + 0.5 * rng.standard_normal((cfg.p, cfg.n, cfg.n))
-
-
 def _initial_factors(cfg: SearchConfig):
-    """Starting factors of every restart, (restarts, p, n, n); restart r has its own stream."""
-    return np.stack([_init_factors(cfg, rng_for(cfg.master_seed, r)) for r in range(cfg.restarts)])
+    """Starting factors of every restart, (restarts, p, n, n); restart r draws
+    from its own stream. Scalar starts span orders of magnitude, like the
+    known counterexamples: a_i = exp(u_i) for u_i uniform in [-3, 3)."""
+    rngs = [rng_for(cfg.master_seed, r) for r in range(cfg.restarts)]
+    if cfg.n == 1:
+        a = np.exp(np.stack([rng.uniform(-3.0, 3.0, cfg.p) for rng in rngs]))
+        return np.sqrt(a - RIDGE)[..., None, None]
+    return np.stack([np.eye(cfg.n) + 0.5 * rng.standard_normal((cfg.p, cfg.n, cfg.n)) for rng in rngs])
 
 
 def _evaluate(fn, stack):
@@ -330,7 +331,7 @@ def _gather(obj, ts, stack, vals, ok, mats, kept, rows, first):
     ``vals`` hold every trial step, line search after line search."""
     at = rows * ts.shape[1] + first
     pos = at if ok is None else np.cumsum(ok)[at] - 1  # its row among the evaluated trial steps
-    return (stack.take(at, axis=0), vals[at], np.minimum(2.0 * ts[rows, first], MAX_STEP),
+    return (stack.take(at, axis=0), vals.take(at), np.minimum(2.0 * ts.take(at), MAX_STEP),
             mats.take(pos, axis=0), obj.kept_inverses(mats, kept, pos))
 
 
@@ -365,7 +366,9 @@ def _descend(cfg: SearchConfig, factors, obj: _Objective | None = None):
     A line search tries up to MAX_HALVINGS halvings of min(2 x the last
     accepted step, MAX_STEP), a chunk of HALVING_CHUNKS per stacked
     evaluation (``_try_steps``), and accepts the first that passes the
-    Armijo test, as a search that tries one halving at a time does. The first chunk takes every live restart,
+    Armijo test, as a search that tries one halving at a time does. An
+    iteration forms the first chunk's halvings, and the others only when a
+    restart is pending after it. The first chunk takes every live restart,
     and the live arrays (``_Live``) are rebound to what it gathers at each
     one's first stop (``_gather``): the next state, with the A_i and
     S_i^{-1} of the next gradient, or a placeholder that the later chunk
@@ -388,8 +391,14 @@ def _descend(cfg: SearchConfig, factors, obj: _Objective | None = None):
     factors = obj.layout(out)  # a view: a retired restart's row is written into ``out``
     f = np.full(len(factors), np.nan)
     iters = np.zeros(len(factors), dtype=int)
+    # trial steps t, t/2, ... by repeated halving, as a serial line search
+    # forms them (t * 0.5**j would round differently once t is subnormal):
+    # row j of ``halvings`` is [t_j, 0.5, 0.5, ...], whose running product is
+    # formed a chunk at a time, the whole row only when a restart is pending
+    halvings = np.full((len(f), MAX_HALVINGS), 0.5)
+    every = np.arange(len(f))
     ok, (f0, mats, kept) = _evaluate(trial, factors)
-    index = np.arange(len(f)) if ok is None else np.flatnonzero(ok)
+    index = every if ok is None else np.flatnonzero(ok)
     f[index] = f0
     history = np.full((min(cfg.max_iters, 63) + 1, len(f)), np.nan)
     history[0] = f
@@ -400,35 +409,35 @@ def _descend(cfg: SearchConfig, factors, obj: _Objective | None = None):
             break
         grads = gradient(live.factors, live.mats, live.invs)
         gnorm2 = norm2(grads)
-        flat = gnorm2 < 1e-24  # a nan norm goes on to fail the line search
-        if flat.any():
+        if np.fmin.reduce(gnorm2) < 1e-24:  # a nan norm goes on to fail the line search
+            flat = gnorm2 < 1e-24
             live.retire(flat, it - 1)
             grads, gnorm2 = grads[~flat], gnorm2[~flat]
-        # trial steps t, t/2, ... by repeated halving, as a serial line search
-        # forms them: t * 0.5**j would round differently once t is subnormal
-        halvings = np.empty((len(grads), MAX_HALVINGS))
-        halvings[:, 0] = live.step
-        halvings[:, 1:] = 0.5
-        trials = np.multiply.accumulate(halvings, axis=1)
-        stop, ok, gather = _try_steps(obj, trials[:, :HALVING_CHUNKS[0]], live.factors, grads, live.margin, gnorm2)
-        rows, first = np.arange(len(stop)), stop.argmax(axis=1)
+        steps = halvings[:len(grads)]
+        steps[:, 0] = live.step
+        rows = every[:len(grads)]
+        stop, ok, gather = _try_steps(obj, np.multiply.accumulate(steps[:, :HALVING_CHUNKS[0]], axis=1),
+                                      live.factors, grads, live.margin, gnorm2)
+        first = stop.argmax(axis=1)
         if ok is not None:  # a restart whose first stop raised retires with a nan margin
             won = ok[rows, first]
             live.margin[~won] = np.nan
             live.retire(~won, it - 1)
-            rows, first, grads, gnorm2, trials = (x[won] for x in (rows, first, grads, gnorm2, trials))
+            rows, first, grads, gnorm2 = (x[won] for x in (rows, first, grads, gnorm2))
         stopped = stop[rows, first]
         state = gather(rows, first)
         if not stopped.all():
             # a pending restart's row of ``state`` is overwritten in the chunk
             # it stops in; it retires if it fails every halving or its stop raised
+            trials = np.multiply.accumulate(steps[rows], axis=1)
             gone = ~stopped
             pending, start = np.flatnonzero(gone), HALVING_CHUNKS[0]
             for k in HALVING_CHUNKS[1:]:
                 stop, ok, gather = _try_steps(obj, trials[pending, start:start + k], live.factors[pending],
                                               grads[pending], live.margin[pending], gnorm2[pending])
                 start += k
-                at = np.flatnonzero(stop.any(axis=1))
+                hit = stop.any(axis=1)
+                at = np.flatnonzero(hit)
                 first = stop[at].argmax(axis=1)
                 if ok is not None:
                     won = ok[at, first]
@@ -437,7 +446,7 @@ def _descend(cfg: SearchConfig, factors, obj: _Objective | None = None):
                 for x, v in zip(state, gather(at, first)):
                     x[pending[at]] = v
                 gone[pending[at]] = False
-                pending = pending[~stop.any(axis=1)]
+                pending = pending[~hit]
                 if pending.size == 0:
                     break
             if gone.any():
@@ -508,29 +517,34 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     :func:`cyclicpd._fork.workers_for`); each share descends in lockstep,
     share 0 here and the others in forked processes (see
     :func:`cyclicpd._fork.run_units`), and the shares' arrays are joined in
-    restart order. Restarts are independent, so the result is the same at
-    every W. Restarts with a non-finite margin (nan if ``_descend`` retired
-    them) are dropped, and ``iterations_used`` sums the accepted steps of the
-    others. The winner's margin is computed again on a separate path
-    (``_recheck_trace``), held to the descent's within 1e-9 relative, then
-    reported and classified (``classify_margin``).
+    restart order; at W = 1 the one share descends here and its arrays are
+    used as they are, with no split and no join. Restarts are independent,
+    so the result is the same at every W. Restarts with a non-finite margin
+    (nan if ``_descend`` retired them) are dropped, and ``iterations_used``
+    sums the accepted steps of the others. The winner's margin is computed
+    again on a separate path (``_recheck_trace``), held to the descent's
+    within 1e-9 relative, then reported and classified (``classify_margin``).
     """
     starts = _initial_factors(cfg)
     workers = workers_for(cfg.restarts * cfg.p * cfg.n**2 * cfg.max_iters, cfg.restarts, _cpu_count())
-    shares = np.array_split(starts, workers)
-    parts = run_units([partial(_descend, cfg, share) for share in shares],
-                      [len(share) for share in shares], workers)
-    factors, margins, histories, iters = zip(*parts)
-    factors, margins, iters = (np.concatenate(x) for x in (factors, margins, iters))
-    depth = max(len(h) for h in histories)  # shares stop at different iterations
-    history = np.hstack([np.pad(h, ((0, depth - len(h)), (0, 0)), constant_values=np.nan) for h in histories])
+    if workers == 1:
+        factors, margins, history, iters = _descend(cfg, starts)
+    else:
+        shares = np.array_split(starts, workers)
+        parts = run_units([partial(_descend, cfg, share) for share in shares],
+                          [len(share) for share in shares], workers)
+        factors, margins, histories, iters = zip(*parts)
+        factors, margins, iters = (np.concatenate(x) for x in (factors, margins, iters))
+        depth = max(len(h) for h in histories)  # shares stop at different iterations
+        history = np.hstack([np.pad(h, ((0, depth - len(h)), (0, 0)), constant_values=np.nan)
+                             for h in histories])
     survivors = np.isfinite(margins)
     if not survivors.any():
         raise RuntimeError("all restarts diverged")
     # deterministic merge: lowest margin, ties broken by lowest restart index
     r = int(np.argmin(np.where(survivors, margins, np.inf)))
     f, factors = float(margins[r]), factors[r]
-    history = [(k, float(m)) for k, m in enumerate(history[:iters[r] + 1, r])]
+    history = list(enumerate(history[:iters[r] + 1, r].tolist()))
     total_iters = int(iters[survivors].sum())
     mats = _mats_from_factors(factors, RIDGE)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0

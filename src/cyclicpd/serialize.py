@@ -15,16 +15,6 @@ from .errors import DimensionMismatch
 from .pdcore import CyclicFamily, _pd_floor, validate_family
 
 
-def _matrix_to_dict(a: np.ndarray) -> dict:
-    if np.iscomplexobj(a):
-        entries = [[[float(z.real), float(z.imag)] for z in row] for row in a]
-        field = "complex"
-    else:
-        entries = [[float(x) for x in row] for row in a]
-        field = "real"
-    return {"n": int(a.shape[0]), "field": field, "entries": entries}
-
-
 def _int(d: dict, key: str) -> int:
     if type(d[key]) is not int:
         raise ValueError(f"{key!r} must be an integer, got {d[key]!r}")
@@ -56,7 +46,13 @@ def family_to_dict(mats: np.ndarray) -> dict:
     program writes are PD by construction, so only the positivity floor is
     checked here."""
     _pd_floor(mats)
-    return {"p": len(mats), "members": [_matrix_to_dict(m) for m in mats]}
+    if np.iscomplexobj(mats):
+        field, numbers = "complex", np.stack((mats.real, mats.imag), axis=-1)
+    else:
+        field, numbers = "real", np.asarray(mats, dtype=np.float64)
+    n = int(mats.shape[-1])
+    # tolist reads each double as the Python float of its bits, -0.0 included
+    return {"p": len(mats), "members": [{"n": n, "field": field, "entries": m} for m in numbers.tolist()]}
 
 
 def family_from_dict(d: dict) -> CyclicFamily:

@@ -565,3 +565,18 @@ def test_search_write_failure_outranks_a_violation(monkeypatch, tmp_path, capsys
     out = tmp_path / ("x" * 300 + ".json")
     assert main(["search", "--p", "12", "--n", "1", "--out", str(out)]) == 2
     assert search_events(capsys)[0] == "THEOREM VIOLATED: verified negative margin at p=12, n=1"
+
+
+@pytest.mark.parametrize("argv", [["--p", "14", "--n", "1"], ["--p", "12"]], ids=["one-n", "p12-sweep"])
+def test_search_failed_recheck_is_an_error(monkeypatch, tmp_path, capsys, argv):
+    """A re-check of the winner that raises gives no verdict: the search exits 2
+    with the error's message and writes no JSON, for one n and for the sweep."""
+    def ill(mats):
+        raise cp.errors.IllConditioned("inverse residual 1 exceeds bound 1e-10")
+
+    monkeypatch.setattr(cp.search, "_recheck_trace", ill)
+    out = tmp_path / "search.json"
+    assert main(["search", *argv, "--restarts", "2", "--max-iters", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "error: inverse residual 1 exceeds bound 1e-10"
+    assert captured.out == "" and not out.exists()

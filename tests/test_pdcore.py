@@ -309,6 +309,25 @@ def test_family_roundtrip_bit_exact(seed, n, p, field):
     assert np.array_equal(back, mats)
 
 
+TINY = 5e-324  # the smallest subnormal double
+
+
+@pytest.mark.parametrize("member", [
+    [[2.0, -0.0, TINY], [-0.0, 2.0, 0.0], [TINY, 0.0, 2.0]],
+    # the complex reader's (A + A*)/2 keeps a -0.0 imaginary part, not a -0.0 real part
+    [[2.0, complex(TINY, -0.0), complex(0.0, TINY)],
+     [complex(TINY, 0.0), 2.0, 0.0],
+     [complex(0.0, -TINY), 0.0, 2.0]],
+], ids=["real", "complex"])
+def test_family_roundtrip_signed_zero_and_subnormal(member):
+    """A -0.0 and subnormal off-diagonal entries come back bit for bit through the JSON text."""
+    mats = np.array([member, np.eye(3)])
+    text = json.dumps(cp.family_to_dict(mats))
+    assert "-0.0" in text and "5e-324" in text
+    back = cp.family_from_dict(json.loads(text)).mats
+    assert back.dtype == mats.dtype and back.tobytes() == mats.tobytes()
+
+
 class TestCyclicFamily:
     def test_mixed_dims_rejected(self):
         members = [cp.family_to_dict(np.eye(k)[None])["members"][0] for k in (2, 3)]

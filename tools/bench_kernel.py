@@ -73,7 +73,9 @@ directory) through ``cli.main`` in this process, after one untimed call:
 per command the median over ``--runs`` calls of the µs and cal of one call,
 of the µs spent in ``cli.build_parser`` and of the µs in ``parse_args``
 (whichever of the two runs first after the calibration batch meets its cold
-caches: a parse that takes about 0.1 ms warm then takes about 0.35 ms), the
+caches: a parse that takes about 0.1 ms warm then takes about 0.35 ms), for
+a search command of the µs in ``search._descend`` (``descend_us``: where the
+search forks, the parent's own share), the
 W that the fork rule picks for those timed calls at this process's CPUs
 (``workers``: where it is above 1 they time the parent, which waits for its
 children), and the calls cProfile sees in one call at W = 1 (``calls``: the
@@ -82,7 +84,10 @@ in this process, as the count layer counts). Then it times a fresh
 ``python -m cyclicpd`` process, from its start to its exit after the JSON
 is written, for ``reproduce --case all`` and the search-scalar command: the
 median ms and cal over ``--runs`` processes, which import the same
-``cyclicpd`` as this one.
+``cyclicpd`` as this one. Each timed command writes a fresh ``--out`` file,
+removed before the calibration batch that precedes it, as the benchmark
+removes it before each command: rewriting an existing file costs a truncate
+that the benchmark never pays.
 
 Each timed run (a descent, a run of ``cyclic_traces`` calls, a suite, a
 fork case's run) is also reported in calibration units, as the benchmark
@@ -384,15 +389,25 @@ def cli_commands(seed: int, out: str) -> dict:
     return {name: [*make(seed).commands[0].argv, "--out", out] for name, make in WORKLOADS.items()}
 
 
+def fresh(path: str, batch, fn):
+    """``calibrated(batch, fn)`` of a command that writes ``path``, removed
+    first: the benchmark writes each command's output to a fresh file."""
+    Path(path).unlink(missing_ok=True)
+    return calibrated(batch, fn)
+
+
 def cli_layer(runs: int, seed: int, batch) -> dict:
     out = {"runs": runs, "seed": seed, "commands": [], "processes": []}
     with tempfile.TemporaryDirectory() as tmp:
-        commands = cli_commands(seed, os.path.join(tmp, "out.json"))
+        path = os.path.join(tmp, "out.json")
+        commands = cli_commands(seed, path)
         for name, argv in commands.items():
-            build, parse = [0.0, False], [0.0, False]
+            build, parse, descend = [0.0, False], [0.0, False], [0.0, False]
             build_parser, parse_args = cli.build_parser, argparse.ArgumentParser.parse_args
+            _descend = search._descend
             cli.build_parser = timed(build_parser, build)
             argparse.ArgumentParser.parse_args = timed(parse_args, parse)
+            search._descend = timed(_descend, descend)
             samples, picked = [], []
 
             def rule(work, units):
@@ -403,25 +418,29 @@ def cli_layer(runs: int, seed: int, batch) -> dict:
                 with redirect_stderr(io.StringIO()):
                     with_rule(rule, lambda: cli.main(argv))
                     for _ in range(runs):
-                        build[0] = parse[0] = 0.0
-                        wall, cals, _ = calibrated(batch, lambda: cli.main(argv))
-                        samples.append((wall, cals, build[0], parse[0]))
+                        build[0] = parse[0] = descend[0] = 0.0
+                        wall, cals, _ = fresh(path, batch, lambda: cli.main(argv))
+                        samples.append((wall, cals, build[0], parse[0], descend[0]))
                     calls, _, _ = counted(with_rule, lambda work, units: 1, lambda: cli.main(argv))
             finally:
-                cli.build_parser, argparse.ArgumentParser.parse_args = build_parser, parse_args
+                cli.build_parser, argparse.ArgumentParser.parse_args, search._descend = (
+                    build_parser, parse_args, _descend)
             out["commands"].append({
                 "workload": name, "argv": " ".join(argv[:-2]),
                 "main_us": round(statistics.median(s[0] for s in samples) * 1e6, 1),
                 "main_cal": four_digits(statistics.median(s[1] for s in samples)),
                 "build_parser_us": round(statistics.median(s[2] for s in samples) * 1e6, 1),
                 "parse_args_us": round(statistics.median(s[3] for s in samples) * 1e6, 1),
+                **({"descend_us": round(statistics.median(s[4] for s in samples) * 1e6, 1)}
+                   if argv[0] == "search" else {}),
                 "workers": max(picked, default=1), "calls": calls,
             })
         src = str(Path(cyclicpd.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        path = os.path.join(tmp, "process.json")
         for argv in [*PROCESS_ARGVS, commands["search-scalar"][:-2]]:
-            cmd = [sys.executable, "-m", "cyclicpd", *argv, "--out", os.path.join(tmp, "process.json")]
-            timings = [calibrated(batch, lambda: subprocess.run(cmd, env=env, check=True, capture_output=True))
+            cmd = [sys.executable, "-m", "cyclicpd", *argv, "--out", path]
+            timings = [fresh(path, batch, lambda: subprocess.run(cmd, env=env, check=True, capture_output=True))
                        for _ in range(runs)]
             out["processes"].append({
                 "argv": " ".join(argv),
