@@ -26,8 +26,8 @@ from .serialize import family_from_dict, family_to_dict
 
 
 def _parse_range(text: str, flag: str) -> list[int]:
-    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]. A value may appear
-    once. Errors name the option ``flag`` and its text."""
+    """'3..6' -> [3,4,5,6]; '5' -> [5]; '3,5,7' -> [3,5,7]. A value may appear once, and a
+    part lo..hi needs lo <= hi. Errors name the option ``flag`` and its text."""
     out = []
     for part in text.split(","):
         bounds = part.split("..")
@@ -35,9 +35,9 @@ def _parse_range(text: str, flag: str) -> list[int]:
             lo, hi = map(int, bounds) if len(bounds) == 2 else (int(part),) * 2
         except ValueError:
             raise ValueError(f"{flag} {text!r}: {part!r} is not an integer or lo..hi") from None
+        if lo > hi:
+            raise ValueError(f"{flag} {text!r}: {part!r} is an empty range (lo > hi)")
         out.extend(range(lo, hi + 1))
-    if not out:
-        raise ValueError(f"empty {flag} range {text!r}")
     if len(set(out)) != len(out):
         raise ValueError(f"repeated value in {flag} {text!r}")
     return out
@@ -214,9 +214,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1 or args.p < 3 or args.count < 1 or args.field not in ("real", "complex"):
-        print("error: invalid sample parameters", file=sys.stderr)
-        return 2
+    for flag, value, least in (("--n", args.n, 1), ("--p", args.p, 3), ("--count", args.count, 1)):
+        if value < least:
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     stacks = random_pd_stack(args.n, args.count, args.p, rng_for(args.seed), args.field)
     fams = [family_to_dict(mats) for mats in stacks]
     return _emit(fams[0] if args.count == 1 else fams, args.out)

@@ -36,9 +36,8 @@ descending, as arrays rebuilt each iteration from the first chunk's gathers;
 a later chunk only overwrites the rows of restarts still pending. The
 restarts are cut into contiguous shares, one per process that
 ``_fork.workers_for`` grants the search's work (restarts x p x n**2 x
-max_iters), and each share descends in a forked process; a search whose
-work is below the fork floor runs as one stack in this process, whose
-arrays are the result as they stand, joined with nothing. The rule
+max_iters); each share descends in its own process (below the fork floor
+the one share descends in this one) and returns only its winner. The rule
 weighs a scalar search as any other, so at the default budget (32 restarts
 of 3000 iterations) one forks from p = 5 at 2 CPUs, though at p = 14 and 23
 the fork saves no time (``tools/bench_kernel.py --layer fork``; ROADMAP item 19).
@@ -508,6 +507,17 @@ def _recheck_trace(mats):
     return _sum_over_p(_rtr(mats @ x))
 
 
+def _share_winner(cfg: SearchConfig, starts, first: int):
+    """The winner of ``_descend`` on the starts of restarts first, first + 1, ...: (margin,
+    restart index, factors, margin history as Python floats, the accepted steps of the
+    share's survivors); the lowest finite margin at the lowest index, inf if none is finite."""
+    factors, margins, history, iters = _descend(cfg, starts)
+    survivors = np.isfinite(margins)
+    margins = np.where(survivors, margins, np.inf)
+    r = int(np.argmin(margins))
+    return float(margins[r]), first + r, factors[r], history[:iters[r] + 1, r].tolist(), int(iters[survivors].sum())
+
+
 def minimize_margin(cfg: SearchConfig) -> SearchResult:
     """Multi-restart descent on the margin; deterministic for a fixed config.
 
@@ -515,37 +525,26 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
     W = min(``_cpu_count()``, restarts, max(1, work // FLOOR)) contiguous
     shares, where work = restarts x p x n**2 x max_iters (see
     :func:`cyclicpd._fork.workers_for`); each share descends in lockstep,
-    share 0 here and the others in forked processes (see
-    :func:`cyclicpd._fork.run_units`), and the shares' arrays are joined in
-    restart order; at W = 1 the one share descends here and its arrays are
-    used as they are, with no split and no join. Restarts are independent,
-    so the result is the same at every W. Restarts with a non-finite margin
-    (nan if ``_descend`` retired them) are dropped, and ``iterations_used``
-    sums the accepted steps of the others. The winner's margin is computed
-    again on a separate path (``_recheck_trace``), held to the descent's
-    within 1e-9 relative, then reported and classified (``classify_margin``).
+    at W >= 2 in forked processes (see :func:`cyclicpd._fork.run_units`),
+    and returns only its winner (``_share_winner``); the lowest of theirs,
+    ties to the lower restart index, wins. Restarts are independent, so the
+    result is the same at every W. Restarts with a non-finite margin (nan if
+    ``_descend`` retired them) are dropped, and ``iterations_used`` sums the
+    accepted steps of the others. The winner's margin is computed again on a
+    separate path (``_recheck_trace``), held to the descent's within 1e-9
+    relative, then reported and classified (``classify_margin``).
     """
     starts = _initial_factors(cfg)
     workers = workers_for(cfg.restarts * cfg.p * cfg.n**2 * cfg.max_iters, cfg.restarts, _cpu_count())
-    if workers == 1:
-        factors, margins, history, iters = _descend(cfg, starts)
-    else:
-        shares = np.array_split(starts, workers)
-        parts = run_units([partial(_descend, cfg, share) for share in shares],
-                          [len(share) for share in shares], workers)
-        factors, margins, histories, iters = zip(*parts)
-        factors, margins, iters = (np.concatenate(x) for x in (factors, margins, iters))
-        depth = max(len(h) for h in histories)  # shares stop at different iterations
-        history = np.hstack([np.pad(h, ((0, depth - len(h)), (0, 0)), constant_values=np.nan)
-                             for h in histories])
-    survivors = np.isfinite(margins)
-    if not survivors.any():
-        raise RuntimeError("all restarts diverged")
+    size, extra = divmod(cfg.restarts, workers)  # the first ``extra`` shares take one restart more
+    cuts = [k * size + min(k, extra) for k in range(workers + 1)]
+    winners = run_units([partial(_share_winner, cfg, starts[a:b], a) for a, b in zip(cuts, cuts[1:])],
+                        [b - a for a, b in zip(cuts, cuts[1:])], workers)
     # deterministic merge: lowest margin, ties broken by lowest restart index
-    r = int(np.argmin(np.where(survivors, margins, np.inf)))
-    f, factors = float(margins[r]), factors[r]
-    history = list(enumerate(history[:iters[r] + 1, r].tolist()))
-    total_iters = int(iters[survivors].sum())
+    f, r, factors, history, _ = min(winners, key=lambda w: w[:2])
+    if f == np.inf:
+        raise RuntimeError("all restarts diverged")
+    total_iters = sum(w[4] for w in winners)
     mats = _mats_from_factors(factors, RIDGE)
     mats = (mats + np.swapaxes(mats, -1, -2)) / 2.0
     mats.setflags(write=False)
@@ -557,7 +556,7 @@ def minimize_margin(cfg: SearchConfig) -> SearchResult:
         best_family=mats,
         best_margin=recomputed,
         iterations_used=total_iters,
-        margin_history=history,
+        margin_history=list(enumerate(history)),
         classification=classify_margin(recomputed),
         restart_index=r,
     )

@@ -29,6 +29,12 @@ def test_parse_range():
     for repeated in ("3,3", "3..5,4", "1..2,1..2"):
         with pytest.raises(ValueError, match="repeated"):
             _parse_range(repeated, "--p")
+    # a reversed part is refused wherever it stands, not dropped
+    for text, part in (("6..3", "6..3"), ("3,9..4", "9..4"), ("2..1,3", "2..1")):
+        for flag in ("--p", "--dims"):
+            with pytest.raises(ValueError) as err:
+                _parse_range(text, flag)
+            assert str(err.value) == f"{flag} {text!r}: {part!r} is an empty range (lo > hi)"
 
 
 def test_reproduce_all(capsys):
@@ -311,11 +317,14 @@ def test_stdout_closed_early_ends_with_one_error_line():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-def test_sample_bad_params():
-    assert main(["sample", "--n", "0", "--p", "3"]) == 2
+def test_sample_bad_params(capsys):
     # no cyclic sum has fewer than three members, so eval would reject the family
-    assert main(["sample", "--n", "2", "--p", "2"]) == 2
-    assert main(["sample", "--n", "2", "--p", "1"]) == 2
+    for argv, message in ((["--n", "0", "--p", "3"], "--n must be >= 1"),
+                          (["--n", "2", "--p", "2"], "--p must be >= 3"),
+                          (["--n", "2", "--p", "1"], "--p must be >= 3"),
+                          (["--n", "2", "--p", "3", "--count", "0"], "--count must be >= 1")):
+        assert main(["sample", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_verify_small_run(tmp_path):
@@ -336,8 +345,14 @@ def test_verify_conditional_counterexamples_do_not_fail_run(tmp_path):
     assert rc == 0  # events, if any, are reported rather than failing the run
 
 
-def test_verify_bad_range():
+def test_verify_bad_range(capsys):
     assert main(["verify", "--dims", "oops", "--trials", "1"]) == 2
+    # a reversed part fails the run, also beside a valid one
+    for argv, message in ((["--dims", "1", "--p", "3,9..4"], "--p '3,9..4': '9..4'"),
+                          (["--dims", "2..1,3", "--p", "3"], "--dims '2..1,3': '2..1'")):
+        capsys.readouterr()
+        assert main(["verify", *argv, "--trials", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message} is an empty range (lo > hi)\n")
 
 
 def test_verify_zero_trials(tmp_path):

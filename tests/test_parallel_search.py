@@ -67,6 +67,22 @@ def test_diverging_restart_in_a_child_dropped_alone(monkeypatch, forks, low_floo
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("dead", [(0, 1), (2, 3)], ids=["parent-share", "child-shares"])
+def test_share_whose_restarts_all_diverged_drops_out(monkeypatch, forks, low_floor, dead):
+    """At W = 2 and 3 the restarts ``dead`` fill the parent's share, or the
+    share of each child that holds them, and the other shares survive."""
+    cfg = CONFIGS[1]
+    init = search._initial_factors(cfg)
+    init[list(dead), 0, 0, 0] = np.nan
+    start_with(monkeypatch, init)
+    want = run_at(monkeypatch, 1, cfg).to_dict()
+    assert want["restart_index"] not in dead
+    for workers in (2, 3):
+        assert run_at(monkeypatch, workers, cfg).to_dict() == want
+    assert forks[0] == 1 + 2
+    assert_no_child_left()
+
+
 def test_all_restarts_diverged(monkeypatch, forks, low_floor):
     cfg = cp.SearchConfig(p=4, n=2, restarts=3, max_iters=10)
     start_with(monkeypatch, np.full((3, 4, 2, 2), np.nan))

@@ -7,7 +7,8 @@ below run small commands and pass their JSON through the benchmark's own
 output checks (``perfbench/workloads.py``, imported by path), so a change that
 breaks what the benchmark reads fails here, not only in a benchmark run. The
 names ``tools/bench_kernel.py`` reads are checked to exist too, and its
-count layer to count every call.
+count layer to count every call. No line of the package's source is longer
+than 116 columns.
 """
 import ast
 import dataclasses
@@ -102,6 +103,12 @@ def test_the_program_passes_families_as_stacks():
     that reader, has no caller."""
     assert calls_in_program("CyclicFamily") == [("serialize", "family_from_dict")]
     assert calls_in_program("cyclic_sum_trace") == []
+
+
+def test_no_source_line_is_longer_than_116_columns():
+    long = [f"{path.name}:{i}" for path in sorted(Path(cyclicpd.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if len(line) > 116]
+    assert long == []
 
 
 def test_attributes_the_kernel_tool_reads_exist():
