@@ -16,15 +16,10 @@ from .errors import (
     NotSquare,
     SingularDenominator,
 )
-from .pdcore import (
-    CyclicFamily,
-    PDMatrix,
-    validate_family,
-)
+from .pdcore import validate_family
 from .inequalities import (
     CheckReport,
     counterexample_family,
-    cyclic_sum_trace,
     reproduce_counterexample,
 )
 from .search import (

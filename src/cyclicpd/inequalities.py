@@ -188,17 +188,14 @@ def _trial(v, t: int):
 
 
 def _jsonable(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    if isinstance(v, np.ndarray):
-        if np.iscomplexobj(v):
-            return [[z.real, z.imag] for z in v.ravel()]
-        return [float(x) for x in v.ravel()]
-    if isinstance(v, (np.floating, np.integer)):
-        return float(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    """A report value for JSON: an array flat, its real entries as floats and
+    its complex ones as [re, im] pairs; a Python scalar (``_trial``'s
+    ``.item()``, or a float or bool of ``reproduce_counterexample``) as it is."""
+    if not isinstance(v, np.ndarray):
+        return v
+    if np.iscomplexobj(v):
+        return [[z.real, z.imag] for z in v.ravel()]
+    return [float(x) for x in v.ravel()]
 
 
 # Stacked helpers: every array argument is a stack (..., n, n) whose matrices
@@ -325,7 +322,7 @@ _INTERMEDIATES = {
     "total_inv": lambda ctx: _inv(ctx.total),  # (sum_i A_i)^{-1}
     "fro_sum": lambda ctx: _sum_over_p(_fro(ctx.mats)),  # sum_i ||A_i||_F, added in order
     "traces": lambda ctx: cyclic_traces(ctx.mats),  # Tr[ sum_i A_i S_i^{-1} ] of each family; p >= 3
-    "two_ab": lambda ctx: _two_ab_sums(ctx.mats),  # M and N of _two_ab_sums over the cycle (A, B, C)
+    "two_ab": lambda ctx: _two_ab_sums(ctx.mats),  # M and N of the cycle (A, B, C), as (..., 2, n, n)
 }
 
 
@@ -363,8 +360,7 @@ class StackContext:
             value = make(self)
         else:
             parent, rows = self._parent
-            value = getattr(parent, name)
-            value = tuple(v[rows] for v in value) if isinstance(value, tuple) else value[rows]
+            value = getattr(parent, name)[rows]
         self.__dict__[name] = value
         return value
 
@@ -821,13 +817,12 @@ def bidirectional_spectrum(mats) -> np.ndarray:
 # Damped three-variable upper bound and its W/Z certificate
 # ---------------------------------------------------------------------------
 
-def _two_ab_sums(mats) -> tuple[np.ndarray, np.ndarray]:
+def _two_ab_sums(mats) -> np.ndarray:
     """M = sum_i A_i (2A_i + A_{i+1})^{-1} and N = sum_i A_{i+1} (2A_i + A_{i+1})^{-1}
-    over the cycle (A, B, C) stacked as (..., 3, n, n)."""
+    over the cycle (A, B, C) stacked as (..., 3, n, n), as one array (..., 2, n, n)."""
     nxt = cyclic_shift(mats, 1)
     inv = _inv(2 * mats + nxt)
-    sums = _psum(np.stack([mats, nxt], axis=-4) @ inv[..., None, :, :, :])
-    return sums[..., 0, :, :], sums[..., 1, :, :]
+    return _psum(np.stack([mats, nxt], axis=-4) @ inv[..., None, :, :, :])
 
 
 def batch_upper_bound_2ab(abc, rel: float = REL_TOL) -> CheckBatch:
@@ -838,7 +833,7 @@ def batch_upper_bound_2ab(abc, rel: float = REL_TOL) -> CheckBatch:
     """
     ctx = _cycle(abc, 3)
     n = ctx.mats.shape[-1]
-    m, nn = ctx.two_ab
+    m, nn = ctx.two_ab[..., 0, :, :], ctx.two_ab[..., 1, :, :]
     identity_res = _fro(2.0 * m + nn - 3.0 * np.eye(n))
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
@@ -883,7 +878,7 @@ def batch_wz_certificate(abc, rel: float = REL_TOL) -> CheckBatch:
         am @ am + bm @ bm + cm @ cm + 2.0 * (am @ bm + bm @ cm + cm @ am)
     )
     tr_ww = _rtr(w @ _ct(w))
-    tr_n = _rtr(abc.two_ab[1])
+    tr_n = _rtr(abc.two_ab[..., 1, :, :])
     quotient = _abs2(np.trace(wz, axis1=-2, axis2=-1)) / tr_zz
     identity_res = np.maximum.reduce([res_wz, abs(tr_zz - tr_zz_expected), abs(tr_ww - tr_n)])
     slack = _slack(rel, abc.fro_sum)

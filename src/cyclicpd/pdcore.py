@@ -9,7 +9,10 @@ stacks (..., n, n) of raw arrays, with the handful of kernels here: random
 sampling, a general eigensolver, Hermitian powers and the spectrum of a PD
 product. Two numbers set the tolerances: the relative slack ``REL_TOL`` of
 the margin checks and of the Hermitian gate, and the positivity floor
-``PD_FLOOR`` of outside input.
+``PD_FLOOR`` of outside input. The records :class:`CyclicFamily` and
+:class:`PDMatrix` belong to the benchmark's reader alone: the program builds
+one only in ``serialize.family_from_dict``, and the tests hold families as
+stacks too.
 """
 from __future__ import annotations
 
@@ -130,9 +133,9 @@ class CyclicFamily:
     """The cyclic family (A_1, ..., A_p) of one Hermitian PD stack (p, n, n),
     as :func:`cyclicpd.serialize.family_from_dict` returns it.
 
-    The program passes the stack itself. This record is kept only for the
-    benchmark's reader (``.p``, ``.dim``, ``.members``, ``cyclic_sum_trace``)
-    until ROADMAP item 1.
+    The program and its tests pass the stack itself. This record is kept
+    only for the benchmark's reader (``.p``, ``.dim``, ``.members``,
+    ``cyclic_sum_trace``) until ROADMAP item 1.
     """
 
     mats: np.ndarray

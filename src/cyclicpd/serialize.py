@@ -5,7 +5,8 @@ Family: {"p": int, "members": [matrix, ..]}, each member a matrix
 entry is a [re, im] pair, and each number a JSON integer or float. Doubles
 round-trip bit-exactly (shortest-repr decimal serialization). A document of
 any other shape raises ValueError. The writer takes the family's (p, n, n)
-stack; the reader wraps the validated stack in a ``CyclicFamily``.
+stack; the reader wraps the validated stack in a ``CyclicFamily``, a record
+that belongs to the benchmark's reader alone.
 """
 from __future__ import annotations
 

@@ -12,6 +12,11 @@ operands at a time; the looped identities suite writes its records and
 tolerances out by hand, a reference for ``inequalities.IDENTITY_CHECKS``.
 ``assert_same_outcome`` compares a suite's outcome with the looped one.
 
+As in the program, a matrix is a plain (n, n) array and a family of p
+members one (p, n, n) stack. The family records of ``pdcore`` belong to the
+benchmark's reader alone: only ``test_public_surface.py``, which pins what
+that reader reads, names them.
+
 ``ref_closed_form``, ``_inv`` and ``looped_cyclic_sum`` are the program's one
 inversion rule and its cyclic-sum kernel, one matrix at a time in Python
 floats: the guarded 2x2/3x3 closed form where it admits a matrix, a division
@@ -20,34 +25,28 @@ cyclic-sum term by one solve).
 
 ``roll_shift``, ``roll_denominators`` and ``looped_sum_over_p`` are the
 kernel helpers as they were before the index gather and the cumulative sum.
-``Certificate``, ``Spectrum``, ``eig_herm`` and ``eig_general`` are the
-one-object types and eigensolvers the looped checkers were written against.
 ``random_pd`` draws one matrix at a time: the sequential stream that
 ``pdcore.random_pd_stack`` must take. ``diagonal_embed`` lifts scalars to the
 scalar-matrix families that the tests compare with the scalar cyclic sum.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from cyclicpd import verify
-from cyclicpd.errors import DimensionMismatch, IllConditioned, SingularDenominator
+from cyclicpd.errors import IllConditioned, SingularDenominator
 from cyclicpd.inequalities import (
     CHECKS,
     FAMILY,
     MIN_DET_RATIO,
     CheckReport,
     _cyclic_matrix_sum,
-    cyclic_sum_trace,
     cyclic_traces,
     theorem_covers,
 )
 from cyclicpd.pdcore import (
     DEFAULT_RIDGE,
     REL_TOL,
-    CyclicFamily,
-    PDMatrix,
     _ct,
     _gaussian,
     _pd_floor,
@@ -59,47 +58,6 @@ from cyclicpd.pdcore import (
 from cyclicpd.serialize import family_to_dict
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Auxiliary matrices that re-derive a theorem.
-
-    kind "block_psd": blocks M_1..M_p = [[A_i^{-1}, I], [I, A_i]] and their sum M.
-    kind "wz_pair": block-row factors W, Z plus the per-block W_i/Z_i pieces.
-    """
-
-    kind: str
-    blocks: dict
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted by (real, imaginary) part."""
-
-    values: np.ndarray
-
-    @property
-    def min_real(self) -> float:
-        return float(self.values.real.min())
-
-    @property
-    def max_imag_abs(self) -> float:
-        return float(np.abs(np.asarray(self.values).imag).max())
-
-
-def eig_herm(h) -> Spectrum:
-    """Hermitian eigenvalues (real, ascending)."""
-    return Spectrum(np.linalg.eigh(np.asarray(getattr(h, "mat", h)))[0])
-
-
-def eig_general(m) -> Spectrum:
-    """Full complex spectrum of a general square matrix, sorted by (Re, Im)."""
-    return Spectrum(eig_general_stack(np.asarray(m)))
-
-
-def _norm(m) -> float:
-    return float(np.linalg.norm(m.mat))
-
-
 def _sqrtm_pd(a, power=0.5):
     """Hermitian power of a PD array via spectral decomposition."""
     w, v = np.linalg.eigh(a)
@@ -107,12 +65,7 @@ def _sqrtm_pd(a, power=0.5):
     return (s + s.conj().T) / 2.0
 
 
-def eig_pd_product(p, q):
-    s = _sqrtm_pd(q.mat)
-    return eig_herm(s @ p.mat @ s)
-
-
-def random_pd(n, rng, field="real") -> PDMatrix:
+def random_pd(n, rng, field="real") -> np.ndarray:
     """One A = G G* + DEFAULT_RIDGE*I with standard-normal G, redrawn while its
     condition number exceeds 1e8; deterministic given the generator.
 
@@ -124,30 +77,32 @@ def random_pd(n, rng, field="real") -> PDMatrix:
         a = (a + _ct(a)) / 2.0
         w = np.linalg.eigvalsh(a)
         if w[-1] / w[0] <= 1e8:
-            return PDMatrix(a)
+            return a
     raise IllConditioned("could not sample a matrix under the condition cap")
 
 
-def random_family(n, p, rng, field="real"):
-    return CyclicFamily(np.stack([random_pd(n, rng, field).mat for _ in range(p)]))
+def random_family(n, p, rng, field="real") -> np.ndarray:
+    """p ``random_pd`` draws as one family stack (p, n, n)."""
+    return np.stack([random_pd(n, rng, field) for _ in range(p)])
 
 
-def diagonal_embed(scalars, n: int) -> CyclicFamily:
-    """Lift positive scalars to a_i * I_n; the trace functional scales by n."""
+def diagonal_embed(scalars, n: int) -> np.ndarray:
+    """Lift positive scalars to the validated family a_i * I_n; the trace
+    functional scales by n."""
     a = np.array([float(v) for v in scalars])
     if min(a) <= 0:
         raise ValueError("scalars must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return CyclicFamily(validate_family(a[:, None, None] * np.eye(n)))
+    return validate_family(a[:, None, None] * np.eye(n))
 
 
-def closure_pd(a) -> PDMatrix:
+def closure_pd(a) -> np.ndarray:
     """A matrix that is PD by closure: symmetrized, then held to the
     positivity floor."""
     h = _symmetrize(np.asarray(a))
     _pd_floor(h)
-    return PDMatrix(h)
+    return h
 
 
 def _slack(rel, *norms):
@@ -253,52 +208,35 @@ def _rtr(a: np.ndarray) -> float:
     return float(np.trace(a).real)
 
 
-def _check_dims(*mats: PDMatrix):
-    dims = {m.mat.shape[0] for m in mats}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed dimensions {sorted(dims)}")
-
-
 def check_trace_product(a, b, rel: float = REL_TOL) -> CheckReport:
     """0 <= Tr(AB) <= Tr(A) Tr(B) for positive semidefinite A, B."""
-    am, bm = a.mat, b.mat
-    if am.shape != bm.shape:
-        raise DimensionMismatch(f"{am.shape} vs {bm.shape}")
-    tr_ab = _rtr(am @ bm)
-    tr_a, tr_b = _rtr(am), _rtr(bm)
+    tr_ab = _rtr(a @ b)
+    tr_a, tr_b = _rtr(a), _rtr(b)
     upper = tr_a * tr_b
     margin = min(tr_ab, upper - tr_ab)
     slack = rel * (1.0 + abs(tr_ab) + abs(upper))
     return CheckReport(
-        "trace_product", am.shape[0], 0, tr_ab, upper, margin, margin >= -slack, rel,
+        "trace_product", a.shape[0], 0, tr_ab, upper, margin, margin >= -slack, rel,
         {"tr_a": tr_a, "tr_b": tr_b, "tr_ab": tr_ab},
     )
 
 
-def check_weighted_cs(x, y, a: PDMatrix, rel: float = REL_TOL) -> CheckReport:
+def check_weighted_cs(x, y, a, rel: float = REL_TOL) -> CheckReport:
     """|Tr(X*Y)|^2 <= Tr(X*AX) Tr(Y*A^{-1}Y) for a positive definite weight A."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape or x.shape[0] != a.mat.shape[0]:
-        raise DimensionMismatch(f"X {x.shape}, Y {y.shape}, A {a.mat.shape}")
     lhs = abs(complex(np.trace(x.conj().T @ y))) ** 2
-    t_x = _rtr(x.conj().T @ a.mat @ x)
-    t_y = _rtr(y.conj().T @ _inv(a.mat) @ y)
+    t_x = _rtr(x.conj().T @ a @ x)
+    t_y = _rtr(y.conj().T @ _inv(a) @ y)
     rhs = t_x * t_y
     margin = rhs - lhs
     slack = rel * (1.0 + lhs + abs(rhs))
     return CheckReport(
-        "weighted_cs", a.mat.shape[0], 0, lhs, rhs, margin, margin >= -slack, rel,
+        "weighted_cs", a.shape[0], 0, lhs, rhs, margin, margin >= -slack, rel,
         {"tr_xax": t_x, "tr_yainvy": t_y},
     )
 
 
 def check_cs_trace(a, b, rel: float = REL_TOL) -> CheckReport:
     """|Tr(AB*)|^2 <= Tr(AA*) Tr(BB*) (Cauchy-Schwarz in the trace inner product)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     lhs = abs(complex(np.trace(a @ b.conj().T))) ** 2
     rhs = _rtr(a @ a.conj().T) * _rtr(b @ b.conj().T)
     margin = rhs - lhs
@@ -306,55 +244,53 @@ def check_cs_trace(a, b, rel: float = REL_TOL) -> CheckReport:
     return CheckReport("cs_trace", a.shape[0], 0, lhs, rhs, margin, margin >= -slack, rel)
 
 
-def check_eigineq1(a: PDMatrix, b: PDMatrix, rel: float = REL_TOL) -> CheckReport:
+def check_eigineq1(a, b, rel: float = REL_TOL) -> CheckReport:
     """Every eigenvalue of (A-B)(B^{-1}-A^{-1}) is >= 0.
 
     Evaluated through the identity with X = A B^{-1}: the spectrum equals that
     of X + X^{-1} - 2I, which is w + 1/w - 2 over the eigenvalues w of the
     Hermitian H = B^{-1/2} A B^{-1/2}, by eigvalsh as the batch takes them.
     """
-    _check_dims(a, b)
-    r = _sqrtm_pd(b.mat, -0.5)
-    h = r @ a.mat @ r
+    r = _sqrtm_pd(b, -0.5)
+    h = r @ a @ r
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
     vals = np.sort(w + 1.0 / w - 2.0)
     margin = float(vals.min())
-    slack = _slack(rel, _norm(a), _norm(b))
+    slack = _slack(rel, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     return CheckReport(
-        "eigineq1", a.mat.shape[0], 0, float(vals.min()), 0.0, margin, margin >= -slack, rel, {"eigs": vals},
+        "eigineq1", a.shape[0], 0, margin, 0.0, margin, margin >= -slack, rel, {"eigs": vals},
     )
 
 
-def check_harmonic_loewner(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_harmonic_loewner(f, rel: float = REL_TOL) -> CheckReport:
     """Sum of inverses dominates p^2 * (sum)^{-1} in the Loewner order."""
-    mats = list(f.mats)
+    mats = list(f)
     lhs = sum(_inv(m) for m in mats)
-    rhs = f.p**2 * _inv(sum(mats))
+    rhs = len(f) ** 2 * _inv(sum(mats))
     diff = (lhs - rhs + (lhs - rhs).conj().T) / 2.0
     margin = float(np.linalg.eigvalsh(diff)[0])
     slack = _slack(rel, np.linalg.norm(lhs), np.linalg.norm(rhs))
     return CheckReport(
-        "harmonic_loewner", f.dim, f.p, _rtr(lhs), _rtr(rhs), margin, margin >= -slack, rel,
+        "harmonic_loewner", f.shape[-1], len(f), _rtr(lhs), _rtr(rhs), margin, margin >= -slack, rel,
     )
 
 
-def build_block_certificate(f: CyclicFamily) -> Certificate:
-    """The proof object behind the harmonic Loewner bound.
+def build_block_certificate(f) -> dict:
+    """The proof object behind the harmonic Loewner bound, by name.
 
     Each block M_i = [[A_i^{-1}, I], [I, A_i]] is PSD; their sum M is PSD, and
     the Schur complement of M with respect to its (2,2) block equals
     sum(A_i^{-1}) - p^2 (sum A_i)^{-1}.
     """
-    n = f.dim
-    eye = np.eye(n)
+    eye = np.eye(f.shape[-1])
     blocks = {}
     total = None
-    for i, m in enumerate(list(f.mats), start=1):
+    for i, m in enumerate(f, start=1):
         mi = np.block([[_inv(m), eye], [eye, m]])
         blocks[f"M_{i}"] = mi
         total = mi if total is None else total + mi
     blocks["M"] = total
-    return Certificate("block_psd", blocks)
+    return blocks
 
 
 def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
@@ -364,42 +300,45 @@ def schur_complement(m: np.ndarray, n: int) -> np.ndarray:
     return a - b @ _inv(d) @ c
 
 
-def check_block_certificate(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_block_certificate(f, rel: float = REL_TOL) -> CheckReport:
     """PSD-ness of every block M_i and of M, plus agreement of the
     Schur-complement path with the direct Loewner margin."""
-    cert = build_block_certificate(f)
-    n = f.dim
+    blocks = build_block_certificate(f)
+    n = f.shape[-1]
     block_min = min(
         float(np.linalg.eigvalsh((mi + mi.conj().T) / 2.0)[0])
-        for name, mi in cert.blocks.items()
+        for name, mi in blocks.items()
         if name != "M"
     )
-    m = cert.blocks["M"]
+    m = blocks["M"]
     m_min = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0])
     sc = schur_complement(m, n)
-    direct = sum(_inv(x) for x in list(f.mats)) - f.p**2 * _inv(sum(list(f.mats)))
+    mats = list(f)
+    direct = sum(_inv(x) for x in mats) - len(f) ** 2 * _inv(sum(mats))
     sc_gap = float(np.linalg.norm(sc - direct))
     scale = float(np.linalg.norm(m))
     slack = _slack(rel, scale)
     margin = min(block_min, m_min)
     holds = margin >= -slack and sc_gap <= 1e-8 * (1.0 + scale)
     return CheckReport(
-        "block_certificate", n, f.p, margin, 0.0, margin, holds, rel,
+        "block_certificate", n, len(f), margin, 0.0, margin, holds, rel,
         {"block_min_eig": block_min, "sum_min_eig": m_min, "schur_gap": sc_gap},
     )
 
 
-def check_product_sum_eigs(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
-    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2."""
-    mats = list(f.mats)
+def check_product_sum_eigs(f, rel: float = REL_TOL) -> CheckReport:
+    """Eigenvalues of (sum A_i)(sum A_i^{-1}) are all >= p^2: those of
+    H^{1/2} S H^{1/2}, S = sum A_i and H = sum A_i^{-1}, by eigh."""
+    mats = list(f)
     s = closure_pd(sum(mats))
     hinv = closure_pd(sum(_inv(m) for m in mats))
-    vals = eig_pd_product(s, hinv).values
-    rhs = float(f.p**2)
+    r = _sqrtm_pd(hinv)
+    vals = np.linalg.eigh(r @ s @ r)[0]
+    rhs = float(len(f) ** 2)
     margin = float(vals.min()) - rhs
-    slack = _slack(rel, _norm(s), _norm(hinv))
+    slack = _slack(rel, float(np.linalg.norm(s)), float(np.linalg.norm(hinv)))
     return CheckReport(
-        "product_sum_eigs", f.dim, f.p, float(vals.min()), rhs, margin,
+        "product_sum_eigs", f.shape[-1], len(f), float(vals.min()), rhs, margin,
         margin >= -slack, rel, {"eigs": vals},
     )
 
@@ -411,7 +350,7 @@ def _min_eig_pd_product(s: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)
 
 
-def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL) -> CheckReport:
+def check_nesbitt(a, b, c, rel: float = REL_TOL) -> CheckReport:
     """Three-variable cyclic bound: every eigenvalue of
     A(B+C)^{-1} + B(C+A)^{-1} + C(A+B)^{-1} is >= 3/2.
 
@@ -419,24 +358,23 @@ def check_nesbitt(a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL) -
     with X=B+C, Y=C+A, Z=A+B, which reduces the spectrum to a Hermitian
     problem.
     """
-    _check_dims(a, b, c)
-    x, y, z = b.mat + c.mat, c.mat + a.mat, a.mat + b.mat
+    x, y, z = b + c, c + a, a + b
     prod_eigs = _min_eig_pd_product(x + y + z, _inv(x) + _inv(y) + _inv(z))
     vals = 0.5 * prod_eigs - 3.0
     margin = float(vals.min()) - 1.5
-    slack = _slack(rel, _norm(a), _norm(b), _norm(c))
+    slack = _slack(rel, *(float(np.linalg.norm(m)) for m in (a, b, c)))
     return CheckReport(
-        "nesbitt", a.mat.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, rel, {"eigs": vals},
+        "nesbitt", a.shape[0], 3, float(vals.min()), 1.5, margin, margin >= -slack, rel, {"eigs": vals},
     )
 
 
-def check_nesbitt_k(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_nesbitt_k(f, rel: float = REL_TOL) -> CheckReport:
     """k-variable generalization: eigenvalues of sum_i A_i (S - A_i)^{-1}
     are >= k/(k-1), with S the sum of the family."""
-    k = f.p
+    k = len(f)
     if k < 2:
         raise SingularDenominator("k must be >= 2: S - A_1 vanishes for a single member")
-    mats = list(f.mats)
+    mats = list(f)
     s = sum(mats)
     inv_sum = sum(_inv(s - m) for m in mats)
     vals = _min_eig_pd_product(s, inv_sum) - k
@@ -444,42 +382,38 @@ def check_nesbitt_k(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     margin = float(vals.min()) - rhs
     slack = _slack(rel, *(float(np.linalg.norm(m)) for m in mats))
     return CheckReport(
-        "nesbitt_k", f.dim, k, float(vals.min()), rhs, margin, margin >= -slack, rel,
+        "nesbitt_k", f.shape[-1], k, float(vals.min()), rhs, margin, margin >= -slack, rel,
         {"eigs": vals},
     )
 
 
-def check_shapiro_trace(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_shapiro_trace(f, rel: float = REL_TOL) -> CheckReport:
     """Conditional cyclic trace bound: Tr-sum >= p*n/2.
 
     A failed verdict is a counterexample candidate, not necessarily a bug,
     unless ``theorem_covers`` its (n, p).
     """
-    val = cyclic_sum_trace(f)
-    rhs = f.p * f.dim / 2.0
+    val = float(cyclic_traces(f))
+    rhs = len(f) * f.shape[-1] / 2.0
     margin = val - rhs
     slack = rel * (1.0 + abs(val) + rhs)
-    return CheckReport("shapiro_trace", f.dim, f.p, val, rhs, margin, margin >= -slack, rel)
+    return CheckReport("shapiro_trace", f.shape[-1], len(f), val, rhs, margin, margin >= -slack, rel)
 
 
-def check_s4_decomposition(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, d: PDMatrix, rel: float = REL_TOL
-) -> CheckReport:
+def check_s4_decomposition(a, b, c, d, rel: float = REL_TOL) -> CheckReport:
     """Four-variable trace bound Tr(M) >= 2n via the M/N/P decomposition.
 
     Verifies the exact identity N + P = 4I, the intermediate bounds
     Tr(M+P) >= 4n and Tr(M+N) >= 4n, and the conclusion Tr(M) >= 2n.
     """
-    _check_dims(a, b, c, d)
-    n = a.mat.shape[0]
-    am, bm, cm, dm = a.mat, b.mat, c.mat, d.mat
-    i_bc, i_cd = _inv(bm + cm), _inv(cm + dm)
-    i_da, i_ab = _inv(dm + am), _inv(am + bm)
-    m = am @ i_bc + bm @ i_cd + cm @ i_da + dm @ i_ab
-    nn = bm @ i_bc + cm @ i_cd + dm @ i_da + am @ i_ab
-    pp = cm @ i_bc + dm @ i_cd + am @ i_da + bm @ i_ab
+    n = a.shape[0]
+    i_bc, i_cd = _inv(b + c), _inv(c + d)
+    i_da, i_ab = _inv(d + a), _inv(a + b)
+    m = a @ i_bc + b @ i_cd + c @ i_da + d @ i_ab
+    nn = b @ i_bc + c @ i_cd + d @ i_da + a @ i_ab
+    pp = c @ i_bc + d @ i_cd + a @ i_da + b @ i_ab
     identity_res = float(np.linalg.norm(nn + pp - 4.0 * np.eye(n)))
-    norms = (_norm(a), _norm(b), _norm(c), _norm(d))
+    norms = [float(np.linalg.norm(m)) for m in (a, b, c, d)]
     slack = _slack(rel, *norms)
     margins = {
         "m_plus_p": _rtr(m + pp) - 4.0 * n,
@@ -500,73 +434,64 @@ def check_s4_decomposition(
     )
 
 
-def check_shapiro_extension(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_shapiro_extension(f, rel: float = REL_TOL) -> CheckReport:
     """Exact identity F(A_1..A_p, A_1, A_2) = F(A_1..A_p) + n."""
-    base = cyclic_sum_trace(f)
-    extended = CyclicFamily(np.concatenate([f.mats, f.mats[:2]]))
-    ext = cyclic_sum_trace(extended)
-    expected = base + f.dim
+    n = f.shape[-1]
+    base = float(cyclic_traces(f))
+    ext = float(cyclic_traces(np.concatenate([f, f[:2]])))
+    expected = base + n
     diff = abs(ext - expected)
-    allowed = 1e-10 * (1.0 + abs(base) + f.dim)
+    allowed = 1e-10 * (1.0 + abs(base) + n)
     return CheckReport(
-        "shapiro_extension", f.dim, f.p, ext, expected, -diff, diff <= allowed, rel,
+        "shapiro_extension", n, len(f), ext, expected, -diff, diff <= allowed, rel,
         {"base": base, "extended": ext, "identity_residual": diff},
     )
 
 
-def check_bidirectional(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_bidirectional(f, rel: float = REL_TOL) -> CheckReport:
     """Unconditional: forward plus reversed cyclic trace sums are >= p*n."""
-    mats = list(f.mats)
+    mats = list(f)
     fwd, rev = cyclic_traces(np.stack([mats, mats[::-1]])).tolist()
-    rhs = float(f.p * f.dim)
+    rhs = float(len(f) * f.shape[-1])
     margin = fwd + rev - rhs
     slack = rel * (1.0 + fwd + rev + rhs)
     return CheckReport(
-        "bidirectional", f.dim, f.p, fwd + rev, rhs, margin, margin >= -slack, rel,
+        "bidirectional", f.shape[-1], len(f), fwd + rev, rhs, margin, margin >= -slack, rel,
         {"forward": fwd, "reversed": rev},
     )
 
 
-def check_bidirectional_eig4(
-    a1: PDMatrix, a2: PDMatrix, a3: PDMatrix, a4: PDMatrix, rel: float = REL_TOL
-) -> CheckReport:
+def check_bidirectional_eig4(a, b, c, d, rel: float = REL_TOL) -> CheckReport:
     """Four-variable eigenvalue form: the forward plus backward cyclic-sum
     matrix has every eigenvalue with real part >= 4."""
-    _check_dims(a1, a2, a3, a4)
-    mats = [a1.mat, a2.mat, a3.mat, a4.mat]
+    mats = [a, b, c, d]
     total = _cyclic_matrix_sum(np.stack([mats, mats[::-1]])).sum(axis=0)
-    spec = eig_general(total)
-    margin = spec.min_real - 4.0
+    eigs = eig_general_stack(total)
+    min_real = float(eigs.real.min())
+    max_imag = float(np.abs(eigs.imag).max())
+    margin = min_real - 4.0
     scale = float(np.linalg.norm(total))
     slack = _slack(rel, scale)
     return CheckReport(
-        "bidirectional_eig4", a1.mat.shape[0], 4, spec.min_real, 4.0, margin, margin >= -slack, rel,
-        {
-            "eigs": spec.values,
-            "max_imag": spec.max_imag_abs,
-            "effectively_real": spec.max_imag_abs <= 1e-8 * max(scale, 1.0),
-        },
+        "bidirectional_eig4", a.shape[0], 4, min_real, 4.0, margin, margin >= -slack, rel,
+        {"eigs": eigs, "max_imag": max_imag, "effectively_real": max_imag <= 1e-8 * max(scale, 1.0)},
     )
 
 
-def check_upper_bound_2ab(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL
-) -> CheckReport:
+def check_upper_bound_2ab(a, b, c, rel: float = REL_TOL) -> CheckReport:
     """Tr(A(2A+B)^{-1} + B(2B+C)^{-1} + C(2C+A)^{-1}) <= (3n-1)/2.
 
     Verifies the exact identity 2M + N = 3I and the lower bound Tr(N) >= 1
     that together give the upper bound.
     """
-    _check_dims(a, b, c)
-    n = a.mat.shape[0]
-    am, bm, cm = a.mat, b.mat, c.mat
-    i1, i2, i3 = _inv(2 * am + bm), _inv(2 * bm + cm), _inv(2 * cm + am)
-    m = am @ i1 + bm @ i2 + cm @ i3
-    nn = bm @ i1 + cm @ i2 + am @ i3
+    n = a.shape[0]
+    i1, i2, i3 = _inv(2 * a + b), _inv(2 * b + c), _inv(2 * c + a)
+    m = a @ i1 + b @ i2 + c @ i3
+    nn = b @ i1 + c @ i2 + a @ i3
     identity_res = float(np.linalg.norm(2.0 * m + nn - 3.0 * np.eye(n)))
     tr_m, tr_n = _rtr(m), _rtr(nn)
     rhs = (3.0 * n - 1.0) / 2.0
-    norms = (_norm(a), _norm(b), _norm(c))
+    norms = [float(np.linalg.norm(m)) for m in (a, b, c)]
     slack = _slack(rel, *norms)
     margin = min(rhs - tr_m, tr_n - 1.0)
     holds = margin >= -slack and identity_res <= 1e-10 * (1.0 + sum(norms))
@@ -576,19 +501,17 @@ def check_upper_bound_2ab(
     )
 
 
-def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
-    """Factor pair behind Tr(N) >= 1 in the damped upper bound.
+def build_wz_certificate(a, b, c) -> dict:
+    """Factor pair behind Tr(N) >= 1 in the damped upper bound, by name.
 
     W = (B W_1, C W_2, A W_3) and Z = (Z_1, Z_2, Z_3) with
     W_1 = (2 B^{1/2} A B^{1/2} + B^2)^{-1/2} = Z_1^{-1} and cyclic analogues.
     Key identities: W Z* = A + B + C, Tr(ZZ*) = Tr((A+B+C)^2),
     Tr(WW*) = Tr(N).
     """
-    _check_dims(a, b, c)
-    pairs = [(b.mat, a.mat), (c.mat, b.mat), (a.mat, c.mat)]
     blocks = {}
     w_cols, z_cols = [], []
-    for i, (outer, inner) in enumerate(pairs, start=1):
+    for i, (outer, inner) in enumerate([(b, a), (c, b), (a, c)], start=1):
         r = _sqrtm_pd(outer)
         core = 2.0 * r @ inner @ r + outer @ outer
         core = (core + core.conj().T) / 2.0
@@ -600,35 +523,29 @@ def build_wz_certificate(a: PDMatrix, b: PDMatrix, c: PDMatrix) -> Certificate:
         z_cols.append(zi)
     blocks["W"] = np.hstack(w_cols)
     blocks["Z"] = np.hstack(z_cols)
-    return Certificate("wz_pair", blocks)
+    return blocks
 
 
-def check_wz_certificate(
-    a: PDMatrix, b: PDMatrix, c: PDMatrix, rel: float = REL_TOL
-) -> CheckReport:
+def check_wz_certificate(a, b, c, rel: float = REL_TOL) -> CheckReport:
     """Verify the W/Z certificate identities and the quotient bound
     |Tr(WZ*)|^2 / Tr(ZZ*) >= 1."""
-    cert = build_wz_certificate(a, b, c)
-    w, z = cert.blocks["W"], cert.blocks["Z"]
-    am, bm, cm = a.mat, b.mat, c.mat
-    n = a.mat.shape[0]
+    blocks = build_wz_certificate(a, b, c)
+    w, z = blocks["W"], blocks["Z"]
     wz = w @ z.conj().T
-    res_wz = float(np.linalg.norm(wz - (am + bm + cm)))
+    res_wz = float(np.linalg.norm(wz - (a + b + c)))
     tr_zz = _rtr(z @ z.conj().T)
-    tr_zz_expected = _rtr(
-        am @ am + bm @ bm + cm @ cm + 2.0 * (am @ bm + bm @ cm + cm @ am)
-    )
+    tr_zz_expected = _rtr(a @ a + b @ b + c @ c + 2.0 * (a @ b + b @ c + c @ a))
     tr_ww = _rtr(w @ w.conj().T)
-    nn = bm @ _inv(2 * am + bm) + cm @ _inv(2 * bm + cm) + am @ _inv(2 * cm + am)
+    nn = b @ _inv(2 * a + b) + c @ _inv(2 * b + c) + a @ _inv(2 * c + a)
     tr_n = _rtr(nn)
     quotient = abs(complex(np.trace(wz))) ** 2 / tr_zz
-    norms = (_norm(a), _norm(b), _norm(c))
+    norms = [float(np.linalg.norm(m)) for m in (a, b, c)]
     ident_tol = 1e-9 * (1.0 + sum(norms) ** 2)
     slack = _slack(rel, *norms)
     identity_res = max(res_wz, abs(tr_zz - tr_zz_expected), abs(tr_ww - tr_n))
     holds = identity_res <= ident_tol and quotient >= 1.0 - slack
     return CheckReport(
-        "wz_certificate", n, 3, quotient, 1.0, quotient - 1.0, holds, rel,
+        "wz_certificate", a.shape[0], 3, quotient, 1.0, quotient - 1.0, holds, rel,
         {
             "identity_residual": identity_res,
             "wz_residual": res_wz,
@@ -640,14 +557,14 @@ def check_wz_certificate(
     )
 
 
-def check_square_cycle(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
+def check_square_cycle(f, rel: float = REL_TOL) -> CheckReport:
     """Tr(A_1^2 A_2^{-1} + ... + A_p^2 A_1^{-1}) >= Tr(A_1 + ... + A_p).
 
     The proof's factor pair W = (A_i A_{i+1}^{-1/2}), Z = (A_{i+1}^{1/2}) is
     rebuilt and its identities W Z* = Z Z* = sum(A_i) are verified in detail.
     """
-    mats = list(f.mats)
-    p = f.p
+    mats = list(f)
+    p = len(mats)
     lhs = sum(_rtr(mats[i] @ mats[i] @ _inv(mats[(i + 1) % p])) for i in range(p))
     rhs = sum(_rtr(m) for m in mats)
     w_cols, z_cols = [], []
@@ -665,7 +582,7 @@ def check_square_cycle(f: CyclicFamily, rel: float = REL_TOL) -> CheckReport:
     identity_res = max(res_wz, res_zz)
     holds = margin >= -slack and identity_res <= 1e-9 * (1.0 + norms)
     return CheckReport(
-        "square_cycle", f.dim, p, lhs, rhs, margin, holds, rel,
+        "square_cycle", f.shape[-1], p, lhs, rhs, margin, holds, rel,
         {"identity_residual": identity_res, "wz_residual": res_wz, "zz_residual": res_zz},
     )
 
@@ -693,7 +610,7 @@ def _random_rect(rng, n, field):
 
 
 def _cycle_witness(ops):
-    return lambda: family_to_dict(np.stack([m.mat for m in ops]))
+    return lambda: family_to_dict(np.stack(ops))
 
 
 def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "complex")) -> verify.SuiteOutcome:
@@ -719,7 +636,7 @@ def run_unconditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real",
                         for name, (word, suite) in CHECKS.items() if suite == "unconditional" and word == FAMILY]
                 for _ in range(trials):
                     fam = random_family(n, p, rng, fld)
-                    wit = lambda: family_to_dict(fam.mats)  # noqa: E731
+                    wit = lambda: family_to_dict(fam)  # noqa: E731
                     for rec, check in recs:
                         _add(rec, check(fam, rel), wit)
                 out.records.extend(rec for rec, _ in recs)
@@ -739,7 +656,7 @@ def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "c
             ext_recs = {p: verify.GridRecord("extension_identity", n, p, fld) for p in p_values}
             for _ in range(trials):
                 a, b, c, d = (random_pd(n, rng, fld) for _ in range(4))
-                scale = 1.0 + sum(_norm(m) for m in (a, b, c, d))
+                scale = 1.0 + sum(float(np.linalg.norm(m)) for m in (a, b, c, d))
                 r = check_s4_decomposition(a, b, c, d, rel)
                 _add(recs["s4_identity"], _residual_report(
                     "s4_identity", n, r.detail["identity_residual"], 1e-10 * scale, rel))
@@ -756,7 +673,7 @@ def run_identities(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "c
                     "wz_identities", n, wz_res, 1e-10 * scale**2, rel))
                 for p in p_values:
                     fam = random_family(n, p, rng, fld)
-                    fam_scale = 1.0 + sum(_norm(m) for m in fam.members)
+                    fam_scale = 1.0 + sum(float(np.linalg.norm(m)) for m in fam)
                     r = check_square_cycle(fam, rel)
                     sc_res = max(r.detail["wz_residual"], r.detail["zz_residual"])
                     _add(recs["square_cycle_identities"], _residual_report(
@@ -786,7 +703,7 @@ def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "
                     fam = random_family(n, p, rng, fld)
                     rep = check_shapiro_trace(fam, rel)
                     if theorem_covers(n, p):
-                        _add(rec, rep, lambda: family_to_dict(fam.mats))
+                        _add(rec, rep, lambda: family_to_dict(fam))
                         continue
                     rec.trials += 1
                     rec.min_margin = min(rec.min_margin, rep.margin)
@@ -798,7 +715,7 @@ def run_conditional(dims, p_values, trials, seed, rel=REL_TOL, fields=("real", "
                             "p": p,
                             "field": fld,
                             "margin": rep.margin,
-                            "family": family_to_dict(fam.mats),
+                            "family": family_to_dict(fam),
                         })
                 out.records.append(rec)
     return out

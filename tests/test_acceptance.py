@@ -67,7 +67,7 @@ def test_criterion_4_scalar_oracle_equivalence():
     for p in range(3, 15):
         for _ in range(1000):
             s = np.exp(rng.uniform(-3, 3, p))
-            matrix_val = cp.cyclic_sum_trace(oracle.diagonal_embed(s, 1))
+            matrix_val = float(ineq.cyclic_traces(oracle.diagonal_embed(s, 1)))
             scalar_val = cp.scalar_cyclic_sum(s)
             worst = max(worst, abs(matrix_val - scalar_val) / (1 + abs(scalar_val)))
     report(4, worst <= 1e-12, f"max relative gap {worst:.3g} over 12000 tuples")
@@ -103,8 +103,8 @@ def test_criterion_6_counterexample_rediscovery():
     elapsed = time.time() - t0
     scalars = res.best_family[:, 0, 0]
     lifted = oracle.diagonal_embed(scalars, 3)
-    lifted_value = search._recheck_trace(lifted.mats)
-    recheck = ineq.batch_shapiro_trace(lifted.mats[None]).report()
+    lifted_value = search._recheck_trace(lifted)
+    recheck = ineq.batch_shapiro_trace(lifted[None]).report()
     ok = (
         res.best_margin < 0
         and res.classification == "verified_counterexample"

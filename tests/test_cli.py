@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cyclicpd as cp
+from cyclicpd import inequalities as ineq
 from cyclicpd.cli import build_parser, main, _parse_range
 from cyclicpd.search import RIDGE
 
@@ -51,6 +52,23 @@ def test_reproduce_single_cases():
     assert main(["reproduce", "--case", "shapiro4-trace"]) == 0
 
 
+@pytest.mark.parametrize("case, name, wrong", [
+    ("shapiro4-eig", "FIXTURE_EIGS", (2.7 - 0.1871j, 2.7 + 0.1871j)),
+    ("shapiro4-trace", "FIXTURE_TRACE", 5.3),
+    ("all", "FIXTURE_TRACE", 5.3),
+])
+def test_reproduce_fixture_mismatch(monkeypatch, tmp_path, capsys, case, name, wrong):
+    """A computed fixture more than 1e-3 from the published values ends the run
+    with one ``fixture mismatch:`` line and exit 1, and writes no file."""
+    monkeypatch.setattr(ineq, name, wrong)
+    out = tmp_path / "r.json"
+    assert main(["reproduce", "--case", case, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert [line for line in lines if line.startswith("fixture mismatch:")] == lines[-1:]
+    assert captured.out == "" and not out.exists()
+
+
 def test_sample_eval_roundtrip(tmp_path, capsys):
     out = tmp_path / "fam.json"
     assert main(["sample", "--n", "2", "--p", "3", "--count", "1", "--seed", "9",
@@ -60,11 +78,11 @@ def test_sample_eval_roundtrip(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == doc1  # bit-stable resample
 
-    fam = cp.family_from_dict(doc1)
+    mats = cp.family_from_dict(doc1).mats
     capsys.readouterr()
     assert main(["eval", "--family", str(out), "--expr", "margin"]) == 0
     val = json.loads(capsys.readouterr().out)
-    assert val == pytest.approx(cp.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0, abs=0)
+    assert val == pytest.approx(float(ineq.cyclic_traces(mats)) - len(mats) * mats.shape[-1] / 2.0, abs=0)
 
 
 def test_eval_identity_family(tmp_path, capsys):
@@ -196,6 +214,11 @@ FAULTY_FAMILIES = {
                              "matrix has an entry above 1e+100 in magnitude"),
     "nan_and_wrong_p": (family_doc(I2, NAN, I2, p=4), "declared p does not match member count"),
     "mixed_dims_and_indefinite": (family_doc(INDEFINITE, [[1.0]], I2), "members have mixed dimensions [1, 2]"),
+    # a count is a JSON integer: not a string, a float or a boolean
+    "p_string": (family_doc(I2, I2, I2, p="3"), "'p' must be an integer, got '3'"),
+    "p_float": (family_doc(I2, I2, I2, p=3.0), "'p' must be an integer, got 3.0"),
+    "n_boolean": ({"p": 3, "members": [{"n": True, "field": "real", "entries": [[1.0]]}] * 3},
+                  "'n' must be an integer, got True"),
 }
 
 
@@ -379,8 +402,9 @@ def test_search_cli_and_replay(tmp_path, capsys):
     assert rc == 0
     doc = json.loads(out.read_text())
     res = doc["results"]
-    fam = cp.family_from_dict(res["best_family"])
-    assert cp.cyclic_sum_trace(fam) - fam.p * fam.dim / 2.0 == pytest.approx(res["best_margin"], abs=1e-9)
+    mats = cp.family_from_dict(res["best_family"]).mats
+    margin = float(ineq.cyclic_traces(mats)) - len(mats) * mats.shape[-1] / 2.0
+    assert margin == pytest.approx(res["best_margin"], abs=1e-9)
     assert res["best_margin"] >= -1e-9  # p=4 is a theorem
 
     out2 = tmp_path / "s2.json"

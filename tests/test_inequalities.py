@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 import cyclicpd as cp
 import looped_oracle as oracle
-from cyclicpd import inequalities as ineq, pdcore, search
+from cyclicpd import inequalities as ineq, pdcore, search, verify
 from cyclicpd.inequalities import _cyclic_matrix_sum, schur_complement
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
@@ -15,7 +17,7 @@ def pd(entries):
 
 
 def identity_family(n, p):
-    return cp.CyclicFamily(cp.validate_family([np.eye(n)] * p))
+    return cp.validate_family([np.eye(n)] * p)
 
 
 def scalar_family(values):
@@ -23,8 +25,8 @@ def scalar_family(values):
 
 
 def one(*ops):
-    """Operands as one-trial stacks (1, n, n): one-matrix PD objects (``.mat``) or plain arrays."""
-    return [np.asarray(getattr(m, "mat", m))[None] for m in ops]
+    """Operands as one-trial stacks (1, n, n)."""
+    return [np.asarray(m)[None] for m in ops]
 
 
 def one_cycle(*ops):
@@ -34,13 +36,12 @@ def one_cycle(*ops):
 
 def one_family(f):
     """A family as a one-trial stack (1, p, n, n)."""
-    return f.mats[None]
+    return f[None]
 
 
 def block_sum(f):
     """M = sum_i [[A_i^{-1}, I], [I, A_i]], the matrix of the block certificate."""
-    mats = f.mats
-    return ineq._psum(ineq._block_stack(mats, ineq._inv(mats)))
+    return ineq._psum(ineq._block_stack(f, ineq._inv(f)))
 
 
 class TestTraceProduct:
@@ -95,7 +96,7 @@ class TestEigIneq1:
         (A-B)(B^{-1}-A^{-1})."""
         rng = RNG(2)
         for _ in range(100):
-            a, b = oracle.random_pd(3, rng).mat, oracle.random_pd(3, rng).mat
+            a, b = oracle.random_pd(3, rng), oracle.random_pd(3, rng)
             r = ineq.batch_eigineq1(*one(a, b)).report()
             direct = pdcore.eig_general_stack((a - b) @ (np.linalg.inv(b) - np.linalg.inv(a)))
             assert r.holds
@@ -105,7 +106,7 @@ class TestEigIneq1:
 
 class TestHarmonicLoewner:
     def test_p1_boundary(self):
-        fam = cp.CyclicFamily(cp.validate_family([[[2.0, 1.0], [1.0, 3.0]]]))
+        fam = cp.validate_family([[[2.0, 1.0], [1.0, 3.0]]])
         r = ineq.batch_harmonic_loewner(one_family(fam)).report()
         assert r.holds and abs(r.margin) < 1e-12
 
@@ -202,7 +203,7 @@ class TestNesbittK:
         rng = RNG(5)
         trip = [oracle.random_pd(2, rng) for _ in range(3)]
         r1 = ineq.batch_nesbitt(one_cycle(*trip)).report()
-        r2 = ineq.batch_nesbitt_k(one_family(cp.CyclicFamily(np.stack([m.mat for m in trip])))).report()
+        r2 = ineq.batch_nesbitt_k(one_family(np.stack(trip))).report()
         assert r1.margin == r2.margin  # one kernel
 
     def test_scalar_k4(self):
@@ -264,18 +265,18 @@ def ref_refined_inverse(m):
     return x
 
 
-def ref_cyclic_sum_trace(f, refine=False):
-    """F_p of one family: the looped kernel of ``cyclic_sum_trace`` (each term
+def ref_cyclic_traces(f, refine=False):
+    """F_p of one family: the looped kernel of ``cyclic_traces`` (each term
     by the closed form for real n = 2, 3 where the guard admits its S_i, else
     by one solve), or with ``refine`` that of the search's re-check,
     ``search._recheck_trace`` (one refined inverse per member)."""
-    mats = list(f.mats)
+    mats = list(f)
     if not refine:
         return oracle.looped_cyclic_sum(mats)
-    p = f.p
+    p = len(mats)
     total = 0.0
     for i in range(p):
-        x = ref_refined_inverse(oracle.closure_pd(mats[(i + 1) % p] + mats[(i + 2) % p]).mat)
+        x = ref_refined_inverse(oracle.closure_pd(mats[(i + 1) % p] + mats[(i + 2) % p]))
         total += float(np.trace(mats[i] @ x).real)
     return total
 
@@ -293,14 +294,14 @@ def ref_cyclic_matrix_sum(mats):
 class TestCyclicKernelOracle:
     @staticmethod
     def assert_family_matches_looped(fam):
-        ref = ref_cyclic_sum_trace(fam)
-        assert cp.cyclic_sum_trace(fam) == ref
-        assert search._recheck_trace(fam.mats) == ref_cyclic_sum_trace(fam, refine=True)
+        ref = ref_cyclic_traces(fam)
+        assert float(ineq.cyclic_traces(fam)) == ref
+        assert search._recheck_trace(fam) == ref_cyclic_traces(fam, refine=True)
         r = ineq.batch_bidirectional(one_family(fam)).report()
         assert r.detail["forward"] == ref
-        assert r.detail["reversed"] == ref_cyclic_sum_trace(cp.CyclicFamily(fam.mats[::-1]))
-        got = _cyclic_matrix_sum(fam.mats)
-        want = ref_cyclic_matrix_sum(list(fam.mats))
+        assert r.detail["reversed"] == ref_cyclic_traces(fam[::-1])
+        got = _cyclic_matrix_sum(fam)
+        want = ref_cyclic_matrix_sum(list(fam))
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
@@ -465,22 +466,22 @@ class TestOneInversionRule:
 class TestCyclicSumTrace:
     def test_identity(self):
         for n, p in [(1, 4), (2, 3), (3, 6)]:
-            assert cp.cyclic_sum_trace(identity_family(n, p)) == pytest.approx(p * n / 2, abs=1e-12)
+            assert float(ineq.cyclic_traces(identity_family(n, p))) == pytest.approx(p * n / 2, abs=1e-12)
 
     def test_fixture_value(self):
-        assert cp.cyclic_sum_trace(cp.CyclicFamily(cp.counterexample_family())) == pytest.approx(5.2786, abs=1e-3)
+        assert float(ineq.cyclic_traces(cp.counterexample_family())) == pytest.approx(5.2786, abs=1e-3)
 
     def test_scalar_equivalence(self):
         rng = RNG(6)
         for p in range(3, 10):
             s = rng.uniform(0.1, 10.0, p)
             fam = oracle.diagonal_embed(s, 1)
-            assert cp.cyclic_sum_trace(fam) == pytest.approx(
+            assert float(ineq.cyclic_traces(fam)) == pytest.approx(
                 cp.scalar_cyclic_sum(s), rel=1e-12)
 
     def test_p_too_small(self):
         with pytest.raises(ValueError):
-            cp.cyclic_sum_trace(identity_family(2, 2))
+            ineq.cyclic_traces(identity_family(2, 2))
 
 
 class TestShapiroTrace:
@@ -706,8 +707,9 @@ class TestCertificateGates:
             return outer, wi / c, c * zi @ turn
 
         def two_ab_sums(*mats):
-            m, nn = sums(*mats)
-            return m, k * nn
+            m_n = sums(*mats)
+            m_n[..., 1, :, :] *= k
+            return m_n
 
         monkeypatch.setattr(ineq, "_wz_blocks", wz_blocks)
         monkeypatch.setattr(ineq, "_two_ab_sums", two_ab_sums)
@@ -718,7 +720,7 @@ class TestCertificateGates:
             "tr_zz": abs(d["tr_zz"] - d["tr_zz_expected"]),
             "tr_ww": abs(d["tr_ww"] - d["tr_n"]),
         }
-        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m.mat) for m in ops)) ** 2
+        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m) for m in ops)) ** 2
         assert gaps.pop(broken) > 100 * bound
         assert all(g <= bound for g in gaps.values())
         assert r.margin > 0
@@ -740,7 +742,7 @@ class TestCertificateGates:
         monkeypatch.setattr(ineq, "herm_powers", herm_powers)
         r = ineq.batch_square_cycle(one_family(fam)).report()
         other = ({"wz_residual", "zz_residual"} - {broken}).pop()
-        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m) for m in fam.mats))
+        bound = 1e-9 * (1.0 + sum(np.linalg.norm(m) for m in fam))
         assert r.detail[broken] > 100 * bound and r.detail[other] <= bound
         assert r.margin == base.margin > 0
         assert not r.holds
@@ -769,6 +771,22 @@ class TestReportSerialization:
         d = r.to_dict()
         assert set(d) == {"check", "n", "p", "holds", "margin", "lhs", "rhs", "detail", "tol"}
         assert d["tol"] == {"rel": 1e-9, "abs": 1e-12}
-        import json
-
         json.dumps(d)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_every_report_is_strict_json(self, field):
+        """Every checker's report, and the counterexample's, is strict JSON: a
+        real array's entries come out as floats, a complex one's (the spectra of
+        complex operands' cyclic-sum matrices, the fixture's) as [re, im] pairs."""
+        rng = RNG(40 + len(field))
+        drawn = pdcore.random_pd_stack(3, 2, 4, rng, field, gaussian_tail=2)
+        fams = pdcore.random_pd_stack(3, 2, 5, rng, field)
+        for name, args in verify.checker_args(drawn, fams).items():
+            batch = getattr(ineq, f"batch_{name}")(*args)
+            for t in range(2):
+                d = json.loads(json.dumps(batch.report(t).to_dict(), allow_nan=False))
+                if name == "bidirectional_eig4" and field == "complex":
+                    assert [len(z) for z in d["detail"]["eigs"]] == [2, 2, 2]
+        d = json.loads(json.dumps(cp.reproduce_counterexample().to_dict(), allow_nan=False))
+        assert np.allclose(d["lhs"], [[2.6393, -0.1871], [2.6393, 0.1871]], atol=1e-3)
+        assert d["detail"]["eigs"] == d["lhs"] and d["detail"]["eigenvalue_form_fails"] is True

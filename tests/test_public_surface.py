@@ -9,6 +9,10 @@ breaks what the benchmark reads fails here, not only in a benchmark run. The
 names ``tools/bench_kernel.py`` reads are checked to exist too, and its
 count layer to count every call. No line of the package's source is longer
 than 116 columns.
+
+The family records ``CyclicFamily`` and ``PDMatrix``, and ``cyclic_sum_trace``
+over them, are kept for the benchmark's reader alone: this file is the one
+test file that names them, and pins what that reader reads of them.
 """
 import ast
 import dataclasses
@@ -25,12 +29,13 @@ import pytest
 import cyclicpd
 import cyclicpd.cli
 from cyclicpd import inequalities as ineq
+from cyclicpd.pdcore import CyclicFamily, random_pd_stack
 
 PUBLIC = [
-    "CheckReport", "ConvergenceFailure", "CyclicFamily", "CyclicPDError", "DimensionMismatch",
+    "CheckReport", "ConvergenceFailure", "CyclicPDError", "DimensionMismatch",
     "EntryTooLarge", "FixtureMismatch", "IllConditioned", "NotFinite", "NotHermitian",
-    "NotPositiveDefinite", "NotSquare", "PDMatrix", "SearchConfig", "SearchResult",
-    "SingularDenominator", "counterexample_family", "cyclic_sum_trace",
+    "NotPositiveDefinite", "NotSquare", "SearchConfig", "SearchResult",
+    "SingularDenominator", "counterexample_family",
     "errors", "family_from_dict", "family_to_dict", "inequalities",
     "margin_gradient", "minimize_margin", "pdcore", "reproduce_counterexample",
     "scalar_cyclic_sum", "search", "serialize", "validate_family",
@@ -103,6 +108,40 @@ def test_the_program_passes_families_as_stacks():
     that reader, has no caller."""
     assert calls_in_program("CyclicFamily") == [("serialize", "family_from_dict")]
     assert calls_in_program("cyclic_sum_trace") == []
+
+
+def test_the_readers_record_views_the_validated_stack():
+    """The record of a validated stack has its ``p`` and ``dim``, and its
+    ``members`` are read-only ``PDMatrix`` views ``mat`` of the stack."""
+    mats = cyclicpd.validate_family(np.array([[[2.0, 1.0], [1.0, 2.0]]]))
+    fam = CyclicFamily(mats)
+    assert (fam.p, fam.dim) == (1, 2)
+    assert fam.members[0].mat.base is mats and not fam.members[0].mat.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_cyclic_sum_trace_is_the_float_of_cyclic_traces(field):
+    """The benchmark's reader takes F_p of a loaded family by ``cyclic_sum_trace``:
+    the float of ``cyclic_traces`` of its stack, bit for bit, on every path
+    of the kernel (division, closed form, LAPACK solve)."""
+    rng = np.random.default_rng(len(field))
+    for n in range(1, 5):
+        for mats in random_pd_stack(n, 3, 5, rng, field):
+            fam = cyclicpd.family_from_dict(cyclicpd.family_to_dict(mats))
+            assert isinstance(fam, CyclicFamily) and (fam.p, fam.dim) == (5, n)
+            got = ineq.cyclic_sum_trace(fam)
+            assert type(got) is float and got == float(ineq.cyclic_traces(fam.mats))
+
+
+def test_only_this_file_names_the_readers_records():
+    """The tests pass families as (p, n, n) stacks, as the program does: the
+    records kept for the benchmark's reader, their one-matrix attributes and
+    ``cyclic_sum_trace`` are named in this file alone."""
+    names = re.compile(r"\b(PDMatrix|CyclicFamily|cyclic_sum_trace)\b|\.(members|mat)\b")
+    here = Path(__file__).resolve()
+    found = [f"{path.name}:{i}" for path in sorted(here.parent.glob("*.py")) if path != here
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if names.search(line)]
+    assert found == []
 
 
 def test_no_source_line_is_longer_than_116_columns():

@@ -12,7 +12,7 @@ import looped_oracle as oracle
 from cyclicpd import inequalities as ineq
 from cyclicpd import verify
 from cyclicpd.cli import main
-from cyclicpd.pdcore import CyclicFamily, PDMatrix, random_pd_stack
+from cyclicpd.pdcore import random_pd_stack
 from cyclicpd.serialize import family_to_dict
 
 DIMS, PS, TRIALS = range(1, 5), (3, 5, 8), 7
@@ -163,9 +163,9 @@ def test_batch_kernels_match_looped_checkers(seed, n, p, field, trials):
         word, _ = ineq.CHECKS[name]
         for t in range(trials):
             if word == ineq.FAMILY:
-                looped = [CyclicFamily(fams[t])]
+                looped = [fams[t]]
             else:
-                ops = dict(zip("abcdxy", [PDMatrix(m) for m in drawn[t, :4]] + list(drawn[t, 4:])))
+                ops = dict(zip("abcdxy", drawn[t]))
                 # the looped checkers take a cycle's operands one by one
                 looped = [ops[k] for k in word.replace(" ", "")]
             same_report(batch.report(t), getattr(oracle, f"check_{name}")(*looped))

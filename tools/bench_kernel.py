@@ -15,7 +15,13 @@ prints one JSON document: per case the median over ``--runs`` runs of kernel
 time per accepted iteration, of the bookkeeping time per accepted iteration
 (descent time minus kernel time: the line search's gathers, masks and
 records), of the whole descent's time and of the kernels' share of it
-(kernel time / descent time), and the iterations.
+(kernel time / descent time), of the minor page faults per accepted
+iteration (this process's ``resource.getrusage(RUSAGE_SELF).ru_minflt``,
+read just before and just after each timed descent), and the iterations.
+A descent that reuses its memory reads 0 faults per iteration; one whose
+arrays go back to the system and are faulted in again reads one or more:
+the case at p = 23, n = 3, R = 32 read 3.3 (about 100 per lockstep step of
+its 32 restarts) on a 2-core host, where every other case read 0.
 Then, for each (T, p, n) trace case, it times ``cyclic_traces`` on T real
 families drawn as verify draws them: the median over ``--runs`` runs of the
 mean µs per call, and the largest relative difference from the trace sums
@@ -98,6 +104,7 @@ in ``cal`` cancel most of the drift in machine speed that medians in ms show
 on a shared host.
 
     PYTHONPATH=src python tools/bench_kernel.py --runs 20
+    PYTHONPATH=src python tools/bench_kernel.py --layer kernel --runs 3
     PYTHONPATH=src python tools/bench_kernel.py --layer checker --runs 5
     PYTHONPATH=src python tools/bench_kernel.py --layer suite --runs 9
     PYTHONPATH=src python tools/bench_kernel.py --layer count
@@ -112,6 +119,7 @@ import importlib.util
 import io
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -127,10 +135,11 @@ from cyclicpd import _fork, cli, inequalities, search, verify
 from cyclicpd.pdcore import random_pd_stack
 
 # (n, p, restarts, iterations), None for --iters: (1, 14, 32) is the scalar
-# rediscovery at the default restarts (search --p 14 --n 1), and the last is
-# one command of the benchmark's search-scalar workload
+# rediscovery at the default restarts (search --p 14 --n 1), (1, 14, 8, 50)
+# one command of the benchmark's search-scalar workload, and the last the
+# open case's default restarts in one process, whose descent page-faults
 CASES = [(3, 23, 2, None), (3, 23, 4, None), (2, 12, 2, None), (2, 12, 4, None), (1, 14, 32, None),
-         (1, 14, 8, 50)]
+         (1, 14, 8, 50), (3, 23, 32, 200)]
 TRACE_CASES = [(4, 3, 2), (4, 8, 3), (512, 8, 3)]
 TRACE_ROWS = 2048  # families per timed run: 512 calls at T = 4, 4 at T = 512
 # (p, n, restarts, iterations); the first is one command of the benchmark's
@@ -206,19 +215,28 @@ def timed(fn, spent):
 
 
 def run_case(n: int, p: int, restarts: int, iters: int, seed: int, batch):
-    """(kernel s, descent s, descent cal, iterations) of one in-process descent."""
+    """(kernel s, descent s, descent cal, iterations, minor page faults) of one
+    in-process descent."""
     cfg = search.SearchConfig(p=p, n=n, restarts=restarts, max_iters=iters, master_seed=seed)
     start = search._initial_factors(cfg)
     spent = [0.0, False]
+    faults = [0]
     kernels = {name: getattr(search, name) for name in KERNELS}
+
+    def descend():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        result = search._descend(cfg, start)
+        faults[0] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        return result
+
     for name, fn in kernels.items():
         setattr(search, name, timed(fn, spent))
     try:
-        wall, cals, (_, _, _, done) = calibrated(batch, lambda: search._descend(cfg, start))
+        wall, cals, (_, _, _, done) = calibrated(batch, descend)
     finally:
         for name, fn in kernels.items():
             setattr(search, name, fn)
-    return spent[0], wall, cals, int(done.sum())
+    return spent[0], wall, cals, int(done.sum()), faults[0]
 
 
 def trace_case(trials: int, p: int, n: int, runs: int, seed: int, batch):
@@ -479,11 +497,12 @@ def main(argv=None) -> int:
         iters = runs[0][3]
         out["cases"].append({
             "n": n, "p": p, "restarts": restarts, "iterations": iters,
-            "kernel_us_per_iteration": round(statistics.median(k for k, _, _, _ in runs) / iters * 1e6, 1),
-            "bookkeeping_us_per_iteration": round(statistics.median(w - k for k, w, _, _ in runs) / iters * 1e6, 1),
-            "descend_ms": round(statistics.median(w for _, w, _, _ in runs) * 1e3, 2),
-            "descend_cal": four_digits(statistics.median(c for _, _, c, _ in runs)),
-            "kernel_share": round(statistics.median(k / w for k, w, _, _ in runs), 3),
+            "kernel_us_per_iteration": round(statistics.median(k for k, _, _, _, _ in runs) / iters * 1e6, 1),
+            "bookkeeping_us_per_iteration": round(statistics.median(w - k for k, w, _, _, _ in runs) / iters * 1e6, 1),
+            "descend_ms": round(statistics.median(w for _, w, _, _, _ in runs) * 1e3, 2),
+            "descend_cal": four_digits(statistics.median(c for _, _, c, _, _ in runs)),
+            "kernel_share": round(statistics.median(k / w for k, w, _, _, _ in runs), 3),
+            "minor_faults_per_iteration": round(statistics.median(f for _, _, _, _, f in runs) / iters, 1),
         })
     out["trace_cases"] = []
     for trials, p, n in TRACE_CASES:
